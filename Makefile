@@ -13,14 +13,15 @@ test:
 	$(GO) test ./...
 
 # bench runs the kernel microbenchmarks (with allocation reporting),
-# the end-to-end pipeline harness (BENCH_pipeline.json: per-stage
-# serial-vs-parallel wall time, alloc counts, and an inline determinism
-# cross-check), and the engine hot-path harness (BENCH_engine.json:
-# wall-clock ops/s and allocs/op per op type). Both JSON files are
-# committed trajectory files — regenerate them when the hot path
-# changes.
+# the SSTable builders (Preload, flush, merge), the end-to-end pipeline
+# harness (BENCH_pipeline.json: per-stage serial-vs-parallel wall time,
+# alloc counts, and an inline determinism cross-check), and the engine
+# hot-path harness (BENCH_engine.json: wall-clock ops/s and allocs/op
+# per op type). Both JSON files are committed trajectory files —
+# regenerate them when the hot path changes.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/nn/
+	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables' -benchmem ./internal/nosql/
 	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
 	$(GO) run ./cmd/enginebench -out BENCH_engine.json
 

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rafiki/internal/config"
@@ -98,6 +100,56 @@ func TestCollectErrorDeterministicAcrossWorkers(t *testing.T) {
 			refMsg = err.Error()
 		} else if err.Error() != refMsg {
 			t.Errorf("workers=%d: error %q, serial %q", workers, err.Error(), refMsg)
+		}
+	}
+}
+
+// TestIdentifyDeterministicAcrossWorkers: the sweep's task list and
+// seeds are fixed before fan-out, so the Identification — ranking and
+// key names — is the same on one, two and eight workers.
+func TestIdentifyDeterministicAcrossWorkers(t *testing.T) {
+	space := config.Cassandra()
+	opts := IdentifyOptions{ReadRatio: 0.5, MinK: 3, MaxK: 8, Repeats: 2, Seed: 5}
+	ref, err := identifyKeyParameters(analyticCollector(space), space, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.KeyNames) == 0 || len(ref.Ranking.Entries) == 0 {
+		t.Fatalf("empty identification: %+v", ref)
+	}
+	for _, workers := range []int{2, 8} {
+		got, err := identifyKeyParameters(analyticCollector(space), space, opts, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers=%d: identification differs from serial run:\n%+v\nvs\n%+v", workers, got, ref)
+		}
+	}
+}
+
+// TestIdentifyErrorDeterministicAcrossWorkers: when several sweep
+// samples fail, the reported error is the lowest-numbered one — the one
+// a serial sweep hits first — for any worker count.
+func TestIdentifyErrorDeterministicAcrossWorkers(t *testing.T) {
+	space := config.Cassandra()
+	boom := errors.New("generator crashed")
+	failing := CollectorFunc(func(w Workload, cfg config.Config, seed int64) (float64, error) {
+		if seed%5 == 0 {
+			return 0, fmt.Errorf("seed %d: %w", seed, boom)
+		}
+		return 1, nil
+	})
+	opts := DefaultIdentifyOptions()
+	opts.Seed = 21 // samples are numbered from 22: the first to fail is 25
+	const want = "seed 25:"
+	for _, workers := range []int{1, 2, 8} {
+		_, err := identifyKeyParameters(failing, space, opts, workers)
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want wrapped %v", workers, err, boom)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("workers=%d: error %q does not carry the first failing sample (%s)", workers, err, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"rafiki/internal/anova"
 	"rafiki/internal/config"
+	"rafiki/internal/par"
 )
 
 // IdentifyOptions tunes the important-parameter-identification stage.
@@ -53,35 +54,55 @@ type Identification struct {
 // Parameters the engine's auto-tuner ignores are skipped, matching the
 // ScyllaDB adjustment of Section 4.10.
 func IdentifyKeyParameters(c Collector, space *config.Space, opts IdentifyOptions) (Identification, error) {
+	return identifyKeyParameters(c, space, opts, 0)
+}
+
+// identifyKeyParameters is IdentifyKeyParameters at an explicit worker
+// count (0 = one per CPU); the result is the same at any count.
+func identifyKeyParameters(c Collector, space *config.Space, opts IdentifyOptions, workers int) (Identification, error) {
 	if opts.Repeats < 1 {
 		opts.Repeats = 1
 	}
 	if err := opts.Workload().Validate(); err != nil {
 		return Identification{}, fmt.Errorf("core: identify workload: %w", err)
 	}
+	// The sweep's samples and their seeds are laid out sequentially up
+	// front, exactly as a serial loop would number them; the samples
+	// then fan out and land in their groups by index.
+	type task struct {
+		param string
+		value float64
+		seed  int64
+		out   *float64
+	}
+	var tasks []task
 	sweeps := make(map[string][][]float64)
 	seed := opts.Seed
 	for _, p := range space.Params() {
-		if space.Ignored(p.Name) {
+		if space.Ignored(p.Name) || len(p.Sweep) < 2 {
 			continue
 		}
-		if len(p.Sweep) < 2 {
-			continue
-		}
-		groups := make([][]float64, 0, len(p.Sweep))
-		for _, v := range p.Sweep {
-			group := make([]float64, 0, opts.Repeats)
-			for r := 0; r < opts.Repeats; r++ {
+		groups := make([][]float64, len(p.Sweep))
+		for g, v := range p.Sweep {
+			groups[g] = make([]float64, opts.Repeats)
+			for r := range groups[g] {
 				seed++
-				tput, err := c.Sample(opts.Workload(), config.Config{p.Name: v}, seed)
-				if err != nil {
-					return Identification{}, fmt.Errorf("core: sweeping %s=%v: %w", p.Name, v, err)
-				}
-				group = append(group, tput)
+				tasks = append(tasks, task{param: p.Name, value: v, seed: seed, out: &groups[g][r]})
 			}
-			groups = append(groups, group)
 		}
 		sweeps[p.Name] = groups
+	}
+	err := par.Do(len(tasks), par.Options{Workers: workers}, func(i int) error {
+		t := tasks[i]
+		tput, err := c.Sample(opts.Workload(), config.Config{t.param: t.value}, t.seed)
+		if err != nil {
+			return fmt.Errorf("core: sweeping %s=%v: %w", t.param, t.value, err)
+		}
+		*t.out = tput
+		return nil
+	})
+	if err != nil {
+		return Identification{}, err
 	}
 	ranking, err := anova.Rank(sweeps)
 	if err != nil {

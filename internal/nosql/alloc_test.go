@@ -56,3 +56,42 @@ func TestOpAllocGuard(t *testing.T) {
 		t.Fatalf("steady-state point ops allocate %.3f/op, want <= 0.1", perOp)
 	}
 }
+
+// fillMemtable puts n distinct keys (every third key from 0) straight
+// into the memtable, bypassing the write path's own flush trigger.
+func fillMemtable(e *Engine, n int) {
+	for k := 0; k < n; k++ {
+		e.mem.Insert(uint64(3*k), 0, float64(e.hw.RowBytes))
+	}
+}
+
+// TestFlushAllocGuard pins the flush path's allocation budget: a flush
+// allocates the table's fixed parts — the table, its run, the Bloom
+// filter and its bits, the presence bitmap, the background task — and
+// nothing per key (10 to 12 measured). With the per-table hash map the
+// count grew with the table — 26 at 1k keys, 163 at 32k — because map
+// groups scale with the key count; the ceiling leaves room only for
+// amortized growth of the engine's queues and cache-node chunks.
+func TestFlushAllocGuard(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 15} {
+		e, err := New(Options{Space: config.Cassandra(), Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm: grow the memtable map and Drain's scratch to this size.
+		fillMemtable(e, n)
+		e.flush(false)
+		fillMemtable(e, n)
+
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		e.flush(false)
+		runtime.ReadMemStats(&m1)
+		if e.Metrics().Flushes != 2 || e.tables.tables[1].Len() != n {
+			t.Fatalf("n=%d: %d flushes, second table holds %d keys", n, e.Metrics().Flushes, e.tables.tables[1].Len())
+		}
+		if got := m1.Mallocs - m0.Mallocs; got > 16 {
+			t.Errorf("flush of %d keys made %d allocations, want <= 16", n, got)
+		}
+	}
+}

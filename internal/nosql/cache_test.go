@@ -259,12 +259,10 @@ func TestTableSet(t *testing.T) {
 	if got := s.MaxLevel(); got != 2 {
 		t.Errorf("MaxLevel = %d, want 2", got)
 	}
-	removed := s.Remove(map[uint64]bool{1: true, 99: true})
+	stranger := newSSTable(99, []uint64{5}, 1024, 2, 100)
+	removed := s.RemoveTables([]*ssTable{a, stranger})
 	if removed != 1 || s.Len() != 2 {
-		t.Errorf("Remove: removed=%d len=%d", removed, s.Len())
-	}
-	if s.Remove(nil) != 0 {
-		t.Error("Remove(nil) should be a no-op")
+		t.Errorf("RemoveTables: removed=%d len=%d", removed, s.Len())
 	}
 }
 

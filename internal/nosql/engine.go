@@ -485,50 +485,55 @@ func (e *Engine) Preload(versions int) {
 		versions = 1
 	}
 	n := uint64(e.hw.ScaledKeySpace())
+	// Every generation's run is built once, ascending, at its final size.
+	all := make([]uint64, n)
+	for k := range all {
+		all[k] = uint64(k)
+	}
+	full := e.preloadTable(all)
 	if e.p.compaction == config.CompactionLeveled {
 		// Dataset lives in the level whose target size fits it, plus a
 		// sparse L1 run, mirroring a leveled tree at rest.
-		all := make([]uint64, 0, n)
-		for k := uint64(0); k < n; k++ {
-			all = append(all, k)
-		}
-		t := newSSTable(e.newTableID(), all, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
-		t.level = e.restingLevel(t.Bytes())
-		e.tables.Add(t)
-		var l1 []uint64
+		full.level = e.restingLevel(full.Bytes())
+		l1 := make([]uint64, 0, (n+31)/32)
 		for k := uint64(0); k < n; k += 32 {
 			l1 = append(l1, k)
 		}
-		t1 := newSSTable(e.newTableID(), l1, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
-		t1.level = 1
-		e.tables.Add(t1)
+		e.preloadTable(l1).level = 1
 	} else {
 		// A size-tiered steady state: one full-coverage table plus
 		// geometrically smaller overlapping generations. The sizes are
 		// >2x apart so no bucket reaches the merge threshold — a server
 		// at rest has already digested its history.
-		all := make([]uint64, 0, n)
-		for k := uint64(0); k < n; k++ {
-			all = append(all, k)
-		}
-		e.tables.Add(newSSTable(e.newTableID(), all, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace()))
 		for g := 1; g < versions+1; g++ {
 			stride := uint64(1) << uint(2*g) // 4^g
-			var keys []uint64
-			for k := uint64(0); k < n; k++ {
-				if (k*2654435761+uint64(g)*97)%stride == 0 {
-					keys = append(keys, k)
-				}
+			// The keys with (k*2654435761+g*97)%stride == 0: an odd
+			// multiplier and a power-of-two stride make that one residue
+			// class, so find its first member and step.
+			k0 := uint64(0)
+			for (k0*2654435761+uint64(g)*97)%stride != 0 {
+				k0++
 			}
-			if len(keys) == 0 {
+			if k0 >= n {
 				continue
 			}
-			e.tables.Add(newSSTable(e.newTableID(), keys, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace()))
+			keys := make([]uint64, 0, (n-k0+stride-1)/stride)
+			for k := k0; k < n; k += stride {
+				keys = append(keys, k)
+			}
+			e.preloadTable(keys)
 		}
 	}
 	if e.tables.Len() > e.m.MaxSSTables {
 		e.m.MaxSSTables = e.tables.Len()
 	}
+}
+
+// preloadTable installs keys (ascending, handed over) as a live SSTable.
+func (e *Engine) preloadTable(keys []uint64) *ssTable {
+	t := newSSTable(e.newTableID(), keys, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
+	e.tables.Add(t)
+	return t
 }
 
 // restingLevel returns the shallowest leveled-compaction level whose
@@ -711,7 +716,7 @@ func (e *Engine) flush(forced bool) {
 	if len(keys) == 0 {
 		return
 	}
-	t := newSSTable(e.newTableID(), keys, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
+	t := newSSTable(e.newTableID(), slices.Clone(keys), e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
 	t.markTombstones(tombstones)
 	t.markExpiries(expiries)
 	t.createdAt = e.clock

@@ -8,17 +8,24 @@ import "slices"
 // estimated.
 type ssTable struct {
 	id uint64
-	// keys holds every physically present cell, live or tombstone;
-	// tombs marks the subset that are delete markers.
-	keys  map[uint64]struct{}
+	// sorted is the table's one representation of its cell set: every
+	// physically present key, live or tombstone, ascending and distinct
+	// — the physical layout. minKey/maxKey, blockSpan, bloom and present
+	// are derived from it by index.
+	sorted         []uint64
+	minKey, maxKey uint64
+	// present answers Contains in one probe: bit k-minKey is set when k
+	// is in the run. It exists only while the run is dense (key span <=
+	// 64 x len, so it never outweighs the run itself); a sparse table
+	// leaves it nil and Contains binary-searches sorted instead.
+	present []uint64
+	// tombs marks the subset of cells that are delete markers.
 	tombs map[uint64]struct{}
 	// expiry holds the virtual expiry time of the TTL'd subset of
 	// cells; absent keys never expire. nil until a TTL'd cell lands.
 	expiry map[uint64]float64
-	// sorted is the ascending key order — the table's physical layout —
-	// with minKey/maxKey caching the range for scan overlap pruning.
-	sorted         []uint64
-	minKey, maxKey uint64
+	// dropped collects the cells dropCell removed since the last rebuild.
+	dropped []uint64
 	// seq is the logical recency of the table's cells: flush order for
 	// fresh tables, the max input seq for merged ones. Conflict
 	// resolution across tables picks the highest seq.
@@ -43,20 +50,18 @@ type ssTable struct {
 	createdAt float64
 }
 
+// newSSTable builds a table over keys, which must be ascending and
+// distinct (index panics otherwise). The table takes ownership of the
+// slice: callers handing in scratch pass a copy.
 func newSSTable(id uint64, keys []uint64, rowBytes, keysPerBlock, keySpace int) *ssTable {
 	t := &ssTable{
 		id:           id,
-		keys:         make(map[uint64]struct{}, len(keys)),
+		sorted:       keys,
 		seq:          id,
 		rowBytes:     rowBytes,
 		keysPerBlock: keysPerBlock,
 	}
-	for _, k := range keys {
-		t.keys[k] = struct{}{}
-	}
-	t.setBlockSpan(keySpace)
-	t.buildBloom()
-	t.buildSorted()
+	t.index(keySpace)
 	return t
 }
 
@@ -115,39 +120,51 @@ func (t *ssTable) IsTombstone(key uint64) bool {
 	return ok
 }
 
-// dropCell removes a cell entirely (tombstone garbage collection).
+// dropCell removes a cell entirely (tombstone garbage collection). The
+// run and everything derived from it stay stale until rebuild.
 func (t *ssTable) dropCell(key uint64) {
-	delete(t.keys, key)
 	delete(t.tombs, key)
 	delete(t.expiry, key)
+	t.dropped = append(t.dropped, key)
 }
 
-// rebuild refreshes the derived structures after cells changed.
+// rebuild filters the dropped cells out of the run in place and
+// refreshes the derived structures.
 func (t *ssTable) rebuild(keySpace int) {
+	slices.Sort(t.dropped)
+	t.sorted = slices.DeleteFunc(t.sorted, func(k uint64) bool {
+		_, gone := slices.BinarySearch(t.dropped, k)
+		return gone
+	})
+	t.dropped = nil
+	t.index(keySpace)
+}
+
+// index derives the key range, block span, Bloom filter and presence
+// bitmap from the run in one ordered pass, checking the ascending-
+// distinct contract as it goes. Filter and bitmap bits are OR-ed in, so
+// the result is a function of the key set alone.
+func (t *ssTable) index(keySpace int) {
+	n := len(t.sorted)
+	t.minKey, t.maxKey, t.present = 0, 0, nil
 	t.setBlockSpan(keySpace)
-	t.buildBloom()
-	t.buildSorted()
-}
-
-// buildSorted (re)derives the table's physical key order and range.
-func (t *ssTable) buildSorted() {
-	t.sorted = t.sorted[:0]
-	for k := range t.keys {
-		t.sorted = append(t.sorted, k)
+	t.bloom = newBloomFilter(n, defaultBloomFPRate)
+	if n == 0 {
+		return
 	}
-	slices.Sort(t.sorted)
-	if n := len(t.sorted); n > 0 {
-		t.minKey, t.maxKey = t.sorted[0], t.sorted[n-1]
-	} else {
-		t.minKey, t.maxKey = 0, 0
+	t.minKey, t.maxKey = t.sorted[0], t.sorted[n-1]
+	if span := t.maxKey - t.minKey; span < 64*uint64(n) {
+		t.present = make([]uint64, span/64+1)
 	}
-}
-
-// buildBloom (re)constructs the table's Bloom filter from its key set.
-func (t *ssTable) buildBloom() {
-	t.bloom = newBloomFilter(len(t.keys), defaultBloomFPRate)
-	for k := range t.keys {
+	for i, k := range t.sorted {
+		if (i > 0 && k <= t.sorted[i-1]) || k > t.maxKey {
+			panic("nosql: sstable keys must be ascending and distinct")
+		}
 		t.bloom.Add(k)
+		if t.present != nil {
+			off := k - t.minKey
+			t.present[off/64] |= 1 << (off % 64)
+		}
 	}
 }
 
@@ -164,7 +181,7 @@ func (t *ssTable) MayContain(key uint64) bool {
 // setBlockSpan recomputes the key-to-physical-block divisor from the
 // table's density within the key space.
 func (t *ssTable) setBlockSpan(keySpace int) {
-	physBlocks := (len(t.keys) + t.keysPerBlock - 1) / t.keysPerBlock
+	physBlocks := (len(t.sorted) + t.keysPerBlock - 1) / t.keysPerBlock
 	if physBlocks < 1 {
 		physBlocks = 1
 	}
@@ -179,18 +196,25 @@ func (t *ssTable) setBlockSpan(keySpace int) {
 //
 //rafiki:hot
 func (t *ssTable) Contains(key uint64) bool {
-	_, ok := t.keys[key]
-	return ok
+	if key < t.minKey || key > t.maxKey {
+		return false
+	}
+	if t.present != nil {
+		off := key - t.minKey
+		return t.present[off/64]&(1<<(off%64)) != 0
+	}
+	i := seekGE(t.sorted, key)
+	return i < len(t.sorted) && t.sorted[i] == key
 }
 
 // Bytes returns the table's on-disk size; tombstone cells are small.
 func (t *ssTable) Bytes() float64 {
-	live := len(t.keys) - len(t.tombs)
+	live := len(t.sorted) - len(t.tombs)
 	return float64(live*t.rowBytes) + float64(len(t.tombs)*t.rowBytes)/8
 }
 
 // Len returns the number of distinct keys in the table.
-func (t *ssTable) Len() int { return len(t.keys) }
+func (t *ssTable) Len() int { return len(t.sorted) }
 
 // BlockFor returns the cache block holding key within this table.
 // Tables are sorted by key, so adjacent keys share blocks; a compacted
@@ -219,34 +243,47 @@ func mergeTables(id uint64, tables []*ssTable, level, rowBytes, keysPerBlock, ke
 	}
 	out := &ssTable{
 		id:           id,
-		keys:         make(map[uint64]struct{}, total),
+		sorted:       make([]uint64, 0, total),
 		seq:          maxSeq,
 		level:        level,
 		rowBytes:     rowBytes,
 		keysPerBlock: keysPerBlock,
 	}
-	newest := make(map[uint64]*ssTable, total)
-	for _, t := range tables {
-		for k := range t.keys {
-			if cur, ok := newest[k]; !ok || t.seq > cur.seq {
-				newest[k] = t
+	// k-way merge over the inputs' runs (fan-in is maxThreshold-bounded,
+	// so the cursors are scanned linearly): the next key is the minimum
+	// under the cursors, and its cell comes from the highest-seq table
+	// holding it — the earliest input on a seq tie.
+	pos := make([]int, len(tables))
+	for {
+		var src *ssTable
+		var key uint64
+		for i, t := range tables {
+			if pos[i] == len(t.sorted) {
+				continue
+			}
+			if k := t.sorted[pos[i]]; src == nil || k < key || (k == key && t.seq > src.seq) {
+				src, key = t, k
 			}
 		}
-	}
-	for k, src := range newest {
-		out.keys[k] = struct{}{}
-		if src.IsTombstone(k) {
-			out.setTombstone(k)
-		} else if exp := src.ExpiryOf(k); exp > 0 {
+		if src == nil {
+			break
+		}
+		for i, t := range tables {
+			if pos[i] < len(t.sorted) && t.sorted[pos[i]] == key {
+				pos[i]++
+			}
+		}
+		out.sorted = append(out.sorted, key)
+		if src.IsTombstone(key) {
+			out.setTombstone(key)
+		} else if exp := src.ExpiryOf(key); exp > 0 {
 			if out.expiry == nil {
 				out.expiry = make(map[uint64]float64)
 			}
-			out.expiry[k] = exp
+			out.expiry[key] = exp
 		}
 	}
-	out.setBlockSpan(keySpace)
-	out.buildBloom()
-	out.buildSorted()
+	out.index(keySpace)
 	return out
 }
 
@@ -258,25 +295,6 @@ type tableSet struct {
 // Add appends a table.
 func (s *tableSet) Add(t *ssTable) {
 	s.tables = append(s.tables, t)
-}
-
-// Remove drops the tables with the given IDs and returns how many were
-// removed.
-func (s *tableSet) Remove(ids map[uint64]bool) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	kept := s.tables[:0]
-	removed := 0
-	for _, t := range s.tables {
-		if ids[t.id] {
-			removed++
-			continue
-		}
-		kept = append(kept, t)
-	}
-	s.tables = kept
-	return removed
 }
 
 // RemoveTables drops exactly the given tables (matched by ID) and

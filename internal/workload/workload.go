@@ -141,10 +141,11 @@ type KeyGenerator struct {
 	keySpace uint64
 	mean     float64
 	history  []uint64
-	// lastIndex maps a key to the global index of its most recent
-	// access, so that reuse draws target a key's latest occurrence and
-	// the measured reuse distance matches the drawn one.
-	lastIndex map[uint64]uint64
+	// lastIndex holds, per key (every key is < keySpace), the global
+	// index of its most recent access, so that reuse draws target a
+	// key's latest occurrence and the measured reuse distance matches
+	// the drawn one.
+	lastIndex []uint64
 	index     uint64
 }
 
@@ -165,27 +166,12 @@ func NewKeyGenerator(keySpace int, meanKRD float64, seed int64) (*KeyGenerator, 
 	if histLen < 1 {
 		histLen = 1
 	}
-	// lastIndex accumulates every key the stream ever touches; sizing
-	// it to the history window (its working-set scale) up front absorbs
-	// most of the incremental rehash growth a run would otherwise pay.
-	// The cap bounds the up-front spend for huge-KRD generators whose
-	// runs may touch far fewer keys than the window could hold.
-	hint := histLen
-	if hint > keySpace {
-		hint = keySpace
-	}
-	if hint > 1<<16 {
-		hint = 1 << 16
-	}
-	if hint < 4096 {
-		hint = 4096
-	}
 	return &KeyGenerator{
 		rng:       rand.New(rand.NewSource(seed)),
 		keySpace:  uint64(keySpace),
 		mean:      meanKRD,
 		history:   make([]uint64, histLen),
-		lastIndex: make(map[uint64]uint64, hint),
+		lastIndex: make([]uint64, keySpace),
 	}, nil
 }
 

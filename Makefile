@@ -13,7 +13,9 @@ test:
 	$(GO) test ./...
 
 # bench runs the kernel microbenchmarks (with allocation reporting),
-# the SSTable builders (Preload, flush, merge), the end-to-end pipeline
+# the SSTable builders (Preload, flush, merge), the serving path's
+# layers (a netsim round trip, a QUORUM coordinator op, an admission
+# queue cycle), the end-to-end pipeline
 # harness (BENCH_pipeline.json: per-stage serial-vs-parallel wall time,
 # alloc counts, and an inline determinism cross-check), and the engine
 # hot-path harness (BENCH_engine.json: wall-clock ops/s and allocs/op
@@ -22,6 +24,7 @@ test:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/nn/
 	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables' -benchmem ./internal/nosql/
+	$(GO) test -run='^$$' -bench='Send|ClusterQuorum|AdmissionQueue' -benchmem ./internal/netsim ./internal/cluster ./internal/frontdoor
 	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
 	$(GO) run ./cmd/enginebench -out BENCH_engine.json
 

@@ -92,12 +92,18 @@ type Cluster struct {
 	// message endpoints wrapping the engines.
 	net  *netsim.Network
 	reps []*replica
-	// seq issues globally monotonic write versions; reqID matches RPC
-	// responses to their requests; inbox collects coordinator-bound
-	// responses for the in-flight exchange.
+	// seq issues globally monotonic write versions; reqID matches
+	// responses to their exchange; req is the slot every coordinator
+	// request travels in and inbox collects the coordinator-bound
+	// responses of the in-flight exchange (see transport.go).
 	seq   int64
 	reqID uint64
+	req   message
 	inbox []inboxEntry
+	// live, order, healthy, slow and answers are one read's or scan's
+	// replica bookkeeping, reused from op to op.
+	live, order, healthy, slow []int
+	answers                    []answer
 	// reads are rotated across replicas per key; scans rotate on their
 	// own counter so the two balancing streams stay independent.
 	rotation     uint64
@@ -231,6 +237,8 @@ func (c *Cluster) Apply(cfg config.Config) error {
 // replicas returns the node indexes currently serving key, primary
 // first. The returned slice is coordinator scratch, valid until the
 // next placement lookup.
+//
+//rafiki:hot
 func (c *Cluster) replicas(key uint64) []int {
 	return c.serving(ring.KeyPos(key))
 }
@@ -241,6 +249,8 @@ func (c *Cluster) replicas(key uint64) []int {
 // old owner keeps serving (and acknowledging) the moving range until
 // the handoff completes, so read and write quorums keep intersecting
 // across the topology change.
+//
+//rafiki:hot
 func (c *Cluster) serving(pos uint64) []int {
 	owners := c.ring.OwnersAt(c.ownerScratch[:0], pos, c.rf)
 	c.ownerScratch = owners
@@ -298,47 +308,63 @@ type WriteResult struct {
 // is owed the mutation as a hint on the coordinator (hinted handoff),
 // replayed when it recovers; a write acknowledged by no replica at all
 // counts as unavailable.
+//
+//rafiki:hot
 func (c *Cluster) Write(key uint64) {
 	c.mutate(key, false)
 }
 
 // Delete routes a tombstone write to every replica, with the same
 // hinted-handoff semantics as Write.
+//
+//rafiki:hot
 func (c *Cluster) Delete(key uint64) {
 	c.mutate(key, true)
 }
 
 // WriteOp is Write returning the versioned outcome, for consistency
 // checking.
+//
+//rafiki:hot
 func (c *Cluster) WriteOp(key uint64) WriteResult {
 	return c.mutate(key, false)
 }
 
 // DeleteOp is Delete returning the versioned outcome.
+//
+//rafiki:hot
 func (c *Cluster) DeleteOp(key uint64) WriteResult {
 	return c.mutate(key, true)
 }
 
+// deliverWrite carries one versioned mutation to node idx and reports
+// whether its ack came back. A down replica, a live one whose op attempt
+// timed out or failed past its retry budget, and one whose write or ack
+// the network lost all report false: the caller owes them the mutation
+// as a hint.
+//
+//rafiki:hot
+func (c *Cluster) deliverWrite(idx int, key uint64, wc cell) bool {
+	if c.down[idx] || !c.attemptOp(idx) {
+		return false
+	}
+	_, ok := c.exchange(idx, idx, message{kind: msgWrite, key: key, c: wc})
+	return ok
+}
+
+//rafiki:hot
 func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
-	c.pumpRebalance()
+	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
 	c.o.mutations.Inc()
 	c.seq++
 	wc := cell{ver: c.seq, tomb: tombstone}
 	acked := 0
 	owners := c.replicas(key)
 	for _, idx := range owners {
-		// A down replica — or a live one whose op attempt timed out or
-		// failed past its retry budget — is owed the mutation as a hint.
-		if c.down[idx] || !c.attemptOp(idx) {
-			c.addHint(idx, hint{key: key, c: wc})
-			continue
-		}
-		if c.writeRPC(idx, key, wc) {
+		if c.deliverWrite(idx, key, wc) {
 			acked++
 		} else {
-			// The write or its ack was lost in the network; the replica
-			// is owed the mutation exactly like a down node would be.
-			c.addHint(idx, hint{key: key, c: wc})
+			c.addHint(idx, hint{key: key, c: wc}) //lint:allow hotalloc hints buffer only for an unreachable replica; the buffer is capped
 		}
 	}
 	// Forward the mutation to every pending destination catching up on
@@ -362,15 +388,11 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 		if already {
 			continue
 		}
-		if c.down[dest] || !c.attemptOp(dest) {
-			c.addHint(dest, hint{key: key, c: wc})
-			continue
-		}
-		if c.writeRPC(dest, key, wc) {
+		if c.deliverWrite(dest, key, wc) {
 			c.stats.ForwardedWrites++
 			c.o.forwardedWrites.Inc()
 		} else {
-			c.addHint(dest, hint{key: key, c: wc})
+			c.addHint(dest, hint{key: key, c: wc}) //lint:allow hotalloc hints buffer only for an unreachable replica; the buffer is capped
 		}
 	}
 	if acked == 0 {
@@ -403,6 +425,8 @@ type ReadResult struct {
 
 // Read serves a read from as many live replicas as the configured
 // consistency level requires; see ReadOp.
+//
+//rafiki:hot
 func (c *Cluster) Read(key uint64) {
 	c.ReadOp(key)
 }
@@ -418,41 +442,21 @@ func (c *Cluster) Read(key uint64) {
 // counts as unavailable. When consulted replicas disagree, the newest
 // version wins and stale responders are repaired in the background
 // (read repair).
+//
+//rafiki:hot
 func (c *Cluster) ReadOp(key uint64) ReadResult {
-	c.pumpRebalance()
+	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
 	c.o.reads.Inc()
-	reps := c.replicas(key)
-	var live []int
-	for _, idx := range reps {
-		if !c.down[idx] {
-			live = append(live, idx)
-		}
-	}
-	need := c.readCL.replicasNeeded(c.rf)
-	if c.weakRead && need > 1 {
-		need = 1
-	}
-	if len(live) < need {
+	need := c.readNeed()
+	order, ok := c.consultOrder(c.replicas(key), &c.rotation, need)
+	if !ok {
 		c.stats.UnavailableReads++
 		c.o.unavailReads.Inc()
 		return ReadResult{}
 	}
-	c.rotation = c.rotation*6364136223846793005 + 1442695040888963407
-	start := int((c.rotation >> 33) % uint64(len(live)))
-	order := make([]int, len(live))
-	for i := range live {
-		order[i] = live[(start+i)%len(live)]
-	}
-	if c.res.SpeculativeReads {
-		order = c.speculate(order, need)
-	}
-	type answer struct {
-		idx int
-		c   cell
-	}
 	served := 0
 	var best cell
-	answers := make([]answer, 0, need)
+	answers := c.answers[:0]
 	for _, idx := range order {
 		if served == need {
 			break
@@ -460,7 +464,7 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 		if !c.attemptOp(idx) {
 			continue
 		}
-		resp, ok := c.readRPC(idx, key)
+		resp, ok := c.exchange(idx, idx, message{kind: msgRead, key: key})
 		if !ok {
 			continue
 		}
@@ -474,6 +478,7 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 			best = got
 		}
 	}
+	c.answers = answers
 	if served < need {
 		c.stats.UnavailableReads++
 		c.o.unavailReads.Inc()
@@ -487,7 +492,7 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 			if a.c.ver >= best.ver {
 				continue
 			}
-			if c.writeRPC(a.idx, key, best) {
+			if _, ok := c.exchange(a.idx, a.idx, message{kind: msgWrite, key: key, c: best}); ok {
 				c.stats.ReadRepairs++
 				c.o.readRepairs.Inc()
 			}
@@ -499,6 +504,53 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 		Served:  served,
 		OK:      true,
 	}
+}
+
+// answer is one consulted replica's versioned reply to a read.
+type answer struct {
+	idx int
+	c   cell
+}
+
+// readNeed is how many replicas a read or scan must hear from.
+func (c *Cluster) readNeed() int {
+	need := c.readCL.replicasNeeded(c.rf)
+	if c.weakRead && need > 1 {
+		need = 1
+	}
+	return need
+}
+
+// consultOrder picks the replicas a read or scan consults, in order:
+// the live ones among owners, rotated by the next step of *rotation so
+// load balances (the LCG avoids correlating with key-sequence patterns),
+// with stragglers demoted when speculative reads are on. It reports
+// false — leaving the rotation untouched — when fewer than need are
+// live. The result is coordinator scratch, valid until the next call.
+//
+//rafiki:hot
+func (c *Cluster) consultOrder(owners []int, rotation *uint64, need int) ([]int, bool) {
+	live := c.live[:0]
+	for _, idx := range owners {
+		if !c.down[idx] {
+			live = append(live, idx)
+		}
+	}
+	c.live = live
+	if len(live) < need {
+		return nil, false
+	}
+	*rotation = *rotation*6364136223846793005 + 1442695040888963407
+	start := int((*rotation >> 33) % uint64(len(live)))
+	order := c.order[:0]
+	for i := range live {
+		order = append(order, live[(start+i)%len(live)])
+	}
+	c.order = order
+	if c.res.SpeculativeReads {
+		order = c.speculate(order, need)
+	}
+	return order, true
 }
 
 // ScanResult reports a range scan's coordinator-visible outcome.
@@ -530,32 +582,17 @@ func (c *Cluster) Scan(start uint64, limit int) int {
 // count is an approximation the moment the cluster outgrows RF ==
 // Nodes — acceptable for a row-count oracle.) A scan that cannot hear
 // back from enough replicas counts as unavailable.
+//
+//rafiki:hot
 func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
-	c.pumpRebalance()
+	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
 	c.o.scans.Inc()
-	var live []int
-	for _, idx := range c.serving(ring.KeyPos(start)) {
-		if !c.down[idx] {
-			live = append(live, idx)
-		}
-	}
-	need := c.readCL.replicasNeeded(c.rf)
-	if c.weakRead && need > 1 {
-		need = 1
-	}
-	if len(live) < need {
+	need := c.readNeed()
+	order, ok := c.consultOrder(c.serving(ring.KeyPos(start)), &c.scanRotation, need)
+	if !ok {
 		c.stats.UnavailableScans++
 		c.o.unavailScans.Inc()
 		return ScanResult{}
-	}
-	c.scanRotation = c.scanRotation*6364136223846793005 + 1442695040888963407
-	begin := int((c.scanRotation >> 33) % uint64(len(live)))
-	order := make([]int, len(live))
-	for i := range live {
-		order[i] = live[(begin+i)%len(live)]
-	}
-	if c.res.SpeculativeReads {
-		order = c.speculate(order, need)
 	}
 	served, best := 0, 0
 	for _, idx := range order {
@@ -565,13 +602,13 @@ func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
 		if !c.attemptOp(idx) {
 			continue
 		}
-		resp, ok := c.scanRPC(idx, start, limit)
+		resp, ok := c.exchange(idx, idx, message{kind: msgScan, key: start, n: limit})
 		if !ok {
 			continue
 		}
 		served++
-		if resp.rows > best {
-			best = resp.rows
+		if resp.n > best {
+			best = resp.n
 		}
 	}
 	if served < need {
@@ -585,6 +622,8 @@ func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
 // speculate demotes stragglers behind healthy replicas in the read
 // order, preserving the rotation order within each class, and counts
 // how many straggler consultations the reorder avoided.
+//
+//rafiki:hot
 func (c *Cluster) speculate(order []int, need int) []int {
 	slowBefore := 0
 	for i, idx := range order {
@@ -595,8 +634,7 @@ func (c *Cluster) speculate(order []int, need int) []int {
 	if slowBefore == 0 {
 		return order
 	}
-	healthy := make([]int, 0, len(order))
-	var slow []int
+	healthy, slow := c.healthy[:0], c.slow[:0]
 	for _, idx := range order {
 		if c.slowness(idx) >= c.res.SpeculationThreshold {
 			slow = append(slow, idx)
@@ -605,6 +643,7 @@ func (c *Cluster) speculate(order []int, need int) []int {
 		}
 	}
 	reordered := append(healthy, slow...)
+	c.healthy, c.slow = reordered, slow
 	slowAfter := 0
 	for i, idx := range reordered {
 		if i < need && c.slowness(idx) >= c.res.SpeculationThreshold {

@@ -175,7 +175,7 @@ func (c *Cluster) replayHints(i int) {
 	pending := c.hints[i]
 	c.hints[i] = nil
 	for _, h := range pending {
-		if !c.writeRPC(i, h.key, h.c) {
+		if _, ok := c.exchange(i, i, message{kind: msgWrite, key: h.key, c: h.c}); !ok {
 			c.addHint(i, h)
 			continue
 		}
@@ -214,7 +214,7 @@ func (c *Cluster) fullRepair(i int) {
 		if !owned || src == -1 {
 			continue
 		}
-		st, ok := c.stateRPC(src, key)
+		st, ok := c.exchange(src, src, message{kind: msgState, key: key})
 		if !ok || !st.has {
 			continue
 		}
@@ -224,7 +224,7 @@ func (c *Cluster) fullRepair(i int) {
 			// floor version so any versioned write still beats it.
 			wc = cell{ver: 0, tomb: !st.alive}
 		}
-		if !c.writeRPC(i, key, wc) {
+		if _, ok := c.exchange(i, i, message{kind: msgWrite, key: key, c: wc}); !ok {
 			continue
 		}
 		c.stats.RepairedKeys++

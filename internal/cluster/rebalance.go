@@ -34,7 +34,7 @@ import (
 // after the flip intersects any write quorum from before it.
 //
 // Failure semantics. A stream leg the network loses after the open, or
-// a src restart that discards the frozen key list (streamGone), severs
+// a src restart that discards the frozen key list (msgStreamGone), severs
 // the stream: the range resets to the open phase and re-freezes on the
 // next pump — the anti-entropy pass that repairs partition- or
 // crash-interrupted rebalances. Failures before any state exists on
@@ -114,14 +114,14 @@ func (c *Cluster) advanceRange(pr *pendingRange) {
 			c.parkRange(pr)
 			return
 		}
-		total, ok := c.streamOpenRPC(pr.src, pr.id, pr.iv)
+		opened, ok := c.exchange(pr.src, pr.src, message{kind: msgStreamOpen, key: pr.id, iv: pr.iv})
 		if !ok {
 			c.parkRange(pr)
 			return
 		}
 		pr.opened = true
 		pr.openedAt = c.Clock()
-		pr.total = total
+		pr.total = opened.n
 		pr.cursor = 0
 		pr.phase = prCatchup
 		pr.backoff = 0
@@ -139,18 +139,22 @@ func (c *Cluster) advanceRange(pr *pendingRange) {
 			c.parkRange(pr)
 			return
 		}
-		consumed, applied, gone, ok := c.streamPullRPC(pr.src, pr.dest, pr.id, pr.cursor, streamChunkKeys)
-		if gone || !ok {
+		// Three legs can lose a pull — request, chunk, ack — and any
+		// loss reads as a failed exchange against src's link.
+		pulled, ok := c.exchange(pr.src, pr.dest, message{
+			kind: msgStreamPull, key: pr.id, dest: pr.dest, n: pr.cursor, m: streamChunkKeys,
+		})
+		if !ok || pulled.kind == msgStreamGone {
 			// The src no longer knows the stream (crash-restart wiped
 			// it) or a leg of the exchange was lost mid-flight: the
 			// frozen list can no longer be trusted, re-establish.
 			c.severRange(pr)
 			return
 		}
-		pr.cursor += consumed
+		pr.cursor += pulled.n
 		pr.backoff = 0
-		c.stats.StreamedCells += uint64(applied)
-		c.o.streamedCells.Add(uint64(applied))
+		c.stats.StreamedCells += uint64(pulled.m)
+		c.o.streamedCells.Add(uint64(pulled.m))
 	}
 }
 
@@ -166,18 +170,18 @@ func (c *Cluster) finishRange(pr *pendingRange) {
 		c.parkRange(pr)
 		return
 	}
-	pushed, ok := c.deltaRPC(pr.src, pr.dest, pr.iv)
+	delta, ok := c.exchange(pr.src, pr.dest, message{kind: msgDelta, iv: pr.iv, dest: pr.dest})
 	if !ok {
 		c.severRange(pr)
 		return
 	}
-	c.stats.StreamedCells += uint64(pushed)
-	c.o.streamedCells.Add(uint64(pushed))
-	c.streamCloseRPC(pr.src, pr.id)
+	c.stats.StreamedCells += uint64(delta.n)
+	c.o.streamedCells.Add(uint64(delta.n))
+	c.closeStream(pr.src, pr.id)
 	pr.done = true
 	c.stats.StreamsCompleted++
 	c.o.streamsCompleted.Inc()
-	c.o.streamSpan(pr.src, pr.dest, pr.openedAt, c.Clock(), pr.cursor+pushed)
+	c.o.streamSpan(pr.src, pr.dest, pr.openedAt, c.Clock(), pr.cursor+delta.n)
 }
 
 // severRange resets pr to re-establish its stream from scratch: the
@@ -309,7 +313,7 @@ func (c *Cluster) retopology(next *ring.Ring) {
 			c.stats.StreamsSevered++
 			c.o.streamsSevered.Inc()
 			if !c.down[pr.src] {
-				c.streamCloseRPC(pr.src, pr.id)
+				c.closeStream(pr.src, pr.id)
 			}
 		}
 	}

@@ -180,7 +180,7 @@ func TestRebalanceSurvivesSeveredStream(t *testing.T) {
 }
 
 // TestRestartSeversStreamViaGone: a src crash-restart wipes its frozen
-// stream lists; the next pull answers streamGone and the coordinator
+// stream lists; the next pull answers msgStreamGone and the coordinator
 // re-establishes. Acked writes survive.
 func TestRestartSeversStreamViaGone(t *testing.T) {
 	c := newElastic(t, 4, 2, 73, nil)
@@ -210,7 +210,7 @@ func TestRestartSeversStreamViaGone(t *testing.T) {
 	}
 	drain(t, c)
 	if c.Stats().StreamsSevered == 0 {
-		t.Fatal("src restarts severed no streams (streamGone path untested)")
+		t.Fatal("src restarts severed no streams (msgStreamGone path untested)")
 	}
 	checkReadable(t, c, acked)
 }

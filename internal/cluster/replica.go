@@ -23,144 +23,6 @@ type cell struct {
 	tomb bool
 }
 
-// Message payloads. Every replica interaction is a request/response
-// pair matched by a per-RPC id, so duplicated or stale responses can
-// never be mistaken for the current op's.
-type (
-	// readReq asks a replica to serve a data read.
-	readReq struct {
-		id  uint64
-		key uint64
-	}
-	// readResp carries the replica's versioned answer; has reports
-	// whether the replica holds any versioned state for the key.
-	readResp struct {
-		id  uint64
-		key uint64
-		c   cell
-		has bool
-	}
-	// writeReq applies one versioned mutation (write or tombstone).
-	writeReq struct {
-		id  uint64
-		key uint64
-		c   cell
-	}
-	// writeAck confirms a writeReq was applied.
-	writeAck struct {
-		id  uint64
-		key uint64
-		ver int64
-	}
-	// stateReq asks a replica for its current state of one key
-	// without data-read cost (repair introspection).
-	stateReq struct {
-		id  uint64
-		key uint64
-	}
-	// stateResp answers a stateReq: engine-level presence/liveness
-	// plus the versioned cell when one exists.
-	stateResp struct {
-		id     uint64
-		key    uint64
-		has    bool
-		alive  bool
-		c      cell
-		hasVer bool
-	}
-	// scanReq asks a replica to serve a range scan from start.
-	scanReq struct {
-		id    uint64
-		start uint64
-		limit int
-	}
-	// scanResp carries the replica's live row count for the range.
-	scanResp struct {
-		id    uint64
-		start uint64
-		rows  int
-	}
-)
-
-// Rebalance stream payloads (see rebalance.go for the protocol). The
-// coordinator drives every step; data legs travel src -> dest directly,
-// acks come back to the coordinator — all over the same lossy network
-// as serving traffic.
-type (
-	// streamItem is one key's versioned state in flight.
-	streamItem struct {
-		key uint64
-		c   cell
-	}
-	// streamOpenReq asks the src to freeze the sorted key list of a
-	// moving range under a stream id.
-	streamOpenReq struct {
-		id     uint64
-		stream uint64
-		iv     ring.Interval
-	}
-	// streamOpenResp answers with the frozen list's length.
-	streamOpenResp struct {
-		id     uint64
-		stream uint64
-		total  int
-	}
-	// streamPullReq asks the src to forward the next chunk of frozen
-	// keys to dest.
-	streamPullReq struct {
-		id     uint64
-		stream uint64
-		dest   int
-		offset int
-		max    int
-	}
-	// streamChunk carries one chunk src -> dest. consumed is how many
-	// frozen-list slots the chunk covers (items may be fewer when keys
-	// vanished since the freeze).
-	streamChunk struct {
-		id       uint64
-		stream   uint64
-		consumed int
-		items    []streamItem
-	}
-	// streamApplied is dest's ack to the coordinator for one chunk.
-	streamApplied struct {
-		id       uint64
-		stream   uint64
-		consumed int
-		applied  int
-	}
-	// streamGone tells the coordinator the src no longer knows the
-	// stream (it crash-restarted since the open); the stream must be
-	// re-established.
-	streamGone struct {
-		id     uint64
-		stream uint64
-	}
-	// deltaReq asks the src to re-push a whole range to dest: the
-	// final handoff closing the gap between the frozen snapshot and
-	// the src's live state.
-	deltaReq struct {
-		id   uint64
-		iv   ring.Interval
-		dest int
-	}
-	// deltaPush carries the full-range delta src -> dest.
-	deltaPush struct {
-		id    uint64
-		items []streamItem
-	}
-	// deltaAck is dest's ack to the coordinator for a delta.
-	deltaAck struct {
-		id     uint64
-		pushed int
-	}
-	// streamCloseReq releases the src's frozen list (fire-and-forget).
-	streamCloseReq struct {
-		stream uint64
-	}
-)
-
 // undoWindow bounds each replica's corruptible tail: applies older
 // than the window count as flushed (durable) and can no longer be
 // lost to a torn commit log.
@@ -189,9 +51,14 @@ type replica struct {
 	// streams holds the frozen sorted key lists of rebalance streams
 	// this replica is the source of, by stream id. The state is RAM
 	// only: a crash-restart wipes it, and a later pull answers
-	// streamGone — which is how the coordinator learns it must
+	// msgStreamGone — which is how the coordinator learns it must
 	// re-establish the stream.
 	streams map[uint64][]uint64
+	// reply is the slot every message this replica sends travels in (see
+	// transport.go for the ownership rule); items is the scratch a
+	// stream chunk or delta push collects its cells into.
+	reply message
+	items []streamItem
 }
 
 func newReplica(eng *nosql.Engine) *replica {
@@ -202,6 +69,8 @@ func newReplica(eng *nosql.Engine) *replica {
 // every delivered copy (a duplicate costs what a write costs); the
 // versioned state is last-write-wins, so stale and duplicated copies
 // cannot regress it.
+//
+//rafiki:hot
 func (r *replica) apply(key uint64, c cell) {
 	if c.tomb {
 		r.eng.Delete(key)
@@ -217,6 +86,8 @@ func (r *replica) apply(key uint64, c cell) {
 }
 
 // read serves one delivered data read and returns the versioned state.
+//
+//rafiki:hot
 func (r *replica) read(key uint64) (cell, bool) {
 	r.eng.Read(key)
 	c, has := r.cur[key]
@@ -226,6 +97,8 @@ func (r *replica) read(key uint64) (cell, bool) {
 // scan serves one delivered range scan: the engine walks its merged
 // iterator (memtable plus all SSTables, honoring tombstones and TTL
 // expiry) and the replica reports the live rows it found.
+//
+//rafiki:hot
 func (r *replica) scan(start uint64, limit int) int {
 	return r.eng.Scan(start, limit)
 }
@@ -245,12 +118,16 @@ func (r *replica) rangeKeys(iv ring.Interval) []uint64 {
 }
 
 // pushUndo appends one tail record, sliding the durability window
-// forward when it overflows (the oldest half becomes flushed state).
+// forward when it overflows (the oldest half becomes flushed state):
+// the survivors slide down in place, so the tail's backing is allocated
+// once.
+//
+//rafiki:hot
 func (r *replica) pushUndo(u undoRec) {
 	r.undo = append(r.undo, u)
 	if len(r.undo) > undoWindow {
 		keep := len(r.undo) - undoWindow/2
-		r.undo = append(r.undo[:0:0], r.undo[keep:]...)
+		r.undo = r.undo[:copy(r.undo, r.undo[keep:])]
 	}
 }
 
@@ -302,99 +179,94 @@ func (r *replica) restart() {
 	r.undo = r.undo[:0]
 	r.torn = 0
 	// Frozen stream lists are RAM state: gone after a crash. Pulls
-	// against them will answer streamGone.
+	// against them will answer msgStreamGone.
 	r.streams = nil
 }
 
 // handleAtNode is the node-side delivery handler: it executes the
 // request against the replica and sends the response back through the
 // network (which may drop, duplicate, or delay it like any message).
+// The request is read in place from the sender's slot; the response
+// overwrites this replica's own.
+//
+//rafiki:hot
 func (c *Cluster) handleAtNode(node int, from int, payload any, at float64) {
 	r := c.reps[node]
-	switch m := payload.(type) {
-	case readReq:
+	m := payload.(*message)
+	to := from
+	switch m.kind {
+	case msgRead:
 		cl, has := r.read(m.key)
-		c.net.Send(node, from, readResp{id: m.id, key: m.key, c: cl, has: has}, at)
-	case writeReq:
+		r.reply = message{kind: msgReadResp, id: m.id, key: m.key, c: cl, has: has}
+	case msgWrite:
 		r.apply(m.key, m.c)
-		c.net.Send(node, from, writeAck{id: m.id, key: m.key, ver: m.c.ver}, at)
-	case scanReq:
-		rows := r.scan(m.start, m.limit)
-		c.net.Send(node, from, scanResp{id: m.id, start: m.start, rows: rows}, at)
-	case stateReq:
+		r.reply = message{kind: msgWriteAck, id: m.id, key: m.key, c: m.c}
+	case msgScan:
+		r.reply = message{kind: msgScanResp, id: m.id, key: m.key, n: r.scan(m.key, m.n)}
+	case msgState:
 		cl, hasVer := r.cur[m.key]
-		c.net.Send(node, from, stateResp{
-			id: m.id, key: m.key,
+		r.reply = message{
+			kind: msgStateResp, id: m.id, key: m.key,
 			has: r.eng.HasCell(m.key), alive: r.eng.Alive(m.key),
 			c: cl, hasVer: hasVer,
-		}, at)
-	case streamOpenReq:
+		}
+	case msgStreamOpen:
 		if r.streams == nil {
+			//lint:allow hotalloc a replica's first stream open since its last restart; rebalance only
 			r.streams = make(map[uint64][]uint64)
 		}
-		keys := r.rangeKeys(m.iv)
-		r.streams[m.stream] = keys
-		c.net.Send(node, from, streamOpenResp{id: m.id, stream: m.stream, total: len(keys)}, at)
-	case streamPullReq:
-		keys, ok := r.streams[m.stream]
+		keys := r.rangeKeys(m.iv) //lint:allow hotalloc freezing a moving range's key list happens once per stream; rebalance only
+		r.streams[m.key] = keys
+		r.reply = message{kind: msgStreamOpenResp, id: m.id, key: m.key, n: len(keys)}
+	case msgStreamPull:
+		keys, ok := r.streams[m.key]
 		if !ok {
-			c.net.Send(node, netsim.Coordinator, streamGone{id: m.id, stream: m.stream}, at)
-			return
+			r.reply = message{kind: msgStreamGone, id: m.id, key: m.key}
+			to = netsim.Coordinator
+			break
 		}
-		if m.offset > len(keys) {
-			m.offset = len(keys)
-		}
-		end := m.offset + m.max
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := streamChunk{id: m.id, stream: m.stream, consumed: end - m.offset}
-		for _, key := range keys[m.offset:end] {
-			cl, has := r.read(key)
-			if !has {
-				continue
-			}
-			chunk.items = append(chunk.items, streamItem{key: key, c: cl})
-		}
-		c.net.Send(node, m.dest, chunk, at)
-	case streamChunk:
+		lo := min(m.n, len(keys))
+		hi := min(lo+m.m, len(keys))
+		r.collect(keys[lo:hi])
+		r.reply = message{kind: msgStreamChunk, id: m.id, key: m.key, n: hi - lo, items: r.items}
+		to = m.dest
+	case msgStreamChunk:
 		for _, it := range m.items {
 			r.apply(it.key, it.c)
 		}
-		c.net.Send(node, netsim.Coordinator, streamApplied{
-			id: m.id, stream: m.stream, consumed: m.consumed, applied: len(m.items),
-		}, at)
-	case deltaReq:
-		push := deltaPush{id: m.id}
-		for _, key := range r.rangeKeys(m.iv) {
-			cl, has := r.read(key)
-			if !has {
-				continue
-			}
-			push.items = append(push.items, streamItem{key: key, c: cl})
-		}
-		c.net.Send(node, m.dest, push, at)
-	case deltaPush:
+		r.reply = message{kind: msgStreamApplied, id: m.id, key: m.key, n: m.n, m: len(m.items)}
+		to = netsim.Coordinator
+	case msgDelta:
+		r.collect(r.rangeKeys(m.iv)) //lint:allow hotalloc the final handoff re-lists the range once per stream; rebalance only
+		r.reply = message{kind: msgDeltaPush, id: m.id, items: r.items}
+		to = m.dest
+	case msgDeltaPush:
 		for _, it := range m.items {
 			r.apply(it.key, it.c)
 		}
-		c.net.Send(node, netsim.Coordinator, deltaAck{id: m.id, pushed: len(m.items)}, at)
-	case streamCloseReq:
-		delete(r.streams, m.stream)
+		r.reply = message{kind: msgDeltaAck, id: m.id, n: len(m.items)}
+		to = netsim.Coordinator
+	case msgStreamClose:
+		delete(r.streams, m.key)
+		return
+	default:
+		return
 	}
+	c.net.Send(node, to, &r.reply, at)
 }
 
-// coordHandler is the coordinator-side delivery handler: responses
-// land in the inbox for the in-flight op to collect.
-func (c *Cluster) coordHandler(from int, payload any, at float64) {
-	c.inbox = append(c.inbox, inboxEntry{from: from, at: at, payload: payload})
-}
-
-// inboxEntry is one response delivered to the coordinator.
-type inboxEntry struct {
-	from    int
-	at      float64
-	payload any
+// collect reads keys' versioned cells into r.items, charging each a
+// data read; keys that no longer hold versioned state are skipped.
+// Hot while a rebalance runs: every serving op then pumps one pull.
+//
+//rafiki:hot
+func (r *replica) collect(keys []uint64) {
+	r.items = r.items[:0]
+	for _, key := range keys {
+		if cl, has := r.read(key); has {
+			r.items = append(r.items, streamItem{key: key, c: cl})
+		}
+	}
 }
 
 // wireHandlers registers the cluster's endpoints on its network.

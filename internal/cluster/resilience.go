@@ -170,6 +170,8 @@ func (c *Cluster) timedOut(i int) bool {
 
 // chargeWait accounts a coordinator wait (backoff, timeout) to the
 // cluster clock, overlapped across the closed-loop in-flight ops.
+//
+//rafiki:hot
 func (c *Cluster) chargeWait(seconds float64) {
 	conc := c.res.CoordinatorConcurrency
 	if conc < 1 {
@@ -185,6 +187,8 @@ func (c *Cluster) chargeWait(seconds float64) {
 // straggler beyond the op timeout fails fast (charging the timeout
 // wait); a transient failure is retried up to MaxRetries times with
 // exponential backoff, subject to the link's retry budget.
+//
+//rafiki:hot
 func (c *Cluster) attemptOp(idx int) bool {
 	if !c.breakerAllows(idx) {
 		c.stats.BreakerRejections++
@@ -257,6 +261,8 @@ type breaker struct {
 // against node idx right now. An open breaker past its cooldown admits
 // exactly one half-open probe; its outcome (breakerFailure or
 // breakerSuccess) decides whether the link re-opens or closes.
+//
+//rafiki:hot
 func (c *Cluster) breakerAllows(idx int) bool {
 	if c.res.BreakerFailures <= 0 {
 		return true
@@ -276,6 +282,8 @@ func (c *Cluster) breakerAllows(idx int) bool {
 // a straggler timeout, a retry-exhausted transient failure, or an
 // exchange the network lost. Enough consecutive failures — or a single
 // failed half-open probe — open (or re-open) the breaker.
+//
+//rafiki:hot
 func (c *Cluster) breakerFailure(idx int) {
 	if c.res.BreakerFailures <= 0 {
 		return
@@ -301,6 +309,8 @@ func (c *Cluster) breakerFailure(idx int) {
 
 // breakerSuccess records one acknowledged exchange on the link to node
 // idx, closing a half-open breaker and clearing the failure streak.
+//
+//rafiki:hot
 func (c *Cluster) breakerSuccess(idx int) {
 	if c.res.BreakerFailures <= 0 {
 		return

@@ -356,6 +356,8 @@ func (f *FrontDoor) advance(to float64) {
 
 // arrive processes tenant t's arrival at f.now: draw the op, schedule
 // the tenant's next arrival, then rate-limit and enqueue.
+//
+//rafiki:hot
 func (f *FrontDoor) arrive(ti int) {
 	t := &f.tenants[ti]
 	tc := &f.opts.Classes[t.class]
@@ -398,6 +400,8 @@ func (f *FrontDoor) arrive(ti int) {
 
 // dispatch assigns free servers to queued requests, shedding any whose
 // deadline already passed while waiting.
+//
+//rafiki:hot
 func (f *FrontDoor) dispatch() {
 	for f.free > 0 {
 		req, ok := f.queue.Pop()
@@ -414,6 +418,8 @@ func (f *FrontDoor) dispatch() {
 
 // execute runs req against the cluster, charging its service time from
 // the cluster's work-clock delta, and books the in-flight departure.
+//
+//rafiki:hot
 func (f *FrontDoor) execute(req Request) {
 	w0 := f.cl.WorkClock()
 	var ok bool
@@ -438,6 +444,8 @@ func (f *FrontDoor) execute(req Request) {
 
 // complete books one departure: latency histograms, SLO windows, and
 // the consistency history.
+//
+//rafiki:hot
 func (f *FrontDoor) complete(d depEv) {
 	f.free++
 	t := &f.tenants[d.req.Tenant]
@@ -459,7 +467,7 @@ func (f *FrontDoor) complete(d depEv) {
 	f.latByClass[t.class] = append(f.latByClass[t.class], lat)
 
 	if f.opts.SLOWindow > 0 {
-		f.flushWindows(false)
+		f.flushWindows(false) //lint:allow hotalloc closes a window once per SLOWindow of virtual time, not per request
 		f.winLat = append(f.winLat, lat)
 		if d.req.IsRead {
 			f.winReads++

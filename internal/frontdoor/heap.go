@@ -20,6 +20,7 @@ func (h arrHeap) less(i, j int) bool {
 	return h[i].tenant < h[j].tenant
 }
 
+//rafiki:hot
 func (h *arrHeap) push(e arrEv) {
 	*h = append(*h, e)
 	s := *h
@@ -41,6 +42,7 @@ func (h *arrHeap) peek() (arrEv, bool) {
 	return (*h)[0], true
 }
 
+//rafiki:hot
 func (h *arrHeap) pop() arrEv {
 	s := *h
 	top := s[0]
@@ -86,6 +88,7 @@ func (h depHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
+//rafiki:hot
 func (h *depHeap) push(e depEv) {
 	*h = append(*h, e)
 	s := *h
@@ -107,6 +110,7 @@ func (h *depHeap) peek() (depEv, bool) {
 	return (*h)[0], true
 }
 
+//rafiki:hot
 func (h *depHeap) pop() depEv {
 	s := *h
 	top := s[0]

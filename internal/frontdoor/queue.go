@@ -30,13 +30,48 @@ type AdmissionQueue struct {
 	perTenant int
 	size      int
 
-	// pending holds each tenant's FIFO backlog; ring holds every tenant
-	// with a non-empty backlog exactly once, in round-robin service
-	// order. Tenants enter the ring when their backlog becomes
-	// non-empty and re-enter at the tail after being served with
-	// backlog remaining, so one chatty tenant cannot starve the rest.
-	pending map[int][]Request
-	ring    []int
+	// pending maps each tenant with a non-empty backlog to its FIFO in
+	// backlogs; free lists the FIFOs of tenants whose backlog emptied,
+	// so the next tenant to queue reuses one instead of allocating. Any
+	// int is a legal tenant id.
+	pending  map[int]int
+	backlogs []fifo[Request]
+	free     []int
+	// ring holds every tenant with a non-empty backlog exactly once, in
+	// round-robin service order. Tenants enter the ring when their
+	// backlog becomes non-empty and re-enter at the tail after being
+	// served with backlog remaining, so one chatty tenant cannot starve
+	// the rest.
+	ring fifo[int]
+}
+
+// fifo is a growable circular buffer: pushes and pops move two indexes
+// over one backing array, which doubles only when full (its length
+// stays a power of two, so wrapping is a mask).
+type fifo[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+//rafiki:hot
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		grown := make([]T, max(4, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+//rafiki:hot
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return v
 }
 
 // NewAdmissionQueue builds a queue holding at most capacity requests
@@ -49,43 +84,52 @@ func NewAdmissionQueue(capacity, perTenant int) (*AdmissionQueue, error) {
 	if perTenant > capacity {
 		return nil, fmt.Errorf("frontdoor: per-tenant bound %d exceeds capacity %d", perTenant, capacity)
 	}
-	return &AdmissionQueue{capacity: capacity, perTenant: perTenant, pending: make(map[int][]Request)}, nil
+	return &AdmissionQueue{capacity: capacity, perTenant: perTenant, pending: make(map[int]int)}, nil
 }
 
 // Offer enqueues r, reporting false — backpressure — when the global
 // capacity or the tenant's bound is exhausted. A rejected request
 // leaves no trace in the queue.
+//
+//rafiki:hot
 func (q *AdmissionQueue) Offer(r Request) bool {
 	if q.size >= q.capacity {
 		return false
 	}
-	backlog := q.pending[r.Tenant]
-	if q.perTenant > 0 && len(backlog) >= q.perTenant {
+	b, queued := q.pending[r.Tenant]
+	if !queued {
+		if k := len(q.free); k > 0 {
+			b, q.free = q.free[k-1], q.free[:k-1]
+		} else {
+			b = len(q.backlogs)
+			q.backlogs = append(q.backlogs, fifo[Request]{})
+		}
+		q.pending[r.Tenant] = b
+		q.ring.push(r.Tenant)
+	} else if q.perTenant > 0 && q.backlogs[b].n >= q.perTenant {
 		return false
 	}
-	if len(backlog) == 0 {
-		q.ring = append(q.ring, r.Tenant)
-	}
-	q.pending[r.Tenant] = append(backlog, r)
+	q.backlogs[b].push(r)
 	q.size++
 	return true
 }
 
 // Pop dequeues the next request in round-robin tenant order, FIFO
 // within the chosen tenant. It reports false on an empty queue.
+//
+//rafiki:hot
 func (q *AdmissionQueue) Pop() (Request, bool) {
 	if q.size == 0 {
 		return Request{}, false
 	}
-	t := q.ring[0]
-	q.ring = q.ring[1:]
-	backlog := q.pending[t]
-	r := backlog[0]
-	if rest := backlog[1:]; len(rest) > 0 {
-		q.pending[t] = rest
-		q.ring = append(q.ring, t)
+	t := q.ring.pop()
+	b := q.pending[t]
+	r := q.backlogs[b].pop()
+	if q.backlogs[b].n > 0 {
+		q.ring.push(t)
 	} else {
 		delete(q.pending, t)
+		q.free = append(q.free, b)
 	}
 	q.size--
 	return r, true
@@ -95,4 +139,9 @@ func (q *AdmissionQueue) Pop() (Request, bool) {
 func (q *AdmissionQueue) Len() int { return q.size }
 
 // TenantLen returns tenant t's backlog length.
-func (q *AdmissionQueue) TenantLen(t int) int { return len(q.pending[t]) }
+func (q *AdmissionQueue) TenantLen(t int) int {
+	if b, queued := q.pending[t]; queued {
+		return q.backlogs[b].n
+	}
+	return 0
+}

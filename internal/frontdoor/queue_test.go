@@ -130,3 +130,107 @@ func FuzzAdmissionQueue(f *testing.F) {
 		}
 	})
 }
+
+// TestAdmissionQueueSparseAndNegativeTenants: tenant ids are opaque —
+// sparse, huge and negative ones queue, rotate and recycle buffers like
+// any other.
+func TestAdmissionQueueSparseAndNegativeTenants(t *testing.T) {
+	q, err := NewAdmissionQueue(64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := []int{-7, 1 << 40, 0, -1, 999_983}
+	var seq uint64
+	for round := 0; round < 5; round++ {
+		// Three per tenant fills each tenant's bound; a fourth is refused.
+		for i := 0; i < 3; i++ {
+			for _, tn := range tenants {
+				seq++
+				if !q.Offer(Request{Tenant: tn, Seq: seq}) {
+					t.Fatalf("round %d: offer %d for tenant %d rejected under its bound", round, i, tn)
+				}
+			}
+		}
+		if q.Offer(Request{Tenant: tenants[0], Seq: seq + 1}) {
+			t.Fatalf("tenant bound not enforced for id %d", tenants[0])
+		}
+		if got := q.TenantLen(tenants[0]); got != 3 {
+			t.Fatalf("TenantLen(%d) = %d, want 3", tenants[0], got)
+		}
+		// Round-robin in first-offer order, FIFO within each tenant.
+		last := map[int]uint64{}
+		for i := 0; i < 3*len(tenants); i++ {
+			r, ok := q.Pop()
+			if !ok {
+				t.Fatalf("round %d: queue empty after %d pops", round, i)
+			}
+			if want := tenants[i%len(tenants)]; r.Tenant != want {
+				t.Fatalf("round %d pop %d: tenant %d, want %d", round, i, r.Tenant, want)
+			}
+			if r.Seq <= last[r.Tenant] {
+				t.Fatalf("tenant %d reordered: seq %d after %d", r.Tenant, r.Seq, last[r.Tenant])
+			}
+			last[r.Tenant] = r.Seq
+		}
+		if q.Len() != 0 || q.TenantLen(tenants[1]) != 0 {
+			t.Fatalf("round %d: drained queue reports len %d", round, q.Len())
+		}
+		// Later rounds use different ids, so the emptied buffers change hands.
+		for i := range tenants {
+			tenants[i] = tenants[i]*3 - 11
+		}
+	}
+	if got := len(q.backlogs); got != len(tenants) {
+		t.Errorf("queue holds %d backlog buffers for %d concurrent tenants: emptied ones were not reused", got, len(tenants))
+	}
+}
+
+// TestAdmissionQueueAllocGuard: once its buffers exist, an offer+pop
+// cycle allocates nothing, whether the tenant's backlog empties (its
+// buffer is parked and taken again) or keeps a remainder.
+func TestAdmissionQueueAllocGuard(t *testing.T) {
+	q, err := NewAdmissionQueue(1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	cycle := func(tenant int) {
+		seq++
+		if !q.Offer(Request{Tenant: tenant, Seq: seq}) {
+			t.Fatal("offer rejected below capacity")
+		}
+		if _, ok := q.Pop(); !ok {
+			t.Fatal("pop on a non-empty queue failed")
+		}
+	}
+	// A standing backlog across 64 tenants, then warm cycles through 512.
+	for i := 0; i < 256; i++ {
+		seq++
+		q.Offer(Request{Tenant: i % 64, Seq: seq})
+	}
+	for i := 0; i < 4096; i++ {
+		cycle(i % 512)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(4096, func() { cycle(i % 512); i++ }); allocs != 0 {
+		t.Errorf("warm offer+pop allocates %v times per cycle, want 0", allocs)
+	}
+}
+
+// BenchmarkAdmissionQueue times one offer+pop cycle against a standing
+// backlog, tenants rotating the way the front door's arrivals do.
+func BenchmarkAdmissionQueue(b *testing.B) {
+	q, err := NewAdmissionQueue(65536, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		q.Offer(Request{Tenant: i % 2048, Seq: uint64(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Offer(Request{Tenant: i % 2048, Seq: uint64(i)})
+		q.Pop()
+	}
+}

@@ -19,7 +19,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"rafiki/internal/obs"
 )
@@ -254,13 +253,15 @@ func (nw *Network) Heal(from, to int, now float64) error {
 	l.partitioned = false
 	nw.activeParts--
 	nw.o.partitions.Set(float64(nw.activeParts))
-	nw.o.reg.Record(obs.Span{
-		Name:  "netsim.partition",
-		Start: l.partedAt,
-		End:   now,
-		Unit:  "vsec",
-		Attrs: map[string]float64{"from": float64(from), "to": float64(to)},
-	})
+	if nw.o.reg != nil {
+		nw.o.reg.Record(obs.Span{
+			Name:  "netsim.partition",
+			Start: l.partedAt,
+			End:   now,
+			Unit:  "vsec",
+			Attrs: map[string]float64{"from": float64(from), "to": float64(to)},
+		})
+	}
 	return nil
 }
 
@@ -298,41 +299,17 @@ func (nw *Network) LinkCondition(from, to int) Condition {
 	return nw.links[nw.idx(from, to)].cond
 }
 
-// delivery is one in-flight message copy awaiting handler invocation.
-type delivery struct {
-	from, to int
-	payload  any
-	arrival  float64
-	seq      int
-}
-
 // Send offers one message to the network at virtual time now. The
-// link decides its fate; every surviving copy is handed to the
-// destination handler (in arrival order when duplicated).
+// link decides its fate — every draw (drop, duplication, one latency
+// per copy) is taken and every counter settled first — and then each
+// surviving copy is handed to the destination handler inline, earliest
+// arrival first. A message has at most two copies, so their arrivals
+// live in a fixed array and nothing is queued: a pointer payload makes
+// the whole call allocation-free.
+//
+//rafiki:hot
 func (nw *Network) Send(from, to int, payload any, now float64) Result {
-	res, deliveries := nw.route(from, to, payload, now, 0)
-	nw.deliver(deliveries)
-	return res
-}
-
-// Broadcast offers the same payload to several destinations at once.
-// Fates are drawn in target order; surviving copies are delivered in
-// (arrival, draw-order) order, so low-latency links overtake slow
-// ones — the reordering a real fan-out sees.
-func (nw *Network) Broadcast(from int, targets []int, payload any, now float64) []Result {
-	results := make([]Result, len(targets))
-	var all []delivery
-	for i, to := range targets {
-		res, ds := nw.route(from, to, payload, now, i)
-		results[i] = res
-		all = append(all, ds...)
-	}
-	nw.deliver(all)
-	return results
-}
-
-// route draws one message's fate and returns the surviving copies.
-func (nw *Network) route(from, to int, payload any, now float64, seq int) (Result, []delivery) {
+	//lint:allow hotalloc checkLink builds an error only for a bad endpoint, a caller bug this panics on
 	if err := nw.checkLink(from, to); err != nil {
 		panic(err)
 	}
@@ -343,13 +320,13 @@ func (nw *Network) route(from, to int, payload any, now float64, seq int) (Resul
 		nw.stats.PartitionDrops++
 		nw.o.partDrops.Inc()
 		l.dropped.Inc()
-		return Result{To: to}, nil
+		return Result{To: to}
 	}
 	if p := l.cond.DropProb; p > 0 && nw.rng.Float64() < p {
 		nw.stats.Dropped++
 		nw.o.dropped.Inc()
 		l.dropped.Inc()
-		return Result{To: to}, nil
+		return Result{To: to}
 	}
 	copies := 1
 	if p := l.cond.DupProb; p > 0 && nw.rng.Float64() < p {
@@ -357,25 +334,31 @@ func (nw *Network) route(from, to int, payload any, now float64, seq int) (Resul
 		nw.stats.Duplicated++
 		nw.o.duplicated.Inc()
 	}
-	ds := make([]delivery, copies)
-	for i := range ds {
-		ds[i] = delivery{from: from, to: to, payload: payload, arrival: now + nw.latency(l), seq: seq}
+	var arrivals [2]float64
+	for i := 0; i < copies; i++ {
+		arrivals[i] = now + nw.latency(l)
 	}
-	if copies == 2 && ds[1].arrival < ds[0].arrival {
-		ds[0], ds[1] = ds[1], ds[0]
+	if copies == 2 && arrivals[1] < arrivals[0] {
+		arrivals[0], arrivals[1] = arrivals[1], arrivals[0]
 	}
-	first := ds[0].arrival
-	for i := range ds {
-		if ds[i].arrival < l.lastArrival {
+	for _, at := range arrivals[:copies] {
+		if at < l.lastArrival {
 			nw.stats.Reordered++
 			nw.o.reordered.Inc()
 		}
-		l.lastArrival = ds[i].arrival
+		l.lastArrival = at
 		nw.stats.Delivered++
 		nw.o.delivered.Inc()
 		l.delivered.Inc()
 	}
-	return Result{To: to, Delivered: true, Arrival: first}, ds
+	// Handlers may Send re-entrantly, so this message's draws and link
+	// state are final before the first one runs.
+	for _, at := range arrivals[:copies] {
+		if h := nw.handlers[to+1]; h != nil {
+			h(from, payload, at)
+		}
+	}
+	return Result{To: to, Delivered: true, Arrival: arrivals[0]}
 }
 
 // latency samples one copy's one-way latency on link l.
@@ -392,18 +375,6 @@ func (nw *Network) latency(l *link) float64 {
 		lat *= 1 + nw.jitter*(2*nw.rng.Float64()-1)
 	}
 	return lat
-}
-
-// deliver hands surviving copies to their handlers in arrival order
-// (stable on draw order for ties, so the zero-latency default keeps
-// send order exactly).
-func (nw *Network) deliver(ds []delivery) {
-	sort.SliceStable(ds, func(i, j int) bool { return ds[i].arrival < ds[j].arrival })
-	for _, d := range ds {
-		if h := nw.handlers[d.to+1]; h != nil {
-			h(d.from, d.payload, d.arrival)
-		}
-	}
 }
 
 // EndpointName renders an endpoint id for reports: "c" for the

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"rafiki/internal/obs"
@@ -46,9 +48,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestPerfectNetworkDeliversInstantlyInOrder(t *testing.T) {
 	nw, got := recordingNet(t, Options{Nodes: 3, Seed: 1})
-	res := nw.Broadcast(Coordinator, []int{0, 1, 2}, "w", 5)
-	for i, r := range res {
-		if !r.Delivered || r.Arrival != 5 {
+	for i := 0; i < 3; i++ {
+		if r := nw.Send(Coordinator, i, "w", 5); !r.Delivered || r.Arrival != 5 {
 			t.Errorf("target %d: delivered=%v arrival=%v, want instant delivery", i, r.Delivered, r.Arrival)
 		}
 	}
@@ -163,31 +164,33 @@ func TestSetConditionValidation(t *testing.T) {
 
 func TestLatencyJitterAndReordering(t *testing.T) {
 	nw, got := recordingNet(t, Options{Nodes: 3, Seed: 9, BaseLatency: 0.01, Jitter: 0.9})
-	// Slow one link hard so broadcasts routinely reorder against it.
-	if err := nw.SetCondition(Coordinator, 0, Condition{DelayFactor: 10}); err != nil {
+	// Slow one link hard, and duplicate everything on it, so each send
+	// yields two copies with widely spread arrivals.
+	if err := nw.SetCondition(Coordinator, 0, Condition{DelayFactor: 10, DupProb: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Send spacing far tighter than the latency spread, so a fast
 	// later sample can overtake a slow earlier one on the same link.
 	for i := 0; i < 50; i++ {
-		nw.Broadcast(Coordinator, []int{0, 1, 2}, i, float64(i)*0.001)
-	}
-	// Deliveries within each broadcast must be in arrival order.
-	for i := 1; i < len(*got); i++ {
-		a, b := (*got)[i-1], (*got)[i]
-		if int(a.payload.(int)) == int(b.payload.(int)) && a.at > b.at {
-			t.Fatalf("same-broadcast deliveries out of arrival order: %+v then %+v", a, b)
+		for to := 0; to < 3; to++ {
+			nw.Send(Coordinator, to, i, float64(i)*0.001)
 		}
 	}
-	// The slow node must generally arrive last despite being sent first.
-	lastSlow := 0
-	for _, a := range *got {
-		if a.to == 0 {
-			lastSlow++
+	// The two copies of one message must be handed over in arrival order.
+	slow := 0
+	for i, a := range *got {
+		if a.to != 0 {
+			continue
+		}
+		slow++
+		if i > 0 {
+			if b := (*got)[i-1]; b.to == 0 && b.payload == a.payload && b.at > a.at {
+				t.Fatalf("copies of one message out of arrival order: %+v then %+v", b, a)
+			}
 		}
 	}
-	if lastSlow != 50 {
-		t.Fatalf("node 0 received %d of 50", lastSlow)
+	if slow != 100 {
+		t.Fatalf("node 0 received %d copies of 50 duplicated sends", slow)
 	}
 	if st := nw.Stats(); st.Reordered == 0 {
 		t.Error("heavily skewed latencies should record FIFO inversions")
@@ -201,7 +204,9 @@ func TestDeterminismSameSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 500; i++ {
-			nw.Broadcast(Coordinator, []int{0, 1, 2}, i, float64(i))
+			for to := 0; to < 3; to++ {
+				nw.Send(Coordinator, to, i, float64(i))
+			}
 			nw.Send(1, Coordinator, i, float64(i))
 		}
 		return nw.Stats(), *got
@@ -255,5 +260,288 @@ func TestObsCountersAndPartitionSpans(t *testing.T) {
 func TestEndpointName(t *testing.T) {
 	if EndpointName(Coordinator) != "c" || EndpointName(3) != "3" {
 		t.Errorf("EndpointName rendering wrong: %q %q", EndpointName(Coordinator), EndpointName(3))
+	}
+}
+
+// oracleDelivery, oracleSend, oracleRoute and oracleDeliver are the
+// queue-and-sort Send that inline delivery replaced, kept verbatim as
+// the reference the fate-equivalence test compares against.
+type oracleDelivery struct {
+	from, to int
+	payload  any
+	arrival  float64
+}
+
+func (nw *Network) oracleSend(from, to int, payload any, now float64) Result {
+	res, deliveries := nw.oracleRoute(from, to, payload, now)
+	nw.oracleDeliver(deliveries)
+	return res
+}
+
+func (nw *Network) oracleRoute(from, to int, payload any, now float64) (Result, []oracleDelivery) {
+	if err := nw.checkLink(from, to); err != nil {
+		panic(err)
+	}
+	nw.stats.Sent++
+	nw.o.sent.Inc()
+	l := &nw.links[nw.idx(from, to)]
+	if l.partitioned {
+		nw.stats.PartitionDrops++
+		nw.o.partDrops.Inc()
+		l.dropped.Inc()
+		return Result{To: to}, nil
+	}
+	if p := l.cond.DropProb; p > 0 && nw.rng.Float64() < p {
+		nw.stats.Dropped++
+		nw.o.dropped.Inc()
+		l.dropped.Inc()
+		return Result{To: to}, nil
+	}
+	copies := 1
+	if p := l.cond.DupProb; p > 0 && nw.rng.Float64() < p {
+		copies = 2
+		nw.stats.Duplicated++
+		nw.o.duplicated.Inc()
+	}
+	ds := make([]oracleDelivery, copies)
+	for i := range ds {
+		ds[i] = oracleDelivery{from: from, to: to, payload: payload, arrival: now + nw.latency(l)}
+	}
+	if copies == 2 && ds[1].arrival < ds[0].arrival {
+		ds[0], ds[1] = ds[1], ds[0]
+	}
+	first := ds[0].arrival
+	for i := range ds {
+		if ds[i].arrival < l.lastArrival {
+			nw.stats.Reordered++
+			nw.o.reordered.Inc()
+		}
+		l.lastArrival = ds[i].arrival
+		nw.stats.Delivered++
+		nw.o.delivered.Inc()
+		l.delivered.Inc()
+	}
+	return Result{To: to, Delivered: true, Arrival: first}, ds
+}
+
+func (nw *Network) oracleDeliver(ds []oracleDelivery) {
+	sort.SliceStable(ds, func(i, j int) bool { return ds[i].arrival < ds[j].arrival })
+	for _, d := range ds {
+		if h := nw.handlers[d.to+1]; h != nil {
+			h(d.from, d.payload, d.arrival)
+		}
+	}
+}
+
+// fateRun drives one seeded random scenario — link conditions,
+// partitions that come and go, and handlers that echo re-entrantly —
+// through send, and returns everything observable about it: the
+// handler call sequence, the results, the stats, and where the PRNG
+// stands afterwards.
+func fateRun(t *testing.T, seed int64, send func(*Network, int, int, any, float64) Result) ([]arrival, []Result, Stats, float64) {
+	t.Helper()
+	script := rand.New(rand.NewSource(seed))
+	nodes := 2 + script.Intn(4)
+	opts := Options{Nodes: nodes, Seed: seed * 31}
+	if script.Intn(4) > 0 {
+		opts.BaseLatency = 1e-4 * (1 + script.Float64())
+		if script.Intn(3) > 0 {
+			opts.Jitter = 0.95 * script.Float64()
+		}
+	}
+	nw, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endpoint := func() int { return Coordinator + script.Intn(nodes+1) }
+	link := func() (int, int) {
+		for {
+			if from, to := endpoint(), endpoint(); from != to {
+				return from, to
+			}
+		}
+	}
+	condition := func() Condition {
+		var c Condition
+		switch script.Intn(4) {
+		case 0: // healthy
+		case 1:
+			c.DropProb = script.Float64()
+		case 2:
+			c.DupProb = script.Float64()
+		default:
+			c = Condition{DropProb: 0.3 * script.Float64(), DupProb: script.Float64(), DelayFactor: 4 * script.Float64()}
+		}
+		return c
+	}
+	for from := Coordinator; from < nodes; from++ {
+		for to := Coordinator; to < nodes; to++ {
+			if from != to {
+				if err := nw.SetCondition(from, to, condition()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	var calls []arrival
+	var results []Result
+	// A payload is hops-left; a handler with hops left answers the
+	// sender and forwards to the next endpoint, from inside the delivery.
+	for ep := Coordinator; ep < nodes; ep++ {
+		ep := ep
+		if err := nw.SetHandler(ep, func(from int, payload any, at float64) {
+			calls = append(calls, arrival{to: ep, from: from, payload: payload, at: at})
+			hops := payload.(int)
+			if hops == 0 {
+				return
+			}
+			results = append(results, send(nw, ep, from, hops-1, at))
+			next := (ep+2)%(nodes+1) + Coordinator // the endpoint after ep, wrapping
+			results = append(results, send(nw, ep, next, hops-1, at))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	now := 0.0
+	for i := 0; i < 120; i++ {
+		now += 1e-4 * script.Float64()
+		switch script.Intn(10) {
+		case 0:
+			from, to := link()
+			if nw.Partitioned(from, to) {
+				err = nw.Heal(from, to, now)
+			} else {
+				err = nw.Partition(from, to, now)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			from, to := link()
+			if err := nw.SetCondition(from, to, condition()); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			from, to := link()
+			results = append(results, send(nw, from, to, script.Intn(3), now))
+		}
+	}
+	return calls, results, nw.Stats(), nw.rng.Float64()
+}
+
+// TestSendMatchesQueueAndSortOracle: inline delivery must be
+// indistinguishable from the route-then-stable-sort delivery it
+// replaced — same handler calls in the same order with the same
+// arrival times, same results and stats, and the PRNG left at the same
+// position — over seeded random link conditions.
+func TestSendMatchesQueueAndSortOracle(t *testing.T) {
+	var delivered, duplicated, dropped, reordered, parted uint64
+	for seed := int64(1); seed <= 250; seed++ {
+		calls, results, stats, next := fateRun(t, seed, (*Network).Send)
+		wantCalls, wantResults, wantStats, wantNext := fateRun(t, seed, (*Network).oracleSend)
+		if stats != wantStats {
+			t.Fatalf("seed %d: stats %+v, oracle %+v", seed, stats, wantStats)
+		}
+		if next != wantNext {
+			t.Fatalf("seed %d: PRNG position diverged (next draw %v, oracle %v)", seed, next, wantNext)
+		}
+		if len(calls) != len(wantCalls) || len(results) != len(wantResults) {
+			t.Fatalf("seed %d: %d handler calls and %d results, oracle %d and %d",
+				seed, len(calls), len(results), len(wantCalls), len(wantResults))
+		}
+		for i := range calls {
+			if calls[i] != wantCalls[i] {
+				t.Fatalf("seed %d: handler call %d = %+v, oracle %+v", seed, i, calls[i], wantCalls[i])
+			}
+		}
+		for i := range results {
+			if results[i] != wantResults[i] {
+				t.Fatalf("seed %d: result %d = %+v, oracle %+v", seed, i, results[i], wantResults[i])
+			}
+		}
+		delivered += stats.Delivered
+		duplicated += stats.Duplicated
+		dropped += stats.Dropped
+		reordered += stats.Reordered
+		parted += stats.PartitionDrops
+	}
+	if delivered == 0 || duplicated == 0 || dropped == 0 || reordered == 0 || parted == 0 {
+		t.Errorf("scenarios missed a fate: delivered %d duplicated %d dropped %d reordered %d partition drops %d",
+			delivered, duplicated, dropped, reordered, parted)
+	}
+}
+
+// TestSendAllocGuard: a Send of a pointer payload allocates nothing,
+// whether the link is perfect, jittered, or duplicating.
+func TestSendAllocGuard(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		cond Condition
+	}{
+		{"perfect", Options{Nodes: 2, Seed: 5}, Condition{}},
+		{"jittered", Options{Nodes: 2, Seed: 5, BaseLatency: 1e-4, Jitter: 0.5}, Condition{}},
+		{"duplicating", Options{Nodes: 2, Seed: 5, BaseLatency: 1e-4, Jitter: 0.5}, Condition{DupProb: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := New(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.SetCondition(Coordinator, 0, tc.cond); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.SetCondition(0, Coordinator, tc.cond); err != nil {
+				t.Fatal(err)
+			}
+			type ping struct{ n int }
+			var req, reply ping
+			seen := 0
+			if err := nw.SetHandler(0, func(from int, payload any, at float64) {
+				reply.n = payload.(*ping).n
+				nw.Send(0, from, &reply, at)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.SetHandler(Coordinator, func(_ int, payload any, _ float64) {
+				seen += payload.(*ping).n
+			}); err != nil {
+				t.Fatal(err)
+			}
+			now := 0.0
+			allocs := testing.AllocsPerRun(1000, func() {
+				now += 1e-3
+				req.n = 1
+				nw.Send(Coordinator, 0, &req, now)
+			})
+			if allocs != 0 {
+				t.Errorf("Send allocates %v times per round trip, want 0", allocs)
+			}
+			if seen == 0 {
+				t.Fatal("no reply reached the coordinator")
+			}
+		})
+	}
+}
+
+// BenchmarkSend times one request/reply round trip of pointer payloads.
+func BenchmarkSend(b *testing.B) {
+	nw, err := New(Options{Nodes: 2, Seed: 5, BaseLatency: 1e-4, Jitter: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var req, reply int
+	if err := nw.SetHandler(0, func(from int, _ any, at float64) { nw.Send(0, from, &reply, at) }); err != nil {
+		b.Fatal(err)
+	}
+	if err := nw.SetHandler(Coordinator, func(int, any, float64) {}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Send(Coordinator, 0, &req, float64(i)*1e-3)
 	}
 }

@@ -145,17 +145,26 @@ func (r *Ring) RemoveNode(id int) error {
 // successor returns the index of the first token with Pos >= pos,
 // wrapping past the last token to the first.
 func (r *Ring) successor(pos uint64) int {
-	i := sort.Search(len(r.tokens), func(i int) bool { return r.tokens[i].Pos >= pos })
-	if i == len(r.tokens) {
+	lo, hi := 0, len(r.tokens)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); r.tokens[mid].Pos >= pos {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(r.tokens) {
 		return 0
 	}
-	return i
+	return lo
 }
 
 // OwnersAt appends to dst the first rf distinct members walking
 // clockwise from pos (fewer when the ring has fewer members) and
 // returns the extended slice. dst is reusable scratch: pass dst[:0] to
 // avoid allocation.
+//
+//rafiki:hot
 func (r *Ring) OwnersAt(dst []int, pos uint64, rf int) []int {
 	if len(r.tokens) == 0 || rf <= 0 {
 		return dst

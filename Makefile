@@ -13,17 +13,19 @@ test:
 	$(GO) test ./...
 
 # bench runs the kernel microbenchmarks (with allocation reporting),
-# the SSTable builders (Preload, flush, merge), the serving path's
+# the SSTable builders (Preload, flush, merge), a scan behind a new-key
+# write at two memtable sizes, the serving path's
 # layers (a netsim round trip, a QUORUM coordinator op, an admission
 # queue cycle), the end-to-end pipeline
 # harness (BENCH_pipeline.json: per-stage serial-vs-parallel wall time,
 # alloc counts, and an inline determinism cross-check), and the engine
 # hot-path harness (BENCH_engine.json: wall-clock ops/s and allocs/op
-# per op type). Both JSON files are committed trajectory files —
+# per op type, scans both quiescent and interleaved with writes). Both
+# JSON files are committed trajectory files —
 # regenerate them when the hot path changes.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/nn/
-	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables' -benchmem ./internal/nosql/
+	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables|ScanUnderWrites' -benchmem ./internal/nosql/
 	$(GO) test -run='^$$' -bench='Send|ClusterQuorum|AdmissionQueue' -benchmem ./internal/netsim ./internal/cluster ./internal/frontdoor
 	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
 	$(GO) run ./cmd/enginebench -out BENCH_engine.json
@@ -50,8 +52,13 @@ lint:
 # -count=2 doubles every package's wall time and the race detector
 # multiplies it again; on small hosts the heavier packages brush the
 # default 10m per-binary timeout, so give them explicit headroom.
+# cmd/rafikibench runs on its own, after the rest: its tests hold
+# wall-clock checks (span self times against a once-per-process
+# calibration of what a span costs) that cannot hold while other
+# packages' race binaries oversubscribe the CPUs.
 race:
-	$(GO) test -race -count=2 -timeout=20m ./...
+	$(GO) test -race -count=2 -timeout=20m $$($(GO) list ./... | grep -v '/cmd/rafikibench$$')
+	$(GO) test -race -count=2 -timeout=20m ./cmd/rafikibench
 
 # fuzz exercises every fuzz target briefly (smoke mode) — enough to
 # replay the corpus and catch shallow regressions on every check.

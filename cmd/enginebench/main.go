@@ -1,7 +1,11 @@
 // Command enginebench measures the storage-engine simulator's raw
 // serving speed — wall-clock operations per second and heap allocations
 // per operation — separately for each op type (read, update, insert,
-// delete, scan). The result is written as JSON; the committed
+// delete, scan, and scan_mixed: a scan that follows a write, so each of
+// its ops is one write of a random key plus one scan). The scan row
+// scans a quiescent engine; scan_mixed is the interleaving a CRUD mix
+// produces, under which the memtable's key order is stale before every
+// scan. The result is written as JSON; the committed
 // BENCH_engine.json is the tracked trajectory of those numbers across
 // PRs, so hot-path regressions show up in review rather than in a
 // slower collect stage three PRs later.
@@ -188,6 +192,13 @@ func run(args []string) error {
 		{"scan", func(e *nosql.Engine, rng *rand.Rand, _ *uint64) func(i int) {
 			n := int64(e.KeySpace())
 			return func(int) { e.Scan(uint64(rng.Int63n(n)), 64) }
+		}},
+		{"scan_mixed", func(e *nosql.Engine, rng *rand.Rand, _ *uint64) func(i int) {
+			n := int64(e.KeySpace())
+			return func(int) {
+				e.Write(uint64(rng.Int63n(n)))
+				e.Scan(uint64(rng.Int63n(n)), 64)
+			}
 		}},
 	} {
 		e, err := newWarmEngine(*seed, warmup)

@@ -90,7 +90,7 @@ func TestRunWritesReportAndProfiles(t *testing.T) {
 		t.Errorf("report header = ops %d seed %d warmup %d, want 2000/7/500",
 			rep.OpsPerType, rep.Seed, rep.WarmupOps)
 	}
-	wantOps := []string{"read", "update", "insert", "delete", "scan"}
+	wantOps := []string{"read", "update", "insert", "delete", "scan", "scan_mixed"}
 	if len(rep.Ops) != len(wantOps) {
 		t.Fatalf("measured %d op types, want %d", len(rep.Ops), len(wantOps))
 	}

@@ -241,7 +241,7 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 // condition consults cap() or len() — the grow-once reuse idiom:
 //
 //	if cap(dst) < n { dst = make([]T, n) }
-//	if len(c.chunk) == 0 { c.chunk = make([]node, chunkLen) }
+//	if 2*(c.n+1) > len(c.index) { c.index = make([]int32, 2*len(c.index)) }
 func growthGuardedMakes(info *types.Info, body *ast.BlockStmt) map[*ast.CallExpr]bool {
 	exempt := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {

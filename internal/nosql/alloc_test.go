@@ -10,7 +10,7 @@ import (
 
 // TestOpAllocGuard pins the steady-state point-op path's allocation
 // budget, the per-op analogue of TestScanAllocGuard: once the engine
-// is warm (block-cache node chunks carved, memtable map grown, first
+// is warm (block-cache slab and index grown, memtable map grown, first
 // flush generation digested), a mixed read/update/delete stream must
 // average well under a tenth of an allocation per operation. Before
 // the freelist/scratch-reuse pass this path ran at ~0.55 allocs/op —
@@ -71,7 +71,7 @@ func fillMemtable(e *Engine, n int) {
 // nothing per key (10 to 12 measured). With the per-table hash map the
 // count grew with the table — 26 at 1k keys, 163 at 32k — because map
 // groups scale with the key count; the ceiling leaves room only for
-// amortized growth of the engine's queues and cache-node chunks.
+// amortized growth of the engine's queues and the cache's slab and index.
 func TestFlushAllocGuard(t *testing.T) {
 	for _, n := range []int{1 << 10, 1 << 15} {
 		e, err := New(Options{Space: config.Cassandra(), Seed: 7})

@@ -70,11 +70,12 @@ func (b *bloomFilter) Add(key uint64) {
 	}
 }
 
-// MayContain reports whether key might be present (no false negatives).
+// MayContainHashed reports whether the key whose hash2 pair is (h1, h2)
+// might be present (no false negatives). A read derives the pair once
+// and probes every table's filter with it.
 //
 //rafiki:hot
-func (b *bloomFilter) MayContain(key uint64) bool {
-	h1, h2 := hash2(key)
+func (b *bloomFilter) MayContainHashed(h1, h2 uint64) bool {
 	for i := 0; i < b.nHashes; i++ {
 		pos := (h1 + uint64(i)*h2) % b.nBits
 		if b.bits[pos/64]&(1<<(pos%64)) == 0 {

@@ -12,7 +12,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 		b.Add(k * 7919)
 	}
 	for k := uint64(0); k < 10_000; k++ {
-		if !b.MayContain(k * 7919) {
+		if !b.MayContainHashed(hash2(k * 7919)) {
 			t.Fatalf("false negative for key %d", k*7919)
 		}
 	}
@@ -29,7 +29,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	const probes = 100_000
 	for i := 0; i < probes; i++ {
 		key := uint64(rng.Int63())>>1 + n // disjoint from inserted range
-		if b.MayContain(key) {
+		if b.MayContainHashed(hash2(key)) {
 			fps++
 		}
 	}
@@ -56,7 +56,7 @@ func TestBloomDegenerateSizing(t *testing.T) {
 	} {
 		b := newBloomFilter(tt.n, tt.fp)
 		b.Add(42)
-		if !b.MayContain(42) {
+		if !b.MayContainHashed(hash2(42)) {
 			t.Errorf("n=%d fp=%v: lost inserted key", tt.n, tt.fp)
 		}
 	}
@@ -69,7 +69,7 @@ func TestBloomPropertyInsertedAlwaysFound(t *testing.T) {
 			b.Add(k)
 		}
 		for _, k := range keys {
-			if !b.MayContain(k) {
+			if !b.MayContainHashed(hash2(k)) {
 				return false
 			}
 		}
@@ -99,7 +99,7 @@ func TestSSTableBloomIntegration(t *testing.T) {
 	keys := []uint64{10, 20, 30, 40}
 	tb := newSSTable(1, keys, 1024, 2, 1000)
 	for _, k := range keys {
-		if !tb.MayContain(k) {
+		if !tb.MayContainHashed(hash2(k)) {
 			t.Errorf("bloom lost key %d", k)
 		}
 	}
@@ -107,7 +107,7 @@ func TestSSTableBloomIntegration(t *testing.T) {
 	other := newSSTable(2, []uint64{50, 60}, 1024, 2, 1000)
 	merged := mergeTables(3, []*ssTable{tb, other}, 0, 1024, 2, 1000)
 	for _, k := range []uint64{10, 50} {
-		if !merged.MayContain(k) {
+		if !merged.MayContainHashed(hash2(k)) {
 			t.Errorf("merged bloom lost key %d", k)
 		}
 	}

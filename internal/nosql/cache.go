@@ -5,31 +5,33 @@ package nosql
 // a cached block avoid the disk seek, and compaction naturally churns
 // the cache because merged output lives in new blocks.
 //
-// The implementation is a hand-rolled intrusive doubly-linked list over
-// map entries so that Get/Put are O(1) without per-op allocation.
+// Nodes live in one slab and name each other by slab index: a circular
+// doubly-linked recency list through the sentinel nodes[0], a freelist
+// through next, and an open-addressed index of slab indices (linear
+// probing, 0 = empty slot) in place of a map. A touch therefore hashes
+// twelve bytes inline and follows no pointer, and Touch/Admit/Remove
+// are O(1) without per-op allocation.
 type blockCache struct {
 	capacity int
-	entries  map[blockID]*cacheNode
-	head     *cacheNode // most recently used
-	tail     *cacheNode // least recently used
-	hits     uint64
-	misses   uint64
-	// free is a freelist of recycled nodes (linked through next).
-	// Evictions, removals, and invalidations park their nodes here and
-	// admissions pop them, so the steady-state miss path — the hottest
-	// allocation site of the whole collect stage before the freelist
-	// existed — recycles instead of allocating a *cacheNode per Admit.
-	free *cacheNode
-	// chunk is the tail of the most recent bulk node allocation. While
-	// a cold cache fills toward capacity the freelist is empty, so nodes
-	// are carved from fixed-size chunks instead of being allocated one
-	// heap object at a time. Chunk nodes are never freed individually —
-	// they cycle through the LRU list and freelist like any other node.
-	chunk []cacheNode
+	// nodes[0] is the recency list's sentinel: its next is the most and
+	// its prev the least recently used node. Every other node is either
+	// on that list (and in the index) or on the freelist.
+	nodes []cacheNode
+	// index is a power of two long and at most half full, so a probe
+	// sequence always ends at an empty slot.
+	index []int32
+	n     int // cached blocks
+	// free heads the freelist of recycled nodes (linked through next, 0
+	// ends it). Evictions, removals, and invalidations park their nodes
+	// here and admissions pop them, so the slab stops growing once the
+	// cache has been full and the steady-state miss path never allocates.
+	free   int32
+	hits   uint64
+	misses uint64
 }
 
-// nodeChunkLen is the bulk-allocation granularity for cache nodes.
-const nodeChunkLen = 256
+// minIndexLen is the shortest index a cache starts with.
+const minIndexLen = 16
 
 // blockID identifies one block of one SSTable. Table identifiers are
 // unique for the lifetime of an engine, so block IDs never collide
@@ -39,22 +41,39 @@ type blockID struct {
 	block uint32
 }
 
+// hash spreads id over 64 bits; the index masks the low ones.
+//
+//rafiki:hot
+func (id blockID) hash() uint64 {
+	x := id.table*0x9E3779B97F4A7C15 ^ uint64(id.block)*0xC2B2AE3D27D4EB4F
+	x ^= x >> 32
+	x *= 0xD6E8FEB86659FD93
+	return x ^ x>>32
+}
+
 type cacheNode struct {
 	id         blockID
-	prev, next *cacheNode
+	prev, next int32
 }
 
 // newBlockCache returns a cache holding at most capacity blocks. A zero
-// or negative capacity yields a cache that never hits.
+// or negative capacity yields a cache that never hits. Slab and index
+// are sized for capacity up front (as the map they replace was), so a
+// cache only regrows them if Resize raises its capacity.
 func newBlockCache(capacity int) *blockCache {
+	slots := minIndexLen
+	for slots < 2*(capacity+1) {
+		slots *= 2
+	}
 	return &blockCache{
 		capacity: capacity,
-		entries:  make(map[blockID]*cacheNode, max(capacity, 1)),
+		nodes:    make([]cacheNode, 1, max(capacity, 0)+2), // sentinel, capacity, one in flight
+		index:    make([]int32, slots),
 	}
 }
 
 // Len returns the number of cached blocks.
-func (c *blockCache) Len() int { return len(c.entries) }
+func (c *blockCache) Len() int { return c.n }
 
 // HitRate returns the fraction of Touch calls that hit, or 0 before any
 // traffic.
@@ -71,20 +90,15 @@ func (c *blockCache) HitRate() float64 {
 //
 //rafiki:hot
 func (c *blockCache) Touch(id blockID) bool {
-	if n, ok := c.entries[id]; ok {
+	slot, n := c.find(id)
+	if n != 0 {
 		c.hits++
 		c.moveToFront(n)
 		return true
 	}
 	c.misses++
-	if c.capacity <= 0 {
-		return false
-	}
-	n := c.newNode(id)
-	c.entries[id] = n
-	c.pushFront(n)
-	if len(c.entries) > c.capacity {
-		c.evict()
+	if c.capacity > 0 {
+		c.insert(id, slot)
 	}
 	return false
 }
@@ -97,15 +111,10 @@ func (c *blockCache) Admit(id blockID) {
 	if c.capacity <= 0 {
 		return
 	}
-	if n, ok := c.entries[id]; ok {
+	if slot, n := c.find(id); n != 0 {
 		c.moveToFront(n)
-		return
-	}
-	n := c.newNode(id)
-	c.entries[id] = n
-	c.pushFront(n)
-	if len(c.entries) > c.capacity {
-		c.evict()
+	} else {
+		c.insert(id, slot)
 	}
 }
 
@@ -114,114 +123,134 @@ func (c *blockCache) Admit(id blockID) {
 //
 //rafiki:hot
 func (c *blockCache) Remove(id blockID) {
-	if n, ok := c.entries[id]; ok {
-		c.unlink(n)
-		delete(c.entries, id)
-		c.recycle(n)
+	if slot, n := c.find(id); n != 0 {
+		c.drop(slot, n)
 	}
 }
 
 // InvalidateTable drops every cached block belonging to table. Called
 // when compaction deletes an input SSTable.
 func (c *blockCache) InvalidateTable(table uint64) {
-	for id, n := range c.entries {
-		if id.table == table {
-			c.unlink(n)
-			delete(c.entries, id)
-			c.recycle(n)
+	for n := c.nodes[0].next; n != 0; {
+		next := c.nodes[n].next
+		if c.nodes[n].id.table == table {
+			c.evict(n)
 		}
+		n = next
 	}
 }
 
 // Resize changes capacity, evicting LRU entries if shrinking.
 func (c *blockCache) Resize(capacity int) {
 	c.capacity = capacity
-	for len(c.entries) > max(capacity, 0) {
-		c.evict()
+	for c.n > max(capacity, 0) {
+		c.evict(c.nodes[0].prev)
 	}
 }
 
-//rafiki:hot
-func (c *blockCache) evict() {
-	if c.tail == nil {
-		return
-	}
-	victim := c.tail
-	c.unlink(victim)
-	delete(c.entries, victim.id)
-	c.recycle(victim)
-}
-
-// newNode pops a recycled node from the freelist, or carves one from
-// the current chunk when the freelist is empty (cold cache, or capacity
-// still growing).
+// find probes for id. It returns id's index slot and slab node, or — n
+// == 0 — the empty slot an insert of id would fill.
 //
 //rafiki:hot
-func (c *blockCache) newNode(id blockID) *cacheNode {
-	if n := c.free; n != nil {
-		c.free = n.next
-		n.id = id
-		n.next = nil
-		return n
+func (c *blockCache) find(id blockID) (slot int, n int32) {
+	mask := len(c.index) - 1
+	for slot = int(id.hash()) & mask; ; slot = (slot + 1) & mask {
+		n = c.index[slot]
+		if n == 0 || c.nodes[n].id == id {
+			return slot, n
+		}
 	}
-	if len(c.chunk) == 0 {
-		c.chunk = make([]cacheNode, nodeChunkLen)
-	}
-	n := &c.chunk[0]
-	c.chunk = c.chunk[1:]
-	n.id = id
-	return n
 }
 
-// recycle parks an unlinked node on the freelist for reuse.
+// insert admits id, absent from the cache, at the empty slot find
+// returned for it, as the most recently used block, then evicts the
+// least recently used one if that overfills the cache.
 //
 //rafiki:hot
-func (c *blockCache) recycle(n *cacheNode) {
-	n.next = c.free
-	n.prev = nil
+func (c *blockCache) insert(id blockID, slot int) {
+	if 2*(c.n+1) > len(c.index) {
+		// Double the index and re-place the live nodes; the recency list
+		// names them all. The slab does not move.
+		c.index = make([]int32, 2*len(c.index))
+		for n := c.nodes[0].next; n != 0; n = c.nodes[n].next {
+			s, _ := c.find(c.nodes[n].id)
+			c.index[s] = n
+		}
+		slot, _ = c.find(id)
+	}
+	n := c.free
+	if n != 0 {
+		c.free = c.nodes[n].next
+	} else {
+		n = int32(len(c.nodes))
+		c.nodes = append(c.nodes, cacheNode{})
+	}
+	c.nodes[n].id = id
+	c.pushFront(n)
+	c.index[slot] = n
+	c.n++
+	if c.n > c.capacity {
+		c.evict(c.nodes[0].prev)
+	}
+}
+
+// evict drops the cached node n, looking its index slot up first.
+//
+//rafiki:hot
+func (c *blockCache) evict(n int32) {
+	slot, _ := c.find(c.nodes[n].id)
+	c.drop(slot, n)
+}
+
+// drop removes node n, indexed at slot, from the list and the index and
+// parks it on the freelist. The index has no deletion marks: the rest
+// of n's probe run shifts back over the hole, each entry moving only if
+// the hole lies between its home slot and where it sits.
+//
+//rafiki:hot
+func (c *blockCache) drop(slot int, n int32) {
+	c.unlink(n)
+	c.nodes[n].next = c.free
 	c.free = n
+	c.n--
+
+	mask := len(c.index) - 1
+	hole := slot
+	for s := (slot + 1) & mask; c.index[s] != 0; s = (s + 1) & mask {
+		home := int(c.nodes[c.index[s]].id.hash()) & mask
+		if (s-home)&mask >= (s-hole)&mask {
+			c.index[hole] = c.index[s]
+			hole = s
+		}
+	}
+	c.index[hole] = 0
 }
 
 //rafiki:hot
-func (c *blockCache) pushFront(n *cacheNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
-	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
-	}
-}
-
-//rafiki:hot
-func (c *blockCache) moveToFront(n *cacheNode) {
-	if c.head == n {
+func (c *blockCache) moveToFront(n int32) {
+	if c.nodes[0].next == n {
 		return
 	}
 	c.unlink(n)
 	c.pushFront(n)
 }
 
+// pushFront links n, on no list, in as the most recently used node.
+//
 //rafiki:hot
-func (c *blockCache) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else if c.head == n {
-		c.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else if c.tail == n {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
+func (c *blockCache) pushFront(n int32) {
+	head := c.nodes[0].next
+	c.nodes[n].prev, c.nodes[n].next = 0, head
+	c.nodes[head].prev = n
+	c.nodes[0].next = n
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// unlink takes n out of the recency list; the sentinel makes both
+// neighbours always exist.
+//
+//rafiki:hot
+func (c *blockCache) unlink(n int32) {
+	prev, next := c.nodes[n].prev, c.nodes[n].next
+	c.nodes[prev].next = next
+	c.nodes[next].prev = prev
 }

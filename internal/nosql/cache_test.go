@@ -283,23 +283,30 @@ func TestBlockCacheRemove(t *testing.T) {
 
 // TestBlockCacheFreelistReuse pins the freelist contract: a node
 // unlinked by Remove, eviction, or InvalidateTable is recycled into
-// the next admission instead of a fresh heap object.
+// the next admission instead of growing the slab.
 func TestBlockCacheFreelistReuse(t *testing.T) {
 	c := newBlockCache(4)
 	a := blockID{table: 1, block: 1}
 	c.Touch(a)
-	recycled := c.entries[a]
+	_, recycled := c.find(a)
+	if recycled == 0 {
+		t.Fatal("touched block is not indexed")
+	}
 	c.Remove(a)
 	if c.free != recycled {
 		t.Fatal("Remove should park the node on the freelist")
 	}
 	b := blockID{table: 2, block: 2}
+	slab := len(c.nodes)
 	c.Touch(b)
-	if c.entries[b] != recycled {
-		t.Error("admission should pop the recycled node, not allocate")
+	if _, n := c.find(b); n != recycled {
+		t.Error("admission should pop the recycled node, not grow the slab")
 	}
-	if c.free != nil {
+	if c.free != 0 {
 		t.Error("freelist should be drained after reuse")
+	}
+	if len(c.nodes) != slab {
+		t.Errorf("slab grew from %d to %d nodes with a recycled node on hand", slab, len(c.nodes))
 	}
 
 	// Eviction recycles too: fill past capacity and check the evicted
@@ -310,50 +317,76 @@ func TestBlockCacheFreelistReuse(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d, want capacity 4", c.Len())
 	}
-	c.Touch(blockID{table: 4, block: 0}) // evicts LRU
+	_, victim := c.find(blockID{table: 3, block: 0}) // the LRU block
+	slab = len(c.nodes)
+	evictor := blockID{table: 4, block: 0}
+	c.Touch(evictor) // evicts the LRU block
 	if c.Len() != 4 {
 		t.Errorf("Len after eviction = %d, want 4", c.Len())
+	}
+	if c.free != victim {
+		t.Error("eviction should park the victim's node on the freelist")
+	}
+	c.Touch(blockID{table: 4, block: 1}) // pops the victim's node, evicts again
+	if _, n := c.find(blockID{table: 4, block: 1}); n != victim {
+		t.Error("the miss after an eviction should reuse the victim's node")
+	}
+	if len(c.nodes) != slab {
+		t.Errorf("slab grew from %d to %d nodes under miss/evict churn", slab, len(c.nodes))
 	}
 
 	// InvalidateTable recycles every node of the table at once.
 	freeLen := func() int {
 		n := 0
-		for f := c.free; f != nil; f = f.next {
+		for f := c.free; f != 0; f = c.nodes[f].next {
 			n++
 		}
 		return n
 	}
 	before := freeLen()
 	invalidated := 0
-	for id := range c.entries {
-		if id.table == 3 {
+	for n := c.nodes[0].next; n != 0; n = c.nodes[n].next {
+		if c.nodes[n].id.table == 3 {
 			invalidated++
 		}
+	}
+	if invalidated == 0 {
+		t.Fatal("no block of table 3 left to invalidate")
 	}
 	c.InvalidateTable(3)
 	if got := freeLen() - before; got != invalidated {
 		t.Errorf("InvalidateTable recycled %d nodes, want %d", got, invalidated)
 	}
+	if got := c.Len() + freeLen() + 1; got != len(c.nodes) {
+		t.Errorf("live + free + sentinel = %d nodes, slab holds %d", got, len(c.nodes))
+	}
 }
 
 // TestBlockCacheSteadyStateAllocFree pins that a warm cache under
 // continuous miss/evict churn performs zero allocations per Touch:
-// every admission is served from the freelist or the current chunk.
+// every admission is served from the freelist, and neither the slab
+// nor the index grows once the cache has been full.
 func TestBlockCacheSteadyStateAllocFree(t *testing.T) {
-	c := newBlockCache(64)
-	// Warm: fill to capacity and force the first eviction cycle, then
-	// pre-carve enough chunk headroom that the measured loop never
-	// crosses a chunk boundary.
+	const capacity = 64
+	c := newBlockCache(capacity)
+	// Warm: fill to capacity and run many eviction cycles.
 	var i uint32
-	for ; i < 4*nodeChunkLen; i++ {
+	for ; i < 16*capacity; i++ {
 		c.Touch(blockID{table: 1, block: i})
 	}
+	slab, index := len(c.nodes), len(c.index)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Touch(blockID{table: 1, block: i})
 		i++
 	})
 	if allocs > 0 {
 		t.Fatalf("warm Touch allocates %.2f times per miss, want 0", allocs)
+	}
+	if len(c.nodes) != slab || len(c.index) != index {
+		t.Errorf("slab %d -> %d nodes, index %d -> %d slots under steady churn", slab, len(c.nodes), index, len(c.index))
+	}
+	if slab > capacity+2 {
+		t.Errorf("slab holds %d nodes for capacity %d, want at most capacity + 2 (sentinel, one in flight)", slab, capacity)
 	}
 }
 
@@ -384,8 +417,9 @@ func TestTableSetRemoveTables(t *testing.T) {
 }
 
 // TestMemtableDrainScratchReuse pins Drain's scratch contract: the
-// returned buffers are reused across flushes, and a second fill/drain
-// cycle returns exactly the new contents.
+// returned buffers are reused across flushes — the keys are the run
+// itself — and a second fill/drain cycle returns exactly the new
+// contents.
 func TestMemtableDrainScratchReuse(t *testing.T) {
 	m := newMemtable(1024)
 	m.Insert(5, 0, 1024)
@@ -401,6 +435,9 @@ func TestMemtableDrainScratchReuse(t *testing.T) {
 	if m.Len() != 0 || m.Bytes() != 0 {
 		t.Fatal("drain should empty the memtable")
 	}
+	if got := m.SortedKeys(); len(got) != 0 {
+		t.Fatalf("drained memtable still lists keys %v", got)
+	}
 	m.Insert(7, 0, 1024)
 	keys2, tombs2, _ := m.Drain()
 	if len(keys2) != 1 || keys2[0] != 7 {
@@ -408,6 +445,9 @@ func TestMemtableDrainScratchReuse(t *testing.T) {
 	}
 	if len(tombs2) != 0 {
 		t.Fatalf("second drain tombs = %v", tombs2)
+	}
+	if &keys2[0] != &keys1[0] {
+		t.Error("second drain's keys do not reuse the first's backing (the run)")
 	}
 	// TTL'd cells surface through the reused expiry scratch.
 	m.Insert(11, 42.0, 1024)
@@ -418,6 +458,23 @@ func TestMemtableDrainScratchReuse(t *testing.T) {
 	m.Insert(13, 0, 1024)
 	if _, _, exp := m.Drain(); exp != nil {
 		t.Fatalf("expiry-free drain should return nil map, got %v", exp)
+	}
+
+	// Once every buffer has seen a memtable this size, a whole
+	// fill/scan/drain cycle allocates nothing.
+	cycle := func() {
+		for k := uint64(0); k < 512; k++ {
+			m.Insert(k*2654435761%4096, float64(k%3), 1024)
+			if k%64 == 0 {
+				m.Tombstone(k)
+				m.SortedKeys()
+			}
+		}
+		m.Drain()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
+		t.Errorf("warm fill/scan/drain cycle allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -648,10 +648,11 @@ func (e *Engine) Read(key uint64) {
 	// an index lookup and a block fetch through the file cache.
 	keyCacheHit := e.keyCacheHitProb()
 	indexCPU := e.model.IndexCPUSeconds * (64 / math.Max(e.p.columnIndexKB, 32))
+	h1, h2 := hash2(key) // every table's filter probes from the same two hashes
 	for _, t := range e.tables.tables {
 		cpu += e.model.BloomCheckCPUSeconds
 		e.m.BloomChecks++
-		if !t.MayContain(key) {
+		if !t.MayContainHashed(h1, h2) {
 			continue
 		}
 		contains := t.Contains(key)

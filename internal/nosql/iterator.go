@@ -58,7 +58,6 @@ func (e *Engine) Scan(start uint64, limit int) int {
 		cpu += e.model.ScanSeekCPUSeconds
 		srcs = append(srcs, scanSource{keys: t.sorted, pos: p, t: t})
 	}
-	e.scanSrcs = srcs[:0] // keep the (possibly grown) scratch capacity
 
 	rows := 0
 	for rows < limit {
@@ -123,6 +122,11 @@ func (e *Engine) Scan(start uint64, limit int) int {
 			rows++
 		}
 	}
+
+	// Park the (possibly grown) scratch empty: a cursor left in it would
+	// pin its table — run, Bloom bits, bitmap — after compaction drops it.
+	clear(srcs)
+	e.scanSrcs = srcs[:0]
 
 	e.ep.readCPU += cpu
 	e.m.ScanRows += uint64(rows)

@@ -1,6 +1,7 @@
 package nosql
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -312,8 +313,10 @@ func TestScanSpansFlushAndCompactionBoundary(t *testing.T) {
 }
 
 // TestScanAllocGuard pins the scan hot path's allocation budget: once
-// the cursor scratch and the memtable's sorted cache are warm, a scan
-// must not allocate.
+// the cursor scratch and the memtable's run are warm, a scan must not
+// allocate — neither on a quiescent memtable nor when it follows the
+// write of a key the memtable has not seen, which makes it fold that
+// key into the run first.
 func TestScanAllocGuard(t *testing.T) {
 	e, err := New(Options{Space: config.Cassandra(), Seed: 5, EpochOps: 1 << 30})
 	if err != nil {
@@ -323,11 +326,105 @@ func TestScanAllocGuard(t *testing.T) {
 	for k := uint64(0); k < 64; k++ {
 		e.Write(k * 7)
 	}
-	e.Scan(0, 64) // warm the scratch, sorted, and block caches
+	e.Scan(0, 64) // warm the scratch, the run, and block caches
 	allocs := testing.AllocsPerRun(50, func() {
 		e.Scan(0, 64)
 	})
 	if allocs > 0.5 {
 		t.Fatalf("Scan allocates %.1f times per op, want 0", allocs)
 	}
+
+	// Warm the memtable's map, run and fresh buffer past the keys the
+	// measured loop will add, then empty it without building a table.
+	const fresh = 200
+	for k := uint64(0); k < 4*fresh; k++ {
+		e.mem.Insert(1000+k, 0, float64(e.hw.RowBytes))
+	}
+	e.mem.SortedKeys()
+	e.mem.Drain()
+	next := uint64(1000)
+	allocs = testing.AllocsPerRun(fresh, func() {
+		e.Write(next) // a key the memtable does not hold
+		next += 3
+		e.Scan(next-30, 64)
+	})
+	if allocs > 0 {
+		t.Fatalf("a new-key write plus Scan allocates %.2f times, want 0", allocs)
+	}
+	if got := e.mem.Len(); got != fresh+1 {
+		t.Fatalf("memtable holds %d keys after the measured loop, want %d (no flush may interleave)", got, fresh+1)
+	}
 }
+
+// TestScanParksScratchCleared pins that a finished scan leaves no
+// cursor in its scratch: a parked cursor would keep its table's run,
+// Bloom bits and bitmap reachable after compaction has dropped the
+// table, until some later scan happened to overwrite the slot.
+func TestScanParksScratchCleared(t *testing.T) {
+	e, err := New(Options{Space: config.Cassandra(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Preload(3)
+	e.Write(7)
+	if rows := e.Scan(0, 64); rows == 0 {
+		t.Fatal("scan found no rows")
+	}
+	if cap(e.scanSrcs) < 2 {
+		t.Fatalf("scan scratch holds %d cursors, want the memtable's and the tables'", cap(e.scanSrcs))
+	}
+	for i, s := range e.scanSrcs[:cap(e.scanSrcs)] {
+		if s.t != nil || s.keys != nil {
+			t.Errorf("parked cursor %d still references its source", i)
+		}
+	}
+}
+
+// BenchmarkScanUnderWrites times a 64-row scan that follows the write
+// of a key the memtable has not seen — the interleaving a CRUD mix
+// produces, and the one under which the memtable's key order goes stale
+// before every scan. ns/op must not scale with the memtable's size: the
+// new key is folded into the ordered run, the run is not rebuilt. (When
+// every such scan re-sorted the cell map, 8k keys cost ~10x 1k keys.)
+func BenchmarkScanUnderWrites(b *testing.B) {
+	for _, n := range []int{1 << 10, 8 << 10} {
+		b.Run(fmt.Sprintf("memtable=%d", n), func(b *testing.B) {
+			e, err := New(Options{Space: config.Cassandra(), Seed: 1, EpochOps: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e.Preload(3)
+			span := uint64(e.KeySpace())
+			rng := rand.New(rand.NewSource(2))
+			// The memtable holds n to n+n/8 keys: writes go straight to
+			// it, past the write path's own flush trigger, and it is
+			// emptied and refilled off the clock when it has grown an
+			// eighth.
+			refill := func() {
+				e.mem.Drain()
+				for e.mem.Len() < n {
+					e.mem.Insert(uint64(rng.Int63n(int64(span))), 0, float64(e.hw.RowBytes))
+				}
+				e.mem.SortedKeys()
+			}
+			refill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e.mem.Len() >= n+n/8 {
+					b.StopTimer()
+					refill()
+					b.StartTimer()
+				}
+				k := uint64(rng.Int63n(int64(span)))
+				for e.mem.Contains(k) {
+					k = uint64(rng.Int63n(int64(span)))
+				}
+				e.mem.Insert(k, 0, float64(e.hw.RowBytes))
+				benchRows += e.Scan(uint64(rng.Int63n(int64(span))), 64)
+			}
+		})
+	}
+}
+
+var benchRows int

@@ -19,16 +19,17 @@ type memtable struct {
 	rowBytes int
 	bytes    float64
 
-	// sorted caches the ascending key order for range scans; it is
-	// rebuilt lazily after an insert of a previously absent key
-	// invalidates it.
-	sorted      []uint64
-	sortedValid bool
+	// run is the ascending key order as of the last fold; fresh holds the
+	// keys first written since then, in arrival order. Together they are
+	// exactly the cell map's key set, so a range scan after k new keys
+	// folds those k in rather than re-sorting everything the map holds.
+	run   []uint64
+	fresh []uint64
 
-	// drainKeys/drainTombs/drainExp are flush scratch: Drain's outputs
-	// are copied into the new SSTable's own structures immediately, so
-	// the memtable owns the buffers and reuses them across flushes.
-	drainKeys  []uint64
+	// drainTombs/drainExp are flush scratch: Drain's outputs are copied
+	// into the new SSTable's own structures immediately, so the memtable
+	// owns the buffers and reuses them across flushes. The drained keys
+	// need no buffer of their own: they are the run.
 	drainTombs []uint64
 	drainExp   map[uint64]float64
 }
@@ -49,7 +50,7 @@ func newMemtable(rowBytes int) *memtable {
 //rafiki:hot
 func (m *memtable) Insert(key uint64, expiry, payloadBytes float64) {
 	if _, ok := m.cells[key]; !ok {
-		m.sortedValid = false
+		m.fresh = append(m.fresh, key)
 	}
 	m.cells[key] = memCell{expiry: expiry}
 	m.bytes += payloadBytes
@@ -61,7 +62,7 @@ func (m *memtable) Insert(key uint64, expiry, payloadBytes float64) {
 //rafiki:hot
 func (m *memtable) Tombstone(key uint64) {
 	if _, ok := m.cells[key]; !ok {
-		m.sortedValid = false
+		m.fresh = append(m.fresh, key)
 	}
 	m.cells[key] = memCell{tomb: true}
 	m.bytes += float64(m.rowBytes) / 8 // tombstones are small cells
@@ -108,32 +109,51 @@ func (m *memtable) Len() int { return len(m.cells) }
 //rafiki:view
 //rafiki:hot
 func (m *memtable) SortedKeys() []uint64 {
-	if !m.sortedValid {
-		m.sorted = m.sorted[:0]
-		for k := range m.cells {
-			m.sorted = append(m.sorted, k)
-		}
-		slices.Sort(m.sorted)
-		m.sortedValid = true
+	m.fold()
+	return m.run
+}
+
+// fold merges the fresh keys into the run in place: sort the k fresh
+// keys, grow the run by k, then from the largest fresh key down, slide
+// the run's elements above it up into their final place and drop it in
+// below them. That is O(k log k) for the sort, k binary searches, and
+// the run elements above the smallest fresh key moved once each, as
+// blocks — and nothing when k is 0. A key is fresh only on its first
+// write since the last drain, so the two sides never share a key.
+//
+//rafiki:hot
+func (m *memtable) fold() {
+	if len(m.fresh) == 0 {
+		return
 	}
-	return m.sorted
+	slices.Sort(m.fresh)
+	end := len(m.run) // run[:end] is the part of the old run not yet placed
+	m.run = append(m.run, m.fresh...)
+	for j := len(m.fresh) - 1; j >= 0; j-- {
+		p := seekGE(m.run[:end], m.fresh[j])
+		copy(m.run[p+j+1:], m.run[p:end]) // j+1 fresh keys still sort below these
+		m.run[p+j] = m.fresh[j]
+		end = p
+	}
+	m.fresh = m.fresh[:0]
 }
 
 // Drain empties the memtable and returns its distinct keys, the subset
 // that are tombstones, and the expiry times of the TTL'd subset, ready
-// to become an SSTable. Both slices are sorted so drain order never
-// inherits map iteration order. The returned slices and map are scratch
-// owned by the memtable, valid only until the next Drain — callers copy
-// them into the flushed table before returning.
+// to become an SSTable. Keys and tombstones come off the run, so both
+// are ascending and drain order never inherits map iteration order. The
+// returned slices and map are scratch owned by the memtable, valid only
+// until its next mutation — callers copy them into the flushed table
+// before returning.
 //
 //rafiki:scratch
 func (m *memtable) Drain() (keys []uint64, tombstones []uint64, expiries map[uint64]float64) {
-	keys = m.drainKeys[:0]
+	m.fold()
+	keys = m.run
 	tombstones = m.drainTombs[:0]
 	clear(m.drainExp)
-	for k, c := range m.cells {
-		keys = append(keys, k)
-		if c.tomb {
+	for _, k := range keys {
+		if c := m.cells[k]; c.tomb {
 			tombstones = append(tombstones, k)
 		} else if c.expiry > 0 {
 			if m.drainExp == nil {
@@ -142,16 +162,12 @@ func (m *memtable) Drain() (keys []uint64, tombstones []uint64, expiries map[uin
 			m.drainExp[k] = c.expiry
 		}
 	}
-	slices.Sort(keys)
-	slices.Sort(tombstones)
 	if len(m.drainExp) > 0 {
 		expiries = m.drainExp
 	}
-	m.drainKeys = keys
 	m.drainTombs = tombstones
 	clear(m.cells)
 	m.bytes = 0
-	m.sorted = m.sorted[:0]
-	m.sortedValid = false
+	m.run = m.run[:0]
 	return keys, tombstones, expiries
 }

@@ -1,0 +1,413 @@
+package nosql
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// oracleCache is the block cache as it stood before the slab and the
+// open-addressed index: a map from blockID to heap nodes on a pointer
+// list, kept verbatim (freelist, chunks and all) as the reference the
+// flat cache must be indistinguishable from.
+type oracleCache struct {
+	capacity int
+	entries  map[blockID]*oracleNode
+	head     *oracleNode // most recently used
+	tail     *oracleNode // least recently used
+	hits     uint64
+	misses   uint64
+	free     *oracleNode
+	chunk    []oracleNode
+}
+
+const oracleChunkLen = 256
+
+type oracleNode struct {
+	id         blockID
+	prev, next *oracleNode
+}
+
+func newOracleCache(capacity int) *oracleCache {
+	return &oracleCache{
+		capacity: capacity,
+		entries:  make(map[blockID]*oracleNode, max(capacity, 1)),
+	}
+}
+
+func (c *oracleCache) Len() int { return len(c.entries) }
+
+func (c *oracleCache) Touch(id blockID) bool {
+	if n, ok := c.entries[id]; ok {
+		c.hits++
+		c.moveToFront(n)
+		return true
+	}
+	c.misses++
+	if c.capacity <= 0 {
+		return false
+	}
+	n := c.newNode(id)
+	c.entries[id] = n
+	c.pushFront(n)
+	if len(c.entries) > c.capacity {
+		c.evict()
+	}
+	return false
+}
+
+func (c *oracleCache) Admit(id blockID) {
+	if c.capacity <= 0 {
+		return
+	}
+	if n, ok := c.entries[id]; ok {
+		c.moveToFront(n)
+		return
+	}
+	n := c.newNode(id)
+	c.entries[id] = n
+	c.pushFront(n)
+	if len(c.entries) > c.capacity {
+		c.evict()
+	}
+}
+
+func (c *oracleCache) Remove(id blockID) {
+	if n, ok := c.entries[id]; ok {
+		c.unlink(n)
+		delete(c.entries, id)
+		c.recycle(n)
+	}
+}
+
+func (c *oracleCache) InvalidateTable(table uint64) {
+	for id, n := range c.entries {
+		if id.table == table {
+			c.unlink(n)
+			delete(c.entries, id)
+			c.recycle(n)
+		}
+	}
+}
+
+func (c *oracleCache) Resize(capacity int) {
+	c.capacity = capacity
+	for len(c.entries) > max(capacity, 0) {
+		c.evict()
+	}
+}
+
+func (c *oracleCache) evict() {
+	if c.tail == nil {
+		return
+	}
+	victim := c.tail
+	c.unlink(victim)
+	delete(c.entries, victim.id)
+	c.recycle(victim)
+}
+
+func (c *oracleCache) newNode(id blockID) *oracleNode {
+	if n := c.free; n != nil {
+		c.free = n.next
+		n.id = id
+		n.next = nil
+		return n
+	}
+	if len(c.chunk) == 0 {
+		c.chunk = make([]oracleNode, oracleChunkLen)
+	}
+	n := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	n.id = id
+	return n
+}
+
+func (c *oracleCache) recycle(n *oracleNode) {
+	n.next = c.free
+	n.prev = nil
+	c.free = n
+}
+
+func (c *oracleCache) pushFront(n *oracleNode) {
+	n.prev = nil
+	n.next = c.head
+	if c.head != nil {
+		c.head.prev = n
+	}
+	c.head = n
+	if c.tail == nil {
+		c.tail = n
+	}
+}
+
+func (c *oracleCache) moveToFront(n *oracleNode) {
+	if c.head == n {
+		return
+	}
+	c.unlink(n)
+	c.pushFront(n)
+}
+
+func (c *oracleCache) unlink(n *oracleNode) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else if c.head == n {
+		c.head = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else if c.tail == n {
+		c.tail = n.prev
+	}
+	n.prev, n.next = nil, nil
+}
+
+// order lists the oracle's blocks from most to least recently used.
+func (c *oracleCache) order() []blockID {
+	var ids []blockID
+	for n := c.head; n != nil; n = n.next {
+		ids = append(ids, n.id)
+	}
+	return ids
+}
+
+// order lists the cache's blocks from most to least recently used.
+func (c *blockCache) order() []blockID {
+	var ids []blockID
+	for n := c.nodes[0].next; n != 0; n = c.nodes[n].next {
+		ids = append(ids, c.nodes[n].id)
+	}
+	return ids
+}
+
+// checkStructure verifies what the flat cache's parts promise each
+// other: the list is consistent in both directions, the index holds
+// exactly the listed nodes where a probe finds them and stays at most
+// half full, and every slab node is the sentinel, listed, or free.
+func (c *blockCache) checkStructure() error {
+	listed := 0
+	for prev, n := int32(0), c.nodes[0].next; n != 0; prev, n = n, c.nodes[n].next {
+		if c.nodes[n].prev != prev {
+			return fmt.Errorf("node %d: prev = %d, want %d", n, c.nodes[n].prev, prev)
+		}
+		if _, got := c.find(c.nodes[n].id); got != n {
+			return fmt.Errorf("node %d (%v) is listed but a probe finds node %d", n, c.nodes[n].id, got)
+		}
+		if listed++; listed > len(c.nodes) {
+			return fmt.Errorf("recency list does not end")
+		}
+		if c.nodes[n].next == 0 && c.nodes[0].prev != n {
+			return fmt.Errorf("sentinel's prev = %d, want the last node %d", c.nodes[0].prev, n)
+		}
+	}
+	if listed != c.n {
+		return fmt.Errorf("%d nodes listed, n = %d", listed, c.n)
+	}
+	if listed == 0 && c.nodes[0].prev != 0 {
+		return fmt.Errorf("empty list but sentinel's prev = %d", c.nodes[0].prev)
+	}
+	indexed := 0
+	for _, n := range c.index {
+		if n != 0 {
+			indexed++
+		}
+	}
+	if indexed != c.n {
+		return fmt.Errorf("%d slots indexed, n = %d", indexed, c.n)
+	}
+	if k := len(c.index); k&(k-1) != 0 || 2*c.n > k {
+		return fmt.Errorf("index of %d slots for %d nodes: want a power of two, at most half full", k, c.n)
+	}
+	free := 0
+	for f := c.free; f != 0; f = c.nodes[f].next {
+		if free++; free > len(c.nodes) {
+			return fmt.Errorf("freelist does not end")
+		}
+	}
+	if listed+free+1 != len(c.nodes) {
+		return fmt.Errorf("%d listed + %d free + sentinel != %d slab nodes", listed, free, len(c.nodes))
+	}
+	return nil
+}
+
+// collidingIDs returns n block ids whose hashes agree with one of a few
+// adjacent home slots — the last two and the first — in every index of
+// up to 256 slots, so they pile into probe runs that wrap around the
+// end of the index and every removal has a run to shift back.
+func collidingIDs(n int) []blockID {
+	var ids []blockID
+	for t := uint64(0); len(ids) < n; t++ {
+		for b := uint32(0); b < 64 && len(ids) < n; b++ {
+			id := blockID{table: t % 7, block: b + 64*uint32(t/7)}
+			if h := id.hash() & 255; h >= 254 || h == 0 {
+				ids = append(ids, id)
+			}
+		}
+	}
+	return ids
+}
+
+// TestBlockCacheMatchesOracle drives the flat cache and the map+pointer
+// cache it replaced through the same seeded random schedules and
+// requires them indistinguishable after every step: return values, Len,
+// hit and miss counts, and the whole MRU→LRU order.
+func TestBlockCacheMatchesOracle(t *testing.T) {
+	pools := map[string][]blockID{
+		"colliding": collidingIDs(96),
+	}
+	for tb := uint64(0); tb < 5; tb++ {
+		for b := uint32(0); b < 12; b++ {
+			pools["blocks"] = append(pools["blocks"], blockID{table: tb, block: b})
+		}
+	}
+	for k := uint64(0); k < 300; k++ { // the row cache's shape: the key in table, block 0
+		pools["rows"] = append(pools["rows"], blockID{table: k * 31})
+	}
+	poolNames := []string{"colliding", "blocks", "rows"}
+	capacities := []int{0, 1, 2, 3, 7, 40, 200, -1}
+
+	const schedules, steps = 240, 400
+	for seed := int64(0); seed < schedules; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		poolName := poolNames[seed%int64(len(poolNames))]
+		pool := pools[poolName]
+		capacity := capacities[rng.Intn(len(capacities))]
+		c, o := newBlockCache(capacity), newOracleCache(capacity)
+		fail := func(step int, op, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d (%s, capacity %d) step %d %s: %s", seed, poolName, c.capacity, step, op, fmt.Sprintf(format, args...))
+		}
+		for step := 0; step < steps; step++ {
+			id := pool[rng.Intn(len(pool))]
+			var op string
+			switch r := rng.Intn(100); {
+			case r < 50:
+				op = fmt.Sprintf("Touch(%v)", id)
+				if got, want := c.Touch(id), o.Touch(id); got != want {
+					fail(step, op, "= %v, oracle %v", got, want)
+				}
+			case r < 70:
+				op = fmt.Sprintf("Admit(%v)", id)
+				c.Admit(id)
+				o.Admit(id)
+			case r < 85:
+				op = fmt.Sprintf("Remove(%v)", id)
+				c.Remove(id)
+				o.Remove(id)
+			case r < 90:
+				op = fmt.Sprintf("InvalidateTable(%d)", id.table)
+				c.InvalidateTable(id.table)
+				o.InvalidateTable(id.table)
+			default:
+				// Grow or shrink, sometimes by a lot, sometimes to nothing.
+				capacity := capacities[rng.Intn(len(capacities))]
+				if rng.Intn(2) == 0 {
+					capacity = c.capacity + rng.Intn(9) - 4
+				}
+				op = fmt.Sprintf("Resize(%d)", capacity)
+				c.Resize(capacity)
+				o.Resize(capacity)
+			}
+			if c.Len() != o.Len() {
+				fail(step, op, "Len = %d, oracle %d", c.Len(), o.Len())
+			}
+			if c.hits != o.hits || c.misses != o.misses {
+				fail(step, op, "hits/misses = %d/%d, oracle %d/%d", c.hits, c.misses, o.hits, o.misses)
+			}
+			if got, want := c.order(), o.order(); !slices.Equal(got, want) {
+				fail(step, op, "MRU→LRU order\n got  %v\n want %v", got, want)
+			}
+			if err := c.checkStructure(); err != nil {
+				fail(step, op, "%v", err)
+			}
+		}
+	}
+}
+
+// parentDrain is Drain as it stood before the ordered run, over a plain
+// cell map: range the map, sort keys and tombstones, collect expiries.
+func parentDrain(cells map[uint64]memCell) (keys, tombstones []uint64, expiries map[uint64]float64) {
+	for k, c := range cells {
+		keys = append(keys, k)
+		if c.tomb {
+			tombstones = append(tombstones, k)
+		} else if c.expiry > 0 {
+			if expiries == nil {
+				expiries = make(map[uint64]float64)
+			}
+			expiries[k] = c.expiry
+		}
+	}
+	slices.Sort(keys)
+	slices.Sort(tombstones)
+	return keys, tombstones, expiries
+}
+
+// TestMemtableOrderedRunProperty drives two memtables and a plain cell
+// map through the same seeded random Insert/Tombstone/SortedKeys/Drain
+// interleavings. The eager memtable is asked for SortedKeys after every
+// step, the lazy one only when the schedule says so (so folds of many
+// fresh keys, and drains with keys still unfolded, are covered); both
+// must list exactly the sorted distinct key set, and both drains must
+// equal the parent's.
+func TestMemtableOrderedRunProperty(t *testing.T) {
+	const schedules, steps = 200, 300
+	for seed := int64(0); seed < schedules; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keySpace := []int64{8, 64, 4096}[seed%3]
+		eager, lazy := newMemtable(1024), newMemtable(1024)
+		model := make(map[uint64]memCell)
+		checkSorted := func(step int, name string, m *memtable) {
+			t.Helper()
+			want := make([]uint64, 0, len(model))
+			for k := range model {
+				want = append(want, k)
+			}
+			slices.Sort(want)
+			if got := m.SortedKeys(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: %s SortedKeys\n got  %v\n want %v", seed, step, name, got, want)
+			}
+		}
+		for step := 0; step < steps; step++ {
+			key := uint64(rng.Int63n(keySpace))
+			switch r := rng.Intn(100); {
+			case r < 55:
+				var expiry float64
+				if rng.Intn(3) == 0 {
+					expiry = 1 + rng.Float64()
+				}
+				eager.Insert(key, expiry, 1024)
+				lazy.Insert(key, expiry, 1024)
+				model[key] = memCell{expiry: expiry}
+			case r < 75:
+				eager.Tombstone(key)
+				lazy.Tombstone(key)
+				model[key] = memCell{tomb: true}
+			case r < 95:
+				checkSorted(step, "lazy", lazy)
+			default:
+				wantKeys, wantTombs, wantExp := parentDrain(model)
+				clear(model)
+				for name, m := range map[string]*memtable{"eager": eager, "lazy": lazy} {
+					keys, tombs, exp := m.Drain()
+					if !slices.Equal(keys, wantKeys) || !slices.Equal(tombs, wantTombs) {
+						t.Fatalf("seed %d step %d: %s Drain keys %v tombs %v, parent's %v / %v", seed, step, name, keys, tombs, wantKeys, wantTombs)
+					}
+					if (exp == nil) != (wantExp == nil) || !maps.Equal(exp, wantExp) {
+						t.Fatalf("seed %d step %d: %s Drain expiries %v, parent's %v", seed, step, name, exp, wantExp)
+					}
+					if m.Len() != 0 || m.Bytes() != 0 {
+						t.Fatalf("seed %d step %d: %s not empty after Drain", seed, step, name)
+					}
+				}
+			}
+			checkSorted(step, "eager", eager)
+			if eager.Len() != len(model) || lazy.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len eager %d lazy %d, want %d", seed, step, eager.Len(), lazy.Len(), len(model))
+			}
+		}
+	}
+}

@@ -171,11 +171,12 @@ func (t *ssTable) index(keySpace int) {
 // defaultBloomFPRate matches Cassandra's size-tiered default target.
 const defaultBloomFPRate = 0.01
 
-// MayContain consults the Bloom filter: false means definitely absent.
+// MayContainHashed consults the Bloom filter for the key whose hash2
+// pair is (h1, h2): false means definitely absent.
 //
 //rafiki:hot
-func (t *ssTable) MayContain(key uint64) bool {
-	return t.bloom.MayContain(key)
+func (t *ssTable) MayContainHashed(h1, h2 uint64) bool {
+	return t.bloom.MayContainHashed(h1, h2)
 }
 
 // setBlockSpan recomputes the key-to-physical-block divisor from the

@@ -61,7 +61,7 @@ func checkDerived(t *testing.T, tb *ssTable, keySpace int) {
 	member := make(map[uint64]bool, len(tb.sorted))
 	for _, k := range tb.sorted {
 		member[k] = true
-		if !tb.MayContain(k) {
+		if !tb.MayContainHashed(hash2(k)) {
 			t.Errorf("bloom lost key %d", k)
 		}
 	}

@@ -12,19 +12,24 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the kernel microbenchmarks (with allocation reporting),
-# the SSTable builders (Preload, flush, merge), a scan behind a new-key
-# write at two memtable sizes, the serving path's
-# layers (a netsim round trip, a QUORUM coordinator op, an admission
-# queue cycle), the end-to-end pipeline
-# harness (BENCH_pipeline.json: per-stage serial-vs-parallel wall time,
-# alloc counts, and an inline determinism cross-check), and the engine
-# hot-path harness (BENCH_engine.json: wall-clock ops/s and allocs/op
-# per op type, scans both quiescent and interleaved with writes). Both
-# JSON files are committed trajectory files —
-# regenerate them when the hot path changes.
+# bench runs the kernel microbenchmarks (with allocation reporting; the
+# Gram, solve and trace-inverse kernels at the trainer's real 220 x 191
+# shape as well as 256 x 41, and BenchmarkTrainBREpoch, one LM epoch of
+# one ensemble member at that shape), one collector sample's key
+# stream, the SSTable builders (Preload, flush, merge), a scan behind a
+# new-key write at two memtable sizes, the serving path's layers (a
+# netsim round trip, a QUORUM coordinator op, an admission queue
+# cycle), the end-to-end pipeline harness (BENCH_pipeline.json:
+# per-stage serial-vs-parallel wall time for identify/collect/train/
+# search, alloc counts, one row per ensemble member, and an inline
+# determinism cross-check), and the engine hot-path harness
+# (BENCH_engine.json: wall-clock ops/s and allocs/op per op type, scans
+# both quiescent and interleaved with writes). Both JSON files are
+# committed trajectory files — regenerate them when the hot path
+# changes.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/nn/
+	$(GO) test -run='^$$' -bench=KeyGeneratorSample -benchmem ./internal/workload/
 	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables|ScanUnderWrites' -benchmem ./internal/nosql/
 	$(GO) test -run='^$$' -bench='Send|ClusterQuorum|AdmissionQueue' -benchmem ./internal/netsim ./internal/cluster ./internal/frontdoor
 	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
@@ -98,8 +103,12 @@ slo:
 	$(GO) run ./cmd/experiments -slo -out slo-report.txt
 
 # guard re-runs the determinism and allocation regression gates: every
-# worker-count invariance test plus the zero/bounded-alloc kernels.
+# worker-count invariance test, the zero/bounded-alloc guards (engine,
+# netsim, cluster, frontdoor, and the LM trainer's: linalg's
+# TestKernelAllocGuard, nn's TestTrainBRAllocGuard), and the linalg/nn
+# bit-identity pins (kernels against their naive reference loops,
+# TrainBR against its recorded digests).
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden' ./internal/...
 
 check: fmt vet lint race fuzz guard chaos slo

@@ -1,9 +1,11 @@
 // Command pipelinebench measures the tuning pipeline's serial-vs-
-// parallel wall time and allocation volume stage by stage (data
-// collection, ensemble training, surrogate-backed GA search) and
-// writes the result as JSON. It also re-checks, on every run, that the
-// parallel pipeline is observationally identical to the serial one:
-// byte-identical trained models and identical GA recommendations.
+// parallel wall time and allocation volume stage by stage (key-
+// parameter identification, data collection, ensemble training,
+// surrogate-backed GA search), times every ensemble member's training
+// on its own, and writes the result as JSON. It also re-checks, on
+// every run, that the parallel pipeline is observationally identical
+// to the serial one: the same key parameters, byte-identical trained
+// models and identical GA recommendations.
 //
 // Usage:
 //
@@ -19,12 +21,14 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"time"
 
 	"rafiki/internal/config"
 	"rafiki/internal/core"
 	"rafiki/internal/ga"
 	"rafiki/internal/nn"
+	"rafiki/internal/obs"
 	"rafiki/internal/par"
 
 	"rafiki/internal/bench"
@@ -38,6 +42,22 @@ type stageResult struct {
 	Speedup         float64 `json:"speedup"`
 	SerialAllocs    uint64  `json:"serial_allocs"`
 	ParallelAllocs  uint64  `json:"parallel_allocs"`
+}
+
+// memberResult is one ensemble member trained on its own, serially:
+// where the train stage's time goes, member by member.
+type memberResult struct {
+	Member int `json:"member"`
+	// Epochs is how many LM epochs ran before a stopping rule or the
+	// cap; JacobianEvals how many Jacobian passes they took (one up
+	// front, one per damping step tried).
+	Epochs        int     `json:"epochs"`
+	JacobianEvals int     `json:"jacobian_evals"`
+	Seconds       float64 `json:"seconds"`
+	MSE           float64 `json:"mse"`
+	// Kept is false for the members the ensemble prunes (the worst 30 %
+	// by training error).
+	Kept bool `json:"kept"`
 }
 
 // report is the file this command writes.
@@ -54,9 +74,61 @@ type report struct {
 	ParallelComparable bool          `json:"parallel_comparable"`
 	Stages             []stageResult `json:"stages"`
 	Pipeline           stageResult   `json:"pipeline"`
+	// Members breaks the train stage down; the seconds sum to about the
+	// stage's serial time.
+	Members []memberResult `json:"train_members"`
 	// Deterministic reports the inline cross-check: the parallel run
-	// produced a byte-identical model and an identical recommendation.
+	// chose the same key parameters and produced a byte-identical model
+	// and an identical recommendation, and the members trained one by
+	// one are the ensemble's members.
 	Deterministic bool `json:"deterministic"`
+}
+
+// oneAtATime runs a collector's samples one at a time whatever pool
+// calls them. IdentifyKeyParameters always fans out one worker per CPU,
+// so this is how its serial time is taken.
+type oneAtATime struct {
+	mu sync.Mutex
+	c  core.Collector
+}
+
+func (o *oneAtATime) Sample(w core.Workload, cfg config.Config, seed int64) (float64, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.c.Sample(w, cfg, seed)
+}
+
+// trainMembers trains each of cfg's ensemble members alone — under the
+// BR trainer an ensemble of one seeded with nn.MemberSeed(seed, k) is
+// member k — and marks the ones whose training summary the full model
+// kept.
+func trainMembers(xs [][]float64, ys []float64, cfg nn.ModelConfig, kept []nn.TrainResult) ([]memberResult, error) {
+	members := make([]memberResult, cfg.EnsembleSize)
+	for k := range members {
+		reg := obs.NewRegistry()
+		one := cfg
+		one.EnsembleSize, one.PruneFraction, one.Workers = 1, 0, 1
+		one.Seed = nn.MemberSeed(cfg.Seed, k)
+		one.Obs = reg
+		start := time.Now()
+		model, err := nn.Fit(xs, ys, one)
+		secs := time.Since(start).Seconds()
+		if err != nil {
+			return nil, fmt.Errorf("member %d: %w", k, err)
+		}
+		res := model.Results()[0]
+		m := memberResult{Member: k, Epochs: res.Epochs, Seconds: secs, MSE: res.MSE}
+		for _, sp := range reg.Snapshot().Spans {
+			if sp.Name == "nn.epoch" {
+				m.JacobianEvals = max(m.JacobianEvals, int(sp.End))
+			}
+		}
+		for _, r := range kept {
+			m.Kept = m.Kept || r == res
+		}
+		members[k] = m
+	}
+	return members, nil
 }
 
 func main() {
@@ -177,7 +249,28 @@ func run(args []string) error {
 		ParallelComparable: runtime.GOMAXPROCS(0) > 1,
 	}
 
-	// Stage 1: data collection. Serial and parallel must produce the
+	// Stage 1: key-parameter identification, the one-parameter-at-a-time
+	// ANOVA sweep. Its outcome is checked, not fed forward: the later
+	// stages keep config.Cassandra()'s key set, so their rows stay
+	// comparable with earlier records.
+	var serialID, parallelID core.Identification
+	identifyRes, err := stage("identify",
+		func() error {
+			var err error
+			serialID, err = core.IdentifyKeyParameters(&oneAtATime{c: collector}, space, core.DefaultIdentifyOptions())
+			return err
+		},
+		func() error {
+			var err error
+			parallelID, err = core.IdentifyKeyParameters(collector, space, core.DefaultIdentifyOptions())
+			return err
+		})
+	if err != nil {
+		return err
+	}
+	deterministic := reflect.DeepEqual(serialID, parallelID)
+
+	// Stage 2: data collection. Serial and parallel must produce the
 	// same dataset; the serial one feeds the later stages.
 	var serialDS, parallelDS core.Dataset
 	collectRes, err := stage("collect",
@@ -198,9 +291,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	deterministic := reflect.DeepEqual(serialDS, parallelDS)
+	deterministic = deterministic && reflect.DeepEqual(serialDS, parallelDS)
 
-	// Stage 2: ensemble training.
+	// Stage 3: ensemble training.
 	var serialSur, parallelSur *core.Surrogate
 	trainRes, err := stage("train",
 		func() error {
@@ -230,7 +323,23 @@ func run(args []string) error {
 	}
 	deterministic = deterministic && string(serialModel) == string(parallelModel)
 
-	// Stage 3: surrogate-backed GA search across the paper's workload
+	xs, ys, err := serialDS.Features(space)
+	if err != nil {
+		return err
+	}
+	rep.Members, err = trainMembers(xs, ys, modelCfg, serialSur.Model.Results())
+	if err != nil {
+		return err
+	}
+	kept := 0
+	for _, m := range rep.Members {
+		if m.Kept {
+			kept++
+		}
+	}
+	deterministic = deterministic && kept == serialSur.Model.Size()
+
+	// Stage 4: surrogate-backed GA search across the paper's workload
 	// sweep. The serial surrogate answers with one worker; the parallel
 	// one fans batch predictions out.
 	readRatios := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -265,7 +374,7 @@ func run(args []string) error {
 	}
 	deterministic = deterministic && reflect.DeepEqual(serialRecs, parallelRecs)
 
-	rep.Stages = []stageResult{collectRes, trainRes, searchRes}
+	rep.Stages = []stageResult{identifyRes, collectRes, trainRes, searchRes}
 	rep.Deterministic = deterministic
 	for _, s := range rep.Stages {
 		rep.Pipeline.SerialSeconds += s.SerialSeconds

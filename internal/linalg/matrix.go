@@ -8,15 +8,16 @@
 // forms: allocating convenience methods, and *Into variants writing
 // into caller-owned buffers. The Into variants are what the trainer's
 // inner loop uses — together with Solver they make an LM epoch
-// allocation-free. AtAInto is row-blocked so the Gram accumulation
-// streams the output matrix once per block instead of once per sample
-// row; the vector kernels unroll the inner loop four-wide. AtAInto and
-// AtVecInto keep the exact per-element accumulation order of the naive
-// loops, so their results are bit-identical to the reference
-// implementations, not just close; MulVecInto combines four partial
-// sums pairwise and is therefore reference-equal only to within
-// rounding (the property tests in matrix_test.go pin both claims
-// down).
+// allocation-free. The three O(n³)-class kernels (the Gram product,
+// the Cholesky factorization, the trace of the inverse) each keep
+// several output elements in registers at once, so the floating-point
+// units see independent add chains instead of one; the vector kernels
+// unroll the inner loop four-wide. Every one of them except MulVecInto
+// keeps the exact per-element accumulation order of the naive loops,
+// so its results are bit-identical to the reference implementations
+// kept in kernels_test.go, not just close; MulVecInto combines four
+// partial sums pairwise and is therefore reference-equal only to
+// within rounding.
 package linalg
 
 import (
@@ -34,6 +35,11 @@ var ErrNotSPD = errors.New("linalg: matrix is not positive definite")
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
+
+	// colMajor is AtAInto's scratch, the matrix transposed. It is sized
+	// on first use and makes AtA/AtAInto (alone among the methods that
+	// only read Data) unsafe to call concurrently on one receiver.
+	colMajor []float64
 }
 
 // New returns a zero matrix with the given shape.
@@ -155,12 +161,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// ataBlock is the row-block size of AtAInto: blocks of this many
-// sample rows are streamed against each output row, so a block's rows
-// stay cache-hot while the (cols x cols) output matrix is traversed
-// once per block instead of once per sample row.
-const ataBlock = 32
-
 // AtA returns mᵀ * m, the Gram matrix, computed symmetrically. This is
 // the Gauss-Newton approximation JᵀJ used by the LM trainer.
 func (m *Matrix) AtA() *Matrix {
@@ -169,54 +169,79 @@ func (m *Matrix) AtA() *Matrix {
 	return out
 }
 
-// AtAInto computes mᵀ * m into dst, which must be m.Cols x m.Cols. The
-// accumulation is row-blocked and only fills the upper triangle before
-// mirroring; per output element the sample rows accumulate in
-// ascending order, so the result is bit-identical to the naive
-// triple loop.
+// AtAInto computes mᵀ * m into dst, which must be m.Cols x m.Cols. m
+// is first transposed into scratch it owns, so that each output
+// element is a dot product of two contiguous runs; per output element
+// the sample rows still accumulate in ascending order from zero, so
+// for a finite m the result is bit-identical to the naive triple loop
+// (which skips 0·x terms: adding ±0 to a sum that started at +0 never
+// changes it, but 0·Inf would).
+//
+//rafiki:hot
 func (m *Matrix) AtAInto(dst *Matrix) error {
 	if dst.Rows != m.Cols || dst.Cols != m.Cols {
-		return fmt.Errorf("linalg: AtA dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Cols)
+		return fmt.Errorf("linalg: AtA dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Cols) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	m.ataInto(dst)
 	return nil
 }
 
+//rafiki:hot
 func (m *Matrix) ataInto(out *Matrix) {
-	cols := m.Cols
-	for i := range out.Data {
-		out.Data[i] = 0
+	rows, cols := m.Rows, m.Cols
+	if len(m.colMajor) != len(m.Data) {
+		m.colMajor = make([]float64, len(m.Data))
 	}
-	for blk := 0; blk < m.Rows; blk += ataBlock {
-		end := blk + ataBlock
-		if end > m.Rows {
-			end = m.Rows
+	t := m.colMajor
+	for i := 0; i < rows; i++ {
+		for j, v := range m.Data[i*cols : (i+1)*cols] {
+			t[j*rows+i] = v
 		}
-		for a := 0; a < cols; a++ {
-			outRow := out.Data[a*cols : (a+1)*cols]
-			for i := blk; i < end; i++ {
-				row := m.Data[i*cols : (i+1)*cols]
-				va := row[a]
-				if va == 0 {
-					continue
-				}
-				b := a
-				for ; b+4 <= cols; b += 4 {
-					outRow[b] += va * row[b]
-					outRow[b+1] += va * row[b+1]
-					outRow[b+2] += va * row[b+2]
-					outRow[b+3] += va * row[b+3]
-				}
-				for ; b < cols; b++ {
-					outRow[b] += va * row[b]
-				}
+	}
+	gramRows(out.Data, t, cols, rows)
+}
+
+// gramRows writes the Gram matrix of the n rows of t (each m long,
+// row-major) into the n x n dst: dst[a][b] = Σᵢ t[a][i]·t[b][i]. It
+// works in 2 x 3 tiles of dst — six sums held in registers, fed by
+// five loads per step; a 2 x 4 tile needs more registers than the
+// compiler has and spills two of its sums — and every sum runs over i
+// ascending, which is all that bit-identity with the naive loop needs.
+// Tiles that would hang over the edge clamp their row indices to n-1
+// and so recompute (and re-store) an element they already cover; a
+// tile on the diagonal also computes an element below it, which the
+// final mirror overwrites with the same bits (the products commute).
+//
+//rafiki:hot
+func gramRows(dst, t []float64, n, m int) {
+	for a0 := 0; a0 < n; a0 += 2 {
+		a1 := min(a0+1, n-1)
+		ra0 := t[a0*m : a0*m+m]
+		ra1 := t[a1*m : a1*m+m][:len(ra0)]
+		d0, d1 := dst[a0*n:(a0+1)*n], dst[a1*n:(a1+1)*n]
+		for b0 := a0; b0 < n; b0 += 3 {
+			b1, b2 := min(b0+1, n-1), min(b0+2, n-1)
+			rb0 := t[b0*m : b0*m+m][:len(ra0)]
+			rb1 := t[b1*m : b1*m+m][:len(ra0)]
+			rb2 := t[b2*m : b2*m+m][:len(ra0)]
+			var c00, c01, c02, c10, c11, c12 float64
+			for i, x0 := range ra0 {
+				x1 := ra1[i]
+				y0, y1, y2 := rb0[i], rb1[i], rb2[i]
+				c00 += x0 * y0
+				c01 += x0 * y1
+				c02 += x0 * y2
+				c10 += x1 * y0
+				c11 += x1 * y1
+				c12 += x1 * y2
 			}
+			d0[b0], d0[b1], d0[b2] = c00, c01, c02
+			d1[b0], d1[b1], d1[b2] = c10, c11, c12
 		}
 	}
-	// Mirror the upper triangle.
-	for a := 0; a < cols; a++ {
-		for b := a + 1; b < cols; b++ {
-			out.Set(b, a, out.At(a, b))
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			dst[b*n+a] = dst[a*n+b]
 		}
 	}
 }
@@ -234,12 +259,14 @@ func (m *Matrix) AtVec(v []float64) ([]float64, error) {
 // allocating, with the inner axpy unrolled four-wide. Per output
 // element the accumulation order over sample rows is unchanged, so the
 // result is bit-identical to the naive loop.
+//
+//rafiki:hot
 func (m *Matrix) AtVecInto(out, v []float64) error {
 	if m.Rows != len(v) {
-		return fmt.Errorf("linalg: atvec shape mismatch %dx%d with %d", m.Rows, m.Cols, len(v))
+		return fmt.Errorf("linalg: atvec shape mismatch %dx%d with %d", m.Rows, m.Cols, len(v)) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	if len(out) != m.Cols {
-		return fmt.Errorf("linalg: atvec out length %d, want %d", len(out), m.Cols)
+		return fmt.Errorf("linalg: atvec out length %d, want %d", len(out), m.Cols) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	cols := m.Cols
 	for j := range out {
@@ -267,9 +294,11 @@ func (m *Matrix) AtVecInto(out, v []float64) error {
 
 // ScaleFrom overwrites m with src scaled by s. Shapes must match. This
 // is the trainer's "H = beta * JᵀJ" step done without a Clone.
+//
+//rafiki:hot
 func (m *Matrix) ScaleFrom(src *Matrix, s float64) error {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
-		return fmt.Errorf("linalg: ScaleFrom shape %dx%d from %dx%d", m.Rows, m.Cols, src.Rows, src.Cols)
+		return fmt.Errorf("linalg: ScaleFrom shape %dx%d from %dx%d", m.Rows, m.Cols, src.Rows, src.Cols) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	for i, v := range src.Data {
 		m.Data[i] = v * s
@@ -279,9 +308,11 @@ func (m *Matrix) ScaleFrom(src *Matrix, s float64) error {
 
 // AddDiagonal adds v to every diagonal element in place (the LM damping
 // term mu*I). The matrix must be square.
+//
+//rafiki:hot
 func (m *Matrix) AddDiagonal(v float64) error {
 	if m.Rows != m.Cols {
-		return fmt.Errorf("linalg: AddDiagonal on non-square %dx%d", m.Rows, m.Cols)
+		return fmt.Errorf("linalg: AddDiagonal on non-square %dx%d", m.Rows, m.Cols) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+i] += v
@@ -304,25 +335,60 @@ func (m *Matrix) Trace() (float64, error) {
 // choleskyInto factors m = L*Lᵀ into the caller-owned l, writing only
 // the lower triangle (the substitution routines never read above the
 // diagonal, so the upper triangle may hold stale values).
+//
+//rafiki:hot
 func choleskyInto(m, l *Matrix) error {
 	if m.Rows != m.Cols {
-		return fmt.Errorf("linalg: cholesky of non-square %dx%d", m.Rows, m.Cols)
+		return fmt.Errorf("linalg: cholesky of non-square %dx%d", m.Rows, m.Cols) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := m.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+	return cholesky(m.Data, l.Data, m.Rows)
+}
+
+// cholesky is the factorization kernel on n x n row-major a and l. It
+// goes column by column: the pivot l[j][j], then the rows below it
+// four at a time, each element l[i][j] = (a[i][j] - Σₖ l[i][k]·l[j][k])
+// / l[j][j] with k ascending over 0..j-1. Everything such a sum reads —
+// row j and row i left of column j — was finished by earlier columns,
+// so the four sums of a pass are independent add chains that share the
+// loads of row j. The row-by-row textbook loop computes every element
+// from the same operands in the same order, and meets the pivots in
+// the same order, so factor and error are identical to it.
+//
+//rafiki:hot
+func cholesky(a, l []float64, n int) error {
+	for j := 0; j < n; j++ {
+		lj := l[j*n : j*n+j]
+		pivot := a[j*n+j]
+		for _, v := range lj {
+			pivot -= v * v
+		}
+		if pivot <= 0 || math.IsNaN(pivot) {
+			return ErrNotSPD
+		}
+		d := math.Sqrt(pivot)
+		l[j*n+j] = d
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0 := l[i*n : i*n+j][:len(lj)]
+			r1 := l[(i+1)*n : (i+1)*n+j][:len(lj)]
+			r2 := l[(i+2)*n : (i+2)*n+j][:len(lj)]
+			r3 := l[(i+3)*n : (i+3)*n+j][:len(lj)]
+			s0, s1, s2, s3 := a[i*n+j], a[(i+1)*n+j], a[(i+2)*n+j], a[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
 			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return ErrNotSPD
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
+			l[i*n+j], l[(i+1)*n+j], l[(i+2)*n+j], l[(i+3)*n+j] = s0/d, s1/d, s2/d, s3/d
+		}
+		for ; i < n; i++ {
+			r := l[i*n : i*n+j][:len(lj)]
+			sum := a[i*n+j]
+			for k, v := range lj {
+				sum -= r[k] * v
 			}
+			l[i*n+j] = sum / d
 		}
 	}
 	return nil
@@ -342,6 +408,8 @@ func (m *Matrix) Cholesky() (*Matrix, error) {
 }
 
 // forwardSub solves L*y = b for lower-triangular l.
+//
+//rafiki:hot
 func forwardSub(l *Matrix, b, y []float64) {
 	n := l.Rows
 	for i := 0; i < n; i++ {
@@ -354,6 +422,8 @@ func forwardSub(l *Matrix, b, y []float64) {
 }
 
 // backSub solves Lᵀ*x = y for lower-triangular l.
+//
+//rafiki:hot
 func backSub(l *Matrix, y, x []float64) {
 	n := l.Rows
 	for i := n - 1; i >= 0; i-- {
@@ -392,60 +462,107 @@ func (m *Matrix) TraceInverseSPD() (float64, error) {
 // ready to use. Not safe for concurrent use.
 type Solver struct {
 	l *Matrix
+	// y holds four substitution vectors: SolveSPD uses the first,
+	// TraceInverseSPD all four.
 	y []float64
 }
 
 // ensure sizes the scratch for n-by-n systems.
+//
+//rafiki:hot
 func (s *Solver) ensure(n int) {
-	if s.l == nil || s.l.Rows != n {
-		s.l = New(n, n)
-		s.y = make([]float64, n)
+	if len(s.y) != 4*n {
+		s.l = New(n, n) //lint:allow hotalloc sized on first use and on a change of dimension only
+		s.y = make([]float64, 4*n)
 	}
 }
 
 // SolveSPD solves m*x = b into caller-owned x (length m.Rows), reusing
 // the solver's factorization scratch. Returns ErrNotSPD when m is not
 // positive definite; x's contents are then unspecified.
+//
+//rafiki:hot
 func (s *Solver) SolveSPD(m *Matrix, b, x []float64) error {
 	if m.Rows != len(b) {
-		return fmt.Errorf("linalg: solve shape mismatch %dx%d with %d", m.Rows, m.Cols, len(b))
+		return fmt.Errorf("linalg: solve shape mismatch %dx%d with %d", m.Rows, m.Cols, len(b)) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	if len(x) != m.Rows {
-		return fmt.Errorf("linalg: solve out length %d, want %d", len(x), m.Rows)
+		return fmt.Errorf("linalg: solve out length %d, want %d", len(x), m.Rows) //lint:allow hotalloc a shape mismatch is a caller bug, never the epoch loop's path
 	}
 	s.ensure(m.Rows)
 	if err := choleskyInto(m, s.l); err != nil {
 		return err
 	}
-	forwardSub(s.l, b, s.y)
-	backSub(s.l, s.y, x)
+	y := s.y[:m.Rows]
+	forwardSub(s.l, b, y)
+	backSub(s.l, y, x)
 	return nil
 }
 
 // TraceInverseSPD is the scratch-reusing form of
 // Matrix.TraceInverseSPD.
+//
+//rafiki:hot
 func (s *Solver) TraceInverseSPD(m *Matrix) (float64, error) {
 	n := m.Rows
 	s.ensure(n)
 	if err := choleskyInto(m, s.l); err != nil {
 		return 0, err
 	}
-	l, y := s.l, s.y
+	return traceInverse(s.l.Data, s.y, n), nil
+}
+
+// traceInverse returns ||L⁻¹||_F² for the n x n lower-triangular l of
+// a successful factorization, forward-substituting four unit columns
+// j..j+3 at a time into the four n-vectors of y: one pass over a row
+// of l feeds four independent chains. The reference substitutes one
+// column at a time, starting column c at row c; here columns j+1..j+3
+// also run over the rows above their own, which computes +0 there and
+// then subtracts l[i][k]·(+0) from their sums — a no-op bit for bit,
+// because a sum that starts at +0 or 1 cannot be -0 and every
+// off-diagonal of l is finite (an infinite or NaN one would have
+// failed its row's pivot). The squares go into the trace once a block
+// is done, column by column and row by row as the reference adds
+// them. A last block narrower than four substitutes zero columns for
+// the missing ones.
+//
+//rafiki:hot
+func traceInverse(l, y []float64, n int) float64 {
 	var trace float64
-	for j := 0; j < n; j++ {
+	for j := 0; j < n; j += 4 {
 		for i := j; i < n; i++ {
-			var sum float64
-			if i == j {
-				sum = 1
+			li := l[i*n+j : i*n+i]
+			y0 := y[j:i][:len(li)]
+			y1 := y[n+j : n+i][:len(li)]
+			y2 := y[2*n+j : 2*n+i][:len(li)]
+			y3 := y[3*n+j : 3*n+i][:len(li)]
+			var s0, s1, s2, s3 float64
+			switch i - j {
+			case 0:
+				s0 = 1
+			case 1:
+				s1 = 1
+			case 2:
+				s2 = 1
+			case 3:
+				s3 = 1
 			}
-			for k := j; k < i; k++ {
-				sum -= l.At(i, k) * y[k]
+			for k, v := range li {
+				s0 -= v * y0[k]
+				s1 -= v * y1[k]
+				s2 -= v * y2[k]
+				s3 -= v * y3[k]
 			}
-			y[i] = sum / l.At(i, i)
-			trace += y[i] * y[i]
+			d := l[i*n+i]
+			y[i], y[n+i], y[2*n+i], y[3*n+i] = s0/d, s1/d, s2/d, s3/d
+		}
+		for c := 0; c < 4 && j+c < n; c++ {
+			for _, v := range y[c*n+j+c : (c+1)*n] {
+				trace += v * v
+			}
 		}
 	}
-	return trace, nil
+	return trace
 }
 
 // InverseSPD returns the inverse of a symmetric positive-definite

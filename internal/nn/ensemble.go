@@ -109,8 +109,8 @@ func (m *Model) putWS(w *modelWS) { m.wsPool.Put(w) }
 
 // Fit trains a surrogate on raw feature rows xs and raw targets ys.
 func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return nil, fmt.Errorf("nn: bad training set: %d inputs, %d targets", len(xs), len(ys))
+	if err := checkTrainingSet(xs, ys); err != nil {
+		return nil, err
 	}
 	if cfg.EnsembleSize <= 0 {
 		return nil, fmt.Errorf("nn: ensemble size must be positive, got %d", cfg.EnsembleSize)
@@ -230,6 +230,13 @@ func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
 	}
 	return m, nil
 }
+
+// MemberSeed is the seed Fit draws ensemble member k's initial weights
+// from under ModelConfig.Seed = seed. Member 0's is seed itself, and
+// the BR trainer draws nothing else, so a one-member TrainerBR ensemble
+// seeded with MemberSeed(seed, k) is member k of the ensemble seeded
+// with seed (cmd/pipelinebench times members that way).
+func MemberSeed(seed int64, k int) int64 { return seed + int64(k)*7919 }
 
 // Size returns the surviving ensemble member count.
 func (m *Model) Size() int { return len(m.nets) }

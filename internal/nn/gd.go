@@ -30,8 +30,8 @@ func DefaultGDOptions() GDOptions {
 
 // TrainGD fits net with stochastic gradient descent plus momentum.
 func TrainGD(net *Network, xs [][]float64, ys []float64, opts GDOptions) (TrainResult, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return TrainResult{}, fmt.Errorf("nn: bad training set: %d inputs, %d targets", len(xs), len(ys))
+	if err := checkTrainingSet(xs, ys); err != nil {
+		return TrainResult{}, err
 	}
 	if opts.Epochs <= 0 {
 		return TrainResult{}, fmt.Errorf("nn: epochs must be positive, got %d", opts.Epochs)

@@ -181,11 +181,13 @@ func (ws *Workspace) ensure(n *Network) {
 // forwardWS runs the forward pass into the workspace's activation
 // buffers and returns them. acts[0] aliases x. The arithmetic is
 // identical to forwardActivations, so results are bit-equal.
+//
+//rafiki:hot
 func (n *Network) forwardWS(ws *Workspace, x []float64) ([][]float64, error) {
 	if len(x) != n.Sizes[0] {
-		return nil, fmt.Errorf("nn: input width %d, want %d", len(x), n.Sizes[0])
+		return nil, fmt.Errorf("nn: input width %d, want %d", len(x), n.Sizes[0]) //lint:allow hotalloc a width mismatch is a caller bug, never the epoch loop's path
 	}
-	ws.ensure(n)
+	ws.ensure(n) //lint:allow hotalloc re-sizes only when the architecture changes
 	acts := ws.acts
 	acts[0] = x
 	for l := 0; l < len(n.Sizes)-1; l++ {
@@ -220,9 +222,11 @@ func (n *Network) ForwardWS(ws *Workspace, x []float64) (float64, error) {
 
 // GradientWS is Gradient with caller-owned scratch — the jacobian
 // loop's allocation-free form. Results are bit-equal to Gradient.
+//
+//rafiki:hot
 func (n *Network) GradientWS(ws *Workspace, x []float64, grad []float64) (float64, error) {
 	if len(grad) != n.NumWeights() {
-		return 0, fmt.Errorf("nn: gradient buffer %d, want %d", len(grad), n.NumWeights())
+		return 0, fmt.Errorf("nn: gradient buffer %d, want %d", len(grad), n.NumWeights()) //lint:allow hotalloc a width mismatch is a caller bug, never the epoch loop's path
 	}
 	acts, err := n.forwardWS(ws, x)
 	if err != nil {

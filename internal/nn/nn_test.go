@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -264,6 +265,65 @@ func TestTrainValidation(t *testing.T) {
 	bad.Epochs = 0
 	if _, err := TrainGD(net, [][]float64{{1, 2}}, []float64{1}, bad); err == nil {
 		t.Error("GD zero epochs should error")
+	}
+}
+
+// TestTrainersRejectNonFiniteData: a NaN target used to come back from
+// TrainBR as {Epochs:1, MSE:NaN, Converged:true} with a nil error, and
+// a +Inf target from Fit as a model predicting +Inf. Every trainer now
+// refuses such a set and names the first offending sample.
+func TestTrainersRejectNonFiniteData(t *testing.T) {
+	cases := []struct {
+		name string
+		// inX says whether the poison goes into xs[2][1] or ys[2].
+		inX    bool
+		poison float64
+		want   string
+	}{
+		{"NaN target", false, math.NaN(), "ys[2] = NaN"},
+		{"+Inf target", false, math.Inf(1), "ys[2] = +Inf"},
+		{"-Inf target", false, math.Inf(-1), "ys[2] = -Inf"},
+		{"NaN input", true, math.NaN(), "xs[2][1] = NaN"},
+		{"+Inf input", true, math.Inf(1), "xs[2][1] = +Inf"},
+		{"-Inf input", true, math.Inf(-1), "xs[2][1] = -Inf"},
+	}
+	trainers := []struct {
+		name string
+		run  func(xs [][]float64, ys []float64) error
+	}{
+		{"TrainBR", func(xs [][]float64, ys []float64) error {
+			net, _ := NewNetwork(2, []int{3}, rand.New(rand.NewSource(12)))
+			_, err := TrainBR(net, xs, ys, DefaultBROptions())
+			return err
+		}},
+		{"TrainGD", func(xs [][]float64, ys []float64) error {
+			net, _ := NewNetwork(2, []int{3}, rand.New(rand.NewSource(12)))
+			_, err := TrainGD(net, xs, ys, DefaultGDOptions())
+			return err
+		}},
+		{"Fit", func(xs [][]float64, ys []float64) error {
+			_, err := Fit(xs, ys, ModelConfig{Hidden: []int{3}, EnsembleSize: 2, Seed: 12})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, tr := range trainers {
+			xs, ys := synthSurface(10, 13)
+			for i := range ys {
+				ys[i] /= 50000 // the trainers proper take normalized data
+			}
+			// A second poisoned sample later in the set: the error must
+			// name the first.
+			if tc.inX {
+				xs[2][1], xs[7][0] = tc.poison, tc.poison
+			} else {
+				ys[2], ys[7] = tc.poison, tc.poison
+			}
+			err := tr.run(xs, ys)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: error %v, want one naming %q", tr.name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -53,194 +53,266 @@ type TrainResult struct {
 	Converged bool
 }
 
+// checkTrainingSet is the trainers' shared input check: one target per
+// input row, at least one row, and every value finite. A NaN or Inf
+// sample would not fail training — it would turn the objective into
+// NaN, which no step can lower, and the untrained net would be
+// reported as converged — so it is rejected here, naming the first
+// offending sample.
+func checkTrainingSet(xs [][]float64, ys []float64) error {
+	if len(xs) == 0 || len(xs) != len(ys) {
+		return fmt.Errorf("nn: bad training set: %d inputs, %d targets", len(xs), len(ys))
+	}
+	for i, x := range xs {
+		for j, v := range x {
+			if !finite(v) {
+				return fmt.Errorf("nn: non-finite training input xs[%d][%d] = %v", i, j, v)
+			}
+		}
+		if !finite(ys[i]) {
+			return fmt.Errorf("nn: non-finite training target ys[%d] = %v", i, ys[i])
+		}
+	}
+	return nil
+}
+
 // TrainBR fits net to (xs, ys) with Levenberg-Marquardt steps on the
 // regularized objective F = beta*Ed + alpha*Ew, re-estimating alpha and
 // beta each epoch by MacKay's evidence procedure. Inputs must already
-// be normalized; see Model for the end-to-end wrapper.
+// be normalized and finite; see Model for the end-to-end wrapper.
 func TrainBR(net *Network, xs [][]float64, ys []float64, opts BROptions) (TrainResult, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return TrainResult{}, fmt.Errorf("nn: bad training set: %d inputs, %d targets", len(xs), len(ys))
+	if err := checkTrainingSet(xs, ys); err != nil {
+		return TrainResult{}, err
 	}
 	if opts.Epochs <= 0 {
 		return TrainResult{}, errors.New("nn: epochs must be positive")
 	}
-	var (
-		nSamples = len(xs)
-		nWeights = net.NumWeights()
-		mu       = opts.MuInit
-		alpha    = 0.0
-		beta     = 1.0
-		res      TrainResult
-	)
-
-	// All epoch-loop scratch is allocated once up front: the jacobian,
-	// its Gram matrix, the damped Hessian, the solver's factorization
-	// buffers, and the step/backup vectors. The loop itself then runs
-	// allocation-free (TestTrainBRAllocGuard pins this), which matters
-	// when an ensemble trains many members concurrently.
-	var (
-		jac    = linalg.New(nSamples, nWeights)
-		jtj    = linalg.New(nWeights, nWeights)
-		h      = linalg.New(nWeights, nWeights)
-		errs   = make([]float64, nSamples)
-		grad   = make([]float64, nWeights)
-		jte    = make([]float64, nWeights)
-		rhs    = make([]float64, nWeights)
-		step   = make([]float64, nWeights)
-		backup = make([]float64, nWeights)
-		solver linalg.Solver
-		ws     Workspace
-	)
-
-	epochCounter := opts.Obs.Counter("nn.epochs")
-	// jacEvals is the trainer's work clock: each jacobian pass is the
-	// dominant cost, and epochs that need many damping retries take
-	// proportionally more of them.
-	jacEvals := 0
-
-	// computeJacobian fills jac and errs for the current weights and
-	// returns (Ed, Ew).
-	computeJacobian := func() (float64, float64, error) {
-		jacEvals++
-		var ed float64
-		for i, x := range xs {
-			out, err := net.GradientWS(&ws, x, jac.Data[i*nWeights:(i+1)*nWeights])
-			if err != nil {
-				return 0, 0, err
-			}
-			e := ys[i] - out
-			errs[i] = e
-			ed += e * e
-		}
-		var ew float64
-		for _, w := range net.Weights {
-			ew += w * w
-		}
-		return ed, ew, nil
-	}
-
-	ed, ew, err := computeJacobian()
+	t, err := newLMTrainer(net, xs, ys, opts)
 	if err != nil {
 		return TrainResult{}, err
 	}
-
-	// recordEpoch traces one epoch's cost in jacobian passes.
-	recordEpoch := func(epoch, startEvals int) {
-		if opts.Obs == nil {
-			return
-		}
-		opts.Obs.Record(obs.Span{
-			Name:  "nn.epoch",
-			Start: float64(startEvals),
-			End:   float64(jacEvals),
-			Unit:  "jacevals",
-			Attrs: map[string]float64{"epoch": float64(epoch), "mse": ed / float64(nSamples), "mu": mu},
-		})
-	}
-
+	epochCounter := opts.Obs.Counter("nn.epochs")
+	var res TrainResult
 	for epoch := 1; epoch <= opts.Epochs; epoch++ {
 		res.Epochs = epoch
 		epochCounter.Inc()
-		epochStartEvals := jacEvals
+		startEvals := t.jacEvals
 
-		// Gradient of F: -2*beta*Jt*e + 2*alpha*w.
-		if err := jac.AtVecInto(jte, errs); err != nil {
+		gradNorm, err := t.gradientNorm()
+		if err != nil {
 			return TrainResult{}, err
 		}
-		var gradNorm float64
-		for i := range grad {
-			grad[i] = -2*beta*jte[i] + 2*alpha*net.Weights[i]
-			gradNorm += grad[i] * grad[i]
-		}
-		gradNorm = math.Sqrt(gradNorm)
 		if gradNorm < opts.MinGrad {
 			res.Converged = true
 			break
 		}
-
-		if err := jac.AtAInto(jtj); err != nil {
+		improved, err := t.step()
+		if err != nil {
 			return TrainResult{}, err
 		}
-		fCur := beta*ed + alpha*ew
-
-		improved := false
-		for mu <= opts.MuMax {
-			// Solve (beta*JtJ + (alpha+mu)*I) step = beta*Jt*e - alpha*w.
-			if err := h.ScaleFrom(jtj, beta); err != nil {
-				return TrainResult{}, err
-			}
-			if err := h.AddDiagonal(alpha + mu); err != nil {
-				return TrainResult{}, err
-			}
-			for i := range rhs {
-				rhs[i] = beta*jte[i] - alpha*net.Weights[i]
-			}
-			if err := solver.SolveSPD(h, rhs, step); err != nil {
-				// Not positive definite at this damping: raise mu.
-				mu *= opts.MuInc
-				continue
-			}
-			copy(backup, net.Weights)
-			for i := range net.Weights {
-				net.Weights[i] += step[i]
-			}
-			newEd, newEw, err := computeJacobian()
-			if err != nil {
-				return TrainResult{}, err
-			}
-			if beta*newEd+alpha*newEw < fCur {
-				ed, ew = newEd, newEw
-				mu = math.Max(mu*opts.MuDec, 1e-20)
-				improved = true
-				break
-			}
-			copy(net.Weights, backup)
-			// Restore jac/errs for the rejected step's weights.
-			if _, _, err := computeJacobian(); err != nil {
-				return TrainResult{}, err
-			}
-			mu *= opts.MuInc
+		if opts.Obs != nil {
+			// One epoch's cost in jacobian passes.
+			opts.Obs.Record(obs.Span{
+				Name:  "nn.epoch",
+				Start: float64(startEvals),
+				End:   float64(t.jacEvals),
+				Unit:  "jacevals",
+				Attrs: map[string]float64{"epoch": float64(epoch), "mse": t.ed / float64(len(xs)), "mu": t.mu},
+			})
 		}
 		if !improved {
 			res.Converged = true
-			recordEpoch(epoch, epochStartEvals)
 			break
 		}
+	}
+	res.MSE = t.ed / float64(len(xs))
+	res.Alpha = t.alpha
+	res.Beta = t.beta
+	res.EffectiveParams = t.gamma
+	return res, nil
+}
 
-		// MacKay evidence update of alpha and beta using the Gauss-
-		// Newton Hessian at the new point.
-		if err := jac.AtAInto(jtj); err != nil {
-			return TrainResult{}, err
+// lmTrainer is one TrainBR run: the LM/evidence state and every buffer
+// the epoch loop touches — two Jacobians with their error vectors, the
+// Gram matrix, the damped Hessian, the solver's factorization and the
+// step vectors — allocated once up front so that the loop itself runs
+// allocation-free (TestTrainBRAllocGuard pins this), which matters when
+// an ensemble trains many members concurrently. Nothing here outlives
+// TrainBR.
+type lmTrainer struct {
+	net  *Network
+	xs   [][]float64
+	ys   []float64
+	opts BROptions
+
+	mu, alpha, beta float64
+	// ed and ew are the data and weight sums of squares at net.Weights;
+	// gamma is the last evidence update's effective parameter count.
+	ed, ew, gamma float64
+
+	// jac and errs are the Jacobian and residuals at net.Weights, and
+	// jtj is always jac's Gram matrix: it is recomputed when a step is
+	// accepted and at no other time, so the evidence update and the next
+	// epoch's damped solves share one pass. A trial step evaluates into
+	// jacTry/errsTry and the pairs swap on acceptance, so undoing a
+	// rejected step is restoring the weights.
+	jac, jacTry   *linalg.Matrix
+	errs, errsTry []float64
+	jtj, h        *linalg.Matrix
+
+	jte, rhs, delta, backup []float64
+	solver                  linalg.Solver
+	ws                      Workspace
+
+	// jacEvals is the trainer's work clock: each jacobian pass is a
+	// fixed cost, and epochs that need many damping retries take
+	// proportionally more of them.
+	jacEvals int
+}
+
+func newLMTrainer(net *Network, xs [][]float64, ys []float64, opts BROptions) (*lmTrainer, error) {
+	nSamples, nWeights := len(xs), net.NumWeights()
+	t := &lmTrainer{
+		net: net, xs: xs, ys: ys, opts: opts,
+		mu: opts.MuInit, beta: 1,
+		jac:     linalg.New(nSamples, nWeights),
+		jacTry:  linalg.New(nSamples, nWeights),
+		errs:    make([]float64, nSamples),
+		errsTry: make([]float64, nSamples),
+		jtj:     linalg.New(nWeights, nWeights),
+		h:       linalg.New(nWeights, nWeights),
+		jte:     make([]float64, nWeights),
+		rhs:     make([]float64, nWeights),
+		delta:   make([]float64, nWeights),
+		backup:  make([]float64, nWeights),
+	}
+	var err error
+	if t.ed, t.ew, err = t.jacobian(t.jac, t.errs); err != nil {
+		return nil, err
+	}
+	if err := t.jac.AtAInto(t.jtj); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// jacobian fills jac and errs for the current weights and returns
+// (Ed, Ew).
+//
+//rafiki:hot
+func (t *lmTrainer) jacobian(jac *linalg.Matrix, errs []float64) (ed, ew float64, err error) {
+	t.jacEvals++
+	nWeights := jac.Cols
+	for i, x := range t.xs {
+		out, err := t.net.GradientWS(&t.ws, x, jac.Data[i*nWeights:(i+1)*nWeights])
+		if err != nil {
+			return 0, 0, err
 		}
-		if err := h.ScaleFrom(jtj, beta); err != nil {
-			return TrainResult{}, err
+		e := t.ys[i] - out
+		errs[i] = e
+		ed += e * e
+	}
+	for _, w := range t.net.Weights {
+		ew += w * w
+	}
+	return ed, ew, nil
+}
+
+// gradientNorm refreshes Jᵀe and returns the norm of the gradient of
+// F, -2*beta*Jᵀe + 2*alpha*w.
+//
+//rafiki:hot
+func (t *lmTrainer) gradientNorm() (float64, error) {
+	if err := t.jac.AtVecInto(t.jte, t.errs); err != nil {
+		return 0, err
+	}
+	var sq float64
+	for i, w := range t.net.Weights {
+		g := -2*t.beta*t.jte[i] + 2*t.alpha*w
+		sq += g * g
+	}
+	return math.Sqrt(sq), nil
+}
+
+// step is the body of one epoch after the gradient test: damped
+// Gauss-Newton steps at rising mu until one lowers F, then MacKay's
+// evidence update of alpha and beta at the new point. It reports
+// whether a step was accepted; when none was, mu has passed MuMax and
+// weights, Jacobian and hyperparameters are as they were.
+//
+//rafiki:hot
+func (t *lmTrainer) step() (bool, error) {
+	weights := t.net.Weights
+	fCur := t.beta*t.ed + t.alpha*t.ew
+	improved := false
+	for t.mu <= t.opts.MuMax {
+		// Solve (beta*JtJ + (alpha+mu)*I) delta = beta*Jt*e - alpha*w.
+		if err := t.h.ScaleFrom(t.jtj, t.beta); err != nil {
+			return false, err
 		}
-		if err := h.AddDiagonal(alpha + 1e-12); err != nil {
-			return TrainResult{}, err
+		if err := t.h.AddDiagonal(t.alpha + t.mu); err != nil {
+			return false, err
 		}
-		gamma := float64(nWeights)
-		if tr, err := solver.TraceInverseSPD(h); err == nil {
-			gamma = float64(nWeights) - alpha*tr
+		for i, w := range weights {
+			t.rhs[i] = t.beta*t.jte[i] - t.alpha*w
 		}
-		if gamma < 0 {
-			gamma = 0
+		if err := t.solver.SolveSPD(t.h, t.rhs, t.delta); err != nil {
+			// Not positive definite at this damping: raise mu.
+			t.mu *= t.opts.MuInc
+			continue
 		}
-		if gamma > float64(nWeights) {
-			gamma = float64(nWeights)
+		copy(t.backup, weights)
+		for i := range weights {
+			weights[i] += t.delta[i]
 		}
-		if ew > 0 {
-			alpha = gamma / (2 * ew)
+		newEd, newEw, err := t.jacobian(t.jacTry, t.errsTry)
+		if err != nil {
+			return false, err
 		}
-		denom := 2 * ed
-		if denom > 0 && float64(nSamples) > gamma {
-			beta = (float64(nSamples) - gamma) / denom
+		if t.beta*newEd+t.alpha*newEw < fCur {
+			t.ed, t.ew = newEd, newEw
+			t.jac, t.jacTry = t.jacTry, t.jac
+			t.errs, t.errsTry = t.errsTry, t.errs
+			t.mu = math.Max(t.mu*t.opts.MuDec, 1e-20)
+			improved = true
+			break
 		}
-		res.EffectiveParams = gamma
-		recordEpoch(epoch, epochStartEvals)
+		copy(weights, t.backup)
+		t.mu *= t.opts.MuInc
+	}
+	if !improved {
+		return false, nil
 	}
 
-	res.MSE = ed / float64(nSamples)
-	res.Alpha = alpha
-	res.Beta = beta
-	return res, nil
+	// The Gauss-Newton Hessian at the new point: for the evidence
+	// update now, and for the next epoch's solves.
+	if err := t.jac.AtAInto(t.jtj); err != nil {
+		return false, err
+	}
+	if err := t.h.ScaleFrom(t.jtj, t.beta); err != nil {
+		return false, err
+	}
+	if err := t.h.AddDiagonal(t.alpha + 1e-12); err != nil {
+		return false, err
+	}
+	nWeights, nSamples := float64(len(weights)), float64(len(t.xs))
+	gamma := nWeights
+	if tr, err := t.solver.TraceInverseSPD(t.h); err == nil {
+		gamma = nWeights - t.alpha*tr
+	}
+	if gamma < 0 {
+		gamma = 0
+	}
+	if gamma > nWeights {
+		gamma = nWeights
+	}
+	if t.ew > 0 {
+		t.alpha = gamma / (2 * t.ew)
+	}
+	denom := 2 * t.ed
+	if denom > 0 && nSamples > gamma {
+		t.beta = (nSamples - gamma) / denom
+	}
+	t.gamma = gamma
+	return true, nil
 }

@@ -140,7 +140,13 @@ type KeyGenerator struct {
 	rng      *rand.Rand
 	keySpace uint64
 	mean     float64
-	history  []uint64
+	// history is a ring of the last window keys, addressed by access
+	// index modulo window. It grows with the stream until it holds
+	// window entries, so a run much shorter than the window (a 60 000-op
+	// sample at a KRD of twice the key space) pays for what it touches,
+	// not for 4 x KRD zeroed words up front.
+	history []uint64
+	window  uint64
 	// lastIndex holds, per key (every key is < keySpace), the global
 	// index of its most recent access, so that reuse draws target a
 	// key's latest occurrence and the measured reuse distance matches
@@ -158,19 +164,19 @@ func NewKeyGenerator(keySpace int, meanKRD float64, seed int64) (*KeyGenerator, 
 	if meanKRD < 0 {
 		return nil, fmt.Errorf("workload: negative KRD mean %v", meanKRD)
 	}
-	histLen := int(4 * meanKRD)
+	window := int(4 * meanKRD)
 	const maxHistory = 1 << 20
-	if histLen > maxHistory {
-		histLen = maxHistory
+	if window > maxHistory {
+		window = maxHistory
 	}
-	if histLen < 1 {
-		histLen = 1
+	if window < 1 {
+		window = 1
 	}
 	return &KeyGenerator{
 		rng:       rand.New(rand.NewSource(seed)),
 		keySpace:  uint64(keySpace),
 		mean:      meanKRD,
-		history:   make([]uint64, histLen),
+		window:    uint64(window),
 		lastIndex: make([]uint64, keySpace),
 	}, nil
 }
@@ -185,11 +191,11 @@ func (g *KeyGenerator) Next() uint64 {
 		// realized reuse distance and bias the stream hot.
 		for try := 0; try < 4 && !reused; try++ {
 			d := uint64(g.rng.ExpFloat64()*g.mean) + 1
-			if d > g.index || d > uint64(len(g.history)) {
+			if d > g.index || d > g.window {
 				continue
 			}
 			pos := g.index - d
-			candidate := g.history[pos%uint64(len(g.history))]
+			candidate := g.history[pos%g.window]
 			if g.lastIndex[candidate] == pos {
 				key = candidate
 				reused = true
@@ -199,7 +205,18 @@ func (g *KeyGenerator) Next() uint64 {
 	if !reused {
 		key = uint64(g.rng.Int63n(int64(g.keySpace)))
 	}
-	g.history[g.index%uint64(len(g.history))] = key
+	if g.index < g.window {
+		if len(g.history) == cap(g.history) {
+			// Double (append's own policy for a slice this size is
+			// 1.25x, which copies the ring five times over).
+			grown := make([]uint64, len(g.history), min(max(2*cap(g.history), 1024), int(g.window)))
+			copy(grown, g.history)
+			g.history = grown
+		}
+		g.history = append(g.history, key)
+	} else {
+		g.history[g.index%g.window] = key
+	}
 	g.lastIndex[key] = g.index
 	g.index++
 	return key

@@ -16,10 +16,11 @@ test:
 # Gram, solve and trace-inverse kernels at the trainer's real 220 x 191
 # shape as well as 256 x 41, and BenchmarkTrainBREpoch, one LM epoch of
 # one ensemble member at that shape), one collector sample's key
-# stream, the SSTable builders (Preload, flush, merge), a scan behind a
-# new-key write at two memtable sizes, the serving path's layers (a
-# netsim round trip, a QUORUM coordinator op, an admission queue
-# cycle), the end-to-end pipeline harness (BENCH_pipeline.json:
+# stream, the SSTable builders (Preload with the shared image cold and
+# warm, flush, merge), a scan behind a new-key write at two memtable
+# sizes, a read that closes an epoch per op, the serving path's layers
+# (a netsim round trip, a QUORUM coordinator op, an admission queue
+# cycle, a 16-node cluster build), the end-to-end pipeline harness (BENCH_pipeline.json:
 # per-stage serial-vs-parallel wall time for identify/collect/train/
 # search, alloc counts, one row per ensemble member, and an inline
 # determinism cross-check), and the engine hot-path harness
@@ -30,8 +31,8 @@ test:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/nn/
 	$(GO) test -run='^$$' -bench=KeyGeneratorSample -benchmem ./internal/workload/
-	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables|ScanUnderWrites' -benchmem ./internal/nosql/
-	$(GO) test -run='^$$' -bench='Send|ClusterQuorum|AdmissionQueue' -benchmem ./internal/netsim ./internal/cluster ./internal/frontdoor
+	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables|ScanUnderWrites|CloseEpochPerOp' -benchmem ./internal/nosql/
+	$(GO) test -run='^$$' -bench='Send|ClusterQuorum|ClusterBuild16|AdmissionQueue' -benchmem ./internal/netsim ./internal/cluster ./internal/frontdoor
 	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
 	$(GO) run ./cmd/enginebench -out BENCH_engine.json
 
@@ -105,10 +106,12 @@ slo:
 # guard re-runs the determinism and allocation regression gates: every
 # worker-count invariance test, the zero/bounded-alloc guards (engine,
 # netsim, cluster, frontdoor, and the LM trainer's: linalg's
-# TestKernelAllocGuard, nn's TestTrainBRAllocGuard), and the linalg/nn
+# TestKernelAllocGuard, nn's TestTrainBRAllocGuard), the linalg/nn
 # bit-identity pins (kernels against their naive reference loops,
-# TrainBR against its recorded digests).
+# TrainBR against its recorded digests), and the engine's: the shared
+# preload image against the per-engine build it replaced, its release
+# once unused, and the epoch series against their recorded digests.
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries' ./internal/...
 
 check: fmt vet lint race fuzz guard chaos slo

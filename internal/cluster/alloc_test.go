@@ -79,3 +79,17 @@ func BenchmarkClusterQuorum(b *testing.B) {
 	b.ResetTimer()
 	quorumOps(c, rng, b.N)
 }
+
+var benchCluster *Cluster
+
+// BenchmarkClusterBuild16 times building the serving-path cluster, the
+// dataset preloaded on all 16 nodes. Each build finds the preload image
+// held by the cluster built before it, as a rate ladder's clusters do.
+func BenchmarkClusterBuild16(b *testing.B) {
+	benchCluster = newServeCluster(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCluster = newServeCluster(b)
+	}
+}

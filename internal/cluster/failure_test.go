@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"maps"
 	"testing"
+	"unsafe"
 )
 
 func TestConsistencyLevelString(t *testing.T) {
@@ -296,5 +298,44 @@ func TestQuorumReadRepairAfterCorruptRestart(t *testing.T) {
 	}
 	if after := c.Stats().ReadRepairs; after != before {
 		t.Errorf("replicas did not converge: ALL pass repaired %d more cells", after-before)
+	}
+}
+
+// TestUndoRecPacksLosslessly pins the tail record's 32-byte layout and
+// that every combination of had, torn and the two tombstone bits comes
+// back out of it, then replays a half-torn tail: torn applies roll back
+// to what they overwrote (a tombstone included), untorn ones survive.
+func TestUndoRecPacksLosslessly(t *testing.T) {
+	if got := unsafe.Sizeof(undoRec{}); got != 32 {
+		t.Fatalf("undoRec is %d bytes, want 32", got)
+	}
+	for bits := 0; bits < 16; bits++ {
+		had, torn := bits&1 != 0, bits&2 != 0
+		prev, next := cell{ver: -7, tomb: bits&4 != 0}, cell{ver: 1 << 40, tomb: bits&8 != 0}
+		u := newUndoRec(99, prev, had, next)
+		if torn {
+			u.flags |= undoTorn
+		}
+		if u.key != 99 || u.had() != had || u.torn() != torn || u.prev() != prev || u.next() != next {
+			t.Errorf("bits %04b: unpacked key %d had %v torn %v prev %+v next %+v", bits, u.key, u.had(), u.torn(), u.prev(), u.next())
+		}
+	}
+
+	c := newTestCluster(t, 1, 1, nil)
+	r := c.reps[0]
+	r.apply(1, cell{ver: 1, tomb: true})
+	r.apply(2, cell{ver: 2})
+	r.restart() // both durable
+	r.apply(2, cell{ver: 3, tomb: true})
+	r.apply(1, cell{ver: 4})
+	r.apply(3, cell{ver: 5})
+	r.corruptTail(0.5) // tears the two newest of three
+	if r.torn != 2 {
+		t.Fatalf("%d records torn, want 2", r.torn)
+	}
+	r.restart()
+	want := map[uint64]cell{1: {ver: 1, tomb: true}, 2: {ver: 3, tomb: true}}
+	if !maps.Equal(r.cur, want) {
+		t.Errorf("after the torn restart the replica holds %+v, want %+v", r.cur, want)
 	}
 }

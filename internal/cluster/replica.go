@@ -29,14 +29,43 @@ type cell struct {
 const undoWindow = 8192
 
 // undoRec is one entry of a replica's corruptible tail: enough to
-// roll the key back (prev/had) and to replay the apply (next).
+// roll the key back (prev/had) and to replay the apply (next). A node
+// keeps undoWindow of them, so the two cells' tombstone bits share one
+// flags byte with had and torn: 32 bytes a record.
 type undoRec struct {
-	key  uint64
-	prev cell
-	had  bool
-	next cell
-	torn bool
+	key              uint64
+	prevVer, nextVer int64
+	flags            uint8
 }
+
+const (
+	undoHad uint8 = 1 << iota
+	undoPrevTomb
+	undoNextTomb
+	undoTorn
+)
+
+// newUndoRec records that key went from prev (meaningful when had) to next.
+//
+//rafiki:hot
+func newUndoRec(key uint64, prev cell, had bool, next cell) undoRec {
+	u := undoRec{key: key, prevVer: prev.ver, nextVer: next.ver}
+	if had {
+		u.flags |= undoHad
+	}
+	if prev.tomb {
+		u.flags |= undoPrevTomb
+	}
+	if next.tomb {
+		u.flags |= undoNextTomb
+	}
+	return u
+}
+
+func (u undoRec) had() bool  { return u.flags&undoHad != 0 }
+func (u undoRec) torn() bool { return u.flags&undoTorn != 0 }
+func (u undoRec) prev() cell { return cell{ver: u.prevVer, tomb: u.flags&undoPrevTomb != 0} }
+func (u undoRec) next() cell { return cell{ver: u.nextVer, tomb: u.flags&undoNextTomb != 0} }
 
 // replica is one node's message endpoint: the storage engine plus the
 // versioned register state consistency checking observes. Version
@@ -81,7 +110,7 @@ func (r *replica) apply(key uint64, c cell) {
 	if had && old.ver >= c.ver {
 		return
 	}
-	r.pushUndo(undoRec{key: key, prev: old, had: had, next: c})
+	r.pushUndo(newUndoRec(key, old, had, c))
 	r.cur[key] = c
 }
 
@@ -142,15 +171,15 @@ func (r *replica) corruptTail(fraction float64) {
 		fraction = 1
 	}
 	pending := 0
-	for i := range r.undo {
-		if !r.undo[i].torn {
+	for _, u := range r.undo {
+		if !u.torn() {
 			pending++
 		}
 	}
 	n := int(math.Ceil(fraction * float64(pending)))
 	for i := len(r.undo) - 1; i >= 0 && n > 0; i-- {
-		if !r.undo[i].torn {
-			r.undo[i].torn = true
+		if !r.undo[i].torn() {
+			r.undo[i].flags |= undoTorn
 			r.torn++
 			n--
 		}
@@ -164,17 +193,17 @@ func (r *replica) corruptTail(fraction float64) {
 func (r *replica) restart() {
 	for i := len(r.undo) - 1; i >= 0; i-- {
 		u := r.undo[i]
-		if u.had {
-			r.cur[u.key] = u.prev
+		if u.had() {
+			r.cur[u.key] = u.prev()
 		} else {
 			delete(r.cur, u.key)
 		}
 	}
 	for _, u := range r.undo {
-		if u.torn {
+		if u.torn() {
 			continue
 		}
-		r.cur[u.key] = u.next
+		r.cur[u.key] = u.next()
 	}
 	r.undo = r.undo[:0]
 	r.torn = 0

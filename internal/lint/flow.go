@@ -19,7 +19,7 @@ import (
 // taintSource describes why a value is tainted, for diagnostics.
 type taintSource struct {
 	// what names the origin, e.g. "memtable.Drain scratch" or
-	// "Engine.Metrics view".
+	// "Engine.Params view".
 	what string
 	// pos is the seeding position (the call site).
 	pos token.Pos

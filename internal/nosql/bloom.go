@@ -15,7 +15,7 @@ type bloomFilter struct {
 // newBloomFilter sizes a filter for n keys at the target false-positive
 // rate using the standard m = -n*ln(p)/ln(2)^2 and k = m/n*ln(2)
 // formulas.
-func newBloomFilter(n int, fpRate float64) *bloomFilter {
+func newBloomFilter(n int, fpRate float64) bloomFilter {
 	if n < 1 {
 		n = 1
 	}
@@ -33,7 +33,7 @@ func newBloomFilter(n int, fpRate float64) *bloomFilter {
 	if k > 16 {
 		k = 16
 	}
-	return &bloomFilter{
+	return bloomFilter{
 		bits:    make([]uint64, (m+63)/64),
 		nBits:   m,
 		nHashes: k,

@@ -291,8 +291,11 @@ type Engine struct {
 	bgCPUFrac      float64
 
 	ep epochAcc
-	m  Metrics
-	o  engineObs
+	// m holds the counters; its epoch series stay nil — rates is their
+	// one record, and Metrics builds both series from it.
+	m     Metrics
+	rates epochSeries
+	o     engineObs
 
 	// scanSrcs is the merged range iterator's reusable cursor scratch;
 	// scans are the hot path the alloc guard pins.
@@ -348,11 +351,6 @@ func New(opts Options) (*Engine, error) {
 		cpuTax:   1,
 		o:        newEngineObs(opts.Obs),
 	}
-	// Preallocate the epoch series: a collect-stage sample produces a
-	// few dozen epochs, so one up-front allocation absorbs the whole
-	// append-driven doubling ladder for typical runs.
-	e.m.EpochThroughputs = make([]float64, 0, 128)
-	e.m.EpochLatencies = make([]float64, 0, 128)
 	e.log = newCommitLog(hw.ScaledBytes(32), float64(hw.RowBytes))
 	cfg := opts.Config
 	if cfg == nil {
@@ -462,14 +460,19 @@ func (e *Engine) KeySpace() int { return e.hw.ScaledKeySpace() }
 // Clock returns the virtual time in seconds.
 func (e *Engine) Clock() float64 { return e.clock }
 
-// Metrics returns a snapshot of counters. The epoch series share the
-// engine's backing arrays instead of being copied per call: the engine
-// only ever appends past the snapshot's length, so the returned slices
-// are stable read-only views — callers must not mutate them.
-//
-//rafiki:view
+// Metrics returns a snapshot of counters. The epoch series are built
+// for the caller, who owns them: the engine keeps only each epoch's
+// rate, and an epoch's latency is the client pool over that rate
+// (Little's law).
 func (e *Engine) Metrics() Metrics {
 	m := e.m
+	m.EpochThroughputs = e.rates.appendTo(make([]float64, 0, e.rates.len()))
+	if clients := e.model.ClientConcurrency; clients > 0 {
+		m.EpochLatencies = make([]float64, len(m.EpochThroughputs))
+		for i, rate := range m.EpochThroughputs {
+			m.EpochLatencies[i] = clients / rate
+		}
+	}
 	m.SSTables = e.tables.Len()
 	for _, task := range e.compQ {
 		m.CompactionBacklogBytes += task.remaining
@@ -480,26 +483,19 @@ func (e *Engine) Metrics() Metrics {
 // Preload installs an initial on-disk dataset without charging time:
 // every key exists, spread over overlapping generations so that reads
 // start with realistic amplification. versions >= 1 controls overlap.
+// The generations' runs come from the shared preload image (preload.go);
+// the table headers, ids included, are the engine's own.
 func (e *Engine) Preload(versions int) {
 	if versions < 1 {
 		versions = 1
 	}
 	n := uint64(e.hw.ScaledKeySpace())
-	// Every generation's run is built once, ascending, at its final size.
-	all := make([]uint64, n)
-	for k := range all {
-		all[k] = uint64(k)
-	}
-	full := e.preloadTable(all)
+	full := e.preloadTable(0, 1)
 	if e.p.compaction == config.CompactionLeveled {
 		// Dataset lives in the level whose target size fits it, plus a
 		// sparse L1 run, mirroring a leveled tree at rest.
 		full.level = e.restingLevel(full.Bytes())
-		l1 := make([]uint64, 0, (n+31)/32)
-		for k := uint64(0); k < n; k += 32 {
-			l1 = append(l1, k)
-		}
-		e.preloadTable(l1).level = 1
+		e.preloadTable(0, 32).level = 1
 	} else {
 		// A size-tiered steady state: one full-coverage table plus
 		// geometrically smaller overlapping generations. The sizes are
@@ -517,11 +513,7 @@ func (e *Engine) Preload(versions int) {
 			if k0 >= n {
 				continue
 			}
-			keys := make([]uint64, 0, (n-k0+stride-1)/stride)
-			for k := k0; k < n; k += stride {
-				keys = append(keys, k)
-			}
-			e.preloadTable(keys)
+			e.preloadTable(k0, stride)
 		}
 	}
 	if e.tables.Len() > e.m.MaxSSTables {
@@ -529,9 +521,22 @@ func (e *Engine) Preload(versions int) {
 	}
 }
 
-// preloadTable installs keys (ascending, handed over) as a live SSTable.
-func (e *Engine) preloadTable(keys []uint64) *ssTable {
-	t := newSSTable(e.newTableID(), keys, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
+// preloadTable installs the keys first, first+stride, ... of the key
+// space as a live SSTable over the shared run.
+func (e *Engine) preloadTable(first, stride uint64) *ssTable {
+	id, keysPerBlock := e.newTableID(), e.hw.KeysPerBlock()
+	t := &ssTable{
+		id: id,
+		tableRun: preloadRun(preloadKey{
+			keySpace:     e.hw.ScaledKeySpace(),
+			keysPerBlock: keysPerBlock,
+			first:        first,
+			stride:       stride,
+		}),
+		seq:          id,
+		rowBytes:     e.hw.RowBytes,
+		keysPerBlock: keysPerBlock,
+	}
 	e.tables.Add(t)
 	return t
 }
@@ -748,7 +753,7 @@ func (e *Engine) flush(forced bool) {
 	// blocks in ascending order with no per-flush set or sort.
 	nth := 0
 	var lastBlock uint32
-	for i, k := range t.sorted {
+	for i, k := range t.keys() {
 		b := uint32(k / t.blockSpan)
 		if i > 0 && b == lastBlock {
 			continue
@@ -984,14 +989,11 @@ func (e *Engine) closeEpoch() {
 	e.clock += dt
 	e.m.VirtualSeconds += dt
 	rate := float64(acc.ops) / dt
-	e.m.EpochThroughputs = append(e.m.EpochThroughputs, rate)
-	// Little's law over the closed-loop client pool: the epoch's mean
-	// operation latency is clients/throughput.
-	if model.ClientConcurrency > 0 {
-		e.m.EpochLatencies = append(e.m.EpochLatencies, model.ClientConcurrency/rate)
-	}
+	e.rates.add(rate)
 	e.o.epochs.Inc()
 	e.o.epochTput.Observe(rate)
+	// Little's law over the closed-loop client pool: the epoch's mean
+	// operation latency is clients/throughput.
 	if model.ClientConcurrency > 0 {
 		e.o.epochLat.Observe(model.ClientConcurrency / rate)
 	}
@@ -1075,6 +1077,7 @@ func (e *Engine) advanceBackground(dt, foreUtil float64) {
 			}
 			kept = append(kept, t)
 		}
+		clear(e.compQ[len(kept):]) // a finished task still names its input tables
 		e.compQ = kept
 		budget -= spent
 		if spent <= 1e-12 {

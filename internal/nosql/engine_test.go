@@ -337,11 +337,8 @@ func TestEpochThroughputSeries(t *testing.T) {
 }
 
 func TestMetricsSnapshotStableView(t *testing.T) {
-	// Metrics returns the epoch series as a read-only view sharing the
-	// engine's backing array (the copy per call was a measurable slice
-	// of collect-stage allocations). The contract that makes the view
-	// safe: the engine only ever appends, so elements visible in an
-	// earlier snapshot are never rewritten by later traffic.
+	// A Metrics snapshot is the caller's: later traffic extends the
+	// engine's series, never the elements of a snapshot already taken.
 	eng := newTestEngine(t, nil, 21)
 	eng.Preload(1)
 	runSpec(t, eng, 0.5, 20_000, 22)

@@ -48,15 +48,16 @@ func (e *Engine) Scan(start uint64, limit int) int {
 		srcs = append(srcs, scanSource{keys: memKeys, pos: p})
 	}
 	for _, t := range e.tables.tables {
-		if len(t.sorted) == 0 || t.maxKey < start {
+		keys := t.keys()
+		if len(keys) == 0 || t.maxKey < start {
 			continue
 		}
-		p := seekGE(t.sorted, start)
-		if p == len(t.sorted) {
+		p := seekGE(keys, start)
+		if p == len(keys) {
 			continue
 		}
 		cpu += e.model.ScanSeekCPUSeconds
-		srcs = append(srcs, scanSource{keys: t.sorted, pos: p, t: t})
+		srcs = append(srcs, scanSource{keys: keys, pos: p, t: t})
 	}
 
 	rows := 0

@@ -138,10 +138,7 @@ func (s *ScyllaEngine) Preload(versions int) { s.eng.Preload(versions) }
 // Clock returns virtual seconds.
 func (s *ScyllaEngine) Clock() float64 { return s.eng.Clock() }
 
-// Metrics returns engine counters; slice-valued fields are shared
-// views owned by the engine.
-//
-//rafiki:view
+// Metrics returns engine counters.
 func (s *ScyllaEngine) Metrics() Metrics { return s.eng.Metrics() }
 
 // KeySpace returns the scaled number of distinct keys.

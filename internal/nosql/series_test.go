@@ -1,0 +1,201 @@
+package nosql
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"rafiki/internal/config"
+)
+
+// seriesRun drives a seeded 300k-op mix (reads, writes, deletes, the
+// odd scan) with a crash-restart a third of the way in, and returns the
+// engine with its last epoch closed.
+func seriesRun(t testing.TB, epochOps int) *Engine {
+	t.Helper()
+	e, err := New(Options{Space: config.Cassandra(), Seed: 41, EpochOps: epochOps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Preload(2)
+	rng := rand.New(rand.NewSource(43))
+	n := int64(e.KeySpace())
+	const ops = 300_000
+	for i := 0; i < ops; i++ {
+		k := uint64(rng.Int63n(n))
+		switch {
+		case i == ops/3:
+			e.Restart()
+		case i%997 == 0:
+			e.Scan(k, 32)
+		case i%10 < 5:
+			e.Read(k)
+		case i%10 < 9:
+			e.Write(k)
+		default:
+			e.Delete(k)
+		}
+	}
+	e.FinishEpoch()
+	return e
+}
+
+// hashWord folds one 64-bit word into h.
+func hashWord(h hash.Hash64, w uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], w)
+	h.Write(b[:])
+}
+
+// seriesDigest folds the bit patterns of a series into one FNV-1a word.
+func seriesDigest(xs []float64) uint64 {
+	h := fnv.New64a()
+	for _, x := range xs {
+		hashWord(h, math.Float64bits(x))
+	}
+	return h.Sum64()
+}
+
+// TestEpochSeriesGolden pins both epoch series bit for bit. The digests
+// were recorded on the commit before the series moved into chunks, when
+// closeEpoch appended a rate and a latency per epoch to two slices; at
+// EpochOps 1 the run crosses every chunk size up to the 8 Ki cap.
+func TestEpochSeriesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		epochOps, epochs int
+		tput, lat        uint64
+		p99              float64
+	}{
+		{name: "per-op", epochOps: 1, epochs: 299_999, tput: 0x80c9da52f9ee8c7e, lat: 0x855bd0394483674a, p99: 0.005717896099000786},
+		{name: "default", epochOps: 0, epochs: 293, tput: 0xd42cf2f19c61d36b, lat: 0xdaf1087269bf003b, p99: 0.0023007774361541345},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := seriesRun(t, tc.epochOps)
+			m := e.Metrics()
+			if len(m.EpochThroughputs) != tc.epochs || len(m.EpochLatencies) != tc.epochs {
+				t.Fatalf("%d throughput and %d latency epochs, want %d", len(m.EpochThroughputs), len(m.EpochLatencies), tc.epochs)
+			}
+			if got := seriesDigest(m.EpochThroughputs); got != tc.tput {
+				t.Errorf("throughput digest %#x, want %#x", got, tc.tput)
+			}
+			if got := seriesDigest(m.EpochLatencies); got != tc.lat {
+				t.Errorf("latency digest %#x, want %#x", got, tc.lat)
+			}
+			if got := m.LatencyPercentile(0.99); got != tc.p99 {
+				t.Errorf("p99 latency %v, want %v", got, tc.p99)
+			}
+		})
+	}
+}
+
+// TestEpochSeriesMatchesAppend holds the chunked series to the slice it
+// replaced — one append per epoch — at every length around the chunk
+// boundaries.
+func TestEpochSeriesMatchesAppend(t *testing.T) {
+	var s epochSeries
+	var oracle []float64
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3*seriesMaxChunk+seriesFirstChunk; i++ {
+		if got := s.appendTo(nil); s.len() != len(oracle) || !slices.Equal(got, oracle) {
+			t.Fatalf("after %d epochs the series holds %d, diverging from the appended slice", i, s.len())
+		}
+		v := rng.Float64()
+		s.add(v)
+		oracle = append(oracle, v)
+	}
+	for i, c := range s.full {
+		if want := min(seriesFirstChunk<<i, seriesMaxChunk); len(c) != want || cap(c) != want {
+			t.Errorf("chunk %d: len %d cap %d, want %d full", i, len(c), cap(c), want)
+		}
+	}
+}
+
+// TestMetricsSeriesAreTheCallers checks that Metrics hands out fresh
+// slices: scribbling on one snapshot leaves the next one, and the
+// engine's own record, untouched.
+func TestMetricsSeriesAreTheCallers(t *testing.T) {
+	e := seriesRun(t, 0)
+	m1 := e.Metrics()
+	wantT, wantL := slices.Clone(m1.EpochThroughputs), slices.Clone(m1.EpochLatencies)
+	p99 := m1.LatencyPercentile(0.99)
+	for i := range m1.EpochThroughputs {
+		m1.EpochThroughputs[i] = -1
+		m1.EpochLatencies[i] = -1
+	}
+	m2 := e.Metrics()
+	if !slices.Equal(m2.EpochThroughputs, wantT) || !slices.Equal(m2.EpochLatencies, wantL) {
+		t.Fatal("a write to a returned series reached the engine")
+	}
+	if got := m2.LatencyPercentile(0.99); got != p99 {
+		t.Errorf("p99 latency %v after the write, %v before", got, p99)
+	}
+}
+
+// TestNoClientsNoLatencies: without a closed-loop client pool there is
+// no Little's-law latency to derive.
+func TestNoClientsNoLatencies(t *testing.T) {
+	model := DefaultCostModel()
+	model.ClientConcurrency = 0
+	e, err := New(Options{Space: config.Cassandra(), Seed: 3, Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Preload(1)
+	for k := uint64(0); k < 5000; k++ {
+		e.Read(k)
+	}
+	e.FinishEpoch()
+	m := e.Metrics()
+	if len(m.EpochThroughputs) != 5 || m.EpochLatencies != nil {
+		t.Errorf("%d throughput epochs, latencies %v; want 5 and nil", len(m.EpochThroughputs), m.EpochLatencies)
+	}
+	if got := m.LatencyPercentile(0.5); got != 0 {
+		t.Errorf("latency percentile %v without clients", got)
+	}
+}
+
+// TestCloseEpochAllocGuard pins what an epoch close may allocate at
+// EpochOps 1, where every operation closes one: the series' next chunk,
+// and nothing else — at most one allocation per chunk, plus the
+// doubling of the chunk list itself.
+func TestCloseEpochAllocGuard(t *testing.T) {
+	e, err := New(Options{Space: config.Cassandra(), Seed: 7, EpochOps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Preload(1)
+	rng := rand.New(rand.NewSource(11))
+	n := int64(e.KeySpace())
+	read := func(ops int) {
+		for i := 0; i < ops; i++ {
+			e.Read(uint64(rng.Int63n(n)))
+		}
+	}
+	read(60_000) // warm: the block cache's slab and index reach their size
+	chunks, listCap := len(e.rates.full), cap(e.rates.full)
+
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const ops = 200_000
+	read(ops)
+	runtime.ReadMemStats(&m1)
+
+	grown := len(e.rates.full) - chunks
+	if grown < ops/seriesMaxChunk {
+		t.Fatalf("%d epochs added %d chunks", ops, grown)
+	}
+	budget := uint64(grown)
+	for c := max(listCap, 1); c < cap(e.rates.full); c *= 2 {
+		budget++
+	}
+	if got := m1.Mallocs - m0.Mallocs; got > budget {
+		t.Errorf("%d epoch closes made %d allocations, want <= %d (%d chunks)", ops, got, budget, grown)
+	}
+}

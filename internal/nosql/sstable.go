@@ -2,12 +2,13 @@ package nosql
 
 import "slices"
 
-// ssTable is an immutable on-disk sorted table. The simulator tracks the
-// exact key set of every table so that read amplification — how many
-// tables actually hold a version of a key — is mechanistic rather than
-// estimated.
-type ssTable struct {
-	id uint64
+// tableRun is the body of an SSTable: the run and what index derives
+// from it. Once index returns, nothing in it is written again — a
+// preloaded run is shared by every engine built over the same key space
+// (see preload.go) — except by rebuild, on a merge output no reader has
+// seen yet. Code outside index reads the arrays through the ssTable's
+// keys, filter and bitmap views.
+type tableRun struct {
 	// sorted is the table's one representation of its cell set: every
 	// physically present key, live or tombstone, ascending and distinct
 	// — the physical layout. minKey/maxKey, blockSpan, bloom and present
@@ -19,6 +20,24 @@ type ssTable struct {
 	// 64 x len, so it never outweighs the run itself); a sparse table
 	// leaves it nil and Contains binary-searches sorted instead.
 	present []uint64
+	// blockSpan maps a key to its physical block: tables are sorted, so
+	// a table holding len keys out of keySpace occupies about
+	// len/keysPerBlock physical blocks, and uniformly-spread keys land
+	// in block key/blockSpan.
+	blockSpan uint64
+	// bloom is the table's real Bloom filter; reads consult it before
+	// paying for index and block fetches.
+	bloom bloomFilter
+}
+
+// ssTable is an immutable on-disk sorted table. The simulator tracks the
+// exact key set of every table so that read amplification — how many
+// tables actually hold a version of a key — is mechanistic rather than
+// estimated. The struct itself is the per-engine header (identity,
+// recency, level, the cells' side maps) over a run that may be shared.
+type ssTable struct {
+	id uint64
+	*tableRun
 	// tombs marks the subset of cells that are delete markers.
 	tombs map[uint64]struct{}
 	// expiry holds the virtual expiry time of the TTL'd subset of
@@ -37,14 +56,6 @@ type ssTable struct {
 
 	rowBytes     int
 	keysPerBlock int
-	// blockSpan maps a key to its physical block: tables are sorted, so
-	// a table holding len keys out of keySpace occupies about
-	// len/keysPerBlock physical blocks, and uniformly-spread keys land
-	// in block key/blockSpan.
-	blockSpan uint64
-	// bloom is the table's real Bloom filter; reads consult it before
-	// paying for index and block fetches.
-	bloom *bloomFilter
 	// createdAt is the virtual flush time, bucketing tables for the
 	// time-window compaction strategy.
 	createdAt float64
@@ -56,14 +67,29 @@ type ssTable struct {
 func newSSTable(id uint64, keys []uint64, rowBytes, keysPerBlock, keySpace int) *ssTable {
 	t := &ssTable{
 		id:           id,
-		sorted:       keys,
+		tableRun:     &tableRun{sorted: keys},
 		seq:          id,
 		rowBytes:     rowBytes,
 		keysPerBlock: keysPerBlock,
 	}
-	t.index(keySpace)
+	t.index(keysPerBlock, keySpace)
 	return t
 }
+
+// keys returns the table's run, ascending and distinct.
+//
+//rafiki:view
+func (t *ssTable) keys() []uint64 { return t.sorted }
+
+// filter returns the table's Bloom filter.
+//
+//rafiki:view
+func (t *ssTable) filter() *bloomFilter { return &t.bloom }
+
+// bitmap returns the table's presence bitmap, nil for a sparse run.
+//
+//rafiki:view
+func (t *ssTable) bitmap() []uint64 { return t.present }
 
 // markTombstones flags the given keys as delete markers; they must
 // already be present in the table's cell set.
@@ -129,7 +155,8 @@ func (t *ssTable) dropCell(key uint64) {
 }
 
 // rebuild filters the dropped cells out of the run in place and
-// refreshes the derived structures.
+// refreshes the derived structures. Only a merge output that is not yet
+// published may be rebuilt: its run is its own.
 func (t *ssTable) rebuild(keySpace int) {
 	slices.Sort(t.dropped)
 	t.sorted = slices.DeleteFunc(t.sorted, func(k uint64) bool {
@@ -137,17 +164,17 @@ func (t *ssTable) rebuild(keySpace int) {
 		return gone
 	})
 	t.dropped = nil
-	t.index(keySpace)
+	t.index(t.keysPerBlock, keySpace)
 }
 
 // index derives the key range, block span, Bloom filter and presence
 // bitmap from the run in one ordered pass, checking the ascending-
 // distinct contract as it goes. Filter and bitmap bits are OR-ed in, so
 // the result is a function of the key set alone.
-func (t *ssTable) index(keySpace int) {
+func (t *tableRun) index(keysPerBlock, keySpace int) {
 	n := len(t.sorted)
 	t.minKey, t.maxKey, t.present = 0, 0, nil
-	t.setBlockSpan(keySpace)
+	t.setBlockSpan(keysPerBlock, keySpace)
 	t.bloom = newBloomFilter(n, defaultBloomFPRate)
 	if n == 0 {
 		return
@@ -176,13 +203,13 @@ const defaultBloomFPRate = 0.01
 //
 //rafiki:hot
 func (t *ssTable) MayContainHashed(h1, h2 uint64) bool {
-	return t.bloom.MayContainHashed(h1, h2)
+	return t.filter().MayContainHashed(h1, h2)
 }
 
 // setBlockSpan recomputes the key-to-physical-block divisor from the
 // table's density within the key space.
-func (t *ssTable) setBlockSpan(keySpace int) {
-	physBlocks := (len(t.sorted) + t.keysPerBlock - 1) / t.keysPerBlock
+func (t *tableRun) setBlockSpan(keysPerBlock, keySpace int) {
+	physBlocks := (len(t.sorted) + keysPerBlock - 1) / keysPerBlock
 	if physBlocks < 1 {
 		physBlocks = 1
 	}
@@ -200,22 +227,23 @@ func (t *ssTable) Contains(key uint64) bool {
 	if key < t.minKey || key > t.maxKey {
 		return false
 	}
-	if t.present != nil {
+	if present := t.bitmap(); present != nil {
 		off := key - t.minKey
-		return t.present[off/64]&(1<<(off%64)) != 0
+		return present[off/64]&(1<<(off%64)) != 0
 	}
-	i := seekGE(t.sorted, key)
-	return i < len(t.sorted) && t.sorted[i] == key
+	keys := t.keys()
+	i := seekGE(keys, key)
+	return i < len(keys) && keys[i] == key
 }
 
 // Bytes returns the table's on-disk size; tombstone cells are small.
 func (t *ssTable) Bytes() float64 {
-	live := len(t.sorted) - len(t.tombs)
+	live := t.Len() - len(t.tombs)
 	return float64(live*t.rowBytes) + float64(len(t.tombs)*t.rowBytes)/8
 }
 
 // Len returns the number of distinct keys in the table.
-func (t *ssTable) Len() int { return len(t.sorted) }
+func (t *ssTable) Len() int { return len(t.keys()) }
 
 // BlockFor returns the cache block holding key within this table.
 // Tables are sorted by key, so adjacent keys share blocks; a compacted
@@ -244,7 +272,7 @@ func mergeTables(id uint64, tables []*ssTable, level, rowBytes, keysPerBlock, ke
 	}
 	out := &ssTable{
 		id:           id,
-		sorted:       make([]uint64, 0, total),
+		tableRun:     &tableRun{sorted: make([]uint64, 0, total)},
 		seq:          maxSeq,
 		level:        level,
 		rowBytes:     rowBytes,
@@ -259,10 +287,10 @@ func mergeTables(id uint64, tables []*ssTable, level, rowBytes, keysPerBlock, ke
 		var src *ssTable
 		var key uint64
 		for i, t := range tables {
-			if pos[i] == len(t.sorted) {
+			if pos[i] == t.Len() {
 				continue
 			}
-			if k := t.sorted[pos[i]]; src == nil || k < key || (k == key && t.seq > src.seq) {
+			if k := t.keys()[pos[i]]; src == nil || k < key || (k == key && t.seq > src.seq) {
 				src, key = t, k
 			}
 		}
@@ -270,7 +298,7 @@ func mergeTables(id uint64, tables []*ssTable, level, rowBytes, keysPerBlock, ke
 			break
 		}
 		for i, t := range tables {
-			if pos[i] < len(t.sorted) && t.sorted[pos[i]] == key {
+			if pos[i] < t.Len() && t.keys()[pos[i]] == key {
 				pos[i]++
 			}
 		}
@@ -284,7 +312,7 @@ func mergeTables(id uint64, tables []*ssTable, level, rowBytes, keysPerBlock, ke
 			out.expiry[key] = exp
 		}
 	}
-	out.index(keySpace)
+	out.index(keysPerBlock, keySpace)
 	return out
 }
 
@@ -315,6 +343,9 @@ func (s *tableSet) RemoveTables(tables []*ssTable) int {
 		}
 		kept = append(kept, t)
 	}
+	// The vacated slots would keep the removed tables, and the runs under
+	// them, reachable.
+	clear(s.tables[len(kept):])
 	s.tables = kept
 	return removed
 }

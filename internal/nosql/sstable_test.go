@@ -308,18 +308,56 @@ func BenchmarkMergeTables(b *testing.B) {
 	}
 }
 
+// BenchmarkPreload times a fresh engine's Preload(3): the cold rows empty
+// the preload image first, so every run, filter and bitmap is built; the
+// warm rows find the image held by an earlier engine and only make table
+// headers — what every node of a cluster after the first, and every
+// collector sample after the first, pays.
 func BenchmarkPreload(b *testing.B) {
 	for _, strategy := range []float64{config.CompactionSizeTiered, config.CompactionLeveled} {
-		b.Run(fmt.Sprintf("strategy=%v", strategy), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e, err := New(Options{Space: config.Cassandra(), Config: config.Config{config.ParamCompactionStrategy: strategy}, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
+		for _, cache := range []string{"cold", "warm"} {
+			b.Run(fmt.Sprintf("strategy=%v/%s", strategy, cache), func(b *testing.B) {
+				build := func() *Engine {
+					e, err := New(Options{Space: config.Cassandra(), Config: config.Config{config.ParamCompactionStrategy: strategy}, Seed: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					e.Preload(3)
+					return e
 				}
-				e.Preload(3)
-			}
-		})
+				holder := build()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cache == "cold" {
+						resetPreloadImage()
+					}
+					build()
+				}
+				runtime.KeepAlive(holder)
+			})
+		}
+	}
+}
+
+// BenchmarkCloseEpochPerOp times a read on an engine that closes an
+// epoch per operation, as every node behind the front door does; B/op is
+// what the epoch series costs per operation.
+func BenchmarkCloseEpochPerOp(b *testing.B) {
+	e, err := New(Options{Space: config.Cassandra(), Seed: 1, EpochOps: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Preload(1)
+	rng := rand.New(rand.NewSource(2))
+	n := int64(e.KeySpace())
+	for i := 0; i < 50_000; i++ {
+		e.Read(uint64(rng.Int63n(n)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Read(uint64(rng.Int63n(n)))
 	}
 }
 

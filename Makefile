@@ -4,7 +4,7 @@ GO ?= go
 # `make cover` fails if the tree regresses below it.
 COVER_FLOOR ?= 80.5
 
-.PHONY: build test bench check fmt vet lint race fuzz cover guard chaos slo
+.PHONY: build test bench check fmt vet lint race fuzz cover guard chaos slo loc
 
 build:
 	$(GO) build ./...
@@ -110,8 +110,23 @@ slo:
 # bit-identity pins (kernels against their naive reference loops,
 # TrainBR against its recorded digests), and the engine's: the shared
 # preload image against the per-engine build it replaced, its release
-# once unused, and the epoch series against their recorded digests.
+# once unused, and the epoch series against their recorded digests;
+# and the one control loop's decisions against the digests recorded from
+# the three controllers it replaced (TestControllerDecisionsGolden).
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden' ./internal/...
+
+# loc prints each package's non-test and test Go lines (plain line
+# counts, comments and blanks included) and the non-test total outside
+# cmd/rafikibench — ROADMAP item 4's measure, so every deletion PR
+# reports the same number the same way.
+loc:
+	@find . -name '*.go' -not -path '*/testdata/*' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; sub(/\/[^\/]*$$/, "", d); dirs[d] = 1; \
+		if ($$2 ~ /_test\.go$$/) test[d] += $$1; \
+		else { code[d] += $$1; if (d != "./cmd/rafikibench") total += $$1 } } \
+		END { printf "%-28s %8s %8s\n", "package", "non-test", "test"; \
+		for (d in dirs) printf "%-28s %8d %8d\n", d, code[d], test[d] | "sort"; close("sort"); \
+		printf "non-test total outside cmd/rafikibench: %d\n", total }'
 
 check: fmt vet lint race fuzz guard chaos slo

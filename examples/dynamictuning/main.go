@@ -48,24 +48,19 @@ func run() error {
 	}
 	trace = trace[:48]
 
-	// observer abstracts the reactive and proactive controllers.
-	type observer interface {
-		Observe(rr float64) (bool, error)
-		Retunes() int
-	}
-	run := func(name string, makeCtrl func(eng *rafiki.Engine) (observer, error)) (float64, int, error) {
+	// The reactive and proactive controllers are the same loop; the
+	// proactive one just has a forecaster in front.
+	run := func(name string, makeCtrl func(eng *rafiki.Engine) (*rafiki.Controller, error)) (float64, int, error) {
 		eng, err := rafiki.NewEngine(rafiki.EngineOptions{Space: space, Seed: 3})
 		if err != nil {
 			return 0, 0, err
 		}
 		eng.Preload(3)
-		var ctrl observer
+		var ctrl *rafiki.Controller
 		if makeCtrl != nil {
-			c, err := makeCtrl(eng)
-			if err != nil {
+			if ctrl, err = makeCtrl(eng); err != nil {
 				return 0, 0, err
 			}
-			ctrl = c
 		}
 		const opsPerWindow = 20_000
 		start := eng.Clock()
@@ -101,13 +96,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rafTput, retunes, err := run("reactive controller:", func(eng *rafiki.Engine) (observer, error) {
+	rafTput, retunes, err := run("reactive controller:", func(eng *rafiki.Engine) (*rafiki.Controller, error) {
 		return rafiki.NewController(tuner, eng, 0.25)
 	})
 	if err != nil {
 		return err
 	}
-	proTput, proRetunes, err := run("proactive (markov):", func(eng *rafiki.Engine) (observer, error) {
+	proTput, proRetunes, err := run("proactive (markov):", func(eng *rafiki.Engine) (*rafiki.Controller, error) {
 		f, err := rafiki.NewMarkovForecaster(5)
 		if err != nil {
 			return nil, err

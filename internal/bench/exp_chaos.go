@@ -5,9 +5,7 @@ import (
 
 	"rafiki/internal/check"
 	"rafiki/internal/cluster"
-	"rafiki/internal/config"
 	"rafiki/internal/fault"
-	"rafiki/internal/workload"
 )
 
 // netScenario is one network condition replayed against the standard
@@ -15,72 +13,6 @@ import (
 type netScenario struct {
 	name  string
 	sched func(T float64) fault.Schedule
-}
-
-// netSimRun is one scenario's outcome.
-type netSimRun struct {
-	throughput float64
-	stats      cluster.Stats
-	sent       uint64
-	delivered  uint64
-	dropped    uint64
-	partDrops  uint64
-	duplicated uint64
-}
-
-// runNetCondition benchmarks the standard mixed workload on a cluster
-// whose replica traffic crosses the simulated network under the given
-// schedule (nil = clean network) and resilience posture.
-func runNetCondition(env Env, res cluster.ResilienceOptions, sched fault.Schedule, seed int64) (netSimRun, error) {
-	c, err := cluster.New(cluster.Options{
-		Nodes:             3,
-		ReplicationFactor: 3,
-		Space:             config.Cassandra(),
-		Seed:              env.Seed ^ seed,
-		EpochOps:          128,
-		NetBaseLatency:    1e-7,
-		NetJitter:         5e-8,
-		Obs:               env.Obs,
-	})
-	if err != nil {
-		return netSimRun{}, err
-	}
-	c.Preload(env.PreloadVersions)
-	if err := c.SetReadConsistency(cluster.ConsistencyQuorum); err != nil {
-		return netSimRun{}, err
-	}
-	if err := c.SetResilience(res); err != nil {
-		return netSimRun{}, err
-	}
-	inj, err := fault.NewInjector(c, sched, env.Seed^seed^0x5EED)
-	if err != nil {
-		return netSimRun{}, err
-	}
-	c.SetFaultInjector(inj)
-	h := fault.NewHarness(c, inj)
-	result, err := workload.Run(h, workload.Spec{
-		ReadRatio: 0.5,
-		KRDMean:   env.KRDFraction * float64(c.KeySpace()),
-		Ops:       env.SampleOps,
-		Seed:      seed + 211,
-	})
-	if err != nil {
-		return netSimRun{}, err
-	}
-	inj.Finish()
-	if err := inj.Err(); err != nil {
-		return netSimRun{}, fmt.Errorf("bench: net schedule: %w", err)
-	}
-	ns := c.Net().Stats()
-	return netSimRun{
-		throughput: result.Throughput,
-		stats:      c.Stats(),
-		sent:       ns.Sent,
-		delivered:  ns.Delivered,
-		dropped:    ns.Dropped,
-		partDrops:  ns.PartitionDrops,
-		duplicated: ns.Duplicated,
-	}, nil
 }
 
 // NetSim demonstrates the simulated message network: the same seeded
@@ -93,29 +25,35 @@ func NetSim(env Env) (Report, error) {
 		return Report{}, err
 	}
 	const seed = 150_000
+	// Replica traffic crosses the simulated network under the given
+	// schedule (nil = clean network) and resilience posture.
+	run := func(res cluster.ResilienceOptions, sched fault.Schedule) (postureRun, error) {
+		return runFaultPosture(env, cluster.Options{NetBaseLatency: 1e-7, NetJitter: 5e-8}, res, sched, seed, 211)
+	}
 
 	// Probe run fixes the per-op time constant; the measurement runs
 	// then use resilience constants scaled to it, as exp_fault does —
 	// the wall-clock defaults would turn each lost message's timeout
 	// into an eternity at simulator timescale.
-	probe, err := runNetCondition(env, cluster.PassiveResilience(), nil, seed)
+	probe, err := run(cluster.PassiveResilience(), nil)
 	if err != nil {
 		return Report{}, err
 	}
-	perOp := 1 / probe.throughput
+	perOp := 1 / probe.result.Throughput
 	res := cluster.DefaultResilienceOptions()
 	res.BackoffBase = perOp
 	res.BackoffMax = 25 * perOp
 	res.ExpectedOpSeconds = perOp
 	res.OpTimeout = 20 * perOp
 
-	clean, err := runNetCondition(env, res, nil, seed)
+	cleanRun, err := run(res, nil)
 	if err != nil {
 		return Report{}, err
 	}
 	// Time base for the schedules: the clean run's span at this op
 	// count, recovered from throughput (aops = ops/seconds).
-	T := float64(env.SampleOps) / clean.throughput
+	clean := cleanRun.result.Throughput
+	T := float64(env.SampleOps) / clean
 
 	scenarios := []netScenario{
 		{"flaky c->0 (drop 40%)", func(T float64) fault.Schedule {
@@ -144,33 +82,33 @@ func NetSim(env Env) (Report, error) {
 		Title:  "The same seeded workload under simulated network conditions (3 nodes, RF=3, QUORUM, RR=50%)",
 		Header: []string{"network", "aops", "vs clean", "msgs sent", "dropped", "part drops", "dup copies", "hinted writes", "read repairs", "unavail reads"},
 	}
-	row := func(name string, r netSimRun, base float64) []string {
-		return []string{
-			name, f0(r.throughput), pct(r.throughput/base - 1),
-			fmt.Sprint(r.sent), fmt.Sprint(r.dropped), fmt.Sprint(r.partDrops),
-			fmt.Sprint(r.duplicated), fmt.Sprint(r.stats.HintsStored),
-			fmt.Sprint(r.stats.ReadRepairs), fmt.Sprint(r.stats.UnavailableReads),
-		}
+	row := func(name string, r postureRun) {
+		ns, st := r.c.Net().Stats(), r.c.Stats()
+		t.Rows = append(t.Rows, []string{
+			name, f0(r.result.Throughput), pct(r.result.Throughput/clean - 1),
+			fmt.Sprint(ns.Sent), fmt.Sprint(ns.Dropped), fmt.Sprint(ns.PartitionDrops),
+			fmt.Sprint(ns.Duplicated), fmt.Sprint(st.HintsStored),
+			fmt.Sprint(st.ReadRepairs), fmt.Sprint(st.UnavailableReads),
+		})
 	}
-	t.Rows = append(t.Rows, row("clean", clean, clean.throughput))
-	var runs []netSimRun
+	row("clean", cleanRun)
+	var last postureRun
 	for _, sc := range scenarios {
-		r, err := runNetCondition(env, res, sc.sched(T), seed)
+		last, err = run(res, sc.sched(T))
 		if err != nil {
 			return Report{}, fmt.Errorf("bench: scenario %s: %w", sc.name, err)
 		}
-		runs = append(runs, r)
-		t.Rows = append(t.Rows, row(sc.name, r, clean.throughput))
+		row(sc.name, last)
 	}
 
 	// Determinism: replaying the last scenario must reproduce it bit
 	// for bit, network counters included.
-	again, err := runNetCondition(env, res, scenarios[len(scenarios)-1].sched(T), seed)
+	again, err := run(res, scenarios[len(scenarios)-1].sched(T))
 	if err != nil {
 		return Report{}, err
 	}
-	last := runs[len(runs)-1]
-	identical := again == last
+	identical := again.result.Throughput == last.result.Throughput &&
+		again.c.Stats() == last.c.Stats() && again.c.Net().Stats() == last.c.Net().Stats()
 
 	notes := []string{
 		"every replica read, write, hint replay, and repair crosses the simulated network; partitions and drops therefore hit exactly the operations a real network would lose",

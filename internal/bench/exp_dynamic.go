@@ -79,33 +79,32 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 	}
 	trace = trace[:48] // half a day of 15-minute windows
 
-	tuner, err := core.NewTuner(p.Collector, p.Space, core.TunerOptions{SkipIdentify: true})
+	// The controllers run over the pipeline's trained surrogate rather
+	// than re-preparing a tuner of their own.
+	tuner, err := core.NewTuner(p.Collector, p.Space, core.TunerOptions{SkipIdentify: true, GA: p.Opts.GA})
 	if err != nil {
 		return Report{}, err
 	}
-	// Reuse the pipeline's trained surrogate rather than re-preparing.
-	type observer interface {
-		Observe(rr float64) (bool, error)
-		Retunes() int
+	if err := tuner.UseSurrogate(p.Surrogate); err != nil {
+		return Report{}, err
 	}
 
 	// Each window is measured on a reset server with the current
 	// configuration, mirroring the paper's protocol of independent
 	// 5-minute benchmark runs per (workload, configuration) point;
 	// reconfiguration downtime is charged per retune.
-	run := func(makeCtrl func(a core.Applier) (observer, error)) (float64, int, error) {
+	run := func(makeCtrl func(a core.Applier) (*core.Controller, error)) (float64, int, error) {
 		current := config.Config{}
-		applier := core.Applier(applierFunc(func(cfg config.Config) error {
-			current = cfg
-			return nil
-		}))
-		var ctrl observer
+		var ctrl *core.Controller
 		if makeCtrl != nil {
-			c, err := makeCtrl(applier)
+			var err error
+			ctrl, err = makeCtrl(applierFunc(func(cfg config.Config) error {
+				current = cfg
+				return nil
+			}))
 			if err != nil {
 				return 0, 0, err
 			}
-			ctrl = c
 		}
 		opsPerWindow := p.Opts.Env.SampleOps / 2
 		var totalOps int
@@ -153,18 +152,18 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	reactive, reactiveRetunes, err := run(func(a core.Applier) (observer, error) {
-		return newSurrogateController(tuner, p, a, 0.3)
+	reactive, reactiveRetunes, err := run(func(a core.Applier) (*core.Controller, error) {
+		return core.NewController(tuner, a, 0.3)
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	proactive, proactiveRetunes, err := run(func(a core.Applier) (observer, error) {
+	proactive, proactiveRetunes, err := run(func(a core.Applier) (*core.Controller, error) {
 		f, err := forecast.NewMarkov(5)
 		if err != nil {
 			return nil, err
 		}
-		return newSurrogateProactive(tuner, p, a, f, 0.3)
+		return core.NewProactiveController(tuner, a, f, 0.3)
 	})
 	if err != nil {
 		return Report{}, err
@@ -190,68 +189,7 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 	}, nil
 }
 
-// surrogateController adapts the pipeline's already-trained surrogate
-// into a reactive controller without re-running Prepare.
-type surrogateController struct {
-	pipeline    *Pipeline
-	applier     core.Applier
-	threshold   float64
-	haveTuned   bool
-	lastTunedRR float64
-	retunes     int
-}
-
-func newSurrogateController(_ *core.Tuner, p *Pipeline, a core.Applier, threshold float64) (*surrogateController, error) {
-	return &surrogateController{pipeline: p, applier: a, threshold: threshold}, nil
-}
-
-func (c *surrogateController) Observe(rr float64) (bool, error) {
-	if c.haveTuned && absf(rr-c.lastTunedRR) < c.threshold {
-		return false, nil
-	}
-	rec, err := c.pipeline.Recommend(core.RR(rr))
-	if err != nil {
-		return false, err
-	}
-	if err := c.applier.Apply(rec.Config); err != nil {
-		return false, err
-	}
-	c.haveTuned = true
-	c.lastTunedRR = rr
-	c.retunes++
-	return true, nil
-}
-
-func (c *surrogateController) Retunes() int { return c.retunes }
-
-// surrogateProactive is the forecaster-driven variant.
-type surrogateProactive struct {
-	surrogateController
-
-	forecaster forecast.Forecaster
-}
-
-func newSurrogateProactive(t *core.Tuner, p *Pipeline, a core.Applier, f forecast.Forecaster, threshold float64) (*surrogateProactive, error) {
-	inner, err := newSurrogateController(t, p, a, threshold)
-	if err != nil {
-		return nil, err
-	}
-	return &surrogateProactive{surrogateController: *inner, forecaster: f}, nil
-}
-
-func (c *surrogateProactive) Observe(rr float64) (bool, error) {
-	c.forecaster.Observe(rr)
-	return c.surrogateController.Observe(c.forecaster.Predict())
-}
-
 // applierFunc adapts a function to core.Applier.
 type applierFunc func(config.Config) error
 
 func (f applierFunc) Apply(cfg config.Config) error { return f(cfg) }
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

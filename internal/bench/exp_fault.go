@@ -9,14 +9,13 @@ import (
 	"rafiki/internal/workload"
 )
 
-// faultOutcome is one resilience posture's run under the shared fault
-// schedule.
-type faultOutcome struct {
-	throughput float64
-	seconds    float64
-	stats      cluster.Stats
-	lost       int
-	replayed   uint64
+// postureRun is one finished run of the standard fault-posture
+// benchmark: the cluster and injector it ran on, left for the caller to
+// read whatever it reports, and the workload's result.
+type postureRun struct {
+	c      *cluster.Cluster
+	inj    *fault.Injector
+	result workload.Result
 }
 
 // faultSchedule builds the experiment's adversity, scaled to the
@@ -38,59 +37,53 @@ func faultSchedule(T float64) fault.Schedule {
 	}
 }
 
-// runFaultPosture benchmarks one resilience posture under the shared
-// schedule (nil schedule = healthy baseline) and returns the outcome.
-func runFaultPosture(env Env, res cluster.ResilienceOptions, sched fault.Schedule, seed int64) (faultOutcome, error) {
-	c, err := cluster.New(cluster.Options{
-		Nodes:             3,
-		ReplicationFactor: 3,
-		Space:             config.Cassandra(),
-		Seed:              env.Seed ^ seed,
-		// Node clocks advance only at epoch closes; short epochs keep
-		// them fine-grained enough that no schedule window can slip
-		// between two closes unobserved.
-		EpochOps: 128,
-		Obs:      env.Obs,
-	})
+// runFaultPosture benchmarks the standard mixed workload (RR=50%) on a
+// 3-node RF-3 QUORUM cluster under one resilience posture and one
+// fault/network schedule (nil = healthy, clean network). opts carries
+// the cluster fields an experiment sets beyond that shape — NetSim's
+// link latency — and seedOffset keeps the experiments' workload streams
+// apart.
+func runFaultPosture(env Env, opts cluster.Options, res cluster.ResilienceOptions, sched fault.Schedule, seed, seedOffset int64) (postureRun, error) {
+	opts.Nodes, opts.ReplicationFactor = 3, 3
+	opts.Space = config.Cassandra()
+	opts.Seed = env.Seed ^ seed
+	// Node clocks advance only at epoch closes; short epochs keep them
+	// fine-grained enough that no schedule window can slip between two
+	// closes unobserved.
+	opts.EpochOps = 128
+	opts.Obs = env.Obs
+	c, err := cluster.New(opts)
 	if err != nil {
-		return faultOutcome{}, err
+		return postureRun{}, err
 	}
 	c.Preload(env.PreloadVersions)
 	if err := c.SetReadConsistency(cluster.ConsistencyQuorum); err != nil {
-		return faultOutcome{}, err
+		return postureRun{}, err
 	}
 	if err := c.SetResilience(res); err != nil {
-		return faultOutcome{}, err
+		return postureRun{}, err
 	}
 	inj, err := fault.NewInjector(c, sched, env.Seed^seed^0x5EED)
 	if err != nil {
-		return faultOutcome{}, err
+		return postureRun{}, err
 	}
 	c.SetFaultInjector(inj)
-	h := fault.NewHarness(c, inj)
-	result, err := workload.Run(h, workload.Spec{
+	result, err := workload.Run(fault.NewHarness(c, inj), workload.Spec{
 		ReadRatio: 0.5,
 		KRDMean:   env.KRDFraction * float64(c.KeySpace()),
 		Ops:       env.SampleOps,
-		Seed:      seed + 101,
+		Seed:      seed + seedOffset,
 	})
 	if err != nil {
-		return faultOutcome{}, err
+		return postureRun{}, err
 	}
 	// Fire any events scheduled past the measured window (recoveries)
 	// so every posture ends converged, then surface injector errors.
 	inj.Finish()
 	if err := inj.Err(); err != nil {
-		return faultOutcome{}, fmt.Errorf("bench: fault schedule: %w", err)
+		return postureRun{}, fmt.Errorf("bench: fault schedule: %w", err)
 	}
-	m := c.Metrics()
-	return faultOutcome{
-		throughput: result.Throughput,
-		seconds:    result.Seconds,
-		stats:      c.Stats(),
-		lost:       inj.LostRecords(),
-		replayed:   m.ReplayedRecords,
-	}, nil
+	return postureRun{c: c, inj: inj, result: result}, nil
 }
 
 // FaultInjection quantifies what the coordinator's resilience machinery
@@ -105,20 +98,23 @@ func FaultInjection(env Env) (Report, error) {
 		return Report{}, err
 	}
 	const seed = 130_000
+	run := func(res cluster.ResilienceOptions, sched fault.Schedule) (postureRun, error) {
+		return runFaultPosture(env, cluster.Options{}, res, sched, seed, 101)
+	}
 
 	// Healthy baseline fixes the schedule's time base and the
 	// no-fault throughput reference.
-	healthy, err := runFaultPosture(env, cluster.PassiveResilience(), nil, seed)
+	healthy, err := run(cluster.PassiveResilience(), nil)
 	if err != nil {
 		return Report{}, err
 	}
-	sched := faultSchedule(healthy.seconds)
+	sched := faultSchedule(healthy.result.Seconds)
 
 	// Scale the coordinator's time constants to the measured healthy
 	// op cost, as a dynamic snitch does from observed latencies: the
 	// wall-clock defaults (milliseconds) would dwarf the simulator's
 	// microsecond-scale ops and turn every wait into an eternity.
-	perOp := healthy.seconds / float64(env.SampleOps)
+	perOp := healthy.result.Seconds / float64(env.SampleOps)
 
 	retriesOnly := cluster.PassiveResilience()
 	retriesOnly.MaxRetries = 3
@@ -139,11 +135,11 @@ func FaultInjection(env Env) (Report, error) {
 		{"retries", retriesOnly},
 		{"full", full},
 	}
-	outcomes := make([]faultOutcome, len(postures))
+	outcomes := make([]postureRun, len(postures))
 	for i, p := range postures {
 		// Same workload seed and same injector seed for every posture:
 		// each faces the identical adversity.
-		out, err := runFaultPosture(env, p.res, sched, seed)
+		out, err := run(p.res, sched)
 		if err != nil {
 			return Report{}, fmt.Errorf("bench: posture %s: %w", p.name, err)
 		}
@@ -152,43 +148,43 @@ func FaultInjection(env Env) (Report, error) {
 
 	// Determinism: replaying the full posture must reproduce the first
 	// run exactly.
-	again, err := runFaultPosture(env, full, sched, seed)
+	again, err := run(full, sched)
 	if err != nil {
 		return Report{}, err
 	}
 	fullRun := outcomes[len(outcomes)-1]
-	identical := again.throughput == fullRun.throughput &&
-		again.stats == fullRun.stats && again.lost == fullRun.lost
+	identical := again.result.Throughput == fullRun.result.Throughput &&
+		again.c.Stats() == fullRun.c.Stats() && again.inj.LostRecords() == fullRun.inj.LostRecords()
 
 	t := Table{
 		Title:  "Throughput and availability under the same seeded fault schedule (3 nodes, RF=3, QUORUM reads, RR=50%)",
 		Header: []string{"posture", "aops", "vs healthy", "unavail reads", "hinted writes", "transient fails", "retries", "timeouts", "spec reads", "log records lost"},
 	}
 	t.Rows = append(t.Rows, []string{
-		"healthy (no faults)", f0(healthy.throughput), pct(0),
+		"healthy (no faults)", f0(healthy.result.Throughput), pct(0),
 		"0", "0", "0", "0", "0", "0", "0",
 	})
 	for i, p := range postures {
 		out := outcomes[i]
-		st := out.stats
+		st := out.c.Stats()
 		t.Rows = append(t.Rows, []string{
-			p.name, f0(out.throughput), pct(out.throughput/healthy.throughput - 1),
+			p.name, f0(out.result.Throughput), pct(out.result.Throughput/healthy.result.Throughput - 1),
 			fmt.Sprint(st.UnavailableReads), fmt.Sprint(st.HintsStored),
 			fmt.Sprint(st.TransientFailures), fmt.Sprint(st.Retries),
 			fmt.Sprint(st.Timeouts), fmt.Sprint(st.SpeculativeReads),
-			fmt.Sprint(out.lost),
+			fmt.Sprint(out.inj.LostRecords()),
 		})
 	}
 
-	none, fullOut := outcomes[0], outcomes[len(outcomes)-1]
+	none := outcomes[0]
 	notes := []string{
 		"every posture replays the identical schedule: transient failures on node 0 (p=0.15) with a fail-stop outage of node 2 inside the window, a crash-restart of node 0 with 30% of its commit-log tail torn, then a persistent 25x disk straggler on node 1 for the rest of the run",
 		"shape under test: retries turn would-be unavailable QUORUM reads into served ones, and timeouts + speculative reads stop the persistent straggler from pacing the whole cluster",
 		fmt.Sprintf("full stack vs no resilience: throughput %s vs %s aops, unavailable QUORUM reads %d vs %d",
-			f0(fullOut.throughput), f0(none.throughput), fullOut.stats.UnavailableReads, none.stats.UnavailableReads),
+			f0(fullRun.result.Throughput), f0(none.result.Throughput), fullRun.c.Stats().UnavailableReads, none.c.Stats().UnavailableReads),
 		fmt.Sprintf("determinism: two full-stack runs at the same seed identical = %v", identical),
 	}
-	if fullOut.throughput <= none.throughput {
+	if fullRun.result.Throughput <= none.result.Throughput {
 		notes = append(notes, "WARNING: full stack did not beat the unprotected baseline — resilience regression")
 	}
 	return Report{

@@ -18,18 +18,18 @@ func faultPostureSnapshot(t *testing.T, ops int) []byte {
 	env.Obs = obs.NewRegistry()
 
 	const seed = 130_000
-	healthy, err := runFaultPosture(env, cluster.PassiveResilience(), nil, seed)
+	healthy, err := runFaultPosture(env, cluster.Options{}, cluster.PassiveResilience(), nil, seed, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := faultSchedule(healthy.seconds)
-	perOp := healthy.seconds / float64(env.SampleOps)
+	sched := faultSchedule(healthy.result.Seconds)
+	perOp := healthy.result.Seconds / float64(env.SampleOps)
 	full := cluster.DefaultResilienceOptions()
 	full.BackoffBase = perOp
 	full.BackoffMax = 25 * perOp
 	full.ExpectedOpSeconds = perOp
 	full.OpTimeout = 20 * perOp
-	if _, err := runFaultPosture(env, full, sched, seed); err != nil {
+	if _, err := runFaultPosture(env, cluster.Options{}, full, sched, seed, 101); err != nil {
 		t.Fatal(err)
 	}
 

@@ -404,10 +404,6 @@ func (c *Cluster) DecommissionNode(i int) error {
 	return nil
 }
 
-// RemoveNode is DecommissionNode under the name the fault layer's
-// topology events use.
-func (c *Cluster) RemoveNode(i int) error { return c.DecommissionNode(i) }
-
 // DrainRebalance pumps the rebalance until every pending range has
 // flipped or budget pump steps are spent; it returns the steps used.
 // Tests and experiments use it to reach topology quiescence without

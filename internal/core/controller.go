@@ -9,25 +9,14 @@ import (
 	"rafiki/internal/forecast"
 )
 
-// PredictWithStd returns the surrogate's throughput estimate together
-// with the ensemble's standard deviation for a workload and
-// configuration. High disagreement flags regions the training data
-// barely covers — exactly where a single-point prediction is least
-// trustworthy and re-tuning on it is most dangerous.
-func (s *Surrogate) PredictWithStd(w Workload, cfg config.Config) (mean, std float64, err error) {
-	vec, err := s.Space.FeatureVector(w.Vector(), cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	return s.Model.PredictWithStd(vec)
-}
-
-// GuardOptions tunes the vetting and canary stages of guarded
-// re-tuning. Zero values disable individual checks; DefaultGuardOptions
-// enables all of them with conservative settings.
+// GuardOptions tunes the controller's two policies: the forecaster and
+// the guard's vetting and canary stages. Zero values disable individual
+// checks; DefaultGuardOptions enables every guard check with
+// conservative settings.
 type GuardOptions struct {
-	// Threshold is the minimum |RR - lastTunedRR| movement that triggers
-	// a re-tune, as in the unguarded controllers.
+	// Threshold is the minimum workload movement (L1 distance over the
+	// characterization vector) that triggers a re-tune; small jitters
+	// are ignored to avoid reconfiguration downtime.
 	Threshold float64
 	// Forecaster, when set, makes the controller proactive: it tunes for
 	// the forecast of the next window instead of the window just ended.
@@ -88,7 +77,7 @@ func DefaultGuardOptions() GuardOptions {
 // Validate reports option errors.
 func (o GuardOptions) Validate() error {
 	if o.Threshold < 0 || o.Threshold > 1 {
-		return fmt.Errorf("core: guard threshold %v out of [0,1]", o.Threshold)
+		return fmt.Errorf("core: threshold %v out of [0,1]", o.Threshold)
 	}
 	if o.MaxStdFrac < 0 {
 		return fmt.Errorf("core: negative MaxStdFrac %v", o.MaxStdFrac)
@@ -134,34 +123,46 @@ type GuardStats struct {
 	SLOViolations, SLORollbacks int
 }
 
-// GuardedController is the hardened online re-tuning loop: every
-// recommendation is sanity-checked against the surrogate ensemble's own
-// disagreement, optionally canaried with a short measured probe before
-// apply, and watched for measured regressions for a few windows after
-// apply — rolling back to the last-known-good configuration (ultimately
-// the space default) instead of letting a bad extrapolation tank the
+// Applier receives recommended configurations — typically the live
+// datastore engine (or cluster) being tuned.
+type Applier interface {
+	Apply(cfg config.Config) error
+}
+
+// Controller is the online reconfiguration loop, the paper's Section 3.8
+// (Figure 3): it watches the workload's read ratio per observation
+// window and re-tunes the datastore when the workload moves materially.
+// Two optional policies ride on the one loop. A forecaster (Section 6's
+// future work) makes it tune for the predicted next window rather than
+// the one that just ended. A guard hardens it: every recommendation is
+// sanity-checked against the surrogate ensemble's own disagreement,
+// optionally canaried with a short measured probe before apply, and
+// watched for measured regressions for a few windows after apply —
+// rolling back to the last-known-good configuration (ultimately the
+// space default) instead of letting a bad extrapolation tank the
 // datastore it is supposed to tune.
-type GuardedController struct {
+type Controller struct {
 	tuner   *Tuner
 	applier Applier
+	// opts holds the threshold and both policies. The plain and proactive
+	// constructors leave every guard field zero, which disables that
+	// check; guarded additionally arms the pre-apply vet, the one stage
+	// that costs a surrogate call even with every bound at zero.
 	opts    GuardOptions
+	guarded bool
 
 	haveTuned bool
 	lastTuned Workload
 	current   config.Config
 	lastGood  config.Config // nil means the space default
 
-	// shape carries the workload's scan-ratio and skew axes; Observe
+	// shape carries the workload's scan-ratio and skew axes; the loop
 	// composes them with the per-window read ratio (see SetShape).
 	shape Workload
 
-	// canaryLeft > 0 means current is on probation; canaryW is the
-	// workload it was tuned for.
-	canaryLeft int
-	canaryW    Workload
-
-	// sloTotal/sloOk count this probation's windows and the subset that
-	// met the p99 ceiling.
+	// canaryLeft > 0 means current is on probation; sloTotal/sloOk count
+	// this probation's windows and the subset that met the p99 ceiling.
+	canaryLeft      int
 	sloTotal, sloOk int
 
 	maxMeasured float64
@@ -169,15 +170,40 @@ type GuardedController struct {
 	o           guardObs
 }
 
-// NewGuardedController wires a guarded controller.
-func NewGuardedController(t *Tuner, a Applier, opts GuardOptions) (*GuardedController, error) {
+// NewController builds the plain reactive loop: tune for the window
+// just observed and apply every recommendation as it comes.
+func NewController(t *Tuner, a Applier, threshold float64) (*Controller, error) {
+	return newController(t, a, GuardOptions{Threshold: threshold}, false)
+}
+
+// NewProactiveController builds the loop with a forecaster in front: it
+// tunes for the forecast of the next window, so the configuration is in
+// place when the regime switch arrives.
+func NewProactiveController(t *Tuner, a Applier, f forecast.Forecaster, threshold float64) (*Controller, error) {
+	if f == nil {
+		return nil, errors.New("core: proactive controller needs a forecaster")
+	}
+	return newController(t, a, GuardOptions{Threshold: threshold, Forecaster: f}, false)
+}
+
+// NewGuardedController builds the loop with the guard policy armed (and
+// a forecaster too when opts.Forecaster is set).
+func NewGuardedController(t *Tuner, a Applier, opts GuardOptions) (*Controller, error) {
+	return newController(t, a, opts, true)
+}
+
+func newController(t *Tuner, a Applier, opts GuardOptions, guarded bool) (*Controller, error) {
 	if t == nil || a == nil {
-		return nil, errors.New("core: guarded controller needs a tuner and an applier")
+		return nil, errors.New("core: controller needs a tuner and an applier")
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &GuardedController{tuner: t, applier: a, opts: opts, o: newGuardObs(t.opts.Obs)}, nil
+	c := &Controller{tuner: t, applier: a, opts: opts, guarded: guarded}
+	if guarded {
+		c.o = newGuardObs(t.opts.Obs)
+	}
+	return c, nil
 }
 
 // SetShape fixes the scan-ratio and skew axes of the workloads the
@@ -185,89 +211,13 @@ func NewGuardedController(t *Tuner, a Applier, opts GuardOptions) (*GuardedContr
 // Use this when trace characterization reports a stable op-mix shape
 // (e.g. an analytics tenant whose scans are structural) while the read
 // ratio swings with MG-RAST-style regime switches.
-func (c *GuardedController) SetShape(scanRatio, skew float64) error {
+func (c *Controller) SetShape(scanRatio, skew float64) error {
 	w := Workload{ScanRatio: scanRatio, Skew: skew}
 	if err := w.Validate(); err != nil {
 		return err
 	}
 	c.shape = w
 	return nil
-}
-
-// Observe reports one finished window: its read ratio and its measured
-// throughput (ops/s; pass <= 0 when no measurement is available, which
-// skips the canary and out-of-band checks for this window). It returns
-// whether the live configuration changed — by a fresh apply or by a
-// rollback.
-func (c *GuardedController) Observe(readRatio, measured float64) (bool, error) {
-	if readRatio < 0 || readRatio > 1 {
-		return false, fmt.Errorf("core: read ratio %v out of [0,1]", readRatio)
-	}
-	if measured > c.maxMeasured {
-		c.maxMeasured = measured
-	}
-
-	// Canary bookkeeping first: the measurement just delivered is the
-	// probationary configuration's report card.
-	if c.canaryLeft > 0 && measured > 0 {
-		rolled, err := c.checkCanary(c.workloadAt(readRatio), measured)
-		if err != nil {
-			return false, err
-		}
-		if rolled {
-			return true, nil
-		}
-	}
-
-	targetRR := readRatio
-	if c.opts.Forecaster != nil {
-		c.opts.Forecaster.Observe(readRatio)
-		targetRR = clamp01(c.opts.Forecaster.Predict())
-	}
-	target := c.workloadAt(targetRR)
-	if c.haveTuned && target.dist(c.lastTuned) < c.opts.Threshold {
-		return false, nil
-	}
-
-	rec, err := c.tuner.Recommend(target)
-	if err != nil {
-		return false, err
-	}
-	ok, err := c.vet(target, rec)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		// The veto still pins lastTuned: re-deriving the same doomed
-		// candidate every window would burn search time for nothing.
-		c.haveTuned = true
-		c.lastTuned = target
-		return false, nil
-	}
-	if err := c.applier.Apply(rec.Config); err != nil {
-		return false, fmt.Errorf("core: applying guarded recommendation: %w", err)
-	}
-	c.haveTuned = true
-	c.lastTuned = target
-	c.current = rec.Config
-	c.stats.Retunes++
-	c.o.retunes.Inc()
-	if c.opts.CanaryWindows > 0 && (c.opts.RegressionTolerance > 0 || c.opts.SLOP99Max > 0) {
-		c.canaryLeft = c.opts.CanaryWindows
-		c.canaryW = target
-		c.sloTotal, c.sloOk = 0, 0
-	} else {
-		c.commit()
-	}
-	return true, nil
-}
-
-// workloadAt composes the controller's fixed shape axes with a window's
-// read ratio.
-func (c *GuardedController) workloadAt(readRatio float64) Workload {
-	w := c.shape
-	w.ReadRatio = readRatio
-	return w
 }
 
 // WindowMetrics is one observation window's report for ObserveWindow:
@@ -279,58 +229,139 @@ type WindowMetrics struct {
 	P99        float64
 }
 
-// ObserveWindow reports one finished window with tail latency attached.
-// It runs the SLO objective first — a canarying configuration whose
-// probation can no longer reach SLOMinCompliance is rolled back
-// immediately, before (and regardless of) the mean-throughput
-// regression check — then delegates to Observe. A window with P99 <= 0
-// carries no tail measurement and skips the SLO check, exactly as
-// Throughput <= 0 skips the canary and out-of-band checks.
-func (c *GuardedController) ObserveWindow(m WindowMetrics) (bool, error) {
+// Observe reports one finished window by its read ratio alone — an
+// unmeasured window, which skips the canary, out-of-band and SLO checks.
+func (c *Controller) Observe(readRatio float64) (bool, error) {
+	return c.ObserveWindow(WindowMetrics{ReadRatio: readRatio})
+}
+
+// ObserveWindow reports one finished window and runs the loop once:
+// observe → (forecast) → (canary report card) → threshold → recommend →
+// (vet / probe) → apply → (probation). It returns whether the live
+// configuration changed — by a fresh apply or by a rollback.
+func (c *Controller) ObserveWindow(m WindowMetrics) (bool, error) {
+	if m.ReadRatio < 0 || m.ReadRatio > 1 {
+		return false, fmt.Errorf("core: read ratio %v out of [0,1]", m.ReadRatio)
+	}
+	// The forecaster sees every window exactly once, whatever becomes of
+	// it below: a window that ends in a rollback is still a transition.
+	targetRR := m.ReadRatio
+	if c.opts.Forecaster != nil {
+		c.opts.Forecaster.Observe(m.ReadRatio)
+		targetRR = max(0, min(1, c.opts.Forecaster.Predict()))
+	}
+	if m.Throughput > c.maxMeasured {
+		c.maxMeasured = m.Throughput
+	}
+	// Report cards before any new decision: the measurements just
+	// delivered grade the configuration that served the window. A window
+	// with P99 <= 0 carries no tail measurement and skips the SLO check,
+	// exactly as Throughput <= 0 skips the canary check.
 	if c.opts.SLOP99Max > 0 && m.P99 > 0 {
-		met := m.P99 <= c.opts.SLOP99Max
-		if !met {
-			c.stats.SLOViolations++
-			c.o.sloViolations.Inc()
-		}
-		if c.canaryLeft > 0 {
-			c.sloTotal++
-			if met {
-				c.sloOk++
-			}
-			// Even if every remaining probation window meets the SLO,
-			// can this canary still reach the compliance bar? If not,
-			// waiting out the probation just serves more bad tail.
-			remaining := c.canaryLeft - 1
-			best := float64(c.sloOk+remaining) / float64(c.sloTotal+remaining)
-			if best < c.opts.SLOMinCompliance {
-				if err := c.rollback(); err != nil {
-					return false, err
-				}
-				c.stats.SLORollbacks++
-				c.o.sloRollbacks.Inc()
-				return true, nil
-			}
+		if rolled, err := c.checkSLO(m.P99); rolled || err != nil {
+			return rolled, err
 		}
 	}
-	return c.Observe(m.ReadRatio, m.Throughput)
+	if c.canaryLeft > 0 && m.Throughput > 0 {
+		if rolled, err := c.checkCanary(c.workloadAt(m.ReadRatio), m.Throughput); rolled || err != nil {
+			return rolled, err
+		}
+	}
+
+	target := c.workloadAt(targetRR)
+	if c.haveTuned && target.dist(c.lastTuned) < c.opts.Threshold {
+		return false, nil
+	}
+	rec, err := c.tuner.Recommend(target)
+	if err != nil {
+		return false, err
+	}
+	if c.guarded {
+		ok, err := c.vet(target, rec)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			// The veto still pins lastTuned: re-deriving the same doomed
+			// candidate every window would burn search time for nothing.
+			c.haveTuned = true
+			c.lastTuned = target
+			return false, nil
+		}
+	}
+	if err := c.applier.Apply(rec.Config); err != nil {
+		return false, fmt.Errorf("core: applying recommendation: %w", err)
+	}
+	c.haveTuned = true
+	c.lastTuned = target
+	c.current = rec.Config
+	c.stats.Retunes++
+	c.tuner.opts.Obs.Counter("core.retunes").Inc()
+	c.o.retunes.Inc()
+	if c.opts.CanaryWindows > 0 && (c.opts.RegressionTolerance > 0 || c.opts.SLOP99Max > 0) {
+		c.canaryLeft = c.opts.CanaryWindows
+		c.sloTotal, c.sloOk = 0, 0
+	} else {
+		c.commit()
+	}
+	return true, nil
+}
+
+// workloadAt composes the controller's fixed shape axes with a window's
+// read ratio.
+func (c *Controller) workloadAt(readRatio float64) Workload {
+	w := c.shape
+	w.ReadRatio = readRatio
+	return w
+}
+
+// checkSLO runs the tail-latency objective on one window's p99. A
+// canarying configuration whose probation can no longer reach
+// SLOMinCompliance is rolled back immediately, before (and regardless
+// of) the mean-throughput regression check. It returns whether a
+// rollback was applied.
+func (c *Controller) checkSLO(p99 float64) (bool, error) {
+	met := p99 <= c.opts.SLOP99Max
+	if !met {
+		c.stats.SLOViolations++
+		c.o.sloViolations.Inc()
+	}
+	if c.canaryLeft == 0 {
+		return false, nil
+	}
+	c.sloTotal++
+	if met {
+		c.sloOk++
+	}
+	// Even if every remaining probation window meets the SLO, can this
+	// canary still reach the compliance bar? If not, waiting out the
+	// probation just serves more bad tail.
+	remaining := c.canaryLeft - 1
+	best := float64(c.sloOk+remaining) / float64(c.sloTotal+remaining)
+	if best >= c.opts.SLOMinCompliance {
+		return false, nil
+	}
+	if err := c.rollback(); err != nil {
+		return false, err
+	}
+	c.stats.SLORollbacks++
+	c.o.sloRollbacks.Inc()
+	return true, nil
 }
 
 // checkCanary compares the probationary configuration's measurement
 // against the surrogate's own prediction for this window, rolling back
 // on a regression and committing after the probation expires. It
 // returns whether a rollback was applied.
-func (c *GuardedController) checkCanary(w Workload, measured float64) (bool, error) {
+func (c *Controller) checkCanary(w Workload, measured float64) (bool, error) {
 	predicted, err := c.tuner.surrogate.Predict(w, c.current)
 	if err != nil {
 		return false, err
 	}
 	if c.opts.RegressionTolerance > 0 && isFinite(predicted) && predicted > 0 &&
 		measured < (1-c.opts.RegressionTolerance)*predicted {
-		if err := c.rollback(); err != nil {
-			return false, err
-		}
-		return true, nil
+		err := c.rollback()
+		return err == nil, err
 	}
 	c.canaryLeft--
 	if c.canaryLeft == 0 {
@@ -340,7 +371,7 @@ func (c *GuardedController) checkCanary(w Workload, measured float64) (bool, err
 }
 
 // commit promotes the live configuration to last-known-good.
-func (c *GuardedController) commit() {
+func (c *Controller) commit() {
 	c.canaryLeft = 0
 	c.sloTotal, c.sloOk = 0, 0
 	c.lastGood = c.current
@@ -350,7 +381,7 @@ func (c *GuardedController) commit() {
 
 // rollback reverts to the last-known-good configuration — the space
 // default when nothing has ever been committed.
-func (c *GuardedController) rollback() error {
+func (c *Controller) rollback() error {
 	target := c.lastGood
 	if target == nil {
 		target = c.tuner.space.Default()
@@ -367,7 +398,7 @@ func (c *GuardedController) rollback() error {
 }
 
 // vet sanity-checks a recommendation before it touches the datastore.
-func (c *GuardedController) vet(target Workload, rec OptimizeResult) (bool, error) {
+func (c *Controller) vet(target Workload, rec OptimizeResult) (bool, error) {
 	mean, std, err := c.tuner.surrogate.PredictWithStd(target, rec.Config)
 	if err != nil {
 		return false, err
@@ -405,30 +436,22 @@ func (c *GuardedController) vet(target Workload, rec OptimizeResult) (bool, erro
 // The map is shared with the controller, not a copy.
 //
 //rafiki:view
-func (c *GuardedController) Current() config.Config { return c.current }
+func (c *Controller) Current() config.Config { return c.current }
 
 // LastGood returns the last committed configuration (nil before the
 // first commit, meaning the space default is the rollback target).
 // The map is shared with the controller, not a copy.
 //
 //rafiki:view
-func (c *GuardedController) LastGood() config.Config { return c.lastGood }
+func (c *Controller) LastGood() config.Config { return c.lastGood }
 
-// Stats returns the guard outcome counters.
-func (c *GuardedController) Stats() GuardStats { return c.stats }
+// Stats returns the loop's outcome counters. Without a guard every
+// applied recommendation commits at once and nothing is ever rejected
+// or rolled back.
+func (c *Controller) Stats() GuardStats { return c.stats }
 
-// Retunes counts applied reconfigurations, mirroring the unguarded
-// controllers.
-func (c *GuardedController) Retunes() int { return c.stats.Retunes }
+// Retunes counts applied recommendations (rollbacks are counted by
+// Stats, not here).
+func (c *Controller) Retunes() int { return c.stats.Retunes }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}

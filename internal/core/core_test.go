@@ -336,123 +336,6 @@ func TestNewTunerValidation(t *testing.T) {
 	}
 }
 
-// recordingApplier records applied configs.
-type recordingApplier struct {
-	applied []config.Config
-	fail    bool
-}
-
-func (r *recordingApplier) Apply(cfg config.Config) error {
-	if r.fail {
-		return errors.New("apply failed")
-	}
-	r.applied = append(r.applied, cfg)
-	return nil
-}
-
-func TestControllerRetunesOnWorkloadShift(t *testing.T) {
-	space := config.Cassandra()
-	tuner, err := NewTuner(analyticCollector(space), space, TunerOptions{
-		SkipIdentify: true,
-		Collect:      CollectOptions{Workloads: RRs(0, 0.25, 0.5, 0.75, 1), Configs: 16, Seed: 8},
-		Model:        fastModelConfig(),
-		GA:           fastGAOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tuner.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	app := &recordingApplier{}
-	ctrl, err := NewController(tuner, app, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First observation always tunes.
-	retuned, err := ctrl.Observe(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !retuned {
-		t.Error("first observation should tune")
-	}
-	// Small jitter: no retune.
-	retuned, err = ctrl.Observe(0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retuned {
-		t.Error("jitter below threshold should not retune")
-	}
-	// Regime switch: retune.
-	retuned, err = ctrl.Observe(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !retuned {
-		t.Error("regime switch should retune")
-	}
-	if ctrl.Retunes() != 2 || len(app.applied) != 2 {
-		t.Errorf("retunes = %d, applied = %d", ctrl.Retunes(), len(app.applied))
-	}
-	if ctrl.Current() == nil {
-		t.Error("Current should return the live config")
-	}
-
-	// The write-heavy config should differ from the read-heavy one in
-	// compaction strategy under the analytic ground truth.
-	if app.applied[0][config.ParamCompactionStrategy] == app.applied[1][config.ParamCompactionStrategy] {
-		t.Error("read-heavy and write-heavy recommendations should differ in compaction strategy")
-	}
-}
-
-func TestControllerValidation(t *testing.T) {
-	space := config.Cassandra()
-	tuner, _ := NewTuner(analyticCollector(space), space, DefaultTunerOptions())
-	if _, err := NewController(nil, &recordingApplier{}, 0.1); err == nil {
-		t.Error("nil tuner should error")
-	}
-	if _, err := NewController(tuner, nil, 0.1); err == nil {
-		t.Error("nil applier should error")
-	}
-	if _, err := NewController(tuner, &recordingApplier{}, -1); err == nil {
-		t.Error("bad threshold should error")
-	}
-	// Observe on unprepared tuner propagates ErrNotPrepared.
-	ctrl, err := NewController(tuner, &recordingApplier{}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctrl.Observe(0.5); !errors.Is(err, ErrNotPrepared) {
-		t.Errorf("want ErrNotPrepared, got %v", err)
-	}
-}
-
-func TestControllerApplyFailure(t *testing.T) {
-	space := config.Cassandra()
-	tuner, err := NewTuner(analyticCollector(space), space, TunerOptions{
-		SkipIdentify: true,
-		Collect:      CollectOptions{Workloads: RRs(0, 1), Configs: 8, Seed: 10},
-		Model:        fastModelConfig(),
-		GA:           fastGAOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tuner.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := NewController(tuner, &recordingApplier{fail: true}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctrl.Observe(0.5); err == nil {
-		t.Error("apply failure should propagate")
-	}
-}
-
 func TestSelectKeyNamesGroupConsolidation(t *testing.T) {
 	space := config.Cassandra()
 	// Build a synthetic ranking where two memtable-flush-group members

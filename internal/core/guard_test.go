@@ -35,7 +35,7 @@ func TestGuardedControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(1.5, 0); err == nil {
+	if _, err := ctrl.Observe(1.5); err == nil {
 		t.Error("bad read ratio should error")
 	}
 }
@@ -50,7 +50,7 @@ func TestGuardedControllerAppliesAndCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err := ctrl.Observe(0.9, 0)
+	changed, err := ctrl.Observe(0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGuardedControllerAppliesAndCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctrl.Observe(0.9, predicted); err != nil {
+		if _, err := ctrl.ObserveWindow(WindowMetrics{ReadRatio: 0.9, Throughput: predicted}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,11 +89,11 @@ func TestGuardedControllerRollsBackOnRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(0.9, 0); err != nil {
+	if _, err := ctrl.Observe(0.9); err != nil {
 		t.Fatal(err)
 	}
 	// The canary window measures a collapse far below the prediction.
-	changed, err := ctrl.Observe(0.9, 1)
+	changed, err := ctrl.ObserveWindow(WindowMetrics{ReadRatio: 0.9, Throughput: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestGuardRejectsDisagreementAndOutOfBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err := ctrl.Observe(0.9, 0)
+	changed, err := ctrl.Observe(0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestGuardRejectsDisagreementAndOutOfBand(t *testing.T) {
 		t.Errorf("rejected = %d, want 1", ctrl.Stats().RejectedPredictions)
 	}
 	// The veto pins the tuning point: the same window does not re-vet.
-	if _, err := ctrl.Observe(0.9, 0); err != nil {
+	if _, err := ctrl.Observe(0.9); err != nil {
 		t.Fatal(err)
 	}
 	if ctrl.Stats().RejectedPredictions != 1 {
@@ -158,7 +158,7 @@ func TestGuardRejectsDisagreementAndOutOfBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err = ctrl.Observe(0.9, 1)
+	changed, err = ctrl.ObserveWindow(WindowMetrics{ReadRatio: 0.9, Throughput: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestGuardProbeVetoesCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err := ctrl.Observe(0.9, 0)
+	changed, err := ctrl.Observe(0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestGuardProbeVetoesCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(0.2, 0); err == nil {
+	if _, err := ctrl.Observe(0.2); err == nil {
 		t.Error("probe error should propagate")
 	}
 }
@@ -220,10 +220,10 @@ func TestGuardedControllerProactiveForecasting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(0.9, 0); err != nil {
+	if _, err := ctrl.Observe(0.9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(0.1, 0); err != nil {
+	if _, err := ctrl.Observe(0.1); err != nil {
 		t.Fatal(err)
 	}
 	if ctrl.Retunes() != 2 {
@@ -250,7 +250,7 @@ func TestSLOObjectiveRollsBackDespiteThroughputPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(0.9, 0); err != nil {
+	if _, err := ctrl.Observe(0.9); err != nil {
 		t.Fatal(err)
 	}
 	if len(app.applied) != 1 {
@@ -298,7 +298,7 @@ func TestSLOCompliantCanaryCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctrl.Observe(0.9, 0); err != nil {
+	if _, err := ctrl.Observe(0.9); err != nil {
 		t.Fatal(err)
 	}
 	predicted, err := tuner.Surrogate().Predict(RR(0.9), ctrl.Current())
@@ -337,48 +337,5 @@ func TestSLOOptionValidation(t *testing.T) {
 		if _, err := NewGuardedController(tuner, app, opts); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
-	}
-}
-
-// TestControllerSetShape: fixing the scan/skew axes changes the
-// workload the controllers tune for, so a shape change alone must push
-// the L1 re-tune distance past the threshold; invalid axes are
-// rejected on both controller flavors.
-func TestControllerSetShape(t *testing.T) {
-	tuner := preparedTuner(t)
-	ctrl, err := NewController(tuner, &recordingApplier{}, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.SetShape(1.2, 0); err == nil {
-		t.Error("scan ratio > 1 should be rejected")
-	}
-	if err := ctrl.SetShape(0, -0.5); err == nil {
-		t.Error("negative skew should be rejected")
-	}
-	if retuned, err := ctrl.Observe(0.8); err != nil || !retuned {
-		t.Fatalf("first observation should tune: %v %v", retuned, err)
-	}
-	if retuned, err := ctrl.Observe(0.8); err != nil || retuned {
-		t.Fatalf("steady workload should not retune: %v %v", retuned, err)
-	}
-	if err := ctrl.SetShape(0.4, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	// Same read ratio, but the shape axes moved 0.7 in L1 — past the
-	// 0.2 threshold, so the next window must retune.
-	if retuned, err := ctrl.Observe(0.8); err != nil || !retuned {
-		t.Errorf("shape change should force a retune: %v %v", retuned, err)
-	}
-
-	guarded, err := NewGuardedController(tuner, &recordingApplier{}, DefaultGuardOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := guarded.SetShape(-0.1, 0); err == nil {
-		t.Error("guarded controller should reject a negative scan ratio")
-	}
-	if err := guarded.SetShape(0.3, 0.9); err != nil {
-		t.Errorf("valid shape rejected: %v", err)
 	}
 }

@@ -183,92 +183,3 @@ func (t *Tuner) Recommend(w Workload) (OptimizeResult, error) {
 			"skew": w.Skew, "predicted": res.Predicted})
 	return res, nil
 }
-
-// Applier receives recommended configurations — typically the live
-// datastore engine (or cluster) being tuned.
-type Applier interface {
-	Apply(cfg config.Config) error
-}
-
-// Controller is the online reconfiguration loop: it watches the
-// workload's read ratio per observation window and re-tunes the
-// datastore when the workload moves materially, the behaviour that
-// lets Rafiki track MG-RAST's abrupt regime switches (Figure 3).
-type Controller struct {
-	tuner   *Tuner
-	applier Applier
-	// threshold is the minimum workload movement (L1 distance over the
-	// characterization vector) that triggers a re-tune; small jitters
-	// are ignored to avoid reconfiguration downtime.
-	threshold float64
-
-	// shape carries the workload's scan-ratio and skew axes; Observe
-	// supplies the per-window read ratio.
-	shape Workload
-
-	haveTuned bool
-	lastTuned Workload
-	current   config.Config
-	retunes   int
-}
-
-// NewController builds a controller with the given re-tune threshold.
-func NewController(t *Tuner, a Applier, threshold float64) (*Controller, error) {
-	if t == nil || a == nil {
-		return nil, errors.New("core: controller needs a tuner and an applier")
-	}
-	if threshold < 0 || threshold > 1 {
-		return nil, fmt.Errorf("core: threshold %v out of [0,1]", threshold)
-	}
-	return &Controller{tuner: t, applier: a, threshold: threshold}, nil
-}
-
-// SetShape fixes the scan-ratio and skew axes of the workloads the
-// controller tunes for; Observe supplies the per-window read ratio.
-func (c *Controller) SetShape(scanRatio, skew float64) error {
-	w := Workload{ScanRatio: scanRatio, Skew: skew}
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	c.shape = w
-	return nil
-}
-
-// Observe reports one workload window's read ratio. When the workload
-// has moved beyond the threshold since the last tuning point, a new
-// configuration is searched and applied; Observe returns whether a
-// reconfiguration happened.
-func (c *Controller) Observe(readRatio float64) (bool, error) {
-	w := c.shape
-	w.ReadRatio = readRatio
-	if c.haveTuned && w.dist(c.lastTuned) < c.threshold {
-		return false, nil
-	}
-	rec, err := c.tuner.Recommend(w)
-	if err != nil {
-		return false, err
-	}
-	if err := c.applier.Apply(rec.Config); err != nil {
-		return false, fmt.Errorf("core: applying recommendation: %w", err)
-	}
-	c.haveTuned = true
-	c.lastTuned = w
-	c.current = rec.Config
-	c.retunes++
-	c.tuner.opts.Obs.Counter("core.retunes").Inc()
-	return true, nil
-}
-
-// Current returns the configuration applied most recently (nil before
-// the first tune).
-func (c *Controller) Current() config.Config { return c.current }
-
-// Retunes counts applied reconfigurations.
-func (c *Controller) Retunes() int { return c.retunes }
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -110,3 +110,16 @@ func (s *Surrogate) Optimize(w Workload, opts ga.Options) (OptimizeResult, error
 		History:     res.History,
 	}, nil
 }
+
+// PredictWithStd returns the surrogate's throughput estimate together
+// with the ensemble's standard deviation for a workload and
+// configuration. High disagreement flags regions the training data
+// barely covers — exactly where a single-point prediction is least
+// trustworthy and re-tuning on it is most dangerous.
+func (s *Surrogate) PredictWithStd(w Workload, cfg config.Config) (mean, std float64, err error) {
+	vec, err := s.Space.FeatureVector(w.Vector(), cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	return s.Model.PredictWithStd(vec)
+}

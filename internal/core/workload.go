@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // WorkloadDims is the width of the workload part of the surrogate's
 // feature vector: read ratio, scan ratio, skew.
@@ -72,5 +75,5 @@ func (w Workload) String() string {
 //
 //rafiki:hot
 func (w Workload) dist(o Workload) float64 {
-	return abs(w.ReadRatio-o.ReadRatio) + abs(w.ScanRatio-o.ScanRatio) + abs(w.Skew-o.Skew)
+	return math.Abs(w.ReadRatio-o.ReadRatio) + math.Abs(w.ScanRatio-o.ScanRatio) + math.Abs(w.Skew-o.Skew)
 }

@@ -155,8 +155,10 @@ type (
 	Surrogate = core.Surrogate
 	// Dataset is the collected training data.
 	Dataset = core.Dataset
-	// Controller is the online reconfiguration loop.
+	// Controller is the online reconfiguration loop, however built.
 	Controller = core.Controller
+	// WindowMetrics is one measured window for Controller.ObserveWindow.
+	WindowMetrics = core.WindowMetrics
 	// Applier receives recommended configurations (engines and clusters
 	// satisfy it).
 	Applier = core.Applier
@@ -301,9 +303,6 @@ type (
 	EWMAForecaster = forecast.EWMA
 	// MarkovForecaster learns the regime transition structure online.
 	MarkovForecaster = forecast.Markov
-	// ProactiveController re-tunes for the forecast next window rather
-	// than the window just observed.
-	ProactiveController = core.ProactiveController
 )
 
 // NewEWMAForecaster builds an EWMA with smoothing factor alpha.
@@ -312,8 +311,9 @@ func NewEWMAForecaster(alpha float64) (*EWMAForecaster, error) { return forecast
 // NewMarkovForecaster builds a discretized Markov-chain predictor.
 func NewMarkovForecaster(bins int) (*MarkovForecaster, error) { return forecast.NewMarkov(bins) }
 
-// NewProactiveController wires a forecaster-driven online controller.
-func NewProactiveController(t *Tuner, a Applier, f Forecaster, threshold float64) (*ProactiveController, error) {
+// NewProactiveController wires a forecaster-driven online controller:
+// it re-tunes for the forecast next window, not the one just observed.
+func NewProactiveController(t *Tuner, a Applier, f Forecaster, threshold float64) (*Controller, error) {
 	return core.NewProactiveController(t, a, f, threshold)
 }
 
@@ -397,17 +397,15 @@ type (
 	GuardOptions = core.GuardOptions
 	// GuardStats counts guarded re-tuning outcomes.
 	GuardStats = core.GuardStats
-	// GuardedController is the hardened online re-tuning loop with
-	// prediction vetting, canarying, and last-known-good rollback.
-	GuardedController = core.GuardedController
 )
 
 // DefaultGuardOptions enables every re-tuning guard with conservative
 // settings.
 func DefaultGuardOptions() GuardOptions { return core.DefaultGuardOptions() }
 
-// NewGuardedController wires the guarded online re-tuning loop.
-func NewGuardedController(t *Tuner, a Applier, opts GuardOptions) (*GuardedController, error) {
+// NewGuardedController wires the hardened online re-tuning loop:
+// prediction vetting, canarying, and last-known-good rollback.
+func NewGuardedController(t *Tuner, a Applier, opts GuardOptions) (*Controller, error) {
 	return core.NewGuardedController(t, a, opts)
 }
 

@@ -112,9 +112,13 @@ slo:
 # preload image against the per-engine build it replaced, its release
 # once unused, and the epoch series against their recorded digests;
 # and the one control loop's decisions against the digests recorded from
-# the three controllers it replaced (TestControllerDecisionsGolden).
+# the three controllers it replaced (TestControllerDecisionsGolden);
+# and the exported ledgers: registry snapshots against the goldens
+# recorded while every counter still had an obs twin (ObsReconcile,
+# ObsGolden), each ledger's name set, and a registry releasing the
+# engines built on it (ExportReleases).
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden|ObsReconcile|ObsGolden|LedgerNames|ExportReleases' ./internal/...
 
 # loc prints each package's non-test and test Go lines (plain line
 # counts, comments and blanks included) and the non-test total outside

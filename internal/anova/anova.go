@@ -168,10 +168,3 @@ func (r Ranking) Elbow(minK, maxK int) int {
 	}
 	return bestK
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -14,8 +14,10 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -81,31 +83,54 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: key %d op %d: %s", v.Check, v.Key, v.Op, v.Detail)
 }
 
+// session is one client's view of one key, the scope of both session
+// guarantees.
+type session struct {
+	client int
+	key    uint64
+}
+
 // CheckReadYourWrites verifies each session observes its own completed
 // writes: a successful read must return a version at least as new as
 // the newest acknowledged write the same client completed on that key
-// before the read began.
+// before the read began. One sweep over time: acknowledged writes in
+// End order raise their session's high-water mark, and each read, in
+// Start order, is held to the mark as it stands when the read begins.
 func CheckReadYourWrites(h History) []Violation {
+	var writes, reads []int
+	for i, op := range h {
+		switch {
+		case !op.Ok:
+		case op.Kind == OpWrite && !math.IsNaN(op.End): // a NaN End precedes no read
+			writes = append(writes, i)
+		case op.Kind == OpRead:
+			reads = append(reads, i)
+		}
+	}
+	slices.SortFunc(writes, func(a, b int) int { return cmp.Compare(h[a].End, h[b].End) })
+	// cmp.Compare puts NaN Starts first, before any write has counted:
+	// nothing completed before such a read began.
+	slices.SortFunc(reads, func(a, b int) int { return cmp.Compare(h[a].Start, h[b].Start) })
+	newest := make(map[session]int64)
+	want := make([]int64, len(h))
+	next := 0
+	for _, i := range reads {
+		for ; next < len(writes) && h[writes[next]].End <= h[i].Start; next++ {
+			w := h[writes[next]]
+			if s := (session{w.Client, w.Key}); w.Value > newest[s] {
+				newest[s] = w.Value
+			}
+		}
+		want[i] = newest[session{h[i].Client, h[i].Key}]
+	}
 	var out []Violation
 	for i, r := range h {
-		if r.Kind != OpRead || !r.Ok {
-			continue
-		}
-		want := int64(0)
-		for _, w := range h {
-			if w.Kind != OpWrite || !w.Ok || w.Client != r.Client || w.Key != r.Key {
-				continue
-			}
-			if w.End <= r.Start && w.Value > want {
-				want = w.Value
-			}
-		}
-		if r.Value < want {
+		if r.Kind == OpRead && r.Ok && r.Value < want[i] {
 			out = append(out, Violation{
 				Check:  "read-your-writes",
 				Key:    r.Key,
 				Op:     i,
-				Detail: fmt.Sprintf("client %d read version %d after completing write of version %d", r.Client, r.Value, want),
+				Detail: fmt.Sprintf("client %d read version %d after completing write of version %d", r.Client, r.Value, want[i]),
 			})
 		}
 	}
@@ -116,16 +141,12 @@ func CheckReadYourWrites(h History) []Violation {
 // key never observe an older version than an earlier read did.
 func CheckMonotonicReads(h History) []Violation {
 	var out []Violation
-	type sess struct {
-		client int
-		key    uint64
-	}
-	seen := make(map[sess]int64)
+	seen := make(map[session]int64)
 	for i, r := range h {
 		if r.Kind != OpRead || !r.Ok {
 			continue
 		}
-		s := sess{client: r.Client, key: r.Key}
+		s := session{r.Client, r.Key}
 		if prev, ok := seen[s]; ok && r.Value < prev {
 			out = append(out, Violation{
 				Check:  "monotonic-reads",

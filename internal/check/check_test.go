@@ -1,6 +1,10 @@
 package check
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -43,6 +47,75 @@ func TestReadYourWrites(t *testing.T) {
 	}
 	if v := CheckReadYourWrites(unacked); len(v) != 0 {
 		t.Errorf("unacked write flagged: %v", v)
+	}
+}
+
+// oracleReadYourWrites is the literal double loop CheckReadYourWrites
+// was before it became a sweep, kept verbatim as its reference.
+func oracleReadYourWrites(h History) []Violation {
+	var out []Violation
+	for i, r := range h {
+		if r.Kind != OpRead || !r.Ok {
+			continue
+		}
+		want := int64(0)
+		for _, w := range h {
+			if w.Kind != OpWrite || !w.Ok || w.Client != r.Client || w.Key != r.Key {
+				continue
+			}
+			if w.End <= r.Start && w.Value > want {
+				want = w.Value
+			}
+		}
+		if r.Value < want {
+			out = append(out, Violation{
+				Check:  "read-your-writes",
+				Key:    r.Key,
+				Op:     i,
+				Detail: fmt.Sprintf("client %d read version %d after completing write of version %d", r.Client, r.Value, want),
+			})
+		}
+	}
+	return out
+}
+
+// TestReadYourWritesMatchesOracle: over random histories in arbitrary
+// recording order — few clients and keys so sessions collide, times on
+// a coarse grid so End == Start ties occur, negative versions, unacked
+// ops, and NaN or infinite times — the sweep reports exactly the
+// oracle's violations in the oracle's order.
+func TestReadYourWritesMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	found := 0
+	for trial := 0; trial < 400; trial++ {
+		h := make(History, rng.Intn(80))
+		for i := range h {
+			start := float64(rng.Intn(24)) / 4
+			h[i] = Op{
+				Client: rng.Intn(3),
+				Key:    uint64(rng.Intn(3)),
+				Kind:   OpKind(1 + rng.Intn(2)),
+				Value:  int64(rng.Intn(12) - 2),
+				Start:  start,
+				End:    start + float64(rng.Intn(8))/4,
+				Ok:     rng.Intn(5) != 0,
+			}
+			if trial%4 == 3 && rng.Intn(10) == 0 {
+				h[i].Start = odd[rng.Intn(len(odd))]
+			}
+			if trial%4 == 3 && rng.Intn(10) == 0 {
+				h[i].End = odd[rng.Intn(len(odd))]
+			}
+		}
+		got, want := CheckReadYourWrites(h), oracleReadYourWrites(h)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sweep found\n %v, oracle\n %v\nin %+v", trial, got, want, h)
+		}
+		found += len(want)
+	}
+	if found < 400 {
+		t.Errorf("only %d violations over all trials: the comparison is nearly vacuous", found)
 	}
 }
 

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -64,6 +65,9 @@ func FuzzHistoryCheck(f *testing.F) {
 		// up within its bounds, but must never panic.
 		arb := decodeHistory(data)
 		Check(arb, Options{MaxWindowOps: 16, MaxSearchSteps: 1 << 14})
+		if got, want := CheckReadYourWrites(arb), oracleReadYourWrites(arb); !slices.Equal(got, want) {
+			t.Fatalf("read-your-writes sweep found %v, the double loop %v", got, want)
+		}
 
 		// Serial-executor histories: must always be accepted, and the
 		// windows are singletons so the search must always decide.

@@ -117,7 +117,7 @@ type Cluster struct {
 	// QUORUM/ALL read serves from a single replica while still claiming
 	// its configured level. See WeakenReadQuorumForTest.
 	weakRead bool
-	stats    Stats
+	stats    *Stats // the exported ledger: its own allocation
 
 	// res holds the coordinator's resilience posture; injector, when
 	// set, is the per-attempt transient-fault source.
@@ -163,6 +163,7 @@ func New(opts Options) (*Cluster, error) {
 		writeCL:     ConsistencyOne,
 		res:         PassiveResilience(),
 		baseOpts:    opts,
+		stats:       new(Stats),
 		o:           newClusterObs(opts.Obs),
 	}
 	for i := 0; i < opts.Nodes; i++ {
@@ -201,6 +202,7 @@ func New(opts Options) (*Cluster, error) {
 	if err := c.wireHandlers(); err != nil {
 		return nil, fmt.Errorf("cluster: network: %w", err)
 	}
+	opts.Obs.Export(c.stats)
 	return c, nil
 }
 
@@ -355,7 +357,7 @@ func (c *Cluster) deliverWrite(idx int, key uint64, wc cell) bool {
 //rafiki:hot
 func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
-	c.o.mutations.Inc()
+	c.stats.Mutations++
 	c.seq++
 	wc := cell{ver: c.seq, tomb: tombstone}
 	acked := 0
@@ -390,17 +392,14 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 		}
 		if c.deliverWrite(dest, key, wc) {
 			c.stats.ForwardedWrites++
-			c.o.forwardedWrites.Inc()
 		} else {
 			c.addHint(dest, hint{key: key, c: wc}) //lint:allow hotalloc hints buffer only for an unreachable replica; the buffer is capped
 		}
 	}
 	if acked == 0 {
 		c.stats.UnavailableWrites++
-		c.o.unavailWrites.Inc()
 	} else if acked < c.writeCL.replicasNeeded(c.rf) {
 		c.stats.UnackedWrites++
-		c.o.unackedWrites.Inc()
 	}
 	return WriteResult{
 		Version: wc.ver,
@@ -446,12 +445,11 @@ func (c *Cluster) Read(key uint64) {
 //rafiki:hot
 func (c *Cluster) ReadOp(key uint64) ReadResult {
 	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
-	c.o.reads.Inc()
+	c.stats.Reads++
 	need := c.readNeed()
 	order, ok := c.consultOrder(c.replicas(key), &c.rotation, need)
 	if !ok {
 		c.stats.UnavailableReads++
-		c.o.unavailReads.Inc()
 		return ReadResult{}
 	}
 	served := 0
@@ -481,7 +479,6 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 	c.answers = answers
 	if served < need {
 		c.stats.UnavailableReads++
-		c.o.unavailReads.Inc()
 		return ReadResult{Served: served}
 	}
 	// Read repair: any consulted replica that answered with an older
@@ -494,7 +491,6 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 			}
 			if _, ok := c.exchange(a.idx, a.idx, message{kind: msgWrite, key: key, c: best}); ok {
 				c.stats.ReadRepairs++
-				c.o.readRepairs.Inc()
 			}
 		}
 	}
@@ -586,12 +582,11 @@ func (c *Cluster) Scan(start uint64, limit int) int {
 //rafiki:hot
 func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
 	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
-	c.o.scans.Inc()
+	c.stats.Scans++
 	need := c.readNeed()
 	order, ok := c.consultOrder(c.serving(ring.KeyPos(start)), &c.scanRotation, need)
 	if !ok {
 		c.stats.UnavailableScans++
-		c.o.unavailScans.Inc()
 		return ScanResult{}
 	}
 	served, best := 0, 0
@@ -613,7 +608,6 @@ func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
 	}
 	if served < need {
 		c.stats.UnavailableScans++
-		c.o.unavailScans.Inc()
 		return ScanResult{Served: served}
 	}
 	return ScanResult{Rows: best, Served: served, OK: true}
@@ -651,7 +645,6 @@ func (c *Cluster) speculate(order []int, need int) []int {
 		}
 	}
 	c.stats.SpeculativeReads += uint64(slowBefore - slowAfter)
-	c.o.specReads.Add(uint64(slowBefore - slowAfter))
 	return reordered
 }
 

@@ -45,63 +45,90 @@ func (cl ConsistencyLevel) replicasNeeded(rf int) int {
 	}
 }
 
-// Stats counts cluster-level availability and resilience events.
+// Stats counts cluster-level availability and resilience events. The
+// coordinator's own copy is its one always-on ledger: a cluster built
+// with Options.Obs exports it, and a registry snapshot reports each
+// field under its `obs` name (see obs.Registry.Export).
+//
+// The attempt protocol partitions exactly: every attempt is a success,
+// a transient failure, a timeout fast-fail, or a breaker rejection, so
+//
+//	OpAttempts == OpSuccesses + TransientFailures + Timeouts + BreakerRejections
+//
+// with Retries the backoff-retried subset of attempts.
 type Stats struct {
+	// Reads, Mutations and Scans count coordinator operations issued.
+	Reads     uint64 `obs:"cluster.reads"`
+	Mutations uint64 `obs:"cluster.mutations"`
+	Scans     uint64 `obs:"cluster.scans"`
+	// OpAttempts counts replica op attempts (first tries and retries)
+	// and OpSuccesses those the replica went on to serve.
+	OpAttempts  uint64 `obs:"cluster.op_attempts"`
+	OpSuccesses uint64 `obs:"cluster.op_successes"`
 	// UnavailableReads/Writes/Scans count operations that could not
 	// reach the required replicas.
-	UnavailableReads, UnavailableWrites uint64
-	UnavailableScans                    uint64
+	UnavailableReads  uint64 `obs:"cluster.unavailable_reads"`
+	UnavailableWrites uint64 `obs:"cluster.unavailable_writes"`
+	UnavailableScans  uint64 `obs:"cluster.unavailable_scans"`
 	// HintsStored counts writes buffered for a down replica and
 	// HintsReplayed those delivered on recovery.
-	HintsStored, HintsReplayed uint64
+	HintsStored   uint64 `obs:"cluster.hints_stored"`
+	HintsReplayed uint64 `obs:"cluster.hints_replayed"`
 	// HintsDropped counts hints lost to the per-node buffer cap; each
 	// drop marks the node for a full repair on recovery.
-	HintsDropped uint64
+	HintsDropped uint64 `obs:"cluster.hints_dropped"`
 	// TransientFailures counts replica op attempts the fault injector
 	// failed, and Retries the backoff-retried attempts among them.
-	TransientFailures, Retries uint64
+	TransientFailures uint64 `obs:"cluster.op_transient_failures"`
+	Retries           uint64 `obs:"cluster.op_retries"`
 	// Timeouts counts ops the coordinator abandoned because the target
 	// replica was degraded beyond the per-op timeout.
-	Timeouts uint64
+	Timeouts uint64 `obs:"cluster.op_timeouts"`
 	// RPCLostTimeouts counts exchanges whose request or response the
 	// network lost outright: the coordinator waited out its op timeout
 	// without an ack. Kept distinct from Timeouts so a partitioned or
-	// lossy link is distinguishable from a straggling replica.
-	RPCLostTimeouts uint64
+	// lossy link is distinguishable from a straggling replica; they
+	// follow a successful attempt, so they are not part of the attempt
+	// partition.
+	RPCLostTimeouts uint64 `obs:"cluster.rpc_lost_timeouts"`
 	// BreakerOpens counts per-replica-link circuit-breaker open and
 	// re-open transitions; BreakerRejections counts op attempts an open
 	// breaker rejected without spending any coordinator wait.
-	BreakerOpens, BreakerRejections uint64
+	BreakerOpens      uint64 `obs:"cluster.breaker_opens"`
+	BreakerRejections uint64 `obs:"cluster.breaker_rejections"`
 	// RetriesSuppressed counts backoff retries skipped because the
 	// link's retry budget was exhausted.
-	RetriesSuppressed uint64
+	RetriesSuppressed uint64 `obs:"cluster.retries_suppressed"`
 	// SpeculativeReads counts straggler consultations avoided by
 	// routing a read to a healthier backup replica.
-	SpeculativeReads uint64
+	SpeculativeReads uint64 `obs:"cluster.speculative_reads"`
 	// Repairs counts full node repairs and RepairedKeys the key states
 	// streamed by them.
-	Repairs, RepairedKeys uint64
+	Repairs      uint64 `obs:"cluster.repairs"`
+	RepairedKeys uint64 `obs:"cluster.repaired_keys"`
 	// ReadRepairs counts stale replicas converged on the read path
 	// after a consulted set disagreed on a key's version.
-	ReadRepairs uint64
+	ReadRepairs uint64 `obs:"cluster.read_repairs"`
 	// UnackedWrites counts writes acknowledged by at least one replica
 	// but fewer than the write consistency level requires.
-	UnackedWrites uint64
+	UnackedWrites uint64 `obs:"cluster.unacked_writes"`
 	// RangesMoved counts token ranges scheduled to change owners by
 	// topology changes (AddNode/DecommissionNode).
-	RangesMoved uint64
+	RangesMoved uint64 `obs:"ring.ranges_moved"`
 	// StreamsStarted/Completed/Severed count rebalance stream
 	// lifecycle events: established on the source, finished with the
 	// delta handoff, or interrupted (loss, crash, down endpoint,
 	// superseding topology change) and re-established from scratch.
-	StreamsStarted, StreamsCompleted, StreamsSevered uint64
+	StreamsStarted   uint64 `obs:"ring.streams_started"`
+	StreamsCompleted uint64 `obs:"ring.streams_completed"`
+	StreamsSevered   uint64 `obs:"ring.streams_severed"`
 	// StreamedCells counts key states delivered over rebalance
 	// streams (catch-up chunks plus delta pushes).
-	StreamedCells uint64
+	StreamedCells uint64 `obs:"ring.streamed_cells"`
 	// ForwardedWrites counts live writes forwarded to a pending
 	// range's catching-up destination (never counted toward the ack
 	// quorum).
-	ForwardedWrites uint64
+	ForwardedWrites uint64 `obs:"cluster.forwarded_writes"`
 }
 
 // SetReadConsistency selects the read consistency level (default ONE).
@@ -138,7 +165,7 @@ func (c *Cluster) WeakenReadQuorumForTest(on bool) {
 }
 
 // Stats returns the availability counters.
-func (c *Cluster) Stats() Stats { return c.stats }
+func (c *Cluster) Stats() Stats { return *c.stats }
 
 // FailNode marks node i down: reads route around it, writes destined
 // for it are buffered as hints on the coordinator (hinted handoff).
@@ -180,7 +207,6 @@ func (c *Cluster) replayHints(i int) {
 			continue
 		}
 		c.stats.HintsReplayed++
-		c.o.hintsReplayed.Inc()
 	}
 	if c.needRepair[i] {
 		c.fullRepair(i)
@@ -197,7 +223,6 @@ func (c *Cluster) replayHints(i int) {
 // streaming cost of a real repair.
 func (c *Cluster) fullRepair(i int) {
 	c.stats.Repairs++
-	c.o.repairs.Inc()
 	c.needRepair[i] = false
 	for key := uint64(0); key < uint64(c.KeySpace()); key++ {
 		owned := false
@@ -228,7 +253,6 @@ func (c *Cluster) fullRepair(i int) {
 			continue
 		}
 		c.stats.RepairedKeys++
-		c.o.repairedKeys.Inc()
 	}
 }
 

@@ -2,67 +2,13 @@ package cluster
 
 import "rafiki/internal/obs"
 
-// clusterObs holds the coordinator's pre-resolved instruments; all nil
-// when observability is disabled (every obs method is nil-safe).
-//
-// The attempt-protocol counters partition exactly: every attempt is
-// either a success, a transient failure, a timeout fast-fail, or a
-// circuit-breaker rejection, so
-//
-//	cluster.op_attempts == cluster.op_successes
-//	                     + cluster.op_transient_failures
-//	                     + cluster.op_timeouts
-//	                     + cluster.breaker_rejections
-//
-// and cluster.op_retries counts the subset of attempts that were
-// backoff retries. Timeouts split by cause one level down:
-// cluster.op_timeouts is the straggler fast-fail path, while
-// cluster.rpc_lost_timeouts counts exchanges the network lost after a
-// successful attempt (so they are not part of the attempt partition).
-// The reconciliation tests in obs_test.go assert these identities
-// against Stats under seeded fault schedules.
+// clusterObs holds the coordinator's two gauges and the registry its
+// per-stream spans go to; all nil when observability is disabled (every
+// obs method is nil-safe). The counters are Stats' tagged fields.
 type clusterObs struct {
-	reads     *obs.Counter
-	mutations *obs.Counter
-	scans     *obs.Counter
-
-	attempts  *obs.Counter
-	successes *obs.Counter
-	transient *obs.Counter
-	retries   *obs.Counter
-	timeouts  *obs.Counter
-
-	rpcLost           *obs.Counter
-	brkOpens          *obs.Counter
-	brkRejections     *obs.Counter
-	retriesSuppressed *obs.Counter
-
-	unavailReads  *obs.Counter
-	unavailWrites *obs.Counter
-	unavailScans  *obs.Counter
-	specReads     *obs.Counter
-
-	hintsStored   *obs.Counter
-	hintsDropped  *obs.Counter
-	hintsReplayed *obs.Counter
-	repairs       *obs.Counter
-	repairedKeys  *obs.Counter
-	readRepairs   *obs.Counter
-	unackedWrites *obs.Counter
-
-	// Rebalance instruments, twinned with the Stats fields of the
-	// same names; rangesPending tracks the live pending-range count
-	// and reg records the per-stream spans.
-	rangesMoved      *obs.Counter
-	streamsStarted   *obs.Counter
-	streamsCompleted *obs.Counter
-	streamsSevered   *obs.Counter
-	streamedCells    *obs.Counter
-	forwardedWrites  *obs.Counter
-	rangesPending    *obs.Gauge
-	reg              *obs.Registry
-
-	overhead *obs.Gauge
+	reg           *obs.Registry
+	rangesPending *obs.Gauge // the live pending-range count
+	overhead      *obs.Gauge
 }
 
 // newClusterObs resolves the coordinator's instruments against r; with
@@ -72,41 +18,8 @@ func newClusterObs(r *obs.Registry) clusterObs {
 		return clusterObs{}
 	}
 	return clusterObs{
-		reads:     r.Counter("cluster.reads"),
-		mutations: r.Counter("cluster.mutations"),
-		scans:     r.Counter("cluster.scans"),
-		attempts:  r.Counter("cluster.op_attempts"),
-		successes: r.Counter("cluster.op_successes"),
-		transient: r.Counter("cluster.op_transient_failures"),
-		retries:   r.Counter("cluster.op_retries"),
-		timeouts:  r.Counter("cluster.op_timeouts"),
-
-		rpcLost:           r.Counter("cluster.rpc_lost_timeouts"),
-		brkOpens:          r.Counter("cluster.breaker_opens"),
-		brkRejections:     r.Counter("cluster.breaker_rejections"),
-		retriesSuppressed: r.Counter("cluster.retries_suppressed"),
-
-		unavailReads:  r.Counter("cluster.unavailable_reads"),
-		unavailWrites: r.Counter("cluster.unavailable_writes"),
-		unavailScans:  r.Counter("cluster.unavailable_scans"),
-		specReads:     r.Counter("cluster.speculative_reads"),
-		hintsStored:   r.Counter("cluster.hints_stored"),
-		hintsDropped:  r.Counter("cluster.hints_dropped"),
-		hintsReplayed: r.Counter("cluster.hints_replayed"),
-		repairs:       r.Counter("cluster.repairs"),
-		repairedKeys:  r.Counter("cluster.repaired_keys"),
-		readRepairs:   r.Counter("cluster.read_repairs"),
-		unackedWrites: r.Counter("cluster.unacked_writes"),
-
-		rangesMoved:      r.Counter("ring.ranges_moved"),
-		streamsStarted:   r.Counter("ring.streams_started"),
-		streamsCompleted: r.Counter("ring.streams_completed"),
-		streamsSevered:   r.Counter("ring.streams_severed"),
-		streamedCells:    r.Counter("ring.streamed_cells"),
-		forwardedWrites:  r.Counter("cluster.forwarded_writes"),
-		rangesPending:    r.Gauge("ring.ranges_pending"),
-		reg:              r,
-
-		overhead: r.Gauge("cluster.coordinator_overhead_vsec"),
+		reg:           r,
+		rangesPending: r.Gauge("ring.ranges_pending"),
+		overhead:      r.Gauge("cluster.coordinator_overhead_vsec"),
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"rafiki/internal/nosql"
 	"rafiki/internal/obs"
@@ -126,7 +127,6 @@ func (c *Cluster) advanceRange(pr *pendingRange) {
 		pr.phase = prCatchup
 		pr.backoff = 0
 		c.stats.StreamsStarted++
-		c.o.streamsStarted.Inc()
 		if pr.total == 0 {
 			c.finishRange(pr)
 		}
@@ -154,7 +154,6 @@ func (c *Cluster) advanceRange(pr *pendingRange) {
 		pr.cursor += pulled.n
 		pr.backoff = 0
 		c.stats.StreamedCells += uint64(pulled.m)
-		c.o.streamedCells.Add(uint64(pulled.m))
 	}
 }
 
@@ -176,11 +175,9 @@ func (c *Cluster) finishRange(pr *pendingRange) {
 		return
 	}
 	c.stats.StreamedCells += uint64(delta.n)
-	c.o.streamedCells.Add(uint64(delta.n))
 	c.closeStream(pr.src, pr.id)
 	pr.done = true
 	c.stats.StreamsCompleted++
-	c.o.streamsCompleted.Inc()
 	c.o.streamSpan(pr.src, pr.dest, pr.openedAt, c.Clock(), pr.cursor+delta.n)
 }
 
@@ -189,7 +186,6 @@ func (c *Cluster) finishRange(pr *pendingRange) {
 // down endpoints.
 func (c *Cluster) severRange(pr *pendingRange) {
 	c.stats.StreamsSevered++
-	c.o.streamsSevered.Inc()
 	pr.phase = prOpen
 	pr.opened = false
 	pr.cursor = 0
@@ -240,8 +236,8 @@ func (c *Cluster) retopology(next *ring.Ring) {
 	for _, pr := range c.pending {
 		bs = append(bs, pr.iv.Lo, pr.iv.Hi)
 	}
-	sortU64(bs)
-	bs = dedupU64(bs)
+	slices.Sort(bs)
+	bs = slices.Compact(bs)
 
 	type move struct {
 		iv        ring.Interval
@@ -253,13 +249,13 @@ func (c *Cluster) retopology(next *ring.Ring) {
 		now := next.OwnersAt(nil, pos, c.rf)
 		gained := now[:0:0]
 		for _, n := range now {
-			if !containsInt(old, n) {
+			if !slices.Contains(old, n) {
 				gained = append(gained, n)
 			}
 		}
 		var lost []int
 		for _, o := range old {
-			if !containsInt(now, o) {
+			if !slices.Contains(now, o) {
 				lost = append(lost, o)
 			}
 		}
@@ -311,7 +307,6 @@ func (c *Cluster) retopology(next *ring.Ring) {
 	for _, pr := range c.pending {
 		if pr.opened {
 			c.stats.StreamsSevered++
-			c.o.streamsSevered.Inc()
 			if !c.down[pr.src] {
 				c.closeStream(pr.src, pr.id)
 			}
@@ -323,7 +318,6 @@ func (c *Cluster) retopology(next *ring.Ring) {
 		pr := &pendingRange{id: c.streamSeq, iv: m.iv, src: m.src, dest: m.dest}
 		c.pending = append(c.pending, pr)
 		c.stats.RangesMoved++
-		c.o.rangesMoved.Inc()
 		if m.iv.Lo == m.iv.Hi {
 			c.movedSpan += 1.0
 		} else {
@@ -449,36 +443,4 @@ func (o *clusterObs) streamSpan(src, dest int, start, end float64, cells int) {
 			"cells": float64(cells),
 		},
 	})
-}
-
-// sortU64 sorts in place (insertion sort: boundary lists are small and
-// nearly sorted — two already-sorted runs).
-func sortU64(xs []uint64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// dedupU64 removes adjacent duplicates from a sorted slice in place.
-func dedupU64(xs []uint64) []uint64 {
-	w := 0
-	for i, x := range xs {
-		if i == 0 || x != xs[w-1] {
-			xs[w] = x
-			w++
-		}
-	}
-	return xs[:w]
-}
-
-// containsInt reports whether xs contains x.
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -5,6 +5,7 @@ import (
 
 	"rafiki/internal/config"
 	"rafiki/internal/obs"
+	"rafiki/internal/obs/obstest"
 	"rafiki/internal/ring"
 )
 
@@ -268,9 +269,11 @@ func TestDecommissionNode(t *testing.T) {
 	}
 }
 
-// TestRingObsReconcile: the rebalance counters and their Stats twins
-// are two exact views of the same event stream, the pending gauge
-// lands at zero, and completed streams record spans.
+// TestRingObsReconcile: a join, a partition that severs streams and a
+// decommission leave a registry snapshot byte-identical to the one
+// recorded before Stats was the exported ledger, every rebalance
+// counter moved, the pending gauge lands at zero, and completed streams
+// record spans.
 func TestRingObsReconcile(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newElastic(t, 4, 2, 75, reg)
@@ -282,8 +285,7 @@ func TestRingObsReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.DrainRebalance(2)
-	// A partition window forces severs so those counters reconcile
-	// non-vacuously.
+	// A partition window forces severs so those counters move.
 	now := c.Clock()
 	for n := 0; n < 4; n++ {
 		if err := c.Net().Partition(n, 4, now); err != nil {
@@ -304,28 +306,14 @@ func TestRingObsReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, c)
+	obstest.Golden(t, reg, "testdata/obs_rebalance.json")
 	st := c.Stats()
-	twins := []struct {
-		name string
-		want uint64
-	}{
-		{"ring.ranges_moved", st.RangesMoved},
-		{"ring.streams_started", st.StreamsStarted},
-		{"ring.streams_completed", st.StreamsCompleted},
-		{"ring.streams_severed", st.StreamsSevered},
-		{"ring.streamed_cells", st.StreamedCells},
-		{"cluster.forwarded_writes", st.ForwardedWrites},
+	if st.RangesMoved == 0 || st.StreamsStarted == 0 || st.StreamsCompleted == 0 ||
+		st.StreamsSevered == 0 || st.StreamedCells == 0 || st.ForwardedWrites == 0 {
+		t.Errorf("a rebalance counter never moved: %+v", st)
 	}
-	for _, tw := range twins {
-		if got := reg.Counter(tw.name).Value(); got != tw.want {
-			t.Errorf("%s = %d, Stats twin = %d", tw.name, got, tw.want)
-		}
-	}
-	for _, tw := range []string{"ring.ranges_moved", "ring.streams_started", "ring.streams_completed",
-		"ring.streams_severed", "ring.streamed_cells", "cluster.forwarded_writes"} {
-		if reg.Counter(tw).Value() == 0 {
-			t.Errorf("%s never incremented: reconciliation is vacuous", tw)
-		}
+	if st.StreamsCompleted > st.StreamsStarted {
+		t.Errorf("%d streams completed, only %d started", st.StreamsCompleted, st.StreamsStarted)
 	}
 	if g := reg.Gauge("ring.ranges_pending").Value(); g != 0 {
 		t.Errorf("ring.ranges_pending gauge = %v after drain, want 0", g)

@@ -192,19 +192,17 @@ func (c *Cluster) chargeWait(seconds float64) {
 func (c *Cluster) attemptOp(idx int) bool {
 	if !c.breakerAllows(idx) {
 		c.stats.BreakerRejections++
-		c.o.attempts.Inc()
-		c.o.brkRejections.Inc()
+		c.stats.OpAttempts++
 		return false
 	}
 	if c.timedOut(idx) {
 		c.stats.Timeouts++
-		c.o.attempts.Inc()
-		c.o.timeouts.Inc()
+		c.stats.OpAttempts++
 		c.chargeWait(c.res.OpTimeout)
 		c.breakerFailure(idx)
 		return false
 	}
-	c.o.attempts.Inc()
+	c.stats.OpAttempts++
 	if c.res.RetryBudgetFrac > 0 {
 		c.retryTokens[idx] += c.res.RetryBudgetFrac
 		if c.retryTokens[idx] > RetryTokenCap {
@@ -212,31 +210,27 @@ func (c *Cluster) attemptOp(idx int) bool {
 		}
 	}
 	if c.injector == nil || !c.injector.AttemptFails(idx, c.Clock()) {
-		c.o.successes.Inc()
+		c.stats.OpSuccesses++
 		return true
 	}
 	c.stats.TransientFailures++
-	c.o.transient.Inc()
 	backoff := c.res.BackoffBase
 	for r := 0; r < c.res.MaxRetries; r++ {
 		if c.res.RetryBudgetFrac > 0 {
 			if c.retryTokens[idx] < 1 {
 				c.stats.RetriesSuppressed++
-				c.o.retriesSuppressed.Inc()
 				break
 			}
 			c.retryTokens[idx]--
 		}
 		c.stats.Retries++
-		c.o.attempts.Inc()
-		c.o.retries.Inc()
+		c.stats.OpAttempts++
 		c.chargeWait(backoff)
 		if !c.injector.AttemptFails(idx, c.Clock()) {
-			c.o.successes.Inc()
+			c.stats.OpSuccesses++
 			return true
 		}
 		c.stats.TransientFailures++
-		c.o.transient.Inc()
 		backoff *= 2
 		if c.res.BackoffMax > 0 && backoff > c.res.BackoffMax {
 			backoff = c.res.BackoffMax
@@ -294,7 +288,6 @@ func (c *Cluster) breakerFailure(idx int) {
 		b.openUntil = c.Clock() + c.res.BreakerCooldown
 		b.halfOpen = false
 		c.stats.BreakerOpens++
-		c.o.brkOpens.Inc()
 		return
 	}
 	b.fails++
@@ -303,7 +296,6 @@ func (c *Cluster) breakerFailure(idx int) {
 		b.openUntil = c.Clock() + c.res.BreakerCooldown
 		b.fails = 0
 		c.stats.BreakerOpens++
-		c.o.brkOpens.Inc()
 	}
 }
 
@@ -329,11 +321,9 @@ func (c *Cluster) breakerSuccess(idx int) {
 func (c *Cluster) addHint(idx int, h hint) {
 	if cap := c.res.HintCap; cap > 0 && len(c.hints[idx]) >= cap {
 		c.stats.HintsDropped++
-		c.o.hintsDropped.Inc()
 		c.needRepair[idx] = true
 		return
 	}
 	c.hints[idx] = append(c.hints[idx], h)
 	c.stats.HintsStored++
-	c.o.hintsStored.Inc()
 }

@@ -55,7 +55,9 @@ func b2u(b bool) uint64 {
 // rebalance stream runs underneath. A reply slot that a later message
 // overwrote before its reader was done, or a request slot aliased across
 // a nested exchange, would change a result, a counter, or the clock; the
-// goldens were captured on the by-value transport this one replaced.
+// goldens were captured on the by-value transport this one replaced
+// (Reads, Mutations, Scans, OpAttempts and OpSuccesses, obs counters
+// only back then, on the tree before Stats gained them as fields).
 func TestDuplicatedLegsMatchGolden(t *testing.T) {
 	for _, tc := range []struct {
 		cl         ConsistencyLevel
@@ -68,7 +70,7 @@ func TestDuplicatedLegsMatchGolden(t *testing.T) {
 		{
 			cl:         ConsistencyQuorum,
 			wantDigest: 0x1bf4dca4643162b9,
-			wantStats:  Stats{ReadRepairs: 21, RangesMoved: 11, StreamsStarted: 11, StreamsCompleted: 11, StreamedCells: 102, ForwardedWrites: 8},
+			wantStats:  Stats{Reads: 296, Mutations: 281, Scans: 63, OpAttempts: 1601, OpSuccesses: 1601, ReadRepairs: 21, RangesMoved: 11, StreamsStarted: 11, StreamsCompleted: 11, StreamedCells: 102, ForwardedWrites: 8},
 			wantNet:    netsim.Stats{Sent: 4961, Delivered: 9922, Duplicated: 4961, Reordered: 3159},
 			wantClock:  0x3fae1c8968213d81,
 			wantWork:   0x3fb6542adb9a1b66,
@@ -76,7 +78,7 @@ func TestDuplicatedLegsMatchGolden(t *testing.T) {
 		{
 			cl:         ConsistencyAll,
 			wantDigest: 0x46498d3ee39e230b,
-			wantStats:  Stats{ReadRepairs: 32, RangesMoved: 11, StreamsStarted: 11, StreamsCompleted: 11, StreamedCells: 102, ForwardedWrites: 8},
+			wantStats:  Stats{Reads: 296, Mutations: 281, Scans: 63, OpAttempts: 1960, OpSuccesses: 1960, ReadRepairs: 32, RangesMoved: 11, StreamsStarted: 11, StreamsCompleted: 11, StreamedCells: 102, ForwardedWrites: 8},
 			wantNet:    netsim.Stats{Sent: 6071, Delivered: 12142, Duplicated: 6071, Reordered: 3829},
 			wantClock:  0x3faf1b13c12ab55f,
 			wantWork:   0x3fb814c54b0c247a,

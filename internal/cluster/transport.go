@@ -143,7 +143,6 @@ func (c *Cluster) exchange(to, replyFrom int, req message) (message, bool) {
 	// counter (cluster.rpc_lost_timeouts) so a partitioned link is
 	// distinguishable from a straggling replica (cluster.op_timeouts).
 	c.stats.RPCLostTimeouts++
-	c.o.rpcLost.Inc()
 	c.chargeWait(c.res.OpTimeout)
 	c.breakerFailure(to)
 	return message{}, false

@@ -103,24 +103,28 @@ func (o GuardOptions) Validate() error {
 	return nil
 }
 
-// GuardStats counts guarded re-tuning outcomes.
+// GuardStats counts re-tuning outcomes: the controller's one always-on
+// ledger, which a guarded controller exports to the tuner's registry
+// under the `obs` names (see obs.Registry.Export).
 type GuardStats struct {
 	// Retunes counts configurations applied (including ones later rolled
 	// back); Commits counts the subset that survived their canary.
-	Retunes, Commits int
+	Retunes int `obs:"core.guard.retunes"`
+	Commits int `obs:"core.guard.commits"`
 	// RejectedPredictions counts recommendations vetoed before apply:
 	// non-finite or non-positive predictions, excessive ensemble
 	// disagreement, or out-of-band gains.
-	RejectedPredictions int
+	RejectedPredictions int `obs:"core.guard.rejected_predictions"`
 	// ProbeRejections counts candidates the measured probe vetoed.
-	ProbeRejections int
+	ProbeRejections int `obs:"core.guard.probe_rejections"`
 	// Rollbacks counts canaries reverted to the last-known-good
 	// configuration after a measured regression (throughput or SLO).
-	Rollbacks int
+	Rollbacks int `obs:"core.guard.rollbacks"`
 	// SLOViolations counts observation windows whose p99 exceeded the
 	// SLO ceiling; SLORollbacks the subset of Rollbacks triggered by
 	// probation compliance falling below SLOMinCompliance.
-	SLOViolations, SLORollbacks int
+	SLOViolations int `obs:"core.guard.slo_violations"`
+	SLORollbacks  int `obs:"core.guard.slo_rollbacks"`
 }
 
 // Applier receives recommended configurations — typically the live
@@ -166,8 +170,7 @@ type Controller struct {
 	sloTotal, sloOk int
 
 	maxMeasured float64
-	stats       GuardStats
-	o           guardObs
+	stats       *GuardStats // the ledger: its own allocation
 }
 
 // NewController builds the plain reactive loop: tune for the window
@@ -199,9 +202,9 @@ func newController(t *Tuner, a Applier, opts GuardOptions, guarded bool) (*Contr
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{tuner: t, applier: a, opts: opts, guarded: guarded}
+	c := &Controller{tuner: t, applier: a, opts: opts, guarded: guarded, stats: new(GuardStats)}
 	if guarded {
-		c.o = newGuardObs(t.opts.Obs)
+		t.opts.Obs.Export(c.stats)
 	}
 	return c, nil
 }
@@ -297,7 +300,6 @@ func (c *Controller) ObserveWindow(m WindowMetrics) (bool, error) {
 	c.current = rec.Config
 	c.stats.Retunes++
 	c.tuner.opts.Obs.Counter("core.retunes").Inc()
-	c.o.retunes.Inc()
 	if c.opts.CanaryWindows > 0 && (c.opts.RegressionTolerance > 0 || c.opts.SLOP99Max > 0) {
 		c.canaryLeft = c.opts.CanaryWindows
 		c.sloTotal, c.sloOk = 0, 0
@@ -324,7 +326,6 @@ func (c *Controller) checkSLO(p99 float64) (bool, error) {
 	met := p99 <= c.opts.SLOP99Max
 	if !met {
 		c.stats.SLOViolations++
-		c.o.sloViolations.Inc()
 	}
 	if c.canaryLeft == 0 {
 		return false, nil
@@ -345,7 +346,6 @@ func (c *Controller) checkSLO(p99 float64) (bool, error) {
 		return false, err
 	}
 	c.stats.SLORollbacks++
-	c.o.sloRollbacks.Inc()
 	return true, nil
 }
 
@@ -376,7 +376,6 @@ func (c *Controller) commit() {
 	c.sloTotal, c.sloOk = 0, 0
 	c.lastGood = c.current
 	c.stats.Commits++
-	c.o.commits.Inc()
 }
 
 // rollback reverts to the last-known-good configuration — the space
@@ -393,7 +392,6 @@ func (c *Controller) rollback() error {
 	c.canaryLeft = 0
 	c.sloTotal, c.sloOk = 0, 0
 	c.stats.Rollbacks++
-	c.o.rollbacks.Inc()
 	return nil
 }
 
@@ -405,17 +403,14 @@ func (c *Controller) vet(target Workload, rec OptimizeResult) (bool, error) {
 	}
 	if !isFinite(mean) || mean <= 0 {
 		c.stats.RejectedPredictions++
-		c.o.rejectedPredictions.Inc()
 		return false, nil
 	}
 	if c.opts.MaxStdFrac > 0 && (!isFinite(std) || std/mean > c.opts.MaxStdFrac) {
 		c.stats.RejectedPredictions++
-		c.o.rejectedPredictions.Inc()
 		return false, nil
 	}
 	if c.opts.MaxGainFactor > 0 && c.maxMeasured > 0 && mean > c.opts.MaxGainFactor*c.maxMeasured {
 		c.stats.RejectedPredictions++
-		c.o.rejectedPredictions.Inc()
 		return false, nil
 	}
 	if c.opts.Probe != nil {
@@ -425,7 +420,6 @@ func (c *Controller) vet(target Workload, rec OptimizeResult) (bool, error) {
 		}
 		if measured < c.opts.ProbeTolerance*mean {
 			c.stats.ProbeRejections++
-			c.o.probeRejections.Inc()
 			return false, nil
 		}
 	}
@@ -448,7 +442,7 @@ func (c *Controller) LastGood() config.Config { return c.lastGood }
 // Stats returns the loop's outcome counters. Without a guard every
 // applied recommendation commits at once and nothing is ever rejected
 // or rolled back.
-func (c *Controller) Stats() GuardStats { return c.stats }
+func (c *Controller) Stats() GuardStats { return *c.stats }
 
 // Retunes counts applied recommendations (rollbacks are counted by
 // Stats, not here).

@@ -10,6 +10,7 @@ import (
 	"rafiki/internal/config"
 	"rafiki/internal/forecast"
 	"rafiki/internal/obs"
+	"rafiki/internal/obs/obstest"
 	"rafiki/internal/workload"
 )
 
@@ -171,7 +172,12 @@ func TestControllerDecisionsGolden(t *testing.T) {
 	reg := obs.NewRegistry()
 	tuner := preparedTunerObs(t, reg)
 	trace := goldenTrace(t)
-	retunes, guardRetunes := reg.Counter("core.retunes"), reg.Counter("core.guard.retunes")
+	// counts reads the two retune counters off the shared registry; every
+	// row's controller exports its own ledger to it, so rows see deltas.
+	counts := func() (retunes, guardRetunes int) {
+		cnt := reg.Snapshot().Counters
+		return int(cnt["core.retunes"]), int(cnt["core.guard.retunes"])
+	}
 	for _, row := range controllerRows {
 		t.Run(row.name, func(t *testing.T) {
 			f, err := forecast.NewMarkov(5)
@@ -183,7 +189,7 @@ func TestControllerDecisionsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			retunes0, guardRetunes0 := retunes.Value(), guardRetunes.Value()
+			retunes0, guardRetunes0 := counts()
 			h := sha256.New()
 			changes := ""
 			for i, w := range trace {
@@ -209,17 +215,41 @@ func TestControllerDecisionsGolden(t *testing.T) {
 			if ctrl.Retunes() != st.Retunes || len(app.applied) != st.Retunes+st.Rollbacks {
 				t.Errorf("Retunes() = %d, applier saw %d configs, stats %+v", ctrl.Retunes(), len(app.applied), st)
 			}
-			if got := int(retunes.Value() - retunes0); got != st.Retunes {
+			retunes, guardRetunes := counts()
+			if got := retunes - retunes0; got != st.Retunes {
 				t.Errorf("core.retunes moved by %d, want %d", got, st.Retunes)
 			}
 			wantGuard := 0
 			if row.guarded {
 				wantGuard = st.Retunes
 			}
-			if got := int(guardRetunes.Value() - guardRetunes0); got != wantGuard {
+			if got := guardRetunes - guardRetunes0; got != wantGuard {
 				t.Errorf("core.guard.retunes moved by %d, want %d", got, wantGuard)
 			}
 		})
+	}
+}
+
+// TestGuardedControllerObsGolden replays goldenTrace through the guarded
+// row on a registry emptied after Prepare, so the snapshot holds the
+// loop's own telemetry: byte-identical to the one recorded before
+// GuardStats was the controller's exported ledger.
+func TestGuardedControllerObsGolden(t *testing.T) {
+	reg := obs.NewRegistry()
+	tuner := preparedTunerObs(t, reg)
+	reg.Reset()
+	ctrl, err := NewGuardedController(tuner, &recordingApplier{}, goldenGuardOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range goldenTrace(t) {
+		if _, err := ctrl.ObserveWindow(goldenWindow(tuner.Space(), i, w.ReadRatio, ctrl.Current())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obstest.Golden(t, reg, "testdata/obs_guarded.json")
+	if st := ctrl.Stats(); st != controllerRows[2].want.stats {
+		t.Errorf("stats %+v, want the guarded row's %+v", st, controllerRows[2].want.stats)
 	}
 }
 
@@ -472,4 +502,12 @@ func TestProactiveControllerTracksForecast(t *testing.T) {
 	if ctrl.Current() == nil {
 		t.Error("Current should return the live config")
 	}
+}
+
+// TestGuardStatsLedgerNames pins the counter names GuardStats exports
+// to the seven the guard's obs twin published.
+func TestGuardStatsLedgerNames(t *testing.T) {
+	obstest.Names(t, new(GuardStats),
+		"core.guard.commits", "core.guard.probe_rejections", "core.guard.rejected_predictions",
+		"core.guard.retunes", "core.guard.rollbacks", "core.guard.slo_rollbacks", "core.guard.slo_violations")
 }

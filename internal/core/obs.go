@@ -20,30 +20,6 @@ func (c countingCollector) Sample(w Workload, cfg config.Config, seed int64) (fl
 	return c.inner.Sample(w, cfg, seed)
 }
 
-// guardObs mirrors GuardStats onto obs counters so guarded re-tuning
-// outcomes land in the same registry as the rest of the pipeline. The
-// zero value (nil counters) is a no-op.
-type guardObs struct {
-	retunes, commits, rollbacks          *obs.Counter
-	rejectedPredictions, probeRejections *obs.Counter
-	sloViolations, sloRollbacks          *obs.Counter
-}
-
-func newGuardObs(r *obs.Registry) guardObs {
-	if r == nil {
-		return guardObs{}
-	}
-	return guardObs{
-		retunes:             r.Counter("core.guard.retunes"),
-		commits:             r.Counter("core.guard.commits"),
-		rollbacks:           r.Counter("core.guard.rollbacks"),
-		rejectedPredictions: r.Counter("core.guard.rejected_predictions"),
-		probeRejections:     r.Counter("core.guard.probe_rejections"),
-		sloViolations:       r.Counter("core.guard.slo_violations"),
-		sloRollbacks:        r.Counter("core.guard.slo_rollbacks"),
-	}
-}
-
 // recordStage traces one offline-pipeline stage as a span. Each stage
 // runs on the work axis that dominates its cost: benchmark samples for
 // identify/collect, training epochs for train, surrogate evaluations

@@ -135,13 +135,28 @@ type ClassResult struct {
 	P50, P99, P999 float64
 }
 
-// Result is one front-door run's outcome.
+// Result is one front-door run's outcome, and while the run lasts its
+// one always-on ledger: a front door built with Options.Obs exports it,
+// and a registry snapshot reports each `obs`-tagged field under that
+// name (see obs.Registry.Export). Arrivals partition exactly,
+//
+//	Arrivals == Admitted + ShedRateLimited + ShedQueueFull
+//
+// and once the run has drained every admitted request has either
+// completed or been shed at dispatch:
+//
+//	Admitted == Completed + ShedDeadline
+//
+// FailedOps is the subset of completions whose cluster op missed its
+// consistency level.
 type Result struct {
-	Arrivals, Admitted   uint64
-	Completed, FailedOps uint64
-	ShedRateLimited      uint64
-	ShedQueueFull        uint64
-	ShedDeadline         uint64
+	Arrivals        uint64 `obs:"frontdoor.arrivals"`
+	Admitted        uint64 `obs:"frontdoor.admitted"`
+	Completed       uint64 `obs:"frontdoor.completed"`
+	FailedOps       uint64 `obs:"frontdoor.failed_ops"`
+	ShedRateLimited uint64 `obs:"frontdoor.shed_rate_limited"`
+	ShedQueueFull   uint64 `obs:"frontdoor.shed_queue_full"`
+	ShedDeadline    uint64 `obs:"frontdoor.shed_deadline"`
 	// MaxQueueDepth is the admission queue's high-water mark.
 	MaxQueueDepth int
 	// MaxInFlight is the dispatch high-water mark (<= Concurrency).
@@ -152,10 +167,11 @@ type Result struct {
 	// reason) in shed order — so two runs shed identically iff their
 	// digests match.
 	ShedDigest uint64
-	// Windows holds every closed SLO window in order; SLOViolations
-	// counts the violated ones.
+	// Windows holds every closed SLO window in order; SLOWindows
+	// counts them and SLOViolations the violated ones.
 	Windows       []WindowStat
-	SLOViolations int
+	SLOWindows    uint64 `obs:"frontdoor.slo_windows"`
+	SLOViolations int    `obs:"frontdoor.slo_window_violations"`
 	// Classes aggregates per tenant class, in Options.Classes order.
 	Classes []ClassResult
 	// History is the executed-request history (nil unless
@@ -190,7 +206,7 @@ type FrontDoor struct {
 	now      float64
 	ran      bool
 
-	res        Result
+	res        *Result // the exported ledger: its own allocation
 	winLat     []float64
 	winReads   int
 	winIdx     int
@@ -260,7 +276,9 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 		free:       opts.Concurrency,
 		tenants:    make([]tenant, 0, total),
 		latByClass: make([][]float64, len(opts.Classes)),
+		res:        new(Result),
 	}
+	opts.Obs.Export(f.res)
 	f.res.Classes = make([]ClassResult, len(opts.Classes))
 	keySpace := uint64(cl.KeySpace())
 	id := 0
@@ -341,7 +359,11 @@ func (f *FrontDoor) Run() (*Result, error) {
 			// queued would need a free server, which dispatch just had.
 			f.flushWindows(true)
 			f.finishClasses()
-			return &f.res, nil
+			// The caller gets a copy; the ledger the registry holds on
+			// to keeps the counters and lets the run's slices go.
+			out := *f.res
+			f.res.Windows, f.res.Classes, f.res.History = nil, nil, nil
+			return &out, nil
 		}
 	}
 }
@@ -379,7 +401,6 @@ func (f *FrontDoor) arrive(ti int) {
 	}
 	f.res.Arrivals++
 	f.res.Classes[t.class].Arrivals++
-	f.o.arrivals.Inc()
 
 	if !t.bucket.allow(f.now) {
 		f.shed(req, shedRateLimited)
@@ -391,7 +412,6 @@ func (f *FrontDoor) arrive(ti int) {
 	}
 	f.res.Admitted++
 	f.res.Classes[t.class].Admitted++
-	f.o.admitted.Inc()
 	if d := f.queue.Len(); d > f.res.MaxQueueDepth {
 		f.res.MaxQueueDepth = d
 		f.o.maxQueueDepth.Set(float64(d))
@@ -452,11 +472,9 @@ func (f *FrontDoor) complete(d depEv) {
 	lat := d.at - d.req.Arrived
 	f.res.Completed++
 	f.res.Classes[t.class].Completed++
-	f.o.completed.Inc()
 	if !d.ok {
 		f.res.FailedOps++
 		f.res.Classes[t.class].FailedOps++
-		f.o.failedOps.Inc()
 	}
 	if d.at > f.res.Makespan {
 		f.res.Makespan = d.at
@@ -500,15 +518,12 @@ func (f *FrontDoor) shed(req Request, reason int) {
 	case shedRateLimited:
 		f.res.ShedRateLimited++
 		cr.ShedRateLimited++
-		f.o.shedRateLimited.Inc()
 	case shedQueueFull:
 		f.res.ShedQueueFull++
 		cr.ShedQueueFull++
-		f.o.shedQueueFull.Inc()
 	case shedDeadline:
 		f.res.ShedDeadline++
 		cr.ShedDeadline++
-		f.o.shedDeadline.Inc()
 	}
 }
 
@@ -548,9 +563,8 @@ func (f *FrontDoor) closeWindow() {
 	if f.opts.SLOP99 > 0 && w.P99 > f.opts.SLOP99 {
 		w.Violated = true
 		f.res.SLOViolations++
-		f.o.sloViolations.Inc()
 	}
-	f.o.sloWindows.Inc()
+	f.res.SLOWindows++
 	f.res.Windows = append(f.res.Windows, w)
 	if f.opts.OnWindow != nil {
 		f.opts.OnWindow(w)

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"weak"
 
 	"rafiki/internal/check"
 	"rafiki/internal/cluster"
 	"rafiki/internal/config"
 	"rafiki/internal/frontdoor"
 	"rafiki/internal/obs"
+	"rafiki/internal/obs/obstest"
 )
 
 // newServingCluster builds the cluster the front door serves from:
@@ -172,24 +174,6 @@ func TestFrontDoorAccountingIdentities(t *testing.T) {
 	if got := res.Completed + res.ShedDeadline; got != res.Admitted {
 		t.Errorf("completed+deadline-shed = %d, admitted = %d", got, res.Admitted)
 	}
-	cnt := reg.Snapshot().Counters
-	twins := []struct {
-		name string
-		want uint64
-	}{
-		{"frontdoor.arrivals", res.Arrivals},
-		{"frontdoor.admitted", res.Admitted},
-		{"frontdoor.completed", res.Completed},
-		{"frontdoor.failed_ops", res.FailedOps},
-		{"frontdoor.shed_rate_limited", res.ShedRateLimited},
-		{"frontdoor.shed_queue_full", res.ShedQueueFull},
-		{"frontdoor.shed_deadline", res.ShedDeadline},
-	}
-	for _, tw := range twins {
-		if cnt[tw.name] != tw.want {
-			t.Errorf("%s = %d, Result says %d", tw.name, cnt[tw.name], tw.want)
-		}
-	}
 	// Class totals reconcile with the run totals.
 	var classArr, classDone uint64
 	for _, cr := range res.Classes {
@@ -296,6 +280,85 @@ func TestFrontDoorOverloadShedsBoundedly(t *testing.T) {
 	}
 	if got := res.Admitted + res.ShedRateLimited + res.ShedQueueFull; got != res.Arrivals {
 		t.Errorf("admitted+shed = %d, arrivals = %d", got, res.Arrivals)
+	}
+}
+
+// TestOverloadObsGolden: one overload seed — a flood at three times
+// capacity with deadlines, a rate-limited greedy class and SLO windows,
+// so every shed reason and both window counters move — leaves a registry
+// snapshot byte-identical to the one recorded before Result was the
+// front door's exported ledger, and the ledger's partitions hold.
+func TestOverloadObsGolden(t *testing.T) {
+	const seed = 37
+	perOp := calibrate(t, seed)
+	reg := obs.NewRegistry()
+	c := newServingCluster(t, seed, reg)
+	capacity := 8 / perOp
+	fd, err := frontdoor.New(c, frontdoor.Options{
+		Seed:        seed,
+		Horizon:     1500 * perOp,
+		Concurrency: 8,
+		QueueCap:    64,
+		Classes: []frontdoor.TenantClass{{
+			Name: "flood", Tenants: 60, Arrival: frontdoor.Poisson,
+			RatePerTenant: 3 * capacity / 60, ReadRatio: 0.5, Deadline: 6 * perOp,
+		}, {
+			Name: "greedy", Tenants: 4, Arrival: frontdoor.Poisson,
+			RatePerTenant: 2 / perOp, ReadRatio: 0.5, RateLimit: 0.05 / perOp,
+		}},
+		SLOWindow: 100 * perOp,
+		SLOP99:    7.25 * perOp,
+		Obs:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fd.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	obstest.Golden(t, reg, "testdata/obs_overload.json")
+	if res.ShedRateLimited == 0 || res.ShedQueueFull == 0 || res.ShedDeadline == 0 ||
+		res.SLOViolations == 0 || res.SLOViolations == len(res.Windows) {
+		t.Errorf("run did not exercise every exported counter: %+v", res)
+	}
+	if got := res.Admitted + res.ShedRateLimited + res.ShedQueueFull; got != res.Arrivals {
+		t.Errorf("admitted+shed = %d, arrivals = %d", got, res.Arrivals)
+	}
+	if got := res.Completed + res.ShedDeadline; got != res.Admitted {
+		t.Errorf("completed+deadline-shed = %d, admitted = %d", got, res.Admitted)
+	}
+	if res.SLOWindows != uint64(len(res.Windows)) {
+		t.Errorf("SLOWindows = %d, %d windows closed", res.SLOWindows, len(res.Windows))
+	}
+}
+
+// TestExportReleasesRun: a registry that outlives a front door and the
+// Result it returned pins neither — the ledger it holds keeps its
+// counters and lets the run's history, windows and class rows go.
+func TestExportReleasesRun(t *testing.T) {
+	const seed = 37
+	perOp := calibrate(t, seed)
+	reg := obs.NewRegistry()
+	run := func() (weak.Pointer[frontdoor.FrontDoor], weak.Pointer[frontdoor.Result], weak.Pointer[check.Op], uint64) {
+		fd, err := frontdoor.New(newServingCluster(t, seed, nil), steadyOpts(t, seed, perOp, reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fd.Run()
+		if err != nil || len(res.History) == 0 {
+			t.Fatalf("run recorded %d history ops, err %v", len(res.History), err)
+		}
+		return weak.Make(fd), weak.Make(res), weak.Make(&res.History[0]), res.Completed
+	}
+	fd, res, hist, completed := run()
+	runtime.GC()
+	if fd.Value() != nil || res.Value() != nil || hist.Value() != nil {
+		t.Errorf("still reachable while only the registry lives: front door %t, result %t, history %t",
+			fd.Value() != nil, res.Value() != nil, hist.Value() != nil)
+	}
+	if got := reg.Snapshot().Counters["frontdoor.completed"]; got != completed || got == 0 {
+		t.Errorf("frontdoor.completed = %d after the run was dropped, want %d", got, completed)
 	}
 }
 
@@ -502,4 +565,13 @@ func TestServeAllocGuard(t *testing.T) {
 	if perReq := float64(m1.Mallocs-m0.Mallocs) / float64(res.Arrivals); perReq > 0.2 {
 		t.Fatalf("a request allocates %.3f times from arrival to completion, want <= 0.2", perReq)
 	}
+}
+
+// TestResultLedgerNames pins the counter names Result exports to the
+// nine the front door's obs twin published.
+func TestResultLedgerNames(t *testing.T) {
+	obstest.Names(t, new(frontdoor.Result),
+		"frontdoor.admitted", "frontdoor.arrivals", "frontdoor.completed", "frontdoor.failed_ops",
+		"frontdoor.shed_deadline", "frontdoor.shed_queue_full", "frontdoor.shed_rate_limited",
+		"frontdoor.slo_window_violations", "frontdoor.slo_windows")
 }

@@ -2,32 +2,10 @@ package frontdoor
 
 import "rafiki/internal/obs"
 
-// fdObs holds the front door's pre-resolved instruments; all nil (a
-// no-op) when observability is disabled. Arrivals partition exactly:
-//
-//	frontdoor.arrivals == frontdoor.admitted
-//	                    + frontdoor.shed_rate_limited
-//	                    + frontdoor.shed_queue_full
-//
-// and every admitted request either completes or is shed at dispatch:
-//
-//	frontdoor.admitted == frontdoor.completed + frontdoor.shed_deadline
-//
-// once the run has drained. frontdoor.failed_ops is the subset of
-// completions whose cluster op missed its consistency level.
+// fdObs holds the front door's pre-resolved gauges and latency
+// histograms; all nil (a no-op) when observability is disabled. The
+// counters are Result's tagged fields.
 type fdObs struct {
-	arrivals  *obs.Counter
-	admitted  *obs.Counter
-	completed *obs.Counter
-	failedOps *obs.Counter
-
-	shedRateLimited *obs.Counter
-	shedQueueFull   *obs.Counter
-	shedDeadline    *obs.Counter
-
-	sloWindows    *obs.Counter
-	sloViolations *obs.Counter
-
 	maxQueueDepth *obs.Gauge
 	tenants       *obs.Gauge
 
@@ -42,19 +20,10 @@ func newFDObs(r *obs.Registry, classes []TenantClass, latencyHi float64) fdObs {
 		return fdObs{classLatency: make([]*obs.Histogram, len(classes))}
 	}
 	o := fdObs{
-		arrivals:        r.Counter("frontdoor.arrivals"),
-		admitted:        r.Counter("frontdoor.admitted"),
-		completed:       r.Counter("frontdoor.completed"),
-		failedOps:       r.Counter("frontdoor.failed_ops"),
-		shedRateLimited: r.Counter("frontdoor.shed_rate_limited"),
-		shedQueueFull:   r.Counter("frontdoor.shed_queue_full"),
-		shedDeadline:    r.Counter("frontdoor.shed_deadline"),
-		sloWindows:      r.Counter("frontdoor.slo_windows"),
-		sloViolations:   r.Counter("frontdoor.slo_window_violations"),
-		maxQueueDepth:   r.Gauge("frontdoor.max_queue_depth"),
-		tenants:         r.Gauge("frontdoor.tenants"),
-		latency:         r.Histogram("frontdoor.latency", 0, latencyHi, 64),
-		classLatency:    make([]*obs.Histogram, len(classes)),
+		maxQueueDepth: r.Gauge("frontdoor.max_queue_depth"),
+		tenants:       r.Gauge("frontdoor.tenants"),
+		latency:       r.Histogram("frontdoor.latency", 0, latencyHi, 64),
+		classLatency:  make([]*obs.Histogram, len(classes)),
 	}
 	for i, tc := range classes {
 		o.classLatency[i] = r.Histogram("frontdoor.latency."+tc.Name, 0, latencyHi, 64)

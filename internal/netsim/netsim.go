@@ -63,15 +63,17 @@ type Options struct {
 type Stats struct {
 	// Sent counts messages offered to the network and Delivered the
 	// copies handed to a destination handler.
-	Sent, Delivered uint64
+	Sent      uint64 `obs:"netsim.sent"`
+	Delivered uint64 `obs:"netsim.delivered"`
 	// Dropped counts messages lost to link drop probability and
 	// PartitionDrops those swallowed by an active partition.
-	Dropped, PartitionDrops uint64
+	Dropped        uint64 `obs:"netsim.dropped"`
+	PartitionDrops uint64 `obs:"netsim.partition_drops"`
 	// Duplicated counts extra copies created by link duplication.
-	Duplicated uint64
+	Duplicated uint64 `obs:"netsim.duplicated"`
 	// Reordered counts per-link FIFO inversions: a message that
 	// arrived before an earlier-sent message on the same link.
-	Reordered uint64
+	Reordered uint64 `obs:"netsim.reordered"`
 }
 
 // link is the state of one ordered endpoint pair.
@@ -107,7 +109,7 @@ type Network struct {
 	handlers []Handler
 
 	activeParts int
-	stats       Stats
+	stats       *Stats // the exported ledger: its own allocation
 	o           netObs
 }
 
@@ -130,21 +132,29 @@ func New(opts Options) (*Network, error) {
 		jitter:   opts.Jitter,
 		links:    make([]link, m*m),
 		handlers: make([]Handler, m),
+		stats:    new(Stats),
 		o:        newNetObs(opts.Obs),
 	}
-	if opts.Obs != nil {
-		for from := Coordinator; from < opts.Nodes; from++ {
-			for to := Coordinator; to < opts.Nodes; to++ {
-				if from == to {
-					continue
-				}
-				l := &nw.links[nw.idx(from, to)]
-				l.delivered = opts.Obs.Counter(linkCounterName(from, to, "delivered"))
-				l.dropped = opts.Obs.Counter(linkCounterName(from, to, "dropped"))
-			}
-		}
+	opts.Obs.Export(nw.stats)
+	for id := Coordinator; id < nw.n; id++ {
+		nw.bindLinks(id)
 	}
 	return nw, nil
+}
+
+// bindLinks resolves the per-link counters of every link between id and
+// the endpoints below it, both directions; a no-op with obs disabled.
+func (nw *Network) bindLinks(id int) {
+	if nw.o.reg == nil {
+		return
+	}
+	for other := Coordinator; other < id; other++ {
+		for _, pair := range [2][2]int{{id, other}, {other, id}} {
+			l := &nw.links[nw.idx(pair[0], pair[1])]
+			l.delivered = nw.o.reg.Counter(linkCounterName(pair[0], pair[1], "delivered"))
+			l.dropped = nw.o.reg.Counter(linkCounterName(pair[0], pair[1], "dropped"))
+		}
+	}
 }
 
 // Nodes returns the node endpoint count.
@@ -168,24 +178,12 @@ func (nw *Network) AddEndpoint() int {
 	}
 	nw.links = links
 	nw.handlers = append(nw.handlers, nil)
-	if nw.o.reg != nil {
-		for other := Coordinator; other < nw.n; other++ {
-			if other == id {
-				continue
-			}
-			out := &nw.links[nw.idx(id, other)]
-			out.delivered = nw.o.reg.Counter(linkCounterName(id, other, "delivered"))
-			out.dropped = nw.o.reg.Counter(linkCounterName(id, other, "dropped"))
-			in := &nw.links[nw.idx(other, id)]
-			in.delivered = nw.o.reg.Counter(linkCounterName(other, id, "delivered"))
-			in.dropped = nw.o.reg.Counter(linkCounterName(other, id, "dropped"))
-		}
-	}
+	nw.bindLinks(id)
 	return id
 }
 
 // Stats returns the lifetime totals.
-func (nw *Network) Stats() Stats { return nw.stats }
+func (nw *Network) Stats() Stats { return *nw.stats }
 
 // idx maps an ordered endpoint pair to its link slot.
 func (nw *Network) idx(from, to int) int {
@@ -314,17 +312,14 @@ func (nw *Network) Send(from, to int, payload any, now float64) Result {
 		panic(err)
 	}
 	nw.stats.Sent++
-	nw.o.sent.Inc()
 	l := &nw.links[nw.idx(from, to)]
 	if l.partitioned {
 		nw.stats.PartitionDrops++
-		nw.o.partDrops.Inc()
 		l.dropped.Inc()
 		return Result{To: to}
 	}
 	if p := l.cond.DropProb; p > 0 && nw.rng.Float64() < p {
 		nw.stats.Dropped++
-		nw.o.dropped.Inc()
 		l.dropped.Inc()
 		return Result{To: to}
 	}
@@ -332,7 +327,6 @@ func (nw *Network) Send(from, to int, payload any, now float64) Result {
 	if p := l.cond.DupProb; p > 0 && nw.rng.Float64() < p {
 		copies = 2
 		nw.stats.Duplicated++
-		nw.o.duplicated.Inc()
 	}
 	var arrivals [2]float64
 	for i := 0; i < copies; i++ {
@@ -344,11 +338,9 @@ func (nw *Network) Send(from, to int, payload any, now float64) Result {
 	for _, at := range arrivals[:copies] {
 		if at < l.lastArrival {
 			nw.stats.Reordered++
-			nw.o.reordered.Inc()
 		}
 		l.lastArrival = at
 		nw.stats.Delivered++
-		nw.o.delivered.Inc()
 		l.delivered.Inc()
 	}
 	// Handlers may Send re-entrantly, so this message's draws and link

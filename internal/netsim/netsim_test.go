@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rafiki/internal/obs"
+	"rafiki/internal/obs/obstest"
 )
 
 // collect installs a recording handler on every endpoint and returns
@@ -237,16 +238,17 @@ func TestObsCountersAndPartitionSpans(t *testing.T) {
 	if err := nw.Heal(0, 1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("netsim.sent").Value(); got != 2 {
+	cnt := reg.Snapshot().Counters
+	if got := cnt["netsim.sent"]; got != 2 {
 		t.Errorf("netsim.sent = %d, want 2", got)
 	}
-	if got := reg.Counter("netsim.partition_drops").Value(); got != 1 {
+	if got := cnt["netsim.partition_drops"]; got != 1 {
 		t.Errorf("netsim.partition_drops = %d, want 1", got)
 	}
-	if got := reg.Counter("netsim.link.c->0.delivered").Value(); got != 1 {
+	if got := cnt["netsim.link.c->0.delivered"]; got != 1 {
 		t.Errorf("per-link delivered = %d, want 1", got)
 	}
-	if got := reg.Counter("netsim.link.0->1.dropped").Value(); got != 1 {
+	if got := cnt["netsim.link.0->1.dropped"]; got != 1 {
 		t.Errorf("per-link dropped = %d, want 1", got)
 	}
 	if got := reg.Gauge("netsim.active_partitions").Value(); got != 0 {
@@ -254,6 +256,39 @@ func TestObsCountersAndPartitionSpans(t *testing.T) {
 	}
 	if reg.SpanCount() != 1 {
 		t.Errorf("span count = %d, want 1 partition span", reg.SpanCount())
+	}
+}
+
+// TestStatsLedgerNames pins the counter names Stats exports to the six
+// the network's obs twin published.
+func TestStatsLedgerNames(t *testing.T) {
+	obstest.Names(t, new(Stats), "netsim.delivered", "netsim.dropped", "netsim.duplicated",
+		"netsim.partition_drops", "netsim.reordered", "netsim.sent")
+}
+
+// TestAddEndpointBindsLinkCounters: a network grown to three nodes
+// publishes the counters a network built with three does, and the new
+// endpoint's links count.
+func TestAddEndpointBindsLinkCounters(t *testing.T) {
+	grownReg, builtReg := obs.NewRegistry(), obs.NewRegistry()
+	grown, _ := recordingNet(t, Options{Nodes: 2, Seed: 3, Obs: grownReg})
+	if id := grown.AddEndpoint(); id != 2 {
+		t.Fatalf("AddEndpoint = %d, want 2", id)
+	}
+	recordingNet(t, Options{Nodes: 3, Seed: 3, Obs: builtReg})
+	grown.Send(2, Coordinator, "a", 1)
+	grown.Send(0, 2, "b", 2)
+	got, want := grownReg.Snapshot().Counters, builtReg.Snapshot().Counters
+	if len(got) != len(want) {
+		t.Errorf("grown network publishes %d counters, built one %d", len(got), len(want))
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("grown network lacks %s", name)
+		}
+	}
+	if got["netsim.link.2->c.delivered"] != 1 || got["netsim.link.0->2.delivered"] != 1 || got["netsim.delivered"] != 2 {
+		t.Errorf("new endpoint's links did not count: %v", got)
 	}
 }
 
@@ -283,17 +318,14 @@ func (nw *Network) oracleRoute(from, to int, payload any, now float64) (Result, 
 		panic(err)
 	}
 	nw.stats.Sent++
-	nw.o.sent.Inc()
 	l := &nw.links[nw.idx(from, to)]
 	if l.partitioned {
 		nw.stats.PartitionDrops++
-		nw.o.partDrops.Inc()
 		l.dropped.Inc()
 		return Result{To: to}, nil
 	}
 	if p := l.cond.DropProb; p > 0 && nw.rng.Float64() < p {
 		nw.stats.Dropped++
-		nw.o.dropped.Inc()
 		l.dropped.Inc()
 		return Result{To: to}, nil
 	}
@@ -301,7 +333,6 @@ func (nw *Network) oracleRoute(from, to int, payload any, now float64) (Result, 
 	if p := l.cond.DupProb; p > 0 && nw.rng.Float64() < p {
 		copies = 2
 		nw.stats.Duplicated++
-		nw.o.duplicated.Inc()
 	}
 	ds := make([]oracleDelivery, copies)
 	for i := range ds {
@@ -314,11 +345,9 @@ func (nw *Network) oracleRoute(from, to int, payload any, now float64) (Result, 
 	for i := range ds {
 		if ds[i].arrival < l.lastArrival {
 			nw.stats.Reordered++
-			nw.o.reordered.Inc()
 		}
 		l.lastArrival = ds[i].arrival
 		nw.stats.Delivered++
-		nw.o.delivered.Inc()
 		l.delivered.Inc()
 	}
 	return Result{To: to, Delivered: true, Arrival: first}, ds

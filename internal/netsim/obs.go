@@ -2,26 +2,17 @@ package netsim
 
 import "rafiki/internal/obs"
 
-// netObs holds the network's pre-resolved instruments; all nil when
+// netObs holds the registry (for partition spans and the per-link
+// counters bindLinks resolves) and the network's one gauge; all nil when
 // observability is disabled (every obs method is nil-safe). The
-// aggregate counters reconcile with Stats exactly:
+// aggregate counters are Stats' tagged fields, and sends conserve:
 //
-//	netsim.sent == Stats.Sent
-//	netsim.delivered + netsim.dropped + netsim.partition_drops
-//	             == Stats.Sent + Stats.Duplicated
+//	Delivered + Dropped + PartitionDrops == Sent + Duplicated
 //
-// and the per-link netsim.link.<from>-><to>.* counters partition the
+// The per-link netsim.link.<from>-><to>.* counters partition the
 // aggregate delivered/dropped totals by ordered link.
 type netObs struct {
-	reg *obs.Registry
-
-	sent       *obs.Counter
-	delivered  *obs.Counter
-	dropped    *obs.Counter
-	duplicated *obs.Counter
-	reordered  *obs.Counter
-	partDrops  *obs.Counter
-
+	reg        *obs.Registry
 	partitions *obs.Gauge
 }
 
@@ -31,14 +22,5 @@ func newNetObs(r *obs.Registry) netObs {
 	if r == nil {
 		return netObs{}
 	}
-	return netObs{
-		reg:        r,
-		sent:       r.Counter("netsim.sent"),
-		delivered:  r.Counter("netsim.delivered"),
-		dropped:    r.Counter("netsim.dropped"),
-		duplicated: r.Counter("netsim.duplicated"),
-		reordered:  r.Counter("netsim.reordered"),
-		partDrops:  r.Counter("netsim.partition_drops"),
-		partitions: r.Gauge("netsim.active_partitions"),
-	}
+	return netObs{reg: r, partitions: r.Gauge("netsim.active_partitions")}
 }

@@ -291,9 +291,11 @@ type Engine struct {
 	bgCPUFrac      float64
 
 	ep epochAcc
-	// m holds the counters; its epoch series stay nil — rates is their
-	// one record, and Metrics builds both series from it.
-	m     Metrics
+	// m holds the counters, the engine's exported ledger: an allocation
+	// of its own, so a registry that outlives the engine pins only this.
+	// Its epoch series stay nil — rates is their one record, and Metrics
+	// builds both series from it.
+	m     *Metrics
 	rates epochSeries
 	o     engineObs
 
@@ -349,6 +351,7 @@ func New(opts Options) (*Engine, error) {
 		mem:      newMemtable(hw.RowBytes),
 		diskTax:  1,
 		cpuTax:   1,
+		m:        new(Metrics),
 		o:        newEngineObs(opts.Obs),
 	}
 	e.log = newCommitLog(hw.ScaledBytes(32), float64(hw.RowBytes))
@@ -359,6 +362,7 @@ func New(opts Options) (*Engine, error) {
 	if err := e.configure(cfg); err != nil {
 		return nil, err
 	}
+	opts.Obs.Export(e.m)
 	return e, nil
 }
 
@@ -465,7 +469,7 @@ func (e *Engine) Clock() float64 { return e.clock }
 // rate, and an epoch's latency is the client pool over that rate
 // (Little's law).
 func (e *Engine) Metrics() Metrics {
-	m := e.m
+	m := *e.m
 	m.EpochThroughputs = e.rates.appendTo(make([]float64, 0, e.rates.len()))
 	if clients := e.model.ClientConcurrency; clients > 0 {
 		m.EpochLatencies = make([]float64, len(m.EpochThroughputs))
@@ -602,7 +606,6 @@ func (e *Engine) writeCell(key uint64, expiry, payloadBytes float64) {
 	e.log.Append(key, false, expiry, payloadBytes)
 	e.mem.Insert(key, expiry, payloadBytes)
 	e.m.Writes++
-	e.o.writes.Inc()
 
 	if e.rowCache.capacity > 0 {
 		// A write invalidates the cached row; the cache refills only on
@@ -630,7 +633,6 @@ func (e *Engine) Read(key uint64) {
 	e.ep.reads++
 	e.ep.ops++
 	e.m.Reads++
-	e.o.reads.Inc()
 	cpu := e.model.ReadCPUSeconds
 
 	if e.rowCache.capacity > 0 && e.rowCache.Touch(blockID{table: key}) {
@@ -731,10 +733,8 @@ func (e *Engine) flush(forced bool) {
 		e.m.MaxSSTables = e.tables.Len()
 	}
 	e.m.Flushes++
-	e.o.flushes.Inc()
 	if forced {
 		e.m.ForcedFlushes++
-		e.o.forced.Inc()
 	}
 
 	task := &backgroundTask{
@@ -990,7 +990,7 @@ func (e *Engine) closeEpoch() {
 	e.m.VirtualSeconds += dt
 	rate := float64(acc.ops) / dt
 	e.rates.add(rate)
-	e.o.epochs.Inc()
+	e.m.Epochs++
 	e.o.epochTput.Observe(rate)
 	// Little's law over the closed-loop client pool: the epoch's mean
 	// operation latency is clients/throughput.
@@ -1105,7 +1105,6 @@ func (e *Engine) completeCompaction(t *backgroundTask) {
 	}
 	e.m.Compactions++
 	e.m.CompactionBytes += t.diskBytes
-	e.o.compacts.Inc()
 	e.o.reg.Record(obs.Span{
 		Name: "nosql.compaction", Start: t.startedAt, End: e.clock, Unit: "vsec",
 		Attrs: map[string]float64{
@@ -1152,7 +1151,6 @@ func (e *Engine) Restart() {
 	e.m.VirtualSeconds += downtime
 	e.m.Restarts++
 	e.m.ReplayedRecords += uint64(len(records))
-	e.o.restarts.Inc()
 }
 
 // SetDegradation installs straggler multipliers on the node's cost
@@ -1208,7 +1206,6 @@ func (e *Engine) Delete(key uint64) {
 	e.log.Append(key, true, 0, float64(e.hw.RowBytes)/8)
 	e.mem.Tombstone(key)
 	e.m.Deletes++
-	e.o.deletes.Inc()
 
 	if e.rowCache.capacity > 0 {
 		e.rowCache.Remove(blockID{table: key})

@@ -31,7 +31,6 @@ type scanSource struct {
 func (e *Engine) Scan(start uint64, limit int) int {
 	e.ep.ops++
 	e.m.Scans++
-	e.o.scans.Inc()
 	if limit <= 0 {
 		if e.ep.ops >= e.epochOps {
 			e.closeEpoch()
@@ -131,7 +130,6 @@ func (e *Engine) Scan(start uint64, limit int) int {
 
 	e.ep.readCPU += cpu
 	e.m.ScanRows += uint64(rows)
-	e.o.scanRows.Add(uint64(rows))
 	e.o.scanLen.Observe(float64(rows))
 	if e.ep.ops >= e.epochOps {
 		e.closeEpoch()

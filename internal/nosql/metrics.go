@@ -3,16 +3,26 @@ package nosql
 import "rafiki/internal/stats"
 
 // Metrics is a snapshot of the engine's counters and derived statistics.
+// The engine's own copy is its one always-on ledger: an engine built
+// with Options.Obs exports it (obs.Registry.Export), and a snapshot
+// reports each `obs`-tagged field under that name, summed over every
+// engine on the registry.
 type Metrics struct {
 	// Reads and Writes count completed operations; Deletes counts
 	// tombstone writes; Scans counts range-scan operations, ScanRows
 	// the live rows they returned, and ScanCells every cell version
 	// their merged iterators examined (the scan read amplification).
-	Reads, Writes, Deletes uint64
-	Scans, ScanRows        uint64
-	ScanCells              uint64
+	Reads     uint64 `obs:"nosql.reads"`
+	Writes    uint64 `obs:"nosql.writes"`
+	Deletes   uint64 `obs:"nosql.deletes"`
+	Scans     uint64 `obs:"nosql.scans"`
+	ScanRows  uint64 `obs:"nosql.scan_rows"`
+	ScanCells uint64
 	// VirtualSeconds is the simulated wall-clock time consumed.
 	VirtualSeconds float64
+	// Epochs counts closed accounting epochs, the length of the two
+	// series below.
+	Epochs uint64 `obs:"nosql.epochs"`
 	// EpochThroughputs records ops/s for each closed accounting epoch —
 	// the 10-second samples behind the paper's Figure 10.
 	EpochThroughputs []float64
@@ -24,10 +34,11 @@ type Metrics struct {
 
 	// Flushes counts memtable flushes, ForcedFlushes the subset forced
 	// by commit-log space exhaustion.
-	Flushes, ForcedFlushes uint64
+	Flushes       uint64 `obs:"nosql.flushes"`
+	ForcedFlushes uint64 `obs:"nosql.flushes_forced"`
 	// Compactions counts completed compaction tasks and
 	// CompactionBytes their total disk traffic.
-	Compactions     uint64
+	Compactions     uint64 `obs:"nosql.compactions"`
 	CompactionBytes float64
 	// StallSeconds is time writes spent blocked behind flush backlog.
 	StallSeconds float64
@@ -51,7 +62,7 @@ type Metrics struct {
 	CompactionBacklogBytes float64
 	// Restarts counts simulated crash-recoveries and ReplayedRecords the
 	// commit-log records re-applied by them.
-	Restarts        uint64
+	Restarts        uint64 `obs:"nosql.restarts"`
 	ReplayedRecords uint64
 	// CorruptedLogRecords counts commit-log records lost to injected
 	// tail corruption — acknowledged writes a crash cannot recover.

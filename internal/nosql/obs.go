@@ -2,27 +2,16 @@ package nosql
 
 import "rafiki/internal/obs"
 
-// engineObs holds the engine's pre-resolved instruments. All fields
-// are nil when observability is disabled; every obs method is nil-safe,
-// so hot paths call them unconditionally and a disabled build pays one
-// branch per call (see BenchmarkEngineWriteObs).
+// engineObs holds the engine's pre-resolved gauges and histograms and
+// the registry its spans go to; the counters are Metrics' tagged fields.
+// All fields are nil when observability is disabled; every obs method is
+// nil-safe, so the epoch close calls them unconditionally.
 //
 // Instrument names are scoped "nosql.*". Span axes are virtual seconds
 // ("vsec"): flush and compaction spans run from the virtual time the
 // task was enqueued to the epoch close that completed it.
 type engineObs struct {
 	reg *obs.Registry
-
-	reads    *obs.Counter
-	writes   *obs.Counter
-	deletes  *obs.Counter
-	scans    *obs.Counter
-	scanRows *obs.Counter
-	flushes  *obs.Counter
-	forced   *obs.Counter
-	compacts *obs.Counter
-	restarts *obs.Counter
-	epochs   *obs.Counter
 
 	sstables *obs.Gauge
 	clock    *obs.Gauge
@@ -40,16 +29,6 @@ func newEngineObs(r *obs.Registry) engineObs {
 	}
 	return engineObs{
 		reg:      r,
-		reads:    r.Counter("nosql.reads"),
-		writes:   r.Counter("nosql.writes"),
-		deletes:  r.Counter("nosql.deletes"),
-		scans:    r.Counter("nosql.scans"),
-		scanRows: r.Counter("nosql.scan_rows"),
-		flushes:  r.Counter("nosql.flushes"),
-		forced:   r.Counter("nosql.flushes_forced"),
-		compacts: r.Counter("nosql.compactions"),
-		restarts: r.Counter("nosql.restarts"),
-		epochs:   r.Counter("nosql.epochs"),
 		sstables: r.Gauge("nosql.sstables"),
 		clock:    r.Gauge("nosql.clock_vsec"),
 		// Throughput band covers the paper's 40k-110k ops/s range with

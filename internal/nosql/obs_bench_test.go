@@ -1,10 +1,13 @@
 package nosql
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"rafiki/internal/config"
 	"rafiki/internal/obs"
+	"rafiki/internal/obs/obstest"
 )
 
 // benchEngine builds an engine for the write-path overhead benchmark.
@@ -57,8 +60,11 @@ func BenchmarkEngineReadObsEnabled(b *testing.B) {
 	}
 }
 
-// TestEngineObsReconcile: the obs counters must agree exactly with the
-// engine's own Metrics counters — they are two views of one stream.
+// TestEngineObsReconcile: a seeded CRUD+scan run's registry snapshot
+// is byte-identical to the one recorded before Metrics became the
+// engine's exported ledger (then each counter was a hand-kept obs twin),
+// and the ledger's epoch count agrees with the epoch series and the
+// throughput histogram.
 func TestEngineObsReconcile(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := New(Options{Space: config.Cassandra(), Seed: 7, EpochOps: 256, Obs: reg})
@@ -67,45 +73,33 @@ func TestEngineObsReconcile(t *testing.T) {
 	}
 	e.Preload(1)
 	ks := uint64(e.KeySpace())
-	for i := uint64(0); i < 20_000; i++ {
-		switch i % 4 {
-		case 0:
+	for i := uint64(0); i < 150_000; i++ {
+		switch {
+		case i%97 == 0:
+			e.Scan(i%ks, 24)
+		case i%4 == 0:
 			e.Read(i % ks)
-		case 3:
+		case i%4 == 3:
 			e.Delete(i % ks)
 		default:
 			e.Write(i % ks)
 		}
 	}
 	e.FinishEpoch()
+	e.CompactAll()
+	e.DrainBackground(60)
+	e.Restart()
+	obstest.Golden(t, reg, "testdata/obs_engine.json")
 	m := e.Metrics()
 	snap := reg.Snapshot()
-	checks := []struct {
-		name string
-		want uint64
-	}{
-		{"nosql.reads", m.Reads},
-		{"nosql.writes", m.Writes},
-		{"nosql.deletes", m.Deletes},
-		{"nosql.flushes", m.Flushes},
-		{"nosql.compactions", m.Compactions},
-		{"nosql.restarts", m.Restarts},
+	if m.Scans == 0 || m.ScanRows == 0 || m.Deletes == 0 || m.Flushes == 0 || m.Compactions == 0 || m.Restarts != 1 {
+		t.Errorf("run did not exercise every exported counter: %+v", m)
 	}
-	for _, c := range checks {
-		if got := snap.Counters[c.name]; got != c.want {
-			t.Errorf("%s = %d, want %d (Metrics)", c.name, got, c.want)
-		}
-	}
-	if got := snap.Counters["nosql.epochs"]; got != uint64(len(m.EpochThroughputs)) {
-		t.Errorf("nosql.epochs = %d, want %d", got, len(m.EpochThroughputs))
+	if m.Epochs != uint64(len(m.EpochThroughputs)) {
+		t.Errorf("Epochs = %d, series holds %d", m.Epochs, len(m.EpochThroughputs))
 	}
 	if hs := snap.Histograms["nosql.epoch_throughput"]; hs.Total != len(m.EpochThroughputs) {
 		t.Errorf("throughput histogram holds %d epochs, want %d", hs.Total, len(m.EpochThroughputs))
-	}
-	// Restart and verify the counter follows.
-	e.Restart()
-	if got := reg.Snapshot().Counters["nosql.restarts"]; got != 1 {
-		t.Errorf("nosql.restarts after restart = %d, want 1", got)
 	}
 	// Compactions must have produced spans with consistent geometry.
 	for _, sp := range snap.Spans {
@@ -115,5 +109,40 @@ func TestEngineObsReconcile(t *testing.T) {
 		if sp.Unit != "vsec" {
 			t.Errorf("span %s unit = %q, want vsec", sp.Name, sp.Unit)
 		}
+	}
+}
+
+// TestMetricsLedgerNames pins the counter names Metrics exports to the
+// ten the engine's obs twin published.
+func TestMetricsLedgerNames(t *testing.T) {
+	obstest.Names(t, new(Metrics),
+		"nosql.compactions", "nosql.deletes", "nosql.epochs", "nosql.flushes", "nosql.flushes_forced",
+		"nosql.reads", "nosql.restarts", "nosql.scan_rows", "nosql.scans", "nosql.writes")
+}
+
+// TestExportReleasesEngines: a registry that outlives the engines built
+// on it holds their ledgers, not the engines. The exported Metrics is an
+// allocation of its own; were it a field of Engine, the registry's
+// pointer would keep every engine — tables, caches, commit log — alive.
+func TestExportReleasesEngines(t *testing.T) {
+	reg := obs.NewRegistry()
+	engines := make([]weak.Pointer[Engine], 8)
+	for i := range engines {
+		e, err := New(Options{Space: config.Cassandra(), Seed: int64(i), Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Preload(1)
+		e.Write(uint64(i))
+		engines[i] = weak.Make(e)
+	}
+	runtime.GC()
+	for i, e := range engines {
+		if e.Value() != nil {
+			t.Errorf("engine %d is still reachable while only its registry lives", i)
+		}
+	}
+	if got := reg.Snapshot().Counters["nosql.writes"]; got != uint64(len(engines)) {
+		t.Errorf("nosql.writes = %d after the engines were dropped, want %d", got, len(engines))
 	}
 }

@@ -4,6 +4,10 @@
 // virtual clock, so every trace is bit-for-bit reproducible under a
 // seed.
 //
+// A component's always-on counters are not instruments: it keeps them as
+// plain fields of one struct and hands that to Registry.Export, which
+// reads them by tag when a snapshot is taken.
+//
 // Instrumentation is strictly opt-in. Every instrument method is
 // nil-safe: code holds possibly-nil *Counter/*Gauge/*Histogram/
 // *Registry pointers and calls them unconditionally, and a nil

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -28,6 +30,10 @@ type Registry struct {
 	hist    map[string]*Histogram
 	spans   []Span
 	dropped uint64
+
+	// ledgers are the pointers handed to Export: the registry pins each
+	// ledger and nothing around it.
+	ledgers []any
 
 	// parent marks a stage registry (see Stage): counters and
 	// histograms — whose updates are commutative — resolve through it,
@@ -106,6 +112,55 @@ func (r *Registry) Histogram(name string, lo, hi float64, bins int) *Histogram {
 	return h
 }
 
+// ledgerCounters calls visit with the name and value of each integer
+// field of the struct ledger points to that is tagged `obs:"<name>"`,
+// in field order. It panics unless ledger is a non-nil pointer to a
+// struct whose tagged fields are all integers.
+func ledgerCounters(ledger any, visit func(name string, n uint64)) {
+	v := reflect.ValueOf(ledger)
+	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
+		panic(fmt.Sprintf("obs: ledger must be a non-nil pointer to a struct, got %T", ledger))
+	}
+	v = v.Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name, tagged := v.Type().Field(i).Tag.Lookup("obs")
+		switch f := v.Field(i); {
+		case !tagged:
+		case f.CanUint():
+			visit(name, f.Uint())
+		case f.CanInt():
+			visit(name, uint64(f.Int()))
+		default:
+			panic(fmt.Sprintf("obs: %s.%s is tagged %q but is not an integer", v.Type(), v.Type().Field(i).Name, name))
+		}
+	}
+}
+
+// Export makes ledger — a pointer to a component's struct of always-on
+// counters — part of this registry's snapshots: every integer field
+// tagged `obs:"<name>"` is reported as counter <name>, summed over every
+// exported ledger and the interned Counter of that name, if any. The
+// component keeps bumping plain fields; nothing is copied until
+// Snapshot reads them, so like Merge a Snapshot must be taken at a
+// quiescent point. The registry holds the pointer until Reset: export a
+// small allocation of its own (c.stats = new(Stats)), never the address
+// of a field, or the registry pins the whole component. A stage child
+// forwards to its parent. No-op on a nil registry; panics on a ledger
+// that is not a pointer to a struct or tags a non-integer field.
+func (r *Registry) Export(ledger any) {
+	if r == nil {
+		return
+	}
+	if r.parent != nil {
+		r.parent.Export(ledger)
+		return
+	}
+	ledgerCounters(ledger, func(string, uint64) {}) // reject a malformed ledger now, not at Snapshot
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ledgers = append(r.ledgers, ledger)
+}
+
 // Record stores one finished span, dropping (and counting) it if the
 // buffer is full. No-op on a nil registry.
 func (r *Registry) Record(s Span) {
@@ -179,9 +234,10 @@ func (r *Registry) Merge(child *Registry) {
 	r.dropped += child.dropped
 }
 
-// Reset clears all instruments and spans while keeping the registry
-// enabled. Pointers previously resolved from the registry keep
-// working but refer to instruments no longer exported by snapshots.
+// Reset clears all instruments, spans and exported ledgers while
+// keeping the registry enabled. Pointers previously resolved from the
+// registry keep working but refer to instruments no longer exported by
+// snapshots.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -193,4 +249,5 @@ func (r *Registry) Reset() {
 	r.hist = make(map[string]*Histogram)
 	r.spans = nil
 	r.dropped = 0
+	r.ledgers = nil
 }

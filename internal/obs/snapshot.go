@@ -29,8 +29,9 @@ type Snapshot struct {
 	SpansDropped uint64                       `json:"spans_dropped,omitempty"`
 }
 
-// Snapshot exports the registry's current state. On a nil registry it
-// returns an empty snapshot.
+// Snapshot exports the registry's current state, exported ledgers
+// included (see Export: their owners must be quiescent). On a nil
+// registry it returns an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
@@ -46,6 +47,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, c := range r.counter {
 		s.Counters[name] = c.Value()
+	}
+	for _, l := range r.ledgers {
+		ledgerCounters(l, func(name string, n uint64) { s.Counters[name] += n })
 	}
 	for name, g := range r.gauge {
 		s.Gauges[name] = g.Value()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"rafiki/internal/stats"
 )
@@ -99,7 +100,7 @@ func AnalyzeTrace(ws []Window) (RegimeStats, error) {
 		default:
 			out.MixedFrac++
 		}
-		if i > 0 && abs(w.ReadRatio-ws[i-1].ReadRatio) > 0.3 {
+		if i > 0 && math.Abs(w.ReadRatio-ws[i-1].ReadRatio) > 0.3 {
 			out.Transitions++
 		}
 	}
@@ -108,11 +109,4 @@ func AnalyzeTrace(ws []Window) (RegimeStats, error) {
 	out.WriteHeavyFrac /= n
 	out.MixedFrac /= n
 	return out, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

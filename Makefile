@@ -91,7 +91,7 @@ cover:
 # minimal reproducer. A corruption-free reproducer is a protocol bug
 # and exits nonzero. The report lands in chaos-report.txt (gitignored).
 chaos:
-	$(GO) run ./cmd/experiments -chaos -ops 4000 -out chaos-report.txt
+	$(GO) run ./cmd/experiments -only chaos -ops 4000 -out chaos-report.txt
 
 # slo runs the front-door overload chaos gate over its fixed seed set:
 # a multi-thousand-tenant open-loop fleet driven into overload while a
@@ -101,7 +101,7 @@ chaos:
 # differ between the runs), or a session-guarantee violation for any
 # admitted request. The report lands in slo-report.txt (gitignored).
 slo:
-	$(GO) run ./cmd/experiments -slo -out slo-report.txt
+	$(GO) run ./cmd/experiments -only slo -out slo-report.txt
 
 # guard re-runs the determinism and allocation regression gates: every
 # worker-count invariance test, the zero/bounded-alloc guards (engine,

@@ -1,17 +1,17 @@
 package rafiki_test
 
-// One benchmark per table and figure of the paper's evaluation section,
-// plus micro-benchmarks of the load-bearing components. Each experiment
-// benchmark regenerates the corresponding artifact and prints it once;
-// expensive offline state (the collected dataset and trained surrogate)
-// is shared across benchmarks through lazily-built pipelines.
+// One sub-benchmark per table and figure of the paper's evaluation
+// section, plus micro-benchmarks of the load-bearing components. Each
+// experiment benchmark regenerates the corresponding artifact and
+// prints it once; expensive offline state (the collected dataset and
+// trained surrogate) is shared across benchmarks through the suite's
+// lazily-built pipelines.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"rafiki"
@@ -40,151 +40,41 @@ func benchPipelineOptions() bench.PipelineOptions {
 	return opts
 }
 
-var (
-	cassOnce     sync.Once
-	cassPipeline *bench.Pipeline
-	cassErr      error
-
-	scyllaOnce     sync.Once
-	scyllaPipeline *bench.Pipeline
-	scyllaErr      error
-)
+// benchSuite is shared by every benchmark in the file: the two
+// pipelines are built the first time one is asked for.
+var benchSuite = &bench.Suite{Opts: benchPipelineOptions()}
 
 func cassandraPipeline(b *testing.B) *bench.Pipeline {
 	b.Helper()
-	cassOnce.Do(func() {
-		cassPipeline, cassErr = bench.NewCassandraPipeline(benchPipelineOptions())
-	})
-	if cassErr != nil {
-		b.Fatal(cassErr)
+	p, err := benchSuite.Cassandra()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return cassPipeline
-}
-
-func scyllaPipelineFor(b *testing.B) *bench.Pipeline {
-	b.Helper()
-	scyllaOnce.Do(func() {
-		scyllaPipeline, scyllaErr = bench.NewScyllaPipeline(benchPipelineOptions())
-	})
-	if scyllaErr != nil {
-		b.Fatal(scyllaErr)
-	}
-	return scyllaPipeline
-}
-
-func runReport(b *testing.B, f func() (bench.Report, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := f()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Println(rep.Render())
-		}
-	}
+	return p
 }
 
 // --- Paper artifacts -------------------------------------------------
 
-func BenchmarkFigure3MGRastTrace(b *testing.B) {
-	runReport(b, func() (bench.Report, error) { return bench.Figure3(benchEnv()) })
-}
-
-func BenchmarkFigure4DefaultVsRafiki(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Figure4(p) })
-}
-
-func BenchmarkFigure5ANOVA(b *testing.B) {
-	runReport(b, func() (bench.Report, error) { return bench.Figure5(benchEnv()) })
-}
-
-func BenchmarkFigure6Interdependency(b *testing.B) {
-	runReport(b, func() (bench.Report, error) { return bench.Figure6(benchEnv()) })
-}
-
-func BenchmarkFigure7LearningCurve(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Figure7(p) })
-}
-
-func BenchmarkFigure8UnseenConfigHistogram(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Figure8(p) })
-}
-
-func BenchmarkFigure9UnseenWorkloadHistogram(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Figure9(p) })
-}
-
-func BenchmarkFigure10ThroughputVariance(b *testing.B) {
-	runReport(b, func() (bench.Report, error) { return bench.Figure10(benchEnv()) })
-}
-
-func BenchmarkTable1MaxDefaultMin(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Table1(p) })
-}
-
-func BenchmarkTable2PredictionModel(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Table2(p) })
-}
-
-func BenchmarkTable3MultiServer(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.Table3(p) })
-}
-
-func BenchmarkTable4ScyllaDB(b *testing.B) {
-	p := scyllaPipelineFor(b)
-	runReport(b, func() (bench.Report, error) { return bench.Table4(p) })
-}
-
-func BenchmarkTable2ScyllaPrediction(b *testing.B) {
-	// Section 4.10 / abstract: ScyllaDB predicts at 6.9-7.8% error,
-	// worse than Cassandra, because its auto-tuner injects variance.
-	p := scyllaPipelineFor(b)
-	runReport(b, func() (bench.Report, error) { return bench.Table2(p) })
-}
-
-func BenchmarkSearchSpeedup(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.SearchSpeed(p) })
-}
-
-func BenchmarkConfigSensitivity(b *testing.B) {
-	// Section 1's headline sensitivity numbers come from Table 1's
-	// spread; the ablation adds the greedy/random baselines.
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.AblationSearch(p) })
-}
-
-func BenchmarkAblationTrainer(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.AblationTrainer(p) })
-}
-
-func BenchmarkAblationModel(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.AblationModel(p) })
-}
-
-func BenchmarkAblationSurrogateSearch(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.AblationSurrogateSearch(p) })
-}
-
-func BenchmarkCrossWorkloadPenalty(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.CrossWorkloadPenalty(p) })
-}
-
-func BenchmarkDynamicTrace(b *testing.B) {
-	p := cassandraPipeline(b)
-	runReport(b, func() (bench.Report, error) { return bench.DynamicTrace(p) })
+// BenchmarkExperiments has one sub-benchmark per row of
+// bench.Experiments() that is not opt-in: -bench 'Experiments/table1$'
+// regenerates Table 1.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		if e.OptIn {
+			continue
+		}
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(benchSuite)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					fmt.Println(rep.Render())
+				}
+			}
+		})
+	}
 }
 
 // --- Micro-benchmarks ------------------------------------------------

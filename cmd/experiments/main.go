@@ -5,29 +5,16 @@
 // Usage:
 //
 //	experiments [-only figure4,table1] [-ops N] [-seed N] [-out path]
-//	            [-obs] [-obs-json path] [-workers N] [-netsim] [-chaos]
-//	            [-frontdoor] [-slo] [-workload-mix] [-ring]
+//	            [-obs] [-obs-json path] [-workers N]
 //
-// The netsim, chaos, frontdoor, slo, workloadmix, and ring experiments
-// are opt-in: -netsim replays the standard workload under simulated
-// network conditions (flaky links, duplication, delay, partitions);
-// -chaos runs the consistency chaos search over a fixed seed set,
-// failing if a corruption-free consistency violation is found and
-// shrunk (the suite includes a topology phase racing joins,
-// decommissions, and rolling restarts against the rebalance);
-// -frontdoor demonstrates the multi-tenant front door (admission
-// control, backpressure, load shedding) under an overload + fault
-// schedule; -slo runs the front-door overload chaos gate over its
-// fixed seed set, failing if any seed misses its SLO, sheds
-// nondeterministically, or violates session guarantees; -workload-mix
-// trains a pipeline over a read-ratio x scan-ratio grid and sweeps the
-// scan share at a write-heavy read ratio, failing unless the tuner
-// discovers the leveled-compaction preference as scans rise; and -ring
-// drives 16-64 node token rings through a join and a decommission
-// under QUORUM load, failing if an acked write becomes unreadable or a
-// rebalance fails to drain. Setting any of these flags (or naming the
-// IDs in -only) selects just those experiments unless others are also
-// listed.
+// The experiments, their IDs and their running order are the table
+// bench.Experiments(). Without -only every experiment that is not
+// opt-in runs; netsim, chaos, ring, frontdoor, slo and workloadmix are
+// opt-in and run only when -only names them. chaos, ring, slo and
+// workloadmix are gates: each prints its report and then exits nonzero
+// when its check fails. The first experiment that needs a trained
+// pipeline (figure4 for Cassandra's 220 samples, table4 for ScyllaDB's)
+// builds it inside its own elapsed time.
 package main
 
 import (
@@ -36,7 +23,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"rafiki/internal/bench"
@@ -53,59 +39,22 @@ func main() {
 
 func run() (err error) {
 	var (
-		only    = flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
+		only    = flag.String("only", "", "comma-separated experiment IDs to run (default: all but the opt-in ones)")
 		ops     = flag.Int("ops", 100_000, "operations per benchmark sample")
 		seed    = flag.Int64("seed", 1, "base seed")
 		out     = flag.String("out", "", "also write rendered reports to this file")
 		showObs = flag.Bool("obs", false, "print the observability dashboard after the experiments")
 		obsJSON = flag.String("obs-json", "", "write the observability snapshot as JSON to this file")
 		workers = flag.Int("workers", 0, "worker bound for every parallel stage (0 = one per CPU, 1 = serial); results are identical for any value")
-		netsim  = flag.Bool("netsim", false, "run the netsim experiment (workload under simulated network faults); opt-in, never part of the default set")
-		chaos   = flag.Bool("chaos", false, "run the chaos search (consistency checking over explored fault schedules; exits nonzero on a protocol violation); opt-in, never part of the default set")
-		fdoor   = flag.Bool("frontdoor", false, "run the front-door demo (multi-tenant admission control, backpressure, and load shedding under overload + faults); opt-in, never part of the default set")
-		slo     = flag.Bool("slo", false, "run the SLO gate (front-door overload chaos over a fixed seed set; exits nonzero on an SLO miss, nondeterministic shedding, or a session-guarantee violation); opt-in, never part of the default set")
-		wmix    = flag.Bool("workload-mix", false, "run the workload-mix experiment (trains over a read-ratio x scan-ratio grid and sweeps scan share; exits nonzero unless the tuner discovers the leveled-compaction preference as scans rise); opt-in, never part of the default set")
-		ringF   = flag.Bool("ring", false, "run the ring experiment (16-64 node token rings through join + decommission under QUORUM load; exits nonzero if an acked write becomes unreadable or a rebalance fails to drain); opt-in, never part of the default set")
 	)
 	flag.Parse()
 
-	selected := make(map[string]bool)
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(id)] = true
-		}
-	}
-	if *netsim {
-		selected["netsim"] = true
-	}
-	if *chaos {
-		selected["chaos"] = true
-	}
-	if *fdoor {
-		selected["frontdoor"] = true
-	}
-	if *slo {
-		selected["slo"] = true
-	}
-	if *wmix {
-		selected["workloadmix"] = true
-	}
-	if *ringF {
-		selected["ring"] = true
-	}
-	// netsim, chaos, frontdoor, and slo are opt-in only: they never
-	// join the implicit "run everything" set, so the default experiment
-	// output is unchanged by their existence.
-	optIn := map[string]bool{"netsim": true, "chaos": true, "frontdoor": true, "slo": true, "workloadmix": true, "ring": true}
-	want := func(id string) bool {
-		if optIn[id] {
-			return selected[id]
-		}
-		return len(selected) == 0 || selected[id]
+	selected, err := bench.Select(*only)
+	if err != nil {
+		return err
 	}
 
-	var sinks []io.Writer
-	sinks = append(sinks, os.Stdout)
+	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, cerr := os.Create(*out)
 		if cerr != nil {
@@ -116,207 +65,48 @@ func run() (err error) {
 				err = cerr
 			}
 		}()
-		sinks = append(sinks, f)
+		w = io.MultiWriter(os.Stdout, f)
 	}
-	w := io.MultiWriter(sinks...)
 
-	opts := bench.DefaultPipelineOptions()
-	opts.Env.SampleOps = *ops
-	opts.Env.Seed = *seed
-	opts.Env.Workers = *workers
+	suite := &bench.Suite{Opts: bench.DefaultPipelineOptions()}
+	suite.Opts.Env.SampleOps = *ops
+	suite.Opts.Env.Seed = *seed
+	suite.Opts.Env.Workers = *workers
 
 	// Instrumentation is opt-in: a nil registry costs one predictable
 	// branch per hot-path event.
-	var reg *obs.Registry
 	if *showObs || *obsJSON != "" {
-		reg = obs.NewRegistry()
-		opts.Env.Obs = reg
+		reg := obs.NewRegistry()
+		suite.Opts.Env.Obs = reg
+		defer func() {
+			if *showObs {
+				fmt.Fprintf(w, "%s\n", reg.Snapshot().Dashboard())
+			}
+			if *obsJSON != "" {
+				blob, err := reg.Snapshot().JSON()
+				if err == nil {
+					err = os.WriteFile(*obsJSON, blob, 0o644)
+				}
+				if err != nil {
+					log.Printf("obs snapshot: %v", err)
+				}
+			}
+		}()
 	}
-	defer func() {
-		if reg == nil {
-			return
-		}
-		if *showObs {
-			fmt.Fprintf(w, "%s\n", reg.Snapshot().Dashboard())
-		}
-		if *obsJSON != "" {
-			blob, err := reg.Snapshot().JSON()
-			if err != nil {
-				log.Printf("obs snapshot: %v", err)
-				return
-			}
-			if err := os.WriteFile(*obsJSON, blob, 0o644); err != nil {
-				log.Printf("obs snapshot: %v", err)
-			}
-		}
-	}()
 
-	emit := func(rep bench.Report, err error, elapsed time.Duration) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s\n(elapsed %s)\n\n", rep.Render(), elapsed.Round(time.Millisecond))
-		return nil
-	}
-	timed := func(f func() (bench.Report, error)) (bench.Report, error, time.Duration) {
+	for _, e := range selected {
+		log.Printf("running %s...", e.ID)
 		start := time.Now()
-		rep, err := f()
-		return rep, err, time.Since(start)
-	}
-
-	// Experiments that do not need the trained pipeline.
-	if want("figure3") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.Figure3(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("figure5") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.Figure5(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("figure6") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.Figure6(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("figure10") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.Figure10(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("faultinjection") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.FaultInjection(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("netsim") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.NetSim(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("chaos") {
-		rep, cerr, elapsed := timed(func() (bench.Report, error) { return bench.Chaos(opts.Env) })
-		// A chaos violation still carries a report worth reading: print
-		// it before failing.
-		if cerr != nil && rep.ID != "" {
-			fmt.Fprintf(w, "%s\n", rep.Render())
-		}
-		if err := emit(rep, cerr, elapsed); err != nil {
-			return err
-		}
-	}
-
-	if want("ring") {
-		rep, rerr, elapsed := timed(func() (bench.Report, error) { return bench.Ring(opts.Env) })
-		// A failed readability or determinism gate still carries the
-		// per-scale table worth reading: print it before failing.
-		if rerr != nil && rep.ID != "" {
-			fmt.Fprintf(w, "%s\n", rep.Render())
-		}
-		if err := emit(rep, rerr, elapsed); err != nil {
-			return err
-		}
-	}
-
-	if want("frontdoor") {
-		if err := emit(timed(func() (bench.Report, error) { return bench.FrontDoor(opts.Env) })); err != nil {
-			return err
-		}
-	}
-	if want("slo") {
-		rep, serr, elapsed := timed(func() (bench.Report, error) { return bench.SLO(opts.Env) })
-		// A failing gate still carries the per-seed table worth
-		// reading: print it before failing.
-		if serr != nil && rep.ID != "" {
-			fmt.Fprintf(w, "%s\n", rep.Render())
-		}
-		if err := emit(rep, serr, elapsed); err != nil {
-			return err
-		}
-	}
-
-	if want("workloadmix") {
-		// Trains its own pipeline over the read-ratio x scan-ratio grid,
-		// so it does not share the standard pipeline below.
-		log.Print("running workloadmix (trains a mixed-shape pipeline)...")
-		rep, merr, elapsed := timed(func() (bench.Report, error) { return bench.WorkloadMix(opts) })
-		// A failed discovery still carries the sweep table worth
-		// reading: print it before failing.
-		if merr != nil && rep.ID != "" {
-			fmt.Fprintf(w, "%s\n", rep.Render())
-		}
-		if err := emit(rep, merr, elapsed); err != nil {
-			return err
-		}
-	}
-
-	pipelineWanted := false
-	for _, id := range []string{"figure4", "figure7", "figure8", "figure9", "table1", "table2", "table3", "searchspeed", "ablation-search", "ablation-trainer", "ablation-model", "ablation-surrogate-search", "crossworkload", "dynamic"} {
-		if want(id) {
-			pipelineWanted = true
-			break
-		}
-	}
-	if pipelineWanted {
-		log.Printf("building Cassandra pipeline (%d samples)...", len(opts.Collect.Workloads)*opts.Collect.Configs)
-		start := time.Now()
-		p, err := bench.NewCassandraPipeline(opts)
+		rep, err := e.Run(suite)
 		if err != nil {
-			return err
-		}
-		log.Printf("pipeline ready in %s", time.Since(start).Round(time.Millisecond))
-
-		steps := []struct {
-			id string
-			fn func(*bench.Pipeline) (bench.Report, error)
-		}{
-			{"figure4", bench.Figure4},
-			{"table1", bench.Table1},
-			{"table2", bench.Table2},
-			{"figure7", bench.Figure7},
-			{"figure8", bench.Figure8},
-			{"figure9", bench.Figure9},
-			{"searchspeed", bench.SearchSpeed},
-			{"table3", bench.Table3},
-			{"ablation-search", bench.AblationSearch},
-			{"ablation-trainer", bench.AblationTrainer},
-			{"ablation-model", bench.AblationModel},
-			{"ablation-surrogate-search", bench.AblationSurrogateSearch},
-			{"crossworkload", bench.CrossWorkloadPenalty},
-			{"dynamic", bench.DynamicTrace},
-		}
-		for _, s := range steps {
-			if !want(s.id) {
-				continue
+			// A failing gate still carries a report worth reading:
+			// print it before failing.
+			if rep.ID != "" {
+				fmt.Fprintf(w, "%s\n", rep.Render())
 			}
-			log.Printf("running %s...", s.id)
-			if err := emit(timed(func() (bench.Report, error) { return s.fn(p) })); err != nil {
-				return fmt.Errorf("%s: %w", s.id, err)
-			}
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-	}
-
-	if want("table4") || want("table2-scylla") {
-		log.Print("building ScyllaDB pipeline...")
-		sp, err := bench.NewScyllaPipeline(opts)
-		if err != nil {
-			return err
-		}
-		if want("table4") {
-			if err := emit(timed(func() (bench.Report, error) { return bench.Table4(sp) })); err != nil {
-				return fmt.Errorf("table4: %w", err)
-			}
-		}
-		if want("table2-scylla") {
-			rep, err, elapsed := timed(func() (bench.Report, error) { return bench.Table2(sp) })
-			rep.ID = "table2-scylla"
-			rep.Title = "Surrogate prediction performance on ScyllaDB"
-			rep.Notes = append(rep.Notes, "paper: ScyllaDB prediction error 6.9-7.8% — worse than Cassandra's because the auto-tuner makes throughput noisy (Figure 10)")
-			if err := emit(rep, err, elapsed); err != nil {
-				return fmt.Errorf("table2-scylla: %w", err)
-			}
-		}
+		fmt.Fprintf(w, "%s\n(elapsed %s)\n\n", rep.Render(), time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

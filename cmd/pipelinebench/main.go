@@ -30,8 +30,7 @@ import (
 	"rafiki/internal/nn"
 	"rafiki/internal/obs"
 	"rafiki/internal/par"
-
-	"rafiki/internal/bench"
+	"rafiki/internal/sim"
 )
 
 // stageResult is one stage's serial-vs-parallel measurement.
@@ -227,11 +226,11 @@ func run(args []string) error {
 		}()
 	}
 
-	env := bench.DefaultEnv()
-	env.SampleOps = *ops
-	env.Seed = *seed
 	space := config.Cassandra()
-	collector := env.CassandraCollector()
+	collector := sim.Default()
+	collector.SampleOps = *ops
+	collector.Seed = *seed
+	collector.Space = space
 
 	collectOpts := core.DefaultCollectOptions()
 	modelCfg := nn.DefaultModelConfig()

@@ -15,9 +15,9 @@ import (
 	"log"
 	"os"
 
-	"rafiki/internal/bench"
 	"rafiki/internal/config"
 	"rafiki/internal/core"
+	"rafiki/internal/sim"
 )
 
 func main() {
@@ -42,36 +42,27 @@ func run() error {
 	)
 	flag.Parse()
 
-	env := bench.DefaultEnv()
-	env.SampleOps = *ops
-	env.Seed = *seed
-	if err := env.Validate(); err != nil {
+	collector := sim.Default()
+	collector.SampleOps = *ops
+	collector.Seed = *seed
+	if err := collector.Validate(); err != nil {
 		return err
 	}
-
-	var (
-		space     *config.Space
-		collector core.Collector
-	)
 	switch *db {
 	case "cassandra":
-		space = config.Cassandra()
-		collector = env.CassandraCollector()
+		collector.Space = config.Cassandra()
 	case "scylladb":
-		space = config.ScyllaDB()
-		collector = env.ScyllaCollector()
+		collector.Space = config.ScyllaDB()
 	default:
 		return fmt.Errorf("unknown datastore %q", *db)
 	}
+	space := collector.Space
 	switch *metric {
 	case "throughput":
 	case "latency":
 		// Section 3.8: the DBA picks the performance metric; the
 		// latency objective maximizes inverse p99.
-		if *db != "cassandra" {
-			return fmt.Errorf("latency tuning is only wired for cassandra")
-		}
-		collector = env.CassandraLatencyCollector()
+		collector = collector.InverseP99()
 	default:
 		return fmt.Errorf("unknown metric %q", *metric)
 	}

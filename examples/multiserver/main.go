@@ -20,7 +20,8 @@ func main() {
 
 func run() error {
 	space := rafiki.CassandraSpace()
-	collector := rafiki.NewSimulatorCollector(rafiki.SimulatorConfig{SampleOps: 50_000, Seed: 4})
+	sampler := rafiki.SimulatorConfig{SampleOps: 50_000, Seed: 4}
+	collector := rafiki.NewSimulatorCollector(sampler)
 
 	opts := rafiki.DefaultTunerOptions()
 	opts.SkipIdentify = true
@@ -36,29 +37,9 @@ func run() error {
 		return err
 	}
 
-	measure := func(nodes, rf int, rr float64, cfg rafiki.Config, seed int64) (float64, error) {
-		c, err := rafiki.NewCluster(rafiki.ClusterOptions{
-			Nodes:             nodes,
-			ReplicationFactor: rf,
-			Space:             space,
-			Config:            cfg,
-			Seed:              seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		c.Preload(3)
-		res, err := rafiki.RunWorkload(c, rafiki.WorkloadSpec{
-			ReadRatio: rr,
-			KRDMean:   float64(c.KeySpace()) / 2,
-			Ops:       60_000,
-			Seed:      seed + 7,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput, nil
-	}
+	// The same sampler, pointed at a fresh replicated cluster per sample.
+	one := rafiki.NewSimulatorCollector(sampler.OnCluster(1, 1))
+	two := rafiki.NewSimulatorCollector(sampler.OnCluster(2, 2))
 
 	fmt.Printf("%-10s %-12s %-12s %-9s %-12s %-12s %s\n",
 		"workload", "1-node def", "1-node raf", "improve", "2-node def", "2-node raf", "improve")
@@ -68,19 +49,19 @@ func run() error {
 			return err
 		}
 		seed := int64(1000 * (i + 1))
-		oneDef, err := measure(1, 1, rr, nil, seed)
+		oneDef, err := one.Sample(rafiki.RR(rr), nil, seed)
 		if err != nil {
 			return err
 		}
-		oneRaf, err := measure(1, 1, rr, rec.Config, seed+1)
+		oneRaf, err := one.Sample(rafiki.RR(rr), rec.Config, seed+1)
 		if err != nil {
 			return err
 		}
-		twoDef, err := measure(2, 2, rr, nil, seed+2)
+		twoDef, err := two.Sample(rafiki.RR(rr), nil, seed+2)
 		if err != nil {
 			return err
 		}
-		twoRaf, err := measure(2, 2, rr, rec.Config, seed+3)
+		twoRaf, err := two.Sample(rafiki.RR(rr), rec.Config, seed+3)
 		if err != nil {
 			return err
 		}

@@ -34,9 +34,11 @@ func run() error {
 			}),
 		},
 		{
-			name:      "scylladb",
-			space:     rafiki.ScyllaDBSpace(),
-			collector: scyllaCollector(50_000, 5),
+			name:  "scylladb",
+			space: rafiki.ScyllaDBSpace(),
+			collector: rafiki.NewSimulatorCollector(rafiki.SimulatorConfig{
+				Space: rafiki.ScyllaDBSpace(), SampleOps: 50_000, Seed: 5,
+			}),
 		},
 	}
 
@@ -72,25 +74,4 @@ func run() error {
 	}
 	fmt.Println("(the paper: ~41% headroom on Cassandra vs ~9-12% on self-tuning ScyllaDB)")
 	return nil
-}
-
-// scyllaCollector benchmarks a fresh ScyllaDB engine per sample.
-func scyllaCollector(sampleOps int, seed int64) rafiki.Collector {
-	return rafiki.CollectorFunc(func(w rafiki.Workload, cfg rafiki.Config, s int64) (float64, error) {
-		eng, err := rafiki.NewScyllaEngine(rafiki.ScyllaOptions{Config: cfg, Seed: seed ^ s})
-		if err != nil {
-			return 0, err
-		}
-		eng.Preload(3)
-		res, err := rafiki.RunWorkload(eng, rafiki.WorkloadSpec{
-			ReadRatio: w.ReadRatio,
-			KRDMean:   float64(eng.KeySpace()) / 2,
-			Ops:       sampleOps,
-			Seed:      s + 101,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput, nil
-	})
 }

@@ -123,18 +123,18 @@ func TestEnvValidate(t *testing.T) {
 
 func TestCassandraSampleDeterminism(t *testing.T) {
 	env := tinyEnv()
-	a, err := env.CassandraSample(core.RR(0.5), config.Config{}, 9)
+	a, err := env.Sample(core.RR(0.5), config.Config{}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := env.CassandraSample(core.RR(0.5), config.Config{}, 9)
+	b, err := env.Sample(core.RR(0.5), config.Config{}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("same seed produced %v vs %v", a, b)
 	}
-	c, err := env.CassandraSample(core.RR(0.5), config.Config{}, 10)
+	c, err := env.Sample(core.RR(0.5), config.Config{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestTable4RequiresScyllaPipeline(t *testing.T) {
 
 func TestLatencyCollector(t *testing.T) {
 	env := tinyEnv()
-	inv, err := env.CassandraLatencySample(core.RR(0.5), config.Config{}, 31)
+	inv, err := env.InverseP99().Sample(core.RR(0.5), config.Config{}, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestLatencyCollector(t *testing.T) {
 	}
 	// Little's law sanity: p99 latency must be at least
 	// clients/throughput of the mean epoch.
-	tput, err := env.CassandraSample(core.RR(0.5), config.Config{}, 31)
+	tput, err := env.Sample(core.RR(0.5), config.Config{}, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestScyllaPipelineAndTable4Smoke(t *testing.T) {
 
 func TestClusterSampleSmoke(t *testing.T) {
 	env := tinyEnv()
-	tput, err := env.ClusterSample(2, 2, core.RR(0.5), config.Config{}, 71)
+	tput, err := env.OnCluster(2, 2).Sample(core.RR(0.5), config.Config{}, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,8 @@ func TestClusterSampleSmoke(t *testing.T) {
 
 func TestScyllaSampleSmoke(t *testing.T) {
 	env := tinyEnv()
-	tput, err := env.ScyllaSample(core.RR(0.5), config.Config{}, 72)
+	env.Space = config.ScyllaDB()
+	tput, err := env.Sample(core.RR(0.5), config.Config{}, 72)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,13 @@
 package bench
 
-import (
-	"fmt"
+import "rafiki/internal/sim"
 
-	"rafiki/internal/cluster"
-	"rafiki/internal/config"
-	"rafiki/internal/core"
-	"rafiki/internal/nosql"
-	"rafiki/internal/obs"
-	"rafiki/internal/workload"
-)
-
-// Env fixes the experimental environment: how long each benchmark
-// sample runs, the key-reuse profile, and the base seed. A fresh engine
-// backs every sample, matching the paper's container reset between
-// data-collection events.
+// Env fixes the experimental environment: how a benchmark sample is
+// taken (sample length, key-reuse profile, base seed, telemetry — the
+// embedded sim.Sampler, which is also the Cassandra collector) and how
+// wide the harness fans out.
 type Env struct {
-	// Seed is the base seed; all derived seeds are deterministic.
-	Seed int64
-	// SampleOps is the number of operations per benchmark sample (the
-	// analog of the paper's 5-minute measurement window).
-	SampleOps int
-	// KRDFraction sets the key-reuse-distance mean as a fraction of the
-	// key space; MG-RAST's KRD is large (Section 3.3).
-	KRDFraction float64
-	// PreloadVersions controls the preloaded dataset's overlap depth.
-	PreloadVersions int
-	// Obs, when non-nil, receives engine- and cluster-level telemetry
-	// from every sample the environment runs. The registry is shared
-	// across samples, so counters accumulate over a whole experiment.
-	// Under parallel collection each sample writes to its own stage of
-	// this registry, merged in sample order, so snapshots stay
-	// deterministic (see core.ObsCollector).
-	Obs *obs.Registry
+	sim.Sampler
 	// Workers bounds the parallelism of every pipeline stage driven by
 	// this environment — data collection, ensemble training, and batch
 	// prediction. <= 0 means one worker per CPU; 1 forces serial
@@ -41,171 +16,4 @@ type Env struct {
 }
 
 // DefaultEnv returns the environment used by the experiment suite.
-func DefaultEnv() Env {
-	return Env{
-		Seed:            1,
-		SampleOps:       100_000,
-		KRDFraction:     2.0,
-		PreloadVersions: 3,
-	}
-}
-
-// Validate reports sizing errors.
-func (e Env) Validate() error {
-	if e.SampleOps <= 0 {
-		return fmt.Errorf("bench: sample ops must be positive, got %d", e.SampleOps)
-	}
-	if e.KRDFraction < 0 {
-		return fmt.Errorf("bench: negative KRD fraction %v", e.KRDFraction)
-	}
-	if e.PreloadVersions < 1 {
-		return fmt.Errorf("bench: preload versions must be >= 1, got %d", e.PreloadVersions)
-	}
-	return nil
-}
-
-// SpecFor translates a workload characterization into the concrete
-// workload.Spec the environment drives: RR-only workloads take the
-// paper's original two-op spec (bit-identical to pre-mix experiments),
-// while workloads with scan-ratio or skew axes run the full CRUD+scan
-// mix — scans at ScanRatio, a fixed 5% delete share of mutations so
-// tombstone pressure is always represented, and a hotspot key
-// distribution whose hot-traffic weight realizes the skew.
-func (e Env) SpecFor(w core.Workload, keySpace int, seed int64) workload.Spec {
-	spec := workload.Spec{
-		ReadRatio: w.ReadRatio,
-		KRDMean:   e.KRDFraction * float64(keySpace),
-		Ops:       e.SampleOps,
-		Seed:      seed + 101,
-	}
-	if w.ScanRatio == 0 && w.Skew == 0 {
-		return spec
-	}
-	spec.Mix = workload.MixForShape(w.ReadRatio, w.ScanRatio, 0.05)
-	if w.Skew > 0 {
-		spec.Distribution = workload.DistHotspot
-		spec.HotspotWeight = w.Skew
-	}
-	return spec
-}
-
-// CassandraSample benchmarks one (workload, config) point on a fresh
-// Cassandra engine.
-func (e Env) CassandraSample(w core.Workload, cfg config.Config, seed int64) (float64, error) {
-	eng, err := nosql.New(nosql.Options{
-		Space:  config.Cassandra(),
-		Config: cfg,
-		Seed:   e.Seed ^ seed,
-		Obs:    e.Obs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	eng.Preload(e.PreloadVersions)
-	res, err := workload.Run(eng, e.SpecFor(w, eng.KeySpace(), seed))
-	if err != nil {
-		return 0, err
-	}
-	return res.Throughput, nil
-}
-
-// envCollector adapts an Env sample method to core.ObsCollector: when
-// core.Collect fans samples out, each sample runs against a copy of the
-// environment whose Obs points at that sample's stage registry, so
-// telemetry merges back in sample order instead of interleaving.
-type envCollector struct {
-	env    Env
-	sample func(Env, core.Workload, config.Config, int64) (float64, error)
-}
-
-// Sample implements core.Collector.
-func (c envCollector) Sample(w core.Workload, cfg config.Config, seed int64) (float64, error) {
-	return c.sample(c.env, w, cfg, seed)
-}
-
-// SampleObs implements core.ObsCollector.
-func (c envCollector) SampleObs(w core.Workload, cfg config.Config, seed int64, reg *obs.Registry) (float64, error) {
-	env := c.env
-	env.Obs = reg
-	return c.sample(env, w, cfg, seed)
-}
-
-// CassandraCollector adapts CassandraSample to the middleware.
-func (e Env) CassandraCollector() core.Collector {
-	return envCollector{env: e, sample: Env.CassandraSample}
-}
-
-// CassandraLatencySample benchmarks one point and returns the inverse
-// of the p99 epoch latency (1/seconds) — the alternative performance
-// metric of Section 3.8, where the DBA tunes for tail latency instead
-// of throughput. Higher is better, as the middleware expects.
-func (e Env) CassandraLatencySample(w core.Workload, cfg config.Config, seed int64) (float64, error) {
-	eng, err := nosql.New(nosql.Options{
-		Space:  config.Cassandra(),
-		Config: cfg,
-		Seed:   e.Seed ^ seed,
-		Obs:    e.Obs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	eng.Preload(e.PreloadVersions)
-	if _, err := workload.Run(eng, e.SpecFor(w, eng.KeySpace(), seed)); err != nil {
-		return 0, err
-	}
-	p99 := eng.Metrics().LatencyPercentile(0.99)
-	if p99 <= 0 {
-		return 0, fmt.Errorf("bench: no latency samples collected")
-	}
-	return 1 / p99, nil
-}
-
-// CassandraLatencyCollector adapts CassandraLatencySample.
-func (e Env) CassandraLatencyCollector() core.Collector {
-	return envCollector{env: e, sample: Env.CassandraLatencySample}
-}
-
-// ScyllaSample benchmarks one point on a fresh ScyllaDB engine.
-func (e Env) ScyllaSample(w core.Workload, cfg config.Config, seed int64) (float64, error) {
-	eng, err := nosql.NewScylla(nosql.ScyllaOptions{
-		Config: cfg,
-		Seed:   e.Seed ^ seed,
-		Obs:    e.Obs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	eng.Preload(e.PreloadVersions)
-	res, err := workload.Run(eng, e.SpecFor(w, eng.KeySpace(), seed))
-	if err != nil {
-		return 0, err
-	}
-	return res.Throughput, nil
-}
-
-// ScyllaCollector adapts ScyllaSample to the middleware.
-func (e Env) ScyllaCollector() core.Collector {
-	return envCollector{env: e, sample: Env.ScyllaSample}
-}
-
-// ClusterSample benchmarks one point on a fresh multi-node cluster with
-// the given node count and replication factor.
-func (e Env) ClusterSample(nodes, rf int, w core.Workload, cfg config.Config, seed int64) (float64, error) {
-	c, err := cluster.New(cluster.Options{
-		Nodes:             nodes,
-		ReplicationFactor: rf,
-		Space:             config.Cassandra(),
-		Config:            cfg,
-		Seed:              e.Seed ^ seed,
-		Obs:               e.Obs,
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.Preload(e.PreloadVersions)
-	res, err := workload.Run(c, e.SpecFor(w, c.KeySpace(), seed))
-	if err != nil {
-		return 0, err
-	}
-	return res.Throughput, nil
-}
+func DefaultEnv() Env { return Env{Sampler: sim.Default()} }

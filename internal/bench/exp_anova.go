@@ -15,7 +15,7 @@ import (
 // next, and a long tail of insignificant ones.
 func Figure5(env Env) (Report, error) {
 	space := config.Cassandra()
-	id, err := core.IdentifyKeyParameters(env.CassandraCollector(), space, core.IdentifyOptions{
+	id, err := core.IdentifyKeyParameters(env.Sampler, space, core.IdentifyOptions{
 		ReadRatio: 0.5,
 		MinK:      4,
 		MaxK:      8,
@@ -84,7 +84,7 @@ func Figure6(env Env) (Report, error) {
 		results[s.name] = make(map[float64]float64)
 		for _, cw := range cwValues {
 			seed++
-			tput, err := env.CassandraSample(core.RR(rr), config.Config{
+			tput, err := env.Sample(core.RR(rr), config.Config{
 				config.ParamCompactionStrategy: s.value,
 				config.ParamConcurrentWrites:   cw,
 			}, seed)

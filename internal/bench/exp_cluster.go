@@ -26,19 +26,19 @@ func Table3(p *Pipeline) (Report, error) {
 			return Report{}, err
 		}
 
-		oneDef, err := env.ClusterSample(1, 1, core.RR(rr), config.Config{}, seed)
+		oneDef, err := env.OnCluster(1, 1).Sample(core.RR(rr), config.Config{}, seed)
 		if err != nil {
 			return Report{}, err
 		}
-		oneRaf, err := env.ClusterSample(1, 1, core.RR(rr), rec.Config, seed+1)
+		oneRaf, err := env.OnCluster(1, 1).Sample(core.RR(rr), rec.Config, seed+1)
 		if err != nil {
 			return Report{}, err
 		}
-		twoDef, err := env.ClusterSample(2, 2, core.RR(rr), config.Config{}, seed+2)
+		twoDef, err := env.OnCluster(2, 2).Sample(core.RR(rr), config.Config{}, seed+2)
 		if err != nil {
 			return Report{}, err
 		}
-		twoRaf, err := env.ClusterSample(2, 2, core.RR(rr), rec.Config, seed+3)
+		twoRaf, err := env.OnCluster(2, 2).Sample(core.RR(rr), rec.Config, seed+3)
 		if err != nil {
 			return Report{}, err
 		}

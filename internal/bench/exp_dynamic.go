@@ -106,7 +106,9 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 				return 0, 0, err
 			}
 		}
-		opsPerWindow := p.Opts.Env.SampleOps / 2
+		window := p.Opts.Env.Sampler
+		window.Space = p.Space
+		window.SampleOps /= 2
 		var totalOps int
 		var totalSeconds float64
 		downtime := nosql.DefaultCostModel().ReconfigDowntimeSeconds
@@ -120,25 +122,12 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 					totalSeconds += downtime
 				}
 			}
-			eng, err := nosql.New(nosql.Options{
-				Space:  p.Space,
-				Config: current,
-				Seed:   p.Opts.Env.Seed + 160_000 + int64(i),
-			})
+			res, _, err := window.Run(core.RR(w.ReadRatio), current,
+				p.Opts.Env.Seed+160_000+int64(i), p.Opts.Env.Seed+int64(200+i))
 			if err != nil {
 				return 0, 0, err
 			}
-			eng.Preload(p.Opts.Env.PreloadVersions)
-			res, err := workload.Run(eng, workload.Spec{
-				ReadRatio: w.ReadRatio,
-				KRDMean:   p.Opts.Env.KRDFraction * float64(eng.KeySpace()),
-				Ops:       opsPerWindow,
-				Seed:      p.Opts.Env.Seed + int64(200+i),
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			totalOps += opsPerWindow
+			totalOps += window.SampleOps
 			totalSeconds += res.Seconds
 		}
 		retunes := 0

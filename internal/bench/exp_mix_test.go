@@ -13,7 +13,7 @@ import (
 // anywhere in the pipeline — that leveled compaction wins once range
 // scans enter a write-heavy mix, because scans pay per overlapping
 // SSTable and size-tiered accumulates overlap. The full-size form of
-// the same gate is `cmd/experiments -workload-mix` (see
+// the same gate is `cmd/experiments -only workloadmix` (see
 // EXPERIMENTS.md for its measured flip at 20% scans); this test runs
 // it at unit scale, with the grid and sweep cut to the write-heavy
 // corner the claim is about.

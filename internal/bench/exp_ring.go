@@ -144,7 +144,7 @@ func runRingScale(env Env, nodes int, seed int64) (ringRun, error) {
 
 // Ring is the elastic-topology experiment: 16 to 64 node rings each
 // survive a join and a decommission under QUORUM load. It fails (for
-// `-ring` gating) if any acked write becomes unreadable or a rebalance
+// `-only ring` gating) if any acked write becomes unreadable or a rebalance
 // fails to drain.
 func Ring(env Env) (Report, error) {
 	if err := env.Validate(); err != nil {

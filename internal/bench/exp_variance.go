@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"rafiki/internal/config"
-	"rafiki/internal/nosql"
+	"rafiki/internal/core"
 	"rafiki/internal/stats"
-	"rafiki/internal/workload"
 )
 
 // Figure10 regenerates the throughput-variance comparison: Cassandra
@@ -17,46 +16,21 @@ import (
 // accuracy relative to Cassandra's.
 func Figure10(env Env) (Report, error) {
 	const rr = 0.7
-	ops := env.SampleOps * 3 // longer run to expose the slow wander
-
-	runCassandra := func() ([]float64, error) {
-		eng, err := nosql.New(nosql.Options{Space: config.Cassandra(), Seed: env.Seed + 11})
+	long := env.Sampler
+	long.SampleOps *= 3 // longer run to expose the slow wander
+	series := func(space *config.Space) ([]float64, error) {
+		long.Space = space
+		_, st, err := long.Run(core.RR(rr), nil, env.Seed+11, env.Seed+12)
 		if err != nil {
 			return nil, err
 		}
-		eng.Preload(env.PreloadVersions)
-		if _, err := workload.Run(eng, workload.Spec{
-			ReadRatio: rr,
-			KRDMean:   env.KRDFraction * float64(eng.KeySpace()),
-			Ops:       ops,
-			Seed:      env.Seed + 12,
-		}); err != nil {
-			return nil, err
-		}
-		return eng.Metrics().EpochThroughputs, nil
+		return st.Metrics().EpochThroughputs, nil
 	}
-	runScylla := func() ([]float64, error) {
-		eng, err := nosql.NewScylla(nosql.ScyllaOptions{Seed: env.Seed + 11})
-		if err != nil {
-			return nil, err
-		}
-		eng.Preload(env.PreloadVersions)
-		if _, err := workload.Run(eng, workload.Spec{
-			ReadRatio: rr,
-			KRDMean:   env.KRDFraction * float64(eng.KeySpace()),
-			Ops:       ops,
-			Seed:      env.Seed + 12,
-		}); err != nil {
-			return nil, err
-		}
-		return eng.Metrics().EpochThroughputs, nil
-	}
-
-	cSeries, err := runCassandra()
+	cSeries, err := series(config.Cassandra())
 	if err != nil {
 		return Report{}, err
 	}
-	sSeries, err := runScylla()
+	sSeries, err := series(config.ScyllaDB())
 	if err != nil {
 		return Report{}, err
 	}

@@ -55,19 +55,23 @@ func pipelineFingerprint(t *testing.T, workers int) ([]byte, core.OptimizeResult
 	return model, rec, blob
 }
 
-// TestCollectorsStageTelemetry: every environment collector implements
-// core.ObsCollector, and sampling through a stage registry yields the
+// TestCollectorsStageTelemetry: every variant of the environment's
+// sampler is a core.ObsCollector through any core.Collector-typed
+// handle, and sampling through a stage registry yields the
 // same value as the plain path while routing engine telemetry into the
 // stage (merged back without loss).
 func TestCollectorsStageTelemetry(t *testing.T) {
 	env := tinyEnv()
+	scylla := env.Sampler
+	scylla.Space = config.ScyllaDB()
 	for _, tc := range []struct {
 		name string
 		c    core.Collector
 	}{
-		{"cassandra", env.CassandraCollector()},
-		{"latency", env.CassandraLatencyCollector()},
-		{"scylla", env.ScyllaCollector()},
+		{"cassandra", env.Sampler},
+		{"latency", env.InverseP99()},
+		{"scylla", scylla},
+		{"cluster", env.OnCluster(2, 2)},
 	} {
 		oc, ok := tc.c.(core.ObsCollector)
 		if !ok {
@@ -120,7 +124,7 @@ func TestMixedOpCollectDeterministicAcrossWorkers(t *testing.T) {
 		env := tinyEnv()
 		env.SampleOps = sampleOps
 		env.Obs = obs.NewRegistry()
-		ds, err := core.Collect(env.CassandraCollector(), config.Cassandra(), core.CollectOptions{
+		ds, err := core.Collect(env.Sampler, config.Cassandra(), core.CollectOptions{
 			Workloads: mixed,
 			Configs:   4,
 			Seed:      17,

@@ -58,18 +58,20 @@ type Pipeline struct {
 // NewCassandraPipeline collects the Cassandra dataset and trains the
 // surrogate.
 func NewCassandraPipeline(opts PipelineOptions) (*Pipeline, error) {
-	return newPipeline(opts, config.Cassandra(), opts.Env.CassandraCollector())
+	return newPipeline(opts, config.Cassandra())
 }
 
 // NewScyllaPipeline is the ScyllaDB variant (Section 4.10's key set).
 func NewScyllaPipeline(opts PipelineOptions) (*Pipeline, error) {
-	return newPipeline(opts, config.ScyllaDB(), opts.Env.ScyllaCollector())
+	return newPipeline(opts, config.ScyllaDB())
 }
 
-func newPipeline(opts PipelineOptions, space *config.Space, collector core.Collector) (*Pipeline, error) {
+func newPipeline(opts PipelineOptions, space *config.Space) (*Pipeline, error) {
 	if err := opts.Env.Validate(); err != nil {
 		return nil, err
 	}
+	collector := opts.Env.Sampler
+	collector.Space = space
 	// Route trainer- and search-level telemetry into the environment's
 	// registry alongside the engine counters the collector already feeds.
 	if opts.Env.Obs != nil {

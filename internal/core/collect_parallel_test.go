@@ -10,6 +10,7 @@ import (
 
 	"rafiki/internal/config"
 	"rafiki/internal/obs"
+	"rafiki/internal/par"
 )
 
 // obsProbeCollector wraps the analytic collector with per-sample
@@ -105,25 +106,41 @@ func TestCollectErrorDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestIdentifyDeterministicAcrossWorkers: the sweep's task list and
-// seeds are fixed before fan-out, so the Identification — ranking and
-// key names — is the same on one, two and eight workers.
+// seeds are fixed before fan-out and each sample's telemetry is staged,
+// so the Identification — ranking and key names — and the registry's
+// snapshot are the same on one, two and eight workers.
 func TestIdentifyDeterministicAcrossWorkers(t *testing.T) {
 	space := config.Cassandra()
 	opts := IdentifyOptions{ReadRatio: 0.5, MinK: 3, MaxK: 8, Repeats: 2, Seed: 5}
-	ref, err := identifyKeyParameters(analyticCollector(space), space, opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.KeyNames) == 0 || len(ref.Ranking.Entries) == 0 {
-		t.Fatalf("empty identification: %+v", ref)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := identifyKeyParameters(analyticCollector(space), space, opts, workers)
+	run := func(workers int) (Identification, []byte) {
+		reg := obs.NewRegistry()
+		id, err := identifyKeyParameters(obsProbeCollector{inner: analyticCollector(space)}, space, opts,
+			par.Options{Workers: workers, Name: "identify", Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := reg.Snapshot()
+		delete(snap.Gauges, "par.identify.workers")
+		blob, err := snap.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, blob
+	}
+	ref, refSnap := run(1)
+	if len(ref.KeyNames) == 0 || len(ref.Ranking.Entries) == 0 {
+		t.Fatalf("empty identification: %+v", ref)
+	}
+	if !bytes.Contains(refSnap, []byte("probe.sample")) {
+		t.Fatalf("identify staged no sample telemetry:\n%s", refSnap)
+	}
+	for _, workers := range []int{2, 8} {
+		got, gotSnap := run(workers)
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("workers=%d: identification differs from serial run:\n%+v\nvs\n%+v", workers, got, ref)
+		}
+		if !bytes.Equal(refSnap, gotSnap) {
+			t.Errorf("workers=%d: obs snapshot differs from serial run", workers)
 		}
 	}
 }
@@ -144,7 +161,7 @@ func TestIdentifyErrorDeterministicAcrossWorkers(t *testing.T) {
 	opts.Seed = 21 // samples are numbered from 22: the first to fail is 25
 	const want = "seed 25:"
 	for _, workers := range []int{1, 2, 8} {
-		_, err := identifyKeyParameters(failing, space, opts, workers)
+		_, err := identifyKeyParameters(failing, space, opts, par.Options{Workers: workers})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want wrapped %v", workers, err, boom)
 		}

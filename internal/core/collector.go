@@ -115,13 +115,8 @@ func Collect(c Collector, space *config.Space, opts CollectOptions) (Dataset, er
 	// front — the rng consumption order is fixed before any benchmarking
 	// starts — so the surviving task list is identical for every worker
 	// count. The samples themselves then fan out.
-	type task struct {
-		cfg  config.Config
-		w    Workload
-		seed int64
-	}
 	var ds Dataset
-	var tasks []task
+	var tasks []sampleTask
 	seed := opts.Seed + 1000
 	for _, cfg := range configs {
 		for _, w := range opts.Workloads {
@@ -132,37 +127,61 @@ func Collect(c Collector, space *config.Space, opts CollectOptions) (Dataset, er
 				ds.Dropped++
 				continue
 			}
-			tasks = append(tasks, task{cfg: cfg, w: w, seed: seed})
+			tasks = append(tasks, sampleTask{w: w, cfg: cfg, seed: seed})
 		}
 	}
-
-	oc, hasObs := c.(ObsCollector)
-	tputs := make([]float64, len(tasks))
-	stages := make([]*obs.Registry, len(tasks))
-	err = par.Do(len(tasks), par.Options{Workers: opts.Workers, Name: "collect", Obs: opts.Obs}, func(i int) error {
-		t := tasks[i]
-		var tput float64
-		var err error
-		if hasObs {
-			stage := opts.Obs.Stage()
-			stages[i] = stage
-			tput, err = oc.SampleObs(t.w, t.cfg, t.seed, stage)
-		} else {
-			tput, err = c.Sample(t.w, t.cfg, t.seed)
-		}
-		if err != nil {
-			return fmt.Errorf("core: sampling %s at %v: %w", space.Describe(t.cfg), t.w, err)
-		}
-		tputs[i] = tput
-		return nil
-	})
+	tputs, err := runSamples(c, tasks, par.Options{Workers: opts.Workers, Name: "collect", Obs: opts.Obs},
+		func(i int, err error) error {
+			return fmt.Errorf("core: sampling %s at %v: %w", space.Describe(tasks[i].cfg), tasks[i].w, err)
+		})
 	if err != nil {
 		return Dataset{}, err
 	}
 	ds.Samples = make([]Sample, 0, len(tasks))
 	for i, t := range tasks {
-		opts.Obs.Merge(stages[i])
 		ds.Samples = append(ds.Samples, Sample{Workload: t.w, Config: t.cfg.Clone(), Throughput: tputs[i]})
 	}
 	return ds, nil
+}
+
+// sampleTask is one benchmark sample of an offline stage, laid out with
+// its seed before the stage fans out.
+type sampleTask struct {
+	w    Workload
+	cfg  config.Config
+	seed int64
+}
+
+// runSamples benchmarks every task on c across the stage's workers and
+// returns the measurements in task order; a failed task's error is
+// reported through wrap. When c is an ObsCollector and the stage has a
+// registry, each sample writes its telemetry to a stage of opts.Obs of
+// its own, and the stages are merged in task order once every sample is
+// done, so the registry's snapshot is the same for every worker count.
+func runSamples(c Collector, tasks []sampleTask, opts par.Options, wrap func(task int, err error) error) ([]float64, error) {
+	oc, staged := c.(ObsCollector)
+	staged = staged && opts.Obs != nil
+	tputs := make([]float64, len(tasks))
+	stages := make([]*obs.Registry, len(tasks))
+	err := par.Do(len(tasks), opts, func(i int) error {
+		t := tasks[i]
+		var err error
+		if staged {
+			stages[i] = opts.Obs.Stage()
+			tputs[i], err = oc.SampleObs(t.w, t.cfg, t.seed, stages[i])
+		} else {
+			tputs[i], err = c.Sample(t.w, t.cfg, t.seed)
+		}
+		if err != nil {
+			return wrap(i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, stage := range stages {
+		opts.Obs.Merge(stage)
+	}
+	return tputs, nil
 }

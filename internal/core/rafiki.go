@@ -8,6 +8,7 @@ import (
 	"rafiki/internal/ga"
 	"rafiki/internal/nn"
 	"rafiki/internal/obs"
+	"rafiki/internal/par"
 )
 
 // TunerOptions configures the end-to-end Rafiki workflow.
@@ -25,8 +26,11 @@ type TunerOptions struct {
 	// Obs, when non-nil, receives stage spans for the whole pipeline
 	// (core.identify, core.collect, core.train, core.search), a
 	// core.samples counter of benchmark runs spent offline, and is
-	// propagated into Model.Obs and GA.Obs (unless those are already
-	// set) so trainer- and search-level telemetry lands in one place.
+	// propagated into Collect.Obs, Model.Obs and GA.Obs (unless those
+	// are already set) so sample-, trainer- and search-level telemetry
+	// lands in one place. The identify stage fans out and stages its
+	// telemetry exactly as collect does: under Collect.Workers, into
+	// Collect.Obs.
 	Obs *obs.Registry
 }
 
@@ -71,9 +75,11 @@ func NewTuner(c Collector, space *config.Space, opts TunerOptions) (*Tuner, erro
 		return nil, errors.New("core: nil space")
 	}
 	if opts.Obs != nil {
-		// Count every benchmark run the offline pipeline spends, and
-		// route trainer/search telemetry into the same registry.
-		c = countingCollector{inner: c, samples: opts.Obs.Counter("core.samples")}
+		// Route sample, trainer and search telemetry into the same
+		// registry.
+		if opts.Collect.Obs == nil {
+			opts.Collect.Obs = opts.Obs
+		}
 		if opts.Model.Obs == nil {
 			opts.Model.Obs = opts.Obs
 		}
@@ -91,12 +97,16 @@ func (t *Tuner) Prepare() error {
 	samples := t.opts.Obs.Counter("core.samples")
 	if !t.opts.SkipIdentify {
 		idStart := samples.Value()
-		id, err := IdentifyKeyParameters(t.collector, t.space, t.opts.Identify)
+		id, err := identifyKeyParameters(t.collector, t.space, t.opts.Identify,
+			par.Options{Workers: t.opts.Collect.Workers, Name: "identify", Obs: t.opts.Collect.Obs})
 		if err != nil {
 			return fmt.Errorf("core: identify stage: %w", err)
 		}
 		t.identification = &id
 		t.space.KeyNames = id.KeyNames
+		for _, e := range id.Ranking.Entries {
+			samples.Add(uint64(e.N))
+		}
 		t.recordStage("core.identify", idStart, samples.Value(), "samples",
 			map[string]float64{"key_params": float64(len(id.KeyNames))})
 	}
@@ -110,6 +120,7 @@ func (t *Tuner) Prepare() error {
 		return fmt.Errorf("core: collect stage: %w", err)
 	}
 	t.dataset = ds
+	samples.Add(uint64(len(ds.Samples)))
 	t.recordStage("core.collect", colStart, samples.Value(), "samples",
 		map[string]float64{"kept": float64(len(ds.Samples)), "dropped": float64(ds.Dropped)})
 

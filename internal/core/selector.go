@@ -54,12 +54,14 @@ type Identification struct {
 // Parameters the engine's auto-tuner ignores are skipped, matching the
 // ScyllaDB adjustment of Section 4.10.
 func IdentifyKeyParameters(c Collector, space *config.Space, opts IdentifyOptions) (Identification, error) {
-	return identifyKeyParameters(c, space, opts, 0)
+	return identifyKeyParameters(c, space, opts, par.Options{})
 }
 
-// identifyKeyParameters is IdentifyKeyParameters at an explicit worker
-// count (0 = one per CPU); the result is the same at any count.
-func identifyKeyParameters(c Collector, space *config.Space, opts IdentifyOptions, workers int) (Identification, error) {
+// identifyKeyParameters is IdentifyKeyParameters as one stage of a
+// pipeline: stage carries the worker bound (0 = one per CPU; the result
+// is the same at any count) and the registry the samples' telemetry is
+// staged into.
+func identifyKeyParameters(c Collector, space *config.Space, opts IdentifyOptions, stage par.Options) (Identification, error) {
 	if opts.Repeats < 1 {
 		opts.Repeats = 1
 	}
@@ -68,14 +70,9 @@ func identifyKeyParameters(c Collector, space *config.Space, opts IdentifyOption
 	}
 	// The sweep's samples and their seeds are laid out sequentially up
 	// front, exactly as a serial loop would number them; the samples
-	// then fan out and land in their groups by index.
-	type task struct {
-		param string
-		value float64
-		seed  int64
-		out   *float64
-	}
-	var tasks []task
+	// then fan out and land in their groups in that order.
+	var tasks []sampleTask
+	var slots []*float64 // where each task's measurement lands
 	sweeps := make(map[string][][]float64)
 	seed := opts.Seed
 	for _, p := range space.Params() {
@@ -87,22 +84,20 @@ func identifyKeyParameters(c Collector, space *config.Space, opts IdentifyOption
 			groups[g] = make([]float64, opts.Repeats)
 			for r := range groups[g] {
 				seed++
-				tasks = append(tasks, task{param: p.Name, value: v, seed: seed, out: &groups[g][r]})
+				tasks = append(tasks, sampleTask{w: opts.Workload(), cfg: config.Config{p.Name: v}, seed: seed})
+				slots = append(slots, &groups[g][r])
 			}
 		}
 		sweeps[p.Name] = groups
 	}
-	err := par.Do(len(tasks), par.Options{Workers: workers}, func(i int) error {
-		t := tasks[i]
-		tput, err := c.Sample(opts.Workload(), config.Config{t.param: t.value}, t.seed)
-		if err != nil {
-			return fmt.Errorf("core: sweeping %s=%v: %w", t.param, t.value, err)
-		}
-		*t.out = tput
-		return nil
+	tputs, err := runSamples(c, tasks, stage, func(i int, err error) error {
+		return fmt.Errorf("core: sweeping %v: %w", tasks[i].cfg, err)
 	})
 	if err != nil {
 		return Identification{}, err
+	}
+	for i, tput := range tputs {
+		*slots[i] = tput
 	}
 	ranking, err := anova.Rank(sweeps)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // Mix is a YCSB-style op-type percentage mix (the c/r/u/d/q fractions
 // of the YCSB lineage): reads, in-place updates, inserts of new keys,
 // deletes, and range scans. Fractions must sum to 1. The zero Mix
-// selects the legacy ReadRatio/DeleteFraction behaviour of Spec.
+// leaves the split to Spec.ReadRatio: reads against updates.
 type Mix struct {
 	Read   float64
 	Update float64
@@ -245,17 +245,32 @@ func (s Spec) Skew() float64 {
 }
 
 // EffectiveMix returns the op mix the driver will run: the explicit Mix
-// when set, otherwise the legacy ReadRatio/DeleteFraction split.
+// when set, otherwise ReadRatio reads against updates.
 func (s Spec) EffectiveMix() Mix {
 	if !s.Mix.IsZero() {
 		return s.Mix
 	}
-	mutate := 1 - s.ReadRatio
-	return Mix{
-		Read:   s.ReadRatio,
-		Update: mutate * (1 - s.DeleteFraction),
-		Delete: mutate * s.DeleteFraction,
+	return Mix{Read: s.ReadRatio, Update: 1 - s.ReadRatio}
+}
+
+// thresholds returns the cumulative op-type boundaries the driver
+// compares a uniform draw in [0,1) against, in the order [read | update
+// | insert | delete | scan]. The last non-zero class is the catch-all —
+// its boundary and every later one is 1 — so fractions whose sum rounds
+// to just under 1 can never leak a draw into a class the mix excludes.
+func (m Mix) thresholds() (read, update, insert, del float64) {
+	cum := [...]float64{m.Read, m.Update, m.Insert, m.Delete, m.Scan}
+	last := 0
+	for i := 1; i < len(cum); i++ {
+		if cum[i] > 0 {
+			last = i
+		}
+		cum[i] += cum[i-1]
 	}
+	for i := last; i < len(cum); i++ {
+		cum[i] = 1
+	}
+	return cum[0], cum[1], cum[2], cum[3]
 }
 
 // Shape returns the workload-shape features the tuner characterizes:

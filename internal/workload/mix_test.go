@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -195,14 +198,13 @@ func TestLatestGeneratorChasesFrontier(t *testing.T) {
 }
 
 func TestSpecShape(t *testing.T) {
-	legacy := Spec{ReadRatio: 0.7, DeleteFraction: 0.1}
-	rr, scan, skew := legacy.Shape()
+	plain := Spec{ReadRatio: 0.7}
+	rr, scan, skew := plain.Shape()
 	if rr != 0.7 || scan != 0 || skew != 0 {
-		t.Errorf("legacy shape = (%v, %v, %v), want (0.7, 0, 0)", rr, scan, skew)
+		t.Errorf("RR-only shape = (%v, %v, %v), want (0.7, 0, 0)", rr, scan, skew)
 	}
-	m := legacy.EffectiveMix()
-	if math.Abs(m.Update-0.27) > 1e-12 || math.Abs(m.Delete-0.03) > 1e-12 {
-		t.Errorf("legacy effective mix = %+v", m)
+	if m := plain.EffectiveMix(); m != (Mix{Read: 0.7, Update: 1 - plain.ReadRatio}) {
+		t.Errorf("RR-only effective mix = %+v", m)
 	}
 
 	mixed := Spec{
@@ -426,25 +428,98 @@ func TestRunMixedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunLegacySpecUnchanged pins the legacy two-op path bit-for-bit:
-// a mixless spec must produce exactly the op counts the pre-mix driver
-// did, so previously collected datasets remain reproducible.
+// opDigestStore hashes the op stream it is driven with: one byte of op
+// type and the key, in issue order.
+type opDigestStore struct {
+	h     hash.Hash64
+	clock float64
+}
+
+func (d *opDigestStore) op(kind byte, key uint64) {
+	d.h.Write(binary.LittleEndian.AppendUint64([]byte{kind}, key))
+	d.clock += 1e-4
+}
+func (d *opDigestStore) Read(k uint64)   { d.op('r', k) }
+func (d *opDigestStore) Write(k uint64)  { d.op('w', k) }
+func (d *opDigestStore) Delete(k uint64) { d.op('d', k) }
+func (d *opDigestStore) FinishEpoch()    {}
+func (d *opDigestStore) Clock() float64  { return d.clock }
+func (d *opDigestStore) KeySpace() int   { return 10_000 }
+
+// TestRunLegacySpecUnchanged pins the op stream of RR-only and
+// read/update/delete specs bit-for-bit: counts and op-stream digests
+// were recorded on the parent (4f2b7b5), the RR-only rows from the
+// two-op driver this loop replaced and the Mix rows from runMixed, so
+// previously collected datasets remain reproducible. What moved on
+// purpose: an RR-only run now reports its writes as Updates (the two-op
+// driver left Updates at zero).
 func TestRunLegacySpecUnchanged(t *testing.T) {
-	store := &deleterStore{}
-	res, err := Run(store, Spec{ReadRatio: 0.7, DeleteFraction: 0.2, KRDMean: 100, Ops: 10_000, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		spec                    Spec
+		reads, updates, deletes int
+		digest                  uint64
+	}{
+		{Spec{ReadRatio: 0, KRDMean: 100, Seed: 6}, 0, 10000, 0, 0xa60e3dc3dcdf55a4},
+		{Spec{ReadRatio: 0.3, KRDMean: 20_000, Seed: 7}, 3045, 6955, 0, 0x978c0aad25545f5a},
+		{Spec{ReadRatio: 0.7, KRDMean: 100, Seed: 6}, 6936, 3064, 0, 0x76a561fcc42a9334},
+		{Spec{ReadRatio: 1, Seed: 8}, 10000, 0, 0, 0x70d56fb4e2cb464d},
+		{Spec{Mix: Mix{Read: 0.7, Update: 0.24, Delete: 0.06}, KRDMean: 100, Seed: 6}, 6936, 2498, 566, 0xe1c6437b2d680594},
+	} {
+		tc.spec.Ops = 10_000
+		store := &opDigestStore{h: fnv.New64a()}
+		res, err := Run(store, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Result{
+			Spec: tc.spec, Throughput: res.Throughput, Seconds: res.Seconds,
+			Reads: tc.reads, Writes: tc.updates + tc.deletes, Updates: tc.updates, Deletes: tc.deletes,
+		}
+		if res != want {
+			t.Errorf("rr=%v mix=%+v: result %+v, golden %+v", tc.spec.ReadRatio, tc.spec.Mix, res, want)
+		}
+		if got := store.h.Sum64(); got != tc.digest {
+			t.Errorf("rr=%v mix=%+v: op-stream digest %#x, golden %#x", tc.spec.ReadRatio, tc.spec.Mix, got, tc.digest)
+		}
 	}
-	// Golden counts from the pre-mix driver at this seed.
-	if res.Reads != 6948 || res.Writes != 3052 {
-		t.Errorf("legacy op counts (%d reads, %d writes) drifted from golden (6948, 3052)",
-			res.Reads, res.Writes)
+}
+
+// TestMixThresholdsCatchAll: the last non-zero class absorbs whatever
+// the fractions' sum rounds away, so a draw just under 1 cannot land in
+// a class the mix gives zero weight.
+func TestMixThresholdsCatchAll(t *testing.T) {
+	top := math.Nextafter(1, 0) // the largest value rng.Float64 can return
+	short := 0                  // mixes whose plain running sum ends below 1
+	for i := 0; i <= 1000; i++ {
+		rr := float64(i) / 1000
+		for _, m := range []Mix{
+			Spec{ReadRatio: rr}.EffectiveMix(),
+			MixForShape(rr, 0, 0.05),
+			{Update: rr, Insert: 1 - rr},
+		} {
+			if m.Read+m.Update+m.Insert+m.Delete < 1 {
+				short++
+			}
+			r, u, i, d := m.thresholds()
+			cum := []float64{r, u, i, d, 1}
+			fracs := []float64{m.Read, m.Update, m.Insert, m.Delete, m.Scan}
+			class := 0
+			for top >= cum[class] {
+				class++
+			}
+			if fracs[class] == 0 {
+				t.Fatalf("mix %+v: draw %v lands in zero-weight class %d (thresholds %v)", m, top, class, cum)
+			}
+		}
 	}
-	if res.Deletes != store.deletes {
-		t.Errorf("legacy delete accounting: result %d, store %d", res.Deletes, store.deletes)
+	if short == 0 {
+		t.Error("no mix in the grid sums below 1; the test does not reach the rounding case")
 	}
-	if res.Scans != 0 || res.Inserts != 0 || res.Updates != 0 {
-		t.Errorf("legacy run reported mixed-op counts: %+v", res)
+	// A mix that includes scans keeps its boundaries untouched.
+	m := Mix{Read: 0.53, Update: 0.28, Insert: 0.10, Delete: 0.07, Scan: 0.02}
+	r, u, i, d := m.thresholds()
+	if r != m.Read || u != m.Read+m.Update || i != m.Read+m.Update+m.Insert || d != m.Read+m.Update+m.Insert+m.Delete {
+		t.Errorf("full mix thresholds moved: %v %v %v %v", r, u, i, d)
 	}
 }
 

@@ -32,15 +32,12 @@ type Store interface {
 // Spec is the parametrization of a synthetic workload.
 type Spec struct {
 	// ReadRatio is the fraction of operations that are reads (the
-	// paper's RR; write ratio is 1-RR). Ignored when Mix is set.
+	// paper's RR; the rest are updates). Ignored when Mix is set.
 	ReadRatio float64
-	// DeleteFraction is the fraction of mutations (the non-read ops)
-	// issued as deletes; stores that don't support deletes receive them
-	// as writes. Ignored when Mix is set.
-	DeleteFraction float64
 	// Mix, when non-zero, selects a full YCSB-style op mix — reads,
 	// updates, inserts, deletes, and range scans — replacing the
-	// ReadRatio/DeleteFraction split.
+	// ReadRatio split. Stores that don't support deletes or scans
+	// receive them as writes and reads.
 	Mix Mix
 	// Distribution selects the key popularity model (DistKRD,
 	// DistUniform, DistZipfian, DistHotspot, DistLatest). Empty means
@@ -88,9 +85,6 @@ func (s Spec) Validate() error {
 	if s.KRDMean < 0 {
 		return fmt.Errorf("workload: negative KRD mean %v", s.KRDMean)
 	}
-	if s.DeleteFraction < 0 || s.DeleteFraction > 1 {
-		return fmt.Errorf("workload: delete fraction %v out of [0,1]", s.DeleteFraction)
-	}
 	if !s.Mix.IsZero() {
 		if err := s.Mix.Validate(); err != nil {
 			return err
@@ -114,15 +108,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload: negative payload spread %v", s.PayloadSpread)
 	}
 	return nil
-}
-
-// legacy reports whether the spec describes a workload the original
-// two-op driver can run; the legacy loop is kept bit-identical so
-// same-seed results from earlier experiments reproduce exactly.
-func (s Spec) legacy() bool {
-	return s.Mix.IsZero() &&
-		(s.Distribution == "" || s.Distribution == DistKRD) &&
-		s.TTLFraction == 0 && s.PayloadSpread == 0
 }
 
 // Deleter is optionally implemented by stores that support tombstone
@@ -233,83 +218,29 @@ type Result struct {
 	// Reads and Writes count the issued operations; Writes includes
 	// every mutation (updates, inserts, and deletes).
 	Reads, Writes int
-	// Updates, Inserts, Deletes, and Scans break mixed-op runs down by
-	// op type (zero for legacy two-op runs except Deletes); ScanRows is
-	// the total live rows the scans returned.
+	// Updates, Inserts, Deletes, and Scans break the run down by op
+	// type; ScanRows is the total live rows the scans returned.
 	Updates, Inserts, Deletes, Scans int
 	ScanRows                         int
 }
 
-// Run applies spec to store and returns the measured result. The store
-// keeps its state (dataset, caches, compaction debt) across runs, so
-// callers that need a cold store must construct a fresh one — exactly
-// the paper's "server is reset between data collection events".
+// Run applies spec to store and returns the measured result: reads,
+// in-place updates, frontier inserts, deletes, and range scans, with
+// optional TTL'd and size-mixed writes. One seeded RNG stream picks op
+// types and parameters; the key generator owns its own stream, so the
+// op schedule is deterministic for a given spec. The store keeps its
+// state (dataset, caches, compaction debt) across runs, so callers that
+// need a cold store must construct a fresh one — exactly the paper's
+// "server is reset between data collection events".
 func Run(store Store, spec Spec) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	if spec.legacy() {
-		return runLegacy(store, spec)
-	}
-	return runMixed(store, spec)
-}
-
-// runLegacy is the original two-op driver, kept bit-identical for
-// same-seed reproducibility of pre-mix experiments.
-func runLegacy(store Store, spec Spec) (Result, error) {
-	gen, err := NewKeyGenerator(store.KeySpace(), spec.KRDMean, spec.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	rng := rand.New(rand.NewSource(spec.Seed + 1))
-	deleter, canDelete := store.(Deleter)
-	start := store.Clock()
-	var reads, writes, deletes int
-	for i := 0; i < spec.Ops; i++ {
-		key := gen.Next()
-		if rng.Float64() < spec.ReadRatio {
-			store.Read(key)
-			reads++
-			continue
-		}
-		if canDelete && spec.DeleteFraction > 0 && rng.Float64() < spec.DeleteFraction {
-			deleter.Delete(key)
-			deletes++
-		} else {
-			store.Write(key)
-		}
-		writes++
-	}
-	store.FinishEpoch()
-	seconds := store.Clock() - start
-	if seconds <= 0 {
-		return Result{}, fmt.Errorf("workload: run consumed no virtual time")
-	}
-	return Result{
-		Spec:       spec,
-		Throughput: float64(spec.Ops) / seconds,
-		Seconds:    seconds,
-		Reads:      reads,
-		Writes:     writes,
-		Deletes:    deletes,
-	}, nil
-}
-
-// runMixed drives the full CRUD+scan mix: reads, in-place updates,
-// frontier inserts, deletes, and range scans, with optional TTL'd and
-// size-mixed writes. One seeded RNG stream picks op types and
-// parameters; the key generator owns its own stream, so the op schedule
-// is deterministic for a given spec.
-func runMixed(store Store, spec Spec) (Result, error) {
 	gen, err := newKeySource(spec, store.KeySpace())
 	if err != nil {
 		return Result{}, err
 	}
-	mix := spec.EffectiveMix()
-	// Cumulative op-type thresholds: [read | update | insert | delete | scan].
-	cumUpdate := mix.Read + mix.Update
-	cumInsert := cumUpdate + mix.Insert
-	cumDelete := cumInsert + mix.Delete
+	cumRead, cumUpdate, cumInsert, cumDelete := spec.EffectiveMix().thresholds()
 	rng := rand.New(rand.NewSource(spec.Seed + 1))
 	deleter, canDelete := store.(Deleter)
 	scanner, canScan := store.(Scanner)
@@ -355,7 +286,7 @@ func runMixed(store Store, spec Spec) (Result, error) {
 	for i := 0; i < spec.Ops; i++ {
 		u := rng.Float64()
 		switch {
-		case u < mix.Read:
+		case u < cumRead:
 			store.Read(gen.Next())
 			res.Reads++
 		case u < cumUpdate:

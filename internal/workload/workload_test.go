@@ -236,28 +236,30 @@ type deleterStore struct {
 
 func (d *deleterStore) Delete(uint64) { d.deletes++; d.writes++ }
 
-func TestRunDeleteFraction(t *testing.T) {
+func TestRunMixDeletes(t *testing.T) {
+	mix := Mix{Read: 0.5, Update: 0.3, Delete: 0.2}
 	store := &deleterStore{}
-	res, err := Run(store, Spec{ReadRatio: 0.5, DeleteFraction: 0.4, Ops: 20000, Seed: 8})
+	res, err := Run(store, Spec{Mix: mix, Ops: 20000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.deletes == 0 {
-		t.Fatal("no deletes issued")
+	// Golden counts from runMixed on the parent (4f2b7b5) at this seed.
+	if res.Reads != 9993 || res.Updates != 5968 || res.Deletes != 4039 {
+		t.Errorf("op counts (%d reads, %d updates, %d deletes) drifted from golden (9993, 5968, 4039)",
+			res.Reads, res.Updates, res.Deletes)
 	}
-	frac := float64(store.deletes) / float64(res.Writes)
-	if frac < 0.3 || frac > 0.5 {
-		t.Errorf("delete fraction of mutations = %v, want ~0.4", frac)
+	if store.deletes != res.Deletes || res.Writes != res.Updates+res.Deletes {
+		t.Errorf("delete accounting: store %d, result %+v", store.deletes, res)
 	}
 	// Stores without Delete still take the ops as writes.
 	plain := &fakeStore{}
-	if _, err := Run(plain, Spec{ReadRatio: 0.5, DeleteFraction: 0.4, Ops: 1000, Seed: 9}); err != nil {
+	if _, err := Run(plain, Spec{Mix: mix, Ops: 1000, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if plain.writes == 0 {
 		t.Error("non-deleter store received no writes")
 	}
-	if _, err := Run(plain, Spec{ReadRatio: 0.5, DeleteFraction: 2, Ops: 10}); err == nil {
+	if _, err := Run(plain, Spec{Mix: Mix{Read: 0.5, Delete: 2}, Ops: 10}); err == nil {
 		t.Error("bad delete fraction should error")
 	}
 }

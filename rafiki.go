@@ -33,6 +33,7 @@ import (
 	"rafiki/internal/nn"
 	"rafiki/internal/nosql"
 	"rafiki/internal/obs"
+	"rafiki/internal/sim"
 	"rafiki/internal/workload"
 )
 
@@ -206,73 +207,34 @@ type (
 // NewCluster builds a multi-node cluster of simulated engines.
 func NewCluster(opts ClusterOptions) (*Cluster, error) { return cluster.New(opts) }
 
-// SimulatorConfig sizes the built-in simulator-backed Collector.
-type SimulatorConfig struct {
-	// Space selects the datastore; nil means Cassandra.
-	Space *Space
-	// SampleOps is the operation count per benchmark sample (default
-	// 100,000 — the analog of the paper's 5-minute window).
-	SampleOps int
-	// KRDFraction sets the key-reuse-distance mean as a fraction of the
-	// key space (default 0.5; MG-RAST's KRD is large).
-	KRDFraction float64
-	// PreloadVersions controls preloaded dataset overlap (default 3).
-	PreloadVersions int
-	// Seed is the base seed.
-	Seed int64
-	// Obs, when non-nil, receives engine telemetry from every sample
-	// the collector runs (nil disables instrumentation at ~zero cost).
-	Obs *ObsRegistry
-}
+// SimulatorConfig sizes the built-in simulator-backed Collector. It is
+// the sampler every command, example and experiment in the repository
+// samples through: Space picks the datastore (the ScyllaDB space gets a
+// ScyllaEngine, auto-tuner included), OnCluster a replicated cluster,
+// InverseP99 tail latency as the metric.
+type SimulatorConfig = sim.Sampler
 
 // NewSimulatorCollector returns a Collector backed by a fresh simulated
-// engine per sample — the programmatic equivalent of the paper's
-// Docker-reset benchmarking protocol.
+// store per sample — the programmatic equivalent of the paper's
+// Docker-reset benchmarking protocol. Unset fields take the experiment
+// suite's sizing: Cassandra, 100,000 operations per sample (the analog
+// of the paper's 5-minute window), a key-reuse distance of twice the
+// key space (MG-RAST's KRD is large), three preloaded versions.
 func NewSimulatorCollector(sc SimulatorConfig) Collector {
+	def := sim.Default()
 	if sc.Space == nil {
 		sc.Space = config.Cassandra()
 	}
 	if sc.SampleOps <= 0 {
-		sc.SampleOps = 100_000
+		sc.SampleOps = def.SampleOps
 	}
 	if sc.KRDFraction <= 0 {
-		sc.KRDFraction = 2.0
+		sc.KRDFraction = def.KRDFraction
 	}
 	if sc.PreloadVersions <= 0 {
-		sc.PreloadVersions = 3
+		sc.PreloadVersions = def.PreloadVersions
 	}
-	return core.CollectorFunc(func(w core.Workload, cfg config.Config, seed int64) (float64, error) {
-		eng, err := nosql.New(nosql.Options{
-			Space:  sc.Space,
-			Config: cfg,
-			Seed:   sc.Seed ^ seed,
-			Obs:    sc.Obs,
-		})
-		if err != nil {
-			return 0, err
-		}
-		eng.Preload(sc.PreloadVersions)
-		spec := workload.Spec{
-			ReadRatio: w.ReadRatio,
-			KRDMean:   sc.KRDFraction * float64(eng.KeySpace()),
-			Ops:       sc.SampleOps,
-			Seed:      seed + 101,
-		}
-		// RR-only workloads keep the legacy spec bit-identical; op-mix
-		// shapes route through the full CRUD+scan driver.
-		if w.ScanRatio != 0 || w.Skew != 0 {
-			spec.Mix = workload.MixForShape(w.ReadRatio, w.ScanRatio, 0.05)
-			if w.Skew > 0 {
-				spec.Distribution = workload.DistHotspot
-				spec.HotspotWeight = w.Skew
-			}
-		}
-		res, err := workload.Run(eng, spec)
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput, nil
-	})
+	return sc
 }
 
 // Workload generators.

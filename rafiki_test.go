@@ -53,6 +53,45 @@ func TestPublicAPIScyllaEngine(t *testing.T) {
 	}
 }
 
+// TestPublicAPIScyllaCollector: a ScyllaDB space makes the built-in
+// collector sample a ScyllaEngine — auto-tuner included — so its number
+// is the one a hand-built engine measures at the collector's seeds, and
+// not the one a plain Engine on the ScyllaDB space does.
+func TestPublicAPIScyllaCollector(t *testing.T) {
+	const base, seed, ops = 5, 700_001, 20_000
+	collector := rafiki.NewSimulatorCollector(rafiki.SimulatorConfig{
+		Space: rafiki.ScyllaDBSpace(), SampleOps: ops, Seed: base,
+	})
+	cfg := rafiki.Config{rafiki.ParamConcurrentWrites: 64}
+	got, err := collector.Sample(rafiki.RR(0.7), cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand := func(store interface {
+		rafiki.Store
+		Preload(versions int)
+	}, err error) float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Preload(3)
+		res, err := rafiki.RunWorkload(store, rafiki.WorkloadSpec{
+			ReadRatio: 0.7, KRDMean: 2 * float64(store.KeySpace()), Ops: ops, Seed: seed + 101,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Throughput
+	}
+	if want := byHand(rafiki.NewScyllaEngine(rafiki.ScyllaOptions{Config: cfg, Seed: base ^ seed})); got != want {
+		t.Errorf("collector sampled %v, a hand-built ScyllaEngine %v", got, want)
+	}
+	if plain := byHand(rafiki.NewEngine(rafiki.EngineOptions{Space: rafiki.ScyllaDBSpace(), Config: cfg, Seed: base ^ seed})); got == plain {
+		t.Errorf("collector sampled %v, what a plain Engine on the ScyllaDB space measures", got)
+	}
+}
+
 func TestPublicAPITrace(t *testing.T) {
 	trace, err := rafiki.SynthesizeTrace(rafiki.DefaultTraceSpec())
 	if err != nil {

@@ -4,6 +4,11 @@ GO ?= go
 # `make cover` fails if the tree regresses below it.
 COVER_FLOOR ?= 80.5
 
+# Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
+# PR that must grow the tree raises it in its own diff, where a reviewer
+# sees it; a PR that shrinks the tree lowers it to its new total.
+LOC_CEILING ?= 24635
+
 .PHONY: build test bench check fmt vet lint race fuzz cover guard chaos slo loc
 
 build:
@@ -116,14 +121,17 @@ slo:
 # and the exported ledgers: registry snapshots against the goldens
 # recorded while every counter still had an obs twin (ObsReconcile,
 # ObsGolden), each ledger's name set, and a registry releasing the
-# engines built on it (ExportReleases).
+# engines built on it (ExportReleases); and both datastores' offline
+# pipelines against the digests recorded before bench.Pipeline became a
+# prepared core.Tuner (PipelineGolden).
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden|ObsReconcile|ObsGolden|LedgerNames|ExportReleases' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden|ObsReconcile|ObsGolden|LedgerNames|ExportReleases|PipelineGolden' ./internal/...
 
 # loc prints each package's non-test and test Go lines (plain line
 # counts, comments and blanks included) and the non-test total outside
 # cmd/rafikibench — ROADMAP item 4's measure, so every deletion PR
-# reports the same number the same way.
+# reports the same number the same way — and fails when that total
+# exceeds LOC_CEILING.
 loc:
 	@find . -name '*.go' -not -path '*/testdata/*' | xargs wc -l | awk '$$2 != "total" { \
 		d = $$2; sub(/\/[^\/]*$$/, "", d); dirs[d] = 1; \
@@ -131,6 +139,7 @@ loc:
 		else { code[d] += $$1; if (d != "./cmd/rafikibench") total += $$1 } } \
 		END { printf "%-28s %8s %8s\n", "package", "non-test", "test"; \
 		for (d in dirs) printf "%-28s %8d %8d\n", d, code[d], test[d] | "sort"; close("sort"); \
-		printf "non-test total outside cmd/rafikibench: %d\n", total }'
+		printf "non-test total outside cmd/rafikibench: %d (ceiling $(LOC_CEILING))\n", total; \
+		if (total > $(LOC_CEILING)) { print "FAIL: the tree grew past LOC_CEILING"; exit 1 } }'
 
-check: fmt vet lint race fuzz guard chaos slo
+check: fmt vet lint race fuzz guard chaos slo loc

@@ -142,10 +142,10 @@ func BenchmarkSurrogatePredict(b *testing.B) {
 	// Section 4.8 prices one surrogate call at ~45us on 2017 hardware;
 	// this measures ours.
 	p := cassandraPipeline(b)
-	cfg := p.Space.Default()
+	cfg := p.Space().Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Surrogate.Predict(core.RR(0.7), cfg); err != nil {
+		if _, err := p.Surrogate().Predict(core.RR(0.7), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func BenchmarkGASearch(b *testing.B) {
 	opts := ga.DefaultOptions()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i)
-		if _, err := p.Surrogate.Optimize(core.RR(0.7), opts); err != nil {
+		if _, err := p.Surrogate().Optimize(core.RR(0.7), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func BenchmarkGASearch(b *testing.B) {
 
 func BenchmarkTrainBRSingleNet(b *testing.B) {
 	p := cassandraPipeline(b)
-	xs, ys, err := p.Dataset.Features(p.Space)
+	xs, ys, err := p.Dataset().Features(p.Space())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,11 +95,7 @@ func run() error {
 	// The full stack scales its time constants to the healthy per-op
 	// cost, as a dynamic snitch derives timeouts from observed latency.
 	perOp := T / float64(ops)
-	full := rafiki.DefaultResilienceOptions()
-	full.BackoffBase = perOp
-	full.BackoffMax = 25 * perOp
-	full.ExpectedOpSeconds = perOp
-	full.OpTimeout = 20 * perOp
+	full := rafiki.DefaultResilienceOptions().ScaledTo(perOp)
 
 	fmt.Println("\n-- no resilience (hinted handoff only) --")
 	none, err := runPosture(rafiki.PassiveResilience(), sched, nil)

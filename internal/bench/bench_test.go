@@ -252,7 +252,7 @@ func TestPipelineAndFigure4Smoke(t *testing.T) {
 		t.Skip("pipeline smoke test is slow")
 	}
 	p := testPipeline(t)
-	if got := len(p.Dataset.Samples); got != 70 {
+	if got := len(p.Dataset().Samples); got != 70 {
 		t.Fatalf("dataset size = %d, want 70", got)
 	}
 	rep, err := Figure4(p)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"rafiki/internal/config"
 	"rafiki/internal/core"
 	"rafiki/internal/ga"
 	"rafiki/internal/nn"
@@ -30,12 +29,12 @@ func AblationSearch(p *Pipeline) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	greedy, err := GreedySearch(p.Collector, p.Space, core.RR(rr), seed+100)
+	greedy, err := GreedySearch(p.Collector, p.Space(), core.RR(rr), seed+100)
 	if err != nil {
 		return Report{}, err
 	}
 	// Budget-match random search to greedy's real-sample count.
-	random, err := RandomSearch(p.Collector, p.Space, core.RR(rr), greedy.Samples, seed+200)
+	random, err := RandomSearch(p.Collector, p.Space(), core.RR(rr), greedy.Samples, seed+200)
 	if err != nil {
 		return Report{}, err
 	}
@@ -128,11 +127,11 @@ func AblationModel(p *Pipeline) (Report, error) {
 	cells, err := runTrials(p, "ablation-model", trials, func(trial int, reg *obs.Registry) ([3]float64, error) {
 		var cell [3]float64
 		train, test := splitConfigs(p, 0.25, p.Opts.Env.Seed+int64(trial)*13)
-		trainX, trainY, err := train.Features(p.Space)
+		trainX, trainY, err := train.Features(p.Space())
 		if err != nil {
 			return cell, err
 		}
-		testX, testY, err := test.Features(p.Space)
+		testX, testY, err := test.Features(p.Space())
 		if err != nil {
 			return cell, err
 		}
@@ -207,36 +206,11 @@ func AblationModel(p *Pipeline) (Report, error) {
 // random sampling, all budgeted to roughly the same evaluation count.
 func AblationSurrogateSearch(p *Pipeline) (Report, error) {
 	const rr = 0.9
-	prefix := core.RR(rr).Vector()
-	keys, err := p.Space.KeyParams()
+	problem, err := p.Surrogate().Problem(core.RR(rr))
 	if err != nil {
 		return Report{}, err
 	}
-	bounds := make([]ga.Bound, len(keys))
-	for i, kp := range keys {
-		bounds[i] = ga.Bound{Min: kp.Min, Max: kp.Max, Integer: kp.Kind != config.Continuous}
-	}
-	// Batch scratch reused across generations, mirroring
-	// core.Surrogate.Optimize: one feature vector per individual, grown
-	// once and rewritten in place.
-	var vecs [][]float64
-	problem := ga.Problem{
-		Bounds: bounds,
-		Fitness: func(genes []float64) (float64, error) {
-			vec := append(append([]float64{}, prefix...), genes...)
-			return p.Surrogate.Model.Predict(vec)
-		},
-		BatchFitness: func(genes [][]float64, out []float64) error {
-			for len(vecs) < len(genes) {
-				vecs = append(vecs, nil)
-			}
-			for i, g := range genes {
-				v := append(vecs[i][:0], prefix...)
-				vecs[i] = append(v, g...)
-			}
-			return p.Surrogate.Model.PredictBatchInto(out, vecs[:len(genes)])
-		},
-	}
+	bounds := problem.Bounds
 
 	gaRes, err := ga.Run(problem, p.Opts.GA)
 	if err != nil {
@@ -270,7 +244,7 @@ func AblationSurrogateSearch(p *Pipeline) (Report, error) {
 	}
 
 	measure := func(genes []float64, seed int64) (float64, error) {
-		cfg, err := p.Space.ConfigFromVector(genes)
+		cfg, err := p.Space().ConfigFromVector(genes)
 		if err != nil {
 			return 0, err
 		}

@@ -40,11 +40,7 @@ func NetSim(env Env) (Report, error) {
 		return Report{}, err
 	}
 	perOp := 1 / probe.result.Throughput
-	res := cluster.DefaultResilienceOptions()
-	res.BackoffBase = perOp
-	res.BackoffMax = 25 * perOp
-	res.ExpectedOpSeconds = perOp
-	res.OpTimeout = 20 * perOp
+	res := cluster.DefaultResilienceOptions().ScaledTo(perOp)
 
 	cleanRun, err := run(res, nil)
 	if err != nil {

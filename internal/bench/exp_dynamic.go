@@ -79,16 +79,6 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 	}
 	trace = trace[:48] // half a day of 15-minute windows
 
-	// The controllers run over the pipeline's trained surrogate rather
-	// than re-preparing a tuner of their own.
-	tuner, err := core.NewTuner(p.Collector, p.Space, core.TunerOptions{SkipIdentify: true, GA: p.Opts.GA})
-	if err != nil {
-		return Report{}, err
-	}
-	if err := tuner.UseSurrogate(p.Surrogate); err != nil {
-		return Report{}, err
-	}
-
 	// Each window is measured on a reset server with the current
 	// configuration, mirroring the paper's protocol of independent
 	// 5-minute benchmark runs per (workload, configuration) point;
@@ -107,7 +97,7 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 			}
 		}
 		window := p.Opts.Env.Sampler
-		window.Space = p.Space
+		window.Space = p.Space()
 		window.SampleOps /= 2
 		var totalOps int
 		var totalSeconds float64
@@ -142,7 +132,7 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 		return Report{}, err
 	}
 	reactive, reactiveRetunes, err := run(func(a core.Applier) (*core.Controller, error) {
-		return core.NewController(tuner, a, 0.3)
+		return core.NewController(p.Tuner, a, 0.3)
 	})
 	if err != nil {
 		return Report{}, err
@@ -152,7 +142,7 @@ func DynamicTrace(p *Pipeline) (Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.NewProactiveController(tuner, a, f, 0.3)
+		return core.NewProactiveController(p.Tuner, a, f, 0.3)
 	})
 	if err != nil {
 		return Report{}, err

@@ -110,10 +110,8 @@ func FaultInjection(env Env) (Report, error) {
 	}
 	sched := faultSchedule(healthy.result.Seconds)
 
-	// Scale the coordinator's time constants to the measured healthy
-	// op cost, as a dynamic snitch does from observed latencies: the
-	// wall-clock defaults (milliseconds) would dwarf the simulator's
-	// microsecond-scale ops and turn every wait into an eternity.
+	// The coordinator's time constants scale to the measured healthy
+	// op cost (ResilienceOptions.ScaledTo).
 	perOp := healthy.result.Seconds / float64(env.SampleOps)
 
 	retriesOnly := cluster.PassiveResilience()
@@ -121,11 +119,7 @@ func FaultInjection(env Env) (Report, error) {
 	retriesOnly.BackoffBase = perOp
 	retriesOnly.BackoffMax = 25 * perOp
 
-	full := cluster.DefaultResilienceOptions()
-	full.BackoffBase = perOp
-	full.BackoffMax = 25 * perOp
-	full.ExpectedOpSeconds = perOp
-	full.OpTimeout = 20 * perOp
+	full := cluster.DefaultResilienceOptions().ScaledTo(perOp)
 
 	postures := []struct {
 		name string

@@ -54,7 +54,7 @@ func workloadMixReport(p *Pipeline, scanRatios []float64) (Report, error) {
 	// compaction has a real niche, so a flip with rising scan share is
 	// a genuine regime change rather than "leveled always wins".
 	const rr = 0.1
-	comp := p.Space.MustParam(config.ParamCompactionStrategy)
+	comp := p.Space().MustParam(config.ParamCompactionStrategy)
 
 	t := Table{
 		Title: fmt.Sprintf("Tuned configuration vs scan share (RR=%.0f%% of point ops)", rr*100),
@@ -86,11 +86,11 @@ func workloadMixReport(p *Pipeline, scanRatios []float64) (Report, error) {
 		st[config.ParamCompactionStrategy] = config.CompactionSizeTiered
 		lcs := rec.Config.Clone()
 		lcs[config.ParamCompactionStrategy] = config.CompactionLeveled
-		predST, err := p.Surrogate.Predict(w, st)
+		predST, err := p.Surrogate().Predict(w, st)
 		if err != nil {
 			return Report{}, err
 		}
-		predLCS, err := p.Surrogate.Predict(w, lcs)
+		predLCS, err := p.Surrogate().Predict(w, lcs)
 		if err != nil {
 			return Report{}, err
 		}

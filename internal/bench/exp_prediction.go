@@ -19,11 +19,11 @@ type predictionEval struct {
 
 // evalSplit trains a fresh surrogate on train and scores it on test.
 func evalSplit(space *Pipeline, train, test core.Dataset, modelCfg nn.ModelConfig) (predictionEval, error) {
-	sur, err := core.TrainSurrogate(train, space.Space, modelCfg)
+	sur, err := core.TrainSurrogate(train, space.Space(), modelCfg)
 	if err != nil {
 		return predictionEval{}, err
 	}
-	xs, ys, err := test.Features(space.Space)
+	xs, ys, err := test.Features(space.Space())
 	if err != nil {
 		return predictionEval{}, err
 	}
@@ -53,7 +53,7 @@ func evalSplit(space *Pipeline, train, test core.Dataset, modelCfg nn.ModelConfi
 // splitConfigs holds out ~fraction of the configurations (every sample
 // of a held-out configuration goes to test), Section 4.3's protocol.
 func splitConfigs(p *Pipeline, fraction float64, seed int64) (train, test core.Dataset) {
-	keys := p.Dataset.ConfigKeys(p.Space)
+	keys := p.Dataset().ConfigKeys(p.Space())
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	n := int(float64(len(keys)) * fraction)
@@ -64,12 +64,12 @@ func splitConfigs(p *Pipeline, fraction float64, seed int64) (train, test core.D
 	for _, k := range keys[:n] {
 		held[k] = true
 	}
-	return p.Dataset.SplitByConfig(p.Space, held)
+	return p.Dataset().SplitByConfig(p.Space(), held)
 }
 
 // splitWorkloads holds out ~fraction of the read ratios.
 func splitWorkloads(p *Pipeline, fraction float64, seed int64) (train, test core.Dataset) {
-	ws := p.Dataset.Workloads()
+	ws := p.Dataset().Workloads()
 	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
 	n := int(float64(len(ws)) * fraction)
@@ -80,7 +80,7 @@ func splitWorkloads(p *Pipeline, fraction float64, seed int64) (train, test core
 	for _, w := range ws[:n] {
 		held[w] = true
 	}
-	return p.Dataset.SplitByWorkload(held)
+	return p.Dataset().SplitByWorkload(held)
 }
 
 // PredictionTrials controls the validation experiments' repetition
@@ -88,58 +88,63 @@ func splitWorkloads(p *Pipeline, fraction float64, seed int64) (train, test core
 // a few for runtime).
 const PredictionTrials = 4
 
+// heldOutTrials runs PredictionTrials randomized 75/25 validations of
+// model, holding out configurations or workloads. Trials are independent
+// (per-trial split and model seeds), so they fan out; the evaluations
+// come back in trial order.
+func heldOutTrials(p *Pipeline, name string, byConfig bool, model nn.ModelConfig) ([]predictionEval, error) {
+	return runTrials(p, name, PredictionTrials, func(trial int, reg *obs.Registry) (predictionEval, error) {
+		var train, test core.Dataset
+		if byConfig {
+			train, test = splitConfigs(p, 0.25, p.Opts.Env.Seed+int64(trial)*13)
+		} else {
+			train, test = splitWorkloads(p, 0.25, p.Opts.Env.Seed+int64(trial)*17)
+		}
+		cfg := model
+		cfg.Seed = model.Seed + int64(trial)*101
+		cfg.Obs = reg
+		return evalSplit(p, train, test, cfg)
+	})
+}
+
 // Table2 regenerates the prediction-model performance comparison:
 // ensemble (20 nets, pruned to 14) vs a single net, on unseen
 // configurations and unseen workloads (Section 4.7).
 func Table2(p *Pipeline) (Report, error) {
 	type cell struct{ mape, r2, rmse float64 }
-	run := func(ensembleSize int, byConfig bool) (cell, []float64, error) {
-		// Trials are independent (per-trial split and model seeds), so
-		// they fan out; aggregation below walks them in trial order.
-		evs, err := runTrials(p, "table2", PredictionTrials, func(trial int, reg *obs.Registry) (predictionEval, error) {
-			var train, test core.Dataset
-			if byConfig {
-				train, test = splitConfigs(p, 0.25, p.Opts.Env.Seed+int64(trial)*13)
-			} else {
-				train, test = splitWorkloads(p, 0.25, p.Opts.Env.Seed+int64(trial)*17)
-			}
-			cfg := p.Opts.Model
-			cfg.EnsembleSize = ensembleSize
-			if ensembleSize == 1 {
-				cfg.PruneFraction = 0
-			}
-			cfg.Seed = p.Opts.Model.Seed + int64(trial)*101
-			cfg.Obs = reg
-			return evalSplit(p, train, test, cfg)
-		})
+	run := func(ensembleSize int, byConfig bool) (cell, error) {
+		cfg := p.Opts.Model
+		cfg.EnsembleSize = ensembleSize
+		if ensembleSize == 1 {
+			cfg.PruneFraction = 0
+		}
+		evs, err := heldOutTrials(p, "table2", byConfig, cfg)
 		if err != nil {
-			return cell{}, nil, err
+			return cell{}, err
 		}
 		var agg cell
-		var allErrs []float64
 		for _, ev := range evs {
 			agg.mape += ev.MAPE
 			agg.r2 += ev.R2
 			agg.rmse += ev.RMSE
-			allErrs = append(allErrs, ev.Errors...)
 		}
 		n := float64(PredictionTrials)
-		return cell{agg.mape / n, agg.r2 / n, agg.rmse / n}, allErrs, nil
+		return cell{agg.mape / n, agg.r2 / n, agg.rmse / n}, nil
 	}
 
-	ens20Cfg, _, err := run(20, true)
+	ens20Cfg, err := run(20, true)
 	if err != nil {
 		return Report{}, err
 	}
-	ens20WL, _, err := run(20, false)
+	ens20WL, err := run(20, false)
 	if err != nil {
 		return Report{}, err
 	}
-	ens1Cfg, _, err := run(1, true)
+	ens1Cfg, err := run(1, true)
 	if err != nil {
 		return Report{}, err
 	}
-	ens1WL, _, err := run(1, false)
+	ens1WL, err := run(1, false)
 	if err != nil {
 		return Report{}, err
 	}
@@ -243,18 +248,7 @@ func Figure9(p *Pipeline) (Report, error) {
 }
 
 func errorHistogram(p *Pipeline, id, title string, byConfig bool) (Report, error) {
-	evs, err := runTrials(p, id, PredictionTrials, func(trial int, reg *obs.Registry) (predictionEval, error) {
-		var train, test core.Dataset
-		if byConfig {
-			train, test = splitConfigs(p, 0.25, p.Opts.Env.Seed+int64(trial)*13)
-		} else {
-			train, test = splitWorkloads(p, 0.25, p.Opts.Env.Seed+int64(trial)*17)
-		}
-		cfg := p.Opts.Model
-		cfg.Seed = p.Opts.Model.Seed + int64(trial)*101
-		cfg.Obs = reg
-		return evalSplit(p, train, test, cfg)
-	})
+	evs, err := heldOutTrials(p, id, byConfig, p.Opts.Model)
 	if err != nil {
 		return Report{}, err
 	}

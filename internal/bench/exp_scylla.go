@@ -12,11 +12,11 @@ import (
 // gains over ScyllaDB's default (auto-tuned) configuration, at 70% and
 // 100% reads (Section 4.10).
 func Table4(p *Pipeline) (Report, error) {
-	if p.Space.Name != "scylladb" {
-		return Report{}, fmt.Errorf("bench: Table4 needs a ScyllaDB pipeline, got %q", p.Space.Name)
+	if p.Space().Name != "scylladb" {
+		return Report{}, fmt.Errorf("bench: Table4 needs a ScyllaDB pipeline, got %q", p.Space().Name)
 	}
 	workloads := []float64{0.7, 1.0}
-	grid, err := scyllaGrid(p.Space)
+	grid, err := scyllaGrid(p.Space())
 	if err != nil {
 		return Report{}, err
 	}

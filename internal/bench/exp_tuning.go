@@ -13,7 +13,7 @@ import (
 // range, with exhaustive-search reference points at three workloads
 // (Section 4.8 / Figure 4).
 func Figure4(p *Pipeline) (Report, error) {
-	workloads := p.Dataset.Workloads()
+	workloads := p.Dataset().Workloads()
 	gridRRs := map[float64]bool{0.1: true, 0.5: true, 0.9: true}
 	grid := GridConfigs()
 
@@ -93,7 +93,7 @@ func Table1(p *Pipeline) (Report, error) {
 		minT = math.Inf(1)
 		var defT float64
 		seen := false
-		for _, s := range p.Dataset.Samples {
+		for _, s := range p.Dataset().Samples {
 			if math.Abs(s.Workload.ReadRatio-rr) > 1e-9 || s.Workload.ScanRatio != 0 {
 				continue
 			}
@@ -145,7 +145,7 @@ func SearchSpeed(p *Pipeline) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	searchSize, err := p.Space.SearchSpaceSize()
+	searchSize, err := p.Space().SearchSpaceSize()
 	if err != nil {
 		return Report{}, err
 	}

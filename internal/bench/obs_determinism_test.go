@@ -24,11 +24,7 @@ func faultPostureSnapshot(t *testing.T, ops int) []byte {
 	}
 	sched := faultSchedule(healthy.result.Seconds)
 	perOp := healthy.result.Seconds / float64(env.SampleOps)
-	full := cluster.DefaultResilienceOptions()
-	full.BackoffBase = perOp
-	full.BackoffMax = 25 * perOp
-	full.ExpectedOpSeconds = perOp
-	full.OpTimeout = 20 * perOp
+	full := cluster.DefaultResilienceOptions().ScaledTo(perOp)
 	if _, err := runFaultPosture(env, cluster.Options{}, full, sched, seed, 101); err != nil {
 		t.Fatal(err)
 	}

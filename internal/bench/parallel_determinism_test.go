@@ -34,7 +34,7 @@ func pipelineFingerprint(t *testing.T, workers int) ([]byte, core.OptimizeResult
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := json.Marshal(p.Surrogate.Model)
+	model, err := json.Marshal(p.Surrogate().Model)
 	if err != nil {
 		t.Fatal(err)
 	}

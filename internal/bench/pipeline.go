@@ -5,54 +5,40 @@ import (
 
 	"rafiki/internal/config"
 	"rafiki/internal/core"
-	"rafiki/internal/ga"
-	"rafiki/internal/nn"
+	"rafiki/internal/obs"
+	"rafiki/internal/par"
 )
 
 // PipelineOptions size the shared offline pipeline behind the
-// experiments.
+// experiments: the environment its samples are taken in, and the
+// tuner's own options (Collect: the paper's 11 workloads x 20
+// configurations; Model: the paper's [14,4] architecture and 20-net
+// ensemble, with training epochs capped so the full suite runs in
+// minutes; GA: the configuration search).
 type PipelineOptions struct {
-	// Env is the benchmark environment.
 	Env Env
-	// Collect sizes data collection (the paper's 11 workloads x 20
-	// configurations).
-	Collect core.CollectOptions
-	// Model sizes the surrogate. The experiment default keeps the
-	// paper's [14,4] architecture and 20-net ensemble but caps training
-	// epochs so the full suite runs in minutes.
-	Model nn.ModelConfig
-	// GA sizes the configuration search.
-	GA ga.Options
+	core.TunerOptions
 }
 
 // DefaultPipelineOptions mirrors the paper at experiment-suite scale.
 func DefaultPipelineOptions() PipelineOptions {
-	model := nn.DefaultModelConfig()
-	model.BR.Epochs = 60
-	model.Seed = 42
-	gaOpts := ga.DefaultOptions()
-	gaOpts.Seed = 42
-	return PipelineOptions{
-		Env:     DefaultEnv(),
-		Collect: core.DefaultCollectOptions(),
-		Model:   model,
-		GA:      gaOpts,
-	}
+	opts := PipelineOptions{Env: DefaultEnv(), TunerOptions: core.DefaultTunerOptions()}
+	opts.Model.BR.Epochs = 60
+	opts.Model.Seed = 42
+	opts.GA.Seed = 42
+	return opts
 }
 
-// Pipeline caches the expensive offline artifacts (dataset, trained
-// surrogate) shared by several experiments.
+// Pipeline is a prepared core.Tuner — the dataset, surrogate, space and
+// Recommend the experiments share are the tuner's — with the collector
+// and options it was built from.
 type Pipeline struct {
-	// Opts echoes the construction options.
+	*core.Tuner
+	// Opts echoes the construction options, the tuner's as the tuner
+	// resolved them.
 	Opts PipelineOptions
-	// Space is the datastore's configuration space.
-	Space *config.Space
 	// Collector benchmarks (workload, config) points.
 	Collector core.Collector
-	// Dataset is the collected training data.
-	Dataset core.Dataset
-	// Surrogate is the trained performance model.
-	Surrogate *core.Surrogate
 }
 
 // NewCassandraPipeline collects the Cassandra dataset and trains the
@@ -72,53 +58,42 @@ func newPipeline(opts PipelineOptions, space *config.Space) (*Pipeline, error) {
 	}
 	collector := opts.Env.Sampler
 	collector.Space = space
-	// Route trainer- and search-level telemetry into the environment's
-	// registry alongside the engine counters the collector already feeds.
-	if opts.Env.Obs != nil {
-		if opts.Model.Obs == nil {
-			opts.Model.Obs = opts.Env.Obs
-		}
-		if opts.GA.Obs == nil {
-			opts.GA.Obs = opts.Env.Obs
-		}
-		if opts.Collect.Obs == nil {
-			opts.Collect.Obs = opts.Env.Obs
-		}
+	// The experiments tune the space's published key parameters (Figure
+	// 5 re-derives them on its own). The environment's registry and its
+	// one worker knob become the tuner's, which carries them into every
+	// stage.
+	opts.SkipIdentify = true
+	if opts.Obs == nil {
+		opts.Obs = opts.Env.Obs
 	}
-	// One knob drives every stage's parallelism: collection fan-out,
-	// concurrent ensemble training, and (through the fitted model) batch
-	// prediction inside the GA.
 	if opts.Collect.Workers == 0 {
 		opts.Collect.Workers = opts.Env.Workers
 	}
 	if opts.Model.Workers == 0 {
 		opts.Model.Workers = opts.Env.Workers
 	}
-	ds, err := core.Collect(collector, space, opts.Collect)
+	tuner, err := core.NewTuner(collector, space, opts.TunerOptions)
 	if err != nil {
-		return nil, fmt.Errorf("bench: pipeline collect: %w", err)
+		return nil, err
 	}
-	sur, err := core.TrainSurrogate(ds, space, opts.Model)
-	if err != nil {
-		return nil, fmt.Errorf("bench: pipeline train: %w", err)
+	if err := tuner.Prepare(); err != nil {
+		return nil, fmt.Errorf("bench: pipeline: %w", err)
 	}
-	return &Pipeline{
-		Opts:      opts,
-		Space:     space,
-		Collector: collector,
-		Dataset:   ds,
-		Surrogate: sur,
-	}, nil
+	opts.TunerOptions = tuner.Options()
+	return &Pipeline{Tuner: tuner, Opts: opts, Collector: collector}, nil
+}
+
+// runTrials fans n independent experiment trials across the
+// environment's workers (par.Staged: trial-ordered results, one obs
+// stage per trial), so reports and telemetry are identical for any
+// worker count.
+func runTrials[T any](p *Pipeline, name string, n int, trial func(trial int, reg *obs.Registry) (T, error)) ([]T, error) {
+	return par.Staged(n, par.Options{Workers: p.Opts.Env.Workers, Name: "bench." + name, Obs: p.Opts.Obs}, trial)
 }
 
 // MeasureDefault benchmarks the default configuration at w.
 func (p *Pipeline) MeasureDefault(w core.Workload, seed int64) (float64, error) {
 	return p.Collector.Sample(w, config.Config{}, seed)
-}
-
-// Recommend runs the GA over the surrogate for w.
-func (p *Pipeline) Recommend(w core.Workload) (core.OptimizeResult, error) {
-	return p.Surrogate.Optimize(w, p.Opts.GA)
 }
 
 // RecommendAndMeasure searches for a configuration and benchmarks it

@@ -139,6 +139,21 @@ type Cluster struct {
 	o clusterObs
 }
 
+// newEngine builds node slot idx's engine from the cluster's options,
+// seeded by the slot: a node joining later is built as New would have.
+func (c *Cluster) newEngine(idx int) (*nosql.Engine, error) {
+	o := c.baseOpts
+	return nosql.New(nosql.Options{
+		Space:    o.Space,
+		Config:   o.Config,
+		Hardware: o.Hardware,
+		Model:    o.Model,
+		Seed:     o.Seed + int64(idx)*1_000_003,
+		EpochOps: o.EpochOps,
+		Obs:      o.Obs,
+	})
+}
+
 // New builds a cluster of identical nodes.
 func New(opts Options) (*Cluster, error) {
 	if opts.Nodes <= 0 {
@@ -173,15 +188,7 @@ func New(opts Options) (*Cluster, error) {
 		c.member[i] = true
 	}
 	for i := 0; i < opts.Nodes; i++ {
-		eng, err := nosql.New(nosql.Options{
-			Space:    opts.Space,
-			Config:   opts.Config,
-			Hardware: opts.Hardware,
-			Model:    opts.Model,
-			Seed:     opts.Seed + int64(i)*1_000_003,
-			EpochOps: opts.EpochOps,
-			Obs:      opts.Obs,
-		})
+		eng, err := c.newEngine(i)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}

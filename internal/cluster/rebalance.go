@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"rafiki/internal/nosql"
 	"rafiki/internal/obs"
 	"rafiki/internal/ring"
 )
@@ -335,15 +334,7 @@ func (c *Cluster) retopology(next *ring.Ring) {
 // Returns the new node's index.
 func (c *Cluster) AddNode() (int, error) {
 	idx := len(c.nodes)
-	eng, err := nosql.New(nosql.Options{
-		Space:    c.baseOpts.Space,
-		Config:   c.baseOpts.Config,
-		Hardware: c.baseOpts.Hardware,
-		Model:    c.baseOpts.Model,
-		Seed:     c.baseOpts.Seed + int64(idx)*1_000_003,
-		EpochOps: c.baseOpts.EpochOps,
-		Obs:      c.baseOpts.Obs,
-	})
+	eng, err := c.newEngine(idx)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: add node %d: %w", idx, err)
 	}

@@ -100,6 +100,18 @@ func DefaultResilienceOptions() ResilienceOptions {
 	}
 }
 
+// ScaledTo returns r with its time constants scaled to a measured
+// healthy per-op cost, as a dynamic snitch derives them from observed
+// latency; the wall-clock defaults (milliseconds) would turn every wait
+// into an eternity at the simulator's microsecond-scale ops.
+func (r ResilienceOptions) ScaledTo(perOp float64) ResilienceOptions {
+	r.BackoffBase = perOp
+	r.BackoffMax = 25 * perOp
+	r.ExpectedOpSeconds = perOp
+	r.OpTimeout = 20 * perOp
+	return r
+}
+
 // PassiveResilience returns the no-defense posture used by default:
 // no retries, no timeouts, no speculation — only the hint-buffer bound,
 // which is a memory-safety property rather than a serving-path defense.

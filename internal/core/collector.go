@@ -153,35 +153,23 @@ type sampleTask struct {
 }
 
 // runSamples benchmarks every task on c across the stage's workers and
-// returns the measurements in task order; a failed task's error is
-// reported through wrap. When c is an ObsCollector and the stage has a
-// registry, each sample writes its telemetry to a stage of opts.Obs of
-// its own, and the stages are merged in task order once every sample is
-// done, so the registry's snapshot is the same for every worker count.
+// returns the measurements in task order (par.Staged); a failed task's
+// error is reported through wrap. An ObsCollector writes each sample's
+// telemetry to the task's own stage of opts.Obs.
 func runSamples(c Collector, tasks []sampleTask, opts par.Options, wrap func(task int, err error) error) ([]float64, error) {
 	oc, staged := c.(ObsCollector)
-	staged = staged && opts.Obs != nil
-	tputs := make([]float64, len(tasks))
-	stages := make([]*obs.Registry, len(tasks))
-	err := par.Do(len(tasks), opts, func(i int) error {
+	return par.Staged(len(tasks), opts, func(i int, stage *obs.Registry) (float64, error) {
 		t := tasks[i]
+		var tput float64
 		var err error
-		if staged {
-			stages[i] = opts.Obs.Stage()
-			tputs[i], err = oc.SampleObs(t.w, t.cfg, t.seed, stages[i])
+		if staged && stage != nil {
+			tput, err = oc.SampleObs(t.w, t.cfg, t.seed, stage)
 		} else {
-			tputs[i], err = c.Sample(t.w, t.cfg, t.seed)
+			tput, err = c.Sample(t.w, t.cfg, t.seed)
 		}
 		if err != nil {
-			return wrap(i, err)
+			return 0, wrap(i, err)
 		}
-		return nil
+		return tput, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, stage := range stages {
-		opts.Obs.Merge(stage)
-	}
-	return tputs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"rafiki/internal/anova"
@@ -387,5 +388,38 @@ func TestDedupeRankingCollapsesGroups(t *testing.T) {
 	}
 	if deduped.Entries[0].Factor != config.ParamMemtableHeapSpace {
 		t.Errorf("group kept %q, want its highest-variance member", deduped.Entries[0].Factor)
+	}
+}
+
+// TestOptimizeRunsTheSurrogateProblem: Optimize is ga.Run over
+// Surrogate.Problem and nothing else, so another searcher handed the
+// same problem searches exactly what a recommendation searches.
+func TestOptimizeRunsTheSurrogateProblem(t *testing.T) {
+	sur := preparedTuner(t).Surrogate()
+	w := Workload{ReadRatio: 0.3, ScanRatio: 0.1}
+	opts := fastGAOptions()
+	rec, err := sur.Optimize(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problem, err := sur.Problem(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ga.Run(problem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sur.Space.ConfigFromVector(res.Best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec, OptimizeResult{Config: cfg, Predicted: res.BestFitness, Evaluations: res.Evaluations, History: res.History}) {
+		t.Errorf("Optimize recommended %+v, ga.Run over Problem found %+v", rec, res)
+	}
+	// The scalar fallback scores a candidate as the batch path does.
+	one, err := problem.Fitness(res.Best)
+	if err != nil || one != res.BestFitness {
+		t.Errorf("Fitness(best) = %v, %v; the batch path scored it %v", one, err, res.BestFitness)
 	}
 }

@@ -174,6 +174,10 @@ func (t *Tuner) UseSurrogate(s *Surrogate) error {
 // Space returns the tuner's configuration space.
 func (t *Tuner) Space() *config.Space { return t.space }
 
+// Options returns the tuner's options as NewTuner resolved them: Obs
+// carried into every stage's own options.
+func (t *Tuner) Options() TunerOptions { return t.opts }
+
 // Recommend searches for the best configuration for the observed
 // workload. This is the online stage: it costs only surrogate calls.
 func (t *Tuner) Recommend(w Workload) (OptimizeResult, error) {

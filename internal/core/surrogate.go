@@ -55,13 +55,14 @@ type OptimizeResult struct {
 	History []float64
 }
 
-// Optimize searches the key-parameter space for the configuration that
-// maximizes predicted throughput at the given workload (Equation 4),
-// using the genetic algorithm of Section 3.7.2.
-func (s *Surrogate) Optimize(w Workload, opts ga.Options) (OptimizeResult, error) {
+// Problem is the search problem a recommendation at w solves (Equation
+// 4): maximize the surrogate's predicted throughput over the key
+// parameters' ranges. Every searcher over the surrogate, Optimize's GA
+// included, runs on this one construction.
+func (s *Surrogate) Problem(w Workload) (problem ga.Problem, err error) {
 	keys, err := s.Space.KeyParams()
 	if err != nil {
-		return OptimizeResult{}, err
+		return problem, err
 	}
 	bounds := make([]ga.Bound, len(keys))
 	for i, p := range keys {
@@ -76,7 +77,7 @@ func (s *Surrogate) Optimize(w Workload, opts ga.Options) (OptimizeResult, error
 	// scalar Fitness stays as the single-candidate fallback.
 	prefix := w.Vector()
 	var vecs [][]float64
-	problem := ga.Problem{
+	return ga.Problem{
 		Bounds: bounds,
 		Fitness: func(genes []float64) (float64, error) {
 			vec := make([]float64, 0, len(genes)+len(prefix))
@@ -94,6 +95,16 @@ func (s *Surrogate) Optimize(w Workload, opts ga.Options) (OptimizeResult, error
 			}
 			return s.Model.PredictBatchInto(out, vecs[:len(genes)])
 		},
+	}, nil
+}
+
+// Optimize searches the key-parameter space for the configuration that
+// maximizes predicted throughput at the given workload, using the
+// genetic algorithm of Section 3.7.2.
+func (s *Surrogate) Optimize(w Workload, opts ga.Options) (OptimizeResult, error) {
+	problem, err := s.Problem(w)
+	if err != nil {
+		return OptimizeResult{}, err
 	}
 	res, err := ga.Run(problem, opts)
 	if err != nil {

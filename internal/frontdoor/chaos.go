@@ -256,11 +256,7 @@ func overloadOnce(seed int64, cfg OverloadConfig, perOp float64) (overloadRun, c
 	if err != nil {
 		return overloadRun{}, cluster.Stats{}, err
 	}
-	res := cluster.DefaultResilienceOptions()
-	res.BackoffBase = perOp
-	res.BackoffMax = 25 * perOp
-	res.ExpectedOpSeconds = perOp
-	res.OpTimeout = 20 * perOp
+	res := cluster.DefaultResilienceOptions().ScaledTo(perOp)
 	res.BreakerFailures = 5
 	res.BreakerCooldown = 200 * perOp
 	res.RetryBudgetFrac = 0.2

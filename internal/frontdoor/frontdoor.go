@@ -199,8 +199,10 @@ type FrontDoor struct {
 	surges  []Surge
 	o       fdObs
 
-	arrivals arrHeap
-	inflight depHeap
+	// arrivals holds each tenant's next arrival, tied on the tenant;
+	// inflight the admitted requests' departures, tied on Request.Seq.
+	arrivals eventHeap[struct{}]
+	inflight eventHeap[departure]
 	free     int
 	seq      uint64
 	now      float64
@@ -337,7 +339,7 @@ func (f *FrontDoor) Run() (*Result, error) {
 	for i := range f.tenants {
 		at := f.tenants[i].arr.next(0, f.opts.Horizon, f.surges)
 		if at <= f.opts.Horizon {
-			f.arrivals.push(arrEv{at: at, tenant: i})
+			f.arrivals.push(event[struct{}]{at: at, tie: uint64(i)})
 		}
 	}
 
@@ -349,11 +351,11 @@ func (f *FrontDoor) Run() (*Result, error) {
 		case haveD && (!haveA || nd.at <= na.at):
 			f.advance(nd.at)
 			f.inflight.pop()
-			f.complete(nd)
+			f.complete(nd.at, nd.v)
 		case haveA:
 			f.advance(na.at)
 			f.arrivals.pop()
-			f.arrive(na.tenant)
+			f.arrive(int(na.tie))
 		default:
 			// No arrivals left and nothing in flight: anything still
 			// queued would need a free server, which dispatch just had.
@@ -385,7 +387,7 @@ func (f *FrontDoor) arrive(ti int) {
 	tc := &f.opts.Classes[t.class]
 
 	if at := t.arr.next(f.now, f.opts.Horizon, f.surges); at <= f.opts.Horizon {
-		f.arrivals.push(arrEv{at: at, tenant: ti})
+		f.arrivals.push(event[struct{}]{at: at, tie: uint64(ti)})
 	}
 
 	f.seq++
@@ -459,25 +461,26 @@ func (f *FrontDoor) execute(req Request) {
 	if used := f.opts.Concurrency - f.free; used > f.res.MaxInFlight {
 		f.res.MaxInFlight = used
 	}
-	f.inflight.push(depEv{at: f.now + svc, seq: req.Seq, req: req, start: f.now, ok: ok, version: ver})
+	f.inflight.push(event[departure]{at: f.now + svc, tie: req.Seq,
+		v: departure{req: req, start: f.now, ok: ok, version: ver}})
 }
 
 // complete books one departure: latency histograms, SLO windows, and
 // the consistency history.
 //
 //rafiki:hot
-func (f *FrontDoor) complete(d depEv) {
+func (f *FrontDoor) complete(at float64, d departure) {
 	f.free++
 	t := &f.tenants[d.req.Tenant]
-	lat := d.at - d.req.Arrived
+	lat := at - d.req.Arrived
 	f.res.Completed++
 	f.res.Classes[t.class].Completed++
 	if !d.ok {
 		f.res.FailedOps++
 		f.res.Classes[t.class].FailedOps++
 	}
-	if d.at > f.res.Makespan {
-		f.res.Makespan = d.at
+	if at > f.res.Makespan {
+		f.res.Makespan = at
 	}
 	t.hist.Add(lat)
 	f.o.latency.Observe(lat)
@@ -502,7 +505,7 @@ func (f *FrontDoor) complete(d depEv) {
 			Kind:   kind,
 			Value:  d.version,
 			Start:  d.start,
-			End:    d.at,
+			End:    at,
 			Ok:     d.ok,
 		})
 	}

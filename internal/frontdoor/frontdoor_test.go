@@ -39,11 +39,7 @@ func newServingCluster(t *testing.T, seed int64, reg *obs.Registry) *cluster.Clu
 		t.Fatal(err)
 	}
 	perOp := calibrate(t, seed)
-	res := cluster.DefaultResilienceOptions()
-	res.BackoffBase = perOp
-	res.BackoffMax = 25 * perOp
-	res.ExpectedOpSeconds = perOp
-	res.OpTimeout = 20 * perOp
+	res := cluster.DefaultResilienceOptions().ScaledTo(perOp)
 	res.BreakerFailures = 5
 	res.BreakerCooldown = 200 * perOp
 	res.RetryBudgetFrac = 0.2

@@ -1,27 +1,26 @@
 package frontdoor
 
-// Binary min-heaps for the two event streams. Both break time ties on
-// a secondary integer key so the event order — and with it the whole
-// simulation — is a pure function of the seed.
-
-// arrEv is one tenant's next arrival.
-type arrEv struct {
-	at     float64
-	tenant int
+// event is one scheduled happening carrying v. Time ties break on an
+// integer key, so the event order — and with it the whole simulation —
+// is a pure function of the seed.
+type event[T any] struct {
+	at  float64
+	tie uint64
+	v   T
 }
 
-// arrHeap orders arrivals by (at, tenant).
-type arrHeap []arrEv
+// eventHeap is a binary min-heap of events ordered by (at, tie).
+type eventHeap[T any] []event[T]
 
-func (h arrHeap) less(i, j int) bool {
+func (h eventHeap[T]) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].tenant < h[j].tenant
+	return h[i].tie < h[j].tie
 }
 
 //rafiki:hot
-func (h *arrHeap) push(e arrEv) {
+func (h *eventHeap[T]) push(e event[T]) {
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
@@ -35,15 +34,15 @@ func (h *arrHeap) push(e arrEv) {
 	}
 }
 
-func (h *arrHeap) peek() (arrEv, bool) {
-	if len(*h) == 0 {
-		return arrEv{}, false
+func (h eventHeap[T]) peek() (event[T], bool) {
+	if len(h) == 0 {
+		return event[T]{}, false
 	}
-	return (*h)[0], true
+	return h[0], true
 }
 
 //rafiki:hot
-func (h *arrHeap) pop() arrEv {
+func (h *eventHeap[T]) pop() event[T] {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
@@ -68,70 +67,11 @@ func (h *arrHeap) pop() arrEv {
 	}
 }
 
-// depEv is one in-flight request's departure.
-type depEv struct {
-	at      float64
-	seq     uint64
+// departure is one in-flight request's outcome, booked when its event
+// (at the completion time, tie-broken by request sequence) fires.
+type departure struct {
 	req     Request
 	start   float64
 	ok      bool
 	version int64
-}
-
-// depHeap orders departures by (at, seq).
-type depHeap []depEv
-
-func (h depHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//rafiki:hot
-func (h *depHeap) push(e depEv) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *depHeap) peek() (depEv, bool) {
-	if len(*h) == 0 {
-		return depEv{}, false
-	}
-	return (*h)[0], true
-}
-
-//rafiki:hot
-func (h *depHeap) pop() depEv {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.less(l, m) {
-			m = l
-		}
-		if r < n && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return top
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
 }

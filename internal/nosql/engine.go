@@ -194,61 +194,6 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// paramIndices holds the interned declaration-order indices of every
-// parameter the engine reads, resolved against the space once at
-// construction so that configure() addresses resolved configurations as
-// dense []float64 vectors with no map lookups.
-type paramIndices struct {
-	compaction           int
-	concurrentWrites     int
-	fileCacheMB          int
-	memtableCleanup      int
-	concurrentCompactors int
-
-	concurrentReads       int
-	flushWriters          int
-	memHeapMB             int
-	memOffheapMB          int
-	compactionThroughput  int
-	commitlogSyncPeriodMs int
-	commitlogSegmentMB    int
-	commitlogTotalMB      int
-	keyCacheMB            int
-	rowCacheMB            int
-	columnIndexKB         int
-}
-
-// internParams resolves the engine's parameter names to space indices.
-func internParams(space *config.Space) paramIndices {
-	idx := func(name string) int {
-		i, ok := space.Index(name)
-		if !ok {
-			// A space without one of the engine's parameters cannot drive
-			// the engine at all; surface it at construction.
-			panic(fmt.Sprintf("nosql: space %q missing parameter %q", space.Name, name))
-		}
-		return i
-	}
-	return paramIndices{
-		compaction:            idx(config.ParamCompactionStrategy),
-		concurrentWrites:      idx(config.ParamConcurrentWrites),
-		fileCacheMB:           idx(config.ParamFileCacheSize),
-		memtableCleanup:       idx(config.ParamMemtableCleanup),
-		concurrentCompactors:  idx(config.ParamConcurrentCompactors),
-		concurrentReads:       idx(config.ParamConcurrentReads),
-		flushWriters:          idx(config.ParamMemtableFlushWriters),
-		memHeapMB:             idx(config.ParamMemtableHeapSpace),
-		memOffheapMB:          idx(config.ParamMemtableOffheapSpace),
-		compactionThroughput:  idx(config.ParamCompactionThroughput),
-		commitlogSyncPeriodMs: idx(config.ParamCommitlogSyncPeriod),
-		commitlogSegmentMB:    idx(config.ParamCommitlogSegmentSize),
-		commitlogTotalMB:      idx(config.ParamCommitlogTotalSpace),
-		keyCacheMB:            idx(config.ParamKeyCacheSize),
-		rowCacheMB:            idx(config.ParamRowCacheSize),
-		columnIndexKB:         idx(config.ParamColumnIndexSize),
-	}
-}
-
 // Engine is the simulated storage engine. It is not safe for concurrent
 // use; the benchmark drivers are single-goroutine and deterministic.
 type Engine struct {
@@ -260,9 +205,8 @@ type Engine struct {
 	epochOps int
 	p        params
 	strategy compactionStrategy
-	// pidx interns the parameter names the engine reads; cfgVec is the
-	// reusable dense resolved-configuration scratch configure() fills.
-	pidx   paramIndices
+	// cfgVec is the reusable dense resolved-configuration scratch
+	// configure() fills.
 	cfgVec []float64
 	// paramsCache memoizes Params(); configure() invalidates it.
 	paramsCache map[string]float64
@@ -347,7 +291,6 @@ func New(opts Options) (*Engine, error) {
 		model:    model,
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		epochOps: epochOps,
-		pidx:     internParams(opts.Space),
 		mem:      newMemtable(hw.RowBytes),
 		diskTax:  1,
 		cpuTax:   1,
@@ -368,32 +311,39 @@ func New(opts Options) (*Engine, error) {
 
 // configure resolves cfg into params and rebuilds strategy and caches.
 // The map form of cfg stops here: it is validated once at this public
-// boundary, resolved into the engine's dense cfgVec scratch, and read
-// by interned index — the apply/sample path performs no per-parameter
-// map lookups and no per-call allocation after the first configure.
+// boundary and resolved into the engine's dense cfgVec scratch, so a
+// reconfiguration allocates nothing after the first.
 func (e *Engine) configure(cfg config.Config) error {
 	if err := e.space.Validate(cfg); err != nil {
 		return err
 	}
 	e.cfgVec = e.space.ResolveInto(e.cfgVec, cfg)
-	v := e.cfgVec
+	at := func(name string) float64 {
+		i, ok := e.space.Index(name)
+		if !ok {
+			// A space without one of the engine's parameters cannot drive
+			// the engine at all; New configures, so it surfaces there.
+			panic(fmt.Sprintf("nosql: space %q missing parameter %q", e.space.Name, name))
+		}
+		return e.cfgVec[i]
+	}
 	p := params{
-		compaction:            int(v[e.pidx.compaction]),
-		concurrentWrites:      v[e.pidx.concurrentWrites],
-		fileCacheMB:           v[e.pidx.fileCacheMB],
-		memtableCleanup:       v[e.pidx.memtableCleanup],
-		concurrentCompactors:  v[e.pidx.concurrentCompactors],
-		concurrentReads:       v[e.pidx.concurrentReads],
-		flushWriters:          v[e.pidx.flushWriters],
-		memHeapMB:             v[e.pidx.memHeapMB],
-		memOffheapMB:          v[e.pidx.memOffheapMB],
-		compactionThroughput:  v[e.pidx.compactionThroughput],
-		commitlogSyncPeriodMs: v[e.pidx.commitlogSyncPeriodMs],
-		commitlogSegmentMB:    v[e.pidx.commitlogSegmentMB],
-		commitlogTotalMB:      v[e.pidx.commitlogTotalMB],
-		keyCacheMB:            v[e.pidx.keyCacheMB],
-		rowCacheMB:            v[e.pidx.rowCacheMB],
-		columnIndexKB:         v[e.pidx.columnIndexKB],
+		compaction:            int(at(config.ParamCompactionStrategy)),
+		concurrentWrites:      at(config.ParamConcurrentWrites),
+		fileCacheMB:           at(config.ParamFileCacheSize),
+		memtableCleanup:       at(config.ParamMemtableCleanup),
+		concurrentCompactors:  at(config.ParamConcurrentCompactors),
+		concurrentReads:       at(config.ParamConcurrentReads),
+		flushWriters:          at(config.ParamMemtableFlushWriters),
+		memHeapMB:             at(config.ParamMemtableHeapSpace),
+		memOffheapMB:          at(config.ParamMemtableOffheapSpace),
+		compactionThroughput:  at(config.ParamCompactionThroughput),
+		commitlogSyncPeriodMs: at(config.ParamCommitlogSyncPeriod),
+		commitlogSegmentMB:    at(config.ParamCommitlogSegmentSize),
+		commitlogTotalMB:      at(config.ParamCommitlogTotalSpace),
+		keyCacheMB:            at(config.ParamKeyCacheSize),
+		rowCacheMB:            at(config.ParamRowCacheSize),
+		columnIndexKB:         at(config.ParamColumnIndexSize),
 	}
 	e.p = p
 	e.paramsCache = nil

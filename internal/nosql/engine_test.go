@@ -382,6 +382,32 @@ func TestScyllaEngineAutotunerOverrides(t *testing.T) {
 	}
 }
 
+// TestScyllaEngineServesEveryOpClass: the driver's optional capabilities
+// (deletes, scans, TTL'd writes) reach the engine under a ScyllaEngine
+// instead of falling back to plain writes and reads.
+func TestScyllaEngineServesEveryOpClass(t *testing.T) {
+	s, err := nosql.NewScylla(nosql.ScyllaOptions{Seed: 27})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Preload(3)
+	res, err := workload.Run(s, workload.Spec{
+		Mix:         workload.Mix{Read: 0.4, Update: 0.3, Delete: 0.15, Scan: 0.15},
+		TTLFraction: 0.5, TTLSeconds: 1e-3,
+		KRDMean: float64(s.KeySpace()) / 2, Ops: 60_000, Seed: 28,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	if m.Deletes != uint64(res.Deletes) || m.Scans != uint64(res.Scans) || res.Deletes == 0 || res.Scans == 0 {
+		t.Errorf("engine served %d deletes and %d scans, the driver issued %d and %d", m.Deletes, m.Scans, res.Deletes, res.Scans)
+	}
+	if m.ExpiredCells == 0 {
+		t.Error("no TTL'd write expired: WriteTTL did not reach the engine")
+	}
+}
+
 func TestScyllaThroughputVariance(t *testing.T) {
 	// Figure 10: ScyllaDB's epoch throughput fluctuates much more than
 	// Cassandra's under an identical stationary workload.

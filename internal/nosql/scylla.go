@@ -31,9 +31,10 @@ type ScyllaOptions struct {
 // even in a stationary system (the paper's Figure 10, including ~60%
 // dips lasting tens of sample windows).
 type ScyllaEngine struct {
-	eng   *Engine
-	space *config.Space
-	rng   *rand.Rand
+	// Engine serves every operation; Apply goes through the auto-tuner
+	// first.
+	*Engine
+	rng *rand.Rand
 
 	// Ornstein-Uhlenbeck state for the slow throughput wander.
 	ouState float64
@@ -62,10 +63,7 @@ func NewScylla(opts ScyllaOptions) (*ScyllaEngine, error) {
 	if cfg == nil {
 		cfg = space.Default()
 	}
-	s := &ScyllaEngine{
-		space: space,
-		rng:   rand.New(rand.NewSource(opts.Seed ^ 0x5c111a)),
-	}
+	s := &ScyllaEngine{rng: rand.New(rand.NewSource(opts.Seed ^ 0x5c111a))}
 	eng, err := New(Options{
 		Space:    space,
 		Config:   s.autotune(cfg),
@@ -78,7 +76,7 @@ func NewScylla(opts ScyllaOptions) (*ScyllaEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.eng = eng
+	s.Engine = eng
 	eng.throughputFactor = s.epochFactor
 	return s, nil
 }
@@ -116,33 +114,8 @@ func (s *ScyllaEngine) autotune(cfg config.Config) config.Config {
 // silently re-overridden, exactly the behaviour that frustrated the
 // paper's ANOVA stage on ScyllaDB.
 func (s *ScyllaEngine) Apply(cfg config.Config) error {
-	return s.eng.Apply(s.autotune(cfg))
+	return s.Engine.Apply(s.autotune(cfg))
 }
-
-// Write forwards a write to the engine.
-//
-//rafiki:hot
-func (s *ScyllaEngine) Write(key uint64) { s.eng.Write(key) }
-
-// Read forwards a read to the engine.
-//
-//rafiki:hot
-func (s *ScyllaEngine) Read(key uint64) { s.eng.Read(key) }
-
-// FinishEpoch closes the current accounting epoch.
-func (s *ScyllaEngine) FinishEpoch() { s.eng.FinishEpoch() }
-
-// Preload installs the initial dataset.
-func (s *ScyllaEngine) Preload(versions int) { s.eng.Preload(versions) }
-
-// Clock returns virtual seconds.
-func (s *ScyllaEngine) Clock() float64 { return s.eng.Clock() }
-
-// Metrics returns engine counters.
-func (s *ScyllaEngine) Metrics() Metrics { return s.eng.Metrics() }
-
-// KeySpace returns the scaled number of distinct keys.
-func (s *ScyllaEngine) KeySpace() int { return s.eng.KeySpace() }
 
 // epochFactor models the auto-tuner's throughput variance: a slow
 // mean-reverting wander plus occasional deep dips while the tuner

@@ -112,6 +112,29 @@ func Do(n int, opts Options, fn func(i int) error) error {
 	return nil
 }
 
+// Staged is Do for tasks that return a value and emit telemetry: task i
+// writes to a stage of opts.Obs of its own (nil when Obs is nil) and
+// its result lands in slot i. Once every task has succeeded the stages
+// are merged into opts.Obs in task order, so the results and the
+// registry's snapshot are the same for every worker count.
+func Staged[T any](n int, opts Options, fn func(i int, stage *obs.Registry) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	stages := make([]*obs.Registry, n)
+	err := Do(n, opts, func(i int) error {
+		stages[i] = opts.Obs.Stage()
+		var err error
+		out[i], err = fn(i, stages[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, stage := range stages {
+		opts.Obs.Merge(stage)
+	}
+	return out, nil
+}
+
 // DoRange runs fn(lo, hi) over a partition of [0, n) into at most
 // `workers` contiguous chunks of near-equal size, in parallel. It is
 // the cheap form of Do for very short per-item work (e.g. one forward

@@ -1,9 +1,11 @@
 package par
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -140,5 +142,55 @@ func TestDoObsInstruments(t *testing.T) {
 	// A nil registry must be accepted silently.
 	if err := Do(3, Options{Name: "x"}, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStagedOrdersResultsAndTelemetry: results come back in task order
+// and each task's spans reach the registry in task order, whatever the
+// worker count; a failure returns the lowest task's error and no
+// results.
+func TestStagedOrdersResultsAndTelemetry(t *testing.T) {
+	run := func(workers int) ([]int, []byte) {
+		reg := obs.NewRegistry()
+		out, err := Staged(40, Options{Workers: workers, Obs: reg}, func(i int, stage *obs.Registry) (int, error) {
+			stage.Record(obs.Span{Name: "task", Start: float64(i), End: float64(i + 1)})
+			stage.Counter("tasks").Inc()
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := reg.Snapshot().JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, blob
+	}
+	refOut, refSnap := run(1)
+	for i, v := range refOut {
+		if v != i*i {
+			t.Fatalf("slot %d holds %d", i, v)
+		}
+	}
+	for _, workers := range []int{3, 8} {
+		out, snap := run(workers)
+		if !slices.Equal(out, refOut) || !bytes.Equal(snap, refSnap) {
+			t.Errorf("workers=%d: results or snapshot differ from the serial run", workers)
+		}
+	}
+
+	// A nil registry hands every task a nil stage.
+	out, err := Staged(3, Options{}, func(i int, stage *obs.Registry) (bool, error) { return stage == nil, nil })
+	if err != nil || !slices.Equal(out, []bool{true, true, true}) {
+		t.Errorf("nil registry: %v, %v", out, err)
+	}
+	_, err = Staged(10, Options{Workers: 4}, func(i int, _ *obs.Registry) (int, error) {
+		if i >= 6 {
+			return 0, fmt.Errorf("task %d", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "task 6" {
+		t.Errorf("err = %v, want task 6", err)
 	}
 }

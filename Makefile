@@ -2,14 +2,14 @@ GO ?= go
 
 # Aggregate statement-coverage floor: the seed tree measured 79.7%;
 # `make cover` fails if the tree regresses below it.
-COVER_FLOOR ?= 80.5
+COVER_FLOOR ?= 81.5
 
 # Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
 # PR that must grow the tree raises it in its own diff, where a reviewer
 # sees it; a PR that shrinks the tree lowers it to its new total.
-LOC_CEILING ?= 24635
+LOC_CEILING ?= 23972
 
-.PHONY: build test bench check fmt vet lint race fuzz cover guard chaos slo loc
+.PHONY: build test bench bench-smoke check fmt vet lint race fuzz cover guard chaos slo loc
 
 build:
 	$(GO) build ./...
@@ -17,29 +17,19 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the kernel microbenchmarks (with allocation reporting; the
-# Gram, solve and trace-inverse kernels at the trainer's real 220 x 191
-# shape as well as 256 x 41, and BenchmarkTrainBREpoch, one LM epoch of
-# one ensemble member at that shape), one collector sample's key
-# stream, the SSTable builders (Preload with the shared image cold and
-# warm, flush, merge), a scan behind a new-key write at two memtable
-# sizes, a read that closes an epoch per op, the serving path's layers
-# (a netsim round trip, a QUORUM coordinator op, an admission queue
-# cycle, a 16-node cluster build), the end-to-end pipeline harness (BENCH_pipeline.json:
-# per-stage serial-vs-parallel wall time for identify/collect/train/
-# search, alloc counts, one row per ensemble member, and an inline
-# determinism cross-check), and the engine hot-path harness
-# (BENCH_engine.json: wall-clock ops/s and allocs/op per op type, scans
-# both quiescent and interleaved with writes). Both JSON files are
-# committed trajectory files — regenerate them when the hot path
-# changes.
+# bench runs every Go benchmark of the root package and internal/...
+# but BenchmarkExperiments (the paper artifacts, minutes each) and
+# writes the result, in Go benchmark format (ns/op, B/op, allocs/op;
+# benchstat reads it), to the tracked BENCH.txt. Profiles are go test's
+# own -cpuprofile/-memprofile, one package at a time. bench-smoke runs
+# the same set once per benchmark and writes nothing.
+BENCH = $(GO) test -run='^$$' -bench=. -skip='^BenchmarkExperiments$$' -benchmem . ./internal/...
+
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/nn/
-	$(GO) test -run='^$$' -bench=KeyGeneratorSample -benchmem ./internal/workload/
-	$(GO) test -run='^$$' -bench='Preload|Flush|MergeTables|ScanUnderWrites|CloseEpochPerOp' -benchmem ./internal/nosql/
-	$(GO) test -run='^$$' -bench='Send|ClusterQuorum|ClusterBuild16|AdmissionQueue' -benchmem ./internal/netsim ./internal/cluster ./internal/frontdoor
-	$(GO) run ./cmd/pipelinebench -out BENCH_pipeline.json
-	$(GO) run ./cmd/enginebench -out BENCH_engine.json
+	$(BENCH) > BENCH.txt; status=$$?; cat BENCH.txt; exit $$status
+
+bench-smoke:
+	$(BENCH) -benchtime=1x
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -142,4 +132,4 @@ loc:
 		printf "non-test total outside cmd/rafikibench: %d (ceiling $(LOC_CEILING))\n", total; \
 		if (total > $(LOC_CEILING)) { print "FAIL: the tree grew past LOC_CEILING"; exit 1 } }'
 
-check: fmt vet lint race fuzz guard chaos slo loc
+check: fmt vet lint race fuzz guard bench-smoke chaos slo loc

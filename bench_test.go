@@ -12,9 +12,13 @@ package rafiki_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"regexp"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
-	"rafiki"
 	"rafiki/internal/anova"
 	"rafiki/internal/bench"
 	"rafiki/internal/config"
@@ -79,29 +83,81 @@ func BenchmarkExperiments(b *testing.B) {
 
 // --- Micro-benchmarks ------------------------------------------------
 
-func BenchmarkEngineWrite(b *testing.B) {
-	eng, err := rafiki.NewEngine(rafiki.EngineOptions{Space: rafiki.CassandraSpace(), Seed: 1})
+// warmEngine is a preloaded engine in its serving steady state: a mixed
+// warm-up has filled the block cache and digested the first flushes.
+func warmEngine(tb testing.TB) *nosql.Engine {
+	tb.Helper()
+	e, err := nosql.New(nosql.Options{Space: config.Cassandra(), Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	keySpace := uint64(eng.KeySpace())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Write(uint64(i) % keySpace)
+	e.Preload(3)
+	rng := rand.New(rand.NewSource(2))
+	n := int64(e.KeySpace())
+	for i := 0; i < 50_000; i++ {
+		k := uint64(rng.Int63n(n))
+		switch i % 4 {
+		case 0, 1:
+			e.Read(k)
+		case 2:
+			e.Write(k)
+		case 3:
+			e.Delete(k)
+		}
 	}
+	e.FinishEpoch()
+	return e
 }
 
-func BenchmarkEngineRead(b *testing.B) {
-	eng, err := rafiki.NewEngine(rafiki.EngineOptions{Space: rafiki.CassandraSpace(), Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.Preload(3)
-	keySpace := uint64(eng.KeySpace())
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Read(rng.Uint64() % keySpace)
+// engineOps are BenchmarkEngineOp's rows; each builds the op it times
+// on e. scan walks a quiescent engine; scan_mixed is a write and then a
+// scan, the interleaving a CRUD mix produces, under which the
+// memtable's key order is stale before every scan.
+var engineOps = []struct {
+	name string
+	op   func(e *nosql.Engine, rng *rand.Rand) func()
+}{
+	{"read", func(e *nosql.Engine, rng *rand.Rand) func() {
+		n := int64(e.KeySpace())
+		return func() { e.Read(uint64(rng.Int63n(n))) }
+	}},
+	{"update", func(e *nosql.Engine, rng *rand.Rand) func() {
+		n := int64(e.KeySpace())
+		return func() { e.Write(uint64(rng.Int63n(n))) }
+	}},
+	{"insert", func(e *nosql.Engine, _ *rand.Rand) func() {
+		next := uint64(e.KeySpace())
+		return func() { e.Write(next); next++ }
+	}},
+	{"delete", func(e *nosql.Engine, rng *rand.Rand) func() {
+		n := int64(e.KeySpace())
+		return func() { e.Delete(uint64(rng.Int63n(n))) }
+	}},
+	{"scan", func(e *nosql.Engine, rng *rand.Rand) func() {
+		n := int64(e.KeySpace())
+		return func() { e.Scan(uint64(rng.Int63n(n)), 64) }
+	}},
+	{"scan_mixed", func(e *nosql.Engine, rng *rand.Rand) func() {
+		n := int64(e.KeySpace())
+		return func() {
+			e.Write(uint64(rng.Int63n(n)))
+			e.Scan(uint64(rng.Int63n(n)), 64)
+		}
+	}},
+}
+
+// BenchmarkEngineOp times each engine op type on a warm preloaded
+// engine. Every row gets its own engine: inserts and deletes change the
+// key population the rows after them would otherwise measure.
+func BenchmarkEngineOp(b *testing.B) {
+	for _, row := range engineOps {
+		b.Run(row.name, func(b *testing.B) {
+			op := row.op(warmEngine(b), rand.New(rand.NewSource(3)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 
@@ -198,6 +254,152 @@ func BenchmarkANOVARank(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := anova.Rank(sweeps); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// --- Offline pipeline stages -----------------------------------------
+
+// pipelineStages are BenchmarkPipelineStage's rows: each prepares its
+// input outside the timer and returns the stage, one call of its public
+// function, under a worker bound (0 = one per CPU). Train and search
+// take their dataset and surrogate from the shared suite pipeline.
+var pipelineStages = []struct {
+	name    string
+	prepare func(b *testing.B, opts bench.PipelineOptions) func(workers int) error
+}{
+	{"identify", func(_ *testing.B, opts bench.PipelineOptions) func(int) error {
+		return func(workers int) error {
+			// IdentifyKeyParameters takes no worker bound, it fans out
+			// one sample per CPU: one P is what serialises it.
+			if workers == 1 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			}
+			_, err := core.IdentifyKeyParameters(opts.Env.Sampler, config.Cassandra(), opts.Identify)
+			return err
+		}
+	}},
+	{"collect", func(_ *testing.B, opts bench.PipelineOptions) func(int) error {
+		return func(workers int) error {
+			opts.Collect.Workers = workers
+			_, err := core.Collect(opts.Env.Sampler, config.Cassandra(), opts.Collect)
+			return err
+		}
+	}},
+	{"train", func(b *testing.B, opts bench.PipelineOptions) func(int) error {
+		p := cassandraPipeline(b)
+		return func(workers int) error {
+			opts.Model.Workers = workers
+			_, err := core.TrainSurrogate(p.Dataset(), p.Space(), opts.Model)
+			return err
+		}
+	}},
+	{"search", func(b *testing.B, opts bench.PipelineOptions) func(int) error {
+		sur := cassandraPipeline(b).Surrogate()
+		return func(workers int) error {
+			defer func(prev int) { sur.Model.Workers = prev }(sur.Model.Workers)
+			sur.Model.Workers = workers
+			// The paper's workload sweep, one GA run per read ratio.
+			for _, rr := range []float64{0, 0.25, 0.5, 0.75, 1} {
+				if _, err := sur.Optimize(core.RR(rr), opts.GA); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}},
+}
+
+// stageWorkers are the two lines of every stage: serial, and one worker
+// per CPU. Their ratio is the stage's parallel speedup on this host.
+var stageWorkers = []struct {
+	label string
+	n     int
+}{{"1", 1}, {"max", 0}}
+
+// BenchmarkPipelineStage times the four offline stages one at a time,
+// sized like the pipeline the experiments prepare (60 LM epochs) at
+// 60 000-op samples, the scale the stage trajectory was recorded at.
+func BenchmarkPipelineStage(b *testing.B) {
+	opts := bench.DefaultPipelineOptions()
+	opts.Env.SampleOps = 60_000
+	for _, st := range pipelineStages {
+		b.Run(st.name, func(b *testing.B) {
+			for _, w := range stageWorkers {
+				b.Run("workers="+w.label, func(b *testing.B) {
+					run := st.prepare(b, opts)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := run(w.n); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestBenchRowsSmoke pins the engine-op and stage rows the documents
+// cite by name: each is still a sub-benchmark under that name, the
+// committed BENCH.txt carries its line, and every engine op does work
+// on a warm engine. The stage bodies are too slow for a test; `make
+// bench-smoke` runs them once.
+func TestBenchRowsSmoke(t *testing.T) {
+	want := []string{
+		"BenchmarkEngineOp/read",
+		"BenchmarkEngineOp/update",
+		"BenchmarkEngineOp/insert",
+		"BenchmarkEngineOp/delete",
+		"BenchmarkEngineOp/scan",
+		"BenchmarkEngineOp/scan_mixed",
+		"BenchmarkPipelineStage/identify/workers=1",
+		"BenchmarkPipelineStage/identify/workers=max",
+		"BenchmarkPipelineStage/collect/workers=1",
+		"BenchmarkPipelineStage/collect/workers=max",
+		"BenchmarkPipelineStage/train/workers=1",
+		"BenchmarkPipelineStage/train/workers=max",
+		"BenchmarkPipelineStage/search/workers=1",
+		"BenchmarkPipelineStage/search/workers=max",
+	}
+	var rows []string
+	for _, row := range engineOps {
+		rows = append(rows, "BenchmarkEngineOp/"+row.name)
+		e := warmEngine(t)
+		warm := e.Clock()
+		op := row.op(e, rand.New(rand.NewSource(3)))
+		for i := 0; i < 100; i++ {
+			op()
+		}
+		e.FinishEpoch()
+		if warm <= 0 || e.Clock() <= warm {
+			t.Errorf("%s: virtual clock %v after warm-up, %v after 100 ops", row.name, warm, e.Clock())
+		}
+	}
+	for _, st := range pipelineStages {
+		for _, w := range stageWorkers {
+			rows = append(rows, "BenchmarkPipelineStage/"+st.name+"/workers="+w.label)
+		}
+	}
+	if !slices.Equal(rows, want) {
+		t.Errorf("sub-benchmarks are\n%q, the documented rows\n%q", rows, want)
+	}
+
+	blob, err := os.ReadFile("BENCH.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A result line is "<name>[-GOMAXPROCS] <iterations> <value> ns/op ...".
+	procs := regexp.MustCompile(`-\d+$`)
+	recorded := make(map[string]bool)
+	for _, line := range strings.Split(string(blob), "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[3] == "ns/op" {
+			recorded[procs.ReplaceAllString(f[0], "")] = true
+		}
+	}
+	for _, name := range want {
+		if !recorded[name] {
+			t.Errorf("BENCH.txt has no line for %s: re-run `make bench`", name)
 		}
 	}
 }

@@ -42,7 +42,7 @@ type Options struct {
 	// defaults.
 	Hardware nosql.Hardware
 	Model    nosql.CostModel
-	// Seed derives per-node seeds.
+	// Seed derives per-node seeds and the ring's token positions.
 	Seed int64
 	// EpochOps passes through to each engine.
 	EpochOps int
@@ -56,10 +56,6 @@ type Options struct {
 	// like direct calls.
 	NetBaseLatency float64
 	NetJitter      float64
-	// VNodes is the virtual-node count per ring member (0 selects
-	// ring.DefaultVNodes). Token positions derive from Seed alone, so
-	// the same seed always yields byte-identical placement.
-	VNodes int
 }
 
 // Cluster is a set of replicated engines behind a coordinator.
@@ -162,12 +158,9 @@ func New(opts Options) (*Cluster, error) {
 	if opts.ReplicationFactor <= 0 || opts.ReplicationFactor > opts.Nodes {
 		return nil, fmt.Errorf("cluster: replication factor %d out of [1, %d]", opts.ReplicationFactor, opts.Nodes)
 	}
-	if opts.VNodes < 0 {
-		return nil, fmt.Errorf("cluster: negative virtual-node count %d", opts.VNodes)
-	}
 	c := &Cluster{
 		rf:          opts.ReplicationFactor,
-		ring:        ring.New(opts.Seed^0x72696e67, opts.VNodes), // decorrelate from node seeds
+		ring:        ring.New(opts.Seed^0x72696e67, ring.DefaultVNodes), // decorrelate from node seeds
 		member:      make([]bool, opts.Nodes),
 		down:        make([]bool, opts.Nodes),
 		hints:       make([][]hint, opts.Nodes),

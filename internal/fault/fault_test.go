@@ -6,6 +6,7 @@ import (
 	"rafiki/internal/cluster"
 	"rafiki/internal/config"
 	"rafiki/internal/nosql"
+	"rafiki/internal/workload"
 )
 
 func newCluster(t *testing.T, nodes, rf int) *cluster.Cluster {
@@ -285,5 +286,30 @@ func TestHarnessDeleteFallsBackToWrite(t *testing.T) {
 	h.Delete(5) // cluster supports Delete directly
 	if c.Engine(0).Alive(5) {
 		t.Error("delete should tombstone the key")
+	}
+}
+
+// TestHarnessForwardsScans: a scan-bearing mix driven through the
+// harness reaches the cluster as range scans, not as the point reads
+// workload.Run falls back to for a store without Scan.
+func TestHarnessForwardsScans(t *testing.T) {
+	c := newCluster(t, 3, 3)
+	inj, err := NewInjector(c, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := workload.Run(NewHarness(c, inj), workload.Spec{
+		Mix:  workload.Mix{Read: 0.5, Update: 0.3, Scan: 0.2},
+		Ops:  2_000,
+		Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Scans == 0 || uint64(res.Scans) != st.Scans {
+		t.Errorf("driver issued %d scans, the cluster served %d", res.Scans, st.Scans)
+	}
+	if res.ScanRows == 0 {
+		t.Error("scans through the harness returned no rows")
 	}
 }

@@ -3,21 +3,27 @@ package fault
 // Harness interposes the injector between a workload driver and its
 // store: before every operation it advances the injector to the store's
 // current virtual time, so scheduled faults fire exactly when the
-// simulation clock passes them. It satisfies workload.Store (and
-// Deleter when the underlying store does).
+// simulation clock passes them. It satisfies workload.Store, Deleter
+// and Scanner; a delete or scan the wrapped store cannot serve falls
+// back the way workload.Run's own fallback does.
 type Harness struct {
 	store harnessStore
 	inj   *Injector
 }
 
 // harnessStore is the store surface the harness wraps (a superset of
-// workload.Store; Delete is optional, see Delete).
+// workload.Store; Delete and Scan are optional, see those methods).
 type harnessStore interface {
 	Read(key uint64)
 	Write(key uint64)
 	FinishEpoch()
 	Clock() float64
 	KeySpace() int
+}
+
+// scanner is the optional range-scan surface (workload.Scanner).
+type scanner interface {
+	Scan(start uint64, limit int) int
 }
 
 // NewHarness wraps store so inj observes the clock before each op.
@@ -46,6 +52,17 @@ func (h *Harness) Delete(key uint64) {
 		return
 	}
 	h.store.Write(key)
+}
+
+// Scan advances the injector, then forwards the scan when the wrapped
+// store supports it and falls back to a point read otherwise.
+func (h *Harness) Scan(start uint64, limit int) int {
+	h.inj.Advance(h.store.Clock())
+	if s, ok := h.store.(scanner); ok {
+		return s.Scan(start, limit)
+	}
+	h.store.Read(start)
+	return 0
 }
 
 // FinishEpoch forwards epoch accounting.

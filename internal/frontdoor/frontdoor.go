@@ -43,11 +43,10 @@ type TenantClass struct {
 	OnMean, OffMean float64
 	// ReadRatio is the per-request probability of a read.
 	ReadRatio float64
-	// RateLimit caps each tenant's admitted rate via a token bucket
-	// (admissions per virtual second; 0 = unlimited). Burst is the
-	// bucket depth (defaults to max(1, RateLimit)).
+	// RateLimit caps each tenant's admitted rate via a token bucket of
+	// depth max(1, RateLimit) (admissions per virtual second; 0 =
+	// unlimited).
 	RateLimit float64
-	Burst     float64
 	// Deadline is the relative deadline after arrival beyond which the
 	// request is shed instead of dispatched (0 = none).
 	Deadline float64
@@ -62,18 +61,11 @@ type Options struct {
 	Horizon float64
 	// Concurrency is how many requests the cluster serves at once.
 	Concurrency int
-	// QueueCap bounds the admission queue; TenantQueueCap bounds one
-	// tenant's share of it (0 = only the global bound).
-	QueueCap, TenantQueueCap int
+	// QueueCap bounds the admission queue.
+	QueueCap int
 	// Keys is each tenant's private key-pool size (default 4); small
 	// pools make session guarantees (read-your-writes) observable.
 	Keys int
-	// MinService floors a request's measured service time, for ops the
-	// cluster resolves without charging work (0 = no floor).
-	MinService float64
-	// LatencyHi is the latency histograms' upper bound in virtual
-	// seconds (default 1; observations clamp).
-	LatencyHi float64
 	// Classes is the tenant population. Tenant ids are assigned in
 	// class order.
 	Classes []TenantClass
@@ -95,6 +87,10 @@ type Options struct {
 	// for session-guarantee checking.
 	RecordHistory bool
 }
+
+// latencyHi is the latency histograms' upper bound in virtual seconds;
+// observations clamp.
+const latencyHi = 1
 
 // shed reasons, in ShedDigest and counter order.
 const (
@@ -234,9 +230,6 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 	if opts.Keys <= 0 {
 		opts.Keys = 4
 	}
-	if opts.LatencyHi <= 0 {
-		opts.LatencyHi = 1
-	}
 	if opts.SLOWindow < 0 || opts.SLOP99 < 0 {
 		return nil, fmt.Errorf("frontdoor: negative SLO window %v or ceiling %v", opts.SLOWindow, opts.SLOP99)
 	}
@@ -265,7 +258,7 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 		}
 		total += tc.Tenants
 	}
-	queue, err := NewAdmissionQueue(opts.QueueCap, opts.TenantQueueCap)
+	queue, err := NewAdmissionQueue(opts.QueueCap, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +267,7 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 		opts:       opts,
 		cl:         cl,
 		queue:      queue,
-		o:          newFDObs(opts.Obs, opts.Classes, opts.LatencyHi),
+		o:          newFDObs(opts.Obs, opts.Classes),
 		free:       opts.Concurrency,
 		tenants:    make([]tenant, 0, total),
 		latByClass: make([][]float64, len(opts.Classes)),
@@ -286,16 +279,10 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 	id := 0
 	for ci, tc := range opts.Classes {
 		f.res.Classes[ci] = ClassResult{Name: tc.Name, Tenants: tc.Tenants}
-		burst := tc.Burst
-		if burst <= 0 {
-			burst = tc.RateLimit
-			if burst < 1 {
-				burst = 1
-			}
-		}
+		burst := max(1, tc.RateLimit)
 		for i := 0; i < tc.Tenants; i++ {
 			rng := rand.New(rand.NewSource(par.DeriveSeed(opts.Seed, int64(id))))
-			hist, err := stats.NewHistogram(0, opts.LatencyHi, 64)
+			hist, err := stats.NewHistogram(0, latencyHi, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -454,9 +441,6 @@ func (f *FrontDoor) execute(req Request) {
 		ok, ver = w.OK, w.Version
 	}
 	svc := f.cl.WorkClock() - w0
-	if svc < f.opts.MinService {
-		svc = f.opts.MinService
-	}
 	f.free--
 	if used := f.opts.Concurrency - f.free; used > f.res.MaxInFlight {
 		f.res.MaxInFlight = used

@@ -15,7 +15,7 @@ type fdObs struct {
 
 // newFDObs resolves the instruments against r (nil-safe): one latency
 // histogram overall plus one per tenant class.
-func newFDObs(r *obs.Registry, classes []TenantClass, latencyHi float64) fdObs {
+func newFDObs(r *obs.Registry, classes []TenantClass) fdObs {
 	if r == nil {
 		return fdObs{classLatency: make([]*obs.Histogram, len(classes))}
 	}

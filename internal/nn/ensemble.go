@@ -231,13 +231,6 @@ func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
 	return m, nil
 }
 
-// MemberSeed is the seed Fit draws ensemble member k's initial weights
-// from under ModelConfig.Seed = seed. Member 0's is seed itself, and
-// the BR trainer draws nothing else, so a one-member TrainerBR ensemble
-// seeded with MemberSeed(seed, k) is member k of the ensemble seeded
-// with seed (cmd/pipelinebench times members that way).
-func MemberSeed(seed int64, k int) int64 { return seed + int64(k)*7919 }
-
 // Size returns the surviving ensemble member count.
 func (m *Model) Size() int { return len(m.nets) }
 

@@ -49,11 +49,19 @@ const (
 	// DistZipfian draws Zipf-skewed keys (YCSB's web model).
 	DistZipfian = "zipfian"
 	// DistHotspot sends HotspotWeight of the traffic to a scattered
-	// HotspotFraction of the key space.
+	// hotspotFraction of the key space.
 	DistHotspot = "hotspot"
 	// DistLatest skews traffic toward the most recently inserted keys
 	// (YCSB's latest distribution).
 	DistLatest = "latest"
+)
+
+// hotspotFraction is the share of the key space DistHotspot makes hot;
+// payloadBytes the nominal size PayloadSpread mixes write payloads
+// around.
+const (
+	hotspotFraction = 0.2
+	payloadBytes    = 1024
 )
 
 // Scanner is optionally implemented by stores that support range scans
@@ -204,14 +212,11 @@ func newKeySource(spec Spec, keySpace int) (keySource, error) {
 		}
 		return NewZipfKeyGenerator(keySpace, s, spec.Seed)
 	case DistHotspot:
-		frac, weight := spec.HotspotFraction, spec.HotspotWeight
-		if frac <= 0 {
-			frac = 0.2
-		}
+		weight := spec.HotspotWeight
 		if weight <= 0 {
 			weight = 0.8
 		}
-		return NewHotspotKeyGenerator(keySpace, frac, weight, spec.Seed)
+		return NewHotspotKeyGenerator(keySpace, hotspotFraction, weight, spec.Seed)
 	case DistLatest:
 		return NewLatestKeyGenerator(keySpace, 0, spec.Seed)
 	default:

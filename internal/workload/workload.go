@@ -46,11 +46,9 @@ type Spec struct {
 	// ZipfS is the Zipf exponent for DistZipfian (must exceed 1;
 	// defaults to 1.4 when unset).
 	ZipfS float64
-	// HotspotFraction and HotspotWeight parameterize DistHotspot: the
-	// share of the key space that is hot and the share of traffic it
-	// receives (defaults 0.2 and 0.8).
-	HotspotFraction float64
-	HotspotWeight   float64
+	// HotspotWeight is the share of traffic DistHotspot sends to its
+	// hot keys, hotspotFraction of the key space (default 0.8).
+	HotspotWeight float64
 	// ScanLen is the row limit of each range scan (default 64).
 	ScanLen int
 	// TTLFraction is the fraction of writes carrying a time-to-live of
@@ -59,12 +57,9 @@ type Spec struct {
 	TTLFraction float64
 	TTLSeconds  float64
 	// PayloadSpread, when positive, log-normally mixes write payload
-	// sizes around PayloadBytes with sigma PayloadSpread; stores
+	// sizes around payloadBytes with sigma PayloadSpread; stores
 	// without sized writes receive them as plain writes.
 	PayloadSpread float64
-	// PayloadBytes is the nominal payload size for spread writes
-	// (default 1024).
-	PayloadBytes int
 	// KRDMean is the mean key-reuse distance in operations. Zero means
 	// uniform random access (effectively infinite KRD).
 	KRDMean float64
@@ -250,10 +245,6 @@ func Run(store Store, spec Spec) (Result, error) {
 	scanLen := spec.ScanLen
 	if scanLen == 0 {
 		scanLen = 64
-	}
-	payloadBytes := spec.PayloadBytes
-	if payloadBytes == 0 {
-		payloadBytes = 1024
 	}
 	// Inserts allocate fresh keys past the preloaded key space; the
 	// latest-distribution generator chases this frontier.

@@ -7,7 +7,7 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
 # PR that must grow the tree raises it in its own diff, where a reviewer
 # sees it; a PR that shrinks the tree lowers it to its new total.
-LOC_CEILING ?= 23972
+LOC_CEILING ?= 24032
 
 .PHONY: build test bench bench-smoke check fmt vet lint race fuzz cover guard chaos slo loc
 
@@ -100,10 +100,12 @@ slo:
 
 # guard re-runs the determinism and allocation regression gates: every
 # worker-count invariance test, the zero/bounded-alloc guards (engine,
-# netsim, cluster, frontdoor, and the LM trainer's: linalg's
-# TestKernelAllocGuard, nn's TestTrainBRAllocGuard), the linalg/nn
-# bit-identity pins (kernels against their naive reference loops,
-# TrainBR against its recorded digests), and the engine's: the shared
+# netsim, cluster, frontdoor, the LM trainer's: linalg's
+# TestKernelAllocGuard, nn's TestTrainBRAllocGuard, and the search's:
+# ga's TestRunAllocGuard, core's TestSearchAllocGuard), the
+# linalg/nn/ga bit-identity pins (kernels against their naive reference
+# loops, inference against the row-at-a-time predictor, TrainBR and
+# ga.Run against their recorded digests), and the engine's: the shared
 # preload image against the per-engine build it replaced, its release
 # once unused, and the epoch series against their recorded digests;
 # and the one control loop's decisions against the digests recorded from

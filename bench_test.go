@@ -344,8 +344,14 @@ func BenchmarkPipelineStage(b *testing.B) {
 // cite by name: each is still a sub-benchmark under that name, the
 // committed BENCH.txt carries its line, and every engine op does work
 // on a warm engine. The stage bodies are too slow for a test; `make
-// bench-smoke` runs them once.
+// bench-smoke` runs them once. The inference rows live in internal/nn,
+// so only their BENCH.txt lines are checked here.
 func TestBenchRowsSmoke(t *testing.T) {
+	inference := []string{
+		"BenchmarkPredictBatch/rows=1",
+		"BenchmarkPredictBatch/rows=48",
+		"BenchmarkPredictBatch/rows=1024",
+	}
 	want := []string{
 		"BenchmarkEngineOp/read",
 		"BenchmarkEngineOp/update",
@@ -397,7 +403,7 @@ func TestBenchRowsSmoke(t *testing.T) {
 			recorded[procs.ReplaceAllString(f[0], "")] = true
 		}
 	}
-	for _, name := range want {
+	for _, name := range append(want, inference...) {
 		if !recorded[name] {
 			t.Errorf("BENCH.txt has no line for %s: re-run `make bench`", name)
 		}

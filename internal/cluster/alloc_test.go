@@ -69,6 +69,26 @@ func TestServeAllocGuard(t *testing.T) {
 	}
 }
 
+// TestUndoTailSizedToWindow: a replica's undo tail never holds more
+// than the window plus the record that overflows it, so its backing
+// stops growing there (append's growth reached ~10.4k records), and
+// sliding keeps the newest records in order.
+func TestUndoTailSizedToWindow(t *testing.T) {
+	r := newReplica(nil)
+	const pushes = 3*undoWindow + 5
+	for i := range pushes {
+		r.pushUndo(undoRec{key: uint64(i)})
+		if cap(r.undo) > undoWindow+1 {
+			t.Fatalf("after %d pushes the tail's backing holds %d records, window %d", i+1, cap(r.undo), undoWindow)
+		}
+	}
+	for i, u := range r.undo {
+		if want := uint64(pushes - len(r.undo) + i); u.key != want {
+			t.Fatalf("tail[%d] = key %d, want %d", i, u.key, want)
+		}
+	}
+}
+
 // BenchmarkClusterQuorum times one warm coordinator op of the 50/50
 // QUORUM mix.
 func BenchmarkClusterQuorum(b *testing.B) {

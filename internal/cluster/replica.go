@@ -148,11 +148,14 @@ func (r *replica) rangeKeys(iv ring.Interval) []uint64 {
 
 // pushUndo appends one tail record, sliding the durability window
 // forward when it overflows (the oldest half becomes flushed state):
-// the survivors slide down in place, so the tail's backing is allocated
-// once.
+// the survivors slide down in place. The backing grows by doubling up
+// to the window plus the one record that overflows it, and no further.
 //
 //rafiki:hot
 func (r *replica) pushUndo(u undoRec) {
+	if len(r.undo) == cap(r.undo) {
+		r.undo = append(make([]undoRec, 0, min(max(2*cap(r.undo), 64), undoWindow+1)), r.undo...)
+	}
 	r.undo = append(r.undo, u)
 	if len(r.undo) > undoWindow {
 		keep := len(r.undo) - undoWindow/2

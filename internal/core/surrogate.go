@@ -72,28 +72,33 @@ func (s *Surrogate) Problem(w Workload) (problem ga.Problem, err error) {
 			Integer: p.Kind != config.Continuous,
 		}
 	}
-	// The GA prefers BatchFitness: one ensemble batch call per brood,
-	// with the feature-vector scratch reused across generations. The
-	// scalar Fitness stays as the single-candidate fallback.
+	// The GA prefers BatchFitness: one ensemble batch call per brood, its
+	// rows (workload vector, then genes) one slab reused across
+	// generations. The scalar Fitness is the single-candidate fallback.
 	prefix := w.Vector()
-	var vecs [][]float64
+	width := len(prefix) + len(keys)
+	var rows [][]float64
 	return ga.Problem{
 		Bounds: bounds,
 		Fitness: func(genes []float64) (float64, error) {
-			vec := make([]float64, 0, len(genes)+len(prefix))
-			vec = append(vec, prefix...)
-			vec = append(vec, genes...)
-			return s.Model.Predict(vec)
+			return s.Model.Predict(append(append(make([]float64, 0, width), prefix...), genes...))
 		},
 		BatchFitness: func(genes [][]float64, out []float64) error {
-			for len(vecs) < len(genes) {
-				vecs = append(vecs, nil)
+			if len(rows) < len(genes) {
+				slab := make([]float64, len(genes)*width)
+				rows = make([][]float64, len(genes))
+				for i := range rows {
+					rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+					copy(rows[i], prefix)
+				}
 			}
 			for i, g := range genes {
-				v := append(vecs[i][:0], prefix...)
-				vecs[i] = append(v, g...)
+				if len(g) != len(keys) {
+					return fmt.Errorf("core: candidate %d has %d genes, want %d", i, len(g), len(keys))
+				}
+				copy(rows[i][len(prefix):], g)
 			}
-			return s.Model.PredictBatchInto(out, vecs[:len(genes)])
+			return s.Model.PredictBatchInto(out, rows[:len(genes)])
 		},
 	}, nil
 }

@@ -37,7 +37,8 @@ type Problem struct {
 	// repair alike. A surrogate-backed problem implements it with one
 	// ensemble batch-prediction call, which amortizes normalization and
 	// lets the model fan the rows across cores. out[i] must depend only
-	// on genes[i], so results are order- and batch-size-independent.
+	// on genes[i], so results are order- and batch-size-independent. The
+	// rows are the GA's own slabs, valid only during the call.
 	BatchFitness func(genes [][]float64, out []float64) error
 }
 
@@ -119,169 +120,166 @@ func Run(p Problem, opts Options) (Result, error) {
 		opts.TournamentK = 2
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed))
-	res := Result{}
-	evals := opts.Obs.Counter("ga.evaluations")
-	batchEvals := opts.Obs.Counter("ga.batch_evals")
-
-	// score = raw fitness minus scaled violation (Deb-style penalty: a
-	// candidate violating constraints can still carry information, but
-	// feasible candidates dominate as the penalty grows with spread).
-	type indiv struct {
-		genes []float64
-		score float64
-		raw   float64
+	s := &search{
+		p: p, opts: opts, rng: rand.New(rand.NewSource(opts.Seed)),
+		pop: newPopulation(opts.Population, len(p.Bounds)), brood: newPopulation(opts.Population, len(p.Bounds)),
+		repaired: newPopulation(1, len(p.Bounds)), order: make([]int, opts.Population),
+		res:   Result{BestFitness: math.Inf(-1), History: make([]float64, 0, opts.Generations)},
+		evals: opts.Obs.Counter("ga.evaluations"), batchEvals: opts.Obs.Counter("ga.batch_evals"),
 	}
-
-	// All evaluations route through evalBatch: the whole seeding
-	// population and each generation's offspring are scored with one
-	// BatchFitness call (or a Fitness loop when the problem has no batch
-	// path). Fitness functions consume no GA randomness, so hoisting
-	// gene generation ahead of evaluation leaves the rng stream — and
-	// therefore every result — identical to individual-at-a-time
-	// evaluation (TestBatchFitnessEquivalence pins this).
-	raws := make([]float64, opts.Population)
-	scores := make([]float64, opts.Population)
-	evalBatch := func(genes [][]float64, raws, scores []float64) error {
-		if p.BatchFitness != nil {
-			if err := p.BatchFitness(genes, raws); err != nil {
-				return err
-			}
-		} else {
-			for i, g := range genes {
-				r, err := p.Fitness(g)
-				if err != nil {
-					return err
-				}
-				raws[i] = r
-			}
-		}
-		for i, g := range genes {
-			v := violation(g, p.Bounds)
-			scores[i] = raws[i] - opts.PenaltyCoeff*v*(1+math.Abs(raws[i]))
-		}
-		res.Evaluations += len(genes)
-		evals.Add(uint64(len(genes)))
-		batchEvals.Inc()
-		return nil
-	}
-
-	pop := make([]indiv, opts.Population)
-	genesBuf := make([][]float64, opts.Population)
-	for i := range pop {
-		genes := make([]float64, len(p.Bounds))
+	for _, g := range s.pop.rows {
 		for j, b := range p.Bounds {
-			genes[j] = b.Min + rng.Float64()*(b.Max-b.Min)
+			g[j] = b.Min + s.rng.Float64()*(b.Max-b.Min)
 		}
-		genesBuf[i] = genes
 	}
-	if err := evalBatch(genesBuf, raws, scores); err != nil {
+	if err := s.eval(s.pop, 0); err != nil {
 		return Result{}, err
 	}
-	for i := range pop {
-		pop[i] = indiv{genes: genesBuf[i], score: scores[i], raw: raws[i]}
-	}
-
-	var bestRepaired []float64
-	bestRepairedFitness := math.Inf(-1)
-
-	tournament := func() indiv {
-		best := pop[rng.Intn(len(pop))]
-		for k := 1; k < opts.TournamentK; k++ {
-			c := pop[rng.Intn(len(pop))]
-			if c.score > best.score {
-				best = c
-			}
-		}
-		return best
-	}
-
-	// recordGen traces one finished generation as a span on the
-	// cumulative-evaluations axis, the GA's natural work clock.
-	recordGen := func(gen, startEvals int, bestRaw float64) {
-		if opts.Obs == nil {
-			return
-		}
-		opts.Obs.Record(obs.Span{
-			Name:  "ga.generation",
-			Start: float64(startEvals),
-			End:   float64(res.Evaluations),
-			Unit:  "evals",
-			Attrs: map[string]float64{"gen": float64(gen), "best": bestRaw},
-		})
-	}
-
 	for gen := 0; gen < opts.Generations; gen++ {
-		genStartEvals := res.Evaluations
-		// Track the generation's champion, repaired to feasibility.
-		genBest := pop[0]
-		for _, ind := range pop[1:] {
-			if ind.score > genBest.score {
-				genBest = ind
-			}
-		}
-		res.History = append(res.History, genBest.raw)
-
-		repaired := Repair(genBest.genes, p.Bounds)
-		genesBuf[0] = repaired
-		if err := evalBatch(genesBuf[:1], raws[:1], scores[:1]); err != nil {
+		start := s.res.Evaluations
+		best, err := s.step(gen == opts.Generations-1)
+		if err != nil {
 			return Result{}, err
 		}
-		rf := raws[0]
-		if rf > bestRepairedFitness {
-			bestRepairedFitness = rf
-			bestRepaired = repaired
+		// One span per generation, on the GA's work clock: evaluations.
+		if opts.Obs != nil {
+			opts.Obs.Record(obs.Span{
+				Name: "ga.generation", Start: float64(start), End: float64(s.res.Evaluations), Unit: "evals",
+				Attrs: map[string]float64{"gen": float64(gen), "best": best},
+			})
 		}
+	}
+	return s.res, nil
+}
 
-		if gen == opts.Generations-1 {
-			recordGen(gen, genStartEvals, genBest.raw)
-			break
-		}
+// population is a generation's candidates: gene vectors as rows of one
+// flat slab, with each row's raw fitness and penalized score.
+type population struct {
+	rows         [][]float64
+	raws, scores []float64
+}
 
-		next := make([]indiv, 0, opts.Population)
-		// Elitism: carry the top candidates by score.
-		order := make([]int, len(pop))
-		for i := range order {
-			order[i] = i
+func newPopulation(n, genes int) population {
+	slab := make([]float64, n*genes)
+	pop := population{rows: make([][]float64, n), raws: make([]float64, n), scores: make([]float64, n)}
+	for i := range pop.rows {
+		pop.rows[i] = slab[i*genes : (i+1)*genes : (i+1)*genes]
+	}
+	return pop
+}
+
+// search is one Run's state: the population and the brood are slabs
+// swapped every generation, so a generation allocates nothing.
+type search struct {
+	p                    Problem
+	opts                 Options
+	rng                  *rand.Rand
+	pop, brood, repaired population
+	order                []int
+	res                  Result
+	evals, batchEvals    *obs.Counter
+}
+
+// eval scores pop's rows from lo in one BatchFitness call (or a Fitness
+// loop), then subtracts the Deb-style violation penalty, under which
+// feasible candidates dominate as the fitness spread grows. Fitness
+// draws no GA randomness, so scoring a brood after breeding it keeps
+// one-at-a-time evaluation's rng stream (TestBatchFitnessEquivalence).
+//
+//rafiki:hot
+func (s *search) eval(pop population, lo int) error {
+	rows, raws := pop.rows[lo:], pop.raws[lo:]
+	if s.p.BatchFitness != nil {
+		if err := s.p.BatchFitness(rows, raws); err != nil {
+			return err
 		}
-		for i := 0; i < opts.Elite; i++ {
-			bi := i
-			for j := i + 1; j < len(order); j++ {
-				if pop[order[j]].score > pop[order[bi]].score {
-					bi = j
-				}
+	} else {
+		for i, g := range rows {
+			r, err := s.p.Fitness(g)
+			if err != nil {
+				return err
 			}
-			order[i], order[bi] = order[bi], order[i]
-			next = append(next, pop[order[i]])
+			raws[i] = r
 		}
+	}
+	for i, g := range rows {
+		v := violation(g, s.p.Bounds)
+		pop.scores[lo+i] = raws[i] - s.opts.PenaltyCoeff*v*(1+math.Abs(raws[i]))
+	}
+	s.res.Evaluations += len(rows)
+	s.evals.Add(uint64(len(rows)))
+	s.batchEvals.Inc()
+	return nil
+}
 
-		// Generate every offspring first (consuming the rng in the same
-		// order as one-at-a-time evaluation would), then score the whole
-		// brood with a single batch call.
-		offspring := genesBuf[:0]
-		for n := len(next); n+len(offspring) < opts.Population; {
-			a := tournament()
-			child := append([]float64(nil), a.genes...)
-			if rng.Float64() < opts.CrossoverProb {
-				b := tournament()
-				child = crossover(rng, a.genes, b.genes)
-			}
-			mutate(rng, child, p.Bounds, opts.MutationProb, opts.MutationSigma)
-			offspring = append(offspring, child)
+// step runs one generation: it scores the champion's repair and, unless
+// last, breeds the next population into the brood (elites, then every
+// child, in one-at-a-time rng order) and scores it. It returns the
+// champion's raw score.
+//
+//rafiki:hot
+func (s *search) step(last bool) (float64, error) {
+	pop := s.pop
+	champ := 0
+	for i, sc := range pop.scores {
+		if sc > pop.scores[champ] {
+			champ = i
 		}
-		if err := evalBatch(offspring, raws[:len(offspring)], scores[:len(offspring)]); err != nil {
-			return Result{}, err
-		}
-		for i, child := range offspring {
-			next = append(next, indiv{genes: child, score: scores[i], raw: raws[i]})
-		}
-		pop = next
-		recordGen(gen, genStartEvals, genBest.raw)
+	}
+	s.res.History = append(s.res.History, pop.raws[champ])
+	repairInto(s.repaired.rows[0], pop.rows[champ], s.p.Bounds)
+	if err := s.eval(s.repaired, 0); err != nil {
+		return 0, err
+	}
+	if rf := s.repaired.raws[0]; rf > s.res.BestFitness {
+		s.res.Best = append(s.res.Best[:0], s.repaired.rows[0]...)
+		s.res.BestFitness = rf
+	}
+	if last {
+		return pop.raws[champ], nil
 	}
 
-	res.Best = bestRepaired
-	res.BestFitness = bestRepairedFitness
-	return res, nil
+	brood, order := s.brood, s.order
+	for i := range order {
+		order[i] = i
+	}
+	for i := 0; i < s.opts.Elite; i++ {
+		bi := i
+		for j := i + 1; j < len(order); j++ {
+			if pop.scores[order[j]] > pop.scores[order[bi]] {
+				bi = j
+			}
+		}
+		order[i], order[bi] = order[bi], order[i]
+		copy(brood.rows[i], pop.rows[order[i]])
+		brood.raws[i], brood.scores[i] = pop.raws[order[i]], pop.scores[order[i]]
+	}
+	for _, child := range brood.rows[s.opts.Elite:] {
+		a := s.tournament()
+		if s.rng.Float64() < s.opts.CrossoverProb {
+			crossover(s.rng, child, pop.rows[a], pop.rows[s.tournament()])
+		} else {
+			copy(child, pop.rows[a])
+		}
+		mutate(s.rng, child, s.p.Bounds, s.opts.MutationProb, s.opts.MutationSigma)
+	}
+	if err := s.eval(brood, s.opts.Elite); err != nil {
+		return 0, err
+	}
+	s.pop, s.brood = brood, pop
+	return pop.raws[champ], nil
+}
+
+// tournament returns the index of the best of TournamentK uniform draws
+// from the population.
+func (s *search) tournament() int {
+	best := s.rng.Intn(len(s.pop.rows))
+	for k := 1; k < s.opts.TournamentK; k++ {
+		if c := s.rng.Intn(len(s.pop.rows)); s.pop.scores[c] > s.pop.scores[best] {
+			best = c
+		}
+	}
+	return best
 }
 
 // crossover is the paper's interpolating operator: each child gene is a
@@ -290,13 +288,11 @@ func Run(p Problem, opts Options) (Result, error) {
 // (Section 3.7.2 prints an extra /2 in its example; taken literally
 // that would collapse the population toward the origin, so the standard
 // weighted-average form is used.)
-func crossover(rng *rand.Rand, a, b []float64) []float64 {
-	child := make([]float64, len(a))
+func crossover(rng *rand.Rand, child, a, b []float64) {
 	for i := range child {
 		r := rng.Float64()
 		child[i] = r*a[i] + (1-r)*b[i]
 	}
-	return child
 }
 
 // mutate perturbs genes in place. Most mutations are gaussian steps
@@ -348,6 +344,14 @@ func violation(genes []float64, bounds []Bound) float64 {
 // the feasible configuration actually applied to the datastore.
 func Repair(genes []float64, bounds []Bound) []float64 {
 	out := make([]float64, len(genes))
+	repairInto(out, genes, bounds)
+	return out
+}
+
+// repairInto is Repair into a caller-owned out.
+//
+//rafiki:hot
+func repairInto(out, genes []float64, bounds []Bound) {
 	for i, b := range bounds {
 		g := genes[i]
 		if b.Integer {
@@ -361,5 +365,4 @@ func Repair(genes []float64, bounds []Bound) []float64 {
 		}
 		out[i] = g
 	}
-	return out
 }

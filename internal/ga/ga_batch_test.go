@@ -80,6 +80,26 @@ func TestBatchEvalCounters(t *testing.T) {
 	}
 }
 
+// TestRunAllocGuard pins breeding in place: with a BatchFitness that
+// allocates nothing, a 66-generation Run allocates exactly what a
+// 2-generation one does — its slabs, its rng and its Result — so a
+// generation allocates nothing.
+func TestRunAllocGuard(t *testing.T) {
+	p := identityProblem(5, true, true)
+	allocsFor := func(generations int) float64 {
+		opts := DefaultOptions()
+		opts.Generations = generations
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(p, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocsFor(2), allocsFor(66); long != short {
+		t.Errorf("Run allocates %v over 66 generations but %v over 2: a generation allocates", long, short)
+	}
+}
+
 func TestBatchFitnessErrorPropagates(t *testing.T) {
 	bounds, _ := batchTestProblem()
 	opts := DefaultOptions()

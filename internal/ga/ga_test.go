@@ -178,8 +178,9 @@ func TestCrossoverInterpolates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := []float64{0, 10}
 	b := []float64{10, 20}
+	c := make([]float64, len(a))
 	for i := 0; i < 100; i++ {
-		c := crossover(rng, a, b)
+		crossover(rng, c, a, b)
 		if c[0] < 0 || c[0] > 10 || c[1] < 10 || c[1] > 20 {
 			t.Fatalf("crossover escaped the parents' hull: %v", c)
 		}

@@ -85,17 +85,17 @@ type Model struct {
 	// batch stage's worker gauge. Runtime-only; not serialized.
 	Obs *obs.Registry
 
-	// wsPool recycles per-goroutine prediction scratch (normalized
-	// input + forward-pass workspace) across Predict/PredictBatch
-	// calls, keeping steady-state prediction allocation-free.
+	// wsPool recycles per-goroutine inference scratch across Predict,
+	// PredictWithStd and PredictBatchInto calls, keeping steady-state
+	// prediction allocation-free.
 	wsPool sync.Pool
 }
 
-// modelWS is one goroutine's prediction scratch.
+// modelWS is one goroutine's inference scratch, sized to the largest chunk
+// it has served: normalized rows, activation planes, row sums, member outputs.
 type modelWS struct {
-	nx   []float64
-	ws   Workspace
-	outs []float64
+	nx, sums, member []float64
+	act              [2][]float64
 }
 
 func (m *Model) getWS() *modelWS {
@@ -284,24 +284,115 @@ func (m *Model) Results() []TrainResult {
 	return append([]TrainResult(nil), m.results...)
 }
 
-// predictWS computes the ensemble-mean prediction using the given
-// scratch. The arithmetic is identical to the allocating path.
-func (m *Model) predictWS(w *modelWS, x []float64) (float64, error) {
-	if len(w.nx) != len(m.inNorm.Min) {
-		w.nx = make([]float64, len(m.inNorm.Min))
-	}
-	if err := m.inNorm.ApplyInto(w.nx, x); err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, net := range m.nets {
-		out, err := net.ForwardWS(&w.ws, w.nx)
-		if err != nil {
-			return 0, err
+// predictRows is the one inference path (Predict and PredictWithStd are a
+// batch of one): it leaves row r's member outputs, normalized, summed in
+// member order at w.sums[r], and row 0's output of member k at w.member[k].
+func (m *Model) predictRows(w *modelWS, xs [][]float64) error {
+	n, in := len(xs), len(m.inNorm.Min)
+	w.nx = grow(w.nx, n*in)
+	for r, x := range xs {
+		if err := m.inNorm.ApplyInto(w.nx[r*in:(r+1)*in], x); err != nil {
+			return err
 		}
-		sum += out
 	}
-	return m.outNorm.Invert(sum / float64(len(m.nets))), nil
+	w.sums, w.member = grow(w.sums, n), grow(w.member, len(m.nets))
+	clear(w.sums)
+	prefix := sharedPrefix(w.nx, n, in)
+	for k, net := range m.nets {
+		x, shared := w.nx, prefix
+		for l := 0; l+1 < len(net.Sizes); l++ {
+			w.act[l%2] = grow(w.act[l%2], n*net.Sizes[l+1])
+			wts, b := net.layer(l)
+			dense(wts, b, x, w.act[l%2], n, net.Sizes[l], shared, l+2 < len(net.Sizes))
+			x, shared = w.act[l%2], 0
+		}
+		for r, v := range x {
+			w.sums[r] += v
+		}
+		w.member[k] = x[0]
+	}
+	return nil
+}
+
+// sharedPrefix is how many leading inputs all n rows of x (in wide)
+// share bit for bit: in a GA brood, the workload vector.
+//
+//rafiki:hot
+func sharedPrefix(x []float64, n, in int) int {
+	for j := 0; j < in; j++ {
+		for r := 1; r < n; r++ {
+			if math.Float64bits(x[r*in+j]) != math.Float64bits(x[j]) {
+				return j
+			}
+		}
+	}
+	return in
+}
+
+// dense is the inference kernel, one layer for n row-major rows: y[r][o] =
+// act(b[o] + Σ_i w[o][i]·x[r][i]), added in order i = 0, 1, …, so each output
+// is bit-identical to a row-at-a-time pass. Per unit the shared inputs'
+// partial sum is taken once, the rest four rows at a time.
+//
+//rafiki:hot
+func dense(w, b, x, y []float64, n, in, shared int, hidden bool) {
+	units := len(b)
+	if n == 1 { // a batch of one needs no block bookkeeping
+		for o, bo := range b {
+			row := w[o*in : o*in+in]
+			for i, v := range x[:in] {
+				bo += row[i] * v
+			}
+			if hidden {
+				bo = math.Tanh(bo)
+			}
+			y[o] = bo
+		}
+		return
+	}
+	for o, bo := range b {
+		row := w[o*in : o*in+in]
+		pre := bo
+		for i, xi := range x[:shared] {
+			pre += row[i] * xi
+		}
+		r := 0
+		for ; r+4 <= n; r += 4 {
+			x0, x1 := x[r*in:r*in+in], x[(r+1)*in:(r+1)*in+in]
+			x2, x3 := x[(r+2)*in:(r+2)*in+in], x[(r+3)*in:(r+3)*in+in]
+			s0, s1, s2, s3 := pre, pre, pre, pre
+			for i := shared; i < in; i++ {
+				wi := row[i]
+				s0 += wi * x0[i]
+				s1 += wi * x1[i]
+				s2 += wi * x2[i]
+				s3 += wi * x3[i]
+			}
+			if hidden {
+				s0, s1, s2, s3 = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
+			}
+			y[r*units+o], y[(r+1)*units+o], y[(r+2)*units+o], y[(r+3)*units+o] = s0, s1, s2, s3
+		}
+		for ; r < n; r++ {
+			xr := x[r*in : r*in+in]
+			s := pre
+			for i := shared; i < in; i++ {
+				s += row[i] * xr[i]
+			}
+			if hidden {
+				s = math.Tanh(s)
+			}
+			y[r*units+o] = s
+		}
+	}
+}
+
+// grow returns buf resliced to n, reallocating only when it is too small.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Predict returns the ensemble-mean prediction for a raw feature row.
@@ -310,9 +401,9 @@ func (m *Model) predictWS(w *modelWS, x []float64) (float64, error) {
 // Scratch is pooled, so steady-state calls do not allocate; Predict is
 // safe to call concurrently.
 func (m *Model) Predict(x []float64) (float64, error) {
-	w := m.getWS()
-	defer m.putWS(w)
-	return m.predictWS(w, x)
+	var p [1]float64
+	err := m.predictInto(p[:], [][]float64{x})
+	return p[0], err
 }
 
 // PredictBatch predicts every row, allocating only the result slice.
@@ -338,18 +429,33 @@ func (m *Model) PredictBatchInto(out []float64, xs [][]float64) error {
 		return nil
 	}
 	m.Obs.Counter("nn.batch_predictions").Add(uint64(len(xs)))
-	return par.DoRange(len(xs), par.Options{Workers: m.Workers, Name: "nn.predict", Obs: m.Obs}, func(lo, hi int) error {
-		w := m.getWS()
-		defer m.putWS(w)
-		for i := lo; i < hi; i++ {
-			p, err := m.predictWS(w, xs[i])
-			if err != nil {
-				return err
-			}
-			out[i] = p
-		}
-		return nil
-	})
+	return par.DoRange(len(xs), par.Options{Workers: m.Workers, Name: "nn.predict", Obs: m.Obs}, batch{m, out, xs}, predictChunk)
+}
+
+// batch is one PredictBatchInto call, as each of its chunks sees it.
+type batch struct {
+	m   *Model
+	out []float64
+	xs  [][]float64
+}
+
+// predictChunk predicts rows [lo, hi) of a batch.
+func predictChunk(b batch, lo, hi int) error {
+	return b.m.predictInto(b.out[lo:hi], b.xs[lo:hi])
+}
+
+// predictInto predicts xs into out on pooled scratch. Its slices are not
+// a batch's fields, which escape together, so Predict's stay on the stack.
+func (m *Model) predictInto(out []float64, xs [][]float64) error {
+	w := m.getWS()
+	defer m.putWS(w)
+	if err := m.predictRows(w, xs); err != nil {
+		return err
+	}
+	for r, sum := range w.sums {
+		out[r] = m.outNorm.Invert(sum / float64(len(m.nets)))
+	}
+	return nil
 }
 
 // PredictWithStd returns the ensemble-mean prediction and the standard
@@ -359,22 +465,11 @@ func (m *Model) PredictBatchInto(out []float64, xs [][]float64) error {
 func (m *Model) PredictWithStd(x []float64) (mean, std float64, err error) {
 	w := m.getWS()
 	defer m.putWS(w)
-	if len(w.nx) != len(m.inNorm.Min) {
-		w.nx = make([]float64, len(m.inNorm.Min))
-	}
-	if err := m.inNorm.ApplyInto(w.nx, x); err != nil {
+	if err := m.predictRows(w, [][]float64{x}); err != nil {
 		return 0, 0, err
 	}
-	if cap(w.outs) < len(m.nets) {
-		w.outs = make([]float64, len(m.nets))
-	}
-	outs := w.outs[:len(m.nets)]
-	var sum float64
-	for i, net := range m.nets {
-		out, err := net.ForwardWS(&w.ws, w.nx)
-		if err != nil {
-			return 0, 0, err
-		}
+	outs, sum := w.member, 0.0
+	for i, out := range outs {
 		outs[i] = m.outNorm.Invert(out)
 		sum += outs[i]
 	}

@@ -85,42 +85,14 @@ func (n *Network) Clone() *Network {
 	return c
 }
 
-// Forward runs the network, returning the scalar output.
+// Forward runs the network on a throwaway workspace, returning the output.
 func (n *Network) Forward(x []float64) (float64, error) {
-	acts, err := n.forwardActivations(x)
+	var ws Workspace
+	acts, err := n.forwardWS(&ws, x)
 	if err != nil {
 		return 0, err
 	}
 	return acts[len(acts)-1][0], nil
-}
-
-// forwardActivations returns the activation vector of every layer
-// (including the input).
-func (n *Network) forwardActivations(x []float64) ([][]float64, error) {
-	if len(x) != n.Sizes[0] {
-		return nil, fmt.Errorf("nn: input width %d, want %d", len(x), n.Sizes[0])
-	}
-	acts := make([][]float64, len(n.Sizes))
-	acts[0] = x
-	for l := 0; l < len(n.Sizes)-1; l++ {
-		in, out := n.Sizes[l], n.Sizes[l+1]
-		w, b := n.layer(l)
-		next := make([]float64, out)
-		prev := acts[l]
-		for o := 0; o < out; o++ {
-			sum := b[o]
-			row := w[o*in : (o+1)*in]
-			for i, v := range prev {
-				sum += row[i] * v
-			}
-			if l < len(n.Sizes)-2 {
-				sum = math.Tanh(sum)
-			}
-			next[o] = sum
-		}
-		acts[l+1] = next
-	}
-	return acts, nil
 }
 
 // Gradient computes d(output)/d(weights) at x via backpropagation,
@@ -133,11 +105,10 @@ func (n *Network) Gradient(x []float64, grad []float64) (float64, error) {
 }
 
 // Workspace holds the per-layer forward and backward scratch of one
-// network evaluation. It adapts to whatever architecture it is used
+// gradient evaluation. It adapts to whatever architecture it is used
 // with (re-allocating only on a shape change), so one zero-value
-// Workspace serves a whole ensemble of same-shaped members across an
-// entire training run or prediction batch. Not safe for concurrent
-// use; give each goroutine its own.
+// Workspace serves a member across an entire training run. Not safe
+// for concurrent use; give each goroutine its own.
 type Workspace struct {
 	// sizes is the architecture the buffers currently fit.
 	sizes []int
@@ -179,8 +150,7 @@ func (ws *Workspace) ensure(n *Network) {
 }
 
 // forwardWS runs the forward pass into the workspace's activation
-// buffers and returns them. acts[0] aliases x. The arithmetic is
-// identical to forwardActivations, so results are bit-equal.
+// buffers and returns them. acts[0] aliases x.
 //
 //rafiki:hot
 func (n *Network) forwardWS(ws *Workspace, x []float64) ([][]float64, error) {
@@ -208,16 +178,6 @@ func (n *Network) forwardWS(ws *Workspace, x []float64) ([][]float64, error) {
 		}
 	}
 	return acts, nil
-}
-
-// ForwardWS is Forward with caller-owned scratch: after the first call
-// a forward pass allocates nothing.
-func (n *Network) ForwardWS(ws *Workspace, x []float64) (float64, error) {
-	acts, err := n.forwardWS(ws, x)
-	if err != nil {
-		return 0, err
-	}
-	return acts[len(acts)-1][0], nil
 }
 
 // GradientWS is Gradient with caller-owned scratch — the jacobian

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -203,15 +204,15 @@ func TestGradientWSMatchesGradient(t *testing.T) {
 				t.Fatalf("trial %d: grad[%d] differs: %v vs %v", trial, i, g1[i], g2[i])
 			}
 		}
-		fw, err := net.ForwardWS(&ws, x)
+		fw, err := net.Forward(x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fw != out1 {
-			t.Fatalf("trial %d: ForwardWS %v, Gradient output %v", trial, fw, out1)
+			t.Fatalf("trial %d: Forward %v, Gradient output %v", trial, fw, out1)
 		}
 	}
-	if _, err := net.ForwardWS(&ws, []float64{1}); err == nil {
+	if _, err := net.GradientWS(&ws, []float64{1}, g2); err == nil {
 		t.Error("width mismatch should error")
 	}
 	if _, err := net.GradientWS(&ws, []float64{1, 2, 3, 4}, make([]float64, 2)); err == nil {
@@ -269,23 +270,41 @@ func BenchmarkTrainBREpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictBatch times PredictBatchInto on the surrogate's own
+// shape — [8,14,4,1], 20 members trained and pruned to 14 — at the
+// three batch sizes inference runs at: one row (a Predict), a GA brood
+// of 48 candidates sharing the workload vector in front of their genes,
+// and the 1024 dataset rows of rafikibench's nn.predict_batch_row_ns
+// probe.
 func BenchmarkPredictBatch(b *testing.B) {
-	xs, ys := parallelTrainingSet(24)
-	m, err := Fit(xs, ys, ModelConfig{
-		Hidden:       []int{5},
-		EnsembleSize: 4,
-		Trainer:      TrainerBR,
-		BR:           BROptions{Epochs: 6, MuInit: 0.005, MuInc: 10, MuDec: 0.1, MuMax: 1e10, MinGrad: 1e-7},
-	})
+	xs, ys := pipelineShapeSet(1)
+	cfg := DefaultModelConfig()
+	cfg.BR.Epochs = 6
+	m, err := Fit(xs, ys, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries, _ := parallelTrainingSet(512)
-	out := make([]float64, len(queries))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := m.PredictBatchInto(out, queries); err != nil {
-			b.Fatal(err)
+	rng := rand.New(rand.NewSource(2))
+	brood := make([][]float64, 48)
+	for i := range brood {
+		brood[i] = append([]float64(nil), xs[0]...)
+		for j := 3; j < len(brood[i]); j++ {
+			brood[i][j] = 2*rng.Float64() - 1
 		}
+	}
+	probe := make([][]float64, 1024)
+	for i := range probe {
+		probe[i] = xs[i%len(xs)]
+	}
+	for _, rows := range [][][]float64{brood[:1], brood, probe} {
+		b.Run(fmt.Sprintf("rows=%d", len(rows)), func(b *testing.B) {
+			out := make([]float64, len(rows))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := m.PredictBatchInto(out, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -135,39 +135,33 @@ func Staged[T any](n int, opts Options, fn func(i int, stage *obs.Registry) (T, 
 	return out, nil
 }
 
-// DoRange runs fn(lo, hi) over a partition of [0, n) into at most
+// DoRange runs fn(s, lo, hi) over a partition of [0, n) into at most
 // `workers` contiguous chunks of near-equal size, in parallel. It is
 // the cheap form of Do for very short per-item work (e.g. one forward
 // pass per item), amortizing scheduling overhead over whole chunks
 // while keeping results index-addressed and the merge order
-// deterministic. Error selection follows Do: lowest chunk wins.
-func DoRange(n int, opts Options, fn func(lo, hi int) error) error {
+// deterministic. Error selection follows Do: lowest chunk wins. The
+// chunk function takes the call's state s rather than capturing it, so
+// with fn a plain function a call that runs on one worker allocates
+// nothing.
+func DoRange[S any](n int, opts Options, s S, fn func(s S, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Workers(opts.Workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(Workers(opts.Workers), n)
 	// Report items, not chunks: the chunk count depends on the worker
 	// bound, and stage instruments must stay schedule-independent.
 	if opts.Obs != nil && opts.Name != "" {
 		opts.Obs.Gauge("par." + opts.Name + ".workers").Set(float64(workers))
 		opts.Obs.Counter("par." + opts.Name + ".tasks").Add(uint64(n))
 	}
+	if workers == 1 {
+		return fn(s, 0, n)
+	}
 	chunk := (n + workers - 1) / workers
-	tasks := (n + chunk - 1) / chunk
-	inner := opts
-	inner.Workers = workers
-	inner.Name = ""
-	inner.Obs = nil
-	return Do(tasks, inner, func(t int) error {
+	return Do((n+chunk-1)/chunk, Options{Workers: workers}, func(t int) error {
 		lo := t * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
+		return fn(s, lo, min(lo+chunk, n))
 	})
 }
 

@@ -81,7 +81,7 @@ func TestDoRangeCoversPartition(t *testing.T) {
 	for _, workers := range []int{1, 3, 7, 100} {
 		n := 37
 		hits := make([]int32, n)
-		err := DoRange(n, Options{Workers: workers}, func(lo, hi int) error {
+		err := DoRange(n, Options{Workers: workers}, hits, func(hits []int32, lo, hi int) error {
 			if lo >= hi {
 				return fmt.Errorf("empty chunk [%d,%d)", lo, hi)
 			}

@@ -7,7 +7,7 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
 # PR that must grow the tree raises it in its own diff, where a reviewer
 # sees it; a PR that shrinks the tree lowers it to its new total.
-LOC_CEILING ?= 24032
+LOC_CEILING ?= 24054
 
 .PHONY: build test bench bench-smoke check fmt vet lint race fuzz cover guard chaos slo loc
 
@@ -105,7 +105,10 @@ slo:
 # ga's TestRunAllocGuard, core's TestSearchAllocGuard), the
 # linalg/nn/ga bit-identity pins (kernels against their naive reference
 # loops, inference against the row-at-a-time predictor, TrainBR and
-# ga.Run against their recorded digests), and the engine's: the shared
+# ga.Run against their recorded digests), and the engine's: the point
+# read against the filter-first loop it replaced (ReadBitIdentical), the
+# filter's no-false-negative invariant that read rests on, the block
+# cache against the map-and-pointer cache it replaced, the shared
 # preload image against the per-engine build it replaced, its release
 # once unused, and the epoch series against their recorded digests;
 # and the one control loop's decisions against the digests recorded from
@@ -117,7 +120,7 @@ slo:
 # pipelines against the digests recorded before bench.Pipeline became a
 # prepared core.Tuner (PipelineGolden).
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|PreloadMatchesOracle|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden|ObsReconcile|ObsGolden|LedgerNames|ExportReleases|PipelineGolden' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|TrainBRGolden|MatchesOracle|NoFalseNegatives|PreloadImage|ReleasesRun|EpochSeries|ControllerDecisionsGolden|ObsReconcile|ObsGolden|LedgerNames|ExportReleases|PipelineGolden' ./internal/...
 
 # loc prints each package's non-test and test Go lines (plain line
 # counts, comments and blanks included) and the non-test total outside

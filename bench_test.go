@@ -109,41 +109,108 @@ func warmEngine(tb testing.TB) *nosql.Engine {
 	return e
 }
 
+// epochStore drives an engine whose own epochs never close (EpochOps
+// too large to reach) as a default engine runs: it closes one every 1024
+// ops, so flushes and compactions progress on the usual schedule.
+type epochStore struct {
+	*nosql.Engine
+	ops int
+}
+
+func (s *epochStore) tick() {
+	if s.ops++; s.ops == 1024 {
+		s.ops = 0
+		s.FinishEpoch()
+	}
+}
+
+func (s *epochStore) Read(k uint64)                  { s.Engine.Read(k); s.tick() }
+func (s *epochStore) Write(k uint64)                 { s.Engine.Write(k); s.tick() }
+func (s *epochStore) Delete(k uint64)                { s.Engine.Delete(k); s.tick() }
+func (s *epochStore) WriteTTL(k uint64, ttl float64) { s.Engine.WriteTTL(k, ttl); s.tick() }
+func (s *epochStore) Scan(start uint64, limit int) int {
+	n := s.Engine.Scan(start, limit)
+	s.tick()
+	return n
+}
+
+// deepEngine is an engine in rafikibench engine_crud_scan's shape: 800 k
+// ops of that workload's CRUD + scan + TTL mix leave about 20
+// overlapping size-tiered tables, and a Zipfian read finds its key in
+// about 18 of them (3.3 block reads from disk). Once warm, its epochs
+// stop closing, so no flush or compaction reshapes the tables the timed
+// reads probe.
+func deepEngine(tb testing.TB) *nosql.Engine {
+	tb.Helper()
+	e, err := nosql.New(nosql.Options{Space: config.Cassandra(), Seed: 1, EpochOps: 1 << 40})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e.Preload(3)
+	_, err = workload.Run(&epochStore{Engine: e}, workload.Spec{
+		Mix:     workload.Mix{Read: .53, Update: .28, Insert: .10, Delete: .07, Scan: .02},
+		ScanLen: 64, Distribution: workload.DistZipfian, TTLFraction: .1, TTLSeconds: 30,
+		Ops: 800_000, Seed: 2,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
 // engineOps are BenchmarkEngineOp's rows; each builds the op it times
-// on e. scan walks a quiescent engine; scan_mixed is a write and then a
-// scan, the interleaving a CRUD mix produces, under which the
-// memtable's key order is stale before every scan.
+// on a warm engine, or on a deepEngine when deep is set. scan walks a
+// quiescent engine; scan_mixed is a write and then a scan, the
+// interleaving a CRUD mix produces, under which the memtable's key order
+// is stale before every scan. read_deep reads Zipfian keys, as
+// engine_crud_scan does, where most tables hold the key.
 var engineOps = []struct {
 	name string
+	deep bool
 	op   func(e *nosql.Engine, rng *rand.Rand) func()
 }{
-	{"read", func(e *nosql.Engine, rng *rand.Rand) func() {
+	{"read", false, func(e *nosql.Engine, rng *rand.Rand) func() {
 		n := int64(e.KeySpace())
 		return func() { e.Read(uint64(rng.Int63n(n))) }
 	}},
-	{"update", func(e *nosql.Engine, rng *rand.Rand) func() {
+	{"update", false, func(e *nosql.Engine, rng *rand.Rand) func() {
 		n := int64(e.KeySpace())
 		return func() { e.Write(uint64(rng.Int63n(n))) }
 	}},
-	{"insert", func(e *nosql.Engine, _ *rand.Rand) func() {
+	{"insert", false, func(e *nosql.Engine, _ *rand.Rand) func() {
 		next := uint64(e.KeySpace())
 		return func() { e.Write(next); next++ }
 	}},
-	{"delete", func(e *nosql.Engine, rng *rand.Rand) func() {
+	{"delete", false, func(e *nosql.Engine, rng *rand.Rand) func() {
 		n := int64(e.KeySpace())
 		return func() { e.Delete(uint64(rng.Int63n(n))) }
 	}},
-	{"scan", func(e *nosql.Engine, rng *rand.Rand) func() {
+	{"scan", false, func(e *nosql.Engine, rng *rand.Rand) func() {
 		n := int64(e.KeySpace())
 		return func() { e.Scan(uint64(rng.Int63n(n)), 64) }
 	}},
-	{"scan_mixed", func(e *nosql.Engine, rng *rand.Rand) func() {
+	{"scan_mixed", false, func(e *nosql.Engine, rng *rand.Rand) func() {
 		n := int64(e.KeySpace())
 		return func() {
 			e.Write(uint64(rng.Int63n(n)))
 			e.Scan(uint64(rng.Int63n(n)), 64)
 		}
 	}},
+	{"read_deep", true, func(e *nosql.Engine, rng *rand.Rand) func() {
+		keys, err := workload.NewZipfKeyGenerator(e.KeySpace(), 1.4, rng.Int63())
+		if err != nil {
+			panic(err)
+		}
+		return func() { e.Read(keys.Next()) }
+	}},
+}
+
+// engineFor builds the engine a BenchmarkEngineOp row runs on.
+func engineFor(tb testing.TB, deep bool) *nosql.Engine {
+	if deep {
+		return deepEngine(tb)
+	}
+	return warmEngine(tb)
 }
 
 // BenchmarkEngineOp times each engine op type on a warm preloaded
@@ -152,7 +219,7 @@ var engineOps = []struct {
 func BenchmarkEngineOp(b *testing.B) {
 	for _, row := range engineOps {
 		b.Run(row.name, func(b *testing.B) {
-			op := row.op(warmEngine(b), rand.New(rand.NewSource(3)))
+			op := row.op(engineFor(b, row.deep), rand.New(rand.NewSource(3)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				op()
@@ -344,13 +411,15 @@ func BenchmarkPipelineStage(b *testing.B) {
 // cite by name: each is still a sub-benchmark under that name, the
 // committed BENCH.txt carries its line, and every engine op does work
 // on a warm engine. The stage bodies are too slow for a test; `make
-// bench-smoke` runs them once. The inference rows live in internal/nn,
-// so only their BENCH.txt lines are checked here.
+// bench-smoke` runs them once. The inference rows live in internal/nn
+// and the file-cache miss row in internal/nosql, so only their BENCH.txt
+// lines are checked here.
 func TestBenchRowsSmoke(t *testing.T) {
-	inference := []string{
+	elsewhere := []string{
 		"BenchmarkPredictBatch/rows=1",
 		"BenchmarkPredictBatch/rows=48",
 		"BenchmarkPredictBatch/rows=1024",
+		"BenchmarkBlockCacheMiss",
 	}
 	want := []string{
 		"BenchmarkEngineOp/read",
@@ -359,6 +428,7 @@ func TestBenchRowsSmoke(t *testing.T) {
 		"BenchmarkEngineOp/delete",
 		"BenchmarkEngineOp/scan",
 		"BenchmarkEngineOp/scan_mixed",
+		"BenchmarkEngineOp/read_deep",
 		"BenchmarkPipelineStage/identify/workers=1",
 		"BenchmarkPipelineStage/identify/workers=max",
 		"BenchmarkPipelineStage/collect/workers=1",
@@ -371,7 +441,7 @@ func TestBenchRowsSmoke(t *testing.T) {
 	var rows []string
 	for _, row := range engineOps {
 		rows = append(rows, "BenchmarkEngineOp/"+row.name)
-		e := warmEngine(t)
+		e := engineFor(t, row.deep)
 		warm := e.Clock()
 		op := row.op(e, rand.New(rand.NewSource(3)))
 		for i := 0; i < 100; i++ {
@@ -403,7 +473,7 @@ func TestBenchRowsSmoke(t *testing.T) {
 			recorded[procs.ReplaceAllString(f[0], "")] = true
 		}
 	}
-	for _, name := range append(want, inference...) {
+	for _, name := range append(want, elsewhere...) {
 		if !recorded[name] {
 			t.Errorf("BENCH.txt has no line for %s: re-run `make bench`", name)
 		}

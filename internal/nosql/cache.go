@@ -10,7 +10,8 @@ package nosql
 // through next, and an open-addressed index of slab indices (linear
 // probing, 0 = empty slot) in place of a map. A touch therefore hashes
 // twelve bytes inline and follows no pointer, and Touch/Admit/Remove
-// are O(1) without per-op allocation.
+// are O(1) without per-op allocation. Each node keeps its id's hash, so
+// eviction, back-shift and re-placement never hash again.
 type blockCache struct {
 	capacity int
 	// nodes[0] is the recency list's sentinel: its next is the most and
@@ -41,18 +42,22 @@ type blockID struct {
 	block uint32
 }
 
-// hash spreads id over 64 bits; the index masks the low ones.
+// hash spreads id over 32 bits; the index masks the low ones.
 //
 //rafiki:hot
-func (id blockID) hash() uint64 {
+func (id blockID) hash() uint32 {
 	x := id.table*0x9E3779B97F4A7C15 ^ uint64(id.block)*0xC2B2AE3D27D4EB4F
 	x ^= x >> 32
 	x *= 0xD6E8FEB86659FD93
-	return x ^ x>>32
+	return uint32(x ^ x>>32)
 }
 
+// cacheNode is 24 bytes: blockID's fields laid out flat beside the hash
+// and the links, so the hash fills what would be blockID's padding.
 type cacheNode struct {
-	id         blockID
+	table      uint64
+	block      uint32
+	hash       uint32 // blockID{table, block}.hash(): the home slot, masked
 	prev, next int32
 }
 
@@ -90,7 +95,8 @@ func (c *blockCache) HitRate() float64 {
 //
 //rafiki:hot
 func (c *blockCache) Touch(id blockID) bool {
-	slot, n := c.find(id)
+	h := id.hash()
+	slot, n := c.find(id, h)
 	if n != 0 {
 		c.hits++
 		c.moveToFront(n)
@@ -98,7 +104,7 @@ func (c *blockCache) Touch(id blockID) bool {
 	}
 	c.misses++
 	if c.capacity > 0 {
-		c.insert(id, slot)
+		c.insert(id, h, slot)
 	}
 	return false
 }
@@ -111,10 +117,11 @@ func (c *blockCache) Admit(id blockID) {
 	if c.capacity <= 0 {
 		return
 	}
-	if slot, n := c.find(id); n != 0 {
+	h := id.hash()
+	if slot, n := c.find(id, h); n != 0 {
 		c.moveToFront(n)
 	} else {
-		c.insert(id, slot)
+		c.insert(id, h, slot)
 	}
 }
 
@@ -123,7 +130,7 @@ func (c *blockCache) Admit(id blockID) {
 //
 //rafiki:hot
 func (c *blockCache) Remove(id blockID) {
-	if slot, n := c.find(id); n != 0 {
+	if slot, n := c.find(id, id.hash()); n != 0 {
 		c.drop(slot, n)
 	}
 }
@@ -133,7 +140,7 @@ func (c *blockCache) Remove(id blockID) {
 func (c *blockCache) InvalidateTable(table uint64) {
 	for n := c.nodes[0].next; n != 0; {
 		next := c.nodes[n].next
-		if c.nodes[n].id.table == table {
+		if c.nodes[n].table == table {
 			c.evict(n)
 		}
 		n = next
@@ -148,35 +155,41 @@ func (c *blockCache) Resize(capacity int) {
 	}
 }
 
-// find probes for id. It returns id's index slot and slab node, or — n
-// == 0 — the empty slot an insert of id would fill.
+// find probes for id, whose hash is h. It returns id's index slot and
+// slab node, or — n == 0 — the empty slot an insert of id would fill.
+// A node of another block in the probe run is told apart by its stored
+// hash before its id is compared.
 //
 //rafiki:hot
-func (c *blockCache) find(id blockID) (slot int, n int32) {
+func (c *blockCache) find(id blockID, h uint32) (slot int, n int32) {
 	mask := len(c.index) - 1
-	for slot = int(id.hash()) & mask; ; slot = (slot + 1) & mask {
+	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
 		n = c.index[slot]
-		if n == 0 || c.nodes[n].id == id {
+		if n == 0 {
+			return slot, 0
+		}
+		if nd := &c.nodes[n]; nd.hash == h && nd.table == id.table && nd.block == id.block {
 			return slot, n
 		}
 	}
 }
 
-// insert admits id, absent from the cache, at the empty slot find
-// returned for it, as the most recently used block, then evicts the
+// insert admits id (hash h), absent from the cache, at the empty slot
+// find returned for it, as the most recently used block, then evicts the
 // least recently used one if that overfills the cache.
 //
 //rafiki:hot
-func (c *blockCache) insert(id blockID, slot int) {
+func (c *blockCache) insert(id blockID, h uint32, slot int) {
 	if 2*(c.n+1) > len(c.index) {
-		// Double the index and re-place the live nodes; the recency list
-		// names them all. The slab does not move.
+		// Double the index and re-place the live nodes from their stored
+		// hashes; the recency list names them all. The slab does not move.
 		c.index = make([]int32, 2*len(c.index))
 		for n := c.nodes[0].next; n != 0; n = c.nodes[n].next {
-			s, _ := c.find(c.nodes[n].id)
+			nd := &c.nodes[n]
+			s, _ := c.find(blockID{nd.table, nd.block}, nd.hash)
 			c.index[s] = n
 		}
-		slot, _ = c.find(id)
+		slot, _ = c.find(id, h)
 	}
 	n := c.free
 	if n != 0 {
@@ -185,7 +198,7 @@ func (c *blockCache) insert(id blockID, slot int) {
 		n = int32(len(c.nodes))
 		c.nodes = append(c.nodes, cacheNode{})
 	}
-	c.nodes[n].id = id
+	c.nodes[n].table, c.nodes[n].block, c.nodes[n].hash = id.table, id.block, h
 	c.pushFront(n)
 	c.index[slot] = n
 	c.n++
@@ -194,11 +207,16 @@ func (c *blockCache) insert(id blockID, slot int) {
 	}
 }
 
-// evict drops the cached node n, looking its index slot up first.
+// evict drops the cached node n, finding its index slot by walking its
+// probe run from the stored home to the slot that names n.
 //
 //rafiki:hot
 func (c *blockCache) evict(n int32) {
-	slot, _ := c.find(c.nodes[n].id)
+	mask := len(c.index) - 1
+	slot := int(c.nodes[n].hash) & mask
+	for c.index[slot] != n {
+		slot = (slot + 1) & mask
+	}
 	c.drop(slot, n)
 }
 
@@ -217,7 +235,7 @@ func (c *blockCache) drop(slot int, n int32) {
 	mask := len(c.index) - 1
 	hole := slot
 	for s := (slot + 1) & mask; c.index[s] != 0; s = (s + 1) & mask {
-		home := int(c.nodes[c.index[s]].id.hash()) & mask
+		home := int(c.nodes[c.index[s]].hash) & mask
 		if (s-home)&mask >= (s-hole)&mask {
 			c.index[hole] = c.index[s]
 			hole = s

@@ -3,6 +3,7 @@ package nosql
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestBlockCacheBasicHitMiss(t *testing.T) {
@@ -281,6 +282,46 @@ func TestBlockCacheRemove(t *testing.T) {
 	}
 }
 
+// TestCacheNodeLayout pins the slab node at 24 bytes: the stored hash
+// fills what would be blockID's padding, so keeping it costs no memory.
+func TestCacheNodeLayout(t *testing.T) {
+	if got := unsafe.Sizeof(cacheNode{}); got != 24 {
+		t.Errorf("cacheNode is %d bytes, want 24", got)
+	}
+}
+
+// TestBlockCacheFullHashCollision caches blocks whose 32-bit hashes are
+// equal — two blocks of one table, and the same block of two tables —
+// so the stored hash matches and only the id comparison keeps them apart.
+func TestBlockCacheFullHashCollision(t *testing.T) {
+	collide := func(id func(i uint32) blockID) (blockID, blockID) {
+		seen := make(map[uint32]uint32)
+		for i := uint32(0); ; i++ {
+			h := id(i).hash()
+			if j, ok := seen[h]; ok {
+				return id(j), id(i)
+			}
+			seen[h] = i
+		}
+	}
+	sameTable := func(i uint32) blockID { return blockID{table: 1, block: i} }
+	sameBlock := func(i uint32) blockID { return blockID{table: uint64(i), block: 3} }
+	for _, id := range []func(uint32) blockID{sameTable, sameBlock} {
+		a, b := collide(id)
+		c := newBlockCache(4)
+		if c.Touch(a) || c.Touch(b) || !c.Touch(a) || !c.Touch(b) || c.Len() != 2 {
+			t.Fatalf("%v and %v share a hash: want two entries, each hitting once cached", a, b)
+		}
+		c.Remove(a)
+		if c.Len() != 1 || !c.Touch(b) {
+			t.Fatalf("removing %v dropped %v, which shares its hash", a, b)
+		}
+		if err := c.checkStructure(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBlockCacheFreelistReuse pins the freelist contract: a node
 // unlinked by Remove, eviction, or InvalidateTable is recycled into
 // the next admission instead of growing the slab.
@@ -288,7 +329,7 @@ func TestBlockCacheFreelistReuse(t *testing.T) {
 	c := newBlockCache(4)
 	a := blockID{table: 1, block: 1}
 	c.Touch(a)
-	_, recycled := c.find(a)
+	_, recycled := c.lookup(a)
 	if recycled == 0 {
 		t.Fatal("touched block is not indexed")
 	}
@@ -299,7 +340,7 @@ func TestBlockCacheFreelistReuse(t *testing.T) {
 	b := blockID{table: 2, block: 2}
 	slab := len(c.nodes)
 	c.Touch(b)
-	if _, n := c.find(b); n != recycled {
+	if _, n := c.lookup(b); n != recycled {
 		t.Error("admission should pop the recycled node, not grow the slab")
 	}
 	if c.free != 0 {
@@ -317,7 +358,7 @@ func TestBlockCacheFreelistReuse(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("Len = %d, want capacity 4", c.Len())
 	}
-	_, victim := c.find(blockID{table: 3, block: 0}) // the LRU block
+	_, victim := c.lookup(blockID{table: 3, block: 0}) // the LRU block
 	slab = len(c.nodes)
 	evictor := blockID{table: 4, block: 0}
 	c.Touch(evictor) // evicts the LRU block
@@ -328,7 +369,7 @@ func TestBlockCacheFreelistReuse(t *testing.T) {
 		t.Error("eviction should park the victim's node on the freelist")
 	}
 	c.Touch(blockID{table: 4, block: 1}) // pops the victim's node, evicts again
-	if _, n := c.find(blockID{table: 4, block: 1}); n != victim {
+	if _, n := c.lookup(blockID{table: 4, block: 1}); n != victim {
 		t.Error("the miss after an eviction should reuse the victim's node")
 	}
 	if len(c.nodes) != slab {
@@ -346,7 +387,7 @@ func TestBlockCacheFreelistReuse(t *testing.T) {
 	before := freeLen()
 	invalidated := 0
 	for n := c.nodes[0].next; n != 0; n = c.nodes[n].next {
-		if c.nodes[n].id.table == 3 {
+		if c.nodes[n].table == 3 {
 			invalidated++
 		}
 	}
@@ -495,6 +536,30 @@ func BenchmarkBlockCacheTouch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Touch(ids[i%len(ids)])
+	}
+}
+
+// BenchmarkBlockCacheMiss isolates the miss path: cycling through four
+// times the capacity in order, every Touch misses, admits, and evicts
+// the least recently used block, whose index slot is found and whose
+// probe run is shifted back.
+func BenchmarkBlockCacheMiss(b *testing.B) {
+	const capacity = 1024
+	c := newBlockCache(capacity)
+	ids := make([]blockID, 4*capacity)
+	for i := range ids {
+		ids[i] = blockID{table: uint64(i % 24), block: uint32(i / 24)}
+	}
+	for _, id := range ids {
+		c.Touch(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Touch(ids[i%len(ids)])
+	}
+	if c.hits != 0 {
+		b.Fatalf("%d hits on a cycle four times the capacity", c.hits)
 	}
 }
 

@@ -602,18 +602,19 @@ func (e *Engine) Read(key uint64) {
 
 	// Probe every live SSTable that might hold the key. Bloom filters
 	// cost CPU per table; tables that (appear to) contain the key cost
-	// an index lookup and a block fetch through the file cache.
+	// an index lookup and a block fetch through the file cache. A filter
+	// has no false negatives, so a table holding the key passed its
+	// check; only for the others is the filter's answer unknown.
 	keyCacheHit := e.keyCacheHitProb()
 	indexCPU := e.model.IndexCPUSeconds * (64 / math.Max(e.p.columnIndexKB, 32))
 	h1, h2 := hash2(key) // every table's filter probes from the same two hashes
 	for _, t := range e.tables.tables {
 		cpu += e.model.BloomCheckCPUSeconds
 		e.m.BloomChecks++
-		if !t.MayContainHashed(h1, h2) {
-			continue
-		}
-		contains := t.Contains(key)
-		if !contains {
+		if !t.Contains(key) {
+			if !t.MayContainHashed(h1, h2) {
+				continue
+			}
 			e.m.BloomFalsePositives++
 		}
 		cpu += indexCPU * (1 - keyCacheHit)

@@ -174,27 +174,40 @@ func (c *oracleCache) order() []blockID {
 	return ids
 }
 
+// idOf returns the block node n caches.
+func (c *blockCache) idOf(n int32) blockID {
+	return blockID{table: c.nodes[n].table, block: c.nodes[n].block}
+}
+
+// lookup probes for id the way Touch does.
+func (c *blockCache) lookup(id blockID) (slot int, n int32) { return c.find(id, id.hash()) }
+
 // order lists the cache's blocks from most to least recently used.
 func (c *blockCache) order() []blockID {
 	var ids []blockID
 	for n := c.nodes[0].next; n != 0; n = c.nodes[n].next {
-		ids = append(ids, c.nodes[n].id)
+		ids = append(ids, c.idOf(n))
 	}
 	return ids
 }
 
 // checkStructure verifies what the flat cache's parts promise each
-// other: the list is consistent in both directions, the index holds
-// exactly the listed nodes where a probe finds them and stays at most
-// half full, and every slab node is the sentinel, listed, or free.
+// other: the list is consistent in both directions, every listed node
+// keeps its id's hash and sits in the index where a probe finds it, the
+// index holds nothing else and stays at most half full, and every slab
+// node is the sentinel, listed, or free.
 func (c *blockCache) checkStructure() error {
 	listed := 0
 	for prev, n := int32(0), c.nodes[0].next; n != 0; prev, n = n, c.nodes[n].next {
 		if c.nodes[n].prev != prev {
 			return fmt.Errorf("node %d: prev = %d, want %d", n, c.nodes[n].prev, prev)
 		}
-		if _, got := c.find(c.nodes[n].id); got != n {
-			return fmt.Errorf("node %d (%v) is listed but a probe finds node %d", n, c.nodes[n].id, got)
+		id := c.idOf(n)
+		if c.nodes[n].hash != id.hash() {
+			return fmt.Errorf("node %d (%v) keeps hash %#x, want %#x", n, id, c.nodes[n].hash, id.hash())
+		}
+		if _, got := c.lookup(id); got != n {
+			return fmt.Errorf("node %d (%v) is listed but a probe finds node %d", n, id, got)
 		}
 		if listed++; listed > len(c.nodes) {
 			return fmt.Errorf("recency list does not end")
@@ -253,7 +266,11 @@ func collidingIDs(n int) []blockID {
 // TestBlockCacheMatchesOracle drives the flat cache and the map+pointer
 // cache it replaced through the same seeded random schedules and
 // requires them indistinguishable after every step: return values, Len,
-// hit and miss counts, and the whole MRU→LRU order.
+// hit and miss counts, and the whole MRU→LRU order. The mixed schedules
+// weigh every operation alike; the churn schedules keep a small cache
+// evicting on most touches over a wide pool while whole tables are
+// invalidated and the capacity jumps past the index's half-full mark,
+// so evictions and back-shifts run on entries the index re-placed.
 func TestBlockCacheMatchesOracle(t *testing.T) {
 	pools := map[string][]blockID{
 		"colliding": collidingIDs(96),
@@ -266,15 +283,31 @@ func TestBlockCacheMatchesOracle(t *testing.T) {
 	for k := uint64(0); k < 300; k++ { // the row cache's shape: the key in table, block 0
 		pools["rows"] = append(pools["rows"], blockID{table: k * 31})
 	}
+	for tb := uint64(0); tb < 16; tb++ {
+		for b := uint32(0); b < 128; b++ {
+			pools["wide"] = append(pools["wide"], blockID{table: tb, block: b * 7})
+		}
+	}
 	poolNames := []string{"colliding", "blocks", "rows"}
 	capacities := []int{0, 1, 2, 3, 7, 40, 200, -1}
 
-	const schedules, steps = 240, 400
-	for seed := int64(0); seed < schedules; seed++ {
+	// Cumulative percentages of Touch, Admit, Remove and InvalidateTable;
+	// the rest of the draws resize.
+	type mix struct{ touch, admit, remove, invalidate int }
+	const schedules, churnSchedules, steps = 240, 60, 400
+	var doublings, evictions int
+	for seed := int64(0); seed < schedules+churnSchedules; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		poolName := poolNames[seed%int64(len(poolNames))]
-		pool := pools[poolName]
 		capacity := capacities[rng.Intn(len(capacities))]
+		ops := mix{50, 70, 85, 90}
+		churn := seed >= schedules
+		if churn {
+			poolName = []string{"wide", "colliding"}[seed%2]
+			capacity = []int{1, 3, 8, 24}[rng.Intn(4)]
+			ops = mix{80, 84, 88, 94}
+		}
+		pool := pools[poolName]
 		c, o := newBlockCache(capacity), newOracleCache(capacity)
 		fail := func(step int, op, format string, args ...any) {
 			t.Helper()
@@ -282,25 +315,39 @@ func TestBlockCacheMatchesOracle(t *testing.T) {
 		}
 		for step := 0; step < steps; step++ {
 			id := pool[rng.Intn(len(pool))]
+			indexLen, full := len(c.index), c.Len() == c.capacity
 			var op string
 			switch r := rng.Intn(100); {
-			case r < 50:
+			case r < ops.touch:
 				op = fmt.Sprintf("Touch(%v)", id)
-				if got, want := c.Touch(id), o.Touch(id); got != want {
+				got, want := c.Touch(id), o.Touch(id)
+				if got != want {
 					fail(step, op, "= %v, oracle %v", got, want)
 				}
-			case r < 70:
+				if !got && full && c.capacity > 0 {
+					evictions++
+				}
+			case r < ops.admit:
 				op = fmt.Sprintf("Admit(%v)", id)
 				c.Admit(id)
 				o.Admit(id)
-			case r < 85:
+			case r < ops.remove:
 				op = fmt.Sprintf("Remove(%v)", id)
 				c.Remove(id)
 				o.Remove(id)
-			case r < 90:
+			case r < ops.invalidate:
 				op = fmt.Sprintf("InvalidateTable(%d)", id.table)
 				c.InvalidateTable(id.table)
 				o.InvalidateTable(id.table)
+			case churn:
+				// Jump up two- to fourfold, or fall back to a handful.
+				capacity := c.capacity*(2+rng.Intn(3)) + 1
+				if rng.Intn(3) == 0 {
+					capacity = 1 + rng.Intn(8)
+				}
+				op = fmt.Sprintf("Resize(%d)", capacity)
+				c.Resize(capacity)
+				o.Resize(capacity)
 			default:
 				// Grow or shrink, sometimes by a lot, sometimes to nothing.
 				capacity := capacities[rng.Intn(len(capacities))]
@@ -310,6 +357,9 @@ func TestBlockCacheMatchesOracle(t *testing.T) {
 				op = fmt.Sprintf("Resize(%d)", capacity)
 				c.Resize(capacity)
 				o.Resize(capacity)
+			}
+			if churn && len(c.index) > indexLen {
+				doublings++
 			}
 			if c.Len() != o.Len() {
 				fail(step, op, "Len = %d, oracle %d", c.Len(), o.Len())
@@ -324,6 +374,9 @@ func TestBlockCacheMatchesOracle(t *testing.T) {
 				fail(step, op, "%v", err)
 			}
 		}
+	}
+	if doublings == 0 || evictions < churnSchedules*steps/4 {
+		t.Errorf("churn schedules doubled the index %d times and evicted on %d touches: too tame", doublings, evictions)
 	}
 }
 

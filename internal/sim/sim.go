@@ -152,6 +152,9 @@ func (s Sampler) Run(w core.Workload, cfg config.Config, storeSeed, driverSeed i
 // Sample implements core.Collector: one (workload, configuration) point
 // on a fresh store, both seeds derived from the base seed and seed.
 func (s Sampler) Sample(w core.Workload, cfg config.Config, seed int64) (float64, error) {
+	if s.nodes > 0 && s.inverseP99 {
+		return 0, fmt.Errorf("sim: InverseP99 on an OnCluster(%d, %d) sampler: cluster metrics carry no epoch latencies to take a p99 of", s.nodes, s.rf)
+	}
 	res, st, err := s.Run(w, cfg, s.Seed^seed, seed+101)
 	if err != nil {
 		return 0, err

@@ -97,6 +97,23 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestClusterInverseP99Rejected pins that a cluster sampler asked for
+// tail latency fails up front, naming the combination, instead of
+// benchmarking a whole cluster and then finding no latencies: nothing
+// reaches the registry, so no store was built.
+func TestClusterInverseP99Rejected(t *testing.T) {
+	for _, s := range []Sampler{tiny().OnCluster(2, 2).InverseP99(), tiny().InverseP99().OnCluster(1, 1)} {
+		s.Obs = obs.NewRegistry()
+		_, err := s.Sample(core.RR(0.5), nil, 1)
+		if err == nil || !strings.Contains(err.Error(), "InverseP99") || !strings.Contains(err.Error(), "OnCluster") {
+			t.Fatalf("Sample = %v, want an error naming InverseP99 and OnCluster", err)
+		}
+		if snap := s.Obs.Snapshot(); len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+			t.Errorf("the rejected sample still built a store: %d counters, %d spans", len(snap.Counters), len(snap.Spans))
+		}
+	}
+}
+
 // TestTunerObsAcrossWorkers is the master invariant through the public
 // entry point: a core.Tuner and its collector sharing one registry
 // export the same snapshot — engine flush and compaction spans in

@@ -1,19 +1,17 @@
 package bench
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"math"
 	"testing"
 
 	"rafiki/internal/core"
+	"rafiki/internal/golden"
 	"rafiki/internal/obs"
 )
 
 // goldenPipelineOptions sizes the pinned pipeline. It does not shrink
-// under the race detector: the digests below hold for exactly this
-// sizing.
+// under the race detector: the golden holds for exactly this sizing.
 func goldenPipelineOptions() PipelineOptions {
 	opts := tinyPipelineOptions()
 	opts.Env.SampleOps = 5_000
@@ -26,47 +24,43 @@ func goldenPipelineOptions() PipelineOptions {
 	return opts
 }
 
-// pipelineDigests hashes what a pipeline hands the experiments: every
-// collected sample, the trained model's JSON, and the recommendation at
-// a write-heavy, a balanced and a read-heavy workload.
-func pipelineDigests(t *testing.T, p *Pipeline) (dataset, model string, recs [3]string) {
+// pipelineText renders what a pipeline hands the experiments: every
+// collected sample, the trained model (its size and digest) and the
+// recommendation at a write-heavy, a balanced and a read-heavy workload.
+func pipelineText(t *testing.T, p *Pipeline) []byte {
 	t.Helper()
-	short := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b))[:16] }
-	var ds []byte
+	var b []byte
 	for _, s := range p.Dataset().Samples {
-		ds = fmt.Appendf(ds, "%v %s %x\n", s.Workload, p.Space().Describe(s.Config), math.Float64bits(s.Throughput))
+		b = fmt.Appendf(b, "sample %v %s %v\n", s.Workload, p.Space().Describe(s.Config), s.Throughput)
 	}
-	ds = fmt.Appendf(ds, "dropped %d\n", p.Dataset().Dropped)
+	b = fmt.Appendf(b, "dropped %d\n", p.Dataset().Dropped)
 	blob, err := json.Marshal(p.Surrogate().Model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, rr := range []float64{0.1, 0.5, 0.9} {
+	b = fmt.Appendf(b, "model members %d json_bytes %d digest %s\n", p.Surrogate().Model.Size(), len(blob), golden.Digest(blob))
+	for _, rr := range []float64{0.1, 0.5, 0.9} {
 		rec, err := p.Recommend(core.RR(rr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs[i] = short(fmt.Appendf(nil, "%s %x %d %x", p.Space().Describe(rec.Config),
-			math.Float64bits(rec.Predicted), rec.Evaluations, rec.History))
+		b = fmt.Appendf(b, "recommend rr %v %s predicted %v evaluations %d\nhistory %v\n",
+			rr, p.Space().Describe(rec.Config), rec.Predicted, rec.Evaluations, rec.History)
 	}
-	return short(ds), short(blob), recs
+	return b
 }
 
-// TestPipelineGolden pins both datastores' pipelines against digests
-// recorded on the parent (c43df8b), where bench composed collect ->
-// train -> search itself instead of preparing a core.Tuner. It only
-// compares: re-record by running it on a checkout of that tree.
+// TestPipelineGolden pins what both datastores' pipelines hand the
+// experiments: a change to Tuner.Prepare/Recommend, core.Collect or
+// Surrogate.Problem that moves a sample, the model or a recommendation
+// shows up in testdata/pipeline_*.golden.
 func TestPipelineGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		build          func(PipelineOptions) (*Pipeline, error)
-		dataset, model string
-		recs           [3]string
+		name  string
+		build func(PipelineOptions) (*Pipeline, error)
 	}{
-		{"cassandra", NewCassandraPipeline, "4c99d75e005bae08", "0c29f0e49bd5407a",
-			[3]string{"602019b9650de53e", "cc610989f392afe3", "eb47c2678f1be71a"}},
-		{"scylladb", NewScyllaPipeline, "0d217340700d2832", "ea057ce2c61c3dd4",
-			[3]string{"af721c6bb1a75646", "f4702bd30bbe8fd5", "63885e5a9f4bbd47"}},
+		{"cassandra", NewCassandraPipeline},
+		{"scylladb", NewScyllaPipeline},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := goldenPipelineOptions()
@@ -75,11 +69,7 @@ func TestPipelineGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dataset, model, recs := pipelineDigests(t, p)
-			if dataset != tc.dataset || model != tc.model || recs != tc.recs {
-				t.Errorf("dataset %q model %q recs %q, parent had %q %q %q",
-					dataset, model, recs, tc.dataset, tc.model, tc.recs)
-			}
+			golden.Check(t, "testdata/pipeline_"+tc.name+".golden", pipelineText(t, p))
 		})
 	}
 }

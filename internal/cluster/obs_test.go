@@ -6,16 +6,133 @@ import (
 	"rafiki/internal/cluster"
 	"rafiki/internal/config"
 	"rafiki/internal/fault"
+	"rafiki/internal/golden"
 	"rafiki/internal/obs"
-	"rafiki/internal/obs/obstest"
 	"rafiki/internal/workload"
 )
 
+// statsObsCase is one seeded fault schedule a cluster runs under in
+// TestStatsObsGolden and TestStatsObsReconcile.
+type statsObsCase struct {
+	name  string
+	seed  int64
+	res   cluster.ResilienceOptions
+	sched fault.Schedule
+	// expectations about which event classes must actually occur,
+	// so the reconciliation is not vacuously 0 == 0.
+	wantTransient bool
+	wantRetries   bool
+	wantTimeouts  bool
+	wantHints     bool
+	// wantConverged asserts stored == replayed + dropped: it holds
+	// when every hint-producing fault ends in a recovery edge
+	// (outage recovery, straggler healing). Hints produced by pure
+	// transient-exhaustion have no such edge and stay buffered.
+	wantConverged bool
+}
+
+const statsObsHorizon = 1e6 // covers any run; Finish() fires the ends
+
+var statsObsCases = []statsObsCase{
+	{
+		name: "transient-window-with-retries",
+		seed: 11,
+		res: func() cluster.ResilienceOptions {
+			r := cluster.PassiveResilience()
+			r.MaxRetries = 3
+			r.BackoffBase = 1e-6
+			r.BackoffMax = 25e-6
+			return r
+		}(),
+		sched: fault.Schedule{
+			{Kind: fault.Transient, Node: 0, At: 1e-9, Until: statsObsHorizon, FailProb: 0.3},
+			{Kind: fault.Transient, Node: 2, At: 1e-9, Until: statsObsHorizon, FailProb: 0.1},
+		},
+		wantTransient: true,
+		wantRetries:   true,
+	},
+	{
+		name: "straggler-timeouts-and-outage-hints",
+		seed: 23,
+		res: func() cluster.ResilienceOptions {
+			r := cluster.DefaultResilienceOptions()
+			r.BackoffBase = 1e-6
+			r.BackoffMax = 25e-6
+			r.ExpectedOpSeconds = 1e-6
+			r.OpTimeout = 10e-6 // a 30x straggler blows through this
+			return r
+		}(),
+		sched: fault.Schedule{
+			{Kind: fault.Slow, Node: 1, At: 1e-9, Until: statsObsHorizon, DiskTax: 30, CPUTax: 4},
+			{Kind: fault.Fail, Node: 2, At: 1e-9, Until: statsObsHorizon},
+		},
+		wantTimeouts:  true,
+		wantHints:     true,
+		wantConverged: true,
+	},
+}
+
+// statsObsRun drives a three-node QUORUM cluster through tc's schedule
+// under a 30k-op workload and returns it with its registry.
+func statsObsRun(t *testing.T, tc statsObsCase) (*cluster.Cluster, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	c, err := cluster.New(cluster.Options{
+		Nodes:             3,
+		ReplicationFactor: 3,
+		Space:             config.Cassandra(),
+		Seed:              tc.seed,
+		EpochOps:          128,
+		Obs:               reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Preload(1)
+	if err := c.SetReadConsistency(cluster.ConsistencyQuorum); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetResilience(tc.res); err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.NewInjector(c, tc.sched, tc.seed^0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetFaultInjector(inj)
+	h := fault.NewHarness(c, inj)
+	if _, err := workload.Run(h, workload.Spec{
+		ReadRatio: 0.5,
+		KRDMean:   0.3 * float64(c.KeySpace()),
+		Ops:       30_000,
+		Seed:      tc.seed + 7,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inj.Finish()
+	if err := inj.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return c, reg
+}
+
+// TestStatsObsGolden pins the registry snapshot each statsObsCases run
+// leaves: the coordinator's ledger, the network's and the engines'.
+func TestStatsObsGolden(t *testing.T) {
+	for _, tc := range statsObsCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, reg := statsObsRun(t, tc)
+			snap, err := reg.Snapshot().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden.Check(t, "testdata/obs_"+tc.name+".json", snap)
+		})
+	}
+}
+
 // TestStatsObsReconcile drives the cluster under two seeded fault
-// schedules and asserts that the registry snapshot is byte-identical to
-// the one recorded before Stats became the coordinator's exported
-// ledger (then each counter was a hand-kept obs twin), and that the
-// ledger keeps its books:
+// schedules and asserts that the ledger keeps its books:
 //
 //   - the attempt protocol partitions exactly:
 //     OpAttempts == OpSuccesses + TransientFailures + Timeouts
@@ -24,105 +141,9 @@ import (
 //   - hint flow conserves: stored == replayed + dropped once every
 //     outage has recovered.
 func TestStatsObsReconcile(t *testing.T) {
-	const horizon = 1e6 // covers any run; Finish() fires the ends
-
-	cases := []struct {
-		name  string
-		seed  int64
-		res   cluster.ResilienceOptions
-		sched fault.Schedule
-		// expectations about which event classes must actually occur,
-		// so the reconciliation is not vacuously 0 == 0.
-		wantTransient bool
-		wantRetries   bool
-		wantTimeouts  bool
-		wantHints     bool
-		// wantConverged asserts stored == replayed + dropped: it holds
-		// when every hint-producing fault ends in a recovery edge
-		// (outage recovery, straggler healing). Hints produced by pure
-		// transient-exhaustion have no such edge and stay buffered.
-		wantConverged bool
-	}{
-		{
-			name: "transient-window-with-retries",
-			seed: 11,
-			res: func() cluster.ResilienceOptions {
-				r := cluster.PassiveResilience()
-				r.MaxRetries = 3
-				r.BackoffBase = 1e-6
-				r.BackoffMax = 25e-6
-				return r
-			}(),
-			sched: fault.Schedule{
-				{Kind: fault.Transient, Node: 0, At: 1e-9, Until: horizon, FailProb: 0.3},
-				{Kind: fault.Transient, Node: 2, At: 1e-9, Until: horizon, FailProb: 0.1},
-			},
-			wantTransient: true,
-			wantRetries:   true,
-		},
-		{
-			name: "straggler-timeouts-and-outage-hints",
-			seed: 23,
-			res: func() cluster.ResilienceOptions {
-				r := cluster.DefaultResilienceOptions()
-				r.BackoffBase = 1e-6
-				r.BackoffMax = 25e-6
-				r.ExpectedOpSeconds = 1e-6
-				r.OpTimeout = 10e-6 // a 30x straggler blows through this
-				return r
-			}(),
-			sched: fault.Schedule{
-				{Kind: fault.Slow, Node: 1, At: 1e-9, Until: horizon, DiskTax: 30, CPUTax: 4},
-				{Kind: fault.Fail, Node: 2, At: 1e-9, Until: horizon},
-			},
-			wantTimeouts:  true,
-			wantHints:     true,
-			wantConverged: true,
-		},
-	}
-
-	for _, tc := range cases {
-		tc := tc
+	for _, tc := range statsObsCases {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			c, err := cluster.New(cluster.Options{
-				Nodes:             3,
-				ReplicationFactor: 3,
-				Space:             config.Cassandra(),
-				Seed:              tc.seed,
-				EpochOps:          128,
-				Obs:               reg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Preload(1)
-			if err := c.SetReadConsistency(cluster.ConsistencyQuorum); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.SetResilience(tc.res); err != nil {
-				t.Fatal(err)
-			}
-			inj, err := fault.NewInjector(c, tc.sched, tc.seed^0x5EED)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.SetFaultInjector(inj)
-			h := fault.NewHarness(c, inj)
-			if _, err := workload.Run(h, workload.Spec{
-				ReadRatio: 0.5,
-				KRDMean:   0.3 * float64(c.KeySpace()),
-				Ops:       30_000,
-				Seed:      tc.seed + 7,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			inj.Finish()
-			if err := inj.Err(); err != nil {
-				t.Fatal(err)
-			}
-
-			obstest.Golden(t, reg, "testdata/obs_"+tc.name+".json")
+			c, reg := statsObsRun(t, tc)
 			st := c.Stats()
 
 			// The attempt protocol must partition exactly.
@@ -250,7 +271,7 @@ func TestPartitionLossChargedToDistinctCounter(t *testing.T) {
 // TestStatsLedgerNames pins the counter names Stats exports to the 29
 // the coordinator's obs twin published.
 func TestStatsLedgerNames(t *testing.T) {
-	obstest.Names(t, new(cluster.Stats),
+	golden.Names(t, new(cluster.Stats),
 		"cluster.breaker_opens", "cluster.breaker_rejections", "cluster.forwarded_writes",
 		"cluster.hints_dropped", "cluster.hints_replayed", "cluster.hints_stored", "cluster.mutations",
 		"cluster.op_attempts", "cluster.op_retries", "cluster.op_successes", "cluster.op_timeouts",

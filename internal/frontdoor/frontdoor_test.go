@@ -10,8 +10,8 @@ import (
 	"rafiki/internal/cluster"
 	"rafiki/internal/config"
 	"rafiki/internal/frontdoor"
+	"rafiki/internal/golden"
 	"rafiki/internal/obs"
-	"rafiki/internal/obs/obstest"
 )
 
 // newServingCluster builds the cluster the front door serves from:
@@ -281,9 +281,8 @@ func TestFrontDoorOverloadShedsBoundedly(t *testing.T) {
 
 // TestOverloadObsGolden: one overload seed — a flood at three times
 // capacity with deadlines, a rate-limited greedy class and SLO windows,
-// so every shed reason and both window counters move — leaves a registry
-// snapshot byte-identical to the one recorded before Result was the
-// front door's exported ledger, and the ledger's partitions hold.
+// so every shed reason and both window counters move — pins the registry
+// snapshot it leaves, and the ledger's partitions hold.
 func TestOverloadObsGolden(t *testing.T) {
 	const seed = 37
 	perOp := calibrate(t, seed)
@@ -313,7 +312,11 @@ func TestOverloadObsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obstest.Golden(t, reg, "testdata/obs_overload.json")
+	snap, err := reg.Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/obs_overload.json", snap)
 	if res.ShedRateLimited == 0 || res.ShedQueueFull == 0 || res.ShedDeadline == 0 ||
 		res.SLOViolations == 0 || res.SLOViolations == len(res.Windows) {
 		t.Errorf("run did not exercise every exported counter: %+v", res)
@@ -566,7 +569,7 @@ func TestServeAllocGuard(t *testing.T) {
 // TestResultLedgerNames pins the counter names Result exports to the
 // nine the front door's obs twin published.
 func TestResultLedgerNames(t *testing.T) {
-	obstest.Names(t, new(frontdoor.Result),
+	golden.Names(t, new(frontdoor.Result),
 		"frontdoor.admitted", "frontdoor.arrivals", "frontdoor.completed", "frontdoor.failed_ops",
 		"frontdoor.shed_deadline", "frontdoor.shed_queue_full", "frontdoor.shed_rate_limited",
 		"frontdoor.slo_window_violations", "frontdoor.slo_windows")

@@ -1,11 +1,11 @@
 package ga
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
+
+	"rafiki/internal/golden"
 )
 
 // identityFitness is a rugged landscape with interacting genes, so that
@@ -39,39 +39,12 @@ func identityProblem(dim int, integer, batch bool) Problem {
 	return p
 }
 
-// digestResult hashes every bit of a Result: Best (nil distinguished
-// from empty), BestFitness, Evaluations and History.
-func digestResult(r Result) string {
-	h := sha256.New()
-	word := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	if r.Best == nil {
-		word(math.MaxUint64)
-	}
-	word(uint64(len(r.Best)))
-	for _, v := range r.Best {
-		word(math.Float64bits(v))
-	}
-	word(math.Float64bits(r.BestFitness))
-	word(uint64(r.Evaluations))
-	word(uint64(len(r.History)))
-	for _, v := range r.History {
-		word(math.Float64bits(v))
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// TestRunBitIdentical pins Run's whole Result, bit for bit, for option
-// sets that exercise every branch of a generation: no elites and many,
-// never and always crossing over, an odd population, integer and
-// continuous genes, Fitness-only and BatchFitness problems, a one-
-// generation run and a landscape on which no repair ever improves (Best
-// stays nil). The digests were recorded on the GA that allocated a gene
-// vector per child, before it bred in place.
-func TestRunBitIdentical(t *testing.T) {
+// TestRunGolden pins Run's whole Result for option sets that exercise
+// every branch of a generation: no elites and many, never and always
+// crossing over, an odd population, integer and continuous genes,
+// Fitness-only and BatchFitness problems, a one-generation run and a
+// landscape on which no repair ever improves (Best stays nil).
+func TestRunGolden(t *testing.T) {
 	opts := func(edit func(*Options)) Options {
 		o := DefaultOptions()
 		o.Seed = 27
@@ -82,26 +55,30 @@ func TestRunBitIdentical(t *testing.T) {
 		name string
 		p    Problem
 		opts Options
-		want string
 	}{
-		{"default/batch/continuous", identityProblem(5, false, true), opts(func(*Options) {}), "84c35f5eb75ad2b9"},
-		{"elite0/fitness/integer", identityProblem(5, true, false), opts(func(o *Options) { o.Elite = 0 }), "fa727cc28525c925"},
-		{"crossover0/batch/integer", identityProblem(4, true, true), opts(func(o *Options) { o.CrossoverProb = 0; o.Generations = 40 }), "a47ef6358b573e56"},
-		{"crossover1/fitness/continuous", identityProblem(6, false, false), opts(func(o *Options) { o.CrossoverProb = 1; o.TournamentK = 1 }), "f3792258ffe7dcde"},
-		{"oddpop/batch/integer", identityProblem(7, true, true), opts(func(o *Options) { o.Population = 17; o.Elite = 3; o.Generations = 25 }), "c3ff21e0da96c10b"},
-		{"onegen/fitness/integer", identityProblem(3, true, false), opts(func(o *Options) { o.Population = 9; o.Generations = 1 }), "a552365b43a4453e"},
+		{"default/batch/continuous", identityProblem(5, false, true), opts(func(*Options) {})},
+		{"elite0/fitness/integer", identityProblem(5, true, false), opts(func(o *Options) { o.Elite = 0 })},
+		{"crossover0/batch/integer", identityProblem(4, true, true), opts(func(o *Options) { o.CrossoverProb = 0; o.Generations = 40 })},
+		{"crossover1/fitness/continuous", identityProblem(6, false, false), opts(func(o *Options) { o.CrossoverProb = 1; o.TournamentK = 1 })},
+		{"oddpop/batch/integer", identityProblem(7, true, true), opts(func(o *Options) { o.Population = 17; o.Elite = 3; o.Generations = 25 })},
+		{"onegen/fitness/integer", identityProblem(3, true, false), opts(func(o *Options) { o.Population = 9; o.Generations = 1 })},
 		{"neverbetter/batch/continuous", Problem{
 			Bounds:       []Bound{{Min: 0, Max: 1}, {Min: -2, Max: 2}},
 			BatchFitness: func(_ [][]float64, out []float64) error { clear(out); out[0] = math.Inf(-1); return nil },
-		}, opts(func(o *Options) { o.Population = 3; o.Generations = 4 }), "d5581b67a032bea6"},
+		}, opts(func(o *Options) { o.Population = 3; o.Generations = 4 })},
 	}
+	var text []byte
 	for _, tc := range cases {
 		res, err := Run(tc.p, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := digestResult(res); got != tc.want {
-			t.Errorf("%s: Result digest %s, want %s", tc.name, got, tc.want)
+		best := fmt.Sprint(res.Best)
+		if res.Best == nil {
+			best = "nil"
 		}
+		text = fmt.Appendf(text, "%s\n best %s fitness %v evaluations %d\n history %v\n",
+			tc.name, best, res.BestFitness, res.Evaluations, res.History)
 	}
+	golden.Check(t, "testdata/run.golden", text)
 }

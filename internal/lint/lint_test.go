@@ -1,17 +1,13 @@
 package lint
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// -update regenerates the golden expected-diagnostic files from
-// current analyzer output.
-var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
+	"rafiki/internal/golden"
+)
 
 // fixtures maps each fixture package to the module-relative path it
 // impersonates; path-scoped analyzers (nowall's cmd/ exemption,
@@ -71,20 +67,7 @@ func TestFixtures(t *testing.T) {
 				t.Fatalf("load %s: %v", fx.name, err)
 			}
 			got := renderAll(Run([]*Package{pkg}, All()))
-			golden := filepath.Join("testdata", "golden", fx.name+".txt")
-			if *update {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-			}
+			golden.Check(t, filepath.Join("testdata", "golden", fx.name+".txt"), []byte(got))
 		})
 	}
 }

@@ -82,9 +82,6 @@ type link struct {
 	partitioned bool
 	partedAt    float64
 	lastArrival float64
-
-	delivered *obs.Counter
-	dropped   *obs.Counter
 }
 
 // Result is the fate of one Send to one destination.
@@ -136,25 +133,7 @@ func New(opts Options) (*Network, error) {
 		o:        newNetObs(opts.Obs),
 	}
 	opts.Obs.Export(nw.stats)
-	for id := Coordinator; id < nw.n; id++ {
-		nw.bindLinks(id)
-	}
 	return nw, nil
-}
-
-// bindLinks resolves the per-link counters of every link between id and
-// the endpoints below it, both directions; a no-op with obs disabled.
-func (nw *Network) bindLinks(id int) {
-	if nw.o.reg == nil {
-		return
-	}
-	for other := Coordinator; other < id; other++ {
-		for _, pair := range [2][2]int{{id, other}, {other, id}} {
-			l := &nw.links[nw.idx(pair[0], pair[1])]
-			l.delivered = nw.o.reg.Counter(linkCounterName(pair[0], pair[1], "delivered"))
-			l.dropped = nw.o.reg.Counter(linkCounterName(pair[0], pair[1], "dropped"))
-		}
-	}
 }
 
 // Nodes returns the node endpoint count.
@@ -162,9 +141,9 @@ func (nw *Network) Nodes() int { return nw.n }
 
 // AddEndpoint grows the network by one node endpoint (elastic
 // scale-out) and returns its id. Existing link state — conditions,
-// partitions, FIFO watermarks, per-link counters — is preserved; the
-// new endpoint's links start healthy. No fate draws are consumed, so
-// growth never perturbs the seeded message stream.
+// partitions, FIFO watermarks — is preserved; the new endpoint's links
+// start healthy. No fate draws are consumed, so growth never perturbs
+// the seeded message stream.
 func (nw *Network) AddEndpoint() int {
 	oldN := nw.n
 	id := oldN
@@ -178,7 +157,6 @@ func (nw *Network) AddEndpoint() int {
 	}
 	nw.links = links
 	nw.handlers = append(nw.handlers, nil)
-	nw.bindLinks(id)
 	return id
 }
 
@@ -315,12 +293,10 @@ func (nw *Network) Send(from, to int, payload any, now float64) Result {
 	l := &nw.links[nw.idx(from, to)]
 	if l.partitioned {
 		nw.stats.PartitionDrops++
-		l.dropped.Inc()
 		return Result{To: to}
 	}
 	if p := l.cond.DropProb; p > 0 && nw.rng.Float64() < p {
 		nw.stats.Dropped++
-		l.dropped.Inc()
 		return Result{To: to}
 	}
 	copies := 1
@@ -341,7 +317,6 @@ func (nw *Network) Send(from, to int, payload any, now float64) Result {
 		}
 		l.lastArrival = at
 		nw.stats.Delivered++
-		l.delivered.Inc()
 	}
 	// Handlers may Send re-entrantly, so this message's draws and link
 	// state are final before the first one runs.
@@ -367,18 +342,4 @@ func (nw *Network) latency(l *link) float64 {
 		lat *= 1 + nw.jitter*(2*nw.rng.Float64()-1)
 	}
 	return lat
-}
-
-// EndpointName renders an endpoint id for reports: "c" for the
-// coordinator, the node index otherwise.
-func EndpointName(ep int) string {
-	if ep == Coordinator {
-		return "c"
-	}
-	return fmt.Sprint(ep)
-}
-
-// linkCounterName builds the per-link obs counter name.
-func linkCounterName(from, to int, what string) string {
-	return fmt.Sprintf("netsim.link.%s->%s.%s", EndpointName(from), EndpointName(to), what)
 }

@@ -2,15 +2,11 @@ package netsim
 
 import "rafiki/internal/obs"
 
-// netObs holds the registry (for partition spans and the per-link
-// counters bindLinks resolves) and the network's one gauge; all nil when
-// observability is disabled (every obs method is nil-safe). The
-// aggregate counters are Stats' tagged fields, and sends conserve:
+// netObs holds the registry (for partition spans) and the network's one
+// gauge; all nil when observability is disabled (every obs method is
+// nil-safe). The counters are Stats' tagged fields, and sends conserve:
 //
 //	Delivered + Dropped + PartitionDrops == Sent + Duplicated
-//
-// The per-link netsim.link.<from>-><to>.* counters partition the
-// aggregate delivered/dropped totals by ordered link.
 type netObs struct {
 	reg        *obs.Registry
 	partitions *obs.Gauge

@@ -1,6 +1,7 @@
 package nosql
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,36 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	}
 	if rate == 0 {
 		t.Error("a bloom filter with zero false positives over 100k probes is suspicious")
+	}
+}
+
+// TestBloomFalsePositivesFallWithBitsPerKey is a metamorphic relation:
+// over one key set and one fixed set of 100k absent keys, a filter given
+// more bits per key (2 to 16) never admits more false positives.
+func TestBloomFalsePositivesFallWithBitsPerKey(t *testing.T) {
+	const n = 20_000
+	rng := rand.New(rand.NewSource(1))
+	absent := make([]uint64, 100_000)
+	for i := range absent {
+		absent[i] = uint64(rng.Int63())>>1 + n*7919 // above every inserted key
+	}
+	prev := len(absent) + 1
+	for bits := 2; bits <= 16; bits++ {
+		// The fp target whose optimal filter spends bits bits per key.
+		b := newBloomFilter(n, math.Exp(-float64(bits)*math.Ln2*math.Ln2))
+		for k := uint64(0); k < n; k++ {
+			b.Add(k * 7919)
+		}
+		fps := 0
+		for _, key := range absent {
+			if b.MayContainHashed(hash2(key)) {
+				fps++
+			}
+		}
+		if fps > prev {
+			t.Errorf("%d bits per key admit %d false positives, %d bits %d", bits, fps, bits-1, prev)
+		}
+		prev = fps
 	}
 }
 

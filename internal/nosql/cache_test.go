@@ -164,6 +164,42 @@ func TestBlockCacheStress(t *testing.T) {
 	}
 }
 
+// TestBlockCacheHitsGrowWithCapacity is LRU inclusion as a metamorphic
+// relation: replaying one seeded trace of touches, admissions and
+// removals, a cache never hits less than a smaller one did.
+func TestBlockCacheHitsGrowWithCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type step struct {
+		op int
+		id blockID
+	}
+	trace := make([]step, 50_000)
+	for i := range trace {
+		trace[i] = step{rng.Intn(10), blockID{table: uint64(rng.Intn(5)), block: uint32(rng.Intn(1 + rng.Intn(32)))}}
+	}
+	var prev uint64
+	for capacity := 0; capacity <= 64; capacity++ {
+		c := newBlockCache(capacity)
+		for _, s := range trace {
+			switch {
+			case s.op < 7:
+				c.Touch(s.id)
+			case s.op < 9:
+				c.Admit(s.id)
+			default:
+				c.Remove(s.id)
+			}
+		}
+		if c.hits < prev {
+			t.Fatalf("capacity %d hit %d times, capacity %d hit %d", capacity, c.hits, capacity-1, prev)
+		}
+		prev = c.hits
+	}
+	if prev == 0 {
+		t.Fatal("the trace never hits: the relation holds vacuously")
+	}
+}
+
 func TestMemtable(t *testing.T) {
 	m := newMemtable(100)
 	if m.Len() != 0 || m.Bytes() != 0 {

@@ -6,8 +6,8 @@ import (
 	"weak"
 
 	"rafiki/internal/config"
+	"rafiki/internal/golden"
 	"rafiki/internal/obs"
-	"rafiki/internal/obs/obstest"
 )
 
 // benchEngine builds an engine for the write-path overhead benchmark.
@@ -60,12 +60,11 @@ func BenchmarkEngineReadObsEnabled(b *testing.B) {
 	}
 }
 
-// TestEngineObsReconcile: a seeded CRUD+scan run's registry snapshot
-// is byte-identical to the one recorded before Metrics became the
-// engine's exported ledger (then each counter was a hand-kept obs twin),
-// and the ledger's epoch count agrees with the epoch series and the
-// throughput histogram.
-func TestEngineObsReconcile(t *testing.T) {
+// engineObsRun drives a seeded CRUD+scan run through compaction, a
+// background drain and a restart, and returns the engine with its
+// registry.
+func engineObsRun(t *testing.T) (*Engine, *obs.Registry) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	e, err := New(Options{Space: config.Cassandra(), Seed: 7, EpochOps: 256, Obs: reg})
 	if err != nil {
@@ -89,7 +88,23 @@ func TestEngineObsReconcile(t *testing.T) {
 	e.CompactAll()
 	e.DrainBackground(60)
 	e.Restart()
-	obstest.Golden(t, reg, "testdata/obs_engine.json")
+	return e, reg
+}
+
+// TestEngineObsGolden pins the registry snapshot engineObsRun leaves.
+func TestEngineObsGolden(t *testing.T) {
+	_, reg := engineObsRun(t)
+	snap, err := reg.Snapshot().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/obs_engine.json", snap)
+}
+
+// TestEngineObsReconcile: after engineObsRun the ledger's epoch count
+// agrees with the epoch series and the throughput histogram.
+func TestEngineObsReconcile(t *testing.T) {
+	e, reg := engineObsRun(t)
 	m := e.Metrics()
 	snap := reg.Snapshot()
 	if m.Scans == 0 || m.ScanRows == 0 || m.Deletes == 0 || m.Flushes == 0 || m.Compactions == 0 || m.Restarts != 1 {
@@ -115,7 +130,7 @@ func TestEngineObsReconcile(t *testing.T) {
 // TestMetricsLedgerNames pins the counter names Metrics exports to the
 // ten the engine's obs twin published.
 func TestMetricsLedgerNames(t *testing.T) {
-	obstest.Names(t, new(Metrics),
+	golden.Names(t, new(Metrics),
 		"nosql.compactions", "nosql.deletes", "nosql.epochs", "nosql.flushes", "nosql.flushes_forced",
 		"nosql.reads", "nosql.restarts", "nosql.scan_rows", "nosql.scans", "nosql.writes")
 }

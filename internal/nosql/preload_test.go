@@ -1,7 +1,9 @@
 package nosql
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
@@ -80,6 +82,13 @@ func livePreloadRuns() int {
 		}
 	}
 	return live
+}
+
+// hashWord folds one 64-bit word into h.
+func hashWord(h hash.Hash64, w uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], w)
+	h.Write(b[:])
 }
 
 // imageChecksum folds every word of the engine's tables' runs, filters

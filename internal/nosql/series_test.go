@@ -1,16 +1,15 @@
 package nosql
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
-	"math"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
 	"rafiki/internal/config"
+	"rafiki/internal/golden"
+	"rafiki/internal/stats"
 )
 
 // seriesRun drives a seeded 300k-op mix (reads, writes, deletes, the
@@ -45,51 +44,23 @@ func seriesRun(t testing.TB, epochOps int) *Engine {
 	return e
 }
 
-// hashWord folds one 64-bit word into h.
-func hashWord(h hash.Hash64, w uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], w)
-	h.Write(b[:])
-}
-
-// seriesDigest folds the bit patterns of a series into one FNV-1a word.
-func seriesDigest(xs []float64) uint64 {
-	h := fnv.New64a()
-	for _, x := range xs {
-		hashWord(h, math.Float64bits(x))
-	}
-	return h.Sum64()
-}
-
-// TestEpochSeriesGolden pins both epoch series bit for bit. The digests
-// were recorded on the commit before the series moved into chunks, when
-// closeEpoch appended a rate and a latency per epoch to two slices; at
-// EpochOps 1 the run crosses every chunk size up to the 8 Ki cap.
+// TestEpochSeriesGolden pins both epoch series: their length, means and
+// the latency p99, and each series' digest. At EpochOps 1 the run
+// crosses every chunk size up to the 8 Ki cap.
 func TestEpochSeriesGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		epochOps, epochs int
-		tput, lat        uint64
-		p99              float64
-	}{
-		{name: "per-op", epochOps: 1, epochs: 299_999, tput: 0x80c9da52f9ee8c7e, lat: 0x855bd0394483674a, p99: 0.005717896099000786},
-		{name: "default", epochOps: 0, epochs: 293, tput: 0xd42cf2f19c61d36b, lat: 0xdaf1087269bf003b, p99: 0.0023007774361541345},
-	} {
+		name     string
+		epochOps int
+	}{{"per-op", 1}, {"default", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := seriesRun(t, tc.epochOps)
-			m := e.Metrics()
-			if len(m.EpochThroughputs) != tc.epochs || len(m.EpochLatencies) != tc.epochs {
-				t.Fatalf("%d throughput and %d latency epochs, want %d", len(m.EpochThroughputs), len(m.EpochLatencies), tc.epochs)
+			m := seriesRun(t, tc.epochOps).Metrics()
+			if len(m.EpochThroughputs) != len(m.EpochLatencies) {
+				t.Fatalf("%d throughput and %d latency epochs", len(m.EpochThroughputs), len(m.EpochLatencies))
 			}
-			if got := seriesDigest(m.EpochThroughputs); got != tc.tput {
-				t.Errorf("throughput digest %#x, want %#x", got, tc.tput)
-			}
-			if got := seriesDigest(m.EpochLatencies); got != tc.lat {
-				t.Errorf("latency digest %#x, want %#x", got, tc.lat)
-			}
-			if got := m.LatencyPercentile(0.99); got != tc.p99 {
-				t.Errorf("p99 latency %v, want %v", got, tc.p99)
-			}
+			golden.Check(t, "testdata/epoch_series_"+tc.name+".golden", fmt.Appendf(nil,
+				"epochs %d\nthroughput mean %v digest %s\nlatency mean %v p99 %v digest %s\n",
+				len(m.EpochThroughputs), stats.Mean(m.EpochThroughputs), golden.Digest(fmt.Append(nil, m.EpochThroughputs)),
+				stats.Mean(m.EpochLatencies), m.LatencyPercentile(0.99), golden.Digest(fmt.Append(nil, m.EpochLatencies))))
 		})
 	}
 }

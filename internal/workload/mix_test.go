@@ -1,11 +1,11 @@
 package workload
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
+	"fmt"
 	"math"
 	"testing"
+
+	"rafiki/internal/golden"
 )
 
 func TestMixValidate(t *testing.T) {
@@ -76,42 +76,30 @@ func bucketHistogram(t *testing.T, next func() uint64, keySpace uint64, n int) [
 func TestGeneratorGoldenHistograms(t *testing.T) {
 	const keySpace = 4096
 	const draws = 100_000
-
 	zipf, err := NewZipfKeyGenerator(keySpace, 1.4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantZipf := [16]int{38308, 2174, 1506, 10020, 2630, 1761, 4854, 3237, 1872, 14042, 4261, 2365, 1451, 8236, 1876, 1407}
-	if got := bucketHistogram(t, zipf.Next, keySpace, draws); got != wantZipf {
-		t.Errorf("zipfian histogram drifted:\n got %v\nwant %v", got, wantZipf)
-	}
-
 	hot, err := NewHotspotKeyGenerator(keySpace, 0.2, 0.8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHot := [16]int{6297, 6057, 6001, 6324, 6102, 6280, 6324, 6401, 6177, 6268, 6299, 6078, 6387, 6549, 6322, 6134}
-	if got := bucketHistogram(t, hot.Next, keySpace, draws); got != wantHot {
-		t.Errorf("hotspot histogram drifted:\n got %v\nwant %v", got, wantHot)
-	}
-
 	latest, err := NewLatestKeyGenerator(keySpace, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLatest := [16]int{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 39, 1767, 98193}
-	if got := bucketHistogram(t, latest.Next, keySpace, draws); got != wantLatest {
-		t.Errorf("latest histogram drifted:\n got %v\nwant %v", got, wantLatest)
-	}
-
 	krd, err := NewKeyGenerator(keySpace, 64, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKRD := [16]int{6197, 6131, 6036, 5658, 6038, 5795, 6127, 7451, 6100, 6009, 6090, 6421, 5977, 6077, 7462, 6431}
-	if got := bucketHistogram(t, krd.Next, keySpace, draws); got != wantKRD {
-		t.Errorf("KRD histogram drifted:\n got %v\nwant %v", got, wantKRD)
+	var text []byte
+	for _, g := range []struct {
+		name string
+		next func() uint64
+	}{{"zipfian", zipf.Next}, {"hotspot", hot.Next}, {"latest", latest.Next}, {"krd", krd.Next}} {
+		text = fmt.Appendf(text, "%s %v\n", g.name, bucketHistogram(t, g.next, keySpace, draws))
 	}
+	golden.Check(t, "testdata/key_histograms.golden", text)
 }
 
 // TestHotspotConcentration pins the hotspot property itself: the bucket
@@ -428,60 +416,50 @@ func TestRunMixedDeterminism(t *testing.T) {
 	}
 }
 
-// opDigestStore hashes the op stream it is driven with: one byte of op
-// type and the key, in issue order.
-type opDigestStore struct {
-	h     hash.Hash64
+// opStreamStore writes the op stream it is driven with as text: one line
+// of op type and key per op, in the order they were sent.
+type opStreamStore struct {
+	ops   []byte
 	clock float64
 }
 
-func (d *opDigestStore) op(kind byte, key uint64) {
-	d.h.Write(binary.LittleEndian.AppendUint64([]byte{kind}, key))
-	d.clock += 1e-4
+func (s *opStreamStore) op(kind byte, key uint64) {
+	s.ops = fmt.Appendf(s.ops, "%c %d\n", kind, key)
+	s.clock += 1e-4
 }
-func (d *opDigestStore) Read(k uint64)   { d.op('r', k) }
-func (d *opDigestStore) Write(k uint64)  { d.op('w', k) }
-func (d *opDigestStore) Delete(k uint64) { d.op('d', k) }
-func (d *opDigestStore) FinishEpoch()    {}
-func (d *opDigestStore) Clock() float64  { return d.clock }
-func (d *opDigestStore) KeySpace() int   { return 10_000 }
+func (s *opStreamStore) Read(k uint64)   { s.op('r', k) }
+func (s *opStreamStore) Write(k uint64)  { s.op('w', k) }
+func (s *opStreamStore) Delete(k uint64) { s.op('d', k) }
+func (s *opStreamStore) FinishEpoch()    {}
+func (s *opStreamStore) Clock() float64  { return s.clock }
+func (s *opStreamStore) KeySpace() int   { return 10_000 }
 
-// TestRunLegacySpecUnchanged pins the op stream of RR-only and
-// read/update/delete specs bit-for-bit: counts and op-stream digests
-// were recorded on the parent (4f2b7b5), the RR-only rows from the
-// two-op driver this loop replaced and the Mix rows from runMixed, so
-// previously collected datasets remain reproducible. What moved on
-// purpose: an RR-only run now reports its writes as Updates (the two-op
-// driver left Updates at zero).
-func TestRunLegacySpecUnchanged(t *testing.T) {
-	for _, tc := range []struct {
-		spec                    Spec
-		reads, updates, deletes int
-		digest                  uint64
-	}{
-		{Spec{ReadRatio: 0, KRDMean: 100, Seed: 6}, 0, 10000, 0, 0xa60e3dc3dcdf55a4},
-		{Spec{ReadRatio: 0.3, KRDMean: 20_000, Seed: 7}, 3045, 6955, 0, 0x978c0aad25545f5a},
-		{Spec{ReadRatio: 0.7, KRDMean: 100, Seed: 6}, 6936, 3064, 0, 0x76a561fcc42a9334},
-		{Spec{ReadRatio: 1, Seed: 8}, 10000, 0, 0, 0x70d56fb4e2cb464d},
-		{Spec{Mix: Mix{Read: 0.7, Update: 0.24, Delete: 0.06}, KRDMean: 100, Seed: 6}, 6936, 2498, 566, 0xe1c6437b2d680594},
+// TestRunSpecGolden pins the op stream of RR-only and
+// read/update/delete specs, so previously collected datasets remain
+// reproducible.
+func TestRunSpecGolden(t *testing.T) {
+	var text []byte
+	for _, spec := range []Spec{
+		{ReadRatio: 0, KRDMean: 100, Seed: 6},
+		{ReadRatio: 0.3, KRDMean: 20_000, Seed: 7},
+		{ReadRatio: 0.7, KRDMean: 100, Seed: 6},
+		{ReadRatio: 1, Seed: 8},
+		{Mix: Mix{Read: 0.7, Update: 0.24, Delete: 0.06}, KRDMean: 100, Seed: 6},
+		{Mix: Mix{Read: 0.5, Update: 0.3, Delete: 0.2}, Seed: 8, Ops: 20_000},
 	} {
-		tc.spec.Ops = 10_000
-		store := &opDigestStore{h: fnv.New64a()}
-		res, err := Run(store, tc.spec)
+		if spec.Ops == 0 {
+			spec.Ops = 10_000
+		}
+		store := &opStreamStore{}
+		res, err := Run(store, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Result{
-			Spec: tc.spec, Throughput: res.Throughput, Seconds: res.Seconds,
-			Reads: tc.reads, Writes: tc.updates + tc.deletes, Updates: tc.updates, Deletes: tc.deletes,
-		}
-		if res != want {
-			t.Errorf("rr=%v mix=%+v: result %+v, golden %+v", tc.spec.ReadRatio, tc.spec.Mix, res, want)
-		}
-		if got := store.h.Sum64(); got != tc.digest {
-			t.Errorf("rr=%v mix=%+v: op-stream digest %#x, golden %#x", tc.spec.ReadRatio, tc.spec.Mix, got, tc.digest)
-		}
+		text = fmt.Appendf(text, "spec rr %v mix %+v krd %v seed %d ops %d\n reads %d updates %d inserts %d deletes %d scans %d writes %d\n op stream digest %s\n",
+			spec.ReadRatio, spec.Mix, spec.KRDMean, spec.Seed, spec.Ops,
+			res.Reads, res.Updates, res.Inserts, res.Deletes, res.Scans, res.Writes, golden.Digest(store.ops))
 	}
+	golden.Check(t, "testdata/run_spec.golden", text)
 }
 
 // TestMixThresholdsCatchAll: the last non-zero class absorbs whatever

@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section and prints the reports, optionally writing them to
-// a file (the source of EXPERIMENTS.md's measured numbers).
+// a file (`make paper` diffs the default set's against the tracked
+// internal/bench/testdata/paper-report.golden, EXPERIMENTS.md's source).
 //
 // Usage:
 //
@@ -10,11 +11,12 @@
 // The experiments, their IDs and their running order are the table
 // bench.Experiments(). Without -only every experiment that is not
 // opt-in runs; netsim, chaos, ring, frontdoor, slo and workloadmix are
-// opt-in and run only when -only names them. chaos, ring, slo and
-// workloadmix are gates: each prints its report and then exits nonzero
-// when its check fails. The first experiment that needs a trained
-// pipeline (figure4 for Cassandra's 220 samples, table4 for ScyllaDB's)
-// builds it inside its own elapsed time.
+// opt-in and run only when -only names them. Each report ends with its
+// claims, and the run with a "claims: N of M hold" line. The command
+// exits nonzero when an experiment errors or a gate claim (chaos, ring,
+// slo and workloadmix carry them) fails. The first experiment that
+// needs a trained pipeline (figure4 for Cassandra's 220 samples, table4
+// for ScyllaDB's) builds it inside its own elapsed time.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"rafiki/internal/bench"
@@ -94,19 +97,28 @@ func run() (err error) {
 		}()
 	}
 
+	held, total := 0, 0
+	var failed []string // failing gate claims
 	for _, e := range selected {
 		log.Printf("running %s...", e.ID)
 		start := time.Now()
 		rep, err := e.Run(suite)
 		if err != nil {
-			// A failing gate still carries a report worth reading:
-			// print it before failing.
-			if rep.ID != "" {
-				fmt.Fprintf(w, "%s\n", rep.Render())
-			}
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Fprintf(w, "%s\n(elapsed %s)\n\n", rep.Render(), time.Since(start).Round(time.Millisecond))
+		total += len(rep.Claims)
+		for _, c := range rep.Claims {
+			if c.Holds {
+				held++
+			} else if c.Gate {
+				failed = append(failed, e.ID+": "+c.Text)
+			}
+		}
+	}
+	fmt.Fprintf(w, "claims: %d of %d hold\n", held, total)
+	if len(failed) > 0 {
+		return fmt.Errorf("gate failed:\n%s", strings.Join(failed, "\n"))
 	}
 	return nil
 }

@@ -90,10 +90,12 @@ func TestReportRender(t *testing.T) {
 		Tables: []Table{
 			{Header: []string{"h"}, Rows: [][]string{{"v"}}},
 		},
-		Notes: []string{"a note"},
+		Notes:  []string{"a note"},
+		Claims: []Claim{claim(true, "%d holds", 1), claim(false, "two"), gate(false, "three")},
 	}
 	out := r.Render()
-	for _, want := range []string{"== x: demo report ==", "note: a note", "h", "v"} {
+	for _, want := range []string{"== x: demo report ==", "note: a note", "h", "v",
+		"claim holds: 1 holds", "claim FAILS: two", "gate FAILS: three"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
@@ -158,10 +160,7 @@ func TestGridConfigsCount(t *testing.T) {
 
 func TestScyllaGridCount(t *testing.T) {
 	space := config.ScyllaDB()
-	grid, err := scyllaGrid(space)
-	if err != nil {
-		t.Fatal(err)
-	}
+	grid := scyllaGrid()
 	if len(grid) != 80 {
 		t.Fatalf("scylla grid has %d configs, want 80", len(grid))
 	}

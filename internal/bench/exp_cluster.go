@@ -19,6 +19,7 @@ func Table3(p *Pipeline) (Report, error) {
 	}
 	env := p.Opts.Env
 	seed := env.Seed + 110_000
+	var one, two []float64 // improvements, by workload
 	for _, rr := range workloads {
 		seed += 100
 		rec, err := p.Recommend(core.RR(rr))
@@ -43,20 +44,29 @@ func Table3(p *Pipeline) (Report, error) {
 			return Report{}, err
 		}
 
+		one, two = append(one, oneRaf/oneDef-1), append(two, twoRaf/twoDef-1)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("RR=%.0f%%", rr*100),
-			f0(oneDef), f0(oneRaf), pct(oneRaf/oneDef - 1),
-			f0(twoDef), f0(twoRaf), pct(twoRaf/twoDef - 1),
+			f0(oneDef), f0(oneRaf), pct(one[len(one)-1]),
+			f0(twoDef), f0(twoRaf), pct(two[len(two)-1]),
 		})
 	}
+	// The paper's own two-server row peaks at RR=50, so "grows" means
+	// the write-heavy improvement is the smallest.
+	grows := func(v []float64) bool { return v[0] < min(v[1], v[2]) }
 	return Report{
 		ID:     "table3",
 		Title:  "Multi-server tuning: improvement carries over to a replicated cluster",
 		Tables: []Table{t},
 		Notes: []string{
 			"paper: single-server improvements 15.2% / 41.34% / 48.35% at RR=10/50/100%; two-server 3.2% / 67.37% / 51.4%; averages 34% vs 40%",
-			"shape under test: improvements persist on the cluster and grow with the read ratio",
 			"the two-server setup replicates every key (RF=2) so each instance stores as many keys as the single-server case, as in the paper",
+		},
+		Claims: []Claim{
+			claim(grows(one) && grows(two), "improvements grow with the read ratio: RR=10%% gains least on both setups (1 node %s / %s / %s)",
+				pct(one[0]), pct(one[1]), pct(one[2])),
+			claim(min(two[0], two[1], two[2]) > 0, "improvements persist on the cluster: 2 nodes improve at every read ratio, as the paper's 3.2%% / 67.4%% / 51.4%% (%s / %s / %s)",
+				pct(two[0]), pct(two[1]), pct(two[2])),
 		},
 	}, nil
 }

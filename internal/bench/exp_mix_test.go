@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"rafiki/internal/core"
@@ -39,16 +38,20 @@ func TestWorkloadMixPrefersLeveledAsScansRise(t *testing.T) {
 	}
 	rep, err := workloadMixReport(p, []float64{0, 0.2, 0.4})
 	if err != nil {
-		t.Fatalf("workload-mix gate failed: %v\n%s", err, rep.Render())
+		t.Fatal(err)
 	}
 	if len(rep.Tables) != 1 || len(rep.Tables[0].Rows) != 3 {
 		t.Fatalf("report shape: %+v", rep)
 	}
-	// The gate inside workloadMixReport already asserts the discovery
-	// (Leveled at the top of the sweep, widening surrogate edge); spot
-	// check the rendering carries the claim for EXPERIMENTS.md.
-	if !strings.Contains(rep.Render(), "Leveled") {
-		t.Error("report never mentions the discovered Leveled preference")
+	// The gates assert the discovery: Leveled at the top of the sweep,
+	// and a widening surrogate edge.
+	if len(rep.Claims) != 2 {
+		t.Fatalf("claims = %+v, want the two gates", rep.Claims)
+	}
+	for _, c := range rep.Claims {
+		if !c.Gate || !c.Holds {
+			t.Errorf("workload-mix gate failed: %+v\n%s", c, rep.Render())
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ type ringPhase struct {
 	moved      float64 // token-circle fraction scheduled to move
 	serveOps   int     // foreground ops issued while ranges were pending
 	drainPumps int     // idle pump steps needed after the load window
+	pending    int     // ranges still pending after the drain (0 = drained)
 	window     float64 // virtual seconds from change to quiescence
 	streams    uint64  // completed streams
 	severed    uint64
@@ -77,18 +78,12 @@ func runRingScale(env Env, nodes int, seed int64) (ringRun, error) {
 	}
 
 	// Warm the versioned state so streams have something to move.
-	warm := env.SampleOps / 50
-	if warm < 1000 {
-		warm = 1000
-	}
+	warm := max(env.SampleOps/50, 1000)
 	for i := 0; i < warm; i++ {
 		serve()
 	}
 
-	phaseOps := env.SampleOps / 25
-	if phaseOps < 2000 {
-		phaseOps = 2000
-	}
+	phaseOps := max(env.SampleOps/25, 2000)
 	phase := func(change func() error) (ringPhase, error) {
 		pre := c.Stats()
 		preMoved := c.MovedTokenFraction()
@@ -107,9 +102,7 @@ func runRingScale(env Env, nodes int, seed int64) (ringRun, error) {
 		}
 		// Whatever the load window did not finish drains idle.
 		ph.drainPumps = c.DrainRebalance(1_000_000)
-		if n := c.PendingRanges(); n != 0 {
-			return ringPhase{}, fmt.Errorf("rebalance did not drain: %d ranges pending", n)
-		}
+		ph.pending = c.PendingRanges()
 		ph.window = c.Clock() - start
 		post := c.Stats()
 		ph.streams = post.StreamsCompleted - pre.StreamsCompleted
@@ -143,9 +136,9 @@ func runRingScale(env Env, nodes int, seed int64) (ringRun, error) {
 }
 
 // Ring is the elastic-topology experiment: 16 to 64 node rings each
-// survive a join and a decommission under QUORUM load. It fails (for
-// `-only ring` gating) if any acked write becomes unreadable or a rebalance
-// fails to drain.
+// survive a join and a decommission under QUORUM load. Its gates (for
+// `-only ring`) fail if any acked write becomes unreadable or a
+// rebalance fails to drain.
 func Ring(env Env) (Report, error) {
 	if err := env.Validate(); err != nil {
 		return Report{}, err
@@ -158,17 +151,22 @@ func Ring(env Env) (Report, error) {
 		Header: []string{"nodes", "event", "moved", "streams", "severed", "cells", "~KiB",
 			"forwarded", "unavail ops", "serve ops", "drain pumps", "window (vms)"},
 	}
-	var runs []ringRun
+	var unreadable, undrained []string
 	for _, n := range scales {
 		r, err := runRingScale(env, n, seed+int64(n))
 		if err != nil {
 			return Report{}, fmt.Errorf("bench: ring %d nodes: %w", n, err)
 		}
-		runs = append(runs, r)
+		if !r.readable {
+			unreadable = append(unreadable, fmt.Sprint(n))
+		}
 		for _, ev := range []struct {
 			name string
 			ph   ringPhase
 		}{{"join", r.join}, {"leave", r.leave}} {
+			if ev.ph.pending != 0 {
+				undrained = append(undrained, fmt.Sprintf("%d-node %s (%d ranges)", n, ev.name, ev.ph.pending))
+			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprint(r.nodes), ev.name, pct(ev.ph.moved),
 				fmt.Sprint(ev.ph.streams), fmt.Sprint(ev.ph.severed),
@@ -180,33 +178,18 @@ func Ring(env Env) (Report, error) {
 		}
 	}
 
-	// Determinism: the smallest scale replayed at the same seed must
-	// reproduce bit for bit.
-	again, err := runRingScale(env, scales[0], seed+int64(scales[0]))
-	if err != nil {
-		return Report{}, err
-	}
-	identical := again == runs[0]
-
-	notes := []string{
-		"moved is the token-circle fraction scheduled to change owners: consistent hashing keeps it near RF/nodes per event (minimal movement), so it shrinks as the ring grows",
-		"every stream leg — open, chunk, delta handoff — crosses the simulated network and competes with foreground load; one pump step runs per serving op",
-		fmt.Sprintf("~KiB estimates stream volume at %d bytes per key state (8B key + 8B version + tombstone flag)", streamCellBytes),
-		fmt.Sprintf("determinism: replaying the %d-node scale at the same seed identical = %v", scales[0], identical),
-	}
-	report := Report{
+	return Report{
 		ID:     "ring",
 		Title:  "Token-ring elasticity: join and decommission under load",
 		Tables: []Table{t},
-		Notes:  notes,
-	}
-	for _, r := range runs {
-		if !r.readable {
-			return report, fmt.Errorf("bench: ring %d nodes: an acked write became unreadable at QUORUM after rebalance", r.nodes)
-		}
-	}
-	if !identical {
-		return report, fmt.Errorf("bench: ring experiment is nondeterministic at %d nodes", scales[0])
-	}
-	return report, nil
+		Notes: []string{
+			"moved is the token-circle fraction scheduled to change owners: consistent hashing keeps it near RF/nodes per event (minimal movement), so it shrinks as the ring grows",
+			"every stream leg — open, chunk, delta handoff — crosses the simulated network and competes with foreground load; one pump step runs per serving op",
+			fmt.Sprintf("~KiB estimates stream volume at %d bytes per key state (8B key + 8B version + tombstone flag)", streamCellBytes),
+		},
+		Claims: []Claim{
+			gate(len(undrained) == 0, "every rebalance drains; still pending: %v", undrained),
+			gate(len(unreadable) == 0, "every acked write stays readable at QUORUM after the join and the decommission; unreadable at nodes: %v", unreadable),
+		},
+	}, nil
 }

@@ -37,10 +37,7 @@ func Figure3(env Env) (Report, error) {
 	// A coarse timeline of the first day: one character per window,
 	// R/W/m by read ratio — the visual shape of Figure 3.
 	var sb strings.Builder
-	day := 24 * 60 / spec.WindowMinutes
-	if day > len(trace) {
-		day = len(trace)
-	}
+	day := min(24*60/spec.WindowMinutes, len(trace))
 	for _, w := range trace[:day] {
 		switch {
 		case w.ReadRatio >= 0.7:

@@ -14,8 +14,8 @@ type Experiment struct {
 	// OptIn experiments run only when named: they never join the
 	// implicit "run everything" set.
 	OptIn bool
-	// Run regenerates the artifact. A failed gate still returns the
-	// report it failed on, next to the error.
+	// Run regenerates the artifact. An error means the harness failed;
+	// verdicts, gates included, are the report's Claims.
 	Run func(*Suite) (Report, error)
 }
 
@@ -87,17 +87,17 @@ func Experiments() []Experiment {
 		// netsim replays the standard workload under simulated network
 		// conditions (flaky links, duplication, delay, partitions).
 		{ID: "netsim", OptIn: true, Run: onEnv(NetSim)},
-		// chaos fails on a corruption-free consistency violation.
+		// chaos gates on a corruption-free consistency violation.
 		{ID: "chaos", OptIn: true, Run: onEnv(Chaos)},
-		// ring fails if an acked write becomes unreadable or a
-		// rebalance fails to drain.
+		// ring gates on an acked write becoming unreadable or a
+		// rebalance failing to drain.
 		{ID: "ring", OptIn: true, Run: onEnv(Ring)},
 		{ID: "frontdoor", OptIn: true, Run: onEnv(FrontDoor)},
-		// slo fails on an SLO miss, nondeterministic shedding, or a
+		// slo gates on an SLO miss, nondeterministic shedding, or a
 		// session-guarantee violation.
 		{ID: "slo", OptIn: true, Run: onEnv(SLO)},
 		// workloadmix trains its own pipeline over a read-ratio x
-		// scan-ratio grid and fails unless the tuner discovers the
+		// scan-ratio grid and gates on the tuner discovering the
 		// leveled-compaction preference as scans rise.
 		{ID: "workloadmix", OptIn: true, Run: func(s *Suite) (Report, error) { return WorkloadMix(s.Opts) }},
 
@@ -121,9 +121,10 @@ func Experiments() []Experiment {
 	}
 }
 
-// table2Scylla is Table2 on the ScyllaDB pipeline, under its own ID.
+// table2Scylla is Table2 on the ScyllaDB pipeline, under its own ID,
+// held to the paper's ScyllaDB error (6.9-7.8%) on both axes.
 func table2Scylla(p *Pipeline) (Report, error) {
-	rep, err := Table2(p)
+	rep, err := table2(p, 7.8, 7.8)
 	if err != nil {
 		return rep, err
 	}

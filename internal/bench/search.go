@@ -22,23 +22,28 @@ type SearchResult struct {
 // configurations per workload (Section 4.8 tests 80 configuration sets
 // for each of three workloads).
 func GridConfigs() []config.Config {
-	var out []config.Config
-	for _, cm := range []float64{config.CompactionSizeTiered, config.CompactionLeveled} {
-		for _, cw := range []float64{32, 64} {
-			for _, fcz := range []float64{32, 512, 1024, 1536, 2048} {
-				for _, mt := range []float64{0.11, 0.35} {
-					for _, cc := range []float64{2, 8} {
-						out = append(out, config.Config{
-							config.ParamCompactionStrategy:   cm,
-							config.ParamConcurrentWrites:     cw,
-							config.ParamFileCacheSize:        fcz,
-							config.ParamMemtableCleanup:      mt,
-							config.ParamConcurrentCompactors: cc,
-						})
-					}
-				}
+	return keyGrid(config.Cassandra(),
+		[]float64{config.CompactionSizeTiered, config.CompactionLeveled}, // compaction_strategy
+		[]float64{32, 64},                    // concurrent_writes
+		[]float64{32, 512, 1024, 1536, 2048}, // file_cache_size_in_mb
+		[]float64{0.11, 0.35},                // memtable_cleanup_threshold
+		[]float64{2, 8})                      // concurrent_compactors
+}
+
+// keyGrid is the cross product of one level list per key parameter of
+// space, in KeyNames order, the first parameter varying slowest.
+func keyGrid(space *config.Space, levels ...[]float64) []config.Config {
+	out := []config.Config{{}}
+	for i, name := range space.KeyNames {
+		var next []config.Config
+		for _, cfg := range out {
+			for _, v := range levels[i] {
+				c := cfg.Clone()
+				c[name] = v
+				next = append(next, c)
 			}
 		}
+		out = next
 	}
 	return out
 }

@@ -59,6 +59,27 @@ func (t Table) Render() string {
 	return sb.String()
 }
 
+// Claim is one verdict an experiment reaches about its own measurements:
+// a paper claim (a threshold is the paper's number or band, stated in
+// Text) or, with Gate set, an invariant whose failure fails the run.
+type Claim struct {
+	Text  string
+	Holds bool
+	Gate  bool
+}
+
+// claim is a scoreboard claim whose text formats the measured values.
+func claim(holds bool, format string, args ...any) Claim {
+	return Claim{Text: fmt.Sprintf(format, args...), Holds: holds}
+}
+
+// gate is a claim that fails the run when it does not hold.
+func gate(holds bool, format string, args ...any) Claim {
+	c := claim(holds, format, args...)
+	c.Gate = true
+	return c
+}
+
 // Report is one experiment's full output.
 type Report struct {
 	// ID is the experiment identifier ("figure4", "table1", ...).
@@ -69,6 +90,8 @@ type Report struct {
 	Tables []Table
 	// Notes records paper-vs-measured commentary and caveats.
 	Notes []string
+	// Claims are the experiment's verdicts, the only ones it reaches.
+	Claims []Claim
 }
 
 // Render draws the full report.
@@ -79,11 +102,21 @@ func (r Report) Render() string {
 		sb.WriteByte('\n')
 		sb.WriteString(t.Render())
 	}
-	if len(r.Notes) > 0 {
+	if len(r.Notes)+len(r.Claims) > 0 {
 		sb.WriteByte('\n')
-		for _, n := range r.Notes {
-			fmt.Fprintf(&sb, "note: %s\n", n)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&sb, "note: %s\n", n)
+	}
+	for _, c := range r.Claims {
+		kind, verdict := "claim", "holds"
+		if c.Gate {
+			kind = "gate"
 		}
+		if !c.Holds {
+			verdict = "FAILS"
+		}
+		fmt.Fprintf(&sb, "%s %s: %s\n", kind, verdict, c.Text)
 	}
 	return sb.String()
 }

@@ -152,25 +152,20 @@ func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
 		normY[i] = outNorm.Apply(y)
 	}
 
-	// Members train concurrently: member k's initialization and trainer
-	// seeds are pure functions of (cfg.Seed, k), results land in
-	// index-addressed slots, and each member's telemetry goes to its own
-	// obs stage, merged in member order below. Any worker count
-	// therefore produces a bit-identical model and snapshot (see
-	// TestFitDeterministicAcrossWorkers).
+	// Members train concurrently on par.Staged: member k's
+	// initialization and trainer seeds are pure functions of (cfg.Seed,
+	// k), and its telemetry goes to a stage merged in member order. Any
+	// worker count therefore produces a bit-identical model and snapshot
+	// (see TestFitDeterministicAcrossWorkers).
 	type member struct {
 		net *Network
 		res TrainResult
 	}
-	members := make([]member, cfg.EnsembleSize)
-	stages := make([]*obs.Registry, cfg.EnsembleSize)
-	err = par.Do(cfg.EnsembleSize, par.Options{Workers: cfg.Workers, Name: "nn.fit", Obs: cfg.Obs}, func(k int) error {
-		stage := cfg.Obs.Stage()
-		stages[k] = stage
+	members, err := par.Staged(cfg.EnsembleSize, par.Options{Workers: cfg.Workers, Name: "nn.fit", Obs: cfg.Obs}, func(k int, stage *obs.Registry) (member, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(k)*7919))
 		net, err := NewNetwork(len(xs[0]), cfg.Hidden, rng)
 		if err != nil {
-			return err
+			return member{}, err
 		}
 		var res TrainResult
 		switch cfg.Trainer {
@@ -186,32 +181,31 @@ func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
 			err = fmt.Errorf("nn: unknown trainer %d", cfg.Trainer)
 		}
 		if err != nil {
-			return fmt.Errorf("nn: training member %d: %w", k, err)
+			return member{}, fmt.Errorf("nn: training member %d: %w", k, err)
 		}
-		members[k] = member{net: net, res: res}
-		return nil
+		return member{net: net, res: res}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	totalEpochs := 0
-	for k := range members {
-		cfg.Obs.Merge(stages[k])
-		res := members[k].res
-		if cfg.Obs != nil {
+	// One span per member, on an axis of cumulative epochs, after every
+	// member's own spans.
+	if cfg.Obs != nil {
+		totalEpochs := 0
+		for k, mem := range members {
 			converged := 0.0
-			if res.Converged {
+			if mem.res.Converged {
 				converged = 1
 			}
 			cfg.Obs.Record(obs.Span{
 				Name:  "nn.member",
 				Start: float64(totalEpochs),
-				End:   float64(totalEpochs + res.Epochs),
+				End:   float64(totalEpochs + mem.res.Epochs),
 				Unit:  "epochs",
-				Attrs: map[string]float64{"member": float64(k), "mse": res.MSE, "converged": converged},
+				Attrs: map[string]float64{"member": float64(k), "mse": mem.res.MSE, "converged": converged},
 			})
+			totalEpochs += mem.res.Epochs
 		}
-		totalEpochs += res.Epochs
 	}
 
 	// Simple ensemble pruning: drop the PruneFraction of members with

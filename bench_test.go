@@ -411,15 +411,16 @@ func BenchmarkPipelineStage(b *testing.B) {
 // cite by name: each is still a sub-benchmark under that name, the
 // committed BENCH.txt carries its line, and every engine op does work
 // on a warm engine. The stage bodies are too slow for a test; `make
-// bench-smoke` runs them once. The inference rows live in internal/nn
-// and the file-cache miss row in internal/nosql, so only their BENCH.txt
-// lines are checked here.
+// bench-smoke` runs them once. The inference rows live in internal/nn,
+// the file-cache miss row in internal/nosql and the sample row in
+// internal/sim, so only their BENCH.txt lines are checked here.
 func TestBenchRowsSmoke(t *testing.T) {
 	elsewhere := []string{
 		"BenchmarkPredictBatch/rows=1",
 		"BenchmarkPredictBatch/rows=48",
 		"BenchmarkPredictBatch/rows=1024",
 		"BenchmarkBlockCacheMiss",
+		"BenchmarkSample",
 	}
 	want := []string{
 		"BenchmarkEngineOp/read",

@@ -77,28 +77,6 @@ type OverloadReport struct {
 	Failures int
 }
 
-// Err returns a gating error when any seed failed.
-func (r *OverloadReport) Err() error {
-	if r.Failures > 0 {
-		return fmt.Errorf("frontdoor: %d of %d overload chaos seeds failed", r.Failures, len(r.Outcomes))
-	}
-	return nil
-}
-
-// Render formats the report deterministically.
-func (r *OverloadReport) Render() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "overload chaos: %d seeds, %d failures\n", len(r.Outcomes), r.Failures)
-	for _, o := range r.Outcomes {
-		fmt.Fprintf(&b, "  seed %-4d %-18s arrivals=%d admitted=%d completed=%d shed=%d (rate=%d queue=%d deadline=%d) depth=%d compliance=%.3f steady-p99=%.6fs breaker-opens=%d rpc-lost=%d digest=%016x\n",
-			o.Seed, o.Verdict, o.Arrivals, o.Admitted, o.Completed, o.Shed, o.ShedRateLimited, o.ShedQueueFull, o.ShedDeadline, o.MaxQueueDepth, o.Compliance, o.SteadyP99, o.BreakerOpens, o.RPCLost, o.Digest)
-		if o.Detail != "" {
-			fmt.Fprintf(&b, "            %s\n", o.Detail)
-		}
-	}
-	return b.String()
-}
-
 // RunOverload runs the overload chaos harness.
 func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 	cfg = cfg.withDefaults()

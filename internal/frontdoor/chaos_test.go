@@ -1,7 +1,6 @@
 package frontdoor_test
 
 import (
-	"strings"
 	"testing"
 
 	"rafiki/internal/frontdoor"
@@ -18,15 +17,16 @@ func TestOverloadChaosSeedPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("%v\n%s", err, rep.Render())
-	}
 	if len(rep.Outcomes) != 1 {
 		t.Fatalf("outcomes = %d, want 1", len(rep.Outcomes))
 	}
 	o := rep.Outcomes[0]
-	if o.Verdict != "ok" {
-		t.Fatalf("verdict = %q (%s)", o.Verdict, o.Detail)
+	if o.Verdict != "ok" || rep.Failures != 0 {
+		t.Fatalf("verdict = %q (%s), %d failures", o.Verdict, o.Detail, rep.Failures)
+	}
+	if o.Seed != 3 || o.Arrivals < o.Admitted || o.Shed != o.ShedRateLimited+o.ShedQueueFull+o.ShedDeadline {
+		t.Errorf("seed %d: arrivals=%d admitted=%d shed=%d (rate=%d queue=%d deadline=%d) inconsistent",
+			o.Seed, o.Arrivals, o.Admitted, o.Shed, o.ShedRateLimited, o.ShedQueueFull, o.ShedDeadline)
 	}
 	// The schedule must actually exercise every defense layer.
 	if o.ShedRateLimited == 0 || o.ShedQueueFull == 0 || o.ShedDeadline == 0 {
@@ -41,31 +41,5 @@ func TestOverloadChaosSeedPasses(t *testing.T) {
 	}
 	if o.Completed == 0 || o.Admitted < o.Completed {
 		t.Errorf("admitted=%d completed=%d inconsistent", o.Admitted, o.Completed)
-	}
-
-	r := rep.Render()
-	if !strings.Contains(r, "overload chaos: 1 seeds, 0 failures") {
-		t.Errorf("render header missing:\n%s", r)
-	}
-	if !strings.Contains(r, "seed 3") || !strings.Contains(r, "ok") {
-		t.Errorf("render missing seed line:\n%s", r)
-	}
-}
-
-// TestOverloadReportErrGates checks the report's gating behavior.
-func TestOverloadReportErrGates(t *testing.T) {
-	rep := &frontdoor.OverloadReport{
-		Outcomes: []frontdoor.OverloadOutcome{{Seed: 1, Verdict: "slo-miss", Detail: "x"}},
-		Failures: 1,
-	}
-	if rep.Err() == nil {
-		t.Error("failing report returned nil error")
-	}
-	if !strings.Contains(rep.Render(), "slo-miss") {
-		t.Error("render omits failing verdict")
-	}
-	clean := &frontdoor.OverloadReport{Outcomes: []frontdoor.OverloadOutcome{{Seed: 1, Verdict: "ok"}}}
-	if clean.Err() != nil {
-		t.Error("clean report returned an error")
 	}
 }

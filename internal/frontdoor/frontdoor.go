@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"rafiki/internal/check"
 	"rafiki/internal/cluster"
@@ -534,7 +533,6 @@ func (f *FrontDoor) flushWindows(final bool) {
 
 // closeWindow emits the current window's stats.
 func (f *FrontDoor) closeWindow() {
-	sort.Float64s(f.winLat)
 	n := len(f.winLat)
 	w := WindowStat{
 		Index:      f.winIdx,
@@ -543,10 +541,8 @@ func (f *FrontDoor) closeWindow() {
 		Completed:  n,
 		Throughput: float64(n) / f.opts.SLOWindow,
 		ReadFrac:   float64(f.winReads) / float64(n),
-		P50:        exactQuantile(f.winLat, 0.50),
-		P99:        exactQuantile(f.winLat, 0.99),
-		P999:       exactQuantile(f.winLat, 0.999),
 	}
+	w.P50, w.P99, w.P999 = quantiles(f.winLat)
 	if f.opts.SLOP99 > 0 && w.P99 > f.opts.SLOP99 {
 		w.Violated = true
 		f.res.SLOViolations++
@@ -567,26 +563,56 @@ func (f *FrontDoor) finishClasses() {
 		if len(lats) == 0 {
 			continue
 		}
-		sort.Float64s(lats)
-		f.res.Classes[ci].P50 = exactQuantile(lats, 0.50)
-		f.res.Classes[ci].P99 = exactQuantile(lats, 0.99)
-		f.res.Classes[ci].P999 = exactQuantile(lats, 0.999)
+		c := &f.res.Classes[ci]
+		c.P50, c.P99, c.P999 = quantiles(lats)
 	}
 }
 
-// exactQuantile returns the q-quantile of sorted xs (nearest-rank).
-func exactQuantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// quantiles returns the nearest-rank p50, p99 and p999 of xs, reordering
+// it. Each is selected in place, not sorted for: p999 over all of xs,
+// then p99 among the values at or below it, then p50 among those at or
+// below p99 — O(n) in all.
+func quantiles(xs []float64) (p50, p99, p999 float64) {
+	n := len(xs)
+	if n == 0 {
+		return 0, 0, 0
 	}
-	rank := int(math.Ceil(q * float64(len(xs))))
-	if rank < 1 {
-		rank = 1
+	rank := func(q float64) int { return min(max(int(math.Ceil(q*float64(n))), 1), n) - 1 }
+	i50, i99, i999 := rank(0.50), rank(0.99), rank(0.999)
+	selectNth(xs, i999)
+	selectNth(xs[:i999+1], i99)
+	selectNth(xs[:i99+1], i50)
+	return xs[i50], xs[i99], xs[i999]
+}
+
+// selectNth reorders xs so that xs[k] holds the value an ascending sort
+// would put there, with nothing larger before it and nothing smaller
+// after (Hoare's selection).
+func selectNth(xs []float64, k int) {
+	for lo, hi := 0, len(xs)-1; lo < hi; {
+		pivot := xs[int(uint(lo+hi)>>1)]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
 	}
-	if rank > len(xs) {
-		rank = len(xs)
-	}
-	return xs[rank-1]
 }
 
 // FNV-1a 64-bit, folding whole uint64s a byte at a time.

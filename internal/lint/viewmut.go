@@ -2,7 +2,7 @@ package lint
 
 // viewmut enforces the shared read-only view convention from DESIGN.md
 // §14: a value returned by a //rafiki:view function (an SSTable's run,
-// filter and bitmap, Engine.Params, memtable.SortedKeys) is shared with the
+// filter and bitmap, Engine.Params) is shared with the
 // owner and must never be written through — no index assignment, no
 // append into it, no handing it to a callee that mutates its argument.
 // Callers that need a private copy must make one explicitly.

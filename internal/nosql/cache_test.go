@@ -494,9 +494,8 @@ func TestTableSetRemoveTables(t *testing.T) {
 }
 
 // TestMemtableDrainScratchReuse pins Drain's scratch contract: the
-// returned buffers are reused across flushes — the keys are the run
-// itself — and a second fill/drain cycle returns exactly the new
-// contents.
+// returned buffers are reused across flushes, and a second fill/drain
+// cycle returns exactly the new contents.
 func TestMemtableDrainScratchReuse(t *testing.T) {
 	m := newMemtable(1024)
 	m.Insert(5, 0, 1024)
@@ -512,8 +511,8 @@ func TestMemtableDrainScratchReuse(t *testing.T) {
 	if m.Len() != 0 || m.Bytes() != 0 {
 		t.Fatal("drain should empty the memtable")
 	}
-	if got := m.SortedKeys(); len(got) != 0 {
-		t.Fatalf("drained memtable still lists keys %v", got)
+	if k, ok := m.seek(0); ok {
+		t.Fatalf("drained memtable still holds key %d", k)
 	}
 	m.Insert(7, 0, 1024)
 	keys2, tombs2, _ := m.Drain()
@@ -524,7 +523,7 @@ func TestMemtableDrainScratchReuse(t *testing.T) {
 		t.Fatalf("second drain tombs = %v", tombs2)
 	}
 	if &keys2[0] != &keys1[0] {
-		t.Error("second drain's keys do not reuse the first's backing (the run)")
+		t.Error("second drain's keys do not reuse the first's backing")
 	}
 	// TTL'd cells surface through the reused expiry scratch.
 	m.Insert(11, 42.0, 1024)
@@ -544,7 +543,7 @@ func TestMemtableDrainScratchReuse(t *testing.T) {
 			m.Insert(k*2654435761%4096, float64(k%3), 1024)
 			if k%64 == 0 {
 				m.Tombstone(k)
-				m.SortedKeys()
+				m.seek(k)
 			}
 		}
 		m.Drain()

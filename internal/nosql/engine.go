@@ -813,12 +813,12 @@ func tablesContain(tables []*ssTable, id uint64) bool {
 //
 //rafiki:hot
 func (e *Engine) closeEpoch() {
-	acc := e.ep
-	e.ep = epochAcc{}
+	acc := &e.ep
 	if acc.ops == 0 {
+		*acc = epochAcc{}
 		return
 	}
-	hw, model, p := e.hw, e.model, e.p
+	hw, model, p := &e.hw, &e.model, &e.p
 
 	writeShare := float64(acc.writes) / float64(acc.ops)
 	perByte := hw.DiskSecondsPerByte()
@@ -940,6 +940,7 @@ func (e *Engine) closeEpoch() {
 	e.clock += dt
 	e.m.VirtualSeconds += dt
 	rate := float64(acc.ops) / dt
+	*acc = epochAcc{} // the epoch is accounted; what follows starts the next
 	e.rates.add(rate)
 	e.m.Epochs++
 	e.o.epochTput.Observe(rate)
@@ -958,7 +959,7 @@ func (e *Engine) closeEpoch() {
 // advanceBackground spends dt seconds of background capacity on flush
 // and compaction queues, completing tasks and re-planning.
 func (e *Engine) advanceBackground(dt, foreUtil float64) {
-	hw, model, p := e.hw, e.model, e.p
+	hw, model, p := &e.hw, &e.model, &e.p
 
 	bgShare := 1 - 0.75*foreUtil
 	if bgShare < 0.15 {

@@ -1,10 +1,12 @@
 package nosql
 
-// scanSource is one sorted input of the merged range iterator: the
-// memtable (t == nil) or one SSTable, positioned within its ascending
-// key order. Cursors remember the last block they touched so walking
-// consecutive keys in the same block charges the fetch once — the
-// sequential-read advantage real scans have over point reads.
+import "math"
+
+// scanSource is one SSTable input of the merged range iterator,
+// positioned within its ascending key order. Cursors remember the last
+// block they touched so walking consecutive keys in the same block
+// charges the fetch once — the sequential-read advantage real scans
+// have over point reads.
 type scanSource struct {
 	keys       []uint64
 	pos        int
@@ -40,12 +42,10 @@ func (e *Engine) Scan(start uint64, limit int) int {
 	cpu := e.model.ReadCPUSeconds
 
 	// Position a cursor in every source that may still hold keys >=
-	// start. Table order in e.tables is deterministic (append order).
+	// start: the memtable's is its next held key, the tables' are kept
+	// in e.tables' deterministic (append) order.
+	memKey, memOK := e.mem.seek(start)
 	srcs := e.scanSrcs[:0]
-	memKeys := e.mem.SortedKeys()
-	if p := seekGE(memKeys, start); p < len(memKeys) {
-		srcs = append(srcs, scanSource{keys: memKeys, pos: p})
-	}
 	for _, t := range e.tables.tables {
 		keys := t.keys()
 		if len(keys) == 0 || t.maxKey < start {
@@ -62,8 +62,7 @@ func (e *Engine) Scan(start uint64, limit int) int {
 	rows := 0
 	for rows < limit {
 		// The next key is the minimum over the live cursors.
-		var minKey uint64
-		found := false
+		minKey, found := memKey, memOK
 		for i := range srcs {
 			s := &srcs[i]
 			if s.pos >= len(s.keys) {
@@ -87,6 +86,15 @@ func (e *Engine) Scan(start uint64, limit int) int {
 			bestSeq   uint64
 			bestTable *ssTable
 		)
+		if memOK && memKey == minKey {
+			cpu += e.model.ScanNextCPUSeconds
+			e.m.ScanCells++
+			c, _ := e.mem.Cell(minKey)
+			live = !c.tomb && !cellExpired(c.expiry, e.clock)
+			decided = true
+			memKey, memOK = e.mem.seek(minKey + 1)
+			memOK = memOK && minKey != math.MaxUint64 // minKey+1 wrapped to 0
+		}
 		for i := range srcs {
 			s := &srcs[i]
 			if s.pos >= len(s.keys) || s.keys[s.pos] != minKey {
@@ -94,24 +102,18 @@ func (e *Engine) Scan(start uint64, limit int) int {
 			}
 			cpu += e.model.ScanNextCPUSeconds
 			e.m.ScanCells++
-			if s.t == nil {
-				c, _ := e.mem.Cell(minKey)
-				live = !c.tomb && !cellExpired(c.expiry, e.clock)
-				decided = true
-			} else {
-				b := s.t.BlockFor(minKey)
-				if !s.blockValid || b != s.block {
-					s.blockValid, s.block = true, b
-					if e.fileCache.Touch(b) {
-						e.m.FileCacheHits++
-					} else {
-						e.m.DiskBlockReads++
-						e.ep.readMissBlocks++
-					}
+			b := s.t.BlockFor(minKey)
+			if !s.blockValid || b != s.block {
+				s.blockValid, s.block = true, b
+				if e.fileCache.Touch(b) {
+					e.m.FileCacheHits++
+				} else {
+					e.m.DiskBlockReads++
+					e.ep.readMissBlocks++
 				}
-				if bestTable == nil || s.t.seq > bestSeq {
-					bestSeq, bestTable = s.t.seq, s.t
-				}
+			}
+			if bestTable == nil || s.t.seq > bestSeq {
+				bestSeq, bestTable = s.t.seq, s.t
 			}
 			s.pos++
 		}

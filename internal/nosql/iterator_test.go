@@ -2,6 +2,7 @@ package nosql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -164,6 +165,48 @@ func TestEngineScanMatchesModel(t *testing.T) {
 	}
 }
 
+// TestEngineFarKeysMatchModel drives writes, TTL'd writes, deletes and
+// scans at 1<<62, its neighbours and the largest key — far past the
+// memtable's bitmap — through flushes, compactions and restarts. Every
+// scan and liveness check must agree with the model, and neither the
+// bitmap nor a steady far-key op may allocate in proportion to the key.
+func TestEngineFarKeysMatchModel(t *testing.T) {
+	e, err := New(Options{Space: config.Cassandra(), Seed: 3, EpochOps: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []uint64{5, 1 << 62, 1<<62 + 1, 1<<62 + 64, math.MaxUint64 - 1, math.MaxUint64}
+	model := make(scanModel)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 3000; i++ {
+		kind := scanOpKind(rng.Intn(int(scanOpKinds)))
+		if kind >= scanOpFlushEpoch && rng.Intn(8) != 0 {
+			kind = scanOpKind(rng.Intn(4))
+		}
+		if i%200 == 199 {
+			e.flush(false)
+		}
+		if !applyScanOp(t, e, model, kind, keys[rng.Intn(len(keys))], rng.Uint64(), 3) {
+			t.Fatalf("diverged after %d ops", i+1)
+		}
+	}
+	if e.Metrics().Flushes == 0 || e.Metrics().Scans == 0 {
+		t.Fatal("the schedule never flushed or never scanned")
+	}
+	if len(e.mem.bits) > 2 {
+		t.Errorf("far keys grew the memtable's bitmap to %d words", len(e.mem.bits))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		e.WriteTTL(1<<62, 1)
+		e.Write(1 << 62)
+		e.Delete(1<<62 + 1)
+		e.Scan(1<<62, 8)
+	})
+	if allocs > 1 {
+		t.Errorf("steady far-key ops allocate %.2f times per round", allocs)
+	}
+}
+
 // FuzzEngineScan drives the merged iterator from fuzzer-chosen op
 // tapes: each byte triple is (op, key, arg). The engine must never
 // panic and every scan must agree with the sorted-map model, whatever
@@ -313,10 +356,9 @@ func TestScanSpansFlushAndCompactionBoundary(t *testing.T) {
 }
 
 // TestScanAllocGuard pins the scan hot path's allocation budget: once
-// the cursor scratch and the memtable's run are warm, a scan must not
+// the cursor scratch and the memtable's bitmap are warm, a scan must not
 // allocate — neither on a quiescent memtable nor when it follows the
-// write of a key the memtable has not seen, which makes it fold that
-// key into the run first.
+// write of a key the memtable has not seen.
 func TestScanAllocGuard(t *testing.T) {
 	e, err := New(Options{Space: config.Cassandra(), Seed: 5, EpochOps: 1 << 30})
 	if err != nil {
@@ -334,13 +376,12 @@ func TestScanAllocGuard(t *testing.T) {
 		t.Fatalf("Scan allocates %.1f times per op, want 0", allocs)
 	}
 
-	// Warm the memtable's map, run and fresh buffer past the keys the
-	// measured loop will add, then empty it without building a table.
+	// Grow the memtable's bitmap past the keys the measured loop will
+	// add, then empty it without building a table.
 	const fresh = 200
 	for k := uint64(0); k < 4*fresh; k++ {
 		e.mem.Insert(1000+k, 0, float64(e.hw.RowBytes))
 	}
-	e.mem.SortedKeys()
 	e.mem.Drain()
 	next := uint64(1000)
 	allocs = testing.AllocsPerRun(fresh, func() {
@@ -382,10 +423,10 @@ func TestScanParksScratchCleared(t *testing.T) {
 
 // BenchmarkScanUnderWrites times a 64-row scan that follows the write
 // of a key the memtable has not seen — the interleaving a CRUD mix
-// produces, and the one under which the memtable's key order goes stale
-// before every scan. ns/op must not scale with the memtable's size: the
-// new key is folded into the ordered run, the run is not rebuilt. (When
-// every such scan re-sorted the cell map, 8k keys cost ~10x 1k keys.)
+// produces. ns/op must not scale with the memtable's size: the scan's
+// memtable cursor walks the bitmap from the scan's start, whatever was
+// written before it. (When every such scan re-sorted a cell map, 8k
+// keys cost ~10x 1k keys.)
 func BenchmarkScanUnderWrites(b *testing.B) {
 	for _, n := range []int{1 << 10, 8 << 10} {
 		b.Run(fmt.Sprintf("memtable=%d", n), func(b *testing.B) {
@@ -405,7 +446,6 @@ func BenchmarkScanUnderWrites(b *testing.B) {
 				for e.mem.Len() < n {
 					e.mem.Insert(uint64(rng.Int63n(int64(span))), 0, float64(e.hw.RowBytes))
 				}
-				e.mem.SortedKeys()
 			}
 			refill()
 			b.ReportAllocs()

@@ -380,8 +380,9 @@ func TestBlockCacheMatchesOracle(t *testing.T) {
 	}
 }
 
-// parentDrain is Drain as it stood before the ordered run, over a plain
-// cell map: range the map, sort keys and tombstones, collect expiries.
+// parentDrain is Drain over a plain cell map, as it stood before the
+// memtable's key order was kept anywhere: range the map, sort keys and
+// tombstones, collect expiries.
 func parentDrain(cells map[uint64]memCell) (keys, tombstones []uint64, expiries map[uint64]float64) {
 	for k, c := range cells {
 		keys = append(keys, k)
@@ -399,67 +400,83 @@ func parentDrain(cells map[uint64]memCell) (keys, tombstones []uint64, expiries 
 	return keys, tombstones, expiries
 }
 
-// TestMemtableOrderedRunProperty drives two memtables and a plain cell
-// map through the same seeded random Insert/Tombstone/SortedKeys/Drain
-// interleavings. The eager memtable is asked for SortedKeys after every
-// step, the lazy one only when the schedule says so (so folds of many
-// fresh keys, and drains with keys still unfolded, are covered); both
-// must list exactly the sorted distinct key set, and both drains must
-// equal the parent's.
+// TestMemtableOrderedRunProperty drives a memtable and a plain cell map
+// through the same seeded random Insert/Tombstone/seek/Drain
+// interleavings, over keys of every kind the bitmap treats differently:
+// a small key space, a frontier that keeps growing the bitmap, keys
+// either side of memCeiling, and far keys past it. After every step the
+// touched key's Contains, Cell and IsTombstone and the memtable's Len
+// must match the map; a walk of the scan cursor must list exactly the
+// sorted key set, and every drain must equal the map's.
 func TestMemtableOrderedRunProperty(t *testing.T) {
 	const schedules, steps = 200, 300
 	for seed := int64(0); seed < schedules; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		keySpace := []int64{8, 64, 4096}[seed%3]
-		eager, lazy := newMemtable(1024), newMemtable(1024)
-		model := make(map[uint64]memCell)
-		checkSorted := func(step int, name string, m *memtable) {
-			t.Helper()
-			want := make([]uint64, 0, len(model))
-			for k := range model {
-				want = append(want, k)
-			}
-			slices.Sort(want)
-			if got := m.SortedKeys(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: %s SortedKeys\n got  %v\n want %v", seed, step, name, got, want)
+		frontier := uint64(keySpace)
+		pick := func() uint64 {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				return uint64(rng.Int63n(keySpace))
+			case r < 8:
+				frontier += uint64(rng.Intn(300))
+				return frontier
+			case r < 9 && seed%4 == 0:
+				return memCeiling - 32 + uint64(rng.Intn(64))
+			default:
+				return 1<<40 + uint64(rng.Intn(64))
 			}
 		}
+		m := newMemtable(1024)
+		model := make(map[uint64]memCell)
 		for step := 0; step < steps; step++ {
-			key := uint64(rng.Int63n(keySpace))
+			key := pick()
 			switch r := rng.Intn(100); {
 			case r < 55:
 				var expiry float64
 				if rng.Intn(3) == 0 {
 					expiry = 1 + rng.Float64()
 				}
-				eager.Insert(key, expiry, 1024)
-				lazy.Insert(key, expiry, 1024)
+				m.Insert(key, expiry, 1024)
 				model[key] = memCell{expiry: expiry}
 			case r < 75:
-				eager.Tombstone(key)
-				lazy.Tombstone(key)
+				m.Tombstone(key)
 				model[key] = memCell{tomb: true}
 			case r < 95:
-				checkSorted(step, "lazy", lazy)
+				want := slices.Sorted(maps.Keys(model))
+				var got []uint64
+				for k, ok := m.seek(0); ok; k, ok = m.seek(k + 1) {
+					got = append(got, k)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: cursor walk\n got  %v\n want %v", seed, step, got, want)
+				}
+				i := seekGE(want, key)
+				if k, ok := m.seek(key); ok != (i < len(want)) || (ok && k != want[i]) {
+					t.Fatalf("seed %d step %d: seek(%d) = %d, %v", seed, step, key, k, ok)
+				}
 			default:
 				wantKeys, wantTombs, wantExp := parentDrain(model)
 				clear(model)
-				for name, m := range map[string]*memtable{"eager": eager, "lazy": lazy} {
-					keys, tombs, exp := m.Drain()
-					if !slices.Equal(keys, wantKeys) || !slices.Equal(tombs, wantTombs) {
-						t.Fatalf("seed %d step %d: %s Drain keys %v tombs %v, parent's %v / %v", seed, step, name, keys, tombs, wantKeys, wantTombs)
-					}
-					if (exp == nil) != (wantExp == nil) || !maps.Equal(exp, wantExp) {
-						t.Fatalf("seed %d step %d: %s Drain expiries %v, parent's %v", seed, step, name, exp, wantExp)
-					}
-					if m.Len() != 0 || m.Bytes() != 0 {
-						t.Fatalf("seed %d step %d: %s not empty after Drain", seed, step, name)
-					}
+				keys, tombs, exp := m.Drain()
+				if !slices.Equal(keys, wantKeys) || !slices.Equal(tombs, wantTombs) {
+					t.Fatalf("seed %d step %d: Drain keys %v tombs %v, the map's %v / %v", seed, step, keys, tombs, wantKeys, wantTombs)
+				}
+				if (exp == nil) != (wantExp == nil) || !maps.Equal(exp, wantExp) {
+					t.Fatalf("seed %d step %d: Drain expiries %v, the map's %v", seed, step, exp, wantExp)
+				}
+				if m.Bytes() != 0 {
+					t.Fatalf("seed %d step %d: %v bytes after Drain", seed, step, m.Bytes())
 				}
 			}
-			checkSorted(step, "eager", eager)
-			if eager.Len() != len(model) || lazy.Len() != len(model) {
-				t.Fatalf("seed %d step %d: Len eager %d lazy %d, want %d", seed, step, eager.Len(), lazy.Len(), len(model))
+			for _, k := range []uint64{key, key + 1} {
+				want, held := model[k]
+				if c, ok := m.Cell(k); c != want || ok != held || m.Contains(k) != held || m.IsTombstone(k) != want.tomb {
+					t.Fatalf("seed %d step %d: key %d: Cell %+v %v, Contains %v; the map's %+v %v", seed, step, k, c, ok, m.Contains(k), want, held)
+				}
+			}
+			if m.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, m.Len(), len(model))
 			}
 		}
 	}

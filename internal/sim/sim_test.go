@@ -170,3 +170,18 @@ func TestTunerObsAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSample times one tuner-shaped sample: a fresh Cassandra
+// engine under the default configuration, preloaded and driven through
+// 60 000 ops at RR 0.5 — the unit of work identify and collect repeat
+// hundreds of times.
+func BenchmarkSample(b *testing.B) {
+	s := Default()
+	s.SampleOps = 60_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Sample(core.RR(0.5), config.Config{}, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -284,6 +284,11 @@ func AblationSurrogateSearch(p *Pipeline) (Report, error) {
 		Tables: []Table{t},
 		Notes: []string{
 			"the paper picked a GA as a robust stochastic searcher (Section 3.7.2); this checks the choice against budget-matched alternatives",
+			"the claim judges the search on the function it searches; the measured column adds the surrogate's prediction error, which no searcher controls",
+		},
+		Claims: []Claim{
+			claim(gaRes.BestFitness >= randBest, "the GA's surrogate best is at least random sampling's at an equal evaluation count (%s vs %s over %d evaluations)",
+				f0(gaRes.BestFitness), f0(randBest), gaRes.Evaluations),
 		},
 	}, nil
 }

@@ -78,8 +78,9 @@ func (p Parameter) Clamp(v float64) float64 {
 }
 
 // Feasible reports whether v is a valid setting without repair: within
-// bounds and integral where required. Infeasible values incur the GA's
-// constraint penalty (Deb-style) rather than being silently fixed.
+// bounds and integral where required. Validate rejects an infeasible
+// value rather than silently fixing it; the searchers repair every
+// candidate (Clamp's rule) before scoring it, so none reaches a config.
 func (p Parameter) Feasible(v float64) bool {
 	if v < p.Min || v > p.Max {
 		return false

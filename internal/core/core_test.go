@@ -337,6 +337,22 @@ func TestNewTunerValidation(t *testing.T) {
 	}
 }
 
+// TestNewTunerRejectsBadGA: a search Recommend could never run is an
+// error at construction, before Prepare spends its samples.
+func TestNewTunerRejectsBadGA(t *testing.T) {
+	space := config.Cassandra()
+	opts := DefaultTunerOptions()
+	opts.GA.TournamentK = 0
+	if _, err := NewTuner(analyticCollector(space), space, opts); err == nil {
+		t.Error("TournamentK 0 should error")
+	}
+	opts = DefaultTunerOptions()
+	opts.GA.MutationProb = 1.5
+	if _, err := NewTuner(analyticCollector(space), space, opts); err == nil {
+		t.Error("MutationProb 1.5 should error")
+	}
+}
+
 func TestSelectKeyNamesGroupConsolidation(t *testing.T) {
 	space := config.Cassandra()
 	// Build a synthetic ranking where two memtable-flush-group members

@@ -129,7 +129,7 @@ func TestTunerUseSurrogate(t *testing.T) {
 	if err := tuner.UseSurrogate(nil); err == nil {
 		t.Error("nil surrogate should error")
 	}
-	scyllaTuner, err := NewTuner(analyticCollector(space), config.ScyllaDB(), TunerOptions{SkipIdentify: true})
+	scyllaTuner, err := NewTuner(analyticCollector(space), config.ScyllaDB(), TunerOptions{SkipIdentify: true, GA: fastGAOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

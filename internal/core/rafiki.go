@@ -74,6 +74,11 @@ func NewTuner(c Collector, space *config.Space, opts TunerOptions) (*Tuner, erro
 	if space == nil {
 		return nil, errors.New("core: nil space")
 	}
+	// Reject a search Recommend could never run before Prepare spends
+	// its samples.
+	if err := opts.GA.Validate(); err != nil {
+		return nil, fmt.Errorf("core: GA options: %w", err)
+	}
 	if opts.Obs != nil {
 		// Route sample, trainer and search telemetry into the same
 		// registry.

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSearchAllocGuard pins what a warm recommendation search allocates
-// at the paper's GA sizing (3 236 surrogate evaluations): the problem,
+// at the paper's GA sizing (3 170 surrogate evaluations): the problem,
 // the GA's slabs and rng, and the decoded Config — nothing per
 // generation, nothing per candidate, nothing per prediction. On one
 // worker that is all of it; on two, par's per-call bookkeeping for each
@@ -24,7 +24,7 @@ func TestSearchAllocGuard(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
 		ceiling float64
-	}{{1, 100}, {2, 700}} {
+	}{{1, 94}, {2, 694}} {
 		sur.Model.Workers = tc.workers
 		search := func() {
 			if _, err := sur.Optimize(RR(0.6), ga.DefaultOptions()); err != nil {

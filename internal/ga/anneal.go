@@ -19,8 +19,6 @@ type AnnealOptions struct {
 	TempInit, TempFinal float64
 	// StepSigma is the proposal step as a fraction of each gene range.
 	StepSigma float64
-	// PenaltyCoeff scales constraint violations, as in the GA.
-	PenaltyCoeff float64
 	// Seed drives the chain.
 	Seed int64
 }
@@ -28,22 +26,19 @@ type AnnealOptions struct {
 // DefaultAnnealOptions roughly matches the GA's evaluation budget.
 func DefaultAnnealOptions() AnnealOptions {
 	return AnnealOptions{
-		Steps:        3300,
-		TempInit:     0.1,
-		TempFinal:    1e-4,
-		StepSigma:    0.15,
-		PenaltyCoeff: 2.0,
+		Steps:     3300,
+		TempInit:  0.1,
+		TempFinal: 1e-4,
+		StepSigma: 0.15,
 	}
 }
 
 // Anneal maximizes p.Fitness with simulated annealing and returns the
-// best feasible (repaired) candidate found.
+// best candidate found. Like Run, it repairs every proposal before
+// scoring it, so it makes Steps+1 evaluations.
 func Anneal(p Problem, opts AnnealOptions) (Result, error) {
-	if len(p.Bounds) == 0 {
-		return Result{}, fmt.Errorf("ga: anneal: no bounds")
-	}
-	if p.Fitness == nil {
-		return Result{}, fmt.Errorf("ga: anneal: nil fitness function")
+	if len(p.Bounds) == 0 || p.Fitness == nil {
+		return Result{}, fmt.Errorf("ga: anneal: a problem needs bounds and a Fitness function")
 	}
 	if opts.Steps < 1 {
 		return Result{}, fmt.Errorf("ga: anneal: steps must be >= 1, got %d", opts.Steps)
@@ -54,41 +49,22 @@ func Anneal(p Problem, opts AnnealOptions) (Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var res Result
 
-	score := func(genes []float64) (raw, s float64, err error) {
-		raw, err = p.Fitness(genes)
-		if err != nil {
-			return 0, 0, err
-		}
-		v := violation(genes, p.Bounds)
-		return raw, raw - opts.PenaltyCoeff*v*(1+math.Abs(raw)), nil
-	}
-
 	cur := make([]float64, len(p.Bounds))
 	for i, b := range p.Bounds {
 		cur[i] = b.Min + rng.Float64()*(b.Max-b.Min)
 	}
-	_, curScore, err := score(cur)
+	repairInto(cur, cur, p.Bounds)
+	curScore, err := p.Fitness(cur)
 	if err != nil {
 		return Result{}, err
 	}
 	res.Evaluations++
+	res.Best, res.BestFitness = append([]float64(nil), cur...), curScore
 
-	bestRepaired := Repair(cur, p.Bounds)
-	bestFitness, err := p.Fitness(bestRepaired)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Evaluations++
-
-	// The score scale normalizes temperatures: fitness units vary by
-	// problem, so temperatures are relative to the first score's
-	// magnitude.
-	scale := math.Abs(curScore)
-	if scale < 1 {
-		scale = 1
-	}
+	// Fitness units vary by problem, so temperatures are relative to the
+	// first score's magnitude.
 	cooling := math.Pow(opts.TempFinal/opts.TempInit, 1/float64(opts.Steps))
-	temp := opts.TempInit * scale
+	temp := opts.TempInit * math.Max(1, math.Abs(curScore))
 
 	proposal := make([]float64, len(cur))
 	for step := 0; step < opts.Steps; step++ {
@@ -104,32 +80,22 @@ func Anneal(p Problem, opts AnnealOptions) (Result, error) {
 				proposal[i] += rng.NormFloat64() * opts.StepSigma * span
 			}
 		}
-		_, propScore, err := score(proposal)
+		repairInto(proposal, proposal, p.Bounds)
+		propScore, err := p.Fitness(proposal)
 		if err != nil {
 			return Result{}, err
 		}
 		res.Evaluations++
 
 		if propScore >= curScore || rng.Float64() < math.Exp((propScore-curScore)/temp) {
-			copy(cur, proposal)
+			cur, proposal = proposal, cur
 			curScore = propScore
-
-			repaired := Repair(cur, p.Bounds)
-			rf, err := p.Fitness(repaired)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Evaluations++
-			if rf > bestFitness {
-				bestFitness = rf
-				bestRepaired = repaired
+			if curScore > res.BestFitness {
+				res.Best, res.BestFitness = append(res.Best[:0], cur...), curScore
 			}
 		}
 		res.History = append(res.History, curScore)
 		temp *= cooling
 	}
-
-	res.Best = bestRepaired
-	res.BestFitness = bestFitness
 	return res, nil
 }

@@ -79,8 +79,8 @@ func TestAnnealEvaluationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Proposals plus repaired-champion evaluations: at most ~2x steps.
-	if res.Evaluations > 2*opts.Steps+10 {
-		t.Errorf("evaluations %d exceed budget", res.Evaluations)
+	// The starting point, then one evaluation per proposal.
+	if want := opts.Steps + 1; res.Evaluations != want {
+		t.Errorf("evaluations %d, want %d", res.Evaluations, want)
 	}
 }

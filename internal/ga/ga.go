@@ -2,8 +2,11 @@
 // search the configuration space over the trained surrogate (Section
 // 3.7.2): uniform-random initialization within bounds, tournament
 // selection with elitism, the paper's random-weighted-average
-// interpolating crossover, gaussian mutation, and Deb-style penalty
-// handling of constraint violations (bounds and integrality).
+// interpolating crossover and gaussian mutation. Constraints (bounds and
+// integrality) are met by repair: every candidate is clamped and rounded
+// before it is scored, so the population is always feasible and Deb's
+// feasibility rules reduce to ranking by fitness, with no penalty
+// coefficient to tune.
 package ga
 
 import (
@@ -27,18 +30,18 @@ type Bound struct {
 type Problem struct {
 	// Bounds defines the search box, one entry per gene.
 	Bounds []Bound
-	// Fitness scores a candidate; higher is better. It is called on
-	// raw (possibly infeasible) vectors; the GA applies penalties
-	// separately.
+	// Fitness scores a candidate; higher is better. It is only called
+	// on feasible vectors: inside Bounds, integral where Integer is set.
 	Fitness func([]float64) (float64, error)
 	// BatchFitness, when non-nil, scores many candidates at once into
 	// out (same length as genes) and is preferred over Fitness for
-	// every evaluation the GA makes — seeding, offspring, and champion
-	// repair alike. A surrogate-backed problem implements it with one
-	// ensemble batch-prediction call, which amortizes normalization and
-	// lets the model fan the rows across cores. out[i] must depend only
-	// on genes[i], so results are order- and batch-size-independent. The
-	// rows are the GA's own slabs, valid only during the call.
+	// every evaluation the GA makes, seeding and offspring alike; its
+	// rows are feasible too. A surrogate-backed problem implements it
+	// with one ensemble batch-prediction call, which amortizes
+	// normalization and lets the model fan the rows across cores. out[i]
+	// must depend only on genes[i], so results are order- and
+	// batch-size-independent. The rows are the GA's own slabs, valid
+	// only during the call.
 	BatchFitness func(genes [][]float64, out []float64) error
 }
 
@@ -57,9 +60,6 @@ type Options struct {
 	Elite int
 	// TournamentK is the tournament selection size.
 	TournamentK int
-	// PenaltyCoeff scales the constraint-violation penalty, normalized
-	// by the observed fitness spread (Deb 2000).
-	PenaltyCoeff float64
 	// Seed drives the search.
 	Seed int64
 	// Obs, when non-nil, receives an evaluation counter and one span
@@ -78,52 +78,58 @@ func DefaultOptions() Options {
 		MutationSigma: 0.12,
 		Elite:         2,
 		TournamentK:   3,
-		PenaltyCoeff:  2.0,
 	}
+}
+
+// Validate reports the first option Run cannot search with.
+func (o Options) Validate() error {
+	switch {
+	case o.Population < 2:
+		return fmt.Errorf("ga: population must be >= 2, got %d", o.Population)
+	case o.Generations < 1:
+		return fmt.Errorf("ga: generations must be >= 1, got %d", o.Generations)
+	case o.Elite < 0 || o.Elite >= o.Population:
+		return fmt.Errorf("ga: elite %d out of range", o.Elite)
+	case o.TournamentK < 1:
+		return fmt.Errorf("ga: tournament size must be >= 1, got %d", o.TournamentK)
+	case !(o.CrossoverProb >= 0 && o.CrossoverProb <= 1 && o.MutationProb >= 0 && o.MutationProb <= 1):
+		return fmt.Errorf("ga: crossover and mutation probabilities %v and %v must lie in [0, 1]", o.CrossoverProb, o.MutationProb)
+	case !(o.MutationSigma >= 0):
+		return fmt.Errorf("ga: mutation sigma %v must be >= 0", o.MutationSigma)
+	}
+	return nil
 }
 
 // Result reports the best solution found.
 type Result struct {
-	// Best is the best feasible (repaired) candidate.
+	// Best is the best candidate scored.
 	Best []float64
 	// BestFitness is the fitness of Best.
 	BestFitness float64
 	// Evaluations counts fitness-function calls.
 	Evaluations int
-	// History is the best raw score per generation.
+	// History is the champion's fitness per generation.
 	History []float64
 }
 
 // Run executes the genetic algorithm.
 func Run(p Problem, opts Options) (Result, error) {
-	if len(p.Bounds) == 0 {
-		return Result{}, fmt.Errorf("ga: no bounds")
-	}
-	if p.Fitness == nil && p.BatchFitness == nil {
-		return Result{}, fmt.Errorf("ga: nil fitness function")
+	if len(p.Bounds) == 0 || (p.Fitness == nil && p.BatchFitness == nil) {
+		return Result{}, fmt.Errorf("ga: a problem needs bounds and a fitness function")
 	}
 	for i, b := range p.Bounds {
 		if b.Max < b.Min {
 			return Result{}, fmt.Errorf("ga: gene %d has inverted bounds [%v, %v]", i, b.Min, b.Max)
 		}
 	}
-	if opts.Population < 2 {
-		return Result{}, fmt.Errorf("ga: population must be >= 2, got %d", opts.Population)
-	}
-	if opts.Generations < 1 {
-		return Result{}, fmt.Errorf("ga: generations must be >= 1, got %d", opts.Generations)
-	}
-	if opts.Elite < 0 || opts.Elite >= opts.Population {
-		return Result{}, fmt.Errorf("ga: elite %d out of range", opts.Elite)
-	}
-	if opts.TournamentK < 1 {
-		opts.TournamentK = 2
+	if err := opts.Validate(); err != nil {
+		return Result{}, err
 	}
 
 	s := &search{
 		p: p, opts: opts, rng: rand.New(rand.NewSource(opts.Seed)),
 		pop: newPopulation(opts.Population, len(p.Bounds)), brood: newPopulation(opts.Population, len(p.Bounds)),
-		repaired: newPopulation(1, len(p.Bounds)), order: make([]int, opts.Population),
+		order: make([]int, opts.Population),
 		res:   Result{BestFitness: math.Inf(-1), History: make([]float64, 0, opts.Generations)},
 		evals: opts.Obs.Counter("ga.evaluations"), batchEvals: opts.Obs.Counter("ga.batch_evals"),
 	}
@@ -131,6 +137,7 @@ func Run(p Problem, opts Options) (Result, error) {
 		for j, b := range p.Bounds {
 			g[j] = b.Min + s.rng.Float64()*(b.Max-b.Min)
 		}
+		repairInto(g, g, p.Bounds)
 	}
 	if err := s.eval(s.pop, 0); err != nil {
 		return Result{}, err
@@ -153,15 +160,15 @@ func Run(p Problem, opts Options) (Result, error) {
 }
 
 // population is a generation's candidates: gene vectors as rows of one
-// flat slab, with each row's raw fitness and penalized score.
+// flat slab, with each row's fitness.
 type population struct {
-	rows         [][]float64
-	raws, scores []float64
+	rows   [][]float64
+	scores []float64
 }
 
 func newPopulation(n, genes int) population {
 	slab := make([]float64, n*genes)
-	pop := population{rows: make([][]float64, n), raws: make([]float64, n), scores: make([]float64, n)}
+	pop := population{rows: make([][]float64, n), scores: make([]float64, n)}
 	for i := range pop.rows {
 		pop.rows[i] = slab[i*genes : (i+1)*genes : (i+1)*genes]
 	}
@@ -171,40 +178,35 @@ func newPopulation(n, genes int) population {
 // search is one Run's state: the population and the brood are slabs
 // swapped every generation, so a generation allocates nothing.
 type search struct {
-	p                    Problem
-	opts                 Options
-	rng                  *rand.Rand
-	pop, brood, repaired population
-	order                []int
-	res                  Result
-	evals, batchEvals    *obs.Counter
+	p                 Problem
+	opts              Options
+	rng               *rand.Rand
+	pop, brood        population
+	order             []int
+	res               Result
+	evals, batchEvals *obs.Counter
 }
 
 // eval scores pop's rows from lo in one BatchFitness call (or a Fitness
-// loop), then subtracts the Deb-style violation penalty, under which
-// feasible candidates dominate as the fitness spread grows. Fitness
-// draws no GA randomness, so scoring a brood after breeding it keeps
-// one-at-a-time evaluation's rng stream (TestBatchFitnessEquivalence).
+// loop). Fitness draws no GA randomness, so scoring a brood after
+// breeding it keeps one-at-a-time evaluation's rng stream
+// (TestBatchFitnessEquivalence).
 //
 //rafiki:hot
 func (s *search) eval(pop population, lo int) error {
-	rows, raws := pop.rows[lo:], pop.raws[lo:]
+	rows, scores := pop.rows[lo:], pop.scores[lo:]
 	if s.p.BatchFitness != nil {
-		if err := s.p.BatchFitness(rows, raws); err != nil {
+		if err := s.p.BatchFitness(rows, scores); err != nil {
 			return err
 		}
 	} else {
 		for i, g := range rows {
-			r, err := s.p.Fitness(g)
+			f, err := s.p.Fitness(g)
 			if err != nil {
 				return err
 			}
-			raws[i] = r
+			scores[i] = f
 		}
-	}
-	for i, g := range rows {
-		v := violation(g, s.p.Bounds)
-		pop.scores[lo+i] = raws[i] - s.opts.PenaltyCoeff*v*(1+math.Abs(raws[i]))
 	}
 	s.res.Evaluations += len(rows)
 	s.evals.Add(uint64(len(rows)))
@@ -212,10 +214,10 @@ func (s *search) eval(pop population, lo int) error {
 	return nil
 }
 
-// step runs one generation: it scores the champion's repair and, unless
-// last, breeds the next population into the brood (elites, then every
-// child, in one-at-a-time rng order) and scores it. It returns the
-// champion's raw score.
+// step runs one generation: it records the champion and, unless last,
+// breeds the next population into the brood (elites, then every child,
+// repaired, in one-at-a-time rng order) and scores it. It returns the
+// champion's score.
 //
 //rafiki:hot
 func (s *search) step(last bool) (float64, error) {
@@ -226,17 +228,14 @@ func (s *search) step(last bool) (float64, error) {
 			champ = i
 		}
 	}
-	s.res.History = append(s.res.History, pop.raws[champ])
-	repairInto(s.repaired.rows[0], pop.rows[champ], s.p.Bounds)
-	if err := s.eval(s.repaired, 0); err != nil {
-		return 0, err
-	}
-	if rf := s.repaired.raws[0]; rf > s.res.BestFitness {
-		s.res.Best = append(s.res.Best[:0], s.repaired.rows[0]...)
-		s.res.BestFitness = rf
+	best := pop.scores[champ]
+	s.res.History = append(s.res.History, best)
+	if best > s.res.BestFitness {
+		s.res.Best = append(s.res.Best[:0], pop.rows[champ]...)
+		s.res.BestFitness = best
 	}
 	if last {
-		return pop.raws[champ], nil
+		return best, nil
 	}
 
 	brood, order := s.brood, s.order
@@ -252,7 +251,7 @@ func (s *search) step(last bool) (float64, error) {
 		}
 		order[i], order[bi] = order[bi], order[i]
 		copy(brood.rows[i], pop.rows[order[i]])
-		brood.raws[i], brood.scores[i] = pop.raws[order[i]], pop.scores[order[i]]
+		brood.scores[i] = pop.scores[order[i]]
 	}
 	for _, child := range brood.rows[s.opts.Elite:] {
 		a := s.tournament()
@@ -262,12 +261,13 @@ func (s *search) step(last bool) (float64, error) {
 			copy(child, pop.rows[a])
 		}
 		mutate(s.rng, child, s.p.Bounds, s.opts.MutationProb, s.opts.MutationSigma)
+		repairInto(child, child, s.p.Bounds)
 	}
 	if err := s.eval(brood, s.opts.Elite); err != nil {
 		return 0, err
 	}
 	s.pop, s.brood = brood, pop
-	return pop.raws[champ], nil
+	return best, nil
 }
 
 // tournament returns the index of the best of TournamentK uniform draws
@@ -317,31 +317,8 @@ func mutate(rng *rand.Rand, genes []float64, bounds []Bound, prob, sigma float64
 	}
 }
 
-// violation measures how far genes sit outside the feasible set: bound
-// overflow (normalized by range) plus integrality gaps.
-func violation(genes []float64, bounds []Bound) float64 {
-	var v float64
-	for i, b := range bounds {
-		g := genes[i]
-		span := b.Max - b.Min
-		if span <= 0 {
-			span = 1
-		}
-		if g < b.Min {
-			v += (b.Min - g) / span
-		}
-		if g > b.Max {
-			v += (g - b.Max) / span
-		}
-		if b.Integer {
-			v += math.Abs(g - math.Round(g))
-		}
-	}
-	return v
-}
-
-// Repair clamps genes into bounds and rounds integer genes, producing
-// the feasible configuration actually applied to the datastore.
+// Repair clamps genes into bounds and rounds integer genes: the feasible
+// vector every searcher scores and the datastore is configured with.
 func Repair(genes []float64, bounds []Bound) []float64 {
 	out := make([]float64, len(genes))
 	repairInto(out, genes, bounds)

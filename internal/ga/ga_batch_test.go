@@ -72,9 +72,9 @@ func TestBatchEvalCounters(t *testing.T) {
 	if got := snap.Counters["ga.evaluations"]; got != uint64(res.Evaluations) {
 		t.Errorf("ga.evaluations = %d, want %d", got, res.Evaluations)
 	}
-	// One batch for seeding plus, per generation, one champion-repair
-	// batch and (except the last) one offspring batch.
-	wantBatches := uint64(1 + opts.Generations + (opts.Generations - 1))
+	// One batch for seeding plus one offspring batch per generation but
+	// the last.
+	wantBatches := uint64(opts.Generations)
 	if got := snap.Counters["ga.batch_evals"]; got != wantBatches {
 		t.Errorf("ga.batch_evals = %d, want %d", got, wantBatches)
 	}

@@ -43,7 +43,7 @@ func identityProblem(dim int, integer, batch bool) Problem {
 // every branch of a generation: no elites and many, never and always
 // crossing over, an odd population, integer and continuous genes,
 // Fitness-only and BatchFitness problems, a one-generation run and a
-// landscape on which no repair ever improves (Best stays nil).
+// landscape on which no candidate ever beats -Inf (Best stays nil).
 func TestRunGolden(t *testing.T) {
 	opts := func(edit func(*Options)) Options {
 		o := DefaultOptions()
@@ -63,8 +63,13 @@ func TestRunGolden(t *testing.T) {
 		{"oddpop/batch/integer", identityProblem(7, true, true), opts(func(o *Options) { o.Population = 17; o.Elite = 3; o.Generations = 25 })},
 		{"onegen/fitness/integer", identityProblem(3, true, false), opts(func(o *Options) { o.Population = 9; o.Generations = 1 })},
 		{"neverbetter/batch/continuous", Problem{
-			Bounds:       []Bound{{Min: 0, Max: 1}, {Min: -2, Max: 2}},
-			BatchFitness: func(_ [][]float64, out []float64) error { clear(out); out[0] = math.Inf(-1); return nil },
+			Bounds: []Bound{{Min: 0, Max: 1}, {Min: -2, Max: 2}},
+			BatchFitness: func(_ [][]float64, out []float64) error {
+				for i := range out {
+					out[i] = math.Inf(-1)
+				}
+				return nil
+			},
 		}, opts(func(o *Options) { o.Population = 3; o.Generations = 4 })},
 	}
 	var text []byte

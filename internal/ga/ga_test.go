@@ -2,6 +2,7 @@ package ga
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,7 +36,6 @@ func TestRunFindsSphereOptimum(t *testing.T) {
 		MutationSigma: 0.1,
 		Elite:         2,
 		TournamentK:   3,
-		PenaltyCoeff:  2,
 		Seed:          1,
 	})
 	if err != nil {
@@ -99,15 +99,11 @@ func TestRunEvaluationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Population + (generations-1)*(population-elite) offspring +
-	// one repaired evaluation per generation.
-	upper := opts.Population*opts.Generations + opts.Generations + opts.Population
-	if res.Evaluations > upper {
-		t.Errorf("evaluations %d exceed budget %d", res.Evaluations, upper)
-	}
-	// Section 4.8: roughly 3.3k evaluations with default sizing.
-	if res.Evaluations < 2500 || res.Evaluations > 4200 {
-		t.Errorf("default sizing gives %d evaluations, want ~3350", res.Evaluations)
+	// The initial population, then (generations-1) broods less their
+	// elites: 3170 with default sizing, Section 4.8's roughly 3.3k.
+	want := opts.Population + (opts.Generations-1)*(opts.Population-opts.Elite)
+	if res.Evaluations != want {
+		t.Errorf("evaluations %d, want %d", res.Evaluations, want)
 	}
 }
 
@@ -142,6 +138,11 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	valid := sphereProblem(2)
+	with := func(edit func(*Options)) Options {
+		o := DefaultOptions()
+		edit(&o)
+		return o
+	}
 	tests := []struct {
 		name string
 		p    Problem
@@ -153,6 +154,14 @@ func TestRunValidation(t *testing.T) {
 		{"tiny population", valid, Options{Population: 1, Generations: 5}},
 		{"zero generations", valid, Options{Population: 10}},
 		{"elite too large", valid, Options{Population: 10, Generations: 5, Elite: 10}},
+		{"zero tournament", valid, with(func(o *Options) { o.TournamentK = 0 })},
+		{"negative crossover", valid, with(func(o *Options) { o.CrossoverProb = -0.1 })},
+		{"crossover above one", valid, with(func(o *Options) { o.CrossoverProb = 1.5 })},
+		{"NaN crossover", valid, with(func(o *Options) { o.CrossoverProb = math.NaN() })},
+		{"mutation above one", valid, with(func(o *Options) { o.MutationProb = 2 })},
+		{"NaN mutation", valid, with(func(o *Options) { o.MutationProb = math.NaN() })},
+		{"negative sigma", valid, with(func(o *Options) { o.MutationSigma = -0.1 })},
+		{"NaN sigma", valid, with(func(o *Options) { o.MutationSigma = math.NaN() })},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -187,27 +196,6 @@ func TestCrossoverInterpolates(t *testing.T) {
 	}
 }
 
-func TestViolation(t *testing.T) {
-	bounds := []Bound{{Min: 0, Max: 10, Integer: true}, {Min: 0, Max: 1}}
-	tests := []struct {
-		name  string
-		genes []float64
-		want  float64
-	}{
-		{"feasible", []float64{5, 0.5}, 0},
-		{"non-integer", []float64{5.5, 0.5}, 0.5},
-		{"below min", []float64{-1, 0.5}, 0.1 + 0}, // 1/10 range, integral
-		{"above max", []float64{5, 1.5}, 0.5},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := violation(tt.genes, bounds); math.Abs(got-tt.want) > 1e-9 {
-				t.Errorf("violation = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestRepair(t *testing.T) {
 	bounds := []Bound{{Min: 2, Max: 10, Integer: true}, {Min: 0, Max: 1}}
 	got := Repair([]float64{1.2, 1.7}, bounds)
@@ -224,7 +212,18 @@ func TestRepair(t *testing.T) {
 	}
 }
 
-// Property: Repair output always has zero violation.
+// feasible reports how genes break bounds: a gene outside its box or a
+// non-integral integer gene.
+func feasible(genes []float64, bounds []Bound) error {
+	for i, b := range bounds {
+		if g := genes[i]; g < b.Min || g > b.Max || (b.Integer && g != math.Round(g)) {
+			return fmt.Errorf("gene %d = %v infeasible for %+v", i, g, b)
+		}
+	}
+	return nil
+}
+
+// Property: Repair output is always feasible.
 func TestRepairProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	bounds := []Bound{
@@ -238,9 +237,8 @@ func TestRepairProperty(t *testing.T) {
 			rng.NormFloat64() * 20,
 			rng.NormFloat64() * 20,
 		}
-		r := Repair(genes, bounds)
-		if v := violation(r, bounds); v != 0 {
-			t.Fatalf("Repair(%v) = %v still violates by %v", genes, r, v)
+		if err := feasible(Repair(genes, bounds), bounds); err != nil {
+			t.Fatalf("Repair(%v): %v", genes, err)
 		}
 	}
 }
@@ -266,7 +264,6 @@ func TestRunMultimodalAvoidsLocalMaxima(t *testing.T) {
 		MutationSigma: 0.15,
 		Elite:         2,
 		TournamentK:   3,
-		PenaltyCoeff:  2,
 		Seed:          5,
 	})
 	if err != nil {
@@ -274,5 +271,51 @@ func TestRunMultimodalAvoidsLocalMaxima(t *testing.T) {
 	}
 	if math.Abs(res.Best[0]-8) > 0.5 {
 		t.Errorf("GA stuck at %v, want the global peak near 8", res.Best[0])
+	}
+}
+
+// TestFitnessSeesOnlyFeasible pins the searchers' one constraint rule:
+// every vector handed to Fitness or BatchFitness, by Run and by Anneal,
+// is inside its bounds and integral where the gene is.
+func TestFitnessSeesOnlyFeasible(t *testing.T) {
+	bounds := identityProblem(7, true, false).Bounds
+	var bad error
+	check := func(g []float64) {
+		if err := feasible(g, bounds); err != nil && bad == nil {
+			bad = err
+		}
+	}
+	fitness := func(g []float64) (float64, error) {
+		check(g)
+		return identityFitness(g)
+	}
+	batch := func(genes [][]float64, out []float64) error {
+		for i, g := range genes {
+			out[i], _ = fitness(g)
+		}
+		return nil
+	}
+	searches := map[string]func() error{
+		"Run/Fitness": func() error {
+			_, err := Run(Problem{Bounds: bounds, Fitness: fitness}, DefaultOptions())
+			return err
+		},
+		"Run/BatchFitness": func() error {
+			_, err := Run(Problem{Bounds: bounds, BatchFitness: batch}, DefaultOptions())
+			return err
+		},
+		"Anneal/Fitness": func() error {
+			_, err := Anneal(Problem{Bounds: bounds, Fitness: fitness}, DefaultAnnealOptions())
+			return err
+		},
+	}
+	for name, search := range searches {
+		bad = nil
+		if err := search(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if bad != nil {
+			t.Errorf("%s scored an infeasible candidate: %v", name, bad)
+		}
 	}
 }

@@ -135,9 +135,12 @@ PINS = Golden|^TestFixtures$$
 # the preload image and the epoch series against the implementations
 # they replaced), the filter's no-false-negative invariant, each
 # ledger's name set and identities, a registry releasing what was built
-# on it, and every behaviour pin.
+# on it, and every behaviour pin. internal/par's own tests run whole at
+# GOMAXPROCS 1, 2 and 4: a team with no helper, with one, and a call
+# asking for more workers than there are Ps.
 guard:
 	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|Matches(Oracle|Append)|NoFalseNegatives|PreloadImage|ReleasesRun|ObsReconcile|LedgerNames|ExportReleases|$(PINS)' ./internal/...
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/par
 
 # rebaseline rewrites every pin from the current tree: the pins run with
 # -update (only in the packages whose tests import internal/golden, as

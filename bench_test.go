@@ -412,8 +412,9 @@ func BenchmarkPipelineStage(b *testing.B) {
 // committed BENCH.txt carries its line, and every engine op does work
 // on a warm engine. The stage bodies are too slow for a test; `make
 // bench-smoke` runs them once. The inference rows live in internal/nn,
-// the file-cache miss row in internal/nosql and the sample row in
-// internal/sim, so only their BENCH.txt lines are checked here.
+// the file-cache miss row in internal/nosql, the sample row in
+// internal/sim and the fork-join rows in internal/par, so only their
+// BENCH.txt lines are checked here.
 func TestBenchRowsSmoke(t *testing.T) {
 	elsewhere := []string{
 		"BenchmarkPredictBatch/rows=1",
@@ -421,6 +422,8 @@ func TestBenchRowsSmoke(t *testing.T) {
 		"BenchmarkPredictBatch/rows=1024",
 		"BenchmarkBlockCacheMiss",
 		"BenchmarkSample",
+		"BenchmarkDoRange/empty",
+		"BenchmarkDoRange/brood",
 	}
 	want := []string{
 		"BenchmarkEngineOp/read",

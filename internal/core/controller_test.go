@@ -197,10 +197,13 @@ func TestControllerDecisionsGolden(t *testing.T) {
 
 // TestGuardedControllerObsGolden replays goldenTrace through the guarded
 // row on a registry emptied after Prepare, so the snapshot holds the
-// loop's own telemetry.
+// loop's own telemetry. The snapshot records the prediction stage's
+// worker gauge, so the model's worker count is pinned rather than left
+// to the host's CPU count.
 func TestGuardedControllerObsGolden(t *testing.T) {
 	reg := obs.NewRegistry()
 	tuner := preparedTunerObs(t, reg)
+	tuner.Surrogate().Model.Workers = 2
 	reg.Reset()
 	ctrl, err := NewGuardedController(tuner, &recordingApplier{}, goldenGuardOptions())
 	if err != nil {

@@ -7,7 +7,7 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
 # PR that must grow the tree raises it in its own diff, where a reviewer
 # sees it; a PR that shrinks the tree lowers it to its new total.
-LOC_CEILING ?= 23984
+LOC_CEILING ?= 24277
 
 .PHONY: build test bench bench-smoke check fmt vet lint race fuzz cover guard chaos slo paper rebaseline loc
 

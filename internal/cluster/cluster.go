@@ -97,9 +97,13 @@ type Cluster struct {
 	req   message
 	inbox []inboxEntry
 	// live, order, healthy, slow and answers are one read's or scan's
-	// replica bookkeeping, reused from op to op.
+	// replica bookkeeping, reused from op to op; acks holds a
+	// mutation's acked leg times, ascending, and lanes times a read's or
+	// scan's legs.
 	live, order, healthy, slow []int
 	answers                    []answer
+	acks                       []float64
+	lanes                      lanes
 	// reads are rotated across replicas per key; scans rotate on their
 	// own counter so the two balancing streams stay independent.
 	rotation     uint64
@@ -303,6 +307,10 @@ type WriteResult struct {
 	Acked int
 	// OK reports the write met the configured write consistency level.
 	OK bool
+	// Latency is the request's critical path in virtual seconds: its
+	// replica legs run side by side, so it is the ack that met the
+	// level, or the slowest leg when none could.
+	Latency float64
 }
 
 // Write routes a write to every replica. A replica that cannot be
@@ -339,19 +347,25 @@ func (c *Cluster) DeleteOp(key uint64) WriteResult {
 	return c.mutate(key, true)
 }
 
-// deliverWrite carries one versioned mutation to node idx and reports
-// whether its ack came back. A down replica, a live one whose op attempt
-// timed out or failed past its retry budget, and one whose write or ack
-// the network lost all report false: the caller owes them the mutation
-// as a hint.
+// leg runs one replica leg of a request on node idx — the attempt
+// protocol, then the exchange — and returns the reply, the leg's
+// virtual time (its coordinator waits plus the exchange's own time) and
+// whether it was answered. A down replica, a live one whose op attempt
+// timed out or failed past its retry budget, and one whose request or
+// reply the network lost all fail the leg; a write's caller owes them
+// the mutation as a hint.
 //
 //rafiki:hot
-func (c *Cluster) deliverWrite(idx int, key uint64, wc cell) bool {
-	if c.down[idx] || !c.attemptOp(idx) {
-		return false
+func (c *Cluster) leg(idx int, req message) (message, float64, bool) {
+	if c.down[idx] {
+		return message{}, 0, false
 	}
-	_, ok := c.exchange(idx, idx, message{kind: msgWrite, key: key, c: wc})
-	return ok
+	wait, ok := c.attemptOp(idx)
+	if !ok {
+		return message{}, wait, false
+	}
+	resp, t, ok := c.exchange(idx, idx, req)
+	return resp, wait + t, ok
 }
 
 //rafiki:hot
@@ -360,15 +374,26 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 	c.stats.Mutations++
 	c.seq++
 	wc := cell{ver: c.seq, tomb: tombstone}
-	acked := 0
+	req := message{kind: msgWrite, key: key, c: wc}
+	acks, slowest := c.acks[:0], 0.0
 	owners := c.replicas(key)
 	for _, idx := range owners {
-		if c.deliverWrite(idx, key, wc) {
-			acked++
+		_, t, ok := c.leg(idx, req)
+		slowest = max(slowest, t)
+		if ok {
+			// Insert in order: acks[k-1] is the k-th fastest.
+			i := len(acks)
+			acks = append(acks, t)
+			for ; i > 0 && acks[i-1] > t; i-- {
+				acks[i] = acks[i-1]
+			}
+			acks[i] = t
 		} else {
 			c.addHint(idx, hint{key: key, c: wc}) //lint:allow hotalloc hints buffer only for an unreachable replica; the buffer is capped
 		}
 	}
+	c.acks = acks
+	acked, need := len(acks), c.writeCL.replicasNeeded(c.rf)
 	// Forward the mutation to every pending destination catching up on
 	// this key's range: the new owner must observe writes issued while
 	// its stream is in flight, and one it cannot be handed is owed as a
@@ -390,7 +415,7 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 		if already {
 			continue
 		}
-		if c.deliverWrite(dest, key, wc) {
+		if _, _, ok := c.leg(dest, req); ok {
 			c.stats.ForwardedWrites++
 		} else {
 			c.addHint(dest, hint{key: key, c: wc}) //lint:allow hotalloc hints buffer only for an unreachable replica; the buffer is capped
@@ -398,13 +423,20 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 	}
 	if acked == 0 {
 		c.stats.UnavailableWrites++
-	} else if acked < c.writeCL.replicasNeeded(c.rf) {
+	} else if acked < need {
 		c.stats.UnackedWrites++
+	}
+	// The mutation completes at its need-th fastest ack; short of the
+	// level, when its slowest leg is known to have failed.
+	latency := slowest
+	if acked >= need {
+		latency = acks[need-1]
 	}
 	return WriteResult{
 		Version: wc.ver,
 		Acked:   acked,
-		OK:      acked >= c.writeCL.replicasNeeded(c.rf),
+		OK:      acked >= need,
+		Latency: latency,
 	}
 }
 
@@ -420,6 +452,9 @@ type ReadResult struct {
 	// consistency level was met.
 	Served int
 	OK     bool
+	// Latency is the request's critical path in virtual seconds (see
+	// lanes); read repair runs off it.
+	Latency float64
 }
 
 // Read serves a read from as many live replicas as the configured
@@ -455,14 +490,13 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 	served := 0
 	var best cell
 	answers := c.answers[:0]
+	c.lanes.reset(need)
 	for _, idx := range order {
 		if served == need {
 			break
 		}
-		if !c.attemptOp(idx) {
-			continue
-		}
-		resp, ok := c.exchange(idx, idx, message{kind: msgRead, key: key})
+		resp, t, ok := c.leg(idx, message{kind: msgRead, key: key})
+		c.lanes.book(t, ok)
 		if !ok {
 			continue
 		}
@@ -477,9 +511,10 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 		}
 	}
 	c.answers = answers
+	latency := c.lanes.latency()
 	if served < need {
 		c.stats.UnavailableReads++
-		return ReadResult{Served: served}
+		return ReadResult{Served: served, Latency: latency}
 	}
 	// Read repair: any consulted replica that answered with an older
 	// version than the winner gets the winning cell written back, so
@@ -489,7 +524,7 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 			if a.c.ver >= best.ver {
 				continue
 			}
-			if _, ok := c.exchange(a.idx, a.idx, message{kind: msgWrite, key: key, c: best}); ok {
+			if _, _, ok := c.exchange(a.idx, a.idx, message{kind: msgWrite, key: key, c: best}); ok {
 				c.stats.ReadRepairs++
 			}
 		}
@@ -499,6 +534,7 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 		Deleted: best.ver > 0 && best.tomb,
 		Served:  served,
 		OK:      true,
+		Latency: latency,
 	}
 }
 
@@ -506,6 +542,55 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 type answer struct {
 	idx int
 	c   cell
+}
+
+// lanes times a read's or scan's legs: need of them start side by side,
+// and a failed leg's replacement starts on its lane once that failure
+// is known. free holds each open lane's ready time; an answered leg
+// closes its lane, and done is the latest answer.
+type lanes struct {
+	free []float64
+	done float64
+}
+
+// reset opens need lanes, all ready at the request's start.
+//
+//rafiki:hot
+func (l *lanes) reset(need int) {
+	l.free, l.done = l.free[:0], 0
+	for range need {
+		l.free = append(l.free, 0)
+	}
+}
+
+// book times the next leg, of virtual time t, on the earliest-ready lane.
+//
+//rafiki:hot
+func (l *lanes) book(t float64, ok bool) {
+	i := 0
+	for j, f := range l.free {
+		if f < l.free[i] {
+			i = j
+		}
+	}
+	end := l.free[i] + t
+	if !ok {
+		l.free[i] = end
+		return
+	}
+	l.done = max(l.done, end)
+	l.free[i] = l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
+}
+
+// latency is when the request completes: at its last answer once every
+// lane has one, else when its last failure is known.
+func (l *lanes) latency() float64 {
+	t := l.done
+	for _, f := range l.free {
+		t = max(t, f)
+	}
+	return t
 }
 
 // readNeed is how many replicas a read or scan must hear from.
@@ -558,6 +643,9 @@ type ScanResult struct {
 	// read consistency level was met.
 	Served int
 	OK     bool
+	// Latency is the request's critical path in virtual seconds, timed
+	// as a read's (see lanes).
+	Latency float64
 }
 
 // Scan walks keys in ascending order from start across the cluster and
@@ -590,14 +678,13 @@ func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
 		return ScanResult{}
 	}
 	served, best := 0, 0
+	c.lanes.reset(need)
 	for _, idx := range order {
 		if served == need {
 			break
 		}
-		if !c.attemptOp(idx) {
-			continue
-		}
-		resp, ok := c.exchange(idx, idx, message{kind: msgScan, key: start, n: limit})
+		resp, t, ok := c.leg(idx, message{kind: msgScan, key: start, n: limit})
+		c.lanes.book(t, ok)
 		if !ok {
 			continue
 		}
@@ -606,11 +693,12 @@ func (c *Cluster) ScanOp(start uint64, limit int) ScanResult {
 			best = resp.n
 		}
 	}
+	latency := c.lanes.latency()
 	if served < need {
 		c.stats.UnavailableScans++
-		return ScanResult{Served: served}
+		return ScanResult{Served: served, Latency: latency}
 	}
-	return ScanResult{Rows: best, Served: served, OK: true}
+	return ScanResult{Rows: best, Served: served, OK: true, Latency: latency}
 }
 
 // speculate demotes stragglers behind healthy replicas in the read
@@ -672,10 +760,9 @@ func (c *Cluster) Clock() float64 {
 // WorkClock returns the cluster's total virtual work: the sum of every
 // node's clock plus the coordinator's accumulated wait overhead. Where
 // Clock is the makespan (nodes run in parallel), WorkClock is the
-// serialized cost — its per-op deltas are positive for every executed
-// op regardless of which replicas it landed on, which is what the
-// open-loop front door (internal/frontdoor) uses as deterministic
-// per-request service times.
+// serialized cost: an op's delta is the work it cost every replica it
+// touched, its read repair and forwarded writes included, where its
+// result's Latency is only the critical path the client waits on.
 func (c *Cluster) WorkClock() float64 {
 	var sum float64
 	for _, n := range c.nodes {

@@ -202,7 +202,7 @@ func (c *Cluster) replayHints(i int) {
 	pending := c.hints[i]
 	c.hints[i] = nil
 	for _, h := range pending {
-		if _, ok := c.exchange(i, i, message{kind: msgWrite, key: h.key, c: h.c}); !ok {
+		if _, _, ok := c.exchange(i, i, message{kind: msgWrite, key: h.key, c: h.c}); !ok {
 			c.addHint(i, h)
 			continue
 		}
@@ -239,7 +239,7 @@ func (c *Cluster) fullRepair(i int) {
 		if !owned || src == -1 {
 			continue
 		}
-		st, ok := c.exchange(src, src, message{kind: msgState, key: key})
+		st, _, ok := c.exchange(src, src, message{kind: msgState, key: key})
 		if !ok || !st.has {
 			continue
 		}
@@ -249,7 +249,7 @@ func (c *Cluster) fullRepair(i int) {
 			// floor version so any versioned write still beats it.
 			wc = cell{ver: 0, tomb: !st.alive}
 		}
-		if _, ok := c.exchange(i, i, message{kind: msgWrite, key: key, c: wc}); !ok {
+		if _, _, ok := c.exchange(i, i, message{kind: msgWrite, key: key, c: wc}); !ok {
 			continue
 		}
 		c.stats.RepairedKeys++

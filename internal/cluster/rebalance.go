@@ -110,11 +110,11 @@ func (c *Cluster) advanceRange(pr *pendingRange) {
 	}
 	switch pr.phase {
 	case prOpen:
-		if !c.attemptOp(pr.src) {
+		if _, ok := c.attemptOp(pr.src); !ok {
 			c.parkRange(pr)
 			return
 		}
-		opened, ok := c.exchange(pr.src, pr.src, message{kind: msgStreamOpen, key: pr.id, iv: pr.iv})
+		opened, _, ok := c.exchange(pr.src, pr.src, message{kind: msgStreamOpen, key: pr.id, iv: pr.iv})
 		if !ok {
 			c.parkRange(pr)
 			return
@@ -134,13 +134,13 @@ func (c *Cluster) advanceRange(pr *pendingRange) {
 			c.finishRange(pr)
 			return
 		}
-		if !c.attemptOp(pr.src) {
+		if _, ok := c.attemptOp(pr.src); !ok {
 			c.parkRange(pr)
 			return
 		}
 		// Three legs can lose a pull — request, chunk, ack — and any
 		// loss reads as a failed exchange against src's link.
-		pulled, ok := c.exchange(pr.src, pr.dest, message{
+		pulled, _, ok := c.exchange(pr.src, pr.dest, message{
 			kind: msgStreamPull, key: pr.id, dest: pr.dest, n: pr.cursor, m: streamChunkKeys,
 		})
 		if !ok || pulled.kind == msgStreamGone {
@@ -164,11 +164,11 @@ func (c *Cluster) finishRange(pr *pendingRange) {
 	if len(c.hints[pr.dest]) > 0 || c.needRepair[pr.dest] {
 		c.replayHints(pr.dest)
 	}
-	if !c.attemptOp(pr.src) {
+	if _, ok := c.attemptOp(pr.src); !ok {
 		c.parkRange(pr)
 		return
 	}
-	delta, ok := c.exchange(pr.src, pr.dest, message{kind: msgDelta, iv: pr.iv, dest: pr.dest})
+	delta, _, ok := c.exchange(pr.src, pr.dest, message{kind: msgDelta, iv: pr.iv, dest: pr.dest})
 	if !ok {
 		c.severRange(pr)
 		return

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rafiki/internal/config"
@@ -65,6 +66,122 @@ func TestReadThroughputOrderedByConsistency(t *testing.T) {
 		}
 		if tput[0] > tput[1] || tput[1] > tput[2] {
 			t.Errorf("seed %d: read throughput ALL %.0f, QUORUM %.0f, ONE %.0f; want ALL <= QUORUM <= ONE", seed, tput[0], tput[1], tput[2])
+		}
+	}
+}
+
+// newLatencyRelationCluster builds seed's 3-node cluster at replication
+// factor rf with reads and writes at level cl: per-op epochs, so each
+// replica's clock advances exactly while it serves a leg, on the perfect
+// network.
+func newLatencyRelationCluster(t *testing.T, cfg config.Config, seed int64, rf int, cl ConsistencyLevel) *Cluster {
+	t.Helper()
+	c, err := New(Options{Nodes: 3, ReplicationFactor: rf, Space: config.Cassandra(), Config: cfg, Seed: seed, EpochOps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Preload(3)
+	if err := c.SetReadConsistency(cl); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetWriteConsistency(cl); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// levels are the consistency levels in the order their latency ranks.
+var levels = [3]ConsistencyLevel{ConsistencyOne, ConsistencyQuorum, ConsistencyAll}
+
+// TestLatencyOrderedByConsistency: on a healthy RF=3 cluster a request
+// completes at the slowest of the legs its level waits for, so on one
+// key stream each op's latency is ONE <= QUORUM <= ALL — given that the
+// levels' replicas do the same work. Writes reach every owner at every
+// level, so a write stream keeps the three clusters identical op by op,
+// and each level's write latency is exactly its k-th fastest leg.
+// A read consults one, two or three replicas and so lets their caches
+// drift apart; each read probe therefore replays the stream's writes up
+// to its position on fresh clusters and then reads once.
+func TestLatencyOrderedByConsistency(t *testing.T) {
+	const ops, probes = 2_000, 8
+	ordered := func(l [3]float64) bool { return 0 < l[0] && l[0] <= l[1] && l[1] <= l[2] }
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := relationConfig(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		keys := make([]uint64, ops)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(2_000))
+		}
+		var cs [3]*Cluster
+		for j, cl := range levels {
+			cs[j] = newLatencyRelationCluster(t, cfg, seed, 3, cl)
+		}
+		for i, key := range keys {
+			var lat [3]float64
+			for j, c := range cs {
+				before := nodeClocks(c)
+				lat[j] = c.WriteOp(key).Latency
+				// Every node owns every key: the legs are the three
+				// clock advances, and the level waits for the k-th.
+				legs := nodeClocks(c)
+				for n := range legs {
+					legs[n] -= before[n]
+				}
+				slices.Sort(legs)
+				if k := levels[j].replicasNeeded(3); lat[j] != legs[k-1] {
+					t.Fatalf("seed %d write %d at %v: latency %v, legs %v; want ack %d", seed, i, levels[j], lat[j], legs, k)
+				}
+			}
+			if !ordered(lat) {
+				t.Fatalf("seed %d write %d: latency ONE %v, QUORUM %v, ALL %v; want 0 < ONE <= QUORUM <= ALL", seed, i, lat[0], lat[1], lat[2])
+			}
+		}
+		for p := range probes {
+			pos := p * ops / probes
+			var lat [3]float64
+			for j, cl := range levels {
+				c := newLatencyRelationCluster(t, cfg, seed, 3, cl)
+				for _, key := range keys[:pos] {
+					c.WriteOp(key)
+				}
+				lat[j] = c.ReadOp(keys[pos]).Latency
+			}
+			if !ordered(lat) {
+				t.Fatalf("seed %d read at %d: latency ONE %v, QUORUM %v, ALL %v; want 0 < ONE <= QUORUM <= ALL", seed, pos, lat[0], lat[1], lat[2])
+			}
+		}
+	}
+}
+
+// TestLatencyWithinWorkClock: on the perfect network a request's legs
+// run side by side, so no op's latency exceeds the work it cost the
+// whole cluster (its work-clock delta), whatever the level; at RF = 1 a
+// request is one leg and the two are the same number, to rounding (the
+// work clock sums every node's clock).
+func TestLatencyWithinWorkClock(t *testing.T) {
+	const rounding = 1e-9
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := relationConfig(t, seed)
+		for _, shape := range []struct {
+			rf int
+			cl ConsistencyLevel
+		}{{1, ConsistencyOne}, {3, ConsistencyOne}, {3, ConsistencyQuorum}, {3, ConsistencyAll}} {
+			c := newLatencyRelationCluster(t, cfg, seed, shape.rf, shape.cl)
+			rng := rand.New(rand.NewSource(seed))
+			for i := range 2_000 {
+				key := uint64(rng.Intn(2_000))
+				w0 := c.WorkClock()
+				var lat float64
+				if i%2 == 0 {
+					lat = c.ReadOp(key).Latency
+				} else {
+					lat = c.WriteOp(key).Latency
+				}
+				work := c.WorkClock() - w0
+				if lat <= 0 || lat > work*(1+rounding) || (shape.rf == 1 && lat < work*(1-rounding)) {
+					t.Fatalf("seed %d RF=%d %v op %d: latency %v, work-clock delta %v", seed, shape.rf, shape.cl, i, lat, work)
+				}
+			}
 		}
 	}
 }

@@ -194,25 +194,26 @@ func (c *Cluster) chargeWait(seconds float64) {
 }
 
 // attemptOp runs the breaker/timeout/retry protocol for one replica op
-// and reports whether the op may proceed on node idx. An open circuit
-// breaker rejects the attempt instantly (no wait charged at all); a
-// straggler beyond the op timeout fails fast (charging the timeout
-// wait); a transient failure is retried up to MaxRetries times with
-// exponential backoff, subject to the link's retry budget.
+// and reports whether the op may proceed on node idx, after how much
+// coordinator wait. An open circuit breaker rejects the attempt
+// instantly (no wait charged at all); a straggler beyond the op timeout
+// fails fast (charging the timeout wait); a transient failure is
+// retried up to MaxRetries times with exponential backoff, subject to
+// the link's retry budget.
 //
 //rafiki:hot
-func (c *Cluster) attemptOp(idx int) bool {
+func (c *Cluster) attemptOp(idx int) (float64, bool) {
 	if !c.breakerAllows(idx) {
 		c.stats.BreakerRejections++
 		c.stats.OpAttempts++
-		return false
+		return 0, false
 	}
 	if c.timedOut(idx) {
 		c.stats.Timeouts++
 		c.stats.OpAttempts++
 		c.chargeWait(c.res.OpTimeout)
 		c.breakerFailure(idx)
-		return false
+		return c.res.OpTimeout, false
 	}
 	c.stats.OpAttempts++
 	if c.res.RetryBudgetFrac > 0 {
@@ -223,10 +224,10 @@ func (c *Cluster) attemptOp(idx int) bool {
 	}
 	if c.injector == nil || !c.injector.AttemptFails(idx, c.Clock()) {
 		c.stats.OpSuccesses++
-		return true
+		return 0, true
 	}
 	c.stats.TransientFailures++
-	backoff := c.res.BackoffBase
+	backoff, waited := c.res.BackoffBase, 0.0
 	for r := 0; r < c.res.MaxRetries; r++ {
 		if c.res.RetryBudgetFrac > 0 {
 			if c.retryTokens[idx] < 1 {
@@ -238,9 +239,10 @@ func (c *Cluster) attemptOp(idx int) bool {
 		c.stats.Retries++
 		c.stats.OpAttempts++
 		c.chargeWait(backoff)
+		waited += backoff
 		if !c.injector.AttemptFails(idx, c.Clock()) {
 			c.stats.OpSuccesses++
-			return true
+			return waited, true
 		}
 		c.stats.TransientFailures++
 		backoff *= 2
@@ -249,7 +251,7 @@ func (c *Cluster) attemptOp(idx int) bool {
 		}
 	}
 	c.breakerFailure(idx)
-	return false
+	return waited, false
 }
 
 // breaker is one coordinator->replica link's circuit state.

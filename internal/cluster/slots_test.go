@@ -58,7 +58,9 @@ func TestDuplicatedLegsMatchGolden(t *testing.T) {
 			duplicateEveryLeg(t, c)
 			c.Preload(1)
 
-			// history is the op history: every coordinator-visible outcome.
+			// history is the op history: every coordinator-visible outcome
+			// but the critical-path latency, which the pin leaves out so
+			// it holds the legs, their order and outcomes alone.
 			var history []byte
 			write := func(key uint64, tomb bool) {
 				var w WriteResult
@@ -67,15 +69,17 @@ func TestDuplicatedLegsMatchGolden(t *testing.T) {
 				} else {
 					w = c.WriteOp(key)
 				}
-				history = fmt.Appendf(history, "write %d tomb %v %+v clock %v\n", key, tomb, w, c.Clock())
+				history = fmt.Appendf(history, "write %d tomb %v {Version:%d Acked:%d OK:%v} clock %v\n",
+					key, tomb, w.Version, w.Acked, w.OK, c.Clock())
 			}
 			read := func(key uint64) {
 				r := c.ReadOp(key)
-				history = fmt.Appendf(history, "read %d %+v clock %v\n", key, r, c.Clock())
+				history = fmt.Appendf(history, "read %d {Version:%d Deleted:%v Served:%d OK:%v} clock %v\n",
+					key, r.Version, r.Deleted, r.Served, r.OK, c.Clock())
 			}
 			scan := func(start uint64) {
 				s := c.ScanOp(start, 16)
-				history = fmt.Appendf(history, "scan %d %+v clock %v\n", start, s, c.Clock())
+				history = fmt.Appendf(history, "scan %d {Rows:%d Served:%d OK:%v} clock %v\n", start, s.Rows, s.Served, s.OK, c.Clock())
 			}
 
 			const keys = 96

@@ -118,14 +118,20 @@ type inboxEntry struct {
 // coordinator discovers loss, and counts against to's circuit breaker.
 // A pull may also be answered by to itself with msgStreamGone.
 //
+// It also returns the leg's own virtual time, the span a request that
+// sent it waits on: the round trip plus node to's clock advance while it
+// served the message, or the op timeout when the exchange was lost.
+//
 //rafiki:hot
-func (c *Cluster) exchange(to, replyFrom int, req message) (message, bool) {
+func (c *Cluster) exchange(to, replyFrom int, req message) (message, float64, bool) {
 	c.reqID++
 	req.id = c.reqID
 	c.req = req
 	c.inbox = c.inbox[:0]
 	sent := c.Clock()
+	busy := c.nodes[to].Clock()
 	c.net.Send(netsim.Coordinator, to, &c.req, sent)
+	busy = c.nodes[to].Clock() - busy
 	want := req.kind.reply()
 	for i := range c.inbox {
 		e := &c.inbox[i]
@@ -135,7 +141,7 @@ func (c *Cluster) exchange(to, replyFrom int, req message) (message, bool) {
 		if (e.msg.kind == want && e.from == replyFrom) || (e.msg.kind == msgStreamGone && e.from == to) {
 			c.chargeWait(e.at - sent)
 			c.breakerSuccess(to)
-			return e.msg, true
+			return e.msg, e.at - sent + busy, true
 		}
 	}
 	// The request or the response was lost: the coordinator sat out its
@@ -145,7 +151,7 @@ func (c *Cluster) exchange(to, replyFrom int, req message) (message, bool) {
 	c.stats.RPCLostTimeouts++
 	c.chargeWait(c.res.OpTimeout)
 	c.breakerFailure(to)
-	return message{}, false
+	return message{}, c.res.OpTimeout, false
 }
 
 // closeStream releases src's frozen stream list. Fire-and-forget: a

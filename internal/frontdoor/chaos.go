@@ -181,22 +181,24 @@ func runOverloadSeed(seed int64, cfg OverloadConfig) (OverloadOutcome, error) {
 	return out, nil
 }
 
-// calibrateOverload measures the healthy per-request work cost for a
-// cluster shaped like the serving one.
+// calibrateOverload measures the healthy mean per-request latency of a
+// cluster shaped like the serving one — the service time the front door
+// charges — over a 400-op probe of alternating reads and writes.
 func calibrateOverload(seed int64) (float64, error) {
 	c, err := newOverloadCluster(seed, nil)
 	if err != nil {
 		return 0, err
 	}
 	const probe = 400
+	var total float64
 	for k := uint64(0); k < probe; k++ {
 		if k%2 == 0 {
-			c.Read(k % uint64(c.KeySpace()))
+			total += c.ReadOp(k % uint64(c.KeySpace())).Latency
 		} else {
-			c.Write(k % uint64(c.KeySpace()))
+			total += c.WriteOp(k % uint64(c.KeySpace())).Latency
 		}
 	}
-	perOp := c.WorkClock() / probe
+	perOp := total / probe
 	if perOp <= 0 {
 		return 0, fmt.Errorf("frontdoor: calibration measured no work")
 	}

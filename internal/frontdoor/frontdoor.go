@@ -8,10 +8,13 @@
 // single-threaded and fully deterministic under a seed: per-tenant
 // token-bucket rate limits, a bounded admission queue (FIFO per tenant,
 // round-robin across tenants), deadline-aware load shedding at
-// dispatch, and per-tenant latency histograms. Service times come from
-// the cluster's work clock, so a partitioned or straggling replica —
-// via the coordinator's timeouts and circuit breakers — surfaces here
-// as queue growth and ultimately as deterministic shedding.
+// dispatch, and per-tenant latency histograms. A request's service
+// time is its cluster op's critical-path latency: the replica legs run
+// side by side and the op completes at the ack or answer its
+// consistency level waits for. A partitioned or straggling replica on
+// that path — via the coordinator's timeouts and circuit breakers —
+// surfaces here as queue growth and ultimately as deterministic
+// shedding.
 package frontdoor
 
 import (
@@ -210,9 +213,10 @@ type FrontDoor struct {
 	latByClass [][]float64
 }
 
-// New validates opts and builds a front door over cl. The cluster
-// should be built with EpochOps=1 so its work clock advances per op —
-// coarser epochs quantize service times to epoch boundaries.
+// New validates opts and builds a front door over cl, whose ops'
+// Latency is each request's service time. The cluster should be built
+// with EpochOps=1 so a replica's clock advances with every leg it
+// serves — coarser epochs quantize service times to epoch boundaries.
 func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("frontdoor: nil cluster")
@@ -424,22 +428,21 @@ func (f *FrontDoor) dispatch() {
 	}
 }
 
-// execute runs req against the cluster, charging its service time from
-// the cluster's work-clock delta, and books the in-flight departure.
+// execute runs req against the cluster, charging the op's critical-path
+// latency as its service time, and books the in-flight departure.
 //
 //rafiki:hot
 func (f *FrontDoor) execute(req Request) {
-	w0 := f.cl.WorkClock()
 	var ok bool
 	var ver int64
+	var svc float64
 	if req.IsRead {
 		r := f.cl.ReadOp(req.Key)
-		ok, ver = r.OK, r.Version
+		ok, ver, svc = r.OK, r.Version, r.Latency
 	} else {
 		w := f.cl.WriteOp(req.Key)
-		ok, ver = w.OK, w.Version
+		ok, ver, svc = w.OK, w.Version, w.Latency
 	}
-	svc := f.cl.WorkClock() - w0
 	f.free--
 	if used := f.opts.Concurrency - f.free; used > f.res.MaxInFlight {
 		f.res.MaxInFlight = used

@@ -15,27 +15,13 @@ import (
 )
 
 // newServingCluster builds the cluster the front door serves from:
-// per-op epochs (so the work clock ticks every op), quorum reads and
-// writes (so session guarantees hold across replica failures), and the
-// resilience stack scaled to the engine's op cost.
+// per-op epochs (so every replica leg's service time is its own),
+// quorum reads and writes (so session guarantees hold across replica
+// failures), and the resilience stack scaled to the calibrated op cost.
 func newServingCluster(t *testing.T, seed int64, reg *obs.Registry) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.New(cluster.Options{
-		Nodes:             3,
-		ReplicationFactor: 3,
-		Space:             config.Cassandra(),
-		Seed:              seed,
-		EpochOps:          1,
-		Obs:               reg,
-	})
+	c, err := frontdoor.NewOverloadCluster(seed, reg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	c.Preload(1)
-	if err := c.SetReadConsistency(cluster.ConsistencyQuorum); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetWriteConsistency(cluster.ConsistencyQuorum); err != nil {
 		t.Fatal(err)
 	}
 	perOp := calibrate(t, seed)
@@ -49,38 +35,13 @@ func newServingCluster(t *testing.T, seed int64, reg *obs.Registry) *cluster.Clu
 	return c
 }
 
-// calibrate measures the mean per-request work-clock cost of a healthy
+// calibrate is the front door's mean per-request latency on a healthy
 // cluster identical to the serving one.
 func calibrate(t *testing.T, seed int64) float64 {
 	t.Helper()
-	c, err := cluster.New(cluster.Options{
-		Nodes:             3,
-		ReplicationFactor: 3,
-		Space:             config.Cassandra(),
-		Seed:              seed,
-		EpochOps:          1,
-	})
+	perOp, err := frontdoor.CalibrateOverload(seed)
 	if err != nil {
 		t.Fatal(err)
-	}
-	c.Preload(1)
-	if err := c.SetReadConsistency(cluster.ConsistencyQuorum); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetWriteConsistency(cluster.ConsistencyQuorum); err != nil {
-		t.Fatal(err)
-	}
-	const probe = 400
-	for k := uint64(0); k < probe; k++ {
-		if k%2 == 0 {
-			c.Read(k % uint64(c.KeySpace()))
-		} else {
-			c.Write(k % uint64(c.KeySpace()))
-		}
-	}
-	perOp := c.WorkClock() / probe
-	if perOp <= 0 {
-		t.Fatal("calibration probe measured no work")
 	}
 	return perOp
 }
@@ -302,7 +263,7 @@ func TestOverloadObsGolden(t *testing.T) {
 			RatePerTenant: 2 / perOp, ReadRatio: 0.5, RateLimit: 0.05 / perOp,
 		}},
 		SLOWindow: 100 * perOp,
-		SLOP99:    7.25 * perOp,
+		SLOP99:    7 * perOp,
 		Obs:       reg,
 	})
 	if err != nil {

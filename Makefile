@@ -7,9 +7,9 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
 # PR that must grow the tree raises it in its own diff, where a reviewer
 # sees it; a PR that shrinks the tree lowers it to its new total.
-LOC_CEILING ?= 24277
+LOC_CEILING ?= 24290
 
-.PHONY: build test bench bench-smoke check fmt vet lint race fuzz cover guard chaos slo paper rebaseline loc
+.PHONY: build test bench bench-smoke benchrun check fmt vet lint race fuzz cover guard chaos slo paper rebaseline loc
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,15 @@ bench:
 
 bench-smoke:
 	$(BENCH) -benchtime=1x
+
+# benchrun runs the PR benchmark's command as BENCHMARK.json declares
+# it: every workload, its results under the git-ignored
+# cmd/rafikibench/out/. It fails when the command exits nonzero — a
+# build break or a workload whose correctness checks failed. It takes
+# ~80 s on 2 vCPUs, so check leaves it out; run it last before
+# submitting a change to a package the benchmark imports.
+benchrun:
+	$(GO) run ./cmd/rafikibench run
 
 fmt:
 	@out="$$(gofmt -l .)"; \

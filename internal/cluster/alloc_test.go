@@ -69,6 +69,25 @@ func TestServeAllocGuard(t *testing.T) {
 	}
 }
 
+// TestServeNodesKeepNoSeries: after the warm QUORUM stream every node
+// has closed its per-op epochs without keeping a rate per epoch, which
+// at EpochOps 1 would be a float64 per replica operation that Metrics
+// drops.
+func TestServeNodesKeepNoSeries(t *testing.T) {
+	c := newServeCluster(t)
+	quorumOps(c, rand.New(rand.NewSource(11)), 20_000)
+	for i, n := range c.nodes {
+		m := n.Metrics()
+		if m.Epochs == 0 || len(m.EpochThroughputs) != 0 || len(m.EpochLatencies) != 0 {
+			t.Fatalf("node %d: %d epochs kept %d throughput and %d latency entries, want none",
+				i, m.Epochs, len(m.EpochThroughputs), len(m.EpochLatencies))
+		}
+	}
+	if m := c.Metrics(); len(m.EpochThroughputs) != 0 || len(m.EpochLatencies) != 0 {
+		t.Fatalf("cluster metrics carry %d throughput and %d latency entries", len(m.EpochThroughputs), len(m.EpochLatencies))
+	}
+}
+
 // TestUndoTailSizedToWindow: a replica's undo tail never holds more
 // than the window plus the record that overflows it, so its backing
 // stops growing there (append's growth reached ~10.4k records), and

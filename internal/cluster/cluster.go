@@ -141,16 +141,18 @@ type Cluster struct {
 
 // newEngine builds node slot idx's engine from the cluster's options,
 // seeded by the slot: a node joining later is built as New would have.
+// Nodes keep no epoch series: Metrics drops them.
 func (c *Cluster) newEngine(idx int) (*nosql.Engine, error) {
 	o := c.baseOpts
 	return nosql.New(nosql.Options{
-		Space:    o.Space,
-		Config:   o.Config,
-		Hardware: o.Hardware,
-		Model:    o.Model,
-		Seed:     o.Seed + int64(idx)*1_000_003,
-		EpochOps: o.EpochOps,
-		Obs:      o.Obs,
+		Space:           o.Space,
+		Config:          o.Config,
+		Hardware:        o.Hardware,
+		Model:           o.Model,
+		Seed:            o.Seed + int64(idx)*1_000_003,
+		EpochOps:        o.EpochOps,
+		Obs:             o.Obs,
+		DropEpochSeries: true,
 	})
 }
 
@@ -774,7 +776,9 @@ func (c *Cluster) WorkClock() float64 {
 // KeySpace returns the logical key space (shared by all nodes).
 func (c *Cluster) KeySpace() int { return c.nodes[0].KeySpace() }
 
-// Metrics aggregates node counters.
+// Metrics aggregates node counters. Its epoch series are always empty:
+// nodes keep none, and a serving request is timed by its result's
+// Latency instead.
 func (c *Cluster) Metrics() nosql.Metrics {
 	var agg nosql.Metrics
 	for _, n := range c.nodes {

@@ -192,6 +192,11 @@ type Options struct {
 	// Obs, when non-nil, receives the engine's metrics and spans. Nil
 	// (the default) disables instrumentation at ~zero cost.
 	Obs *obs.Registry
+	// DropEpochSeries, when set, keeps no per-epoch rate: Metrics
+	// returns empty epoch series while Epochs still counts. A cluster
+	// node sets it, since the cluster never returns its nodes' series
+	// and at EpochOps 1 the series takes a float64 per operation.
+	DropEpochSeries bool
 }
 
 // Engine is the simulated storage engine. It is not safe for concurrent
@@ -238,10 +243,11 @@ type Engine struct {
 	// m holds the counters, the engine's exported ledger: an allocation
 	// of its own, so a registry that outlives the engine pins only this.
 	// Its epoch series stay nil — rates is their one record, and Metrics
-	// builds both series from it.
-	m     *Metrics
-	rates epochSeries
-	o     engineObs
+	// builds both series from it. dropRates leaves rates empty.
+	m         *Metrics
+	rates     epochSeries
+	dropRates bool
+	o         engineObs
 
 	// scanSrcs is the merged range iterator's reusable cursor scratch;
 	// scans are the hot path the alloc guard pins.
@@ -286,16 +292,17 @@ func New(opts Options) (*Engine, error) {
 		epochOps = 1024
 	}
 	e := &Engine{
-		space:    opts.Space,
-		hw:       hw,
-		model:    model,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		epochOps: epochOps,
-		mem:      newMemtable(hw.RowBytes),
-		diskTax:  1,
-		cpuTax:   1,
-		m:        new(Metrics),
-		o:        newEngineObs(opts.Obs),
+		space:     opts.Space,
+		hw:        hw,
+		model:     model,
+		rng:       rand.New(rand.NewSource(opts.Seed)),
+		epochOps:  epochOps,
+		mem:       newMemtable(hw.RowBytes),
+		diskTax:   1,
+		cpuTax:    1,
+		m:         new(Metrics),
+		dropRates: opts.DropEpochSeries,
+		o:         newEngineObs(opts.Obs),
 	}
 	e.log = newCommitLog(hw.ScaledBytes(32), float64(hw.RowBytes))
 	cfg := opts.Config
@@ -941,7 +948,9 @@ func (e *Engine) closeEpoch() {
 	e.m.VirtualSeconds += dt
 	rate := float64(acc.ops) / dt
 	*acc = epochAcc{} // the epoch is accounted; what follows starts the next
-	e.rates.add(rate)
+	if !e.dropRates {
+		e.rates.add(rate)
+	}
 	e.m.Epochs++
 	e.o.epochTput.Observe(rate)
 	// Little's law over the closed-loop client pool: the epoch's mean

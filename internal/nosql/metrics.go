@@ -21,7 +21,7 @@ type Metrics struct {
 	// VirtualSeconds is the simulated wall-clock time consumed.
 	VirtualSeconds float64
 	// Epochs counts closed accounting epochs, the length of the two
-	// series below.
+	// series below unless Options.DropEpochSeries left them empty.
 	Epochs uint64 `obs:"nosql.epochs"`
 	// EpochThroughputs records ops/s for each closed accounting epoch —
 	// the 10-second samples behind the paper's Figure 10.

@@ -3,6 +3,7 @@ package nosql
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -15,9 +16,9 @@ import (
 // seriesRun drives a seeded 300k-op mix (reads, writes, deletes, the
 // odd scan) with a crash-restart a third of the way in, and returns the
 // engine with its last epoch closed.
-func seriesRun(t testing.TB, epochOps int) *Engine {
+func seriesRun(t testing.TB, epochOps int, drop bool) *Engine {
 	t.Helper()
-	e, err := New(Options{Space: config.Cassandra(), Seed: 41, EpochOps: epochOps})
+	e, err := New(Options{Space: config.Cassandra(), Seed: 41, EpochOps: epochOps, DropEpochSeries: drop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +47,30 @@ func seriesRun(t testing.TB, epochOps int) *Engine {
 
 // TestEpochSeriesGolden pins both epoch series: their length, means and
 // the latency p99, and each series' digest. At EpochOps 1 the run
-// crosses every chunk size up to the 8 Ki cap.
+// crosses every chunk size up to the 8 Ki cap. With DropEpochSeries set
+// the run closes the same epochs and keeps neither series.
 func TestEpochSeriesGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		epochOps int
-	}{{"per-op", 1}, {"default", 0}} {
+		drop     bool
+	}{{"per-op", 1, false}, {"default", 0, false}, {"dropped", 1, true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := seriesRun(t, tc.epochOps).Metrics()
-			if len(m.EpochThroughputs) != len(m.EpochLatencies) {
-				t.Fatalf("%d throughput and %d latency epochs", len(m.EpochThroughputs), len(m.EpochLatencies))
+			m := seriesRun(t, tc.epochOps, tc.drop).Metrics()
+			if tc.drop {
+				if m.Epochs == 0 || len(m.EpochThroughputs) != 0 || len(m.EpochLatencies) != 0 {
+					t.Fatalf("%d epochs kept %d throughput and %d latency entries, want none",
+						m.Epochs, len(m.EpochThroughputs), len(m.EpochLatencies))
+				}
+				kept := seriesRun(t, tc.epochOps, false).Metrics()
+				kept.EpochThroughputs, kept.EpochLatencies = m.EpochThroughputs, m.EpochLatencies
+				if !reflect.DeepEqual(m, kept) {
+					t.Fatalf("dropping the series moved the counters:\n%+v\nkept:\n%+v", m, kept)
+				}
+				return
+			}
+			if uint64(len(m.EpochThroughputs)) != m.Epochs || len(m.EpochLatencies) != len(m.EpochThroughputs) {
+				t.Fatalf("%d epochs, %d throughput and %d latency entries", m.Epochs, len(m.EpochThroughputs), len(m.EpochLatencies))
 			}
 			golden.Check(t, "testdata/epoch_series_"+tc.name+".golden", fmt.Appendf(nil,
 				"epochs %d\nthroughput mean %v digest %s\nlatency mean %v p99 %v digest %s\n",
@@ -91,7 +106,7 @@ func TestEpochSeriesMatchesAppend(t *testing.T) {
 // slices: scribbling on one snapshot leaves the next one, and the
 // engine's own record, untouched.
 func TestMetricsSeriesAreTheCallers(t *testing.T) {
-	e := seriesRun(t, 0)
+	e := seriesRun(t, 0, false)
 	m1 := e.Metrics()
 	wantT, wantL := slices.Clone(m1.EpochThroughputs), slices.Clone(m1.EpochLatencies)
 	p99 := m1.LatencyPercentile(0.99)

@@ -375,7 +375,7 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 	c.pumpRebalance() //lint:allow hotalloc a no-op unless a topology change is in flight; stream steps amortize over the rebalance
 	c.stats.Mutations++
 	c.seq++
-	wc := cell{ver: c.seq, tomb: tombstone}
+	wc := newCell(c.seq, tombstone)
 	req := message{kind: msgWrite, key: key, c: wc}
 	acks, slowest := c.acks[:0], 0.0
 	owners := c.replicas(key)
@@ -435,7 +435,7 @@ func (c *Cluster) mutate(key uint64, tombstone bool) WriteResult {
 		latency = acks[need-1]
 	}
 	return WriteResult{
-		Version: wc.ver,
+		Version: wc.ver(),
 		Acked:   acked,
 		OK:      acked >= need,
 		Latency: latency,
@@ -508,7 +508,7 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 			got = resp.c
 		}
 		answers = append(answers, answer{idx: idx, c: got})
-		if got.ver > best.ver {
+		if got.ver() > best.ver() {
 			best = got
 		}
 	}
@@ -521,9 +521,9 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 	// Read repair: any consulted replica that answered with an older
 	// version than the winner gets the winning cell written back, so
 	// quorum overlap converges divergent replicas on the read path.
-	if best.ver > 0 {
+	if best.ver() > 0 {
 		for _, a := range answers {
-			if a.c.ver >= best.ver {
+			if a.c.ver() >= best.ver() {
 				continue
 			}
 			if _, _, ok := c.exchange(a.idx, a.idx, message{kind: msgWrite, key: key, c: best}); ok {
@@ -532,8 +532,8 @@ func (c *Cluster) ReadOp(key uint64) ReadResult {
 		}
 	}
 	return ReadResult{
-		Version: best.ver,
-		Deleted: best.ver > 0 && best.tomb,
+		Version: best.ver(),
+		Deleted: best.ver() > 0 && best.tomb(),
 		Served:  served,
 		OK:      true,
 		Latency: latency,

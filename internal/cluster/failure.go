@@ -247,7 +247,7 @@ func (c *Cluster) fullRepair(i int) {
 		if !st.hasVer {
 			// Preloaded state predating versioning: stream it at the
 			// floor version so any versioned write still beats it.
-			wc = cell{ver: 0, tomb: !st.alive}
+			wc = newCell(0, !st.alive)
 		}
 		if _, _, ok := c.exchange(i, i, message{kind: msgWrite, key: key, c: wc}); !ok {
 			continue

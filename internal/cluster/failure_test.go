@@ -301,41 +301,56 @@ func TestQuorumReadRepairAfterCorruptRestart(t *testing.T) {
 	}
 }
 
-// TestUndoRecPacksLosslessly pins the tail record's 32-byte layout and
-// that every combination of had, torn and the two tombstone bits comes
-// back out of it, then replays a half-torn tail: torn applies roll back
-// to what they overwrote (a tombstone included), untorn ones survive.
-func TestUndoRecPacksLosslessly(t *testing.T) {
-	if got := unsafe.Sizeof(undoRec{}); got != 32 {
-		t.Fatalf("undoRec is %d bytes, want 32", got)
+// TestReplicaStateLayout pins the per-write state a replica keeps: a
+// versioned cell is one word and a tail record three.
+func TestReplicaStateLayout(t *testing.T) {
+	if got := unsafe.Sizeof(cell(0)); got != 8 {
+		t.Errorf("cell is %d bytes, want 8", got)
 	}
+	if got := unsafe.Sizeof(undoRec{}); got != 24 {
+		t.Errorf("undoRec is %d bytes, want 24", got)
+	}
+}
+
+// TestUndoRecPacksLosslessly checks that every combination of had, torn
+// and the two tombstone bits comes back out of a tail record, prev at
+// the repair floor (version 0, so only the had bit tells a held zero
+// cell from none) and next at a large version, then replays a half-torn
+// tail: torn applies roll back to what they overwrote (a tombstone and
+// a floor cell included), untorn ones survive.
+func TestUndoRecPacksLosslessly(t *testing.T) {
 	for bits := 0; bits < 16; bits++ {
 		had, torn := bits&1 != 0, bits&2 != 0
-		prev, next := cell{ver: -7, tomb: bits&4 != 0}, cell{ver: 1 << 40, tomb: bits&8 != 0}
-		u := newUndoRec(99, prev, had, next)
+		prevTomb, nextTomb := bits&4 != 0, bits&8 != 0
+		u := newUndoRec(99, newCell(0, prevTomb), had, newCell(1<<40, nextTomb))
 		if torn {
-			u.flags |= undoTorn
+			u.tear()
 		}
-		if u.key != 99 || u.had() != had || u.torn() != torn || u.prev() != prev || u.next() != next {
-			t.Errorf("bits %04b: unpacked key %d had %v torn %v prev %+v next %+v", bits, u.key, u.had(), u.torn(), u.prev(), u.next())
+		prev, next := u.prevCell(), u.nextCell()
+		if u.key != 99 || u.had() != had || u.torn() != torn ||
+			prev.ver() != 0 || prev.tomb() != prevTomb || next.ver() != 1<<40 || next.tomb() != nextTomb {
+			t.Errorf("bits %04b: unpacked key %d had %v torn %v prev %d/%v next %d/%v",
+				bits, u.key, u.had(), u.torn(), prev.ver(), prev.tomb(), next.ver(), next.tomb())
 		}
 	}
 
 	c := newTestCluster(t, 1, 1, nil)
 	r := c.reps[0]
-	r.apply(1, cell{ver: 1, tomb: true})
-	r.apply(2, cell{ver: 2})
-	r.restart() // both durable
-	r.apply(2, cell{ver: 3, tomb: true})
-	r.apply(1, cell{ver: 4})
-	r.apply(3, cell{ver: 5})
-	r.corruptTail(0.5) // tears the two newest of three
+	r.apply(1, newCell(1, true))
+	r.apply(2, newCell(2, false))
+	r.apply(4, newCell(0, false))
+	r.restart() // all three durable
+	r.apply(2, newCell(3, true))
+	r.apply(3, newCell(4, false))
+	r.apply(1, newCell(5, false))
+	r.apply(4, newCell(6, true))
+	r.corruptTail(0.5) // tears the two newest of four
 	if r.torn != 2 {
 		t.Fatalf("%d records torn, want 2", r.torn)
 	}
 	r.restart()
-	want := map[uint64]cell{1: {ver: 1, tomb: true}, 2: {ver: 3, tomb: true}}
+	want := map[uint64]cell{1: newCell(1, true), 2: newCell(3, true), 3: newCell(4, false), 4: newCell(0, false)}
 	if !maps.Equal(r.cur, want) {
-		t.Errorf("after the torn restart the replica holds %+v, want %+v", r.cur, want)
+		t.Errorf("after the torn restart the replica holds %v, want %v", r.cur, want)
 	}
 }

@@ -16,12 +16,23 @@ import (
 // travel as messages through the network, which is machine-checked by
 // rafikilint's netbypass analyzer.
 
-// cell is one key's replicated register state: the coordinator-issued
-// version that last wrote it, and whether that write was a tombstone.
-type cell struct {
-	ver  int64
-	tomb bool
+// cell is one key's replicated register state in one word: the
+// coordinator-issued version that last wrote it, shifted left one bit,
+// and in the low bit whether that write was a tombstone. Versions are
+// >= 0 — coordinator versions start at 1 and repair writes preloaded
+// state at the floor 0 — so the top bits are spare (see undoRec).
+type cell int64
+
+func newCell(ver int64, tomb bool) cell {
+	c := cell(ver << 1)
+	if tomb {
+		c |= 1
+	}
+	return c
 }
+
+func (c cell) ver() int64 { return int64(c >> 1) }
+func (c cell) tomb() bool { return c&1 != 0 }
 
 // undoWindow bounds each replica's corruptible tail: applies older
 // than the window count as flushed (durable) and can no longer be
@@ -29,43 +40,32 @@ type cell struct {
 const undoWindow = 8192
 
 // undoRec is one entry of a replica's corruptible tail: enough to
-// roll the key back (prev/had) and to replay the apply (next). A node
-// keeps undoWindow of them, so the two cells' tombstone bits share one
-// flags byte with had and torn: 32 bytes a record.
+// roll the key back (prev, when had) and to replay the apply (next). A
+// node keeps undoWindow of them, so the flags ride in the cells' spare
+// top bit — had in prev's, torn in next's — for 24 bytes a record. had
+// needs its own bit: a key repaired at the floor holds the zero cell.
 type undoRec struct {
-	key              uint64
-	prevVer, nextVer int64
-	flags            uint8
+	key        uint64
+	prev, next cell
 }
 
-const (
-	undoHad uint8 = 1 << iota
-	undoPrevTomb
-	undoNextTomb
-	undoTorn
-)
+const undoFlag cell = 1 << 62
 
 // newUndoRec records that key went from prev (meaningful when had) to next.
 //
 //rafiki:hot
 func newUndoRec(key uint64, prev cell, had bool, next cell) undoRec {
-	u := undoRec{key: key, prevVer: prev.ver, nextVer: next.ver}
 	if had {
-		u.flags |= undoHad
+		prev |= undoFlag
 	}
-	if prev.tomb {
-		u.flags |= undoPrevTomb
-	}
-	if next.tomb {
-		u.flags |= undoNextTomb
-	}
-	return u
+	return undoRec{key: key, prev: prev, next: next}
 }
 
-func (u undoRec) had() bool  { return u.flags&undoHad != 0 }
-func (u undoRec) torn() bool { return u.flags&undoTorn != 0 }
-func (u undoRec) prev() cell { return cell{ver: u.prevVer, tomb: u.flags&undoPrevTomb != 0} }
-func (u undoRec) next() cell { return cell{ver: u.nextVer, tomb: u.flags&undoNextTomb != 0} }
+func (u undoRec) had() bool      { return u.prev&undoFlag != 0 }
+func (u undoRec) torn() bool     { return u.next&undoFlag != 0 }
+func (u *undoRec) tear()         { u.next |= undoFlag }
+func (u undoRec) prevCell() cell { return u.prev &^ undoFlag }
+func (u undoRec) nextCell() cell { return u.next &^ undoFlag }
 
 // replica is one node's message endpoint: the storage engine plus the
 // versioned register state consistency checking observes. Version
@@ -101,13 +101,13 @@ func newReplica(eng *nosql.Engine) *replica {
 //
 //rafiki:hot
 func (r *replica) apply(key uint64, c cell) {
-	if c.tomb {
+	if c.tomb() {
 		r.eng.Delete(key)
 	} else {
 		r.eng.Write(key)
 	}
 	old, had := r.cur[key]
-	if had && old.ver >= c.ver {
+	if had && old.ver() >= c.ver() {
 		return
 	}
 	r.pushUndo(newUndoRec(key, old, had, c))
@@ -182,7 +182,7 @@ func (r *replica) corruptTail(fraction float64) {
 	n := int(math.Ceil(fraction * float64(pending)))
 	for i := len(r.undo) - 1; i >= 0 && n > 0; i-- {
 		if !r.undo[i].torn() {
-			r.undo[i].flags |= undoTorn
+			r.undo[i].tear()
 			r.torn++
 			n--
 		}
@@ -197,7 +197,7 @@ func (r *replica) restart() {
 	for i := len(r.undo) - 1; i >= 0; i-- {
 		u := r.undo[i]
 		if u.had() {
-			r.cur[u.key] = u.prev()
+			r.cur[u.key] = u.prevCell()
 		} else {
 			delete(r.cur, u.key)
 		}
@@ -206,7 +206,7 @@ func (r *replica) restart() {
 		if u.torn() {
 			continue
 		}
-		r.cur[u.key] = u.next()
+		r.cur[u.key] = u.nextCell()
 	}
 	r.undo = r.undo[:0]
 	r.torn = 0

@@ -119,7 +119,7 @@ func TestQuorumDeleteReadRepairsWipedReplica(t *testing.T) {
 	if c.Stats().ReadRepairs == 0 {
 		t.Error("stale replica never read-repaired")
 	}
-	if cl, has := c.reps[0].cur[key]; !has || !cl.tomb || cl.ver != del.Version {
+	if cl, has := c.reps[0].cur[key]; !has || !cl.tomb() || cl.ver() != del.Version {
 		t.Errorf("node 0 state after repair = %+v (has=%v), want tombstone version %d", cl, has, del.Version)
 	}
 }

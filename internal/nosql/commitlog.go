@@ -17,14 +17,16 @@ type commitLog struct {
 	segmentsRolled uint64
 }
 
-// logRecord is one durable mutation: a write or a delete. TTL'd writes
-// carry their absolute virtual expiry time so crash recovery replays
-// them with the same lifetime.
+// logRecord is one durable mutation: a write or a delete, 16 bytes.
+// TTL'd writes carry their absolute virtual expiry time so crash
+// recovery replays them with the same lifetime. Every write's expiry is
+// >= 0 (0 = none), so a delete is a record with a negative expiry.
 type logRecord struct {
-	key       uint64
-	tombstone bool
-	expiry    float64
+	key    uint64
+	expiry float64
 }
+
+func (r logRecord) tombstone() bool { return r.expiry < 0 }
 
 func newCommitLog(segmentBytes, rowBytes float64) *commitLog {
 	if segmentBytes <= 0 {
@@ -38,7 +40,10 @@ func newCommitLog(segmentBytes, rowBytes float64) *commitLog {
 //
 //rafiki:hot
 func (l *commitLog) Append(key uint64, tombstone bool, expiry, size float64) {
-	l.pending = append(l.pending, logRecord{key: key, tombstone: tombstone, expiry: expiry})
+	if tombstone {
+		expiry = -1
+	}
+	l.pending = append(l.pending, logRecord{key: key, expiry: expiry})
 	before := l.bytes
 	if size <= 0 {
 		size = l.rowBytes

@@ -2,6 +2,7 @@ package nosql
 
 import (
 	"testing"
+	"unsafe"
 
 	"rafiki/internal/config"
 )
@@ -170,6 +171,14 @@ func TestNewStrategyUnknown(t *testing.T) {
 	}
 }
 
+// TestLogRecordLayout pins a commit-log record at its key and expiry:
+// the tombstone flag lives in the expiry's sign.
+func TestLogRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(logRecord{}); got != 16 {
+		t.Errorf("logRecord is %d bytes, want 16", got)
+	}
+}
+
 func TestCommitLog(t *testing.T) {
 	l := newCommitLog(1000, 100)
 	l.Append(1, false, 0, 0)
@@ -178,7 +187,7 @@ func TestCommitLog(t *testing.T) {
 		t.Errorf("Bytes = %v", got)
 	}
 	recs := l.Replay()
-	if len(recs) != 2 || recs[0].key != 1 || recs[0].tombstone || !recs[1].tombstone {
+	if len(recs) != 2 || recs[0].key != 1 || recs[0].tombstone() || !recs[1].tombstone() {
 		t.Errorf("Replay = %+v", recs)
 	}
 	l.MarkFlushed()
@@ -201,4 +210,28 @@ func TestCommitLog(t *testing.T) {
 	}
 	l3.Resize(500)
 	l3.Resize(-1) // ignored
+
+	// A plain write, a TTL'd write and a tombstone replay into the
+	// memtable they were written to.
+	eng := newBareEngine(t, nil)
+	eng.Write(1)
+	eng.WriteTTL(2, 50)
+	eng.Delete(3)
+	recs = eng.log.Replay()
+	if len(recs) != 3 || recs[0].expiry != 0 || recs[1].expiry <= 0 || recs[1].tombstone() || !recs[2].tombstone() {
+		t.Fatalf("engine Replay = %+v", recs)
+	}
+	var before [3]memCell
+	for i := range before {
+		before[i], _ = eng.mem.Cell(uint64(i + 1))
+	}
+	eng.Restart()
+	for i, want := range before {
+		if got, ok := eng.mem.Cell(uint64(i + 1)); !ok || got != want {
+			t.Errorf("key %d after restart: %+v (held %v), want %+v", i+1, got, ok, want)
+		}
+	}
+	if !before[2].tomb || before[1].expiry != recs[1].expiry {
+		t.Errorf("memtable before restart: %+v", before)
+	}
 }

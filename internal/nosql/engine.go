@@ -1100,7 +1100,7 @@ func (e *Engine) Restart() {
 	replaySeconds := replayBytes*e.hw.DiskSecondsPerByte() +
 		float64(len(records))*e.model.WriteCPUSeconds/float64(e.hw.Cores)
 	for _, rec := range records {
-		if rec.tombstone {
+		if rec.tombstone() {
 			e.mem.Tombstone(rec.key)
 		} else {
 			e.mem.Insert(rec.key, rec.expiry, float64(e.hw.RowBytes))

@@ -312,6 +312,11 @@ func mergeTables(id uint64, tables []*ssTable, level, rowBytes, keysPerBlock, ke
 			out.expiry[key] = exp
 		}
 	}
+	// Overlapping inputs leave the run shorter than total: a merged run
+	// is kept at the size of their union, not of their sum.
+	if cap(out.sorted) > len(out.sorted) {
+		out.sorted = append(make([]uint64, 0, len(out.sorted)), out.sorted...)
+	}
 	out.index(keysPerBlock, keySpace)
 	return out
 }

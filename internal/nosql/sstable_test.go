@@ -133,6 +133,9 @@ func TestMergeTablesMatchesMapOracle(t *testing.T) {
 		if !slices.Equal(out.sorted, wantKeys) {
 			t.Fatalf("seed %d: merged run %v, oracle %v", seed, out.sorted, wantKeys)
 		}
+		if cap(out.sorted) != len(out.sorted) {
+			t.Fatalf("seed %d: merged run of %d keys holds capacity %d", seed, len(out.sorted), cap(out.sorted))
+		}
 		if !maps.Equal(out.tombs, wantTombs) {
 			t.Fatalf("seed %d: merged tombstones %v, oracle %v", seed, out.tombs, wantTombs)
 		}

@@ -4,10 +4,13 @@ GO ?= go
 # `make cover` fails if the tree regresses below it.
 COVER_FLOOR ?= 81.5
 
-# Ceiling on non-test Go lines outside cmd/rafikibench (`make loc`). A
-# PR that must grow the tree raises it in its own diff, where a reviewer
-# sees it; a PR that shrinks the tree lowers it to its new total.
-LOC_CEILING ?= 24300
+# Ceiling on non-test Go and assembly lines outside cmd/rafikibench
+# (`make loc`). A change that must grow the tree raises it in its own
+# diff, in plain sight; a change that shrinks the tree lowers it to its
+# new total. Last raised from 24300 when assembly started to count:
+# the 138 lines of internal/linalg's AVX kernel, plus the over-seeds
+# scoreboard (`-seeds`, bench.OverSeeds), less the deleted linalg API.
+LOC_CEILING ?= 24491
 
 # Ceiling on `make check`'s total wall time, in seconds. check prints
 # each gate's time and fails when their sum exceeds it: a gate nobody
@@ -15,7 +18,7 @@ LOC_CEILING ?= 24300
 # headroom are recorded where the budget last moved (CHANGES.md).
 CHECK_BUDGET ?= 2520
 
-.PHONY: build test bench bench-smoke benchrun check fmt vet lint race fuzz cover guard chaos slo paper rebaseline loc
+.PHONY: build test bench bench-smoke benchrun check fmt vet lint race fuzz cover guard chaos slo paper paper-seeds rebaseline loc
 
 build:
 	$(GO) build ./...
@@ -52,8 +55,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# vet also vets the trainer's kernels for arm64, so the portable path
+# that every non-AVX host runs always compiles (go vet's asmdecl check
+# holds the amd64 assembly to its Go declarations).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/nn
 
 # lint runs the repo's own analyzers (cmd/rafikilint): virtual-time,
 # pooled-concurrency, seeded-randomness, map-order, obs-nil-safety,
@@ -126,7 +133,7 @@ slo:
 	$(UNTIMED) slo-report.txt | diff $(REPORTS)/slo-report.golden -
 
 # paper runs the default experiment set at the default size (100k ops
-# per sample, seed 1; ~105 s on 2 vCPUs): every paper table and figure,
+# per sample, seed 1; ~70 s on 2 vCPUs): every paper table and figure,
 # each report's claims, and the closing "claims: N of M hold" line —
 # the scoreboard EXPERIMENTS.md quotes. The report lands in
 # paper-report.txt (gitignored); without its (elapsed …) lines it must
@@ -138,6 +145,18 @@ paper:
 	$(PAPER)
 	$(UNTIMED) paper-report.txt | diff $(REPORTS)/paper-report.golden -
 
+# paper-seeds runs the same default set at seeds 1-5, full size (~6 min
+# on 2 vCPUs), and prints every claim as "holds on k of 5" with its
+# verdict and text at each seed, each seed's claim count and report
+# digest, and one closing counts line. The output lands in
+# paper-seeds.txt (gitignored) and must equal the tracked golden. It is
+# too slow for check; a sim-changing change runs it and re-baselines it.
+PAPER_SEEDS = $(GO) run ./cmd/experiments -seeds 5 -out paper-seeds.txt
+
+paper-seeds:
+	$(PAPER_SEEDS)
+	diff $(REPORTS)/paper-seeds.golden paper-seeds.txt
+
 # PINS selects the behaviour pins: every Test*Golden, and lint's
 # TestFixtures, whose subtests (one golden per fixture) predate the
 # naming rule. A pin renders what it pins as text and holds it to a file
@@ -148,20 +167,22 @@ PINS = Golden|^TestFixtures$$
 # worker-count invariance test, the zero/bounded-alloc guards, the
 # parity oracles (kernels, inference, the point read, the block cache,
 # the preload image and the epoch series against the implementations
-# they replaced), the filter's no-false-negative invariant, each
+# they replaced; linalg's on its AVX and portable paths both, with the
+# checks that an AVX host runs AVX and that portable products are
+# rounded), the filter's no-false-negative invariant, each
 # ledger's name set and identities, a registry releasing what was built
 # on it, the layout pins (the size of each per-write record), and every
 # behaviour pin. internal/par's own tests run whole at GOMAXPROCS 1, 2
 # and 4: a team with no helper, with one, and a call asking for more
 # workers than there are Ps.
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|Matches(Oracle|Append)|NoFalseNegatives|PreloadImage|ReleasesRun|ObsReconcile|LedgerNames|ExportReleases|Layout|$(PINS)' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|KernelsUseAVX|ProductsRounded|Matches(Oracle|Append)|NoFalseNegatives|PreloadImage|ReleasesRun|ObsReconcile|LedgerNames|ExportReleases|Layout|$(PINS)' ./internal/...
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/par
 
 # rebaseline rewrites every pin from the current tree: the pins run with
 # -update (only in the packages whose tests import internal/golden, as
-# other test binaries reject the flag), and the chaos, slo and paper
-# reports replace their goldens. Review the diff: it is the list of
+# other test binaries reject the flag), and the chaos, slo, paper and
+# paper-seeds reports replace their goldens. Review the diff: it is the list of
 # moved numbers and verdicts.
 GOLDEN_PKGS = $$($(GO) list -f '{{.ImportPath}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./... | awk '/ rafiki\/internal\/golden( |$$)/ {print $$1}')
 
@@ -173,14 +194,17 @@ rebaseline:
 	$(UNTIMED) slo-report.txt > $(REPORTS)/slo-report.golden
 	$(PAPER)
 	$(UNTIMED) paper-report.txt > $(REPORTS)/paper-report.golden
+	$(PAPER_SEEDS)
+	cp paper-seeds.txt $(REPORTS)/paper-seeds.golden
 
 # loc prints each package's non-test and test Go lines (plain line
-# counts, comments and blanks included) and the non-test total outside
+# counts, comments and blanks included; assembly counts as non-test
+# code) and the non-test total outside
 # cmd/rafikibench — ROADMAP item 4's measure, so every deletion PR
 # reports the same number the same way — and fails when that total
 # exceeds LOC_CEILING.
 loc:
-	@find . -name '*.go' -not -path '*/testdata/*' | xargs wc -l | awk '$$2 != "total" { \
+	@find . \( -name '*.go' -o -name '*.s' \) -not -path '*/testdata/*' | xargs wc -l | awk '$$2 != "total" { \
 		d = $$2; sub(/\/[^\/]*$$/, "", d); dirs[d] = 1; \
 		if ($$2 ~ /_test\.go$$/) test[d] += $$1; \
 		else { code[d] += $$1; if (d != "./cmd/rafikibench") total += $$1 } } \

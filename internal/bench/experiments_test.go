@@ -118,3 +118,32 @@ func TestSuiteSharesPipelines(t *testing.T) {
 		t.Error("table4 on an unbuildable ScyllaDB pipeline should error")
 	}
 }
+
+// TestOverSeeds pins the over-seeds rendering's verdict counting and its
+// refusal of runs that do not line up claim for claim.
+func TestOverSeeds(t *testing.T) {
+	run := func(a, b bool, text string) []Report {
+		return []Report{{ID: "x", Claims: []Claim{{Text: text, Holds: a}, {Text: "b", Holds: b, Gate: true}}}}
+	}
+	got, err := OverSeeds([]int64{1, 2}, [][]Report{run(true, false, "a1"), run(true, true, "a2")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"x claim 1: holds on 2 of 2\n  seed 1 holds: a1\n  seed 2 holds: a2\n",
+		"x gate 2: holds on 1 of 2\n  seed 1 FAILS: b\n  seed 2 holds: b\n",
+		"seed 1: claims: 1 of 2 hold; reports sha256 ",
+		"claims over 2 seeds: 1 hold at every seed, 1 flip with the seed, 0 fail at every seed (of 2)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("rendering lacks %q:\n%s", want, got)
+		}
+	}
+	short := []Report{{ID: "x", Claims: []Claim{{Text: "a"}}}}
+	if _, err := OverSeeds([]int64{1, 2}, [][]Report{run(true, true, "a"), short}); err == nil {
+		t.Error("runs with different claim counts should error")
+	}
+	if _, err := OverSeeds([]int64{1, 2}, [][]Report{short}); err == nil {
+		t.Error("fewer runs than seeds should error")
+	}
+}

@@ -68,6 +68,20 @@ type Claim struct {
 	Gate  bool
 }
 
+func (c Claim) kind() string {
+	if c.Gate {
+		return "gate"
+	}
+	return "claim"
+}
+
+func verdict(holds bool) string {
+	if holds {
+		return "holds"
+	}
+	return "FAILS"
+}
+
 // claim is a scoreboard claim whose text formats the measured values.
 func claim(holds bool, format string, args ...any) Claim {
 	return Claim{Text: fmt.Sprintf(format, args...), Holds: holds}
@@ -109,14 +123,7 @@ func (r Report) Render() string {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
 	for _, c := range r.Claims {
-		kind, verdict := "claim", "holds"
-		if c.Gate {
-			kind = "gate"
-		}
-		if !c.Holds {
-			verdict = "FAILS"
-		}
-		fmt.Fprintf(&sb, "%s %s: %s\n", kind, verdict, c.Text)
+		fmt.Fprintf(&sb, "%s %s: %s\n", c.kind(), verdict(c.Holds), c.Text)
 	}
 	return sb.String()
 }

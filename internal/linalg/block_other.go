@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package linalg
+
+// haveAVX is false off amd64: every block runs the portable loops.
+const haveAVX = false
+
+func subBlockAVX(dst, src, col, row []float64, kn, cs, rs int, d float64) {
+	panic("linalg: no AVX kernel on this architecture")
+}
+
+func gramBlockAVX(dst0, dst1, col0, col1, row []float64, kn, rs int) {
+	panic("linalg: no AVX kernel on this architecture")
+}

@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// The references below write every product as float64(x*y), as the
+// kernels do, so that a compiler that fuses multiply-adds (arm64, or
+// amd64 at GOAMD64=v3) cannot turn them into a different chain.
+
 // naiveAtA is the reference Gram product: the plain triple loop with
 // sample rows accumulating in ascending order. AtAInto must match it
 // bit for bit.
@@ -20,7 +24,7 @@ func naiveAtA(m *Matrix) *Matrix {
 				continue
 			}
 			for b := a; b < m.Cols; b++ {
-				out.Set(a, b, out.At(a, b)+va*m.At(i, b))
+				out.Set(a, b, out.At(a, b)+float64(va*m.At(i, b)))
 			}
 		}
 	}
@@ -33,15 +37,16 @@ func naiveAtA(m *Matrix) *Matrix {
 }
 
 // naiveCholesky is the reference factorization: the textbook
-// row-by-row loop, one subtraction chain per element with k ascending.
-// choleskyInto must match it bit for bit, error included.
+// row-by-row loop over m's lower triangle, one subtraction chain per
+// element with k ascending, into the lower-triangular l. The kernel's
+// factor u = Lᵀ must match it bit for bit, error included.
 func naiveCholesky(m, l *Matrix) error {
 	n := m.Rows
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			sum := m.At(i, j)
 			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+				sum -= float64(l.At(i, k) * l.At(j, k))
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
@@ -54,6 +59,29 @@ func naiveCholesky(m, l *Matrix) error {
 		}
 	}
 	return nil
+}
+
+// naiveForwardSub and naiveBackSub are the reference substitutions
+// through the lower-triangular l: L·y = b, then Lᵀ·x = y.
+func naiveForwardSub(l *Matrix, b, y []float64) {
+	for i := 0; i < l.Rows; i++ {
+		sum := b[i]
+		for k := 0; k < i; k++ {
+			sum -= float64(l.At(i, k) * y[k])
+		}
+		y[i] = sum / l.At(i, i)
+	}
+}
+
+func naiveBackSub(l *Matrix, y, x []float64) {
+	n := l.Rows
+	for i := n - 1; i >= 0; i-- {
+		sum := y[i]
+		for k := i + 1; k < n; k++ {
+			sum -= float64(l.At(k, i) * x[k])
+		}
+		x[i] = sum / l.At(i, i)
+	}
 }
 
 // naiveTraceInverse is the reference tr(m⁻¹): one forward substitution
@@ -74,22 +102,59 @@ func naiveTraceInverse(m *Matrix) (float64, error) {
 				sum = 1
 			}
 			for k := j; k < i; k++ {
-				sum -= l.At(i, k) * y[k]
+				sum -= float64(l.At(i, k) * y[k])
 			}
 			y[i] = sum / l.At(i, i)
-			trace += y[i] * y[i]
+			trace += float64(y[i] * y[i])
 		}
 	}
 	return trace, nil
 }
 
+// factor runs the kernel's factorization of a into a fresh n x n u.
+func factor(a *Matrix) (*Matrix, error) {
+	n := a.Rows
+	u := New(n, n)
+	return u, cholesky(a.Data, u.Data, make([]float64, n), n)
+}
+
+// scribbleUpper overwrites a's strict upper triangle, which no
+// factorization may read, with values that would change any result
+// that did.
+func scribbleUpper(rng *rand.Rand, a *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		for j := i + 1; j < a.Cols; j++ {
+			a.Set(i, j, 1e3*rng.NormFloat64())
+		}
+	}
+}
+
+// onBothPaths runs fn as subtest "avx", when the host has it, and as
+// subtest "portable" with the assembly switched off: the two must
+// agree with the references, and so with each other, bit for bit.
+func onBothPaths(t *testing.T, fn func(t *testing.T)) {
+	t.Run("avx", func(t *testing.T) {
+		if !haveAVX {
+			t.Skip("no AVX on this host")
+		}
+		fn(t)
+	})
+	t.Run("portable", func(t *testing.T) {
+		useAVX = false
+		defer func() { useAVX = haveAVX }()
+		fn(t)
+	})
+}
+
 // kernelShapes are the (rows, cols) the bit-identity tests sweep: every
-// width from 1 to 9 (all remainders of the 2 x 3 tile and the 4-row
-// passes), widths that are not multiples of four, and the trainer's
-// real 220 x 191 Jacobian.
+// width from 1 to 9, the block edges 15, 16, 17, 31, 32 and 33 (one
+// lane short of a block, exactly one, one over; the same at two),
+// widths that are not multiples of four, and the trainer's real
+// 220 x 191 Jacobian.
 var kernelShapes = [][2]int{
 	{1, 1}, {3, 2}, {5, 3}, {4, 4}, {9, 5}, {2, 6}, {11, 7}, {8, 8}, {13, 9},
-	{40, 13}, {17, 22}, {64, 41}, {220, 191},
+	{40, 13}, {20, 15}, {7, 16}, {30, 17}, {17, 22}, {50, 31}, {33, 32}, {40, 33},
+	{64, 41}, {220, 191},
 }
 
 // sprinkleZeros plants exact +0 and -0 entries, the terms the naive
@@ -141,113 +206,111 @@ func naiveAtVec(m *Matrix, v []float64) []float64 {
 	return out
 }
 
-// naiveMulVec is the reference row-by-row dot product, summed left to
-// right. MulVecInto uses pairwise partial sums, so it only has to match
-// within tolerance.
-func naiveMulVec(m *Matrix, v []float64) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var sum float64
-		for j := 0; j < m.Cols; j++ {
-			sum += m.At(i, j) * v[j]
-		}
-		out[i] = sum
-	}
-	return out
-}
-
-// TestAtAIntoBitIdentical requires the tiled Gram kernel to reproduce
-// the naive loop exactly on every shape, with and without exact zeros
-// in the data, and on a reused receiver (the transposition scratch is
-// sized once and must be fully rewritten by every call).
+// TestAtAIntoBitIdentical requires the Gram kernel to reproduce the
+// naive loop exactly on every shape, with and without exact zeros in
+// the data, and into a reused dst.
 func TestAtAIntoBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, shape := range kernelShapes {
-		rows, cols := shape[0], shape[1]
-		m := randomMatrix(rng, rows, cols)
-		got := New(cols, cols)
-		for pass := 0; pass < 2; pass++ {
-			if pass == 1 {
-				for i := range m.Data {
-					m.Data[i] = rng.NormFloat64()
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, shape := range kernelShapes {
+			rows, cols := shape[0], shape[1]
+			m := randomMatrix(rng, rows, cols)
+			got := New(cols, cols)
+			for pass := 0; pass < 2; pass++ {
+				if pass == 1 {
+					for i := range m.Data {
+						m.Data[i] = rng.NormFloat64()
+					}
+					sprinkleZeros(rng, m)
 				}
-				sprinkleZeros(rng, m)
-			}
-			want := naiveAtA(m)
-			if err := m.AtAInto(got); err != nil {
-				t.Fatal(err)
-			}
-			if i, bad := bitsDiffer(got.Data, want.Data); bad {
-				t.Fatalf("%dx%d pass %d: AtAInto[%d] = %v, naive = %v (bit mismatch)",
-					rows, cols, pass, i, got.Data[i], want.Data[i])
+				want := naiveAtA(m)
+				if err := m.AtAInto(got); err != nil {
+					t.Fatal(err)
+				}
+				if i, bad := bitsDiffer(got.Data, want.Data); bad {
+					t.Fatalf("%dx%d pass %d: AtAInto[%d] = %v, naive = %v (bit mismatch)",
+						rows, cols, pass, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
-	}
+	})
 	bad := New(2, 2)
 	if err := New(3, 3).AtAInto(bad); err == nil {
 		t.Error("shape mismatch should error")
 	}
 }
 
-// TestCholeskyBitIdentical requires the column-order, four-rows-a-pass
-// factorization to produce the reference's factor bit for bit.
+// TestCholeskyBitIdentical requires the factor u = Lᵀ to be the
+// reference's L transposed, bit for bit, on every shape, from a matrix
+// whose upper triangle is garbage.
 func TestCholeskyBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, shape := range kernelShapes {
-		n := shape[1]
-		a := randomSPD(t, rng, shape[0]+n, n)
-		want, got := New(n, n), New(n, n)
-		if err := naiveCholesky(a, want); err != nil {
-			t.Fatal(err)
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		for _, shape := range kernelShapes {
+			n := shape[1]
+			a := randomSPD(t, rng, shape[0]+n, n)
+			scribbleUpper(rng, a)
+			want := New(n, n)
+			if err := naiveCholesky(a, want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := factor(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					if g, w := got.At(j, i), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("n=%d: u[%d][%d] = %v, naive L[%d][%d] = %v (bit mismatch)", n, j, i, g, i, j, w)
+					}
+				}
+			}
 		}
-		if err := choleskyInto(a, got); err != nil {
-			t.Fatal(err)
-		}
-		if i, bad := bitsDiffer(got.Data, want.Data); bad {
-			t.Fatalf("n=%d: factor[%d] = %v, naive = %v (bit mismatch)", n, i, got.Data[i], want.Data[i])
-		}
-	}
+	})
 }
 
 // TestSolverBitIdentical pins Solver.TraceInverseSPD against the
 // reference substitution on every shape, and Solver.SolveSPD against a
-// solve through the reference factor.
+// solve through the reference factor, with the upper triangle garbage.
 func TestSolverBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var s Solver
-	for _, shape := range kernelShapes {
-		n := shape[1]
-		a := randomSPD(t, rng, shape[0]+n, n)
-		want, err := naiveTraceInverse(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.TraceInverseSPD(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("n=%d: TraceInverseSPD = %v, naive = %v (bit mismatch)", n, got, want)
-		}
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		var s Solver
+		for _, shape := range kernelShapes {
+			n := shape[1]
+			a := randomSPD(t, rng, shape[0]+n, n)
+			scribbleUpper(rng, a)
+			want, err := naiveTraceInverse(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.TraceInverseSPD(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: TraceInverseSPD = %v, naive = %v (bit mismatch)", n, got, want)
+			}
 
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			l := New(n, n)
+			if err := naiveCholesky(a, l); err != nil {
+				t.Fatal(err)
+			}
+			y, wantX, gotX := make([]float64, n), make([]float64, n), make([]float64, n)
+			naiveForwardSub(l, b, y)
+			naiveBackSub(l, y, wantX)
+			if err := s.SolveSPD(a, b, gotX); err != nil {
+				t.Fatal(err)
+			}
+			if i, bad := bitsDiffer(gotX, wantX); bad {
+				t.Fatalf("n=%d: SolveSPD x[%d] = %v, naive = %v (bit mismatch)", n, i, gotX[i], wantX[i])
+			}
 		}
-		l := New(n, n)
-		if err := naiveCholesky(a, l); err != nil {
-			t.Fatal(err)
-		}
-		y, wantX, gotX := make([]float64, n), make([]float64, n), make([]float64, n)
-		forwardSub(l, b, y)
-		backSub(l, y, wantX)
-		if err := s.SolveSPD(a, b, gotX); err != nil {
-			t.Fatal(err)
-		}
-		if i, bad := bitsDiffer(gotX, wantX); bad {
-			t.Fatalf("n=%d: SolveSPD x[%d] = %v, naive = %v (bit mismatch)", n, i, gotX[i], wantX[i])
-		}
-	}
+	})
 }
 
 // TestFactorizationErrorsMatchReference feeds both factorizations
@@ -256,13 +319,17 @@ func TestSolverBitIdentical(t *testing.T) {
 // diagonal — and inputs with an infinite pivot that must not: the new
 // kernel has to agree with the reference on which is which.
 func TestFactorizationErrorsMatchReference(t *testing.T) {
+	onBothPaths(t, testFactorizationErrors)
+}
+
+func testFactorizationErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var s Solver
 	check := func(name string, a *Matrix) {
 		t.Helper()
 		n := a.Rows
 		wantErr := naiveCholesky(a, New(n, n))
-		if gotErr := choleskyInto(a, New(n, n)); !errors.Is(gotErr, wantErr) {
+		if _, gotErr := factor(a); !errors.Is(gotErr, wantErr) {
 			t.Errorf("%s: cholesky error %v, reference %v", name, gotErr, wantErr)
 		}
 		wantTr, _ := naiveTraceInverse(a)
@@ -274,7 +341,7 @@ func TestFactorizationErrorsMatchReference(t *testing.T) {
 			t.Errorf("%s: TraceInverseSPD = %v, reference %v", name, gotTr, wantTr)
 		}
 	}
-	for _, n := range []int{1, 2, 5, 7, 9, 22} {
+	for _, n := range []int{1, 2, 5, 7, 9, 17, 22} {
 		for _, at := range []int{0, n / 2, n - 1} {
 			indefinite := randomSPD(t, rng, n+3, n)
 			indefinite.Set(at, at, -1)
@@ -298,8 +365,7 @@ func TestFactorizationErrorsMatchReference(t *testing.T) {
 			}
 		}
 	}
-	notSPD, _ := FromRows([][]float64{{1, 2}, {2, 1}})
-	if err := choleskyInto(notSPD, New(2, 2)); !errors.Is(err, ErrNotSPD) {
+	if _, err := factor(fromRows([][]float64{{1, 2}, {2, 1}})); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("indefinite 2x2: %v, want ErrNotSPD", err)
 	}
 }
@@ -331,40 +397,13 @@ func TestAtVecIntoBitIdentical(t *testing.T) {
 	}
 }
 
-func TestMulVecIntoMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 40; trial++ {
-		rows := 1 + rng.Intn(20)
-		cols := 1 + rng.Intn(23)
-		m := randomMatrix(rng, rows, cols)
-		v := make([]float64, cols)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		want := naiveMulVec(m, v)
-		got := make([]float64, rows)
-		if err := m.MulVecInto(got, v); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatalf("trial %d (%dx%d): MulVecInto[%d] = %v, naive = %v",
-					trial, rows, cols, i, got[i], want[i])
-			}
-		}
-	}
-	if err := New(2, 3).MulVecInto(make([]float64, 3), make([]float64, 3)); err == nil {
-		t.Error("out length mismatch should error")
-	}
-}
-
 func TestScaleFrom(t *testing.T) {
-	src, _ := FromRows([][]float64{{1, -2}, {3, 4}})
+	src := fromRows([][]float64{{1, -2}, {3, 4}})
 	dst := New(2, 2)
 	if err := dst.ScaleFrom(src, 2); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FromRows([][]float64{{2, -4}, {6, 8}})
+	want := fromRows([][]float64{{2, -4}, {6, 8}})
 	if !matEqual(dst, want, 0) {
 		t.Errorf("ScaleFrom = %+v, want %+v", dst, want)
 	}
@@ -403,29 +442,74 @@ func TestSolverReuseAcrossSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTr, err := a.TraceInverseSPD()
+		var fresh Solver
+		wantTr, err := fresh.TraceInverseSPD(a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tr != wantTr {
-			t.Fatalf("n=%d: Solver trace %v, Matrix trace %v", n, tr, wantTr)
+			t.Fatalf("n=%d: reused Solver trace %v, fresh Solver trace %v", n, tr, wantTr)
 		}
 	}
 	// Error paths.
-	notSPD, _ := FromRows([][]float64{{1, 2}, {2, 1}})
+	notSPD := fromRows([][]float64{{1, 2}, {2, 1}})
 	if err := s.SolveSPD(notSPD, []float64{1, 2}, make([]float64, 2)); err == nil {
 		t.Error("non-SPD should error")
 	}
 	if _, err := s.TraceInverseSPD(notSPD); err == nil {
 		t.Error("non-SPD trace should error")
 	}
-	id := Identity(3)
+	id := identity(3)
 	if err := s.SolveSPD(id, []float64{1}, make([]float64, 3)); err == nil {
 		t.Error("b length mismatch should error")
 	}
 	if err := s.SolveSPD(id, []float64{1, 2, 3}, make([]float64, 1)); err == nil {
 		t.Error("x length mismatch should error")
 	}
+	if _, err := s.TraceInverseSPD(New(2, 3)); err == nil {
+		t.Error("non-square trace should error")
+	}
+}
+
+// TestBlockBoundsPanic hands each block wrapper one slice a lane or a
+// step too short: it must panic on both paths, never read past the end.
+func TestBlockBoundsPanic(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		const kn, rs = 3, 20
+		full := func(n int) []float64 { return make([]float64, n) }
+		sub := func(dst, src, col, row []float64) func() {
+			return func() { subBlock(dst, src, col, row, kn, 1, rs, 1) }
+		}
+		gram := func(dst1, col0, col1, row []float64) func() {
+			return func() { gramBlock(full(blockW), dst1, col0, col1, row, kn, rs) }
+		}
+		rowLen, colLen := (kn-1)*rs+blockW, (kn-1)*rs+1
+		cases := []struct {
+			name string
+			fn   func()
+		}{
+			{"sub src", sub(full(blockW), full(blockW-1), full(kn), full(rowLen))},
+			{"sub col", sub(full(blockW), full(blockW), full(kn-1), full(rowLen))},
+			{"sub row", sub(full(blockW), full(blockW), full(kn), full(rowLen-1))},
+			{"gram dst1", gram(full(blockW-1), full(colLen), full(colLen), full(rowLen))},
+			{"gram col0", gram(full(blockW), full(colLen-1), full(colLen), full(rowLen))},
+			{"gram col1", gram(full(blockW), full(colLen), full(colLen-1), full(rowLen))},
+			{"gram row", gram(full(blockW), full(colLen), full(colLen), full(rowLen-1))},
+		}
+		for _, tc := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: a short slice did not panic", tc.name)
+					}
+				}()
+				tc.fn()
+			}()
+		}
+		// The same shapes at full length run.
+		sub(full(blockW), full(blockW), full(kn), full(rowLen))()
+		gram(full(blockW), full(colLen), full(colLen), full(rowLen))()
+	})
 }
 
 // TestKernelAllocGuard pins the zero-allocation contract of the Into
@@ -433,24 +517,19 @@ func TestSolverReuseAcrossSizes(t *testing.T) {
 // per-call allocation fails here, not just in a benchmark nobody reads.
 func TestKernelAllocGuard(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	m := randomMatrix(rng, 64, 12)
+	m := randomMatrix(rng, 64, 20)
 	v := make([]float64, 64)
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	gram := New(12, 12)
-	atv := make([]float64, 12)
-	mv := make([]float64, 64)
-	vcols := make([]float64, 12)
-	for i := range vcols {
-		vcols[i] = rng.NormFloat64()
-	}
+	gram := New(20, 20)
+	atv := make([]float64, 20)
 	var s Solver
 	spd := m.AtA()
 	if err := spd.AddDiagonal(0.5); err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, 12)
+	x := make([]float64, 20)
 	if err := s.SolveSPD(spd, atv, x); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
@@ -461,7 +540,6 @@ func TestKernelAllocGuard(t *testing.T) {
 	}{
 		{"AtAInto", func() { _ = m.AtAInto(gram) }},
 		{"AtVecInto", func() { _ = m.AtVecInto(atv, v) }},
-		{"MulVecInto", func() { _ = m.MulVecInto(mv, vcols) }},
 		{"ScaleFrom", func() { _ = gram.ScaleFrom(spd, 2) }},
 		{"SolverSolveSPD", func() { _ = s.SolveSPD(spd, atv, x) }},
 		{"SolverTraceInverseSPD", func() { _, _ = s.TraceInverseSPD(spd) }},
@@ -522,15 +600,6 @@ func BenchmarkAtVecInto(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = m.AtVecInto(out, vr)
-	}
-}
-
-func BenchmarkMulVecInto(b *testing.B) {
-	m, _, vc := benchMatrix(256, 41)
-	out := make([]float64, 256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = m.MulVecInto(out, vc)
 	}
 }
 

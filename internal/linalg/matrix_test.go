@@ -27,91 +27,58 @@ func randomMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
 	}
-	if m.At(1, 0) != 3 || m.At(0, 1) != 2 {
-		t.Errorf("unexpected layout: %+v", m)
-	}
-	if _, err := FromRows(nil); err == nil {
-		t.Error("empty rows should error")
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows should error")
-	}
+	return m
 }
 
-func TestMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := randomMatrix(rng, 4, 4)
-	id := Identity(4)
-	got, err := m.Mul(id)
-	if err != nil {
-		t.Fatal(err)
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
 	}
-	if !matEqual(got, m, 1e-12) {
-		t.Error("M*I != M")
-	}
-	got, err = id.Mul(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(got, m, 1e-12) {
-		t.Error("I*M != M")
-	}
+	return m
 }
 
-func TestMulKnown(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b, _ := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	want, _ := FromRows([][]float64{{58, 64}, {139, 154}})
-	got, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
+// mulVec is the reference product m·v.
+func mulVec(m *Matrix, v []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		for j := 0; j < m.Cols; j++ {
+			out[i] += m.At(i, j) * v[j]
+		}
 	}
-	if !matEqual(got, want, 1e-12) {
-		t.Errorf("Mul = %+v, want %+v", got, want)
-	}
-	if _, err := a.Mul(a); err == nil {
-		t.Error("shape mismatch should error")
-	}
+	return out
 }
 
-func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got, err := a.MulVec([]float64{5, 6})
-	if err != nil {
-		t.Fatal(err)
+// transpose returns mᵀ.
+func transpose(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
 	}
-	if got[0] != 17 || got[1] != 39 {
-		t.Errorf("MulVec = %v", got)
-	}
-	if _, err := a.MulVec([]float64{1}); err == nil {
-		t.Error("shape mismatch should error")
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := randomMatrix(rng, 3, 5)
-	tt := m.Transpose()
-	if tt.Rows != 5 || tt.Cols != 3 {
-		t.Fatalf("transpose shape %dx%d", tt.Rows, tt.Cols)
-	}
-	if !matEqual(tt.Transpose(), m, 0) {
-		t.Error("double transpose != original")
-	}
+	return t
 }
 
 func TestAtAMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMatrix(rng, 6, 4)
 	fast := m.AtA()
-	slow, err := m.Transpose().Mul(m)
-	if err != nil {
-		t.Fatal(err)
+	slow := New(m.Cols, m.Cols)
+	for i := 0; i < m.Cols; i++ {
+		for j := 0; j < m.Cols; j++ {
+			var sum float64
+			for k := 0; k < m.Rows; k++ {
+				sum += m.At(k, i) * m.At(k, j)
+			}
+			slow.Set(i, j, sum)
+		}
 	}
 	if !matEqual(fast, slow, 1e-10) {
 		t.Error("AtA != Transpose * M")
@@ -129,10 +96,7 @@ func TestAtVecMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := m.Transpose().MulVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := mulVec(transpose(m), v)
 	for i := range fast {
 		if math.Abs(fast[i]-slow[i]) > 1e-10 {
 			t.Fatalf("AtVec[%d] = %v, want %v", i, fast[i], slow[i])
@@ -144,54 +108,56 @@ func TestAtVecMatchesExplicit(t *testing.T) {
 }
 
 func TestAddDiagonalAndTrace(t *testing.T) {
-	m := Identity(3)
+	m := identity(3)
 	if err := m.AddDiagonal(2); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := m.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr != 9 {
-		t.Errorf("Trace = %v, want 9", tr)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			want := 0.0
+			if i == j {
+				want = 3
+			}
+			if m.At(i, j) != want {
+				t.Errorf("m[%d][%d] = %v, want %v", i, j, m.At(i, j), want)
+			}
+		}
 	}
 	rect := New(2, 3)
 	if err := rect.AddDiagonal(1); err == nil {
 		t.Error("AddDiagonal on rectangular should error")
 	}
-	if _, err := rect.Trace(); err == nil {
-		t.Error("Trace on rectangular should error")
-	}
 }
 
 func TestCholeskyAndSolve(t *testing.T) {
 	// A known SPD matrix.
-	a, _ := FromRows([][]float64{
+	a := fromRows([][]float64{
 		{4, 12, -16},
 		{12, 37, -43},
 		{-16, -43, 98},
 	})
-	l, err := a.Cholesky()
+	u, err := factor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantL, _ := FromRows([][]float64{
+	wantL := fromRows([][]float64{
 		{2, 0, 0},
 		{6, 1, 0},
 		{-8, 5, 3},
 	})
-	if !matEqual(l, wantL, 1e-10) {
-		t.Errorf("Cholesky = %+v, want %+v", l, wantL)
+	for i := 0; i < 3; i++ {
+		for j := 0; j <= i; j++ {
+			if math.Abs(u.At(j, i)-wantL.At(i, j)) > 1e-10 {
+				t.Errorf("u[%d][%d] = %v, want L[%d][%d] = %v", j, i, u.At(j, i), i, j, wantL.At(i, j))
+			}
+		}
 	}
 
 	x, err := a.SolveSPD([]float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := a.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := mulVec(a, x)
 	for i, want := range []float64{1, 2, 3} {
 		if math.Abs(back[i]-want) > 1e-8 {
 			t.Fatalf("A*x[%d] = %v, want %v", i, back[i], want)
@@ -200,12 +166,12 @@ func TestCholeskyAndSolve(t *testing.T) {
 }
 
 func TestCholeskyNotSPD(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := a.Cholesky(); !errors.Is(err, ErrNotSPD) {
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	if _, err := factor(a); !errors.Is(err, ErrNotSPD) {
 		t.Errorf("want ErrNotSPD, got %v", err)
 	}
-	rect := New(2, 3)
-	if _, err := rect.Cholesky(); err == nil {
+	var s Solver
+	if err := s.SolveSPD(New(2, 3), []float64{1, 2}, make([]float64, 2)); err == nil {
 		t.Error("rectangular cholesky should error")
 	}
 }
@@ -213,7 +179,7 @@ func TestCholeskyNotSPD(t *testing.T) {
 func TestSolveSPDRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(10)
+		n := 2 + rng.Intn(30)
 		j := randomMatrix(rng, n+3, n)
 		a := j.AtA() // SPD with probability 1
 		if err := a.AddDiagonal(0.1); err != nil {
@@ -227,10 +193,7 @@ func TestSolveSPDRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := a.MulVec(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back := mulVec(a, x)
 		for i := range b {
 			if math.Abs(back[i]-b[i]) > 1e-6 {
 				t.Fatalf("trial %d: residual %v", trial, math.Abs(back[i]-b[i]))
@@ -239,39 +202,51 @@ func TestSolveSPDRandom(t *testing.T) {
 	}
 }
 
+// TestInverseSPD solves for every unit column of A, on both sides of
+// the block width, and requires the columns to form A⁻¹: A·X = I.
 func TestInverseSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	j := randomMatrix(rng, 8, 5)
-	a := j.AtA()
-	if err := a.AddDiagonal(0.5); err != nil {
-		t.Fatal(err)
-	}
-	inv, err := a.InverseSPD()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := a.Mul(inv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(prod, Identity(5), 1e-8) {
-		t.Error("A * A^-1 != I")
+	for _, n := range []int{5, 20} {
+		j := randomMatrix(rng, n+3, n)
+		a := j.AtA()
+		if err := a.AddDiagonal(0.5); err != nil {
+			t.Fatal(err)
+		}
+		var s Solver
+		inv := New(n, n)
+		e, x := make([]float64, n), make([]float64, n)
+		for c := 0; c < n; c++ {
+			e[c] = 1
+			if err := s.SolveSPD(a, e, x); err != nil {
+				t.Fatal(err)
+			}
+			e[c] = 0
+			for i, v := range x {
+				inv.Set(i, c, v)
+			}
+		}
+		for c := 0; c < n; c++ {
+			col := make([]float64, n)
+			for i := range col {
+				col[i] = inv.At(i, c)
+			}
+			for i, v := range mulVec(a, col) {
+				want := 0.0
+				if i == c {
+					want = 1
+				}
+				if math.Abs(v-want) > 1e-8 {
+					t.Fatalf("n=%d: (A·A⁻¹)[%d][%d] = %v, want %v", n, i, c, v, want)
+				}
+			}
+		}
 	}
 }
 
 func TestSolveShapeMismatch(t *testing.T) {
-	a := Identity(3)
+	a := identity(3)
 	if _, err := a.SolveSPD([]float64{1, 2}); err == nil {
 		t.Error("shape mismatch should error")
-	}
-}
-
-func TestClone(t *testing.T) {
-	m := Identity(2)
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone shares storage with original")
 	}
 }
 
@@ -284,30 +259,38 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	New(0, 1)
 }
 
+// TestTraceInverseSPD checks tr(A⁻¹) against the trace of an inverse
+// built column by column from solves.
 func TestTraceInverseSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	j := randomMatrix(rng, 10, 6)
-	a := j.AtA()
-	if err := a.AddDiagonal(0.3); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{6, 23} {
+		j := randomMatrix(rng, n+4, n)
+		a := j.AtA()
+		if err := a.AddDiagonal(0.3); err != nil {
+			t.Fatal(err)
+		}
+		var wantTr float64
+		e := make([]float64, n)
+		for c := 0; c < n; c++ {
+			e[c] = 1
+			x, err := a.SolveSPD(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e[c] = 0
+			wantTr += x[c]
+		}
+		var s Solver
+		got, err := s.TraceInverseSPD(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-wantTr) > 1e-8*math.Abs(wantTr) {
+			t.Errorf("n=%d: TraceInverseSPD = %v, want %v", n, got, wantTr)
+		}
 	}
-	inv, err := a.InverseSPD()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTr, err := inv.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.TraceInverseSPD()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-wantTr) > 1e-8 {
-		t.Errorf("TraceInverseSPD = %v, want %v", got, wantTr)
-	}
-	notSPD, _ := FromRows([][]float64{{1, 2}, {2, 1}})
-	if _, err := notSPD.TraceInverseSPD(); err == nil {
+	var s Solver
+	if _, err := s.TraceInverseSPD(fromRows([][]float64{{1, 2}, {2, 1}})); err == nil {
 		t.Error("non-SPD should error")
 	}
 }

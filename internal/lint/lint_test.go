@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -266,5 +267,41 @@ func TestRepoTreeClean(t *testing.T) {
 	failing := Unsuppressed(Run(pkgs, All()))
 	for _, d := range failing {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoaderHonoursBuildConstraints pins that the loader reads only the
+// files go build would compile here: a package that declares one name
+// per architecture (an assembly kernel's Go side and its portable
+// stub) must type-check, not fail as a redeclaration.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":       "module m\n",
+		"a.go":         "package m\n\nfunc use() int { return k }\n",
+		"k_plan9.go":   "package m\n\nconst k = 1\n",
+		"k_other.go":   "//go:build !plan9\n\npackage m\n\nconst k = 2\n",
+		"skip.go":      "//go:build ignore\n\npackage m\n\nconst k = 3\n",
+		"decl_test.go": "package m\n\nconst k = 4\n",
+	}
+	for name, text := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(dir, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	if want := "a.go k_other.go"; strings.Join(got, " ") != want {
+		t.Errorf("loaded %v, want %s", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -282,7 +283,9 @@ func hasGoSource(dir string) bool {
 	return err == nil && len(names) > 0
 }
 
-// goSourceFiles lists dir's non-test Go files in sorted order.
+// goSourceFiles lists dir's non-test Go files that build on this host
+// (GOOS/GOARCH file suffixes and //go:build lines, as go build reads
+// them) in sorted order.
 func goSourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -293,6 +296,11 @@ func goSourceFiles(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -20,8 +20,9 @@
 //
 // With -seeds n the set runs at seeds -seed .. -seed+n-1 and the
 // output is bench.OverSeeds' rendering instead of the reports: every
-// claim as "holds on k of n" with its verdict at each seed (`make
-// paper-seeds` diffs it against the tracked
+// claim as "holds on k of n" with its verdict at each seed, and a claim
+// that reads one number also as median [min..max] judged on the median
+// (`make paper-seeds` diffs it against the tracked
 // internal/bench/testdata/paper-seeds.golden).
 package main
 

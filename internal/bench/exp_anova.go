@@ -137,7 +137,7 @@ func Figure6(env Env) (Report, error) {
 			"paper: CW 16->32 improves SizeTiered ~+30% but barely moves Leveled; CW 32->64 hurts Leveled ~-12.7% but barely moves SizeTiered",
 		},
 		Claims: []Claim{
-			claim(max(gap[0], gap[1]) >= 0.127,
+			claimOn(max(gap[0], gap[1]), atLeast(0.127), points,
 				"the optimal CW depends on the compaction strategy, so greedy one-at-a-time tuning is suboptimal: a doubling moves the strategies apart by the paper's 12.7 points or more (CW 16 -> 32: %.1f points, 32 -> 64: %.1f)",
 				100*gap[0], 100*gap[1]),
 		},

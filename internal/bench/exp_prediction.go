@@ -149,8 +149,8 @@ func table2(p *Pipeline, paperCfg, paperWL float64) (Report, error) {
 				f1(ens20Cfg.mape), f1(ens1Cfg.mape), f1(ens20WL.mape), f1(ens1WL.mape)),
 			claim(ens20WL.mape < ens20Cfg.mape, "unseen workloads predict better than unseen configurations (MAPE %s%% vs %s%%)",
 				f1(ens20WL.mape), f1(ens20Cfg.mape)),
-			claim(ens20Cfg.mape <= paperCfg, "20-net error on unseen configurations is at most the paper's %g%% (%s%%)", paperCfg, f1(ens20Cfg.mape)),
-			claim(ens20WL.mape <= paperWL, "20-net error on unseen workloads is at most the paper's %g%% (%s%%)", paperWL, f1(ens20WL.mape)),
+			claimOn(ens20Cfg.mape, atMost(paperCfg), percent, "20-net error on unseen configurations is at most the paper's %g%% (%s)", paperCfg, percent(ens20Cfg.mape)),
+			claimOn(ens20WL.mape, atMost(paperWL), percent, "20-net error on unseen workloads is at most the paper's %g%% (%s)", paperWL, percent(ens20WL.mape)),
 		},
 	}, nil
 }

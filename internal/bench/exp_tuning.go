@@ -69,10 +69,10 @@ func Figure4(p *Pipeline) (Report, error) {
 		Title:  "Default vs Rafiki-optimized Cassandra throughput across workloads",
 		Tables: []Table{t},
 		Claims: []Claim{
-			claim(mean >= 0.30, "mean gain over default reaches the paper's ~30%% (%s)", pct(mean)),
-			claim(read >= 0.39, "read-heavy (RR>=70%%) gain reaches the paper's 39-45%% band (%s)", pct(read)),
-			claim(write >= 0.06, "write-heavy (RR<=30%%) gain reaches the paper's 6-24%% band (%s)", pct(write)),
-			claim(reach >= 0.85, "Rafiki lands within the paper's 15%% of the exhaustive best on average (%s of it)", pct(reach)),
+			claimOn(mean, atLeast(0.30), pct, "mean gain over default reaches the paper's ~30%% (%s)", pct(mean)),
+			claimOn(read, atLeast(0.39), pct, "read-heavy (RR>=70%%) gain reaches the paper's 39-45%% band (%s)", pct(read)),
+			claimOn(write, atLeast(0.06), pct, "write-heavy (RR<=30%%) gain reaches the paper's 6-24%% band (%s)", pct(write)),
+			claimOn(reach, atLeast(0.85), pct, "Rafiki lands within the paper's 15%% of the exhaustive best on average (%s of it)", pct(reach)),
 		},
 	}, nil
 }
@@ -126,7 +126,7 @@ func Table1(p *Pipeline) (Report, error) {
 			"paper: read=90%: max 78,556 / default 53,461 / min 38,785 (max 102.5% over min); read=50%: 68.5% over min; read=10%: 30.7% over min",
 		},
 		Claims: []Claim{
-			claim(spreads[0] >= 1.025, "the best configuration beats the worst at read=90%% by the paper's 102.5%% or more (%s)", pct(spreads[0])),
+			claimOn(spreads[0], atLeast(1.025), pct, "the best configuration beats the worst at read=90%% by the paper's 102.5%% or more (%s)", pct(spreads[0])),
 			claim(spreads[0] > spreads[1] && spreads[1] > spreads[2],
 				"the spread widens as the workload becomes read-heavy, as compaction-related parameters gate read amplification (%s > %s > %s at read=90/50/10%%)",
 				pct(spreads[0]), pct(spreads[1]), pct(spreads[2])),
@@ -191,8 +191,8 @@ func SearchSpeed(p *Pipeline) (Report, error) {
 			"paper: ~3,350 surrogate evaluations in ~1.8s; exhaustive search ~2,080 hours; Rafiki uses ~1/10,000th of the search time and reaches within 15% of the best achievable performance",
 		},
 		Claims: []Claim{
-			claim(speedup >= 10_000, "the GA search takes the paper's ~1/10,000th of the exhaustive time or less (%.0fx faster)", speedup),
-			claim(reach >= 0.85, "Rafiki reaches within the paper's 15%% of the grid best (%s of it)", pct(reach)),
+			claimOn(speedup, atLeast(10_000), times, "the GA search takes the paper's ~1/10,000th of the exhaustive time or less (%s faster)", times(speedup)),
+			claimOn(reach, atLeast(0.85), pct, "Rafiki reaches within the paper's 15%% of the grid best (%s of it)", pct(reach)),
 		},
 	}, nil
 }

@@ -119,31 +119,42 @@ func TestSuiteSharesPipelines(t *testing.T) {
 	}
 }
 
-// TestOverSeeds pins the over-seeds rendering's verdict counting and its
-// refusal of runs that do not line up claim for claim.
+// TestOverSeeds pins the over-seeds rendering's verdict counting, the
+// median of a claim that reads one number, and its refusal of runs that
+// do not line up claim for claim.
 func TestOverSeeds(t *testing.T) {
-	run := func(a, b bool, text string) []Report {
-		return []Report{{ID: "x", Claims: []Claim{{Text: text, Holds: a}, {Text: "b", Holds: b, Gate: true}}}}
+	run := func(a, b bool, text string, v float64) []Report {
+		return []Report{{ID: "x", Claims: []Claim{{Text: text, Holds: a}, {Text: "b", Holds: b, Gate: true},
+			claimOn(v, atLeast(0.3), pct, "c")}}}
 	}
-	got, err := OverSeeds([]int64{1, 2}, [][]Report{run(true, false, "a1"), run(true, true, "a2")})
+	got, err := OverSeeds([]int64{1, 2, 3}, [][]Report{run(true, false, "a1", 0.31), run(true, true, "a2", 0.2), run(true, false, "a3", 0.35)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"x claim 1: holds on 2 of 2\n  seed 1 holds: a1\n  seed 2 holds: a2\n",
-		"x gate 2: holds on 1 of 2\n  seed 1 FAILS: b\n  seed 2 holds: b\n",
-		"seed 1: claims: 1 of 2 hold; reports sha256 ",
-		"claims over 2 seeds: 1 hold at every seed, 1 flip with the seed, 0 fail at every seed (of 2)\n",
+		"x claim 1: holds on 3 of 3\n  seed 1 holds: a1\n  seed 2 holds: a2\n  seed 3 holds: a3\n",
+		"x gate 2: holds on 1 of 3\n  seed 1 FAILS: b\n  seed 2 holds: b\n",
+		"x claim 3: holds on 2 of 3; median 31.0% [20.0%..35.0%] holds\n  seed 1 holds: c\n  seed 2 FAILS: c\n",
+		"seed 1: claims: 2 of 3 hold; reports sha256 ",
+		"claims over 3 seeds: 2 hold on the median, 1 hold at every seed, 2 flip with the seed, 0 fail at every seed (of 3)\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("rendering lacks %q:\n%s", want, got)
 		}
 	}
+	if got, _ := OverSeeds([]int64{1, 2}, [][]Report{run(true, true, "a", 0.1), run(true, true, "a", 0.4)}); !strings.Contains(got, "median 25.0% [10.0%..40.0%] FAILS") {
+		t.Errorf("an even seed count's median is the mean of the middle two:\n%s", got)
+	}
 	short := []Report{{ID: "x", Claims: []Claim{{Text: "a"}}}}
-	if _, err := OverSeeds([]int64{1, 2}, [][]Report{run(true, true, "a"), short}); err == nil {
+	if _, err := OverSeeds([]int64{1, 2}, [][]Report{run(true, true, "a", 0), short}); err == nil {
 		t.Error("runs with different claim counts should error")
 	}
 	if _, err := OverSeeds([]int64{1, 2}, [][]Report{short}); err == nil {
 		t.Error("fewer runs than seeds should error")
+	}
+	unread := run(true, true, "a", 0)
+	unread[0].Claims[2].num = nil
+	if _, err := OverSeeds([]int64{1, 2}, [][]Report{run(true, true, "a", 0), unread}); err == nil {
+		t.Error("a claim that reads a number at one seed only should error")
 	}
 }

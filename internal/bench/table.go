@@ -66,6 +66,17 @@ type Claim struct {
 	Text  string
 	Holds bool
 	Gate  bool
+	// num is set when the verdict reads one measured number against a
+	// fixed bound; OverSeeds then judges the median over the seeds.
+	num *reading
+}
+
+// reading is the one number a claim reads, the claim's predicate on it
+// (Holds is holds(value)) and its formatting.
+type reading struct {
+	value float64
+	holds func(float64) bool
+	show  func(float64) string
 }
 
 func (c Claim) kind() string {
@@ -86,6 +97,19 @@ func verdict(holds bool) string {
 func claim(holds bool, format string, args ...any) Claim {
 	return Claim{Text: fmt.Sprintf(format, args...), Holds: holds}
 }
+
+// claimOn is a claim that reads the one number v: it holds when holds(v)
+// does, and show formats v (or a median of v over seeds).
+func claimOn(v float64, holds func(float64) bool, show func(float64) string, format string, args ...any) Claim {
+	c := claim(holds(v), format, args...)
+	c.num = &reading{value: v, holds: holds, show: show}
+	return c
+}
+
+// atLeast and atMost are the predicates of the claims that read one
+// number against a bound.
+func atLeast(bound float64) func(float64) bool { return func(v float64) bool { return v >= bound } }
+func atMost(bound float64) func(float64) bool  { return func(v float64) bool { return v <= bound } }
 
 // gate is a claim that fails the run when it does not hold.
 func gate(holds bool, format string, args ...any) Claim {
@@ -133,5 +157,10 @@ func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-// pct formats a ratio as a percentage with one decimal.
-func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
+// pct formats a ratio as a percentage with one decimal, percent a value
+// already in percent, points a ratio in percentage points, times a
+// speed-up factor.
+func pct(v float64) string     { return fmt.Sprintf("%.1f%%", 100*v) }
+func percent(v float64) string { return f1(v) + "%" }
+func points(v float64) string  { return fmt.Sprintf("%.1f points", 100*v) }
+func times(v float64) string   { return fmt.Sprintf("%.0fx", v) }

@@ -7,10 +7,11 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go and assembly lines outside cmd/rafikibench
 # (`make loc`). A change that must grow the tree raises it in its own
 # diff, in plain sight; a change that shrinks the tree lowers it to its
-# new total. Last raised from 24300 when assembly started to count:
-# the 138 lines of internal/linalg's AVX kernel, plus the over-seeds
-# scoreboard (`-seeds`, bench.OverSeeds), less the deleted linalg API.
-LOC_CEILING ?= 24491
+# new total. Last raised from 24491 for internal/nn's AVX2 inference
+# kernel (232 lines of assembly, ~110 of Go for its wrappers, detection
+# and layout), the shared internal/cpu probe that linalg's CPUID code
+# moved into, and the over-seeds medians (bench.claimOn).
+LOC_CEILING ?= 24967
 
 # Ceiling on `make check`'s total wall time, in seconds. check prints
 # each gate's time and fails when their sum exceeds it: a gate nobody
@@ -55,12 +56,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# vet also vets the trainer's kernels for arm64, so the portable path
-# that every non-AVX host runs always compiles (go vet's asmdecl check
-# holds the amd64 assembly to its Go declarations).
+# vet also vets the packages with assembly kernels for arm64, so the
+# portable paths that every other host runs always compile (go vet's
+# asmdecl check holds the amd64 assembly to its Go declarations).
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/nn
+	GOARCH=arm64 $(GO) vet ./internal/cpu ./internal/linalg ./internal/nn
 
 # lint runs the repo's own analyzers (cmd/rafikilint): virtual-time,
 # pooled-concurrency, seeded-randomness, map-order, obs-nil-safety,
@@ -167,16 +168,18 @@ PINS = Golden|^TestFixtures$$
 # worker-count invariance test, the zero/bounded-alloc guards, the
 # parity oracles (kernels, inference, the point read, the block cache,
 # the preload image and the epoch series against the implementations
-# they replaced; linalg's on its AVX and portable paths both, with the
-# checks that an AVX host runs AVX and that portable products are
-# rounded), the filter's no-false-negative invariant, each
+# they replaced; linalg's and nn's on their AVX and portable paths both,
+# with the checks that an AVX host runs AVX, that portable products are
+# rounded, that nn's tanh is math.Tanh's bit for bit, that its init
+# self-check rejects a differing tanh, and that a short slice makes a
+# kernel wrapper panic), the filter's no-false-negative invariant, each
 # ledger's name set and identities, a registry releasing what was built
 # on it, the layout pins (the size of each per-write record), and every
 # behaviour pin. internal/par's own tests run whole at GOMAXPROCS 1, 2
 # and 4: a team with no helper, with one, and a call asking for more
 # workers than there are Ps.
 guard:
-	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|KernelsUseAVX|ProductsRounded|Matches(Oracle|Append)|NoFalseNegatives|PreloadImage|ReleasesRun|ObsReconcile|LedgerNames|ExportReleases|Layout|$(PINS)' ./internal/...
+	$(GO) test -count=1 -run 'Determinism|AllocGuard|AcrossWorkers|BitIdentical|KernelsUseAVX|ProductsRounded|SelfCheck|BoundsPanic|Matches(Oracle|Append)|NoFalseNegatives|PreloadImage|ReleasesRun|ObsReconcile|LedgerNames|ExportReleases|Layout|$(PINS)' ./internal/...
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/par
 
 # rebaseline rewrites every pin from the current tree: the pins run with

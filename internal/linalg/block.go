@@ -1,13 +1,15 @@
 package linalg
 
+import "rafiki/internal/cpu"
+
 // blockW is the block primitives' width: the output elements one call
 // computes, four AVX registers of four doubles.
 const blockW = 16
 
 // useAVX routes full-width blocks to the assembly entries. It is
-// haveAVX, the host's CPUID answer, and changes only in tests, which
+// cpu.AVX, the host's CPUID answer, and changes only in tests, which
 // clear it to run the portable path on an AVX host.
-var useAVX = haveAVX
+var useAVX = cpu.AVX
 
 // pathCounts, when a test sets it, counts the blocks each path runs:
 // [0] the portable loops, [1] the assembly.

@@ -2,9 +2,6 @@
 
 package linalg
 
-// haveAVX is false off amd64: every block runs the portable loops.
-const haveAVX = false
-
 func subBlockAVX(dst, src, col, row []float64, kn, cs, rs int, d float64) {
 	panic("linalg: no AVX kernel on this architecture")
 }

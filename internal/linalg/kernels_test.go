@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"rafiki/internal/cpu"
 )
 
 // The references below write every product as float64(x*y), as the
@@ -134,14 +136,14 @@ func scribbleUpper(rng *rand.Rand, a *Matrix) {
 // agree with the references, and so with each other, bit for bit.
 func onBothPaths(t *testing.T, fn func(t *testing.T)) {
 	t.Run("avx", func(t *testing.T) {
-		if !haveAVX {
+		if !cpu.AVX {
 			t.Skip("no AVX on this host")
 		}
 		fn(t)
 	})
 	t.Run("portable", func(t *testing.T) {
 		useAVX = false
-		defer func() { useAVX = haveAVX }()
+		defer func() { useAVX = cpu.AVX }()
 		fn(t)
 	})
 }

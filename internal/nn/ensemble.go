@@ -281,11 +281,17 @@ func (m *Model) Results() []TrainResult {
 // predictRows is the one inference path (Predict and PredictWithStd are a
 // batch of one): it leaves row r's member outputs, normalized, summed in
 // member order at w.sums[r], and row 0's output of member k at w.member[k].
+// The rows' scratch is in dense's layout (at).
 func (m *Model) predictRows(w *modelWS, xs [][]float64) error {
 	n, in := len(xs), len(m.inNorm.Min)
+	nb := n &^ 3
 	w.nx = grow(w.nx, n*in)
 	for r, x := range xs {
-		if err := m.inNorm.ApplyInto(w.nx[r*in:(r+1)*in], x); err != nil {
+		stride := 1
+		if r < nb {
+			stride = 4
+		}
+		if err := m.inNorm.applyStride(w.nx[at(r, 0, in, nb):], stride, x); err != nil {
 			return err
 		}
 	}
@@ -300,7 +306,7 @@ func (m *Model) predictRows(w *modelWS, xs [][]float64) error {
 			dense(wts, b, x, w.act[l%2], n, net.Sizes[l], shared, l+2 < len(net.Sizes))
 			x, shared = w.act[l%2], 0
 		}
-		for r, v := range x {
+		for r, v := range x { // one output unit: at(r, 0, 1, nb) is r
 			w.sums[r] += v
 		}
 		w.member[k] = x[0]
@@ -308,14 +314,28 @@ func (m *Model) predictRows(w *modelWS, xs [][]float64) error {
 	return nil
 }
 
-// sharedPrefix is how many leading inputs all n rows of x (in wide)
-// share bit for bit: in a GA brood, the workload vector.
+// at is where an n-row scratch of width features keeps row r's feature
+// j: its first nb = n &^ 3 rows as blocks of four, [block][feature][row],
+// so that a block's four values of a feature are adjacent lanes; the
+// rows after them one after another. Block r/4 and leftover row r both
+// start at r*width.
+func at(r, j, width, nb int) int {
+	if r < nb {
+		return r&^3*width + 4*j + r&3
+	}
+	return r*width + j
+}
+
+// sharedPrefix is how many leading inputs all n rows of x (in wide, in
+// dense's layout) share bit for bit: in a GA brood, the workload vector.
 //
 //rafiki:hot
 func sharedPrefix(x []float64, n, in int) int {
+	nb := n &^ 3
 	for j := 0; j < in; j++ {
+		x0 := math.Float64bits(x[at(0, j, in, nb)])
 		for r := 1; r < n; r++ {
-			if math.Float64bits(x[r*in+j]) != math.Float64bits(x[j]) {
+			if math.Float64bits(x[at(r, j, in, nb)]) != x0 {
 				return j
 			}
 		}
@@ -323,10 +343,15 @@ func sharedPrefix(x []float64, n, in int) int {
 	return in
 }
 
-// dense is the inference kernel, one layer for n row-major rows: y[r][o] =
-// act(b[o] + Σ_i w[o][i]·x[r][i]), added in order i = 0, 1, …, so each output
-// is bit-identical to a row-at-a-time pass. Per unit the shared inputs'
-// partial sum is taken once, the rest four rows at a time.
+// dense is the inference kernel, one layer for n rows in at's layout:
+// y[r][o] = act(b[o] + Σ_i w[o][i]·x[r][i]), added in order i = 0, 1, …,
+// so each output is bit-identical to a row-at-a-time pass. Per unit the
+// shared inputs' partial sum is taken once, from row 0. Full blocks of
+// four rows then run on the assembly kernel where useKernel is set (the
+// layer's dot products, then one tanh pass over its full-block outputs),
+// else on the portable four-row block; the rows after the last full
+// block run one at a time. Every product is rounded before it is added,
+// so no compiler can fuse a chain into something else.
 //
 //rafiki:hot
 func dense(w, b, x, y []float64, n, in, shared int, hidden bool) {
@@ -335,7 +360,7 @@ func dense(w, b, x, y []float64, n, in, shared int, hidden bool) {
 		for o, bo := range b {
 			row := w[o*in : o*in+in]
 			for i, v := range x[:in] {
-				bo += row[i] * v
+				bo += float64(row[i] * v)
 			}
 			if hidden {
 				bo = math.Tanh(bo)
@@ -344,40 +369,47 @@ func dense(w, b, x, y []float64, n, in, shared int, hidden bool) {
 		}
 		return
 	}
+	nb := n &^ 3
 	for o, bo := range b {
 		row := w[o*in : o*in+in]
 		pre := bo
-		for i, xi := range x[:shared] {
-			pre += row[i] * xi
+		for i, wi := range row[:shared] {
+			pre += float64(wi * x[at(0, i, in, nb)])
 		}
-		r := 0
-		for ; r+4 <= n; r += 4 {
-			x0, x1 := x[r*in:r*in+in], x[(r+1)*in:(r+1)*in+in]
-			x2, x3 := x[(r+2)*in:(r+2)*in+in], x[(r+3)*in:(r+3)*in+in]
-			s0, s1, s2, s3 := pre, pre, pre, pre
-			for i := shared; i < in; i++ {
-				wi := row[i]
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
+		switch {
+		case useKernel && nb > 0:
+			dotBlocks(y[4*o:], 4*units, x[4*shared:], 4*in, row[shared:], pre, nb/4)
+		case !useKernel:
+			for r := 0; r < nb; r += 4 {
+				xb, yb := x[r*in:r*in+4*in], y[r*units+4*o:r*units+4*o+4]
+				s0, s1, s2, s3 := pre, pre, pre, pre
+				for i := shared; i < in; i++ {
+					wi, xi := row[i], xb[4*i:4*i+4]
+					s0 += float64(wi * xi[0])
+					s1 += float64(wi * xi[1])
+					s2 += float64(wi * xi[2])
+					s3 += float64(wi * xi[3])
+				}
+				if hidden {
+					s0, s1, s2, s3 = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
+				}
+				yb[0], yb[1], yb[2], yb[3] = s0, s1, s2, s3
 			}
-			if hidden {
-				s0, s1, s2, s3 = math.Tanh(s0), math.Tanh(s1), math.Tanh(s2), math.Tanh(s3)
-			}
-			y[r*units+o], y[(r+1)*units+o], y[(r+2)*units+o], y[(r+3)*units+o] = s0, s1, s2, s3
 		}
-		for ; r < n; r++ {
+		for r := nb; r < n; r++ {
 			xr := x[r*in : r*in+in]
 			s := pre
 			for i := shared; i < in; i++ {
-				s += row[i] * xr[i]
+				s += float64(row[i] * xr[i])
 			}
 			if hidden {
 				s = math.Tanh(s)
 			}
 			y[r*units+o] = s
 		}
+	}
+	if useKernel && hidden {
+		tanhBlocks(y[:nb*units])
 	}
 }
 

@@ -134,74 +134,77 @@ func identityRows(rng *rand.Rand, m *Model, n, shared int) [][]float64 {
 // three architectures and three ensemble sizes, with shared input
 // prefixes of none, one, three and every feature, with duplicate rows,
 // and with a last row that breaks the prefix the rest of its batch
-// shares. Checked against a kernel whose four-row block adds its two
-// last terms in swapped order, which it fails.
+// shares. It runs on the assembly kernel and on the portable block.
+// Checked against a kernel whose four-row block adds its two last terms
+// in swapped order, which it fails.
 func TestPredictBatchBitIdentical(t *testing.T) {
-	const in, maxRows = 8, 67
-	rng := rand.New(rand.NewSource(27))
-	var ow oracleWS
-	for _, hidden := range [][]int{{5}, {14, 4}, {3, 3, 3}} {
-		for _, members := range []int{1, 4, 14} {
-			m := identityModel(rng, in, hidden, members)
-			for _, shared := range []int{0, 1, 3, in} {
-				rows := identityRows(rng, m, maxRows, shared)
-				breaker := append([]float64(nil), rows[0]...)
-				breaker[max(shared-1, 0)] += 0.5
-				want := make([]float64, maxRows)
-				for r, row := range append(rows, breaker) {
-					p, err := oraclePredict(m, &ow, row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r < maxRows {
-						want[r] = p
-					}
-					mean, std, err := oraclePredictWithStd(m, &ow, row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := m.Predict(row)
-					if err != nil || math.Float64bits(got) != math.Float64bits(p) {
-						t.Fatalf("hidden %v x%d shared %d row %d: Predict = %v (%v), oracle %v", hidden, members, shared, r, got, err, p)
-					}
-					gm, gs, err := m.PredictWithStd(row)
-					if err != nil || math.Float64bits(gm) != math.Float64bits(mean) || math.Float64bits(gs) != math.Float64bits(std) {
-						t.Fatalf("hidden %v x%d shared %d row %d: PredictWithStd = %v ± %v (%v), oracle %v ± %v", hidden, members, shared, r, gm, gs, err, mean, std)
-					}
-				}
-				breakerWant, _ := oraclePredict(m, &ow, breaker)
-				for _, workers := range []int{1, 2, 8} {
-					m.Workers = workers
-					for n := 0; n <= maxRows; n++ {
-						batch := rows[:n]
-						out := make([]float64, n)
-						if err := m.PredictBatchInto(out, batch); err != nil {
+	onBothPaths(t, func(t *testing.T) {
+		const in, maxRows = 8, 67
+		rng := rand.New(rand.NewSource(27))
+		var ow oracleWS
+		for _, hidden := range [][]int{{5}, {14, 4}, {3, 3, 3}} {
+			for _, members := range []int{1, 4, 14} {
+				m := identityModel(rng, in, hidden, members)
+				for _, shared := range []int{0, 1, 3, in} {
+					rows := identityRows(rng, m, maxRows, shared)
+					breaker := append([]float64(nil), rows[0]...)
+					breaker[max(shared-1, 0)] += 0.5
+					want := make([]float64, maxRows)
+					for r, row := range append(rows, breaker) {
+						p, err := oraclePredict(m, &ow, row)
+						if err != nil {
 							t.Fatal(err)
 						}
-						for r := range out {
-							if math.Float64bits(out[r]) != math.Float64bits(want[r]) {
-								t.Fatalf("hidden %v x%d shared %d workers %d n %d: row %d = %v, oracle %v", hidden, members, shared, workers, n, r, out[r], want[r])
-							}
+						if r < maxRows {
+							want[r] = p
 						}
-						if n == 0 {
-							continue
-						}
-						broken := append(append([][]float64(nil), rows[:n-1]...), breaker)
-						if err := m.PredictBatchInto(out, broken); err != nil {
+						mean, std, err := oraclePredictWithStd(m, &ow, row)
+						if err != nil {
 							t.Fatal(err)
 						}
-						for r := range out {
-							w := want[r]
-							if r == n-1 {
-								w = breakerWant
+						got, err := m.Predict(row)
+						if err != nil || math.Float64bits(got) != math.Float64bits(p) {
+							t.Fatalf("hidden %v x%d shared %d row %d: Predict = %v (%v), oracle %v", hidden, members, shared, r, got, err, p)
+						}
+						gm, gs, err := m.PredictWithStd(row)
+						if err != nil || math.Float64bits(gm) != math.Float64bits(mean) || math.Float64bits(gs) != math.Float64bits(std) {
+							t.Fatalf("hidden %v x%d shared %d row %d: PredictWithStd = %v ± %v (%v), oracle %v ± %v", hidden, members, shared, r, gm, gs, err, mean, std)
+						}
+					}
+					breakerWant, _ := oraclePredict(m, &ow, breaker)
+					for _, workers := range []int{1, 2, 8} {
+						m.Workers = workers
+						for n := 0; n <= maxRows; n++ {
+							batch := rows[:n]
+							out := make([]float64, n)
+							if err := m.PredictBatchInto(out, batch); err != nil {
+								t.Fatal(err)
 							}
-							if math.Float64bits(out[r]) != math.Float64bits(w) {
-								t.Fatalf("hidden %v x%d shared %d workers %d n %d with a prefix breaker: row %d = %v, oracle %v", hidden, members, shared, workers, n, r, out[r], w)
+							for r := range out {
+								if math.Float64bits(out[r]) != math.Float64bits(want[r]) {
+									t.Fatalf("hidden %v x%d shared %d workers %d n %d: row %d = %v, oracle %v", hidden, members, shared, workers, n, r, out[r], want[r])
+								}
+							}
+							if n == 0 {
+								continue
+							}
+							broken := append(append([][]float64(nil), rows[:n-1]...), breaker)
+							if err := m.PredictBatchInto(out, broken); err != nil {
+								t.Fatal(err)
+							}
+							for r := range out {
+								w := want[r]
+								if r == n-1 {
+									w = breakerWant
+								}
+								if math.Float64bits(out[r]) != math.Float64bits(w) {
+									t.Fatalf("hidden %v x%d shared %d workers %d n %d with a prefix breaker: row %d = %v, oracle %v", hidden, members, shared, workers, n, r, out[r], w)
+								}
 							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -3,6 +3,24 @@
 // architecture) trained with Levenberg-Marquardt plus MacKay Bayesian
 // regularization (MATLAB's trainbr), ensembled with worst-30% pruning.
 // A plain gradient-descent trainer is included as an ablation baseline.
+//
+// Inference runs one kernel, dense, one layer at a time over a chunk of
+// rows kept as blocks of four (at). On amd64 hosts with AVX2 and FMA a
+// block's four rows are the four lanes of a YMM register: the dot
+// products add each rounded product in input order with separate
+// multiplies and adds, never fused, and one pass per layer applies a
+// four-lane tanh that repeats math.Tanh's operations in its order,
+// math.Exp's FMA path included (kernel_amd64.s). Every output is
+// therefore the row-at-a-time result bit for bit. The kernel runs only
+// where internal/cpu reports AVX2 and FMA with OS-saved YMM state, which
+// is when math.Exp takes its FMA path, and only if at init its tanh
+// reproduces math.Tanh on probes that include inputs where the fused and
+// plain exp round apart (GODEBUG=cpu.fma=off fails that check). Elsewhere
+// the portable four-row block runs, every product written float64(x*y)
+// so no compiler can fuse it. Rows after the last full block, and every
+// single-row Predict, run one at a time on either path. The race
+// detector does not instrument the assembly; each chunk's kernel writes
+// only the pooled scratch that chunk owns.
 package nn
 
 import (

@@ -53,13 +53,21 @@ func (n *Normalizer) ApplyInto(out, row []float64) error {
 	if len(out) != len(row) {
 		return fmt.Errorf("nn: normalize out length %d, want %d", len(out), len(row))
 	}
+	return n.applyStride(out, 1, row)
+}
+
+// applyStride is ApplyInto writing feature j to out[j*stride].
+func (n *Normalizer) applyStride(out []float64, stride int, row []float64) error {
+	if len(row) != len(n.Min) {
+		return fmt.Errorf("nn: row width %d, want %d", len(row), len(n.Min))
+	}
 	for j, v := range row {
 		span := n.Max[j] - n.Min[j]
 		if span == 0 {
-			out[j] = 0
+			out[j*stride] = 0
 			continue
 		}
-		out[j] = 2*(v-n.Min[j])/span - 1
+		out[j*stride] = 2*(v-n.Min[j])/span - 1
 	}
 	return nil
 }

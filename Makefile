@@ -7,11 +7,11 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go and assembly lines outside cmd/rafikibench
 # (`make loc`). A change that must grow the tree raises it in its own
 # diff, in plain sight; a change that shrinks the tree lowers it to its
-# new total. Last raised from 24491 for internal/nn's AVX2 inference
-# kernel (232 lines of assembly, ~110 of Go for its wrappers, detection
-# and layout), the shared internal/cpu probe that linalg's CPUID code
-# moved into, and the over-seeds medians (bench.claimOn).
-LOC_CEILING ?= 24967
+# new total. Last raised from 24967 for the scan's windowed merge
+# (internal/nosql/iterator.go +70 lines: the window gather, the walk
+# over occupied offsets and the cursor's cached block bounds; engine.go
+# +3 for its scratch).
+LOC_CEILING ?= 25040
 
 # Ceiling on `make check`'s total wall time, in seconds. check prints
 # each gate's time and fails when their sum exceeds it: a gate nobody
@@ -44,11 +44,16 @@ bench-smoke:
 # benchrun runs the PR benchmark's command as BENCHMARK.json declares
 # it: every workload, its results under the git-ignored
 # cmd/rafikibench/out/. It fails when the command exits nonzero — a
-# build break or a workload whose correctness checks failed. It takes
-# ~80 s on 2 vCPUs, so check leaves it out; run it last before
-# submitting a change to a package the benchmark imports.
+# build break or a failed check in the last workload, which alone sets
+# the exit status: read every workload's `correct` line above it. SEED
+# (default 1, the command's own default) picks the seed, so a check at
+# an unseen seed is `make benchrun SEED=n`. It takes ~80 s on 2 vCPUs,
+# so check leaves it out; run it last before submitting a change to a
+# package the benchmark imports.
+SEED ?= 1
+
 benchrun:
-	$(GO) run ./cmd/rafikibench run
+	$(GO) run ./cmd/rafikibench run -seed $(SEED)
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -166,8 +171,8 @@ PINS = Golden|^TestFixtures$$
 
 # guard re-runs the determinism and allocation regression gates: every
 # worker-count invariance test, the zero/bounded-alloc guards, the
-# parity oracles (kernels, inference, the point read, the block cache,
-# the preload image and the epoch series against the implementations
+# parity oracles (kernels, inference, the point read, the scan, the block
+# cache, the preload image and the epoch series against the implementations
 # they replaced; linalg's and nn's on their AVX and portable paths both,
 # with the checks that an AVX host runs AVX, that portable products are
 # rounded, that nn's tanh is math.Tanh's bit for bit, that its init

@@ -162,8 +162,9 @@ func deepEngine(tb testing.TB) *nosql.Engine {
 // on a warm engine, or on a deepEngine when deep is set. scan walks a
 // quiescent engine; scan_mixed is a write and then a scan, the
 // interleaving a CRUD mix produces, under which the memtable's key order
-// is stale before every scan. read_deep reads Zipfian keys, as
-// engine_crud_scan does, where most tables hold the key.
+// is stale before every scan. scan_deep is scan over a deep engine's
+// ~20 tables; read_deep reads Zipfian keys, as engine_crud_scan does,
+// where most tables hold the key.
 var engineOps = []struct {
 	name string
 	deep bool
@@ -195,6 +196,10 @@ var engineOps = []struct {
 			e.Write(uint64(rng.Int63n(n)))
 			e.Scan(uint64(rng.Int63n(n)), 64)
 		}
+	}},
+	{"scan_deep", true, func(e *nosql.Engine, rng *rand.Rand) func() {
+		n := int64(e.KeySpace())
+		return func() { e.Scan(uint64(rng.Int63n(n)), 64) }
 	}},
 	{"read_deep", true, func(e *nosql.Engine, rng *rand.Rand) func() {
 		keys, err := workload.NewZipfKeyGenerator(e.KeySpace(), 1.4, rng.Int63())
@@ -432,6 +437,7 @@ func TestBenchRowsSmoke(t *testing.T) {
 		"BenchmarkEngineOp/delete",
 		"BenchmarkEngineOp/scan",
 		"BenchmarkEngineOp/scan_mixed",
+		"BenchmarkEngineOp/scan_deep",
 		"BenchmarkEngineOp/read_deep",
 		"BenchmarkPipelineStage/identify/workers=1",
 		"BenchmarkPipelineStage/identify/workers=max",

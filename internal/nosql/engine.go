@@ -252,6 +252,9 @@ type Engine struct {
 	// scanSrcs is the merged range iterator's reusable cursor scratch;
 	// scans are the hot path the alloc guard pins.
 	scanSrcs []scanSource
+	// scanBits is its window scratch: scanWindow rows of one word per
+	// 64 cursors, all zero between scans.
+	scanBits []uint64
 	// expiredScratch is the compaction planner's reusable buffer for
 	// TTL-expired keys (sorted before eviction so merge results never
 	// follow map iteration order).

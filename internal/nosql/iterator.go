@@ -1,6 +1,13 @@
 package nosql
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
+
+// scanWindow is how many consecutive key ids one step of Scan's merge
+// covers: two words of offsets, and one mask word per 64 sources at each.
+const scanWindow = 128
 
 // scanSource is one SSTable input of the merged range iterator,
 // positioned within its ascending key order. Cursors remember the last
@@ -11,7 +18,9 @@ type scanSource struct {
 	keys       []uint64
 	pos        int
 	t          *ssTable
+	span, seq  uint64 // t's blockSpan and seq, read once per scan
 	block      blockID
+	blockStart uint64 // the first key id of block's span
 	blockValid bool
 }
 
@@ -56,72 +65,133 @@ func (e *Engine) Scan(start uint64, limit int) int {
 			continue
 		}
 		cpu += e.model.ScanSeekCPUSeconds
-		srcs = append(srcs, scanSource{keys: keys, pos: p, t: t})
+		srcs = append(srcs, scanSource{keys: keys, pos: p, t: t, span: t.blockSpan, seq: t.seq})
 	}
 
+	// The merge runs one key window at a time. From the smallest next
+	// key lo over every cursor, each source sets its bit at every offset
+	// of [lo, lo+scanWindow) where it holds a key — bit i%64 of word i/64
+	// of row o of masks for source i — and occ marks the offsets anyone
+	// holds. Walking occ in offset order and, at each offset, the
+	// memtable and then the tables by ascending index visits the cells in
+	// exactly the order a minimum per key would: the same charges (the
+	// CPU sum adds the same terms in the same order), block fetches and
+	// seq tie-break, and the same stop.
+	words := (len(srcs) + 63) / 64
+	if need := scanWindow * words; len(e.scanBits) < need {
+		e.scanBits = make([]uint64, need)
+	}
+	masks := e.scanBits
+	next, now := e.model.ScanNextCPUSeconds, e.clock
 	rows := 0
-	for rows < limit {
-		// The next key is the minimum over the live cursors.
-		minKey, found := memKey, memOK
+merge:
+	for {
+		lo, found := memKey, memOK
 		for i := range srcs {
 			s := &srcs[i]
-			if s.pos >= len(s.keys) {
-				continue
-			}
-			if k := s.keys[s.pos]; !found || k < minKey {
-				minKey, found = k, true
+			if s.pos < len(s.keys) && (!found || s.keys[s.pos] < lo) {
+				lo, found = s.keys[s.pos], true
 			}
 		}
 		if !found {
 			break
 		}
 
-		// Merge the cell versions at minKey: the memtable is always
-		// newest; otherwise the highest-seq table wins. Every version
-		// consulted pays an iterator step, and table cursors charge a
-		// block fetch when they cross into a new block.
-		var (
-			live      bool
-			decided   bool
-			bestSeq   uint64
-			bestTable *ssTable
-		)
-		if memOK && memKey == minKey {
-			cpu += e.model.ScanNextCPUSeconds
-			e.m.ScanCells++
-			c, _ := e.mem.Cell(minKey)
-			live = !c.tomb && !cellExpired(c.expiry, e.clock)
-			decided = true
-			memKey, memOK = e.mem.seek(minKey + 1)
-			memOK = memOK && minKey != math.MaxUint64 // minKey+1 wrapped to 0
-		}
-		for i := range srcs {
-			s := &srcs[i]
-			if s.pos >= len(s.keys) || s.keys[s.pos] != minKey {
-				continue
+		// A window is gathered and walked in up to two segments, [0, b)
+		// and [b, scanWindow): a scan needs at least one offset per row
+		// it still wants, so b a little past that spares the cursors most
+		// of the keys a 64-row scan would otherwise gather and never walk.
+		want := min(uint64(limit-rows), scanWindow)
+		for a, b := uint64(0), min(want*9/8+8, scanWindow); a < scanWindow; a, b = b, scanWindow {
+			// Gather. Offsets are key-lo, not key against lo+scanWindow, so
+			// the top window, where lo+scanWindow would wrap, still merges.
+			var mem [scanWindow / 64]uint64
+			for memOK && memKey-lo < b {
+				o := memKey - lo
+				mem[o/64] |= 1 << (o % 64)
+				if memKey == math.MaxUint64 { // memKey+1 would wrap to 0
+					memOK = false
+					break
+				}
+				memKey, memOK = e.mem.seek(memKey + 1)
 			}
-			cpu += e.model.ScanNextCPUSeconds
-			e.m.ScanCells++
-			b := s.t.BlockFor(minKey)
-			if !s.blockValid || b != s.block {
-				s.blockValid, s.block = true, b
-				if e.fileCache.Touch(b) {
-					e.m.FileCacheHits++
-				} else {
-					e.m.DiskBlockReads++
-					e.ep.readMissBlocks++
+			occ := mem
+			for i := range srcs {
+				s := &srcs[i]
+				keys, p := s.keys, s.pos
+				w, bit := i/64, uint64(1)<<(i%64)
+				for ; p < len(keys); p++ {
+					o := keys[p] - lo
+					if o >= b {
+						break
+					}
+					masks[int(o)*words+w] |= bit
+					occ[o/64] |= 1 << (o % 64)
+				}
+				s.pos = p
+			}
+
+			// Walk the occupied offsets, clearing each one's masks as it
+			// goes. At each key the memtable is newest; otherwise the
+			// highest-seq table wins. Every version consulted pays an
+			// iterator step, and a cursor crossing into a new block
+			// charges its fetch.
+			for h, oh := range occ {
+				for ; oh != 0; oh &= oh - 1 {
+					o := h*64 + bits.TrailingZeros64(oh)
+					key := lo + uint64(o)
+					var (
+						live      bool
+						decided   bool
+						bestSeq   uint64
+						bestTable *ssTable
+					)
+					if mem[h]&(oh&-oh) != 0 {
+						cpu += next
+						e.m.ScanCells++
+						c, _ := e.mem.Cell(key)
+						live = !c.tomb && !cellExpired(c.expiry, now)
+						decided = true
+					}
+					row := masks[o*words : o*words+words]
+					for w, m := range row {
+						row[w] = 0
+						for ; m != 0; m &= m - 1 {
+							s := &srcs[w*64+bits.TrailingZeros64(m)]
+							cpu += next
+							e.m.ScanCells++
+							// A key inside the cursor's current block needs
+							// no BlockFor division: its block is unchanged.
+							if !s.blockValid || key-s.blockStart >= s.span {
+								q := key / s.span
+								s.blockStart = q * s.span
+								if b := (blockID{table: s.t.id, block: uint32(q)}); !s.blockValid || b != s.block {
+									s.blockValid, s.block = true, b
+									if e.fileCache.Touch(b) {
+										e.m.FileCacheHits++
+									} else {
+										e.m.DiskBlockReads++
+										e.ep.readMissBlocks++
+									}
+								}
+							}
+							if bestTable == nil || s.seq > bestSeq {
+								bestSeq, bestTable = s.seq, s.t
+							}
+						}
+					}
+					if !decided && bestTable != nil {
+						live = !bestTable.IsTombstone(key) && !cellExpired(bestTable.ExpiryOf(key), now)
+					}
+					if live {
+						if rows++; rows == limit {
+							// Clear the masks of the segment left unwalked.
+							clear(masks[(o+1)*words : int(b)*words])
+							break merge
+						}
+					}
 				}
 			}
-			if bestTable == nil || s.t.seq > bestSeq {
-				bestSeq, bestTable = s.t.seq, s.t
-			}
-			s.pos++
-		}
-		if !decided && bestTable != nil {
-			live = !bestTable.IsTombstone(minKey) && !cellExpired(bestTable.ExpiryOf(minKey), e.clock)
-		}
-		if live {
-			rows++
 		}
 	}
 

@@ -211,19 +211,30 @@ func TestEngineFarKeysMatchModel(t *testing.T) {
 // tapes: each byte triple is (op, key, arg). The engine must never
 // panic and every scan must agree with the sorted-map model, whatever
 // the interleaving of writes, TTLs, deletes, flushes, compactions, and
-// restarts.
+// restarts; a twin engine scanning through oracleScan must find the same
+// rows and end each op with the same clock and counters. An epoch-close
+// op with an odd arg also flushes the memtable into a table.
 func FuzzEngineScan(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 3, 5, 20, 0, 11, 0, 2, 10, 0, 3, 5, 20})
 	f.Add([]byte{1, 4, 9, 6, 0, 0, 3, 0, 50, 7, 0, 0, 3, 0, 50})
 	f.Add([]byte{0, 1, 0, 5, 0, 0, 2, 1, 0, 3, 0, 16})
+	// A window edge over 70 tables: table i holds key i and one of keys
+	// 127..129, the last deletes 128, and scans start on both sides.
+	var deep []byte
+	for i := byte(0); i < 70; i++ {
+		deep = append(deep, byte(scanOpPut), i, 0, byte(scanOpPut), 127+i%3, 0, byte(scanOpFlushEpoch), 0, 1)
+	}
+	deep = append(deep, byte(scanOpDelete), 128, 0, byte(scanOpFlushEpoch), 0, 1, byte(scanOpPut), 129, 0)
+	for _, start := range []byte{0, 1, 58, 69, 127, 128, 129} {
+		deep = append(deep, byte(scanOpScan), start, 63, byte(scanOpScan), start, 127)
+	}
+	f.Add(deep)
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 1536 {
 			tape = tape[:1536]
 		}
-		e, err := New(Options{Space: config.Cassandra(), Seed: 1331, EpochOps: 128})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tw := newScanTwins(t, Options{Space: config.Cassandra(), Seed: 1331, EpochOps: 128}, 0)
+		e := tw.got
 		ks := uint64(e.KeySpace())
 		model := make(scanModel)
 		restarts := 0
@@ -242,32 +253,41 @@ func FuzzEngineScan(f *testing.F) {
 			arg := uint64(tape[i+2])
 			switch kind {
 			case scanOpPut:
-				e.Write(key)
+				tw.each(func(e *Engine) { e.Write(key) })
 				model[key] = scanModelCell{alive: true}
 			case scanOpPutTTL:
 				ttl := 0.001 + float64(arg%16)*0.005
 				expiry := e.Clock() + ttl
-				e.WriteTTL(key, ttl)
+				tw.each(func(e *Engine) { e.WriteTTL(key, ttl) })
 				model[key] = scanModelCell{alive: true, expiry: expiry}
 			case scanOpDelete:
-				e.Delete(key)
+				tw.each(func(e *Engine) { e.Delete(key) })
 				model[key] = scanModelCell{}
 			case scanOpScan:
-				limit := int(arg%64) + 1
-				if got, want := e.Scan(key, limit), model.scanRef(key, limit, e.Clock()); got != want {
+				limit := int(arg%128) + 1
+				if got, want := tw.scan(t, key, limit), model.scanRef(key, limit, e.Clock()); got != want {
 					t.Fatalf("Scan(%d, %d) = %d, model %d (tape %v)", key, limit, got, want, tape)
 				}
 			case scanOpFlushEpoch:
-				e.FinishEpoch()
+				tw.each(func(e *Engine) {
+					e.FinishEpoch()
+					if arg%2 == 1 {
+						e.flush(false)
+					}
+				})
 			case scanOpCompactAll:
-				e.CompactAll()
-				e.DrainBackground(0.05)
+				tw.each(func(e *Engine) {
+					e.CompactAll()
+					e.DrainBackground(0.05)
+				})
 			case scanOpDrain:
-				e.DrainBackground(0.02)
+				tw.each(func(e *Engine) { e.DrainBackground(0.02) })
 			case scanOpRestart:
-				e.Restart()
+				tw.each((*Engine).Restart)
 			}
+			tw.check(t, "op %d (tape %v)", i/3, tape)
 		}
+		tw.finish(t)
 	})
 }
 
@@ -400,7 +420,8 @@ func TestScanAllocGuard(t *testing.T) {
 // TestScanParksScratchCleared pins that a finished scan leaves no
 // cursor in its scratch: a parked cursor would keep its table's run,
 // Bloom bits and bitmap reachable after compaction has dropped the
-// table, until some later scan happened to overwrite the slot.
+// table, until some later scan happened to overwrite the slot. Nor may
+// it leave a window mask set.
 func TestScanParksScratchCleared(t *testing.T) {
 	e, err := New(Options{Space: config.Cassandra(), Seed: 5})
 	if err != nil {
@@ -417,6 +438,14 @@ func TestScanParksScratchCleared(t *testing.T) {
 	for i, s := range e.scanSrcs[:cap(e.scanSrcs)] {
 		if s.t != nil || s.keys != nil {
 			t.Errorf("parked cursor %d still references its source", i)
+		}
+	}
+	// A scan that stops at its limit mid-window leaves the window's
+	// masks zeroed too: the next scan ORs into them.
+	for _, limit := range []int{1, 5, 64, 200} {
+		e.Scan(40, limit)
+		if i := slices.IndexFunc(e.scanBits, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("Scan(40, %d) left mask word %d set", limit, i)
 		}
 	}
 }

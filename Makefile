@@ -7,11 +7,9 @@ COVER_FLOOR ?= 81.5
 # Ceiling on non-test Go and assembly lines outside cmd/rafikibench
 # (`make loc`). A change that must grow the tree raises it in its own
 # diff, in plain sight; a change that shrinks the tree lowers it to its
-# new total. Last raised from 24967 for the scan's windowed merge
-# (internal/nosql/iterator.go +70 lines: the window gather, the walk
-# over occupied offsets and the cursor's cached block bounds; engine.go
-# +3 for its scratch).
-LOC_CEILING ?= 25040
+# new total. Last lowered from 25040 when the capabilities that
+# `make reach` showed no entry point runs were deleted.
+LOC_CEILING ?= 24635
 
 # Ceiling on `make check`'s total wall time, in seconds. check prints
 # each gate's time and fails when their sum exceeds it: a gate nobody
@@ -19,7 +17,7 @@ LOC_CEILING ?= 25040
 # headroom are recorded where the budget last moved (CHANGES.md).
 CHECK_BUDGET ?= 2520
 
-.PHONY: build test bench bench-smoke benchrun check fmt vet lint race fuzz cover guard chaos slo paper paper-seeds rebaseline loc
+.PHONY: build test bench bench-smoke benchrun check fmt vet lint race fuzz cover guard chaos slo paper paper-seeds rebaseline loc reach
 
 build:
 	$(GO) build ./...
@@ -208,7 +206,7 @@ rebaseline:
 # loc prints each package's non-test and test Go lines (plain line
 # counts, comments and blanks included; assembly counts as non-test
 # code) and the non-test total outside
-# cmd/rafikibench — ROADMAP item 4's measure, so every deletion PR
+# cmd/rafikibench — ROADMAP item 5's measure, so every deletion PR
 # reports the same number the same way — and fails when that total
 # exceeds LOC_CEILING.
 loc:
@@ -220,6 +218,53 @@ loc:
 		for (d in dirs) printf "%-28s %8d %8d\n", d, code[d], test[d] | "sort"; close("sort"); \
 		printf "non-test total outside cmd/rafikibench: %d (ceiling $(LOC_CEILING))\n", total; \
 		if (total > $(LOC_CEILING)) { print "FAIL: the tree grew past LOC_CEILING"; exit 1 } }'
+
+# reach lists the code that no entry point runs. It builds
+# cmd/experiments, cmd/rafikibench, cmd/rafiki, cmd/tracegen and every
+# example with -cover -coverpkg=./... and runs them under one
+# GOCOVERDIR: the default experiment set with -obs-json (so the
+# obs-staged sampler counts), -only with the six opt-in experiments,
+# -seeds 2 -ops 20000, every rafikibench workload, each example, rafiki
+# with -save-model, -load-model, -metric latency, -db scylladb and
+# -identify (20k-op samples, 8 configurations), and tracegen. It then
+# prints, by package, the internal/ functions (lint aside) that
+# `go tool covdata func` reports at 0.0%, and the share of internal/
+# statements that ran. It takes 8-11 min on 2 vCPUs, so check leaves it
+# out; its binaries and counters land in the git-ignored reach.out/.
+REACH = reach.out
+REACH_RAFIKI = $(REACH)/bin/rafiki -ops 20000 -configs 8
+
+reach:
+	@rm -rf $(REACH) && mkdir -p $(REACH)/bin $(REACH)/cov
+	@for p in ./cmd/experiments ./cmd/rafikibench ./cmd/rafiki ./cmd/tracegen ./examples/*/; do \
+		$(GO) build -cover -coverpkg=./... -o $(REACH)/bin/ $$p || exit 1; \
+	done
+	@export GOCOVERDIR=$$PWD/$(REACH)/cov; set -e; \
+	echo "reach: experiments"; \
+	$(REACH)/bin/experiments -obs-json $(REACH)/obs.json > $(REACH)/run.log; \
+	$(REACH)/bin/experiments -only netsim,chaos,ring,frontdoor,slo,workloadmix >> $(REACH)/run.log; \
+	$(REACH)/bin/experiments -seeds 2 -ops 20000 >> $(REACH)/run.log; \
+	echo "reach: rafikibench"; \
+	$(REACH)/bin/rafikibench run -reps 1 -out $(REACH)/bench.json >> $(REACH)/run.log; \
+	for e in examples/*/; do echo "reach: $$e"; $(REACH)/bin/$$(basename $$e) >> $(REACH)/run.log; done; \
+	echo "reach: rafiki"; \
+	$(REACH_RAFIKI) -save-model $(REACH)/model.json >> $(REACH)/run.log; \
+	$(REACH_RAFIKI) -load-model $(REACH)/model.json >> $(REACH)/run.log; \
+	$(REACH_RAFIKI) -metric latency >> $(REACH)/run.log; \
+	$(REACH_RAFIKI) -db scylladb >> $(REACH)/run.log; \
+	$(REACH_RAFIKI) -identify >> $(REACH)/run.log; \
+	echo "reach: tracegen"; \
+	$(REACH)/bin/tracegen -out $(REACH)/trace.csv >> $(REACH)/run.log
+	@$(GO) tool covdata func -i=$(REACH)/cov | awk -F'\t+' \
+		'$$1 ~ /^rafiki\/internal\// && $$1 !~ /^rafiki\/internal\/lint\// && $$NF ~ /^0\.0%/ { \
+		d = $$1; sub(/\/[^\/]*$$/, "", d); if (d != last) { print d; last = d }; \
+		f = $$1; sub(/^.*\//, "", f); n++; printf "  %-36s %s\n", f, $$2 } \
+		END { printf "functions never run: %d\n", n }'
+	@$(GO) tool covdata textfmt -i=$(REACH)/cov -o $(REACH)/cover.txt
+	@awk -F'[: ]' 'NR > 1 && $$1 ~ /^rafiki\/internal\// && $$1 !~ /^rafiki\/internal\/lint\// { \
+		k = $$1 ":" $$2; n[k] = $$3; if ($$4 > 0) hit[k] = 1 } \
+		END { for (k in n) { t += n[k]; if (k in hit) r += n[k] }; \
+		printf "internal/ statements run: %d of %d (%.1f%%); never run: %d\n", r, t, 100 * r / t, t - r }' $(REACH)/cover.txt
 
 CHECK_GATES = fmt vet lint race fuzz guard bench-smoke chaos slo paper loc
 

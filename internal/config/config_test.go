@@ -332,11 +332,11 @@ func TestKeyParamsOrder(t *testing.T) {
 	}
 }
 
-func TestCassandraExtendedInConfigPackage(t *testing.T) {
-	s := CassandraExtended()
+func TestCassandraCompactionDomain(t *testing.T) {
+	s := Cassandra()
 	p := s.MustParam(ParamCompactionStrategy)
-	if p.Max != 2 || len(p.Sweep) != 3 {
-		t.Errorf("extended domain: %+v", p)
+	if p.Max != CompactionLeveled || len(p.Sweep) != 2 || len(p.Values) != 2 {
+		t.Errorf("compaction domain: %+v", p)
 	}
 	if got := s.GroupRepresentative(GroupMemtableFlush); got != ParamMemtableCleanup {
 		t.Errorf("group representative = %q", got)
@@ -344,8 +344,10 @@ func TestCassandraExtendedInConfigPackage(t *testing.T) {
 	if got := s.GroupRepresentative("no-such-group"); got != "" {
 		t.Errorf("unknown group representative = %q", got)
 	}
-	if err := s.Validate(Config{ParamCompactionStrategy: CompactionTimeWindow}); err != nil {
-		t.Errorf("extended space should accept TimeWindow: %v", err)
+	// Strategy 2 is Cassandra's TimeWindowCompactionStrategy, which the
+	// paper's footnote 5 excludes.
+	if err := s.Validate(Config{ParamCompactionStrategy: 2}); err == nil {
+		t.Error("Cassandra space should reject compaction strategy 2")
 	}
 }
 

@@ -40,15 +40,13 @@ const (
 // so only the threshold joins the key-parameter set.
 const GroupMemtableFlush = "memtable-flush"
 
-// Compaction strategy levels for ParamCompactionStrategy.
+// Compaction strategy levels for ParamCompactionStrategy. Cassandra's
+// third, TimeWindowCompactionStrategy, fits time-series/TTL workloads;
+// the paper's footnote 5 excludes it ("not relevant for our workload"),
+// so the model has none.
 const (
 	CompactionSizeTiered = 0 // default; favours write-heavy workloads
 	CompactionLeveled    = 1 // bounds read amplification; favours reads
-	// CompactionTimeWindow exists for time-series/TTL workloads; the
-	// paper's footnote 5 excludes it from tuning ("not relevant for our
-	// workload"), so it is outside the tunable domain but supported by
-	// the engine (see CassandraExtended).
-	CompactionTimeWindow = 2
 )
 
 // cassandraParams returns the full Cassandra performance-parameter list.
@@ -107,27 +105,6 @@ func Cassandra() *Space {
 		ParamMemtableCleanup,
 		ParamConcurrentCompactors,
 	}
-	s.SetGroupRepresentative(GroupMemtableFlush, ParamMemtableCleanup)
-	return s
-}
-
-// CassandraExtended returns the Cassandra space with the compaction
-// domain widened to include TimeWindowCompactionStrategy — useful when
-// tuning time-series workloads, which the paper's MG-RAST trace is not.
-func CassandraExtended() *Space {
-	params := cassandraParams()
-	for i, p := range params {
-		if p.Name == ParamCompactionStrategy {
-			params[i].Max = 2
-			params[i].Values = []string{"SizeTiered", "Leveled", "TimeWindow"}
-			params[i].Sweep = []float64{CompactionSizeTiered, CompactionLeveled, CompactionTimeWindow}
-		}
-	}
-	s, err := NewSpace("cassandra-extended", params)
-	if err != nil {
-		panic("config: building extended cassandra space: " + err.Error())
-	}
-	s.KeyNames = append([]string(nil), Cassandra().KeyNames...)
 	s.SetGroupRepresentative(GroupMemtableFlush, ParamMemtableCleanup)
 	return s
 }

@@ -53,16 +53,33 @@ func (r *recordingApplier) Apply(cfg config.Config) error {
 	return nil
 }
 
-// recordingForecaster keeps every read ratio it is shown and forecasts
-// the last one, so a controller behind it decides like a reactive one.
+// lastValueForecaster forecasts the last read ratio it was shown (0.5
+// before the first), so a controller behind it decides like a reactive
+// one.
+type lastValueForecaster struct {
+	last float64
+	warm bool
+}
+
+func (f *lastValueForecaster) Observe(rr float64) { f.last, f.warm = rr, true }
+
+func (f *lastValueForecaster) Predict() float64 {
+	if !f.warm {
+		return 0.5
+	}
+	return f.last
+}
+
+// recordingForecaster is a lastValueForecaster that keeps every read
+// ratio it is shown.
 type recordingForecaster struct {
-	forecast.Persistence
+	lastValueForecaster
 	seen []float64
 }
 
 func (f *recordingForecaster) Observe(rr float64) {
 	f.seen = append(f.seen, rr)
-	f.Persistence.Observe(rr)
+	f.lastValueForecaster.Observe(rr)
 }
 
 func goldenGuardOptions() GuardOptions {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rafiki/internal/config"
-	"rafiki/internal/forecast"
 )
 
 func TestGuardedControllerValidation(t *testing.T) {
@@ -208,10 +207,7 @@ func TestGuardProbeVetoesCandidate(t *testing.T) {
 func TestGuardedControllerProactiveForecasting(t *testing.T) {
 	tuner := preparedTuner(t)
 	app := &recordingApplier{}
-	fc, err := forecast.NewEWMA(1) // alpha 1: forecast = last observation
-	if err != nil {
-		t.Fatal(err)
-	}
+	fc := &lastValueForecaster{}
 	opts := DefaultGuardOptions()
 	opts.MaxStdFrac = 0
 	opts.CanaryWindows = 0

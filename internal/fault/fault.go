@@ -148,15 +148,6 @@ func (e Event) windowed() bool {
 	return false
 }
 
-// topology reports whether the event changes the node set.
-func (e Event) topology() bool {
-	switch e.Kind {
-	case AddNode, DecommissionNode:
-		return true
-	}
-	return false
-}
-
 // targetless reports whether the event addresses the whole target
 // rather than one node or link (Node/Peer are ignored).
 func (e Event) targetless() bool {

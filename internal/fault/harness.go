@@ -73,6 +73,3 @@ func (h *Harness) Clock() float64 { return h.store.Clock() }
 
 // KeySpace returns the wrapped store's key space.
 func (h *Harness) KeySpace() int { return h.store.KeySpace() }
-
-// Injector returns the wrapped injector.
-func (h *Harness) Injector() *Injector { return h.inj }

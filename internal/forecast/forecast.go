@@ -4,8 +4,7 @@
 // next window so the controller can re-tune proactively instead of
 // reacting one window late.
 //
-// Two predictors are provided: an exponentially-weighted moving average
-// (the baseline) and a discretized Markov chain that learns the
+// The predictor is a discretized Markov chain that learns the
 // regime-switching structure of MG-RAST-like traces online.
 package forecast
 
@@ -19,65 +18,6 @@ type Forecaster interface {
 	// Predict returns the expected next read ratio. Before any
 	// observation it returns a neutral 0.5.
 	Predict() float64
-}
-
-// Persistence predicts "same as last window" — the implicit model of a
-// reactive controller, used as the comparison baseline.
-type Persistence struct {
-	last float64
-	seen bool
-}
-
-var _ Forecaster = (*Persistence)(nil)
-
-// Observe implements Forecaster.
-func (p *Persistence) Observe(rr float64) {
-	p.last = rr
-	p.seen = true
-}
-
-// Predict implements Forecaster.
-func (p *Persistence) Predict() float64 {
-	if !p.seen {
-		return 0.5
-	}
-	return p.last
-}
-
-// EWMA is an exponentially-weighted moving average predictor.
-type EWMA struct {
-	// Alpha is the smoothing factor in (0, 1]; larger reacts faster.
-	alpha float64
-	value float64
-	seen  bool
-}
-
-var _ Forecaster = (*EWMA)(nil)
-
-// NewEWMA builds an EWMA with smoothing factor alpha.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("forecast: alpha %v out of (0, 1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Observe implements Forecaster.
-func (e *EWMA) Observe(rr float64) {
-	if !e.seen {
-		e.value = rr
-		e.seen = true
-		return
-	}
-	e.value = e.alpha*rr + (1-e.alpha)*e.value
-}
-
-// Predict implements Forecaster.
-func (e *EWMA) Predict() float64 {
-	if !e.seen {
-		return 0.5
-	}
-	return e.value
 }
 
 // Markov discretizes the read ratio into bins and learns the bin
@@ -149,23 +89,4 @@ func (m *Markov) Predict() float64 {
 		acc += c * m.center(j)
 	}
 	return acc / total
-}
-
-// Evaluate replays a series through a fresh run of f and returns the
-// mean squared one-step-ahead prediction error.
-func Evaluate(f Forecaster, series []float64) (float64, error) {
-	if len(series) < 2 {
-		return 0, fmt.Errorf("forecast: need at least 2 observations, got %d", len(series))
-	}
-	var sse float64
-	var n int
-	for i, rr := range series {
-		if i > 0 {
-			d := f.Predict() - rr
-			sse += d * d
-			n++
-		}
-		f.Observe(rr)
-	}
-	return sse / float64(n), nil
 }

@@ -7,42 +7,34 @@ import (
 	"rafiki/internal/workload"
 )
 
-func TestPersistence(t *testing.T) {
-	var p Persistence
-	if got := p.Predict(); got != 0.5 {
-		t.Errorf("cold Predict = %v, want 0.5", got)
-	}
-	p.Observe(0.9)
-	if got := p.Predict(); got != 0.9 {
-		t.Errorf("Predict = %v, want 0.9", got)
-	}
+// lastValue predicts "same as last window", the implicit model of a
+// reactive controller: the baseline the Markov model is held against.
+type lastValue struct {
+	last float64
+	seen bool
 }
 
-func TestEWMAValidation(t *testing.T) {
-	for _, alpha := range []float64{0, -0.1, 1.5} {
-		if _, err := NewEWMA(alpha); err == nil {
-			t.Errorf("alpha %v should error", alpha)
+func (p *lastValue) Observe(rr float64) { p.last, p.seen = rr, true }
+
+func (p *lastValue) Predict() float64 {
+	if !p.seen {
+		return 0.5
+	}
+	return p.last
+}
+
+// mse replays series through f and returns the mean squared one-step
+// prediction error.
+func mse(f Forecaster, series []float64) float64 {
+	var sse float64
+	for i, rr := range series {
+		if i > 0 {
+			d := f.Predict() - rr
+			sse += d * d
 		}
+		f.Observe(rr)
 	}
-}
-
-func TestEWMASmoothing(t *testing.T) {
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Predict(); got != 0.5 {
-		t.Errorf("cold Predict = %v", got)
-	}
-	e.Observe(1)
-	e.Observe(0)
-	if got := e.Predict(); got != 0.5 {
-		t.Errorf("EWMA(1, 0) = %v, want 0.5", got)
-	}
-	e.Observe(0)
-	if got := e.Predict(); got != 0.25 {
-		t.Errorf("EWMA = %v, want 0.25", got)
-	}
+	return sse / float64(len(series)-1)
 }
 
 func TestMarkovValidation(t *testing.T) {
@@ -66,14 +58,7 @@ func TestMarkovLearnsAlternation(t *testing.T) {
 			series[i] = 0.1
 		}
 	}
-	mseM, err := Evaluate(m, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mseP, err := Evaluate(&Persistence{}, series)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mseM, mseP := mse(m, series), mse(&lastValue{}, series)
 	if mseM >= mseP/2 {
 		t.Errorf("Markov MSE %v should crush persistence %v on alternation", mseM, mseP)
 	}
@@ -93,16 +78,9 @@ func TestMarkovBinEdges(t *testing.T) {
 	}
 }
 
-func TestEvaluateValidation(t *testing.T) {
-	if _, err := Evaluate(&Persistence{}, []float64{0.5}); err == nil {
-		t.Error("short series should error")
-	}
-}
-
 func TestMarkovOnSynthesizedTrace(t *testing.T) {
 	// On the MG-RAST-like regime-switching trace, the learned Markov
-	// model should at least match EWMA and not be far behind
-	// persistence in one-step MSE.
+	// model should beat last-value persistence in one-step MSE.
 	trace, err := workload.SynthesizeTrace(workload.DefaultTraceSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -115,25 +93,10 @@ func TestMarkovOnSynthesizedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEWMA(0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mseMarkov, err := Evaluate(m, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mseEWMA, err := Evaluate(e, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msePersist, err := Evaluate(&Persistence{}, series)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("MSE: markov=%.4f ewma=%.4f persistence=%.4f", mseMarkov, mseEWMA, msePersist)
-	if mseMarkov > mseEWMA*1.05 {
-		t.Errorf("Markov (%.4f) should not lose to EWMA (%.4f)", mseMarkov, mseEWMA)
+	mseMarkov, msePersist := mse(m, series), mse(&lastValue{}, series)
+	t.Logf("MSE: markov=%.4f persistence=%.4f", mseMarkov, msePersist)
+	if mseMarkov >= msePersist {
+		t.Errorf("Markov (%.4f) should beat persistence (%.4f)", mseMarkov, msePersist)
 	}
 	if math.IsNaN(mseMarkov) || mseMarkov <= 0 {
 		t.Errorf("implausible MSE %v", mseMarkov)

@@ -136,9 +136,6 @@ func New(opts Options) (*Network, error) {
 	return nw, nil
 }
 
-// Nodes returns the node endpoint count.
-func (nw *Network) Nodes() int { return nw.n }
-
 // AddEndpoint grows the network by one node endpoint (elastic
 // scale-out) and returns its id. Existing link state — conditions,
 // partitions, FIFO watermarks — is preserved; the new endpoint's links

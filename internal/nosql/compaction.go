@@ -1,9 +1,6 @@
 package nosql
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // taskKind distinguishes background work items.
 type taskKind int
@@ -33,8 +30,6 @@ type backgroundTask struct {
 // compactionStrategy decides which SSTables to merge and when, after
 // flushes and task completions.
 type compactionStrategy interface {
-	// Name returns the strategy's display name.
-	Name() string
 	// Plan inspects the engine's table set and returns zero or more new
 	// compaction tasks. Claimed inputs are marked compacting.
 	Plan(e *Engine) []*backgroundTask
@@ -53,8 +48,6 @@ type sizeTieredStrategy struct {
 }
 
 var _ compactionStrategy = (*sizeTieredStrategy)(nil)
-
-func (s *sizeTieredStrategy) Name() string { return "SizeTiered" }
 
 func (s *sizeTieredStrategy) Plan(e *Engine) []*backgroundTask {
 	var candidates []*ssTable
@@ -115,8 +108,6 @@ type leveledStrategy struct {
 }
 
 var _ compactionStrategy = (*leveledStrategy)(nil)
-
-func (s *leveledStrategy) Name() string { return "Leveled" }
 
 func (s *leveledStrategy) target(level int) float64 {
 	t := s.levelBaseBytes
@@ -191,54 +182,7 @@ func newStrategy(value int, e *Engine) (compactionStrategy, error) {
 			levelBaseBytes: e.model.LeveledBaseBytes,
 			fanout:         10,
 		}, nil
-	case 2: // CompactionTimeWindow
-		return &timeWindowStrategy{
-			windowSeconds: e.model.TimeWindowSeconds,
-			minThreshold:  e.model.SizeTieredMinThreshold,
-		}, nil
 	default:
 		return nil, fmt.Errorf("nosql: unknown compaction strategy %d", value)
 	}
-}
-
-// timeWindowStrategy implements TimeWindowCompactionStrategy, the third
-// strategy Cassandra offers (the paper's footnote 5 excludes it from
-// tuning because it only fits time-series/TTL workloads; it is provided
-// here as the engine-level extension). SSTables are bucketed by the
-// virtual-time window in which they were flushed and only merged within
-// a window, so old windows become a single immutable table each.
-type timeWindowStrategy struct {
-	// windowSeconds is the bucket width in virtual time.
-	windowSeconds float64
-	// minThreshold tables in the same window trigger a merge.
-	minThreshold int
-}
-
-var _ compactionStrategy = (*timeWindowStrategy)(nil)
-
-func (s *timeWindowStrategy) Name() string { return "TimeWindow" }
-
-func (s *timeWindowStrategy) Plan(e *Engine) []*backgroundTask {
-	buckets := make(map[int][]*ssTable)
-	for _, t := range e.tables.tables {
-		if t.compacting {
-			continue
-		}
-		w := int(t.createdAt / s.windowSeconds)
-		buckets[w] = append(buckets[w], t)
-	}
-	// Deterministic order over windows.
-	windows := make([]int, 0, len(buckets))
-	for w := range buckets {
-		windows = append(windows, w)
-	}
-	sort.Ints(windows)
-
-	var tasks []*backgroundTask
-	for _, w := range windows {
-		if len(buckets[w]) >= s.minThreshold {
-			tasks = append(tasks, e.newCompactionTask(buckets[w], 0))
-		}
-	}
-	return tasks
 }

@@ -10,7 +10,7 @@ import (
 // newBareEngine builds an engine for direct strategy-level tests.
 func newBareEngine(t *testing.T, cfg config.Config) *Engine {
 	t.Helper()
-	eng, err := New(Options{Space: config.CassandraExtended(), Config: cfg, Seed: 1})
+	eng, err := New(Options{Space: config.Cassandra(), Config: cfg, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,6 @@ func addTable(e *Engine, nKeys int, level int) *ssTable {
 	}
 	t := newSSTable(e.newTableID(), keys, e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
 	t.level = level
-	t.createdAt = e.clock
 	e.tables.Add(t)
 	return t
 }
@@ -132,34 +131,6 @@ func TestLeveledTargets(t *testing.T) {
 	}{{1, 10}, {2, 100}, {3, 1000}} {
 		if got := s.target(tt.level); got != tt.want {
 			t.Errorf("target(%d) = %v, want %v", tt.level, got, tt.want)
-		}
-	}
-}
-
-func TestTimeWindowBucketsByCreation(t *testing.T) {
-	eng := newBareEngine(t, nil)
-	strategy := &timeWindowStrategy{windowSeconds: 1.0, minThreshold: 2}
-	// Two tables in window 0.
-	addTable(eng, 1000, 0)
-	addTable(eng, 1000, 0)
-	// Two tables in window 5 (advance the clock).
-	eng.clock = 5.2
-	addTable(eng, 1000, 0)
-	addTable(eng, 1000, 0)
-
-	tasks := strategy.Plan(eng)
-	if len(tasks) != 2 {
-		t.Fatalf("tasks = %d, want one merge per window", len(tasks))
-	}
-	for _, task := range tasks {
-		if len(task.inputs) != 2 {
-			t.Errorf("window task merges %d tables, want 2", len(task.inputs))
-		}
-		// Never mixes windows.
-		w0 := int(task.inputs[0].createdAt / 1.0)
-		w1 := int(task.inputs[1].createdAt / 1.0)
-		if w0 != w1 {
-			t.Errorf("task mixes windows %d and %d", w0, w1)
 		}
 	}
 }

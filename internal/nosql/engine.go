@@ -81,9 +81,6 @@ type CostModel struct {
 	SizeTieredMinThreshold int
 	// LeveledBaseBytes is the L1 target size (scaled bytes).
 	LeveledBaseBytes float64
-	// TimeWindowSeconds is the time-window compaction bucket width in
-	// virtual seconds.
-	TimeWindowSeconds float64
 	// DebtLimitBytes is the compaction backlog the engine absorbs
 	// before write backpressure kicks in (real engines throttle writes
 	// when compaction falls behind; leveled compaction's ~10x write
@@ -137,7 +134,6 @@ func DefaultCostModel() CostModel {
 		FlushRateMBps:              120,
 		SizeTieredMinThreshold:     4,
 		LeveledBaseBytes:           4 * 1024 * 1024,
-		TimeWindowSeconds:          0.5,
 		DebtLimitBytes:             72 * 1024 * 1024,
 		DebtStallSecondsPerWrite:   2.5e-6,
 		HeapFileCacheCoeff:         0.55,
@@ -688,7 +684,6 @@ func (e *Engine) flush(forced bool) {
 	t := newSSTable(e.newTableID(), slices.Clone(keys), e.hw.RowBytes, e.hw.KeysPerBlock(), e.hw.ScaledKeySpace())
 	t.markTombstones(tombstones)
 	t.markExpiries(expiries)
-	t.createdAt = e.clock
 	e.tables.Add(t)
 	if e.tables.Len() > e.m.MaxSSTables {
 		e.m.MaxSSTables = e.tables.Len()

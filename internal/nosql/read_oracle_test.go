@@ -61,7 +61,7 @@ func oracleRead(e *Engine, key uint64) {
 	}
 }
 
-// readPathCases are the engines TestReadBitIdentical drives: the three
+// readPathCases are the engines TestReadBitIdentical drives: the two
 // compaction strategies, the row cache, and a degraded node, each with
 // memtables that flush a few thousand keys (dense tables: a presence
 // bitmap answers Contains), and memtables small enough that flushes
@@ -74,7 +74,6 @@ var readPathCases = []struct {
 }{
 	{"size-tiered", config.Cassandra(), config.Config{config.ParamMemtableCleanup: 0.05}, false},
 	{"leveled", config.Cassandra(), config.Config{config.ParamMemtableCleanup: 0.05, config.ParamCompactionStrategy: config.CompactionLeveled}, false},
-	{"time-window", config.CassandraExtended(), config.Config{config.ParamMemtableCleanup: 0.05, config.ParamCompactionStrategy: config.CompactionTimeWindow}, false},
 	{"row-cache", config.Cassandra(), config.Config{config.ParamMemtableCleanup: 0.05, config.ParamRowCacheSize: 256}, false},
 	{"degraded", config.Cassandra(), config.Config{config.ParamMemtableCleanup: 0.05}, true},
 	{"sparse", config.Cassandra(), config.Config{
@@ -135,8 +134,8 @@ func TestReadBitIdentical(t *testing.T) {
 				}
 			}
 			if op == 3*ops/4 {
-				// An idle stretch lets the long merges (the preload's, a
-				// time window's) land and install their outputs.
+				// An idle stretch lets the long merges (the preload's)
+				// land and install their outputs.
 				for _, e := range engines {
 					e.FinishEpoch()
 					e.DrainBackground(30)
@@ -338,8 +337,13 @@ func TestFilterNoFalseNegatives(t *testing.T) {
 			}
 		}
 		e.FinishEpoch()
-		e.CompactAll()
-		e.DrainBackground(10)
+		// The first full merge may find tables still claimed by pending
+		// tasks, which shadow its tombstones; once the backlog drains,
+		// the second merges every table, so none is shadowed.
+		for range 2 {
+			e.CompactAll()
+			e.DrainBackground(10)
+		}
 		m := e.Metrics()
 		if m.Flushes == 0 || m.Compactions == 0 {
 			t.Fatalf("%s: %d flushes, %d compactions", tc.name, m.Flushes, m.Compactions)

@@ -193,7 +193,7 @@ func (tw scanTwins) finish(t testing.TB) Metrics {
 // twin engines take the same ops, and after every one their scan rows,
 // virtual-clock bits, epoch accumulators and counters must agree, and at
 // the end their epoch series and file-cache recency. The random streams
-// run on readPathCases' engines (three compaction strategies, the row
+// run on readPathCases' engines (both compaction strategies, the row
 // cache, a degraded node, sparse tables); "many-tables" stacks more
 // than 64 overlapping tables, so a window's masks span two words, with
 // held keys 127, 128 and 129 past another; "far-keys" scans around

@@ -56,9 +56,6 @@ type ssTable struct {
 
 	rowBytes     int
 	keysPerBlock int
-	// createdAt is the virtual flush time, bucketing tables for the
-	// time-window compaction strategy.
-	createdAt float64
 }
 
 // newSSTable builds a table over keys, which must be ascending and

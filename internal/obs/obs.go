@@ -114,18 +114,6 @@ func (h *Histogram) Observe(x float64) {
 	h.mu.Unlock()
 }
 
-// Quantile returns the interpolated q-th quantile of the recorded
-// observations (see stats.Histogram.Quantile); zero on a nil receiver
-// or an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.h.Quantile(q)
-}
-
 // Total returns the number of recorded observations; zero on nil.
 func (h *Histogram) Total() int {
 	if h == nil {

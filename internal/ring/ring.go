@@ -65,12 +65,6 @@ func tokenPos(seed int64, node, v int) uint64 {
 	return mix64(mix64(uint64(seed)) ^ mix64(uint64(node)<<20|uint64(v)))
 }
 
-// VNodes returns the per-member virtual-node count.
-func (r *Ring) VNodes() int { return r.vnodes }
-
-// Seed returns the seed token positions derive from.
-func (r *Ring) Seed() int64 { return r.seed }
-
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.members) }
 

@@ -118,30 +118,6 @@ func (t *Tree) Predict(x []float64) (float64, error) {
 	return out, nil
 }
 
-// Depth returns the tree height.
-func (t *Tree) Depth() int { return depth(t.root) }
-
-// Leaves returns the leaf count.
-func (t *Tree) Leaves() int { return leaves(t.root) }
-
-func depth(n *node) int {
-	if n.leaf {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-func leaves(n *node) int {
-	if n.leaf {
-		return 1
-	}
-	return leaves(n.left) + leaves(n.right)
-}
-
 func build(xs [][]float64, ys []float64, idx []int, d int, opts Options) *node {
 	if d >= opts.MaxDepth || len(idx) < 2*opts.MinLeaf {
 		return makeLeaf(xs, ys, idx, opts)
@@ -258,38 +234,4 @@ func ridgeFit(xs [][]float64, ys []float64, idx []int, ridge float64) ([]float64
 		return nil, err
 	}
 	return gram.SolveSPD(rhs)
-}
-
-// Describe renders the top of the tree as indented if/else text — the
-// interpretability the paper's DBAs wanted. names labels the features;
-// maxDepth limits the rendering.
-func (t *Tree) Describe(names []string, maxDepth int) string {
-	var sb []byte
-	var walk func(n *node, d int)
-	walk = func(n *node, d int) {
-		if d > maxDepth {
-			return
-		}
-		indent := make([]byte, 0, 2*d)
-		for i := 0; i < d; i++ {
-			indent = append(indent, ' ', ' ')
-		}
-		if n.leaf {
-			sb = append(sb, indent...)
-			sb = append(sb, fmt.Sprintf("-> %.0f\n", n.mean)...)
-			return
-		}
-		name := fmt.Sprintf("x%d", n.feature)
-		if n.feature < len(names) {
-			name = names[n.feature]
-		}
-		sb = append(sb, indent...)
-		sb = append(sb, fmt.Sprintf("if %s < %.4g:\n", name, n.threshold)...)
-		walk(n.left, d+1)
-		sb = append(sb, indent...)
-		sb = append(sb, "else:\n"...)
-		walk(n.right, d+1)
-	}
-	walk(t.root, 0)
-	return string(sb)
 }

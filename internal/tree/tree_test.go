@@ -3,9 +3,24 @@ package tree
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
+
+// depth returns the height of the tree under n.
+func depth(n *node) int {
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
+// leaves returns the leaf count of the tree under n.
+func leaves(n *node) int {
+	if n.leaf {
+		return 1
+	}
+	return leaves(n.left) + leaves(n.right)
+}
 
 func TestFitValidation(t *testing.T) {
 	if _, err := Fit(nil, nil, DefaultOptions()); err == nil {
@@ -50,8 +65,8 @@ func TestPredictStepFunction(t *testing.T) {
 			t.Errorf("Predict(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
-	if tr.Depth() < 1 || tr.Leaves() < 2 {
-		t.Errorf("tree did not split: depth %d, leaves %d", tr.Depth(), tr.Leaves())
+	if depth(tr.root) < 1 || leaves(tr.root) < 2 {
+		t.Errorf("tree did not split: depth %d, leaves %d", depth(tr.root), leaves(tr.root))
 	}
 }
 
@@ -79,8 +94,8 @@ func TestMaxDepthZeroIsConstant(t *testing.T) {
 	if got != 6 {
 		t.Errorf("constant tree = %v, want mean 6", got)
 	}
-	if tr.Leaves() != 1 {
-		t.Errorf("leaves = %d, want 1", tr.Leaves())
+	if leaves(tr.root) != 1 {
+		t.Errorf("leaves = %d, want 1", leaves(tr.root))
 	}
 }
 
@@ -190,33 +205,11 @@ func TestConstantTargetsNoSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Leaves() != 1 {
-		t.Errorf("constant target grew %d leaves", tr.Leaves())
+	if leaves(tr.root) != 1 {
+		t.Errorf("constant target grew %d leaves", leaves(tr.root))
 	}
 	if got, _ := tr.Predict([]float64{100}); got != 7 {
 		t.Errorf("Predict = %v, want 7", got)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 40; i++ {
-		x := float64(i)
-		xs = append(xs, []float64{x})
-		if x < 20 {
-			ys = append(ys, 1)
-		} else {
-			ys = append(ys, 2)
-		}
-	}
-	tr, err := Fit(xs, ys, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tr.Describe([]string{"read_ratio"}, 3)
-	if !strings.Contains(out, "read_ratio") || !strings.Contains(out, "if") {
-		t.Errorf("Describe output unexpected:\n%s", out)
 	}
 }
 
@@ -229,7 +222,7 @@ func TestMinLeafRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 100 samples with 40-minimum leaves allows at most 2 leaves.
-	if tr.Leaves() > 2 {
-		t.Errorf("leaves = %d violates MinLeaf", tr.Leaves())
+	if leaves(tr.root) > 2 {
+		t.Errorf("leaves = %d violates MinLeaf", leaves(tr.root))
 	}
 }

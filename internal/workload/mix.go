@@ -44,25 +44,15 @@ func (m Mix) Validate() error {
 const (
 	// DistKRD is the paper's key-reuse-distance model (the default).
 	DistKRD = "krd"
-	// DistUniform draws keys uniformly.
-	DistUniform = "uniform"
 	// DistZipfian draws Zipf-skewed keys (YCSB's web model).
 	DistZipfian = "zipfian"
 	// DistHotspot sends HotspotWeight of the traffic to a scattered
 	// hotspotFraction of the key space.
 	DistHotspot = "hotspot"
-	// DistLatest skews traffic toward the most recently inserted keys
-	// (YCSB's latest distribution).
-	DistLatest = "latest"
 )
 
-// hotspotFraction is the share of the key space DistHotspot makes hot;
-// payloadBytes the nominal size PayloadSpread mixes write payloads
-// around.
-const (
-	hotspotFraction = 0.2
-	payloadBytes    = 1024
-)
+// hotspotFraction is the share of the key space DistHotspot makes hot.
+const hotspotFraction = 0.2
 
 // Scanner is optionally implemented by stores that support range scans
 // (the single-node engine and the cluster both do). Scan walks keys in
@@ -76,12 +66,6 @@ type Scanner interface {
 // a time-to-live in virtual seconds.
 type TTLWriter interface {
 	WriteTTL(key uint64, ttlSeconds float64)
-}
-
-// SizedWriter is optionally implemented by stores whose writes can
-// carry an explicit payload size.
-type SizedWriter interface {
-	WriteSized(key uint64, payloadBytes int)
 }
 
 // HotspotKeyGenerator sends a fixed share of traffic to a small,
@@ -132,64 +116,6 @@ func (g *HotspotKeyGenerator) Next() uint64 {
 	return (rank * 2654435761) % g.keySpace
 }
 
-// LatestKeyGenerator skews traffic toward the most recently inserted
-// keys — YCSB's latest distribution, the insert-heavy companion shape.
-// The generator tracks the insert frontier; draws fall an
-// exponentially-distributed distance behind it.
-type LatestKeyGenerator struct {
-	rng      *rand.Rand
-	frontier uint64
-	mean     float64
-}
-
-// NewLatestKeyGenerator builds a generator whose frontier starts at
-// keySpace (the first insert lands there) with mean lookback distance
-// mean (defaults to keySpace/64 when <= 0).
-func NewLatestKeyGenerator(keySpace int, mean float64, seed int64) (*LatestKeyGenerator, error) {
-	if keySpace <= 0 {
-		return nil, fmt.Errorf("workload: key space must be positive, got %d", keySpace)
-	}
-	if mean <= 0 {
-		mean = float64(keySpace) / 64
-		if mean < 1 {
-			mean = 1
-		}
-	}
-	return &LatestKeyGenerator{
-		rng:      rand.New(rand.NewSource(seed)),
-		frontier: uint64(keySpace),
-		mean:     mean,
-	}, nil
-}
-
-// SetFrontier advances the generator's view of the newest inserted key
-// boundary (the next insert position).
-func (g *LatestKeyGenerator) SetFrontier(frontier uint64) {
-	if frontier > g.frontier {
-		g.frontier = frontier
-	}
-}
-
-// Next returns the next key: an exponential distance behind the
-// frontier, clamped to the existing key range.
-func (g *LatestKeyGenerator) Next() uint64 {
-	d := uint64(g.rng.ExpFloat64() * g.mean)
-	if d >= g.frontier {
-		d = g.frontier - 1
-	}
-	return g.frontier - 1 - d
-}
-
-// uniformKeyGenerator draws keys uniformly over the key space.
-type uniformKeyGenerator struct {
-	rng      *rand.Rand
-	keySpace uint64
-}
-
-func (g *uniformKeyGenerator) Next() uint64 {
-	return uint64(g.rng.Int63n(int64(g.keySpace)))
-}
-
 // keySource is the generator surface the driver consumes.
 type keySource interface {
 	Next() uint64
@@ -200,11 +126,6 @@ func newKeySource(spec Spec, keySpace int) (keySource, error) {
 	switch spec.Distribution {
 	case "", DistKRD:
 		return NewKeyGenerator(keySpace, spec.KRDMean, spec.Seed)
-	case DistUniform:
-		return &uniformKeyGenerator{
-			rng:      rand.New(rand.NewSource(spec.Seed)),
-			keySpace: uint64(keySpace),
-		}, nil
 	case DistZipfian:
 		s := spec.ZipfS
 		if s <= 1 {
@@ -217,35 +138,8 @@ func newKeySource(spec Spec, keySpace int) (keySource, error) {
 			weight = 0.8
 		}
 		return NewHotspotKeyGenerator(keySpace, hotspotFraction, weight, spec.Seed)
-	case DistLatest:
-		return NewLatestKeyGenerator(keySpace, 0, spec.Seed)
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %q", spec.Distribution)
-	}
-}
-
-// Skew returns the workload's hotspot-skew feature in [0,1]: 0 for the
-// unskewed KRD/uniform models, the hot-traffic share for hotspot, a
-// normalized exponent for zipfian, and a high constant for latest —
-// one scalar axis of the characterization vector.
-func (s Spec) Skew() float64 {
-	switch s.Distribution {
-	case DistZipfian:
-		z := s.ZipfS
-		if z <= 1 {
-			z = 1.4
-		}
-		return math.Min(1, z-1)
-	case DistHotspot:
-		w := s.HotspotWeight
-		if w <= 0 {
-			w = 0.8
-		}
-		return w
-	case DistLatest:
-		return 0.9
-	default:
-		return 0
 	}
 }
 
@@ -276,19 +170,6 @@ func (m Mix) thresholds() (read, update, insert, del float64) {
 		cum[i] = 1
 	}
 	return cum[0], cum[1], cum[2], cum[3]
-}
-
-// Shape returns the workload-shape features the tuner characterizes:
-// the read ratio over point operations, the scan ratio over all
-// operations, and the hotspot skew. It inverts MixForShape.
-func (s Spec) Shape() (readRatio, scanRatio, skew float64) {
-	m := s.EffectiveMix()
-	point := m.Read + m.Update + m.Insert + m.Delete
-	rr := m.Read
-	if point > 0 {
-		rr = m.Read / point
-	}
-	return rr, m.Scan, s.Skew()
 }
 
 // MixForShape builds the op mix realizing a characterization shape:

@@ -38,11 +38,12 @@ func TestSpecValidateMixFields(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"bad distribution", func(s *Spec) { s.Distribution = "pareto" }},
+		{"uniform distribution", func(s *Spec) { s.Distribution = "uniform" }},
+		{"latest distribution", func(s *Spec) { s.Distribution = "latest" }},
 		{"bad mix", func(s *Spec) { s.Mix = Mix{Read: 2} }},
 		{"bad ttl fraction", func(s *Spec) { s.TTLFraction = 1.5 }},
 		{"ttl fraction without seconds", func(s *Spec) { s.TTLFraction = 0.5 }},
 		{"negative scan len", func(s *Spec) { s.ScanLen = -1 }},
-		{"negative payload spread", func(s *Spec) { s.PayloadSpread = -0.1 }},
 	}
 	for _, c := range cases {
 		s := base
@@ -84,10 +85,6 @@ func TestGeneratorGoldenHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	latest, err := NewLatestKeyGenerator(keySpace, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	krd, err := NewKeyGenerator(keySpace, 64, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +93,7 @@ func TestGeneratorGoldenHistograms(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		next func() uint64
-	}{{"zipfian", zipf.Next}, {"hotspot", hot.Next}, {"latest", latest.Next}, {"krd", krd.Next}} {
+	}{{"zipfian", zipf.Next}, {"hotspot", hot.Next}, {"krd", krd.Next}} {
 		text = fmt.Appendf(text, "%s %v\n", g.name, bucketHistogram(t, g.next, keySpace, draws))
 	}
 	golden.Check(t, "testdata/key_histograms.golden", text)
@@ -149,77 +146,29 @@ func TestHotspotGeneratorValidation(t *testing.T) {
 	}
 }
 
-func TestLatestGeneratorChasesFrontier(t *testing.T) {
-	const keySpace = 4096
-	g, err := NewLatestKeyGenerator(keySpace, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLatestKeyGenerator(0, 0, 7); err == nil {
-		t.Error("zero key space should error")
-	}
-	for i := 0; i < 10_000; i++ {
-		if k := g.Next(); k >= keySpace {
-			t.Fatalf("key %d beyond initial frontier", k)
-		}
-	}
-	// After inserts push the frontier, draws concentrate on the new keys.
-	g.SetFrontier(keySpace + 1000)
-	recent := 0
-	for i := 0; i < 10_000; i++ {
-		k := g.Next()
-		if k >= keySpace+1000 {
-			t.Fatalf("key %d beyond advanced frontier", k)
-		}
-		if k >= keySpace {
-			recent++
-		}
-	}
-	if recent < 9000 {
-		t.Errorf("only %d of 10000 draws hit the 1000 newest keys; latest skew broken", recent)
-	}
-	// The frontier never moves backwards.
-	g.SetFrontier(10)
-	if k := g.Next(); k >= keySpace+1000 {
-		t.Errorf("frontier regressed: drew %d", k)
-	}
-}
-
 func TestSpecShape(t *testing.T) {
 	plain := Spec{ReadRatio: 0.7}
-	rr, scan, skew := plain.Shape()
-	if rr != 0.7 || scan != 0 || skew != 0 {
-		t.Errorf("RR-only shape = (%v, %v, %v), want (0.7, 0, 0)", rr, scan, skew)
-	}
 	if m := plain.EffectiveMix(); m != (Mix{Read: 0.7, Update: 1 - plain.ReadRatio}) {
 		t.Errorf("RR-only effective mix = %+v", m)
 	}
-
-	mixed := Spec{
-		Mix:          Mix{Read: 0.4, Update: 0.2, Insert: 0.1, Delete: 0.1, Scan: 0.2},
-		Distribution: DistHotspot,
-	}
-	rr, scan, skew = mixed.Shape()
-	if rr != 0.5 || scan != 0.2 || skew != 0.8 {
-		t.Errorf("mixed shape = (%v, %v, %v), want (0.5, 0.2, 0.8)", rr, scan, skew)
-	}
-	// MixForShape and Shape are inverses.
-	m2 := MixForShape(0.6, 0.25, 0.1)
-	if err := m2.Validate(); err != nil {
+	m := MixForShape(0.6, 0.25, 0.1)
+	if err := m.Validate(); err != nil {
 		t.Fatalf("MixForShape produced invalid mix: %v", err)
 	}
-	rr2, scan2, _ := (Spec{Mix: m2}).Shape()
-	if math.Abs(rr2-0.6) > 1e-12 || math.Abs(scan2-0.25) > 1e-12 {
-		t.Errorf("MixForShape round trip = (%v, %v), want (0.6, 0.25)", rr2, scan2)
-	}
-	if s := (Spec{Distribution: DistZipfian, ZipfS: 1.6}).Skew(); math.Abs(s-0.6) > 1e-12 {
-		t.Errorf("zipfian skew = %v, want 0.6", s)
-	}
-	if s := (Spec{Distribution: DistZipfian}).Skew(); math.Abs(s-0.4) > 1e-12 {
-		t.Errorf("default zipfian skew = %v, want 0.4", s)
-	}
-	if s := (Spec{Distribution: DistLatest}).Skew(); s != 0.9 {
-		t.Errorf("latest skew = %v, want 0.9", s)
+	// Scans take 0.25 of all ops; the other 0.75 split 0.6 reads, and
+	// 0.1 of the mutations are deletes.
+	want := Mix{Read: 0.45, Update: 0.27, Delete: 0.03, Scan: 0.25}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"read", m.Read, want.Read}, {"update", m.Update, want.Update},
+		{"insert", m.Insert, want.Insert}, {"delete", m.Delete, want.Delete},
+		{"scan", m.Scan, want.Scan},
+	} {
+		if math.Abs(f.got-f.want) > 1e-12 {
+			t.Errorf("MixForShape %s fraction = %v, want %v", f.name, f.got, f.want)
+		}
 	}
 }
 
@@ -232,8 +181,6 @@ type mixStore struct {
 	scans     int
 	scanRows  int
 	ttlWrites int
-	sized     int
-	sizes     []int
 	maxKey    uint64
 }
 
@@ -265,13 +212,6 @@ func (m *mixStore) WriteTTL(key uint64, ttlSeconds float64) {
 	m.writes++
 }
 
-func (m *mixStore) WriteSized(key uint64, payloadBytes int) {
-	m.note(key)
-	m.sized++
-	m.sizes = append(m.sizes, payloadBytes)
-	m.writes++
-}
-
 func (m *mixStore) Clock() float64 {
 	return float64(m.reads+m.writes+m.scans) * 1e-5
 }
@@ -282,14 +222,12 @@ func (m *mixStore) Clock() float64 {
 func TestRunFullMix(t *testing.T) {
 	store := &mixStore{}
 	spec := Spec{
-		Mix:           Mix{Read: 0.4, Update: 0.25, Insert: 0.1, Delete: 0.1, Scan: 0.15},
-		Distribution:  DistUniform,
-		ScanLen:       32,
-		TTLFraction:   0.3,
-		TTLSeconds:    5,
-		PayloadSpread: 0.5,
-		Ops:           40_000,
-		Seed:          11,
+		Mix:         Mix{Read: 0.4, Update: 0.25, Insert: 0.1, Delete: 0.1, Scan: 0.15},
+		ScanLen:     32,
+		TTLFraction: 0.3,
+		TTLSeconds:  5,
+		Ops:         40_000,
+		Seed:        11,
 	}
 	res, err := Run(store, spec)
 	if err != nil {
@@ -333,19 +271,6 @@ func TestRunFullMix(t *testing.T) {
 	// payload) at ~TTLFraction.
 	if frac := float64(store.ttlWrites) / float64(res.Updates+res.Inserts); math.Abs(frac-0.3) > 0.03 {
 		t.Errorf("TTL write fraction = %v, want ~0.3", frac)
-	}
-	if store.sized == 0 {
-		t.Error("payload spread set but no sized writes issued")
-	}
-	varied := false
-	for _, s := range store.sizes {
-		if s != store.sizes[0] {
-			varied = true
-			break
-		}
-	}
-	if !varied {
-		t.Error("sized writes all used the same payload; spread not applied")
 	}
 	// Inserts allocate keys past the preloaded space, monotonically.
 	if store.maxKey < uint64(store.KeySpace()) {
@@ -506,7 +431,7 @@ func TestMixThresholdsCatchAll(t *testing.T) {
 // defaulted Zipf exponent and hotspot parameters) is exercised through
 // Run, not only via the generators' own unit tests.
 func TestRunEveryDistribution(t *testing.T) {
-	for _, dist := range []string{DistKRD, DistUniform, DistZipfian, DistHotspot, DistLatest} {
+	for _, dist := range []string{DistKRD, DistZipfian, DistHotspot} {
 		store := &mixStore{}
 		res, err := Run(store, Spec{
 			Mix:          Mix{Read: 0.5, Update: 0.3, Delete: 0.1, Scan: 0.1},

@@ -10,7 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -40,8 +39,8 @@ type Spec struct {
 	// receive them as writes and reads.
 	Mix Mix
 	// Distribution selects the key popularity model (DistKRD,
-	// DistUniform, DistZipfian, DistHotspot, DistLatest). Empty means
-	// DistKRD, the paper's characterization.
+	// DistZipfian, DistHotspot). Empty means DistKRD, the paper's
+	// characterization.
 	Distribution string
 	// ZipfS is the Zipf exponent for DistZipfian (must exceed 1;
 	// defaults to 1.4 when unset).
@@ -56,10 +55,6 @@ type Spec struct {
 	// them as plain writes.
 	TTLFraction float64
 	TTLSeconds  float64
-	// PayloadSpread, when positive, log-normally mixes write payload
-	// sizes around payloadBytes with sigma PayloadSpread; stores
-	// without sized writes receive them as plain writes.
-	PayloadSpread float64
 	// KRDMean is the mean key-reuse distance in operations. Zero means
 	// uniform random access (effectively infinite KRD).
 	KRDMean float64
@@ -86,7 +81,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	switch s.Distribution {
-	case "", DistKRD, DistUniform, DistZipfian, DistHotspot, DistLatest:
+	case "", DistKRD, DistZipfian, DistHotspot:
 	default:
 		return fmt.Errorf("workload: unknown distribution %q", s.Distribution)
 	}
@@ -98,9 +93,6 @@ func (s Spec) Validate() error {
 	}
 	if s.ScanLen < 0 {
 		return fmt.Errorf("workload: negative scan length %d", s.ScanLen)
-	}
-	if s.PayloadSpread < 0 {
-		return fmt.Errorf("workload: negative payload spread %v", s.PayloadSpread)
 	}
 	return nil
 }
@@ -221,12 +213,12 @@ type Result struct {
 
 // Run applies spec to store and returns the measured result: reads,
 // in-place updates, frontier inserts, deletes, and range scans, with
-// optional TTL'd and size-mixed writes. One seeded RNG stream picks op
-// types and parameters; the key generator owns its own stream, so the
-// op schedule is deterministic for a given spec. The store keeps its
-// state (dataset, caches, compaction debt) across runs, so callers that
-// need a cold store must construct a fresh one — exactly the paper's
-// "server is reset between data collection events".
+// optional TTL'd writes. One seeded RNG stream picks op types and
+// parameters; the key generator owns its own stream, so the op
+// schedule is deterministic for a given spec. The store keeps its state
+// (dataset, caches, compaction debt) across runs, so callers that need
+// a cold store must construct a fresh one — exactly the paper's "server
+// is reset between data collection events".
 func Run(store Store, spec Spec) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
@@ -240,33 +232,20 @@ func Run(store Store, spec Spec) (Result, error) {
 	deleter, canDelete := store.(Deleter)
 	scanner, canScan := store.(Scanner)
 	ttlWriter, canTTL := store.(TTLWriter)
-	sizedWriter, canSize := store.(SizedWriter)
-	latest, _ := gen.(*LatestKeyGenerator)
 	scanLen := spec.ScanLen
 	if scanLen == 0 {
 		scanLen = 64
 	}
-	// Inserts allocate fresh keys past the preloaded key space; the
-	// latest-distribution generator chases this frontier.
+	// Inserts allocate fresh keys past the preloaded key space.
 	frontier := uint64(store.KeySpace())
 
-	// The capability checks are loop-invariant; folding them into two
-	// booleans keeps the per-write path to the RNG draws the spec
-	// actually requires (draw order is unchanged: the TTL draw happens
-	// iff ttlOn, exactly as before).
+	// The capability check is loop-invariant; folding it into a boolean
+	// keeps the per-write path to the RNG draws the spec actually
+	// requires (the TTL draw happens iff ttlOn).
 	ttlOn := spec.TTLFraction > 0 && canTTL
-	sizeOn := spec.PayloadSpread > 0 && canSize
 	writeKey := func(key uint64) {
 		if ttlOn && rng.Float64() < spec.TTLFraction {
 			ttlWriter.WriteTTL(key, spec.TTLSeconds)
-			return
-		}
-		if sizeOn {
-			size := int(float64(payloadBytes) * math.Exp(rng.NormFloat64()*spec.PayloadSpread))
-			if size < 1 {
-				size = 1
-			}
-			sizedWriter.WriteSized(key, size)
 			return
 		}
 		store.Write(key)
@@ -287,9 +266,6 @@ func Run(store Store, spec Spec) (Result, error) {
 		case u < cumInsert:
 			writeKey(frontier)
 			frontier++
-			if latest != nil {
-				latest.SetFrontier(frontier)
-			}
 			res.Inserts++
 			res.Writes++
 		case u < cumDelete:

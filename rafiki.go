@@ -261,14 +261,9 @@ func NewZipfKeyGenerator(keySpace int, s float64, seed int64) (*ZipfKeyGenerator
 type (
 	// Forecaster predicts the next window's read ratio.
 	Forecaster = forecast.Forecaster
-	// EWMAForecaster is an exponentially-weighted moving average.
-	EWMAForecaster = forecast.EWMA
 	// MarkovForecaster learns the regime transition structure online.
 	MarkovForecaster = forecast.Markov
 )
-
-// NewEWMAForecaster builds an EWMA with smoothing factor alpha.
-func NewEWMAForecaster(alpha float64) (*EWMAForecaster, error) { return forecast.NewEWMA(alpha) }
 
 // NewMarkovForecaster builds a discretized Markov-chain predictor.
 func NewMarkovForecaster(bins int) (*MarkovForecaster, error) { return forecast.NewMarkov(bins) }

@@ -195,14 +195,6 @@ func TestPublicAPIForecasterAndGenerators(t *testing.T) {
 	if p := m.Predict(); p < 0 || p > 1 {
 		t.Errorf("Predict = %v", p)
 	}
-	e, err := rafiki.NewEWMAForecaster(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Observe(0.4)
-	if e.Predict() != 0.4 {
-		t.Errorf("EWMA Predict = %v", e.Predict())
-	}
 	kg, err := rafiki.NewKeyGenerator(1000, 100, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -288,7 +288,7 @@ type Solver struct {
 //rafiki:hot
 func (s *Solver) ensure(n int) {
 	if len(s.c) != n {
-		buf := make([]float64, n*n+n+blockW*n) //lint:allow hotalloc sized on first use and on a change of dimension only
+		buf := make([]float64, n*n+n+blockW*n)
 		s.u, s.c, s.y = buf[:n*n], buf[n*n:n*n+n], buf[n*n+n:]
 	}
 }

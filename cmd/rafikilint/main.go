@@ -4,17 +4,11 @@
 //
 // Usage:
 //
-//	rafikilint [flags] [patterns...]
+//	rafikilint [-show-suppressed] [patterns...]
 //
 // Patterns are module-relative directories, optionally ending in /...
-// (default "./..."). Flags:
-//
-//	-json            emit diagnostics as a JSON array instead of text
-//	-show-suppressed also list findings silenced by //lint:allow
-//	-exclude p1,p2   skip packages whose module-relative path starts
-//	                 with one of the given prefixes
-//	-analyzers a,b   run only the named analyzers (default: all)
-//	-timing          report per-analyzer wall time on stderr
+// (default "./..."). -show-suppressed also lists the findings silenced
+// by //lint:allow, each with its reason.
 //
 // Suppression comments take the form
 //
@@ -25,46 +19,21 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"rafiki/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	showSuppressed := flag.Bool("show-suppressed", false, "also list suppressed findings")
-	exclude := flag.String("exclude", "", "comma-separated module-relative path prefixes to skip")
-	only := flag.String("analyzers", "", "comma-separated analyzer names to run (default all)")
-	timing := flag.Bool("timing", false, "report per-analyzer wall time on stderr")
 	flag.Parse()
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	analyzers := lint.All()
-	if *only != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "rafikilint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
 	loader, err := lint.NewLoader(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rafikilint:", err)
@@ -75,80 +44,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rafikilint:", err)
 		os.Exit(2)
 	}
-	var kept []*lint.Package
-	excludes := splitNonEmpty(*exclude)
-	for _, pkg := range pkgs {
-		if !excluded(pkg.RelPath, excludes) {
-			kept = append(kept, pkg)
-		}
-	}
-
-	// The wall clock lives here, in cmd/, where nowall permits it;
-	// internal/lint only ever sees the injected reading.
-	var clock func() int64
-	if *timing {
-		clock = func() int64 { return time.Now().UnixNano() }
-	}
-	diags, timings := lint.RunTimed(kept, analyzers, clock)
-	if *timing {
-		var total int64
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "rafikilint: %-14s %10.3fms\n", t.Analyzer, float64(t.Nanos)/1e6)
-			total += t.Nanos
-		}
-		fmt.Fprintf(os.Stderr, "rafikilint: %-14s %10.3fms\n", "total", float64(total)/1e6)
-	}
+	diags := lint.Run(pkgs, lint.All())
 	failing := lint.Unsuppressed(diags)
 	shown := failing
 	if *showSuppressed {
 		shown = diags
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if shown == nil {
-			shown = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(shown); err != nil {
-			fmt.Fprintln(os.Stderr, "rafikilint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range shown {
-			if d.Suppressed {
-				fmt.Printf("%s [suppressed: %s]\n", d, d.Reason)
-			} else {
-				fmt.Println(d)
-			}
-		}
-		if len(failing) > 0 {
-			fmt.Printf("rafikilint: %d finding(s) in %d package(s)\n", len(failing), len(kept))
+	for _, d := range shown {
+		if d.Suppressed {
+			fmt.Printf("%s [suppressed: %s]\n", d, d.Reason)
+		} else {
+			fmt.Println(d)
 		}
 	}
 	if len(failing) > 0 {
+		fmt.Printf("rafikilint: %d finding(s) in %d package(s)\n", len(failing), len(pkgs))
 		os.Exit(1)
 	}
-}
-
-// splitNonEmpty splits a comma list, dropping empty elements.
-func splitNonEmpty(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// excluded reports whether rel matches any exclusion prefix.
-func excluded(rel string, prefixes []string) bool {
-	for _, p := range prefixes {
-		p = strings.TrimPrefix(p, "./")
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return true
-		}
-	}
-	return false
 }

@@ -18,11 +18,9 @@ import (
 
 // taintSource describes why a value is tainted, for diagnostics.
 type taintSource struct {
-	// what names the origin, e.g. "memtable.Drain scratch" or
-	// "Engine.Params view".
+	// what names the origin, e.g. "scratch from memtable.Drain" or
+	// "view from Engine.Params".
 	what string
-	// pos is the seeding position (the call site).
-	pos token.Pos
 }
 
 // taintSet tracks tainted local objects within one function body.
@@ -45,31 +43,55 @@ type taintSet struct {
 	propagateComposite bool
 }
 
-// newTaintSet returns an empty taint set over info.
-func newTaintSet(info *types.Info, facts *Facts, propagateComposite bool) *taintSet {
-	return &taintSet{
+// annotatedTaint returns the taint set of fd's body for one annotation:
+// every call to a function whose facts satisfy marked is a source named
+// "<label> from <callee>", a multi-result such call (keys, tombs, exp
+// := Drain()) taints each reference-shaped variable it binds, and the
+// taint is propagated to a fixpoint.
+func annotatedTaint(pass *Pass, fd *ast.FuncDecl, label string, marked func(*FuncFacts) bool, propagateComposite bool) *taintSet {
+	info := pass.Pkg.Info
+	t := &taintSet{
 		info:               info,
-		facts:              facts,
+		facts:              pass.Facts,
 		objs:               make(map[types.Object]*taintSource),
 		seeds:              make(map[ast.Expr]*taintSource),
 		propagateComposite: propagateComposite,
 	}
-}
-
-// seed marks expr as a taint origin.
-func (t *taintSet) seed(expr ast.Expr, src *taintSource) {
-	t.seeds[expr] = src
-}
-
-// seedObj marks a variable object as tainted directly (used for
-// multi-result assignments where the individual LHS vars take taint
-// from one call).
-func (t *taintSet) seedObj(obj types.Object, src *taintSource) {
-	if obj != nil {
-		if _, ok := t.objs[obj]; !ok {
-			t.objs[obj] = src
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			callee := CalleeObject(info, call)
+			if cf := pass.Facts.Of(callee); cf != nil && marked(cf) {
+				t.seeds[call] = &taintSource{what: label + " from " + shortFuncName(callee)}
+			}
 		}
-	}
+		return true
+	})
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		asg, ok := n.(*ast.AssignStmt)
+		if !ok || len(asg.Rhs) != 1 || len(asg.Lhs) < 2 {
+			return true
+		}
+		src := t.seeds[ast.Unparen(asg.Rhs[0])]
+		if src == nil {
+			return true
+		}
+		for _, lhs := range asg.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok || id.Name == "_" {
+				continue
+			}
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if _, had := t.objs[obj]; obj != nil && !had && referenceShaped(obj.Type()) {
+				t.objs[obj] = src
+			}
+		}
+		return true
+	})
+	t.propagate(fd.Body)
+	return t
 }
 
 // taintOf returns the source tainting expr, or nil.
@@ -205,7 +227,7 @@ func (t *taintSet) elemTypeForAppend(call *ast.CallExpr, arg ast.Expr) types.Typ
 
 // propagate runs the assignment fixpoint over body: any assignment
 // whose RHS is tainted taints the LHS variable. Multi-result calls are
-// handled by the caller via seedObj. Iterates until stable so chains
+// seeded by annotatedTaint. Iterates until stable so chains
 // like a := seed; b := a[1:]; c := b resolve regardless of statement
 // order in loops.
 func (t *taintSet) propagate(body *ast.BlockStmt) {

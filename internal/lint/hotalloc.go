@@ -29,27 +29,14 @@ import (
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//rafiki:hot functions must not allocate on the steady path",
-	Run:  runHotAlloc,
+	Run:  perFunc(checkHotAlloc),
 }
 
-func runHotAlloc(pass *Pass) {
+func checkHotAlloc(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ff := pass.Facts.Of(info.Defs[fd.Name])
-			if ff == nil || !ff.Hot {
-				continue
-			}
-			checkHotAlloc(pass, info, fd)
-		}
+	if ff := pass.Facts.Of(info.Defs[fd.Name]); ff == nil || !ff.Hot {
+		return
 	}
-}
-
-func checkHotAlloc(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	// Collect make calls exempted by the grow-once idiom: a make whose
 	// enclosing if condition consults cap() or len() only reallocates
 	// when backing is too small, which is amortized-zero.

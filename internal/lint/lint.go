@@ -70,16 +70,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A Diagnostic is one finding at one position.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	File     string
+	Line     int
+	Col      int
+	Message  string
 	// Suppressed marks a finding covered by a well-formed
 	// //lint:allow comment; Reason carries the comment's reason.
-	Suppressed bool   `json:"suppressed,omitempty"`
-	Reason     string `json:"reason,omitempty"`
+	Suppressed bool
+	Reason     string
 }
 
 // String renders the diagnostic in file:line:col form.
@@ -142,14 +142,6 @@ func buildSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex
 	return idx, malformed
 }
 
-// A Timing reports one analyzer's wall time across all packages, in
-// nanoseconds of whatever clock the caller injected. The facts-store
-// build is reported under the pseudo-analyzer "(facts)".
-type Timing struct {
-	Analyzer string
-	Nanos    int64
-}
-
 // Run applies every analyzer to every package and returns all
 // diagnostics in deterministic (file, line, col, analyzer) order.
 // Suppressed findings are included with Suppressed=true so callers can
@@ -157,30 +149,8 @@ type Timing struct {
 // from the pseudo-analyzer "suppression", and //rafiki:* markers
 // outside the known vocabulary as diagnostics from "annotation".
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers, nil)
-	return diags
-}
-
-// RunTimed is Run with per-analyzer wall-time accounting. The clock is
-// injected (a monotonic nanosecond reading) so this package never
-// touches the wall clock itself — the repo's own nowall analyzer
-// guards that invariant. A nil clock skips timing.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, clock func() int64) ([]Diagnostic, []Timing) {
-	read := func() int64 {
-		if clock == nil {
-			return 0
-		}
-		return clock()
-	}
-
 	// One facts pass over every package, shared by all analyzers.
-	factsStart := read()
 	facts := BuildFacts(pkgs)
-	timings := []Timing{{Analyzer: "(facts)", Nanos: read() - factsStart}}
-	for _, a := range analyzers {
-		timings = append(timings, Timing{Analyzer: a.Name})
-	}
-
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		idx, malformed := buildSuppressions(pkg.Fset, pkg.Files)
@@ -193,7 +163,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, clock func() int64) ([]Dia
 				}
 			}
 		}
-		for ai, a := range analyzers {
+		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Facts: facts}
 			pass.report = func(d Diagnostic) {
 				d.File = d.Pos.Filename
@@ -202,9 +172,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, clock func() int64) ([]Dia
 				suppress(&d)
 				diags = append(diags, d)
 			}
-			start := read()
 			a.Run(pass)
-			timings[ai+1].Nanos += read() - start
 		}
 		// Malformed directives are findings in their own right: a
 		// suppression without a reason hides an invariant violation
@@ -248,7 +216,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, clock func() int64) ([]Dia
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, timings
+	return diags
 }
 
 // Unsuppressed filters to the findings that should fail a build.
@@ -280,6 +248,27 @@ func All() []*Analyzer {
 }
 
 // --- shared helpers used by several analyzers ---
+
+// forEachFunc calls fn on every function declaration with a body in
+// files, in file and declaration order.
+func forEachFunc(files []*ast.File, fn func(fd *ast.FuncDecl)) {
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(fd)
+			}
+		}
+	}
+}
+
+// perFunc makes an Analyzer.Run out of a check of one function
+// declaration: the check sees every function with a body in the pass's
+// package.
+func perFunc(check func(pass *Pass, fd *ast.FuncDecl)) func(*Pass) {
+	return func(pass *Pass) {
+		forEachFunc(pass.Pkg.Files, func(fd *ast.FuncDecl) { check(pass, fd) })
+	}
+}
 
 // pkgFunc resolves a selector like time.Now to (package path, func
 // name) when X names an imported package; ok reports whether it did.

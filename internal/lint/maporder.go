@@ -83,7 +83,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 					if !isFloat(info, lhs) {
 						continue
 					}
-					if obj := rootObject(info, lhs); obj != nil && !within(body, obj.Pos()) {
+					if obj, _ := lvalueRoot(info, lhs); obj != nil && !within(body, obj.Pos()) {
 						pass.Reportf(n.Pos(), "floating-point accumulation into %q inside map range: iteration order changes the rounding; range over sorted keys", obj.Name())
 					}
 				}
@@ -93,7 +93,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 					if !ok || !isBuiltinAppend(info, call) || i >= len(n.Lhs) {
 						continue
 					}
-					if obj := rootObject(info, n.Lhs[i]); obj != nil && !within(body, obj.Pos()) {
+					if obj, _ := lvalueRoot(info, n.Lhs[i]); obj != nil && !within(body, obj.Pos()) {
 						appendTargets[obj] = n.Pos()
 					}
 				}
@@ -139,27 +139,6 @@ func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
 	return ok && b.Name() == "append"
 }
 
-// rootObject resolves the variable at the base of an lvalue like
-// x, x.f, or x[i].
-func rootObject(info *types.Info, expr ast.Expr) types.Object {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return info.ObjectOf(e)
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		default:
-			return nil
-		}
-	}
-}
-
 // within reports whether pos falls inside node's source extent.
 func within(node ast.Node, pos token.Pos) bool {
 	return node.Pos() <= pos && pos < node.End()
@@ -177,7 +156,7 @@ func isOutwardWrite(info *types.Info, sel *ast.SelectorExpr, body ast.Node) bool
 	if info.Selections[sel] == nil {
 		return false // package selector or conversion, not a method
 	}
-	obj := rootObject(info, sel.X)
+	obj, _ := lvalueRoot(info, sel.X)
 	return obj != nil && !within(body, obj.Pos())
 }
 

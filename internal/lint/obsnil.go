@@ -15,23 +15,7 @@ import (
 var ObsNil = &Analyzer{
 	Name: "obsnil",
 	Doc:  "exported obs instrument methods must nil-check the receiver before any field access",
-	Run: func(pass *Pass) {
-		if pass.Pkg.RelPath != "internal/obs" {
-			return
-		}
-		for _, f := range pass.Pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil || fd.Body == nil || !fd.Name.IsExported() {
-					continue
-				}
-				if !pointerReceiver(fd) {
-					continue // value receivers cannot be nil
-				}
-				checkNilGuard(pass, fd)
-			}
-		}
-	},
+	Run:  perFunc(checkNilGuard),
 }
 
 // pointerReceiver reports whether fd's receiver is a pointer type.
@@ -44,9 +28,13 @@ func pointerReceiver(fd *ast.FuncDecl) bool {
 	return ok
 }
 
-// checkNilGuard reports receiver field accesses not preceded by a
-// top-level `recv == nil` check.
+// checkNilGuard reports, in an exported pointer-receiver method of
+// internal/obs, receiver field accesses not preceded by a top-level
+// `recv == nil` check. Value receivers cannot be nil.
 func checkNilGuard(pass *Pass, fd *ast.FuncDecl) {
+	if pass.Pkg.RelPath != "internal/obs" || fd.Recv == nil || !fd.Name.IsExported() || !pointerReceiver(fd) {
+		return
+	}
 	recv := receiverIdent(fd)
 	if recv == nil {
 		return // receiver unnamed, so no field access is possible

@@ -26,75 +26,12 @@ import (
 var ScratchEscape = &Analyzer{
 	Name: "scratchescape",
 	Doc:  "results of //rafiki:scratch functions must not outlive the receiving frame",
-	Run:  runScratchEscape,
+	Run:  perFunc(checkScratchEscape),
 }
 
-func runScratchEscape(pass *Pass) {
+func checkScratchEscape(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkScratchEscape(pass, info, fd)
-		}
-	}
-}
-
-func checkScratchEscape(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	t := newTaintSet(info, pass.Facts, true)
-
-	// Seed: every call to a //rafiki:scratch function taints its
-	// result(s).
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := CalleeObject(info, call)
-		cf := pass.Facts.Of(callee)
-		if cf == nil || !cf.Scratch {
-			return true
-		}
-		t.seed(call, &taintSource{
-			what: "scratch from " + shortFuncName(callee),
-			pos:  call.Pos(),
-		})
-		return true
-	})
-	// Multi-result scratch assignments (keys, tombs, exp := Drain())
-	// bind taint to each reference-shaped LHS variable.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || len(asg.Rhs) != 1 || len(asg.Lhs) < 2 {
-			return true
-		}
-		call, ok := ast.Unparen(asg.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		src := t.seeds[call]
-		if src == nil {
-			return true
-		}
-		for _, lhs := range asg.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			if obj != nil && referenceShaped(obj.Type()) {
-				t.seedObj(obj, src)
-			}
-		}
-		return true
-	})
-	t.propagate(fd.Body)
-
+	t := annotatedTaint(pass, fd, "scratch", func(cf *FuncFacts) bool { return cf.Scratch }, true)
 	enclosing := pass.Facts.Of(info.Defs[fd.Name])
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -16,7 +16,7 @@ import (
 var ViewMut = &Analyzer{
 	Name: "viewmut",
 	Doc:  "results of //rafiki:view functions are shared read-only views and must not be written through",
-	Run:  runViewMut,
+	Run:  perFunc(checkViewMut),
 }
 
 // mutatingStdFuncs lists stdlib functions that write through their
@@ -32,73 +32,13 @@ var mutatingStdFuncs = map[string]map[string]bool{
 	},
 }
 
-func runViewMut(pass *Pass) {
+func checkViewMut(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkViewMut(pass, info, fd)
-		}
-	}
-}
-
-func checkViewMut(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
 	// propagateComposite=false: a struct value holding a view is not
 	// itself a view — writes to the struct's own fields are fine; only
 	// writes through the view's backing matter, and those are reached
 	// via the field-read rule in taintOf.
-	t := newTaintSet(info, pass.Facts, false)
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := CalleeObject(info, call)
-		cf := pass.Facts.Of(callee)
-		if cf == nil || !cf.View {
-			return true
-		}
-		t.seed(call, &taintSource{
-			what: "view from " + shortFuncName(callee),
-			pos:  call.Pos(),
-		})
-		return true
-	})
-	// Multi-result view assignments bind taint to reference-shaped
-	// LHS variables.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || len(asg.Rhs) != 1 || len(asg.Lhs) < 2 {
-			return true
-		}
-		call, ok := ast.Unparen(asg.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		src := t.seeds[call]
-		if src == nil {
-			return true
-		}
-		for _, lhs := range asg.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			if obj != nil && referenceShaped(obj.Type()) {
-				t.seedObj(obj, src)
-			}
-		}
-		return true
-	})
-	t.propagate(fd.Body)
+	t := annotatedTaint(pass, fd, "view", func(cf *FuncFacts) bool { return cf.View }, false)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -156,16 +96,6 @@ func viewWriteTarget(info *types.Info, t *taintSet, lhs ast.Expr) *taintSource {
 		return viewWriteTarget(info, t, e.X)
 	}
 	return nil
-}
-
-// pointerShaped reports whether writes through a value of type t hit
-// shared memory even without an index step.
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map:
-		return true
-	}
-	return false
 }
 
 // checkViewMutCall flags tainted views passed where they will be

@@ -221,9 +221,7 @@ func AblationSurrogateSearch(p *Pipeline) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	annealOpts := ga.DefaultAnnealOptions()
-	annealOpts.Seed = p.Opts.GA.Seed
-	saRes, err := ga.Anneal(problem, annealOpts)
+	saRes, err := ga.Anneal(problem, p.Opts.GA.Seed)
 	if err != nil {
 		return Report{}, err
 	}

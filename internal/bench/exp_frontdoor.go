@@ -20,7 +20,7 @@ func FrontDoor(env Env) (Report, error) {
 		return Report{}, err
 	}
 	seed := env.Seed + 170_000
-	res, stats, err := frontdoor.OverloadScenario(seed, frontdoor.OverloadConfig{})
+	res, stats, err := frontdoor.OverloadScenario(seed)
 	if err != nil {
 		return Report{}, err
 	}

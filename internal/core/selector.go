@@ -12,12 +12,6 @@ import (
 type IdentifyOptions struct {
 	// ReadRatio is the workload under which parameters are swept.
 	ReadRatio float64
-	// ScanRatio and Skew extend the sweep workload with the op-mix
-	// shape axes, so ANOVA ranks parameters under the workload the
-	// datastore will actually see (a scan-heavy sweep surfaces
-	// compaction-strategy variance a point-op sweep hides).
-	ScanRatio float64
-	Skew      float64
 	// MinK and MaxK bound the elbow search for the key-parameter count
 	// (the paper lands on 5 for Cassandra).
 	MinK, MaxK int
@@ -35,7 +29,7 @@ func DefaultIdentifyOptions() IdentifyOptions {
 
 // Workload returns the sweep workload the options describe.
 func (o IdentifyOptions) Workload() Workload {
-	return Workload{ReadRatio: o.ReadRatio, ScanRatio: o.ScanRatio, Skew: o.Skew}
+	return RR(o.ReadRatio)
 }
 
 // Identification is the outcome of the ANOVA stage.

@@ -20,26 +20,15 @@ import (
 type OverloadConfig struct {
 	// Seeds are the chaos seeds (default overloadSeedSet()).
 	Seeds []int64
-	// Tenants scales the fleet (default 2000, split across classes).
-	Tenants int
-	// MinCompliance is the fraction of SLO windows that must meet the
-	// p99 ceiling (default 0.9).
-	MinCompliance float64
 }
 
-// withDefaults fills the zero values.
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if len(c.Seeds) == 0 {
-		c.Seeds = overloadSeedSet()
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 2000
-	}
-	if c.MinCompliance <= 0 {
-		c.MinCompliance = 0.9
-	}
-	return c
-}
+const (
+	// overloadTenants is the fleet size, split across the classes.
+	overloadTenants = 2000
+	// overloadMinCompliance is the fraction of SLO windows that must
+	// meet the p99 ceiling.
+	overloadMinCompliance = 0.9
+)
 
 // overloadSeedSet is the default chaos seed set; make slo runs it.
 func overloadSeedSet() []int64 {
@@ -79,10 +68,12 @@ type OverloadReport struct {
 
 // RunOverload runs the overload chaos harness.
 func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
-	cfg = cfg.withDefaults()
+	if len(cfg.Seeds) == 0 {
+		cfg.Seeds = overloadSeedSet()
+	}
 	rep := &OverloadReport{}
 	for _, seed := range cfg.Seeds {
-		out, err := runOverloadSeed(seed, cfg)
+		out, err := runOverloadSeed(seed)
 		if err != nil {
 			return nil, err
 		}
@@ -99,13 +90,12 @@ func RunOverload(cfg OverloadConfig) (*OverloadReport, error) {
 // and returns the raw front-door result plus the cluster's stats, for
 // callers (the bench experiments) that want the per-class breakdown
 // rather than a verdict.
-func OverloadScenario(seed int64, cfg OverloadConfig) (*Result, cluster.Stats, error) {
-	cfg = cfg.withDefaults()
+func OverloadScenario(seed int64) (*Result, cluster.Stats, error) {
 	perOp, err := calibrateOverload(seed)
 	if err != nil {
 		return nil, cluster.Stats{}, err
 	}
-	run, stats, err := overloadOnce(seed, cfg, perOp)
+	run, stats, err := overloadOnce(seed, perOp)
 	if err != nil {
 		return nil, cluster.Stats{}, err
 	}
@@ -121,16 +111,16 @@ type overloadRun struct {
 
 // runOverloadSeed runs one seed twice (for the determinism cross-check)
 // and grades it.
-func runOverloadSeed(seed int64, cfg OverloadConfig) (OverloadOutcome, error) {
+func runOverloadSeed(seed int64) (OverloadOutcome, error) {
 	perOp, err := calibrateOverload(seed)
 	if err != nil {
 		return OverloadOutcome{}, err
 	}
-	a, stats, err := overloadOnce(seed, cfg, perOp)
+	a, stats, err := overloadOnce(seed, perOp)
 	if err != nil {
 		return OverloadOutcome{}, err
 	}
-	b, _, err := overloadOnce(seed, cfg, perOp)
+	b, _, err := overloadOnce(seed, perOp)
 	if err != nil {
 		return OverloadOutcome{}, err
 	}
@@ -161,7 +151,7 @@ func runOverloadSeed(seed int64, cfg OverloadConfig) (OverloadOutcome, error) {
 		out.Verdict = "nondeterministic"
 		out.Detail = fmt.Sprintf("digests %016x vs %016x, snapshots %d vs %d bytes",
 			a.res.ShedDigest, b.res.ShedDigest, len(a.snap), len(b.snap))
-	case len(res.Windows) == 0 || out.Compliance < cfg.MinCompliance:
+	case len(res.Windows) == 0 || out.Compliance < overloadMinCompliance:
 		out.Verdict = "slo-miss"
 		out.Detail = fmt.Sprintf("%d of %d windows violated p99 ceiling", res.SLOViolations, len(res.Windows))
 	case out.Shed == 0:
@@ -230,7 +220,7 @@ func newOverloadCluster(seed int64, reg *obs.Registry) (*cluster.Cluster, error)
 }
 
 // overloadOnce performs one full seeded run.
-func overloadOnce(seed int64, cfg OverloadConfig, perOp float64) (overloadRun, cluster.Stats, error) {
+func overloadOnce(seed int64, perOp float64) (overloadRun, cluster.Stats, error) {
 	reg := obs.NewRegistry()
 	c, err := newOverloadCluster(seed, reg)
 	if err != nil {
@@ -247,9 +237,9 @@ func overloadOnce(seed int64, cfg OverloadConfig, perOp float64) (overloadRun, c
 	const conc = 16
 	horizon := 2500 * perOp
 	capacity := conc / perOp // requests per virtual second at full tilt
-	steady := 8 * cfg.Tenants / 10
-	bursty := cfg.Tenants / 10
-	greedy := cfg.Tenants - steady - bursty
+	steady := 8 * overloadTenants / 10
+	bursty := overloadTenants / 10
+	greedy := overloadTenants - steady - bursty
 	deadline := 50 * perOp
 	opts := Options{
 		Seed:        seed,

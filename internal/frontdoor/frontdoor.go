@@ -8,7 +8,7 @@
 // single-threaded and fully deterministic under a seed: per-tenant
 // token-bucket rate limits, a bounded admission queue (FIFO per tenant,
 // round-robin across tenants), deadline-aware load shedding at
-// dispatch, and per-tenant latency histograms. A request's service
+// dispatch, and per-class latency accounting. A request's service
 // time is its cluster op's critical-path latency: the replica legs run
 // side by side and the op completes at the ack or answer its
 // consistency level waits for. A partitioned or straggling replica on
@@ -27,7 +27,6 @@ import (
 	"rafiki/internal/fault"
 	"rafiki/internal/obs"
 	"rafiki/internal/par"
-	"rafiki/internal/stats"
 )
 
 // TenantClass describes a population of identically-configured tenants.
@@ -183,7 +182,6 @@ type tenant struct {
 	rng     *rand.Rand
 	arr     *arrivalProc
 	bucket  tokenBucket
-	hist    *stats.Histogram
 	keyBase uint64
 }
 
@@ -285,16 +283,11 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 		burst := max(1, tc.RateLimit)
 		for i := 0; i < tc.Tenants; i++ {
 			rng := rand.New(rand.NewSource(par.DeriveSeed(opts.Seed, int64(id))))
-			hist, err := stats.NewHistogram(0, latencyHi, 64)
-			if err != nil {
-				return nil, err
-			}
 			f.tenants = append(f.tenants, tenant{
 				class:   ci,
 				rng:     rng,
 				arr:     newArrivalProc(tc.Arrival, tc.RatePerTenant, tc.OnMean, tc.OffMean, rng),
 				bucket:  tokenBucket{rate: tc.RateLimit, burst: burst},
-				hist:    hist,
 				keyBase: uint64(id*opts.Keys) % keySpace,
 			})
 			id++
@@ -306,15 +299,6 @@ func New(cl *cluster.Cluster, opts Options) (*FrontDoor, error) {
 
 // SetSurges installs global demand spikes (must be called before Run).
 func (f *FrontDoor) SetSurges(surges []Surge) { f.surges = surges }
-
-// TenantQuantile returns tenant t's latency quantile over its
-// completed requests (0 when it completed none).
-func (f *FrontDoor) TenantQuantile(t int, q float64) float64 {
-	if t < 0 || t >= len(f.tenants) {
-		return 0
-	}
-	return f.tenants[t].hist.Quantile(q)
-}
 
 // Run drives the open-loop simulation to completion and returns its
 // outcome. One-shot.
@@ -468,7 +452,6 @@ func (f *FrontDoor) complete(at float64, d departure) {
 	if at > f.res.Makespan {
 		f.res.Makespan = at
 	}
-	t.hist.Add(lat)
 	f.o.latency.Observe(lat)
 	f.o.classLatency[t.class].Observe(lat)
 	f.latByClass[t.class] = append(f.latByClass[t.class], lat)

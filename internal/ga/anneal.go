@@ -6,47 +6,32 @@ import (
 	"math/rand"
 )
 
-// AnnealOptions tunes the simulated-annealing searcher, an alternative
-// stochastic optimizer over the same bounded problems the GA solves.
-// It exists for the search-strategy ablation: the paper chose a GA for
-// robustness to local maxima; annealing is the classic single-chain
-// competitor.
-type AnnealOptions struct {
-	// Steps is the number of proposal evaluations.
-	Steps int
-	// TempInit and TempFinal bound the exponential cooling schedule, in
-	// units of the fitness function.
-	TempInit, TempFinal float64
-	// StepSigma is the proposal step as a fraction of each gene range.
-	StepSigma float64
-	// Seed drives the chain.
-	Seed int64
-}
+// The simulated-annealing searcher's settings. Annealing is an
+// alternative stochastic optimizer over the same bounded problems the GA
+// solves. It exists for the search-strategy ablation: the paper chose a
+// GA for robustness to local maxima; annealing is the classic
+// single-chain competitor.
+const (
+	// annealSteps is the number of proposal evaluations, roughly the
+	// GA's evaluation budget.
+	annealSteps = 3300
+	// annealTempInit and annealTempFinal bound the exponential cooling
+	// schedule, in units of the fitness function.
+	annealTempInit, annealTempFinal float64 = 0.1, 1e-4
+	// annealStepSigma is the proposal step as a fraction of each gene
+	// range.
+	annealStepSigma = 0.15
+)
 
-// DefaultAnnealOptions roughly matches the GA's evaluation budget.
-func DefaultAnnealOptions() AnnealOptions {
-	return AnnealOptions{
-		Steps:     3300,
-		TempInit:  0.1,
-		TempFinal: 1e-4,
-		StepSigma: 0.15,
-	}
-}
-
-// Anneal maximizes p.Fitness with simulated annealing and returns the
-// best candidate found. Like Run, it repairs every proposal before
-// scoring it, so it makes Steps+1 evaluations.
-func Anneal(p Problem, opts AnnealOptions) (Result, error) {
+// Anneal maximizes p.Fitness with simulated annealing, its chain driven
+// by seed, and returns the best candidate found. Like Run, it repairs
+// every proposal before scoring it, so it makes annealSteps+1
+// evaluations.
+func Anneal(p Problem, seed int64) (Result, error) {
 	if len(p.Bounds) == 0 || p.Fitness == nil {
 		return Result{}, fmt.Errorf("ga: anneal: a problem needs bounds and a Fitness function")
 	}
-	if opts.Steps < 1 {
-		return Result{}, fmt.Errorf("ga: anneal: steps must be >= 1, got %d", opts.Steps)
-	}
-	if opts.TempInit <= 0 || opts.TempFinal <= 0 || opts.TempFinal > opts.TempInit {
-		return Result{}, fmt.Errorf("ga: anneal: invalid temperature schedule [%v, %v]", opts.TempInit, opts.TempFinal)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	var res Result
 
 	cur := make([]float64, len(p.Bounds))
@@ -63,11 +48,11 @@ func Anneal(p Problem, opts AnnealOptions) (Result, error) {
 
 	// Fitness units vary by problem, so temperatures are relative to the
 	// first score's magnitude.
-	cooling := math.Pow(opts.TempFinal/opts.TempInit, 1/float64(opts.Steps))
-	temp := opts.TempInit * math.Max(1, math.Abs(curScore))
+	cooling := math.Pow(annealTempFinal/annealTempInit, 1/float64(annealSteps))
+	temp := annealTempInit * math.Max(1, math.Abs(curScore))
 
 	proposal := make([]float64, len(cur))
-	for step := 0; step < opts.Steps; step++ {
+	for step := 0; step < annealSteps; step++ {
 		copy(proposal, cur)
 		// Perturb one gene per step; occasionally reset it to explore.
 		i := rng.Intn(len(p.Bounds))
@@ -77,7 +62,7 @@ func Anneal(p Problem, opts AnnealOptions) (Result, error) {
 			if rng.Float64() < 0.1 {
 				proposal[i] = b.Min + rng.Float64()*span
 			} else {
-				proposal[i] += rng.NormFloat64() * opts.StepSigma * span
+				proposal[i] += rng.NormFloat64() * annealStepSigma * span
 			}
 		}
 		repairInto(proposal, proposal, p.Bounds)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAnnealFindsSphereOptimum(t *testing.T) {
-	res, err := Anneal(sphereProblem(3), DefaultAnnealOptions())
+	res, err := Anneal(sphereProblem(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAnnealRespectsConstraints(t *testing.T) {
 			return -(x[0] - 6.3) * (x[0] - 6.3), nil
 		},
 	}
-	res, err := Anneal(p, DefaultAnnealOptions())
+	res, err := Anneal(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,17 +42,13 @@ func TestAnnealValidation(t *testing.T) {
 	tests := []struct {
 		name string
 		p    Problem
-		opts AnnealOptions
 	}{
-		{"no bounds", Problem{Fitness: valid.Fitness}, DefaultAnnealOptions()},
-		{"nil fitness", Problem{Bounds: valid.Bounds}, DefaultAnnealOptions()},
-		{"zero steps", valid, AnnealOptions{TempInit: 1, TempFinal: 0.1}},
-		{"inverted temps", valid, AnnealOptions{Steps: 10, TempInit: 0.1, TempFinal: 1}},
-		{"zero temp", valid, AnnealOptions{Steps: 10, TempInit: 0, TempFinal: 0}},
+		{"no bounds", Problem{Fitness: valid.Fitness}},
+		{"nil fitness", Problem{Bounds: valid.Bounds}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Anneal(tt.p, tt.opts); err == nil {
+			if _, err := Anneal(tt.p, 0); err == nil {
 				t.Error("want error")
 			}
 		})
@@ -60,11 +56,11 @@ func TestAnnealValidation(t *testing.T) {
 }
 
 func TestAnnealDeterminism(t *testing.T) {
-	a, err := Anneal(sphereProblem(3), DefaultAnnealOptions())
+	a, err := Anneal(sphereProblem(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Anneal(sphereProblem(3), DefaultAnnealOptions())
+	b, err := Anneal(sphereProblem(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +70,12 @@ func TestAnnealDeterminism(t *testing.T) {
 }
 
 func TestAnnealEvaluationBudget(t *testing.T) {
-	opts := DefaultAnnealOptions()
-	res, err := Anneal(sphereProblem(4), opts)
+	res, err := Anneal(sphereProblem(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The starting point, then one evaluation per proposal.
-	if want := opts.Steps + 1; res.Evaluations != want {
+	if want := annealSteps + 1; res.Evaluations != want {
 		t.Errorf("evaluations %d, want %d", res.Evaluations, want)
 	}
 }

@@ -305,7 +305,7 @@ func TestFitnessSeesOnlyFeasible(t *testing.T) {
 			return err
 		},
 		"Anneal/Fitness": func() error {
-			_, err := Anneal(Problem{Bounds: bounds, Fitness: fitness}, DefaultAnnealOptions())
+			_, err := Anneal(Problem{Bounds: bounds, Fitness: fitness}, 0)
 			return err
 		},
 	}

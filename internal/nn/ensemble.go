@@ -36,10 +36,10 @@ type ModelConfig struct {
 	PruneFraction float64
 	// Trainer picks the algorithm (default TrainerBR).
 	Trainer Trainer
-	// BR and GD carry trainer-specific options; zero values use the
-	// package defaults.
+	// BR carries the BR trainer's options; a zero value uses the
+	// package defaults. The GD trainer has no options: its seed is
+	// derived from Seed per member.
 	BR BROptions
-	GD GDOptions
 	// Seed derives each member's initialization.
 	Seed int64
 	// Workers bounds how many ensemble members train concurrently;
@@ -64,7 +64,6 @@ func DefaultModelConfig() ModelConfig {
 		PruneFraction: 0.3,
 		Trainer:       TrainerBR,
 		BR:            DefaultBROptions(),
-		GD:            DefaultGDOptions(),
 	}
 }
 
@@ -127,9 +126,6 @@ func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
 	if cfg.BR.Epochs == 0 {
 		cfg.BR = DefaultBROptions()
 	}
-	if cfg.GD.Epochs == 0 {
-		cfg.GD = DefaultGDOptions()
-	}
 
 	inNorm, err := FitNormalizer(xs)
 	if err != nil {
@@ -174,9 +170,7 @@ func Fit(xs [][]float64, ys []float64, cfg ModelConfig) (*Model, error) {
 			br.Obs = stage
 			res, err = TrainBR(net, normX, normY, br)
 		case TrainerGD:
-			gd := cfg.GD
-			gd.Seed = cfg.Seed + int64(k)
-			res, err = TrainGD(net, normX, normY, gd)
+			res, err = TrainGD(net, normX, normY, cfg.Seed+int64(k))
 		default:
 			err = fmt.Errorf("nn: unknown trainer %d", cfg.Trainer)
 		}

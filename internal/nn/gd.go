@@ -1,42 +1,25 @@
 package nn
 
-import (
-	"fmt"
-	"math/rand"
+import "math/rand"
+
+// The plain stochastic-gradient baseline trainer's settings. It serves
+// the ablation benchmarks, to show what the LM/Bayesian trainer buys.
+const (
+	// gdEpochs is the number of passes over the training set.
+	gdEpochs = 400
+	// gdLearningRate and gdMomentum are the classic SGD knobs.
+	gdLearningRate, gdMomentum = 0.01, 0.9
+	// gdL2 is the weight-decay coefficient.
+	gdL2 = 1e-4
 )
 
-// GDOptions tunes the plain stochastic-gradient baseline trainer, used
-// by the ablation benchmarks to show what the LM/Bayesian trainer buys.
-type GDOptions struct {
-	// Epochs is the number of passes over the training set.
-	Epochs int
-	// LearningRate and Momentum are the classic SGD knobs.
-	LearningRate, Momentum float64
-	// L2 is the weight-decay coefficient.
-	L2 float64
-	// Seed shuffles sample order.
-	Seed int64
-}
-
-// DefaultGDOptions returns a reasonable baseline configuration.
-func DefaultGDOptions() GDOptions {
-	return GDOptions{
-		Epochs:       400,
-		LearningRate: 0.01,
-		Momentum:     0.9,
-		L2:           1e-4,
-	}
-}
-
-// TrainGD fits net with stochastic gradient descent plus momentum.
-func TrainGD(net *Network, xs [][]float64, ys []float64, opts GDOptions) (TrainResult, error) {
+// TrainGD fits net with stochastic gradient descent plus momentum;
+// seed shuffles the sample order.
+func TrainGD(net *Network, xs [][]float64, ys []float64, seed int64) (TrainResult, error) {
 	if err := checkTrainingSet(xs, ys); err != nil {
 		return TrainResult{}, err
 	}
-	if opts.Epochs <= 0 {
-		return TrainResult{}, fmt.Errorf("nn: epochs must be positive, got %d", opts.Epochs)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	grad := make([]float64, net.NumWeights())
 	velocity := make([]float64, net.NumWeights())
 	order := make([]int, len(xs))
@@ -45,7 +28,7 @@ func TrainGD(net *Network, xs [][]float64, ys []float64, opts GDOptions) (TrainR
 	}
 
 	var res TrainResult
-	for epoch := 1; epoch <= opts.Epochs; epoch++ {
+	for epoch := 1; epoch <= gdEpochs; epoch++ {
 		res.Epochs = epoch
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
@@ -56,8 +39,8 @@ func TrainGD(net *Network, xs [][]float64, ys []float64, opts GDOptions) (TrainR
 			e := ys[idx] - out
 			for i := range net.Weights {
 				// d(0.5*e^2)/dw = -e * d(out)/dw, plus L2 decay.
-				g := -e*grad[i] + opts.L2*net.Weights[i]
-				velocity[i] = opts.Momentum*velocity[i] - opts.LearningRate*g
+				g := -e*grad[i] + gdL2*net.Weights[i]
+				velocity[i] = gdMomentum*velocity[i] - gdLearningRate*g
 				net.Weights[i] += velocity[i]
 			}
 		}

@@ -9,7 +9,7 @@ COVER_FLOOR ?= 81.5
 # diff, in plain sight; a change that shrinks the tree lowers it to its
 # new total. Last lowered from 24635 when the lint analyzers' duplicate
 # walks and the lint driver's unused flags were deleted.
-LOC_CEILING ?= 24296
+LOC_CEILING ?= 24229
 
 # Ceiling on `make check`'s total wall time, in seconds. check prints
 # each gate's time and fails when their sum exceeds it: a gate nobody

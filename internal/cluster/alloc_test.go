@@ -52,6 +52,9 @@ func quorumOps(c *Cluster, rng *rand.Rand, n int) {
 // allocations, averaged over 50k ops. Before messages travelled as
 // pointers to owned slots it took about 17; what remains is amortized
 // growth (engine flushes, replica maps, the undo tail's first fill).
+// A second window runs the resilience paths warm and holds them to a
+// tenth of that, tight enough that one allocation per speculative read
+// or per breaker failure fails it.
 func TestServeAllocGuard(t *testing.T) {
 	c := newServeCluster(t)
 	rng := rand.New(rand.NewSource(11))
@@ -66,6 +69,35 @@ func TestServeAllocGuard(t *testing.T) {
 
 	if perOp := float64(m1.Mallocs-m0.Mallocs) / ops; perOp > 0.1 {
 		t.Fatalf("warm QUORUM ops allocate %.3f/op, want <= 0.1", perOp)
+	}
+
+	// The same stream with node 3 a straggler beyond the op timeout and
+	// the breaker armed: every read runs speculate, and writes to node 3
+	// time out, open its link and fail each half-open probe
+	// (breakerFailure), about 900 times in the measured window.
+	opts := DefaultResilienceOptions()
+	opts.BreakerFailures = 3
+	opts.BreakerCooldown = 1e-4
+	if err := c.SetResilience(opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetNodeDegradation(3, 100, 1); err != nil {
+		t.Fatal(err)
+	}
+	quorumOps(c, rng, 50_000)
+	before := c.Stats()
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	quorumOps(c, rng, ops)
+	runtime.ReadMemStats(&m1)
+	after := c.Stats()
+
+	if after.SpeculativeReads == before.SpeculativeReads || after.BreakerOpens == before.BreakerOpens {
+		t.Fatalf("measured window ran %d speculative reads and %d breaker opens, want both",
+			after.SpeculativeReads-before.SpeculativeReads, after.BreakerOpens-before.BreakerOpens)
+	}
+	if perOp := float64(m1.Mallocs-m0.Mallocs) / ops; perOp > 0.01 {
+		t.Fatalf("warm QUORUM ops around a straggler allocate %.3f/op, want <= 0.01", perOp)
 	}
 }
 

@@ -353,8 +353,8 @@ func (s *Space) KeyParams() ([]Parameter, error) {
 // FeatureVector encodes the workload features plus the key-parameter
 // values of c in KeyNames order: the input layout of Equation (2),
 // fnet(W, CM, CW, FCZ, MT, CC), where W is the workload
-// characterization (the paper's scalar RR, extended here to
-// [RR, scan ratio, skew] — see core.Workload.Vector).
+// characterization: the paper's scalar RR, followed by the scan ratio
+// when the training data has scans (see core.Dataset.Features).
 func (s *Space) FeatureVector(workload []float64, c Config) ([]float64, error) {
 	if len(workload) == 0 {
 		return nil, fmt.Errorf("config: empty workload features")

@@ -14,7 +14,7 @@ import (
 type CollectOptions struct {
 	// Workloads lists the workload characterizations to benchmark; the
 	// paper uses 11 read ratios spanning 0%..100% in 10% steps, and
-	// mixed-op suites add scan-ratio/skew points (see Workload).
+	// mixed-op suites add scan-ratio points (see Workload).
 	Workloads []Workload
 	// Configs is the number of configurations (20 in the paper, for
 	// 220 total samples).

@@ -160,10 +160,6 @@ type Controller struct {
 	current   config.Config
 	lastGood  config.Config // nil means the space default
 
-	// shape carries the workload's scan-ratio and skew axes; the loop
-	// composes them with the per-window read ratio (see SetShape).
-	shape Workload
-
 	// canaryLeft > 0 means current is on probation; sloTotal/sloOk count
 	// this probation's windows and the subset that met the p99 ceiling.
 	canaryLeft      int
@@ -209,20 +205,6 @@ func newController(t *Tuner, a Applier, opts GuardOptions, guarded bool) (*Contr
 	return c, nil
 }
 
-// SetShape fixes the scan-ratio and skew axes of the workloads the
-// controller tunes for; Observe supplies the per-window read ratio.
-// Use this when trace characterization reports a stable op-mix shape
-// (e.g. an analytics tenant whose scans are structural) while the read
-// ratio swings with MG-RAST-style regime switches.
-func (c *Controller) SetShape(scanRatio, skew float64) error {
-	w := Workload{ScanRatio: scanRatio, Skew: skew}
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	c.shape = w
-	return nil
-}
-
 // WindowMetrics is one observation window's report for ObserveWindow:
 // its read ratio, mean throughput (ops/s; <= 0 when unmeasured), and
 // p99 latency (virtual seconds; <= 0 when unmeasured).
@@ -266,12 +248,12 @@ func (c *Controller) ObserveWindow(m WindowMetrics) (bool, error) {
 		}
 	}
 	if c.canaryLeft > 0 && m.Throughput > 0 {
-		if rolled, err := c.checkCanary(c.workloadAt(m.ReadRatio), m.Throughput); rolled || err != nil {
+		if rolled, err := c.checkCanary(RR(m.ReadRatio), m.Throughput); rolled || err != nil {
 			return rolled, err
 		}
 	}
 
-	target := c.workloadAt(targetRR)
+	target := RR(targetRR)
 	if c.haveTuned && target.dist(c.lastTuned) < c.opts.Threshold {
 		return false, nil
 	}
@@ -307,14 +289,6 @@ func (c *Controller) ObserveWindow(m WindowMetrics) (bool, error) {
 		c.commit()
 	}
 	return true, nil
-}
-
-// workloadAt composes the controller's fixed shape axes with a window's
-// read ratio.
-func (c *Controller) workloadAt(readRatio float64) Workload {
-	w := c.shape
-	w.ReadRatio = readRatio
-	return w
 }
 
 // checkSLO runs the tail-latency objective on one window's p99. A

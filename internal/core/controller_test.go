@@ -394,45 +394,6 @@ func TestControllerApplyFailure(t *testing.T) {
 	}
 }
 
-// TestControllerSetShape: fixing the scan/skew axes changes the
-// workload the controller tunes for, so a shape change alone must push
-// the L1 re-tune distance past the threshold; invalid axes are
-// rejected. Every row has it.
-func TestControllerSetShape(t *testing.T) {
-	tuner := preparedTuner(t)
-	for _, row := range controllerRows {
-		t.Run(row.name, func(t *testing.T) {
-			ctrl, err := row.build(tuner, &recordingApplier{}, &recordingForecaster{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ctrl.SetShape(1.2, 0); err == nil {
-				t.Error("scan ratio > 1 should be rejected")
-			}
-			if err := ctrl.SetShape(-0.1, 0); err == nil {
-				t.Error("negative scan ratio should be rejected")
-			}
-			if err := ctrl.SetShape(0, -0.5); err == nil {
-				t.Error("negative skew should be rejected")
-			}
-			if retuned, err := ctrl.Observe(0.8); err != nil || !retuned {
-				t.Fatalf("first observation should tune: %v %v", retuned, err)
-			}
-			if retuned, err := ctrl.Observe(0.8); err != nil || retuned {
-				t.Fatalf("steady workload should not retune: %v %v", retuned, err)
-			}
-			if err := ctrl.SetShape(0.4, 0.3); err != nil {
-				t.Fatal(err)
-			}
-			// Same read ratio, but the shape axes moved 0.7 in L1 — past the
-			// 0.2 threshold, so the next window must retune.
-			if retuned, err := ctrl.Observe(0.8); err != nil || !retuned {
-				t.Errorf("shape change should force a retune: %v %v", retuned, err)
-			}
-		})
-	}
-}
-
 func TestProactiveControllerTracksForecast(t *testing.T) {
 	tuner := preparedTuner(t)
 	markov, err := forecast.NewMarkov(5)

@@ -62,15 +62,19 @@ type Dataset struct {
 }
 
 // Features converts the dataset into surrogate training matrices using
-// the space's key-parameter encoding (Equation 2).
+// the space's key-parameter encoding (Equation 2). A row is the read
+// ratio, then the scan ratio only when some sample has scans (an axis
+// the data never varies would be a constant input), then the key
+// parameters.
 func (d Dataset) Features(space *config.Space) ([][]float64, []float64, error) {
 	if len(d.Samples) == 0 {
 		return nil, nil, fmt.Errorf("core: empty dataset")
 	}
+	scans := d.hasScans()
 	xs := make([][]float64, 0, len(d.Samples))
 	ys := make([]float64, 0, len(d.Samples))
 	for i, s := range d.Samples {
-		vec, err := space.FeatureVector(s.Workload.Vector(), s.Config)
+		vec, err := space.FeatureVector(s.Workload.vector(scans), s.Config)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: sample %d: %w", i, err)
 		}
@@ -78,6 +82,16 @@ func (d Dataset) Features(space *config.Space) ([][]float64, []float64, error) {
 		ys = append(ys, s.Throughput)
 	}
 	return xs, ys, nil
+}
+
+// hasScans reports whether any sample's workload has range scans.
+func (d Dataset) hasScans() bool {
+	for _, s := range d.Samples {
+		if s.Workload.ScanRatio != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // SplitByConfig partitions the dataset into train/test so that every

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -146,8 +147,80 @@ func TestCollectShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(xs) != 12 || len(ys) != 12 || len(xs[0]) != WorkloadDims+5 {
+	if len(xs) != 12 || len(ys) != 12 || len(xs[0]) != 1+5 {
 		t.Errorf("feature shapes: %d x %d", len(xs), len(xs[0]))
+	}
+}
+
+// TestFeaturesWidthFollowsScans: a row carries the scan ratio only when
+// some sample in the dataset has scans, and then every row does.
+func TestFeaturesWidthFollowsScans(t *testing.T) {
+	space := config.Cassandra()
+	keys := len(space.KeyNames)
+	for _, tc := range []struct {
+		name      string
+		workloads []Workload
+		width     int
+	}{
+		{"rr only", RRs(0.1, 0.9), 1 + keys},
+		{"with scans", []Workload{RR(0.1), {ReadRatio: 0.9, ScanRatio: 0.2}}, 2 + keys},
+	} {
+		var ds Dataset
+		for _, w := range tc.workloads {
+			ds.Samples = append(ds.Samples, Sample{Workload: w, Config: config.Config{}, Throughput: 1})
+		}
+		xs, _, err := ds.Features(space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			if len(x) != tc.width {
+				t.Errorf("%s: row %d is %d wide, want %d", tc.name, i, len(x), tc.width)
+			}
+		}
+	}
+}
+
+// TestPreparedSurrogateHasPaperShape: the paper's pipeline, RR-only
+// windows and five key parameters, prepares a [6 → 14 → 4 → 1]
+// surrogate, 163 weights per member.
+func TestPreparedSurrogateHasPaperShape(t *testing.T) {
+	space := config.Cassandra()
+	model := nn.DefaultModelConfig()
+	model.EnsembleSize = 2
+	model.BR.Epochs = 3
+	tuner, err := NewTuner(analyticCollector(space), space, TunerOptions{
+		SkipIdentify: true,
+		Collect:      CollectOptions{Workloads: RRs(0.1, 0.5, 0.9), Configs: 8, Seed: 4},
+		Model:        model,
+		GA:           fastGAOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tuner.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(tuner.Surrogate().Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved struct {
+		Nets []struct {
+			Sizes   []int
+			Weights []float64
+		}
+	}
+	if err := json.Unmarshal(blob, &saved); err != nil {
+		t.Fatal(err)
+	}
+	if len(saved.Nets) == 0 {
+		t.Fatal("prepared surrogate has no members")
+	}
+	for i, net := range saved.Nets {
+		if !reflect.DeepEqual(net.Sizes, []int{6, 14, 4, 1}) || len(net.Weights) != 163 {
+			t.Errorf("member %d is %v with %d weights, want [6 14 4 1] with 163", i, net.Sizes, len(net.Weights))
+		}
 	}
 }
 
@@ -412,7 +485,7 @@ func TestDedupeRankingCollapsesGroups(t *testing.T) {
 // same problem searches exactly what a recommendation searches.
 func TestOptimizeRunsTheSurrogateProblem(t *testing.T) {
 	sur := preparedTuner(t).Surrogate()
-	w := Workload{ReadRatio: 0.3, ScanRatio: 0.1}
+	w := RR(0.3)
 	opts := fastGAOptions()
 	rec, err := sur.Optimize(w, opts)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 type surrogateFile struct {
 	Datastore string          `json:"datastore"`
 	KeyNames  []string        `json:"keyNames"`
+	Scans     bool            `json:"scans"`
 	Model     json.RawMessage `json:"model"`
 }
 
@@ -27,6 +28,7 @@ func (s *Surrogate) Save(path string) error {
 	blob, err := json.MarshalIndent(surrogateFile{
 		Datastore: s.Space.Name,
 		KeyNames:  s.Space.KeyNames,
+		Scans:     s.Scans,
 		Model:     modelBlob,
 	}, "", "  ")
 	if err != nil {
@@ -39,9 +41,8 @@ func (s *Surrogate) Save(path string) error {
 }
 
 // LoadSurrogate reads a surrogate saved by Save and binds it to space,
-// validating that the datastore and key-parameter layout match — a
-// surrogate trained for one feature encoding must not silently predict
-// for another.
+// validating that the datastore, key-parameter layout and feature
+// encoding match (see checkFits).
 func LoadSurrogate(path string, space *config.Space) (*Surrogate, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -51,17 +52,6 @@ func LoadSurrogate(path string, space *config.Space) (*Surrogate, error) {
 	if err := json.Unmarshal(blob, &sf); err != nil {
 		return nil, fmt.Errorf("core: decoding surrogate: %w", err)
 	}
-	if sf.Datastore != space.Name {
-		return nil, fmt.Errorf("core: surrogate was trained for %q, not %q", sf.Datastore, space.Name)
-	}
-	if len(sf.KeyNames) != len(space.KeyNames) {
-		return nil, fmt.Errorf("core: surrogate has %d key parameters, space has %d", len(sf.KeyNames), len(space.KeyNames))
-	}
-	for i, n := range sf.KeyNames {
-		if n != space.KeyNames[i] {
-			return nil, fmt.Errorf("core: key parameter %d is %q in the surrogate but %q in the space", i, n, space.KeyNames[i])
-		}
-	}
 	var model nn.Model
 	if err := json.Unmarshal(sf.Model, &model); err != nil {
 		return nil, fmt.Errorf("core: decoding surrogate model: %w", err)
@@ -69,15 +59,13 @@ func LoadSurrogate(path string, space *config.Space) (*Surrogate, error) {
 	if err := model.Validate(); err != nil {
 		return nil, fmt.Errorf("core: surrogate model failed validation: %w", err)
 	}
-	// The key-name list and the model's trained feature width must agree
-	// with the space: the workload characterization (read ratio, scan
-	// ratio, skew) plus one feature per key parameter. A stale or
-	// hand-edited file that passes the name check but was trained at a
-	// different width would otherwise predict garbage — including
-	// RR-only surrogates saved before the op-mix axes existed.
-	if want := WorkloadDims + len(space.KeyNames); model.InputWidth() != want {
-		return nil, fmt.Errorf("core: surrogate expects %d features, space needs %d (%d workload features + %d key parameters)",
-			model.InputWidth(), want, WorkloadDims, len(space.KeyNames))
+	// The recorded workload axes, not the width alone, decide the
+	// encoding: a 4-key scan-trained model and a 5-key RR-only one are
+	// equally wide. A file saved before the axes were recorded loads as
+	// RR-only, and its 3 workload inputs then fail the width check.
+	saved := &Surrogate{Model: &model, Space: &config.Space{Name: sf.Datastore, KeyNames: sf.KeyNames}, Scans: sf.Scans}
+	if err := saved.checkFits(space); err != nil {
+		return nil, err
 	}
-	return &Surrogate{Model: &model, Space: space}, nil
+	return &Surrogate{Model: &model, Space: space, Scans: sf.Scans}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rafiki/internal/config"
+	"rafiki/internal/nn"
 )
 
 func TestSurrogateSaveLoadRoundTrip(t *testing.T) {
@@ -129,6 +130,10 @@ func TestTunerUseSurrogate(t *testing.T) {
 	if err := tuner.UseSurrogate(nil); err == nil {
 		t.Error("nil surrogate should error")
 	}
+	// The same model claiming the scan axis is one input short of it.
+	if err := tuner.UseSurrogate(&Surrogate{Model: sur.Model, Space: space, Scans: true}); err == nil {
+		t.Error("a width mismatch should be rejected")
+	}
 	scyllaTuner, err := NewTuner(analyticCollector(space), config.ScyllaDB(), TunerOptions{SkipIdentify: true, GA: fastGAOptions()})
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +194,13 @@ func TestLoadSurrogateRejectsCorruptFiles(t *testing.T) {
 	}
 
 	// Feature-width mismatch with a matching key-name list: a surrogate
-	// trained on a narrower space whose file claims the full key set.
+	// trained with scans on a narrower space whose file claims the full
+	// key set. Its width, 2 + 4, is that of a 5-key RR-only model, so
+	// only the recorded scan axis tells the two apart.
 	narrow := config.Cassandra()
 	narrow.KeyNames = narrow.KeyNames[:4]
 	dsN, err := Collect(analyticCollector(narrow), narrow, CollectOptions{
-		Workloads: RRs(0, 1),
+		Workloads: []Workload{RR(0), {ReadRatio: 1, ScanRatio: 0.2}},
 		Configs:   6,
 		Seed:      48,
 	})
@@ -203,6 +210,9 @@ func TestLoadSurrogateRejectsCorruptFiles(t *testing.T) {
 	surN, err := TrainSurrogate(dsN, narrow, fastModelConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !surN.Scans || surN.Model.InputWidth() != 1+len(config.Cassandra().KeyNames) {
+		t.Fatalf("narrow scan-trained surrogate: scans %v, width %d", surN.Scans, surN.Model.InputWidth())
 	}
 	narrowPath := filepath.Join(dir, "narrow.json")
 	if err := surN.Save(narrowPath); err != nil {
@@ -231,5 +241,77 @@ func TestLoadSurrogateRejectsCorruptFiles(t *testing.T) {
 	}
 	if _, err := LoadSurrogate(forgedPath, config.Cassandra()); err == nil {
 		t.Error("feature-width mismatch should be rejected despite matching key names")
+	}
+
+	// A file saved before the scan axis was recorded: no "scans" field
+	// and a model fed [RR, ScanRatio, Skew] ahead of the key parameters.
+	xs, ys, err := ds.Features(space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		xs[i] = append([]float64{x[0], 0, 0}, x[1:]...)
+	}
+	wide, err := nn.Fit(xs, ys, fastModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	widePath := filepath.Join(dir, "wide.json")
+	if err := (&Surrogate{Model: wide, Space: space}).Save(widePath); err != nil {
+		t.Fatal(err)
+	}
+	wideBlob, err := os.ReadFile(widePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf = nil
+	if err := json.Unmarshal(wideBlob, &sf); err != nil {
+		t.Fatal(err)
+	}
+	delete(sf, "scans")
+	if wideBlob, err = json.Marshal(sf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(widePath, wideBlob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSurrogate(widePath, config.Cassandra()); err == nil {
+		t.Error("an 8-wide surrogate from before the scan axis was recorded should be rejected")
+	}
+}
+
+// TestRROnlySurrogateRejectsScans: a surrogate trained without scans has
+// no input for the scan ratio, so every query that carries one is an
+// error rather than an extrapolation; a scan-trained surrogate answers.
+func TestRROnlySurrogateRejectsScans(t *testing.T) {
+	space := config.Cassandra()
+	train := func(workloads []Workload) *Surrogate {
+		ds, err := Collect(analyticCollector(space), space, CollectOptions{Workloads: workloads, Configs: 6, Seed: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sur, err := TrainSurrogate(ds, space, fastModelConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sur
+	}
+	w := Workload{ReadRatio: 0.5, ScanRatio: 0.1}
+	rrOnly := train(RRs(0, 1))
+	if _, err := rrOnly.Predict(w, config.Config{}); err == nil {
+		t.Error("Predict with scans on an RR-only surrogate should error")
+	}
+	if _, _, err := rrOnly.PredictWithStd(w, config.Config{}); err == nil {
+		t.Error("PredictWithStd with scans on an RR-only surrogate should error")
+	}
+	if _, err := rrOnly.Problem(w); err == nil {
+		t.Error("Problem with scans on an RR-only surrogate should error")
+	}
+	scans := train([]Workload{RR(0), {ReadRatio: 1, ScanRatio: 0.2}})
+	if _, err := scans.Predict(w, config.Config{}); err != nil {
+		t.Errorf("Predict with scans on a scan-trained surrogate: %v", err)
+	}
+	if _, err := scans.Predict(RR(0.5), config.Config{}); err != nil {
+		t.Errorf("Predict without scans on a scan-trained surrogate: %v", err)
 	}
 }

@@ -155,22 +155,14 @@ func (t *Tuner) Surrogate() *Surrogate { return t.surrogate }
 
 // UseSurrogate installs a previously trained (e.g. persisted) surrogate,
 // making the tuner ready to Recommend without re-running Prepare. The
-// surrogate must be bound to a space with the same datastore name and
-// key-parameter layout.
+// surrogate must fit the tuner's space as LoadSurrogate checks it: the
+// same datastore, key-parameter layout and feature encoding.
 func (t *Tuner) UseSurrogate(s *Surrogate) error {
 	if s == nil || s.Model == nil || s.Space == nil {
 		return errors.New("core: nil surrogate")
 	}
-	if s.Space.Name != t.space.Name {
-		return fmt.Errorf("core: surrogate datastore %q does not match tuner %q", s.Space.Name, t.space.Name)
-	}
-	if len(s.Space.KeyNames) != len(t.space.KeyNames) {
-		return fmt.Errorf("core: surrogate key layout mismatch")
-	}
-	for i, n := range s.Space.KeyNames {
-		if n != t.space.KeyNames[i] {
-			return fmt.Errorf("core: surrogate key %d is %q, tuner has %q", i, n, t.space.KeyNames[i])
-		}
+	if err := s.checkFits(t.space); err != nil {
+		return err
 	}
 	t.surrogate = s
 	return nil
@@ -199,7 +191,6 @@ func (t *Tuner) Recommend(w Workload) (OptimizeResult, error) {
 		return OptimizeResult{}, err
 	}
 	t.recordStage("core.search", searchStart, evals.Value(), "evals",
-		map[string]float64{"read_ratio": w.ReadRatio, "scan_ratio": w.ScanRatio,
-			"skew": w.Skew, "predicted": res.Predicted})
+		map[string]float64{"read_ratio": w.ReadRatio, "scan_ratio": w.ScanRatio, "predicted": res.Predicted})
 	return res, nil
 }

@@ -51,7 +51,7 @@ func TestRecommendConcurrentMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workloads := []Workload{RR(0.1), RR(0.5), {ReadRatio: 0.7, ScanRatio: 0.2}, {ReadRatio: 0.95, Skew: 0.5}}
+	workloads := []Workload{RR(0.1), RR(0.5), RR(0.7), RR(0.95)}
 	wantRecs := make([]OptimizeResult, len(workloads))
 	for i, w := range workloads {
 		if wantRecs[i], err = tuner.Recommend(w); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rafiki/internal/config"
 	"rafiki/internal/ga"
@@ -16,6 +17,10 @@ type Surrogate struct {
 	Model *nn.Model
 	// Space supplies the key-parameter encoding.
 	Space *config.Space
+	// Scans records that the training data had range scans, so the
+	// model's inputs carry ScanRatio after ReadRatio. False, the zero
+	// value, means the paper's RR-only inputs.
+	Scans bool
 }
 
 // TrainSurrogate fits the DNN ensemble to a dataset.
@@ -28,7 +33,45 @@ func TrainSurrogate(ds Dataset, space *config.Space, cfg nn.ModelConfig) (*Surro
 	if err != nil {
 		return nil, fmt.Errorf("core: training surrogate: %w", err)
 	}
-	return &Surrogate{Model: model, Space: space}, nil
+	return &Surrogate{Model: model, Space: space, Scans: ds.hasScans()}, nil
+}
+
+// checkFits rejects a surrogate trained for another datastore, key
+// layout or feature encoding than space, where it would silently
+// predict garbage. The model must be as wide as the workload axes the
+// surrogate records plus one input per key parameter.
+func (s *Surrogate) checkFits(space *config.Space) error {
+	if s.Space.Name != space.Name {
+		return fmt.Errorf("core: surrogate was trained for %q, not %q", s.Space.Name, space.Name)
+	}
+	if !slices.Equal(s.Space.KeyNames, space.KeyNames) {
+		return fmt.Errorf("core: surrogate key parameters %v do not match the space's %v", s.Space.KeyNames, space.KeyNames)
+	}
+	axes := len(RR(0).vector(s.Scans))
+	if want := axes + len(space.KeyNames); s.Model.InputWidth() != want {
+		return fmt.Errorf("core: surrogate expects %d features, space needs %d (%d workload features + %d key parameters)",
+			s.Model.InputWidth(), want, axes, len(space.KeyNames))
+	}
+	return nil
+}
+
+// workloadVector encodes w on the axes the surrogate was trained on. A
+// workload with scans has no encoding on an RR-only surrogate.
+func (s *Surrogate) workloadVector(w Workload) ([]float64, error) {
+	if w.ScanRatio != 0 && !s.Scans {
+		return nil, fmt.Errorf("core: scan ratio %v on a surrogate trained without scans", w.ScanRatio)
+	}
+	return w.vector(s.Scans), nil
+}
+
+// featureVector is one model input row: w's axes, then cfg's key
+// parameters.
+func (s *Surrogate) featureVector(w Workload, cfg config.Config) ([]float64, error) {
+	prefix, err := s.workloadVector(w)
+	if err != nil {
+		return nil, err
+	}
+	return s.Space.FeatureVector(prefix, cfg)
 }
 
 // Predict returns the surrogate's throughput estimate for a workload
@@ -36,7 +79,7 @@ func TrainSurrogate(ds Dataset, space *config.Space, cfg nn.ModelConfig) (*Surro
 // GA search over the surrogate ~4 orders of magnitude faster than
 // benchmarking real configurations (Section 4.8).
 func (s *Surrogate) Predict(w Workload, cfg config.Config) (float64, error) {
-	vec, err := s.Space.FeatureVector(w.Vector(), cfg)
+	vec, err := s.featureVector(w, cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -60,6 +103,10 @@ type OptimizeResult struct {
 // parameters' ranges. Every searcher over the surrogate, Optimize's GA
 // included, runs on this one construction.
 func (s *Surrogate) Problem(w Workload) (problem ga.Problem, err error) {
+	prefix, err := s.workloadVector(w)
+	if err != nil {
+		return problem, err
+	}
 	keys, err := s.Space.KeyParams()
 	if err != nil {
 		return problem, err
@@ -75,7 +122,6 @@ func (s *Surrogate) Problem(w Workload) (problem ga.Problem, err error) {
 	// The GA prefers BatchFitness: one ensemble batch call per brood, its
 	// rows (workload vector, then genes) one slab reused across
 	// generations. The scalar Fitness is the single-candidate fallback.
-	prefix := w.Vector()
 	width := len(prefix) + len(keys)
 	var rows [][]float64
 	return ga.Problem{
@@ -133,7 +179,7 @@ func (s *Surrogate) Optimize(w Workload, opts ga.Options) (OptimizeResult, error
 // barely covers — exactly where a single-point prediction is least
 // trustworthy and re-tuning on it is most dangerous.
 func (s *Surrogate) PredictWithStd(w Workload, cfg config.Config) (mean, std float64, err error) {
-	vec, err := s.Space.FeatureVector(w.Vector(), cfg)
+	vec, err := s.featureVector(w, cfg)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,30 +5,22 @@ import (
 	"math"
 )
 
-// WorkloadDims is the width of the workload part of the surrogate's
-// feature vector: read ratio, scan ratio, skew.
-const WorkloadDims = 3
-
 // Workload is the characterization vector W of Section 3.3, extended
-// beyond the paper's scalar read ratio with the two shape axes the
-// CRUD+scan workload suite exposes: the fraction of operations that are
-// range scans, and the hotspot skew of the key popularity distribution.
-// The zero values reproduce the paper's original RR-only treatment, so
-// Workload{ReadRatio: rr} (see RR) is exactly a pre-scan workload.
+// beyond the paper's scalar read ratio with the fraction of operations
+// that are range scans, the one shape axis the CRUD+scan workload suite
+// exposes. The zero scan ratio reproduces the paper's RR-only
+// treatment, so Workload{ReadRatio: rr} (see RR) is exactly a pre-scan
+// workload.
 type Workload struct {
 	// ReadRatio is the fraction of point operations that are reads —
 	// the paper's RR.
 	ReadRatio float64
 	// ScanRatio is the fraction of all operations that are range scans.
 	ScanRatio float64
-	// Skew is the hotspot skew of the key distribution in [0,1]
-	// (0 = the KRD/uniform models, higher = hotter hot set; see
-	// workload.Spec.Skew).
-	Skew float64
 }
 
 // RR wraps a scalar read ratio as a Workload — the paper's original
-// characterization, with no scans and no hotspot skew.
+// characterization, with no scans.
 func RR(readRatio float64) Workload { return Workload{ReadRatio: readRatio} }
 
 // RRs wraps a list of scalar read ratios as point-operation-only
@@ -41,10 +33,13 @@ func RRs(readRatios ...float64) []Workload {
 	return out
 }
 
-// Vector returns the workload's feature-vector prefix in the fixed
-// [ReadRatio, ScanRatio, Skew] order, WorkloadDims wide.
-func (w Workload) Vector() []float64 {
-	return []float64{w.ReadRatio, w.ScanRatio, w.Skew}
+// vector returns the workload's feature-vector prefix: ReadRatio, then
+// ScanRatio when the surrogate's inputs carry the scan axis.
+func (w Workload) vector(scans bool) []float64 {
+	if scans {
+		return []float64{w.ReadRatio, w.ScanRatio}
+	}
+	return []float64{w.ReadRatio}
 }
 
 // Validate reports characterization errors.
@@ -55,19 +50,16 @@ func (w Workload) Validate() error {
 	if w.ScanRatio < 0 || w.ScanRatio > 1 {
 		return fmt.Errorf("core: scan ratio %v out of [0,1]", w.ScanRatio)
 	}
-	if w.Skew < 0 || w.Skew > 1 {
-		return fmt.Errorf("core: skew %v out of [0,1]", w.Skew)
-	}
 	return nil
 }
 
 // String renders the workload compactly; pure-RR workloads render as
 // the scalar the paper uses.
 func (w Workload) String() string {
-	if w.ScanRatio == 0 && w.Skew == 0 {
+	if w.ScanRatio == 0 {
 		return fmt.Sprintf("RR=%v", w.ReadRatio)
 	}
-	return fmt.Sprintf("RR=%v scan=%v skew=%v", w.ReadRatio, w.ScanRatio, w.Skew)
+	return fmt.Sprintf("RR=%v scan=%v", w.ReadRatio, w.ScanRatio)
 }
 
 // dist is the L1 distance between two workload characterizations — the
@@ -75,5 +67,5 @@ func (w Workload) String() string {
 //
 //rafiki:hot
 func (w Workload) dist(o Workload) float64 {
-	return math.Abs(w.ReadRatio-o.ReadRatio) + math.Abs(w.ScanRatio-o.ScanRatio) + math.Abs(w.Skew-o.Skew)
+	return math.Abs(w.ReadRatio-o.ReadRatio) + math.Abs(w.ScanRatio-o.ScanRatio)
 }

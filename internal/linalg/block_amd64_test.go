@@ -20,7 +20,7 @@ func TestKernelsUseAVX(t *testing.T) {
 	var counts [2]int
 	pathCounts = &counts
 	defer func() { pathCounts = nil }()
-	m, _, vc := benchMatrix(220, 191)
+	m, _, vc := benchMatrix(220, 163)
 	spd := m.AtA()
 	if err := spd.AddDiagonal(0.5); err != nil {
 		t.Fatal(err)

@@ -151,12 +151,12 @@ func onBothPaths(t *testing.T, fn func(t *testing.T)) {
 // kernelShapes are the (rows, cols) the bit-identity tests sweep: every
 // width from 1 to 9, the block edges 15, 16, 17, 31, 32 and 33 (one
 // lane short of a block, exactly one, one over; the same at two),
-// widths that are not multiples of four, and the trainer's real
-// 220 x 191 Jacobian.
+// widths that are not multiples of four, the trainer's real 220 x 163
+// Jacobian, and 220 x 191, one more odd width.
 var kernelShapes = [][2]int{
 	{1, 1}, {3, 2}, {5, 3}, {4, 4}, {9, 5}, {2, 6}, {11, 7}, {8, 8}, {13, 9},
 	{40, 13}, {20, 15}, {7, 16}, {30, 17}, {17, 22}, {50, 31}, {33, 32}, {40, 33},
-	{64, 41}, {220, 191},
+	{64, 41}, {220, 163}, {220, 191},
 }
 
 // sprinkleZeros plants exact +0 and -0 entries, the terms the naive
@@ -576,10 +576,10 @@ func BenchmarkAtA(b *testing.B) {
 }
 
 // benchShapes are the Jacobian shapes the O(n³)-class kernels are
-// timed at: the historical 256 x 41, and the 220 x 191 of the tuning
-// pipeline's [8,14,4,1] surrogate — a 191 x 191 solve is ~75x the work
+// timed at: the historical 256 x 41, and the 220 x 163 of the tuning
+// pipeline's [6,14,4,1] surrogate — a 163 x 163 solve is ~60x the work
 // of a 41 x 41 one, so only the second row shows what the trainer pays.
-var benchShapes = [][2]int{{256, 41}, {220, 191}}
+var benchShapes = [][2]int{{256, 41}, {220, 163}}
 
 func benchShapeName(shape [2]int) string { return fmt.Sprintf("%dx%d", shape[0], shape[1]) }
 

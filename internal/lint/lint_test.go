@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rafiki/internal/golden"
@@ -216,6 +217,28 @@ func TestDiagnosticsSortedAcrossAnalyzers(t *testing.T) {
 	}
 }
 
+// repoLint is the whole module, loaded and linted by every analyzer.
+type repoLint struct {
+	moduleDir string
+	pkgs      []*Package
+	diags     []Diagnostic
+}
+
+// repoTree loads and lints the module once per test binary: the
+// full-tree tests read the same findings, and the type check is most of
+// their cost.
+var repoTree = sync.OnceValues(func() (repoLint, error) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		return repoLint{}, err
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		return repoLint{}, err
+	}
+	return repoLint{moduleDir: loader.ModuleDir, pkgs: pkgs, diags: Run(pkgs, All())}, nil
+})
+
 // TestRepoTreeClean proves the invariants over the real tree: the
 // whole module must lint clean, which is exactly what `make lint`
 // enforces in CI.
@@ -223,15 +246,11 @@ func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree type check is slow; covered by make lint")
 	}
-	loader, err := NewLoader(".")
+	tree, err := repoTree()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	failing := Unsuppressed(Run(pkgs, All()))
+	failing := Unsuppressed(tree.diags)
 	for _, d := range failing {
 		t.Errorf("%s", d)
 	}
@@ -247,21 +266,17 @@ func TestRepoSuppressionsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree type check is slow; covered by make guard")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
+	tree, err := repoTree()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	silenced := make(map[string]bool) // "file:line:analyzer" of each suppressed finding
-	for _, d := range Run(pkgs, All()) {
+	for _, d := range tree.diags {
 		if !d.Suppressed {
 			continue
 		}
-		rel, err := filepath.Rel(loader.ModuleDir, d.File)
+		rel, err := filepath.Rel(tree.moduleDir, d.File)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +286,7 @@ func TestRepoSuppressionsGolden(t *testing.T) {
 	golden.Check(t, filepath.Join("testdata", "golden", "repo_suppressions.txt"), []byte(sb.String()))
 
 	// A directive covers its own line and the next one.
-	for _, pkg := range pkgs {
+	for _, pkg := range tree.pkgs {
 		idx, _ := buildSuppressions(pkg.Fset, pkg.Files)
 		for file, byLine := range idx {
 			for line, sups := range byLine {

@@ -238,7 +238,7 @@ func BenchmarkTrainBR(b *testing.B) {
 }
 
 // BenchmarkTrainBREpoch times one LM/Bayesian-regularization epoch of
-// one ensemble member at the pipeline's shape (220 samples, 191
+// one ensemble member at the pipeline's shape (220 samples, 163
 // weights): gradient test, damped solves until a step is accepted, the
 // Gram pass and the evidence update. Training restarts from the initial
 // weights every 40 epochs, with the timer stopped, so every op is an
@@ -246,7 +246,7 @@ func BenchmarkTrainBR(b *testing.B) {
 // run, and the reported allocations are the epoch loop's own (zero).
 func BenchmarkTrainBREpoch(b *testing.B) {
 	xs, ys := pipelineShapeSet(1)
-	proto, err := NewNetwork(8, []int{14, 4}, rand.New(rand.NewSource(1)))
+	proto, err := NewNetwork(6, []int{14, 4}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func BenchmarkTrainBREpoch(b *testing.B) {
 }
 
 // BenchmarkPredictBatch times PredictBatchInto on the surrogate's own
-// shape — [8,14,4,1], 20 members trained and pruned to 14 — at the
+// shape — [6,14,4,1], 20 members trained and pruned to 14 — at the
 // three batch sizes inference runs at: one row (a Predict), a GA brood
 // of 48 candidates sharing the workload vector in front of their genes,
 // and the 1024 dataset rows of rafikibench's nn.predict_batch_row_ns

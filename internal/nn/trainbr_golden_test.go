@@ -12,20 +12,21 @@ import (
 )
 
 // pipelineShapeSet builds a training set shaped like the tuning
-// pipeline's: 220 samples of 8 normalized features, so an [8,14,4,1]
-// net has the pipeline's 191 weights and the LM kernels run on the
-// 220 x 191 Jacobian they run on in production. The response has a
+// pipeline's: 220 samples of 6 normalized features (RR and five key
+// parameters), so a [6,14,4,1] net has the pipeline's 163 weights and
+// the LM kernels run on the 220 x 163 Jacobian they run on in
+// production. The response has a
 // cliff and a little noise, like the engine's throughput surface.
 func pipelineShapeSet(seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	xs := make([][]float64, 220)
 	ys := make([]float64, 220)
 	for i := range xs {
-		x := make([]float64, 8)
+		x := make([]float64, 6)
 		for j := range x {
 			x[j] = 2*rng.Float64() - 1
 		}
-		y := 0.6*math.Sin(2*x[0]) - 0.4*x[1]*x[1] + 0.3*x[2]*x[3] + 0.1*x[7]
+		y := 0.6*math.Sin(2*x[0]) - 0.4*x[1]*x[1] + 0.3*x[2]*x[3] + 0.1*x[5]
 		if x[4] > 0.3 {
 			y -= 0.5
 		}
@@ -60,12 +61,12 @@ func TestTrainBRGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			xs, ys := pipelineShapeSet(tc.seed)
-			net, err := NewNetwork(8, []int{14, 4}, rand.New(rand.NewSource(tc.seed*7919)))
+			net, err := NewNetwork(6, []int{14, 4}, rand.New(rand.NewSource(tc.seed*7919)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if net.NumWeights() != 191 {
-				t.Fatalf("net has %d weights, want the pipeline's 191", net.NumWeights())
+			if net.NumWeights() != 163 {
+				t.Fatalf("net has %d weights, want the pipeline's 163", net.NumWeights())
 			}
 			reg := obs.NewRegistry()
 			opts := tc.opts

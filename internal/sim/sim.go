@@ -111,10 +111,9 @@ func (s Sampler) newStore(cfg config.Config, seed int64) (Store, error) {
 
 // spec translates a workload characterization into the concrete
 // workload.Spec a sample drives: RR-only workloads are reads against
-// updates, while workloads with scan-ratio or skew axes run the full
-// CRUD+scan mix — scans at ScanRatio, a fixed 5% delete share of
-// mutations so tombstone pressure is always represented, and a hotspot
-// key distribution whose hot-traffic weight realizes the skew.
+// updates, while workloads with scans run the full CRUD+scan mix —
+// scans at ScanRatio and a fixed 5% delete share of mutations so
+// tombstone pressure is always represented.
 func (s Sampler) spec(w core.Workload, keySpace int, seed int64) workload.Spec {
 	spec := workload.Spec{
 		ReadRatio: w.ReadRatio,
@@ -122,13 +121,8 @@ func (s Sampler) spec(w core.Workload, keySpace int, seed int64) workload.Spec {
 		Ops:       s.SampleOps,
 		Seed:      seed,
 	}
-	if w.ScanRatio == 0 && w.Skew == 0 {
-		return spec
-	}
-	spec.Mix = workload.MixForShape(w.ReadRatio, w.ScanRatio, 0.05)
-	if w.Skew > 0 {
-		spec.Distribution = workload.DistHotspot
-		spec.HotspotWeight = w.Skew
+	if w.ScanRatio != 0 {
+		spec.Mix = workload.MixForShape(w.ReadRatio, w.ScanRatio, 0.05)
 	}
 	return spec
 }

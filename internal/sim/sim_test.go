@@ -37,7 +37,6 @@ func TestSampleGolden(t *testing.T) {
 		{"cassandra", tiny(), core.RR(0.5), config.Config{}, 9},
 		{"cassandra tuned", tiny(), core.RR(0.9), cfg, 10},
 		{"cassandra scans", tiny(), core.Workload{ReadRatio: 0.2, ScanRatio: 0.3}, cfg, 11},
-		{"cassandra skew", tiny(), core.Workload{ReadRatio: 0.8, ScanRatio: 0.1, Skew: 0.9}, nil, 12},
 		{"inverse p99", tiny().InverseP99(), core.RR(0.5), config.Config{}, 31},
 		{"scylla", scylla, core.RR(0.5), config.Config{}, 72},
 		{"scylla tuned", scylla, core.RR(0.7), cfg, 73},

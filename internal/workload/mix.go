@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Mix is a YCSB-style op-type percentage mix (the c/r/u/d/q fractions
@@ -46,13 +45,7 @@ const (
 	DistKRD = "krd"
 	// DistZipfian draws Zipf-skewed keys (YCSB's web model).
 	DistZipfian = "zipfian"
-	// DistHotspot sends HotspotWeight of the traffic to a scattered
-	// hotspotFraction of the key space.
-	DistHotspot = "hotspot"
 )
-
-// hotspotFraction is the share of the key space DistHotspot makes hot.
-const hotspotFraction = 0.2
 
 // Scanner is optionally implemented by stores that support range scans
 // (the single-node engine and the cluster both do). Scan walks keys in
@@ -66,54 +59,6 @@ type Scanner interface {
 // a time-to-live in virtual seconds.
 type TTLWriter interface {
 	WriteTTL(key uint64, ttlSeconds float64)
-}
-
-// HotspotKeyGenerator sends a fixed share of traffic to a small,
-// scattered subset of the key space — YCSB's hotspot distribution. The
-// hot set is scattered by a multiplicative hash so hot keys do not
-// cluster into adjacent SSTable blocks.
-type HotspotKeyGenerator struct {
-	rng       *rand.Rand
-	keySpace  uint64
-	hotKeys   uint64
-	hotWeight float64
-}
-
-// NewHotspotKeyGenerator builds a generator over keySpace keys where
-// hotWeight (0..1) of the draws land in a hotFraction (0..1) share of
-// the key space.
-func NewHotspotKeyGenerator(keySpace int, hotFraction, hotWeight float64, seed int64) (*HotspotKeyGenerator, error) {
-	if keySpace <= 0 {
-		return nil, fmt.Errorf("workload: key space must be positive, got %d", keySpace)
-	}
-	if hotFraction <= 0 || hotFraction >= 1 {
-		return nil, fmt.Errorf("workload: hotspot fraction %v out of (0,1)", hotFraction)
-	}
-	if hotWeight < 0 || hotWeight > 1 {
-		return nil, fmt.Errorf("workload: hotspot weight %v out of [0,1]", hotWeight)
-	}
-	hot := uint64(hotFraction * float64(keySpace))
-	if hot < 1 {
-		hot = 1
-	}
-	return &HotspotKeyGenerator{
-		rng:       rand.New(rand.NewSource(seed)),
-		keySpace:  uint64(keySpace),
-		hotKeys:   hot,
-		hotWeight: hotWeight,
-	}, nil
-}
-
-// Next returns the next key: a hot-set rank with probability hotWeight,
-// otherwise a cold-set rank, scattered over the key space.
-func (g *HotspotKeyGenerator) Next() uint64 {
-	var rank uint64
-	if g.rng.Float64() < g.hotWeight {
-		rank = uint64(g.rng.Int63n(int64(g.hotKeys)))
-	} else {
-		rank = g.hotKeys + uint64(g.rng.Int63n(int64(g.keySpace-g.hotKeys)))
-	}
-	return (rank * 2654435761) % g.keySpace
 }
 
 // keySource is the generator surface the driver consumes.
@@ -132,12 +77,6 @@ func newKeySource(spec Spec, keySpace int) (keySource, error) {
 			s = 1.4
 		}
 		return NewZipfKeyGenerator(keySpace, s, spec.Seed)
-	case DistHotspot:
-		weight := spec.HotspotWeight
-		if weight <= 0 {
-			weight = 0.8
-		}
-		return NewHotspotKeyGenerator(keySpace, hotspotFraction, weight, spec.Seed)
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %q", spec.Distribution)
 	}

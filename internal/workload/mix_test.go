@@ -40,6 +40,7 @@ func TestSpecValidateMixFields(t *testing.T) {
 		{"bad distribution", func(s *Spec) { s.Distribution = "pareto" }},
 		{"uniform distribution", func(s *Spec) { s.Distribution = "uniform" }},
 		{"latest distribution", func(s *Spec) { s.Distribution = "latest" }},
+		{"hotspot distribution", func(s *Spec) { s.Distribution = "hotspot" }},
 		{"bad mix", func(s *Spec) { s.Mix = Mix{Read: 2} }},
 		{"bad ttl fraction", func(s *Spec) { s.TTLFraction = 1.5 }},
 		{"ttl fraction without seconds", func(s *Spec) { s.TTLFraction = 0.5 }},
@@ -81,10 +82,6 @@ func TestGeneratorGoldenHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := NewHotspotKeyGenerator(keySpace, 0.2, 0.8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	krd, err := NewKeyGenerator(keySpace, 64, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -93,57 +90,10 @@ func TestGeneratorGoldenHistograms(t *testing.T) {
 	for _, g := range []struct {
 		name string
 		next func() uint64
-	}{{"zipfian", zipf.Next}, {"hotspot", hot.Next}, {"krd", krd.Next}} {
+	}{{"zipfian", zipf.Next}, {"krd", krd.Next}} {
 		text = fmt.Appendf(text, "%s %v\n", g.name, bucketHistogram(t, g.next, keySpace, draws))
 	}
 	golden.Check(t, "testdata/key_histograms.golden", text)
-}
-
-// TestHotspotConcentration pins the hotspot property itself: the bucket
-// histogram above is flat because the hot set is scattered, so the
-// skew shows as per-key concentration — ~20% of keys carry ~80% of the
-// traffic.
-func TestHotspotConcentration(t *testing.T) {
-	const keySpace = 4096
-	const draws = 100_000
-	g, err := NewHotspotKeyGenerator(keySpace, 0.2, 0.8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[uint64]int)
-	for i := 0; i < draws; i++ {
-		counts[g.Next()]++
-	}
-	// A key seeing more than twice the uniform share is "busy"; with the
-	// fixed seed exactly the scattered hot set qualifies.
-	busy, busyTraffic := 0, 0
-	for _, c := range counts {
-		if c > 2*draws/keySpace {
-			busy++
-			busyTraffic += c
-		}
-	}
-	if busy != 819 {
-		t.Errorf("busy keys = %d, want the 819-key hot set", busy)
-	}
-	if share := float64(busyTraffic) / draws; share < 0.75 || share > 0.85 {
-		t.Errorf("hot-set traffic share = %v, want ~0.8", share)
-	}
-}
-
-func TestHotspotGeneratorValidation(t *testing.T) {
-	if _, err := NewHotspotKeyGenerator(0, 0.2, 0.8, 1); err == nil {
-		t.Error("zero key space should error")
-	}
-	if _, err := NewHotspotKeyGenerator(100, 0, 0.8, 1); err == nil {
-		t.Error("zero hot fraction should error")
-	}
-	if _, err := NewHotspotKeyGenerator(100, 1, 0.8, 1); err == nil {
-		t.Error("full hot fraction should error")
-	}
-	if _, err := NewHotspotKeyGenerator(100, 0.2, 1.5, 1); err == nil {
-		t.Error("out-of-range hot weight should error")
-	}
 }
 
 func TestSpecShape(t *testing.T) {
@@ -428,10 +378,10 @@ func TestMixThresholdsCatchAll(t *testing.T) {
 
 // TestRunEveryDistribution drives the full driver once per key
 // distribution so the spec-to-generator routing (including the
-// defaulted Zipf exponent and hotspot parameters) is exercised through
-// Run, not only via the generators' own unit tests.
+// defaulted Zipf exponent) is exercised through Run, not only via the
+// generators' own unit tests.
 func TestRunEveryDistribution(t *testing.T) {
-	for _, dist := range []string{DistKRD, DistZipfian, DistHotspot} {
+	for _, dist := range []string{DistKRD, DistZipfian} {
 		store := &mixStore{}
 		res, err := Run(store, Spec{
 			Mix:          Mix{Read: 0.5, Update: 0.3, Delete: 0.1, Scan: 0.1},

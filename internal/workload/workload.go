@@ -38,16 +38,12 @@ type Spec struct {
 	// ReadRatio split. Stores that don't support deletes or scans
 	// receive them as writes and reads.
 	Mix Mix
-	// Distribution selects the key popularity model (DistKRD,
-	// DistZipfian, DistHotspot). Empty means DistKRD, the paper's
-	// characterization.
+	// Distribution selects the key popularity model (DistKRD or
+	// DistZipfian). Empty means DistKRD, the paper's characterization.
 	Distribution string
 	// ZipfS is the Zipf exponent for DistZipfian (must exceed 1;
 	// defaults to 1.4 when unset).
 	ZipfS float64
-	// HotspotWeight is the share of traffic DistHotspot sends to its
-	// hot keys, hotspotFraction of the key space (default 0.8).
-	HotspotWeight float64
 	// ScanLen is the row limit of each range scan (default 64).
 	ScanLen int
 	// TTLFraction is the fraction of writes carrying a time-to-live of
@@ -81,7 +77,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	switch s.Distribution {
-	case "", DistKRD, DistZipfian, DistHotspot:
+	case "", DistKRD, DistZipfian:
 	default:
 		return fmt.Errorf("workload: unknown distribution %q", s.Distribution)
 	}

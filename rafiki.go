@@ -143,8 +143,7 @@ type (
 	// CollectorFunc adapts a function to Collector.
 	CollectorFunc = core.CollectorFunc
 	// Workload is the characterization vector a sample is collected
-	// under: read ratio over point operations, range-scan ratio, and
-	// hotspot skew.
+	// under: read ratio over point operations and range-scan ratio.
 	Workload = core.Workload
 	// Tuner is the Rafiki middleware (offline pipeline + online search).
 	Tuner = core.Tuner
